@@ -20,7 +20,6 @@ from . import __version__
 from .elliptic import (
     EllipticProblem,
     LowerTerm,
-    contraction_estimate,
     graph_norm,
     solve_full,
     solve_principal,
@@ -280,9 +279,11 @@ def _sanitize(obj):
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _sanitize(obj.item())
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
+    if isinstance(obj, float) and math.isnan(obj):
+        return "nan"
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
     return obj
@@ -291,7 +292,8 @@ def _sanitize(obj):
 def _write_reports(out_dir: str, report: dict, csv_rows, extra_files=None):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(_sanitize(report), sort_keys=True, indent=2) + "\n"
+    payload = json.dumps(_sanitize(report), sort_keys=True, indent=2,
+                         allow_nan=False) + "\n"
     (out / "report.json").write_text(payload)
     lines = ["ray,radius,t,ratio,residual,verdict"] + list(csv_rows)
     (out / "report.csv").write_text("\n".join(lines) + "\n")

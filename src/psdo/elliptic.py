@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractionFailure, ModeSingular, NoConvergence
-from .operators import OperatorModel, PositivityCertificate, operator_norm
+from .operators import OperatorModel, PositivityCertificate, operator_norm_upper
 from .spaces import (
     GridSpec,
     SampledField,
+    _lp_lq_norms,
     fractional_multiplier,
     h_m_pt_norm,
     liouville_derivative,
@@ -115,41 +116,50 @@ def coercive_index_set(n: int, m: float):
     return out
 
 
-def _mode_matrices(prob: EllipticProblem) -> np.ndarray:
-    """A + (lambda + P_t(xi)) I stacked over modes, shape (modes, N, N)."""
-    P = prob.symbol_values().reshape(-1)
-    N = prob.model.N
-    eye = np.eye(N, dtype=complex)
-    return prob.model.A[None, :, :] + (prob.lam + P)[:, None, None] * eye
+def _mode_matrices(A: np.ndarray, shifts) -> np.ndarray:
+    """A + s I stacked over the shifts s = lambda + P_t(xi), shape (len, N, N)."""
+    eye = np.eye(A.shape[0], dtype=complex)
+    return A[None, :, :] + np.asarray(shifts)[:, None, None] * eye
 
 
-def _check_modes_invertible(prob: EllipticProblem):
-    P = prob.symbol_values().reshape(-1)
+def _mode_shifts(prob: EllipticProblem) -> np.ndarray:
+    """lambda + P_t(xi) per lattice mode (flattened FFT order).
+
+    Raises ModeSingular when a shift lies within roundoff of -spectrum(A).
+    """
+    shifts = prob.lam + prob.symbol_values().reshape(-1)
     eigs = prob.model.eigvals
     scale = max(1.0, float(np.abs(prob.model.A).max()))
-    dist = np.abs(eigs[None, :] + (prob.lam + P)[:, None]).min(axis=1)
+    dist = np.abs(eigs[None, :] + shifts[:, None]).min(axis=1)
     bad = np.flatnonzero(dist <= 1e-12 * scale)
     if bad.size:
         xi = prob.grid.frequency_mesh().reshape(-1, prob.grid.n)[bad[0]]
         raise ModeSingular(tuple(xi))
+    return shifts
+
+
+def _solve_modes(prob: EllipticProblem, shifts: np.ndarray, fvals: np.ndarray) -> np.ndarray:
+    """Principal solve of a stack of fields, fvals shape (F,) + grid.shape + (N,).
+
+    One FFT of the stack and one per-mode solve with all F right-hand sides.
+    """
+    axes = tuple(range(1, prob.grid.n + 1))
+    F, N = fvals.shape[0], fvals.shape[-1]
+    fhat = np.fft.fftn(fvals, axes=axes, norm="ortho")
+    rhs = np.moveaxis(fhat.reshape(F, -1, N), 0, -1)  # (modes, N, F)
+    try:
+        uhat = np.linalg.solve(_mode_matrices(prob.model.A, shifts), rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ModeSingular(None, str(exc)) from exc
+    uhat = np.moveaxis(uhat, -1, 0).reshape(fhat.shape)
+    return np.fft.ifftn(uhat, axes=axes, norm="ortho")
 
 
 def solve_principal(prob: EllipticProblem, f: SampledField) -> SampledField:
     """Exact per-mode solve of the principal equation (no lower-order terms)."""
     if prob.lower_terms:
         raise ValueError("solve_principal requires empty lower terms; use solve_full")
-    _check_modes_invertible(prob)
-    n = prob.grid.n
-    fhat = np.fft.fftn(f.values, axes=tuple(range(n)), norm="ortho")
-    mats = _mode_matrices(prob)
-    rhs = fhat.reshape(-1, f.N)
-    try:
-        uhat = np.linalg.solve(mats, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise ModeSingular(None, str(exc)) from exc
-    uhat = uhat.reshape(fhat.shape)
-    vals = np.fft.ifftn(uhat, axes=tuple(range(n)), norm="ortho")
-    return f.with_values(vals)
+    return f.with_values(_solve_modes(prob, _mode_shifts(prob), f.values[None])[0])
 
 
 def apply_lower_terms(prob: EllipticProblem, u: SampledField) -> SampledField:
@@ -164,13 +174,19 @@ def apply_lower_terms(prob: EllipticProblem, u: SampledField) -> SampledField:
     return u.with_values(out)
 
 
+def _apply_principal(prob: EllipticProblem, uvals: np.ndarray, uspec: np.ndarray) -> np.ndarray:
+    """P_t(D) u + A u + lambda u for a stack of fields uvals with spectra uspec."""
+    axes = tuple(range(1, prob.grid.n + 1))
+    P = prob.symbol_values()
+    principal = np.fft.ifftn(P[..., None] * uspec, axes=axes, norm="ortho")
+    return principal + prob.model.apply(uvals) + prob.lam * uvals
+
+
 def apply_operator(prob: EllipticProblem, u: SampledField) -> SampledField:
     """Forward operator: symbol part + A u + lambda u + lower-order terms."""
-    n = prob.grid.n
-    uhat = np.fft.fftn(u.values, axes=tuple(range(n)), norm="ortho")
-    P = prob.symbol_values()
-    principal = np.fft.ifftn(P[..., None] * uhat, axes=tuple(range(n)), norm="ortho")
-    out = principal + prob.model.apply(u.values) + prob.lam * u.values
+    uvals = u.values[None]
+    uspec = np.fft.fftn(uvals, axes=tuple(range(1, prob.grid.n + 1)), norm="ortho")
+    out = _apply_principal(prob, uvals, uspec)[0]
     if prob.lower_terms:
         out = out + apply_lower_terms(prob, u).values
     return u.with_values(out)
@@ -203,16 +219,10 @@ def contraction_estimate(prob: EllipticProblem, probes: int = 64, seed: int = 0)
     best = 0.0
     blocks = _lower_symbol_blocks(prob)
     if blocks is not None:
-        _check_modes_invertible(base)
-        mats = _mode_matrices(base).reshape(prob.grid.shape + (prob.model.N,) * 2)
-        Binv = np.linalg.inv(mats)
+        mats = _mode_matrices(prob.model.A, _mode_shifts(base))
+        Binv = np.linalg.inv(mats.reshape(prob.grid.shape + (prob.model.N,) * 2))
         comp = np.einsum("...ij,...jk->...ik", blocks, Binv)
-        if prob.model.q == 2:
-            norms = np.linalg.svd(comp, compute_uv=False)[..., 0]
-        else:
-            norms = np.array([operator_norm(c, prob.model.q).upper
-                              for c in comp.reshape(-1, prob.model.N, prob.model.N)])
-        best = float(np.max(norms))
+        best = float(np.max(operator_norm_upper(comp, prob.model.q)))
     rng = np.random.default_rng(seed)
     for _ in range(max(0, probes)):
         u = random_band_limited_field(prob.grid, prob.model.N, rng, q=prob.model.q)
@@ -263,11 +273,16 @@ def solve_full(prob: EllipticProblem, f: SampledField, tol: float = NEUMANN_TOL,
     raise NoConvergence(f"residual {residuals[-1]:.2e} after {max_iter} iterations")
 
 
+def _relative_residuals(grid: GridSpec, q: float, Ou: np.ndarray, fvals: np.ndarray) -> np.ndarray:
+    """||O u - f|| / ||f|| (L_2 of the l_q norm) per field of a stack; 0 where f = 0."""
+    nf = _lp_lq_norms(fvals, grid, q, 2.0)
+    nr = _lp_lq_norms(Ou - fvals, grid, q, 2.0)
+    return np.divide(nr, nf, out=np.zeros_like(nr), where=nf > 0)
+
+
 def _relative_residual(prob: EllipticProblem, u: SampledField, f: SampledField) -> float:
-    nf = lp_lq_norm(f, 2.0)
-    if nf == 0:
-        return 0.0
-    return lp_lq_norm(apply_operator(prob, u) - f, 2.0) / nf
+    Ou = apply_operator(prob, u).values[None]
+    return float(_relative_residuals(u.grid, u.q, Ou, f.values[None])[0])
 
 
 def graph_norm(prob: EllipticProblem, u: SampledField, p: float = 2.0):

@@ -16,7 +16,7 @@ import numpy as np
 from .elliptic import EllipticProblem, apply_operator
 from .errors import ModeSingular, NotDiagonalizable
 from .operators import KAPPA_LIMIT
-from .spaces import SpaceTimeField, lp_lq_norm, mixed_norm
+from .spaces import SpaceTimeField, mixed_norm
 
 
 @dataclass(frozen=True)

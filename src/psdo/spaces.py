@@ -8,7 +8,6 @@ grid point (the finite-dimensional target space) with an l_q norm.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -257,17 +256,21 @@ def vector_norms(values: np.ndarray, q: float) -> np.ndarray:
     return (a**q).sum(axis=-1) ** (1.0 / q)
 
 
+def _lp_lq_norms(values: np.ndarray, grid: GridSpec, q: float, p: float) -> np.ndarray:
+    """lp_lq_norm of each field of a stack, values shape (F,) + grid.shape + (N,)."""
+    pointwise = vector_norms(values, q).reshape(len(values), -1)
+    if p == np.inf:
+        return pointwise.max(axis=1)
+    return (np.sum(pointwise**p, axis=1) * grid.cell_volume) ** (1.0 / p)
+
+
 def lp_lq_norm(u: SampledField, p: float) -> float:
     """L_p norm over the box of the pointwise l_q vector norm.
 
     Left-endpoint Riemann quadrature with cell volume (L/M)^n; p = inf takes
     the grid maximum.
     """
-    pointwise = vector_norms(u.values, u.q)
-    if p == np.inf:
-        return float(pointwise.max()) if pointwise.size else 0.0
-    vol = u.grid.cell_volume
-    return float((np.sum(pointwise**p) * vol) ** (1.0 / p))
+    return float(_lp_lq_norms(u.values[None], u.grid, u.q, p)[0])
 
 
 def h_m_pt_norm(u: SampledField, t, m: float, p: float, A: np.ndarray = None) -> float:
@@ -297,7 +300,9 @@ def mixed_norm(u: SpaceTimeField, p: float = None, p1: float = None) -> float:
     """
     p = u.p if p is None else p
     p1 = u.p1 if p1 is None else p1
-    inner = np.array([lp_lq_norm(u.slice(j), p) for j in range(u.J + 1)])
+    # blocks of slices keep the norm's temporaries small next to the field
+    inner = np.concatenate([_lp_lq_norms(u.values[j:j + 64], u.grid, u.q, p)
+                            for j in range(0, u.J + 1, 64)])
     if p1 == np.inf:
         return float(inner.max())
     w = np.full(u.J + 1, u.dy)

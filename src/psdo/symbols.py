@@ -158,26 +158,33 @@ def i_xi_power_factor(xi, alpha_k: float):
     return out
 
 
-def i_xi_power(xi, alpha) -> complex:
-    """Product over axes of (i*xi_k)^alpha_k with the logarithmic branch.
+def i_xi_power_rows(xi, alpha) -> np.ndarray:
+    """(i*xi)^alpha at each frequency row of xi, shape (..., n) -> (...).
 
-    xi is a scalar or a frequency vector; alpha a scalar order, sequence or
-    MultiIndex of matching length.  A vanishing coordinate with positive order
-    makes the whole product zero; alpha = 0 gives 1 at every point.
+    The axis factors of i_xi_power_factor are multiplied in axis order.  A
+    vanishing coordinate with positive order makes the product zero; alpha = 0
+    gives 1 at every point.
     """
-    xi_vec = np.atleast_1d(np.asarray(xi, dtype=float))
+    xi = np.asarray(xi, dtype=float)
     if isinstance(alpha, MultiIndex):
         alpha_vec = alpha.components
     else:
         alpha_vec = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if len(xi_vec) != len(alpha_vec):
+    if xi.shape[-1] != len(alpha_vec):
         raise ValueError("xi and alpha must have the same length")
-    out = complex(1.0)
-    for xk, ak in zip(xi_vec, alpha_vec):
-        out *= complex(i_xi_power_factor(np.array([xk]), float(ak))[0])
-        if out == 0:
-            return 0.0 + 0.0j
+    out = np.ones(xi.shape[:-1], dtype=complex)
+    for k, ak in enumerate(alpha_vec):
+        out = out * i_xi_power_factor(xi[..., k], float(ak))
     return out
+
+
+def i_xi_power(xi, alpha) -> complex:
+    """Product over axes of (i*xi_k)^alpha_k with the logarithmic branch.
+
+    xi is a scalar or a frequency vector; alpha a scalar order, sequence or
+    MultiIndex of matching length (see i_xi_power_rows).
+    """
+    return complex(i_xi_power_rows(np.atleast_1d(np.asarray(xi, dtype=float)), alpha))
 
 
 def eval_symbol(spec: SymbolSpec, t: ScaleParams, xi):

@@ -20,26 +20,33 @@ from scipy import optimize
 
 from .elliptic import (
     EllipticProblem,
-    _relative_residual,
+    _apply_principal,
+    _mode_matrices,
+    _mode_shifts,
+    _relative_residuals,
+    _solve_modes,
     coercive_index_set,
-    solve_principal,
 )
-from .errors import TooManyForEnumeration
-from .operators import OperatorModel, operator_norm, resolvent
+from .errors import PsdoError, TooManyForEnumeration
+from .operators import OperatorModel, operator_norm_upper, resolvent
 from .spaces import (
     GridSpec,
     SampledField,
+    _lp_lq_norms,
+    fractional_multiplier,
     gaussian_field,
-    liouville_derivative,
-    lp_lq_norm,
     mode_field,
     random_band_limited_field,
     vector_norms,
 )
-from .sweep import SectorSweep, default_sweep  # noqa: F401  (re-exported)
-from .symbols import MultiIndex, ScaleParams, SymbolSpec, eval_symbol, i_xi_power
+from .sweep import SectorSweep
+from .symbols import MultiIndex, ScaleParams, SymbolSpec, eval_symbol, i_xi_power_rows
 
 DEFAULT_FLATNESS = {"coercivity": 1.5, "resolvent": 2.0}
+
+# Failures that mark one sweep point failed; anything else is a bug and propagates.
+POINT_ERRORS = (PsdoError, np.linalg.LinAlgError, ValueError, ZeroDivisionError,
+                FloatingPointError)
 
 
 # ---------------------------------------------------------------------------
@@ -127,57 +134,84 @@ class ProblemTemplate:
                                lam=lam, grid=self.grid)
 
 
-def coercive_ratio(u: SampledField, f: SampledField, model: OperatorModel,
-                   t: ScaleParams, lam: complex, m: float, p: float = 2.0,
-                   index_set=None) -> float:
-    """[sum_alpha t(alpha) |lam|^(1-|alpha|/m) ||D^alpha u|| + ||A u||] / ||f||."""
-    nf = lp_lq_norm(f, p)
-    if nf == 0:
+def _derivative_weight(t: ScaleParams, lam: complex, m: float, alpha: MultiIndex) -> float:
+    """t(alpha) |lam|^(1-|alpha|/m): the weight of D^alpha in the coercive sum."""
+    return t.weight(alpha, m) * abs(lam) ** (1.0 - alpha.order / m)
+
+
+def _symbol_weights(xi: np.ndarray, index_set, t: ScaleParams, lam: complex, m: float):
+    """t(alpha) |lam|^(1-|alpha|/m) |(i xi)^alpha| over the rows of xi, one array per alpha."""
+    return [_derivative_weight(t, lam, m, alpha) * np.abs(i_xi_power_rows(xi, alpha))
+            for alpha in index_set]
+
+
+def _coercive_ratios(grid: GridSpec, q: float, uvals: np.ndarray, uspec: np.ndarray,
+                     fvals: np.ndarray, model: OperatorModel, t: ScaleParams, lam: complex,
+                     m: float, p: float, index_set) -> np.ndarray:
+    """coercive_ratio of each field of a stack; uspec is the spectrum of uvals."""
+    nf = _lp_lq_norms(fvals, grid, q, p)
+    if np.any(nf == 0):
         raise ZeroDivisionError("coercive ratio undefined for f = 0")
-    if index_set is None:
-        index_set = coercive_index_set(u.grid.n, m)
-    total = 0.0
+    axes = tuple(range(1, grid.n + 1))
+    total = np.zeros(len(uvals))
     for alpha in index_set:
-        w = t.weight(alpha, m) * abs(lam) ** (1.0 - alpha.order / m)
+        w = _derivative_weight(t, lam, m, alpha)
         if w == 0:
             continue
-        du = liouville_derivative(u, alpha, check_nyquist=False)
-        total += w * lp_lq_norm(du, p)
-    Au = u.with_values(model.apply(u.values))
-    total += lp_lq_norm(Au, p)
+        mult = fractional_multiplier(grid, alpha)[..., None]
+        du = np.fft.ifftn(uspec * mult, axes=axes, norm="ortho")
+        total = total + w * _lp_lq_norms(du, grid, q, p)
+    total = total + _lp_lq_norms(model.apply(uvals), grid, q, p)
     return total / nf
 
 
-def _worst_mode_data(prob: EllipticProblem, index_set, p: float) -> SampledField:
-    """Single lattice mode maximizing the per-mode coercive bound."""
-    grid = prob.grid
-    xi = grid.frequency_mesh().reshape(-1, grid.n)
-    P = prob.symbol_values().reshape(-1)
-    m = prob.symbol.m
-    N = prob.model.N
-    eye = np.eye(N, dtype=complex)
-    nyq = grid.nyquist_mask().reshape(-1)
-    best_score, best_idx, best_vec = -1.0, 0, None
-    for k in range(xi.shape[0]):
-        if nyq[k]:
-            continue
-        B = np.linalg.inv(prob.model.A + (prob.lam + P[k]) * eye)
-        weights = 0.0
-        for alpha in index_set:
-            w = prob.t.weight(alpha, m) * abs(prob.lam) ** (1.0 - alpha.order / m)
-            weights += w * abs(i_xi_power(xi[k], alpha))
-        score = weights * operator_norm(B, prob.model.q).upper \
-            + operator_norm(prob.model.A @ B, prob.model.q).upper
-        if score > best_score:
-            best_score, best_idx = score, k
-            _, _, vh = np.linalg.svd(B)
-            best_vec = vh[0].conj()
-    return mode_field(grid, xi[best_idx], best_vec, q=prob.model.q)
+def coercive_ratio(u: SampledField, f: SampledField, model: OperatorModel,
+                   t: ScaleParams, lam: complex, m: float, p: float = 2.0,
+                   index_set=None) -> float:
+    """[sum_alpha t(alpha) |lam|^(1-|alpha|/m) ||D^alpha u|| + ||A u||] / ||f||.
+
+    Both fields are measured with the l_q norm of u.
+    """
+    if index_set is None:
+        index_set = coercive_index_set(u.grid.n, m)
+    uvals = u.values[None]
+    uspec = np.fft.fftn(uvals, axes=tuple(range(1, u.grid.n + 1)), norm="ortho")
+    return float(_coercive_ratios(u.grid, u.q, uvals, uspec, f.values[None], model,
+                                  t, lam, m, p, index_set)[0])
 
 
-def _sweep_data(prob: EllipticProblem, index_set, p: float, count: int, rng):
+def _worst_mode_data(prob: EllipticProblem, index_set, shifts: np.ndarray) -> SampledField:
+    """Single lattice mode maximizing the per-mode coercive bound.
+
+    The score of mode xi is sum_alpha t(alpha) |lam|^(1-|alpha|/m) |(i xi)^alpha|
+    ||B|| + ||A B|| with B = (A + lambda + P_t(xi))^-1, evaluated for all
+    non-Nyquist modes at once; the first maximum wins.  For a unitary
+    eigenbasis (kappa = 1) and q = 2 the norms are closed forms in the
+    eigenvalues w_j; otherwise the modes are inverted in one batch.
+    """
+    grid, model = prob.grid, prob.model
+    keep = ~grid.nyquist_mask().reshape(-1)
+    xi = grid.frequency_mesh().reshape(-1, grid.n)[keep]
+    shifts = shifts[keep]
+    weights = sum(_symbol_weights(xi, index_set, prob.t, prob.lam, prob.symbol.m))
+    if model.kappa == 1.0 and model.q == 2:
+        dist = np.abs(model.eigvals[None, :] + shifts[:, None])
+        score = weights * (1.0 / dist).max(axis=1) \
+            + (np.abs(model.eigvals)[None, :] / dist).max(axis=1)
+        best = int(np.argmax(score))
+        vec = model.eigvecs[:, int(np.argmin(dist[best]))]
+    else:
+        B = np.linalg.inv(_mode_matrices(model.A, shifts))
+        score = weights * operator_norm_upper(B, model.q) \
+            + operator_norm_upper(model.A @ B, model.q)
+        best = int(np.argmax(score))
+        vec = np.linalg.svd(B[best])[2][0].conj()
+    return mode_field(grid, xi[best], vec, q=model.q)
+
+
+def _sweep_data(prob: EllipticProblem, index_set, shifts: np.ndarray, count: int, rng):
     fields = [gaussian_field(prob.grid, vector=np.ones(prob.model.N), q=prob.model.q),
-              _worst_mode_data(prob, index_set, p)]
+              _worst_mode_data(prob, index_set, shifts)]
     while len(fields) < count:
         fields.append(random_band_limited_field(prob.grid, prob.model.N, rng,
                                                 q=prob.model.q))
@@ -225,6 +259,8 @@ def coercivity_sweep(template: ProblemTemplate, sweep: SectorSweep,
     points = sweep.points()
     flat = DEFAULT_FLATNESS["coercivity"] if flatness_threshold is None else flatness_threshold
     m = template.symbol.m
+    model, q = template.model, template.model.q
+    axes = tuple(range(1, template.grid.n + 1))
 
     def evaluate(item):
         idx, (lam, t) = item
@@ -232,17 +268,20 @@ def coercivity_sweep(template: ProblemTemplate, sweep: SectorSweep,
         rec = _point_meta(lam, t)
         try:
             grid = _adapted_grid(template.grid, lam, t, m) if adapt_grid else template.grid
-            prob = EllipticProblem(model=template.model, symbol=template.symbol,
+            prob = EllipticProblem(model=model, symbol=template.symbol,
                                    t=t, lam=lam, grid=grid)
-            worst_ratio, worst_res = 0.0, 0.0
-            for f in _sweep_data(prob, index_set, template.p, data_count, rng):
-                u = solve_principal(prob, f)
-                r = coercive_ratio(u, f, template.model, t, lam, m,
-                                   template.p, index_set)
-                worst_res = max(worst_res, _relative_residual(prob, u, f))
-                worst_ratio = max(worst_ratio, r)
-            rec.update(ratio=worst_ratio, residual=worst_res, error=None)
-        except Exception as exc:  # recorded, not raised: one bad point fails the verdict
+            shifts = _mode_shifts(prob)
+            fields = _sweep_data(prob, index_set, shifts, data_count, rng)
+            fvals = np.stack([f.values for f in fields])
+            uvals = _solve_modes(prob, shifts, fvals)
+            uspec = np.fft.fftn(uvals, axes=axes, norm="ortho")
+            ratios = _coercive_ratios(grid, q, uvals, uspec, fvals, model, t, lam, m,
+                                      template.p, index_set)
+            residuals = _relative_residuals(grid, q, _apply_principal(prob, uvals, uspec),
+                                            fvals)
+            rec.update(ratio=float(ratios.max()), residual=float(residuals.max()),
+                       error=None)
+        except POINT_ERRORS as exc:  # recorded, not raised: one bad point fails the verdict
             rec.update(ratio=None, residual=None, error=f"{type(exc).__name__}: {exc}")
         return rec
 
@@ -298,22 +337,16 @@ def resolvent_sweep(template: ProblemTemplate, sweep: SectorSweep,
         idx, (lam, t) = item
         rec = _point_meta(lam, t)
         try:
-            xi_samples = _adapted_xi_samples(lam, t, m, n, per_axis)
-            terms = [0.0] * len(index_set)
-            aterm = 0.0
-            worst_res = 0.0
-            for xi in xi_samples:
-                P = complex(eval_symbol(template.symbol, t, xi))
-                mat = model.A + (lam + P) * eye
-                B = np.linalg.inv(mat)
-                worst_res = max(worst_res, float(np.abs(mat @ B - eye).max()))
-                nB = operator_norm(B, model.q).upper
-                for i, alpha in enumerate(index_set):
-                    w = t.weight(alpha, m) * abs(lam) ** (1.0 - alpha.order / m)
-                    terms[i] = max(terms[i], w * abs(i_xi_power(xi, alpha)) * nB)
-                aterm = max(aterm, operator_norm(model.A @ B, model.q).upper)
-            rec.update(ratio=sum(terms) + aterm, residual=worst_res, error=None)
-        except Exception as exc:
+            xi = _adapted_xi_samples(lam, t, m, n, per_axis)
+            P = np.asarray(eval_symbol(template.symbol, t, xi), dtype=complex)
+            mats = _mode_matrices(model.A, lam + P)
+            B = np.linalg.inv(mats)
+            residual = float(np.abs(mats @ B - eye).max())
+            nB = operator_norm_upper(B, model.q)
+            terms = [float((w * nB).max()) for w in _symbol_weights(xi, index_set, t, lam, m)]
+            aterm = float(operator_norm_upper(model.A @ B, model.q).max())
+            rec.update(ratio=sum(terms) + aterm, residual=residual, error=None)
+        except POINT_ERRORS as exc:
             rec.update(ratio=None, residual=None, error=f"{type(exc).__name__}: {exc}")
         return rec
 
@@ -532,50 +565,44 @@ class OperatorFamilySample:
 
 
 def _B_matrix(model: OperatorModel, symbol: SymbolSpec, t: ScaleParams, lam, xi):
-    P = complex(eval_symbol(symbol, t, np.atleast_1d(xi)))
-    return np.linalg.inv(model.A + (lam + P) * np.eye(model.N))
+    """[A + lam + P_t(xi)]^-1 at one frequency xi (n,), or at each row of xi (S, n)."""
+    P = np.asarray(eval_symbol(symbol, t, np.atleast_1d(xi)), dtype=complex)
+    B = np.linalg.inv(_mode_matrices(model.A, lam + P.reshape(-1)))
+    return B.reshape(P.shape + B.shape[1:])
 
 
 def sigma_matrix(model, symbol, t, lam, xi) -> np.ndarray:
-    """A [A + lam + P_t(xi)]^-1."""
+    """A [A + lam + P_t(xi)]^-1; a stack over the rows of a 2-D xi."""
     return model.A @ _B_matrix(model, symbol, t, lam, xi)
 
 
 def sigma_alpha_matrix(model, symbol, t, lam, xi, alpha: MultiIndex) -> np.ndarray:
-    """t(alpha) |lam|^(1-|alpha|/m) (i xi)^alpha [A + lam + P_t(xi)]^-1."""
-    m = symbol.m
-    scalar = t.weight(alpha, m) * abs(lam) ** (1.0 - alpha.order / m) \
-        * i_xi_power(np.atleast_1d(xi), alpha)
-    return scalar * _B_matrix(model, symbol, t, lam, xi)
+    """t(alpha) |lam|^(1-|alpha|/m) (i xi)^alpha [A + lam + P_t(xi)]^-1; a stack
+    over the rows of a 2-D xi."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    scalar = _derivative_weight(t, lam, symbol.m, alpha) * i_xi_power_rows(xi, alpha)
+    return scalar[..., None, None] * _B_matrix(model, symbol, t, lam, xi)
 
 
 def fd_sigma_matrix(model, symbol, t, lam, xi, beta, fd_scale: float = 1e-4) -> np.ndarray:
-    """|xi|^{|beta|} times the central finite difference Delta^beta of sigma."""
+    """|xi|^{|beta|} times the central finite difference Delta^beta of sigma;
+    a stack over the rows of a 2-D xi."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     axes = [k for k, b in enumerate(beta) if b]
     h = fd_scale * (1.0 + np.abs(xi))
     if not axes:
         return sigma_matrix(model, symbol, t, lam, xi)
-    total = np.zeros((model.N, model.N), dtype=complex)
+    total = 0.0
     for signs in np.ndindex(*([2] * len(axes))):
         shifted = xi.copy()
-        coeff = 1.0
+        coeff = np.ones(xi.shape[:-1])
         for ax, s in zip(axes, signs):
             sgn = 1.0 if s == 0 else -1.0
-            shifted[ax] += sgn * h[ax]
-            coeff *= sgn / (2.0 * h[ax])
-        total = total + coeff * sigma_matrix(model, symbol, t, lam, shifted)
-    return float(np.linalg.norm(xi)) ** len(axes) * total
-
-
-def default_xi_samples(n: int, per_axis: int = 7, lo: float = 1e-2, hi: float = 1e2):
-    """Off-hyperplane frequency samples: signed log-spaced axis values, crossed."""
-    mags = np.logspace(math.log10(lo), math.log10(hi), per_axis)
-    vals = np.concatenate([-mags[::-1], mags])
-    if n == 1:
-        return vals[:, None]
-    grids = np.meshgrid(*([vals] * n), indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, n)
+            shifted[..., ax] += sgn * h[..., ax]
+            coeff = coeff * (sgn / (2.0 * h[..., ax]))
+        total = total + coeff[..., None, None] * sigma_matrix(model, symbol, t, lam, shifted)
+    scale = np.linalg.norm(xi, axis=-1) ** len(axes)
+    return scale[..., None, None] * total
 
 
 def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: SectorSweep,
@@ -602,28 +629,24 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
     points = sweep.points()
     alpha_keys = [tuple(a.components) for a in index_set]
 
+    def sup_norm(mats):
+        return float(operator_norm_upper(mats, model.q).max())
+
     def evaluate(item):
         idx, (lam, t) = item
         rec = _point_meta(lam, t)
         try:
             samples = fixed_samples if fixed_samples is not None \
                 else _adapted_xi_samples(lam, t, symbol.m, n, per_axis=17)
-            sig = 0.0
-            sig_alpha = {k: 0.0 for k in alpha_keys}
-            fd = {str(b): 0.0 for b in betas}
-            for xi in samples:
-                sig = max(sig, operator_norm(sigma_matrix(model, symbol, t, lam, xi),
-                                             model.q).upper)
-                for a, key in zip(index_set, alpha_keys):
-                    sig_alpha[key] = max(sig_alpha[key], operator_norm(
-                        sigma_alpha_matrix(model, symbol, t, lam, xi, a), model.q).upper)
-                for b in betas:
-                    fd[str(b)] = max(fd[str(b)], operator_norm(
-                        fd_sigma_matrix(model, symbol, t, lam, xi, b), model.q).upper)
-            rec.update(ratio=sig, residual=0.0, error=None,
-                       sigma_alpha={str(k): v for k, v in sig_alpha.items()},
+            sig = sup_norm(sigma_matrix(model, symbol, t, lam, samples))
+            sig_alpha = {str(key): sup_norm(sigma_alpha_matrix(model, symbol, t, lam,
+                                                               samples, a))
+                         for a, key in zip(index_set, alpha_keys)}
+            fd = {str(b): sup_norm(fd_sigma_matrix(model, symbol, t, lam, samples, b))
+                  for b in betas}
+            rec.update(ratio=sig, residual=0.0, error=None, sigma_alpha=sig_alpha,
                        fd_sup=fd)
-        except Exception as exc:
+        except POINT_ERRORS as exc:
             rec.update(ratio=None, residual=None, error=f"{type(exc).__name__}: {exc}")
         return rec
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psdo.cli import main
+from psdo.cli import _write_reports, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -157,3 +157,13 @@ def test_shipped_scenarios_parse():
                  "parabolic-reference", "anisotropic-2d"):
         cfg = json.loads((SCENARIOS / f"{name}.json").read_text())
         assert "task" in cfg
+
+
+def test_reports_are_strict_json(tmp_path):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    report = {"ratio": float("nan"), "nested": [np.float64("nan"), float("inf")]}
+    _write_reports(str(tmp_path), report, [])
+    back = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+    assert back == {"ratio": "nan", "nested": ["nan", "inf"]}

@@ -2,29 +2,48 @@ import numpy as np
 import pytest
 
 from psdo import (
+    EllipticProblem,
     GridSpec,
     ProblemTemplate,
     ScaleParams,
     SectorSweep,
     TooManyForEnumeration,
+    build_bvp_operator,
+    coercive_index_set,
     coercive_ratio,
     coercivity_sweep,
     default_sweep,
     estimate_rbound,
+    eval_symbol,
+    gaussian_field,
+    i_xi_power,
     kahane_contraction_check,
     lambda_resolvent_family,
+    liouville_derivative,
+    lp_lq_norm,
     make_model,
     mode_field,
     multiplier_family_check,
+    operator_norm,
     power_symbol,
     probe_norm,
     rademacher_average,
+    random_band_limited_field,
     resolvent_sweep,
     rotated_power_symbol,
     sigma_matrix,
     solve_principal,
+    tridiagonal_matrix,
 )
-from psdo.verification import _adapted_xi_samples, _saturation_frequency
+from psdo import verification
+from psdo.elliptic import _mode_shifts, _relative_residual
+from psdo.operators import operator_norm_upper
+from psdo.verification import (
+    _adapted_grid,
+    _adapted_xi_samples,
+    _saturation_frequency,
+    _worst_mode_data,
+)
 
 
 def small_sweep(n_radii=4, n_t=2):
@@ -236,3 +255,160 @@ def test_sigma_matrix_closed_form():
     t = ScaleParams.isotropic(1.0, 1)
     val = sigma_matrix(model, power_symbol(m=2.0), t, 3.0, np.array([2.0]))
     assert val[0, 0] == pytest.approx(2.0 / (2.0 + 3.0 + 4.0))
+
+
+def test_sweep_programming_errors_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise IndexError("bug in the batched kernel")
+
+    monkeypatch.setattr(verification, "_worst_mode_data", broken)
+    with pytest.raises(IndexError):
+        coercivity_sweep(scalar_template(), small_sweep(n_radii=2, n_t=1), data_count=2)
+
+
+# ---------------------------------------------------------------------------
+# oracles for the batched sweep kernels: per-mode reference loops
+
+
+def _reference_weight(t, lam, m, alpha):
+    return t.weight(alpha, m) * abs(lam) ** (1.0 - alpha.order / m)
+
+
+def _reference_worst_mode(prob, index_set):
+    """Per-mode loop: the worst lattice mode and its right singular vector."""
+    grid = prob.grid
+    xi = grid.frequency_mesh().reshape(-1, grid.n)
+    P = prob.symbol_values().reshape(-1)
+    m = prob.symbol.m
+    eye = np.eye(prob.model.N, dtype=complex)
+    nyq = grid.nyquist_mask().reshape(-1)
+    best_score, best_idx, best_vec = -1.0, 0, None
+    for k in range(xi.shape[0]):
+        if nyq[k]:
+            continue
+        B = np.linalg.inv(prob.model.A + (prob.lam + P[k]) * eye)
+        weights = sum(_reference_weight(prob.t, prob.lam, m, alpha)
+                      * abs(i_xi_power(xi[k], alpha)) for alpha in index_set)
+        score = weights * operator_norm(B, prob.model.q).upper \
+            + operator_norm(prob.model.A @ B, prob.model.q).upper
+        if score > best_score:
+            best_score, best_idx = score, k
+            best_vec = np.linalg.svd(B)[2][0].conj()
+    return xi[best_idx], best_vec
+
+
+def _reference_ratio(u, f, model, t, lam, m, p, index_set):
+    total = 0.0
+    for alpha in index_set:
+        w = _reference_weight(t, lam, m, alpha)
+        du = liouville_derivative(u, alpha, check_nyquist=False)
+        total += w * lp_lq_norm(du, p)
+    total += lp_lq_norm(u.with_values(model.apply(u.values)), p)
+    return total / lp_lq_norm(f, p)
+
+
+def _reference_coercivity_points(template, sweep, data_count, seed):
+    """(ratio, residual) per sweep point, one field and one mode at a time."""
+    index_set = template.indices()
+    m = template.symbol.m
+    out = []
+    for idx, (lam, t) in enumerate(sweep.points()):
+        rng = np.random.default_rng((seed, idx))
+        grid = _adapted_grid(template.grid, lam, t, m)
+        prob = EllipticProblem(model=template.model, symbol=template.symbol, t=t,
+                               lam=lam, grid=grid)
+        q = template.model.q
+        xi0, vec = _reference_worst_mode(prob, index_set)
+        fields = [gaussian_field(grid, vector=np.ones(template.model.N), q=q),
+                  mode_field(grid, xi0, vec, q=q)]
+        while len(fields) < data_count:
+            fields.append(random_band_limited_field(grid, template.model.N, rng, q=q))
+        ratios, residuals = [], []
+        for f in fields:
+            u = solve_principal(prob, f)
+            ratios.append(_reference_ratio(u, f, template.model, t, lam, m,
+                                           template.p, index_set))
+            residuals.append(_relative_residual(prob, u, f))
+        out.append((max(ratios), max(residuals)))
+    return out
+
+
+ORACLE_MODELS = {
+    "scalar": make_model(np.array([[1.0]])),
+    "tridiagonal-n8": make_model(tridiagonal_matrix(8, -1.0, 2.0, -1.0)),
+    "bvp-b1": build_bvp_operator(12, np.pi, 1.0, b1=3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_batched_coercivity_matches_per_mode_loop(name):
+    model = ORACLE_MODELS[name]
+    assert (model.kappa == 1.0) == (name != "bvp-b1")  # both kernel paths are covered
+    template = ProblemTemplate(model=model, symbol=power_symbol(m=2.0),
+                               grid=GridSpec(n=1, M=16, L=2 * np.pi))
+    sweep = small_sweep(n_radii=3, n_t=2)
+    index_set = template.indices()
+    for lam, t in sweep.points():
+        grid = _adapted_grid(template.grid, lam, t, 2.0)
+        prob = EllipticProblem(model=model, symbol=template.symbol, t=t, lam=lam,
+                               grid=grid)
+        xi_ref, vec_ref = _reference_worst_mode(prob, index_set)
+        new = _worst_mode_data(prob, index_set, _mode_shifts(prob)).values
+        ref = mode_field(grid, xi_ref, vec_ref, q=model.q).values
+        # same mode, same vector up to a unit phase; the reference singular
+        # vector is only accurate to roundoff over the relative singular-value
+        # gap, which large shifts make small
+        c = np.vdot(ref, new) / np.vdot(ref, ref)
+        assert abs(c) == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_allclose(new, c * ref, rtol=0, atol=1e-9)
+    rep = coercivity_sweep(template, sweep, data_count=4, seed=3)
+    ref = _reference_coercivity_points(template, sweep, data_count=4, seed=3)
+    assert all(p["error"] is None for p in rep.points)
+    for point, (ratio, residual) in zip(rep.points, ref):
+        assert point["ratio"] == pytest.approx(ratio, rel=1e-12)
+        assert point["residual"] < 1e-9 and residual < 1e-9
+
+
+def _reference_resolvent_points(template, sweep, per_axis):
+    """(ratio, residual) per sweep point, one frequency at a time."""
+    index_set = template.indices()
+    m = template.symbol.m
+    model = template.model
+    eye = np.eye(model.N, dtype=complex)
+    out = []
+    for lam, t in sweep.points():
+        terms = [0.0] * len(index_set)
+        aterm = worst_res = 0.0
+        for xi in _adapted_xi_samples(lam, t, m, template.grid.n, per_axis):
+            mat = model.A + (lam + complex(eval_symbol(template.symbol, t, xi))) * eye
+            B = np.linalg.inv(mat)
+            worst_res = max(worst_res, float(np.abs(mat @ B - eye).max()))
+            nB = operator_norm(B, model.q).upper
+            for i, alpha in enumerate(index_set):
+                w = _reference_weight(t, lam, m, alpha)
+                terms[i] = max(terms[i], w * abs(i_xi_power(xi, alpha)) * nB)
+            aterm = max(aterm, operator_norm(model.A @ B, model.q).upper)
+        out.append((sum(terms) + aterm, worst_res))
+    return out
+
+
+def test_batched_resolvent_matches_per_frequency_loop_q3():
+    model = make_model(tridiagonal_matrix(4, -0.5, 2.0, -1.0), q=3.0)
+    template = ProblemTemplate(model=model, symbol=power_symbol(m=2.0),
+                               grid=GridSpec(n=1, M=16, L=2 * np.pi))
+    sweep = small_sweep(n_radii=3, n_t=2)
+    rep = resolvent_sweep(template, sweep, per_axis=7)
+    ref = _reference_resolvent_points(template, sweep, per_axis=7)
+    for point, (ratio, residual) in zip(rep.points, ref):
+        assert point["ratio"] == pytest.approx(ratio, rel=1e-12)
+        assert point["residual"] == pytest.approx(residual, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, np.inf])
+def test_operator_norm_upper_matches_operator_norm(q):
+    rng = np.random.default_rng(5)
+    mats = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+    batched = operator_norm_upper(mats, q)
+    assert batched.shape == (6,)
+    for mat, value in zip(mats, batched):
+        assert operator_norm(mat, q).upper == value
