@@ -3,12 +3,13 @@ report.json / report.csv artifacts.
 
 Exit codes: 0 pass, 1 execution failure, 2 config failure, 3 verdict failure.
 Reports carry no timestamps and serialize with sorted keys so repeated runs
-(and runs under different thread counts) are byte-identical.
+are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -54,6 +55,7 @@ from .sweep import SectorSweep, default_sweep
 from .symbols import (
     MultiIndex,
     ScaleParams,
+    _signed_logspace,
     check_symbol_class,
     symbol_from_config,
 )
@@ -168,12 +170,7 @@ def _parse_model(cfg: dict) -> OperatorModel:
             A = tridiagonal_matrix(int(cfg["N"]), float(cfg.get("lower", -1.0)),
                                    float(cfg.get("diag", 2.0)), float(cfg.get("upper", -1.0)))
             if cfg.get("system", True):
-                model = build_system(A)
-                return OperatorModel(A=model.A, q=q, eigvals=model.eigvals,
-                                     eigvecs=model.eigvecs, kappa=model.kappa,
-                                     symmetric=model.symmetric,
-                                     positive_definite=model.positive_definite,
-                                     C0=model.C0)
+                return dataclasses.replace(build_system(A), q=q)
             return make_model(A, q=q)
         if kind == "bvp":
             return build_bvp_operator(int(cfg["K"]), float(cfg["ell"]),
@@ -305,7 +302,7 @@ def _write_reports(out_dir: str, report: dict, csv_rows, extra_files=None):
 # task handlers: each returns (verdict_string, result_dict, csv_rows, extras)
 
 
-def _task_solve_elliptic(cfg, seed, threads):
+def _task_solve_elliptic(cfg, seed):
     _expect_keys(cfg, "config",
                  required=("grid", "model", "symbol", "t", "lambda", "data"),
                  optional=("task", "p", "lower_terms", "residual_tol",
@@ -371,7 +368,7 @@ def _parse_forcing(cfg: dict, grid: GridSpec, N: int, q: float, Y: float, J: int
     return SpaceTimeField(grid=grid, values=vals, Y=Y, q=q, p=p, p1=p1)
 
 
-def _task_solve_parabolic(cfg, seed, threads):
+def _task_solve_parabolic(cfg, seed):
     _expect_keys(cfg, "config",
                  required=("grid", "model", "symbol", "t", "horizon", "steps", "forcing"),
                  optional=("task", "p", "p1", "method", "export_fields", "seed",
@@ -433,7 +430,7 @@ def _thresholds(cfg):
             float(maxr) if maxr is not None else None, th)
 
 
-def _task_verify_coercivity(cfg, seed, threads):
+def _task_verify_coercivity(cfg, seed):
     _expect_keys(cfg, "config", required=("grid", "model", "symbol", "sweep"),
                  optional=("task", "p", "thresholds", "data_count", "seed",
                            "adapt_grid"))
@@ -442,27 +439,25 @@ def _task_verify_coercivity(cfg, seed, threads):
     flat, maxr, _ = _thresholds(cfg)
     rep = coercivity_sweep(template, sweep,
                            data_count=int(cfg.get("data_count", 8)),
-                           seed=seed, threads=threads,
-                           flatness_threshold=flat, max_ratio_threshold=maxr,
+                           seed=seed, flatness_threshold=flat, max_ratio_threshold=maxr,
                            adapt_grid=bool(cfg.get("adapt_grid", True)))
     d = rep.to_dict()
     return rep.status, d, _sweep_csv(d), {}
 
 
-def _task_verify_resolvent(cfg, seed, threads):
+def _task_verify_resolvent(cfg, seed):
     _expect_keys(cfg, "config", required=("grid", "model", "symbol", "sweep"),
                  optional=("task", "p", "thresholds", "per_axis", "seed"))
     template = _template_from_cfg(cfg)
     sweep = _parse_sweep(cfg["sweep"], template.grid.n, template.symbol.phi1)
     flat, maxr, _ = _thresholds(cfg)
     rep = resolvent_sweep(template, sweep, per_axis=int(cfg.get("per_axis", 33)),
-                          seed=seed, threads=threads,
-                          flatness_threshold=flat, max_ratio_threshold=maxr)
+                          seed=seed, flatness_threshold=flat, max_ratio_threshold=maxr)
     d = rep.to_dict()
     return rep.status, d, _sweep_csv(d), {}
 
 
-def _task_check_multipliers(cfg, seed, threads):
+def _task_check_multipliers(cfg, seed):
     _expect_keys(cfg, "config", required=("grid", "model", "symbol", "sweep"),
                  optional=("task", "p", "thresholds", "seed", "rbound_subsample",
                            "tuple_size"))
@@ -476,13 +471,13 @@ def _task_check_multipliers(cfg, seed, threads):
         model, symbol, sweep, dims=grid.n,
         rbound_subsample=int(cfg.get("rbound_subsample", 8)),
         tuple_size=int(cfg.get("tuple_size", 3)),
-        seed=seed, threads=threads, flatness_threshold=flat,
+        seed=seed, flatness_threshold=flat,
         sigma_sup_threshold=float(sig) if sig is not None else None)
     d = rep.to_dict()
     return rep.status, d, _sweep_csv(d), {}
 
 
-def _task_estimate_rbound(cfg, seed, threads):
+def _task_estimate_rbound(cfg, seed):
     _expect_keys(cfg, "config", required=("family",),
                  optional=("task", "q", "tuple_size", "seed", "thresholds"))
     fam_cfg = cfg["family"]
@@ -515,7 +510,7 @@ def _task_estimate_rbound(cfg, seed, threads):
     return verdict, result, rows, {}
 
 
-def _task_check_kahane(cfg, seed, threads):
+def _task_check_kahane(cfg, seed):
     _expect_keys(cfg, "config", required=(),
                  optional=("task", "q", "scalars", "vectors", "random", "seed",
                            "thresholds"))
@@ -550,7 +545,7 @@ def _task_check_kahane(cfg, seed, threads):
     return verdict, result, rows, {}
 
 
-def _task_check_symbol(cfg, seed, threads):
+def _task_check_symbol(cfg, seed):
     _expect_keys(cfg, "config", required=("symbol", "t_values", "xi"),
                  optional=("task", "n", "seed", "thresholds"))
     symbol = _parse_symbol(cfg["symbol"])
@@ -558,9 +553,8 @@ def _task_check_symbol(cfg, seed, threads):
     t_grid = [_parse_scale(v, n) for v in cfg["t_values"]]
     xcfg = cfg["xi"]
     _expect_keys(xcfg, "xi", required=("lo", "hi", "count"))
-    mags = np.logspace(math.log10(float(xcfg["lo"])), math.log10(float(xcfg["hi"])),
-                       int(xcfg["count"]))
-    vals = np.concatenate([-mags[::-1], mags])
+    vals = _signed_logspace(math.log10(float(xcfg["lo"])), math.log10(float(xcfg["hi"])),
+                            int(xcfg["count"]))
     if n == 1:
         xi_grid = vals[:, None]
     else:
@@ -591,9 +585,8 @@ TASKS = {
 
 def _run_task(task: str, cfg: dict, args) -> int:
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    threads = args.threads
     try:
-        verdict, result, rows, extras = TASKS[task](cfg, seed, threads)
+        verdict, result, rows, extras = TASKS[task](cfg, seed)
     except ConfigError:
         raise
     except PsdoError as exc:
@@ -626,7 +619,6 @@ def main(argv=None) -> int:
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a (dotted) config key")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=".", help="output directory for reports")
     args = parser.parse_args(argv)
     try:

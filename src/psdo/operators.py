@@ -20,6 +20,7 @@ from .errors import (
     SpectrumHit,
     SpectrumNotSectorial,
 )
+from .spaces import vector_norms
 from .sweep import SectorSweep
 
 KAPPA_LIMIT = 1e6
@@ -148,12 +149,7 @@ def operator_norm(mat, q: float) -> NormBracket:
     N = mat.shape[1]
     probes = rng.standard_normal((256, N)) + 1j * rng.standard_normal((256, N))
     probes = np.concatenate([probes, np.eye(N)], axis=0)
-    num = np.abs(probes @ mat.T)
-    lo = 0.0
-    for v, av in zip(probes, num):
-        nv = float((np.abs(v) ** q).sum() ** (1 / q))
-        if nv > 0:
-            lo = max(lo, float((av**q).sum() ** (1 / q)) / nv)
+    lo = float((vector_norms(probes @ mat.T, q) / vector_norms(probes, q)).max())
     return NormBracket(min(lo, upper), upper)
 
 

@@ -203,6 +203,13 @@ def inverse_transform(u_hat: SampledField) -> SampledField:
     return u_hat.with_values(vals)
 
 
+def _zeroes_nyquist(a: float) -> bool:
+    """Whether the Nyquist mode is zeroed for axis order a: the Nyquist
+    frequency stands for both +xi and -xi, where (i xi)^a differs when a is
+    fractional or an odd integer."""
+    return a > 0 and (a != round(a) or round(a) % 2 == 1)
+
+
 def fractional_multiplier(grid: GridSpec, alpha: MultiIndex) -> np.ndarray:
     """(i*xi)^alpha on the frequency lattice, with Nyquist modes zeroed
     whenever the corresponding order is fractional or an odd integer."""
@@ -210,7 +217,7 @@ def fractional_multiplier(grid: GridSpec, alpha: MultiIndex) -> np.ndarray:
     mult = np.ones(grid.shape, dtype=complex)
     for ax, a in enumerate(alpha):
         fac = i_xi_power_factor(freqs, a)
-        if a > 0 and (a != round(a) or round(a) % 2 == 1):
+        if _zeroes_nyquist(a):
             fac[grid.M // 2] = 0.0
         shape = [1] * grid.n
         shape[ax] = grid.M
@@ -230,8 +237,7 @@ def liouville_derivative(u: SampledField, alpha, check_nyquist: bool = True) -> 
         raise ValueError("alpha dimension does not match the grid")
     spec = np.fft.fftn(u.values, axes=tuple(range(u.grid.n)), norm="ortho")
     mult = fractional_multiplier(u.grid, alpha)
-    zeroing = any(a > 0 and (a != round(a) or round(a) % 2 == 1) for a in alpha)
-    if check_nyquist and zeroing:
+    if check_nyquist and any(_zeroes_nyquist(a) for a in alpha):
         mask = u.grid.nyquist_mask()
         total = np.linalg.norm(spec)
         if total > 0:

@@ -235,20 +235,32 @@ class SymbolClassReport:
         return finite and self.sector_ok and self.lower_margin >= 1.0 - 1e-9
 
 
-def _finite_difference(spec, t, xi, beta, h):
-    """Central finite difference D^beta P at one point xi (beta in {0,1}^n)."""
+def _signed_logspace(start: float, stop: float, num: int) -> np.ndarray:
+    """-10^stop .. -10^start, 10^start .. 10^stop: num log-spaced magnitudes per sign."""
+    mags = np.logspace(start, stop, num)
+    return np.concatenate([-mags[::-1], mags])
+
+
+def _central_difference(fn, xi, beta, h):
+    """Central finite difference D^beta fn (beta in {0,1}^n) at the rows of xi.
+
+    fn maps frequency rows (..., n) to values of shape (...) or (..., a, b);
+    h holds the step of each row and axis, shaped like xi.
+    """
+    xi = np.asarray(xi, dtype=float)
     axes = [k for k, b in enumerate(beta) if b]
     if not axes:
-        return eval_symbol(spec, t, xi)
-    total = 0.0 + 0.0j
+        return fn(xi)
+    total = 0.0
     for signs in np.ndindex(*([2] * len(axes))):
-        shifted = np.array(xi, dtype=float)
-        coeff = 1.0
+        shifted = xi.copy()
+        coeff = np.ones(xi.shape[:-1])
         for ax, s in zip(axes, signs):
             sgn = 1.0 if s == 0 else -1.0
-            shifted[ax] += sgn * h[ax]
-            coeff *= sgn / (2.0 * h[ax])
-        total += coeff * complex(eval_symbol(spec, t, shifted))
+            shifted[..., ax] += sgn * h[..., ax]
+            coeff = coeff * (sgn / (2.0 * h[..., ax]))
+        vals = fn(shifted)
+        total = total + coeff.reshape(coeff.shape + (1,) * (np.ndim(vals) - coeff.ndim)) * vals
     return total
 
 
@@ -287,7 +299,7 @@ def check_symbol_class(spec: SymbolSpec, t_grid, xi_grid, betas=None,
                 order = sum(beta)
                 if any(beta[k] and abs(xi[k]) < 10.0 * h[k] for k in range(n)):
                     continue  # finite differences would straddle xi_k = 0
-                d = _finite_difference(spec, t, xi, beta, h)
+                d = complex(_central_difference(lambda x: eval_symbol(spec, t, x), xi, beta, h))
                 if not np.isfinite(d):
                     raise NonFiniteDerivative(
                         f"derivative D^{beta} diverged at xi={xi}, t={t.t}")
@@ -329,7 +341,7 @@ def sector_sum_constant(phi1: float, phi2: float, samples: int = 100_000) -> flo
 
 
 def symbol_to_config(spec: SymbolSpec) -> dict:
-    return {
+    cfg = {
         "kind": spec.kind,
         "m": spec.m,
         "theta0": spec.theta0,
@@ -337,13 +349,22 @@ def symbol_to_config(spec: SymbolSpec) -> dict:
         "gamma": spec.gamma,
         "phi1": spec.phi1,
     }
+    if spec.table is not None:
+        pts, values = spec.table
+        cfg["table"] = [np.asarray(v).tolist() for v in (pts, np.real(values), np.imag(values))]
+    return cfg
 
 
 def symbol_from_config(cfg: dict) -> SymbolSpec:
-    known = {"kind", "m", "theta0", "epsilon", "gamma", "phi1"}
+    """Inverse of symbol_to_config; "table" is [points, real values, imag values]."""
+    known = {"kind", "m", "theta0", "epsilon", "gamma", "phi1", "table"}
     unknown = set(cfg) - known
     if unknown:
         raise ValueError(f"unknown symbol config keys: {sorted(unknown)}")
+    table = None
+    if cfg.get("table") is not None:
+        pts, re, im = (np.asarray(v, dtype=float) for v in cfg["table"])
+        table = (pts, re + 1j * im)
     return SymbolSpec(
         kind=cfg["kind"],
         m=float(cfg["m"]),
@@ -351,4 +372,5 @@ def symbol_from_config(cfg: dict) -> SymbolSpec:
         epsilon=float(cfg.get("epsilon", 0.0)),
         gamma=float(cfg.get("gamma", 1.0)),
         phi1=float(cfg.get("phi1", abs(cfg.get("theta0", 0.0)))),
+        table=table,
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
@@ -40,7 +39,15 @@ from .spaces import (
     vector_norms,
 )
 from .sweep import SectorSweep
-from .symbols import MultiIndex, ScaleParams, SymbolSpec, eval_symbol, i_xi_power_rows
+from .symbols import (
+    MultiIndex,
+    ScaleParams,
+    SymbolSpec,
+    _central_difference,
+    _signed_logspace,
+    eval_symbol,
+    i_xi_power_rows,
+)
 
 DEFAULT_FLATNESS = {"coercivity": 1.5, "resolvent": 2.0}
 
@@ -129,10 +136,6 @@ class ProblemTemplate:
             return list(self.index_set)
         return coercive_index_set(self.grid.n, self.symbol.m)
 
-    def problem(self, lam: complex, t: ScaleParams) -> EllipticProblem:
-        return EllipticProblem(model=self.model, symbol=self.symbol, t=t,
-                               lam=lam, grid=self.grid)
-
 
 def _derivative_weight(t: ScaleParams, lam: complex, m: float, alpha: MultiIndex) -> float:
     """t(alpha) |lam|^(1-|alpha|/m): the weight of D^alpha in the coercive sum."""
@@ -218,12 +221,23 @@ def _sweep_data(prob: EllipticProblem, index_set, shifts: np.ndarray, count: int
     return fields
 
 
-def _point_meta(lam: complex, t: ScaleParams) -> dict:
-    return {
-        "ray": cmath.phase(lam) if lam != 0 else 0.0,
-        "radius": abs(lam),
-        "t": list(t.t),
-    }
+def _sweep_points(points, evaluate) -> list:
+    """One record per (lambda, t) point, in sweep order.
+
+    evaluate(idx, lam, t) returns the point's numbers (ratio, residual, ...).
+    A POINT_ERRORS failure is recorded, not raised: one bad point fails the
+    verdict.
+    """
+    records = []
+    for idx, (lam, t) in enumerate(points):
+        rec = {"ray": cmath.phase(lam) if lam != 0 else 0.0, "radius": abs(lam),
+               "t": list(t.t)}
+        try:
+            rec.update(evaluate(idx, lam, t), error=None)
+        except POINT_ERRORS as exc:
+            rec.update(ratio=None, residual=None, error=f"{type(exc).__name__}: {exc}")
+        records.append(rec)
+    return records
 
 
 def _saturation_frequency(lam: complex, t: ScaleParams, m: float) -> float:
@@ -245,8 +259,7 @@ def _adapted_grid(grid: GridSpec, lam: complex, t: ScaleParams, m: float,
 
 
 def coercivity_sweep(template: ProblemTemplate, sweep: SectorSweep,
-                     data_count: int = 8, seed: int = 0, threads: int = 1,
-                     flatness_threshold: float = None,
+                     data_count: int = 8, seed: int = 0, flatness_threshold: float = None,
                      max_ratio_threshold: float = None,
                      adapt_grid: bool = True) -> VerificationReport:
     """Solve and measure the coercive ratio at every (lambda, t) sweep point.
@@ -256,36 +269,26 @@ def coercivity_sweep(template: ProblemTemplate, sweep: SectorSweep,
     generated on the adapted grid.
     """
     index_set = template.indices()
-    points = sweep.points()
     flat = DEFAULT_FLATNESS["coercivity"] if flatness_threshold is None else flatness_threshold
     m = template.symbol.m
     model, q = template.model, template.model.q
     axes = tuple(range(1, template.grid.n + 1))
 
-    def evaluate(item):
-        idx, (lam, t) = item
+    def evaluate(idx, lam, t):
         rng = np.random.default_rng((seed, idx))
-        rec = _point_meta(lam, t)
-        try:
-            grid = _adapted_grid(template.grid, lam, t, m) if adapt_grid else template.grid
-            prob = EllipticProblem(model=model, symbol=template.symbol,
-                                   t=t, lam=lam, grid=grid)
-            shifts = _mode_shifts(prob)
-            fields = _sweep_data(prob, index_set, shifts, data_count, rng)
-            fvals = np.stack([f.values for f in fields])
-            uvals = _solve_modes(prob, shifts, fvals)
-            uspec = np.fft.fftn(uvals, axes=axes, norm="ortho")
-            ratios = _coercive_ratios(grid, q, uvals, uspec, fvals, model, t, lam, m,
-                                      template.p, index_set)
-            residuals = _relative_residuals(grid, q, _apply_principal(prob, uvals, uspec),
-                                            fvals)
-            rec.update(ratio=float(ratios.max()), residual=float(residuals.max()),
-                       error=None)
-        except POINT_ERRORS as exc:  # recorded, not raised: one bad point fails the verdict
-            rec.update(ratio=None, residual=None, error=f"{type(exc).__name__}: {exc}")
-        return rec
+        grid = _adapted_grid(template.grid, lam, t, m) if adapt_grid else template.grid
+        prob = EllipticProblem(model=model, symbol=template.symbol, t=t, lam=lam, grid=grid)
+        shifts = _mode_shifts(prob)
+        fields = _sweep_data(prob, index_set, shifts, data_count, rng)
+        fvals = np.stack([f.values for f in fields])
+        uvals = _solve_modes(prob, shifts, fvals)
+        uspec = np.fft.fftn(uvals, axes=axes, norm="ortho")
+        ratios = _coercive_ratios(grid, q, uvals, uspec, fvals, model, t, lam, m,
+                                  template.p, index_set)
+        residuals = _relative_residuals(grid, q, _apply_principal(prob, uvals, uspec), fvals)
+        return {"ratio": float(ratios.max()), "residual": float(residuals.max())}
 
-    records = _run_points(evaluate, list(enumerate(points)), threads)
+    records = _sweep_points(sweep.points(), evaluate)
     report = VerificationReport(kind="coercivity", points=records,
                                 flatness_threshold=flat,
                                 max_ratio_threshold=max_ratio_threshold)
@@ -296,9 +299,8 @@ def _adapted_xi_samples(lam: complex, t: ScaleParams, m: float, n: int,
                         per_axis: int = 33, decades_below: float = 4.0) -> np.ndarray:
     """Signed log-spaced frequencies reaching past the saturation scale."""
     xi_star = _saturation_frequency(lam, t, m)
-    mags = np.logspace(math.log10(xi_star) - decades_below,
-                       math.log10(xi_star) + 1.0, per_axis)
-    vals = np.concatenate([-mags[::-1], mags])
+    vals = _signed_logspace(math.log10(xi_star) - decades_below,
+                            math.log10(xi_star) + 1.0, per_axis)
     if n == 1:
         return vals[:, None]
     out = []
@@ -312,8 +314,7 @@ def _adapted_xi_samples(lam: complex, t: ScaleParams, m: float, n: int,
 
 
 def resolvent_sweep(template: ProblemTemplate, sweep: SectorSweep,
-                    per_axis: int = 33, seed: int = 0, threads: int = 1,
-                    flatness_threshold: float = None,
+                    per_axis: int = 33, seed: int = 0, flatness_threshold: float = None,
                     max_ratio_threshold: float = None) -> VerificationReport:
     """Summed resolvent estimate probed with plane waves.
 
@@ -326,42 +327,28 @@ def resolvent_sweep(template: ProblemTemplate, sweep: SectorSweep,
     the worst per-frequency inversion defect.
     """
     index_set = template.indices()
-    points = sweep.points()
     flat = DEFAULT_FLATNESS["resolvent"] if flatness_threshold is None else flatness_threshold
     m = template.symbol.m
     model = template.model
     n = template.grid.n
     eye = np.eye(model.N, dtype=complex)
 
-    def evaluate(item):
-        idx, (lam, t) = item
-        rec = _point_meta(lam, t)
-        try:
-            xi = _adapted_xi_samples(lam, t, m, n, per_axis)
-            P = np.asarray(eval_symbol(template.symbol, t, xi), dtype=complex)
-            mats = _mode_matrices(model.A, lam + P)
-            B = np.linalg.inv(mats)
-            residual = float(np.abs(mats @ B - eye).max())
-            nB = operator_norm_upper(B, model.q)
-            terms = [float((w * nB).max()) for w in _symbol_weights(xi, index_set, t, lam, m)]
-            aterm = float(operator_norm_upper(model.A @ B, model.q).max())
-            rec.update(ratio=sum(terms) + aterm, residual=residual, error=None)
-        except POINT_ERRORS as exc:
-            rec.update(ratio=None, residual=None, error=f"{type(exc).__name__}: {exc}")
-        return rec
+    def evaluate(idx, lam, t):
+        xi = _adapted_xi_samples(lam, t, m, n, per_axis)
+        P = np.asarray(eval_symbol(template.symbol, t, xi), dtype=complex)
+        mats = _mode_matrices(model.A, lam + P)
+        B = np.linalg.inv(mats)
+        residual = float(np.abs(mats @ B - eye).max())
+        nB = operator_norm_upper(B, model.q)
+        terms = [float((w * nB).max()) for w in _symbol_weights(xi, index_set, t, lam, m)]
+        aterm = float(operator_norm_upper(model.A @ B, model.q).max())
+        return {"ratio": sum(terms) + aterm, "residual": residual}
 
-    records = _run_points(evaluate, list(enumerate(points)), threads)
+    records = _sweep_points(sweep.points(), evaluate)
     report = VerificationReport(kind="resolvent", points=records,
                                 flatness_threshold=flat,
                                 max_ratio_threshold=max_ratio_threshold)
     return _summarize(report)
-
-
-def _run_points(evaluate, items, threads: int):
-    if threads <= 1:
-        return [evaluate(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(evaluate, items))  # ordered merge keeps determinism
 
 
 # ---------------------------------------------------------------------------
@@ -588,28 +575,16 @@ def fd_sigma_matrix(model, symbol, t, lam, xi, beta, fd_scale: float = 1e-4) -> 
     """|xi|^{|beta|} times the central finite difference Delta^beta of sigma;
     a stack over the rows of a 2-D xi."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    axes = [k for k, b in enumerate(beta) if b]
-    h = fd_scale * (1.0 + np.abs(xi))
-    if not axes:
-        return sigma_matrix(model, symbol, t, lam, xi)
-    total = 0.0
-    for signs in np.ndindex(*([2] * len(axes))):
-        shifted = xi.copy()
-        coeff = np.ones(xi.shape[:-1])
-        for ax, s in zip(axes, signs):
-            sgn = 1.0 if s == 0 else -1.0
-            shifted[..., ax] += sgn * h[..., ax]
-            coeff = coeff * (sgn / (2.0 * h[..., ax]))
-        total = total + coeff[..., None, None] * sigma_matrix(model, symbol, t, lam, shifted)
-    scale = np.linalg.norm(xi, axis=-1) ** len(axes)
+    total = _central_difference(lambda rows: sigma_matrix(model, symbol, t, lam, rows),
+                                xi, beta, fd_scale * (1.0 + np.abs(xi)))
+    scale = np.linalg.norm(xi, axis=-1) ** sum(1 for b in beta if b)
     return scale[..., None, None] * total
 
 
 def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: SectorSweep,
                             xi_samples=None, dims: int = 1, index_set=None, betas=None,
                             rbound_subsample: int = 8, tuple_size: int = 3,
-                            seed: int = 0, threads: int = 1,
-                            flatness_threshold: float = None,
+                            seed: int = 0, flatness_threshold: float = None,
                             sigma_sup_threshold: float = None) -> VerificationReport:
     """Sup norms of the multiplier families over the sweep, plus R-bound
     lower estimates for each family from a subsample of its members.
@@ -632,25 +607,17 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
     def sup_norm(mats):
         return float(operator_norm_upper(mats, model.q).max())
 
-    def evaluate(item):
-        idx, (lam, t) = item
-        rec = _point_meta(lam, t)
-        try:
-            samples = fixed_samples if fixed_samples is not None \
-                else _adapted_xi_samples(lam, t, symbol.m, n, per_axis=17)
-            sig = sup_norm(sigma_matrix(model, symbol, t, lam, samples))
-            sig_alpha = {str(key): sup_norm(sigma_alpha_matrix(model, symbol, t, lam,
-                                                               samples, a))
-                         for a, key in zip(index_set, alpha_keys)}
-            fd = {str(b): sup_norm(fd_sigma_matrix(model, symbol, t, lam, samples, b))
-                  for b in betas}
-            rec.update(ratio=sig, residual=0.0, error=None, sigma_alpha=sig_alpha,
-                       fd_sup=fd)
-        except POINT_ERRORS as exc:
-            rec.update(ratio=None, residual=None, error=f"{type(exc).__name__}: {exc}")
-        return rec
+    def evaluate(idx, lam, t):
+        samples = fixed_samples if fixed_samples is not None \
+            else _adapted_xi_samples(lam, t, symbol.m, n, per_axis=17)
+        sig = sup_norm(sigma_matrix(model, symbol, t, lam, samples))
+        sig_alpha = {str(key): sup_norm(sigma_alpha_matrix(model, symbol, t, lam, samples, a))
+                     for a, key in zip(index_set, alpha_keys)}
+        fd = {str(b): sup_norm(fd_sigma_matrix(model, symbol, t, lam, samples, b))
+              for b in betas}
+        return {"ratio": sig, "residual": 0.0, "sigma_alpha": sig_alpha, "fd_sup": fd}
 
-    records = _run_points(evaluate, list(enumerate(points)), threads)
+    records = _sweep_points(points, evaluate)
 
     # R-bound lower estimate for the sigma family, subsampled across the sweep
     rng = np.random.default_rng(seed)

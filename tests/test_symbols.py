@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -169,5 +170,11 @@ def test_symbol_config_round_trip():
     spec = rotated_power_symbol(2.0, theta0=0.25)
     again = symbol_from_config(symbol_to_config(spec))
     assert again == spec
+    pts = np.linspace(-10, 10, 41)
+    spec = SymbolSpec(kind="user-table", m=2.0, table=(pts, pts**2 + 0.5j * pts))
+    again = symbol_from_config(json.loads(json.dumps(symbol_to_config(spec))))
+    assert again.kind == spec.kind and again.m == spec.m
+    assert np.array_equal(again.table[0], pts)
+    assert np.array_equal(again.table[1], spec.table[1])
     with pytest.raises(ValueError):
         symbol_from_config({"kind": "power", "m": 2.0, "bogus": 1})

@@ -43,6 +43,7 @@ from psdo.verification import (
     _adapted_xi_samples,
     _saturation_frequency,
     _worst_mode_data,
+    fd_sigma_matrix,
 )
 
 
@@ -230,12 +231,25 @@ def test_resolvent_sweep_passes_small():
     assert max(p["residual"] for p in rep.points) < 1e-10
 
 
-def test_sweep_deterministic_across_threads():
+def test_sweep_deterministic_across_reruns():
     tpl = scalar_template()
     sweep = small_sweep()
-    r1 = coercivity_sweep(tpl, sweep, data_count=4, seed=0, threads=1)
-    r2 = coercivity_sweep(tpl, sweep, data_count=4, seed=0, threads=4)
+    r1 = coercivity_sweep(tpl, sweep, data_count=4, seed=0)
+    r2 = coercivity_sweep(tpl, sweep, data_count=4, seed=0)
     assert r1.to_dict() == r2.to_dict()
+
+
+def test_fd_sigma_matrix_matches_closed_form():
+    # sigma = a / (a + lam + t xi^2), so |xi| d sigma / d xi = -|xi| 2 a t xi / (a + lam + t xi^2)^2
+    a, lam, t = 1.5, 2.0 + 1.0j, ScaleParams.isotropic(0.3, 1)
+    model = make_model(np.array([[a]]))
+    xi = np.array([-5.0, -0.5, 0.3, 2.0, 10.0])
+    fd = fd_sigma_matrix(model, power_symbol(m=2.0), t, lam, xi[:, None], (1,))
+    assert fd.shape == (len(xi), 1, 1)
+    exact = -np.abs(xi) * 2 * a * 0.3 * xi / (a + lam + 0.3 * xi**2) ** 2
+    np.testing.assert_allclose(fd[:, 0, 0], exact, rtol=1e-6)
+    single = fd_sigma_matrix(model, power_symbol(m=2.0), t, lam, xi[3:4], (1,))
+    assert single[0, 0] == fd[3, 0, 0]
 
 
 def test_multiplier_check_scalar_sigma_bound():
