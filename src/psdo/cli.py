@@ -61,6 +61,7 @@ from .symbols import (
 )
 from .verification import (
     ProblemTemplate,
+    _kahane_checks,
     coercivity_sweep,
     estimate_rbound,
     kahane_contraction_check,
@@ -452,7 +453,7 @@ def _task_verify_resolvent(cfg, seed):
     sweep = _parse_sweep(cfg["sweep"], template.grid.n, template.symbol.phi1)
     flat, maxr, _ = _thresholds(cfg)
     rep = resolvent_sweep(template, sweep, per_axis=int(cfg.get("per_axis", 33)),
-                          seed=seed, flatness_threshold=flat, max_ratio_threshold=maxr)
+                          flatness_threshold=flat, max_ratio_threshold=maxr)
     d = rep.to_dict()
     return rep.status, d, _sweep_csv(d), {}
 
@@ -526,11 +527,14 @@ def _task_check_kahane(cfg, seed):
         rng = np.random.default_rng(seed)
         m = int(rcfg.get("m", 6))
         N = int(rcfg.get("N", 4))
-        for _ in range(int(rcfg["count"])):
-            scal = rng.uniform(-1.0, 1.0, size=m)
-            vecs = [rng.standard_normal(N) + 1j * rng.standard_normal(N)
-                    for _ in range(m)]
-            results.append(kahane_contraction_check(scal, vecs, q=q))
+        count = int(rcfg["count"])
+        scal = np.empty((count, m))
+        vecs = np.empty((count, m, N), dtype=complex)
+        for k in range(count):
+            scal[k] = rng.uniform(-1.0, 1.0, size=m)
+            draws = rng.standard_normal((m, 2, N))  # per vector: N real, then N imaginary
+            vecs[k] = draws[:, 0] + 1j * draws[:, 1]
+        results.extend(_kahane_checks(scal, vecs, q))
     if not results:
         raise ConfigError("check-kahane needs 'scalars'/'vectors' or 'random'")
     worst = max(r.constant / max(r.scale, 1e-300) for r in results)

@@ -10,6 +10,7 @@ parameter decades, which is the testable content of uniformity.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
@@ -314,7 +315,7 @@ def _adapted_xi_samples(lam: complex, t: ScaleParams, m: float, n: int,
 
 
 def resolvent_sweep(template: ProblemTemplate, sweep: SectorSweep,
-                    per_axis: int = 33, seed: int = 0, flatness_threshold: float = None,
+                    per_axis: int = 33, flatness_threshold: float = None,
                     max_ratio_threshold: float = None) -> VerificationReport:
     """Summed resolvent estimate probed with plane waves.
 
@@ -355,14 +356,47 @@ def resolvent_sweep(template: ProblemTemplate, sweep: SectorSweep,
 # Rademacher machinery
 
 
+@functools.lru_cache(maxsize=8)  # bounded: the matrix for m = 20 takes 320 MiB
+def _enumerated_signs(m: int) -> np.ndarray:
+    """All 2^m sign patterns as a read-only complex (2^m, m) matrix."""
+    bits = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
+    signs = (2 * bits - 1).astype(complex)
+    signs.flags.writeable = False
+    return signs
+
+
 def _sign_patterns(m: int, mode: str, trials: int, seed: int) -> np.ndarray:
+    """Complex (P, m) sign-pattern matrix: every pattern ("enumerate", shared
+    and read-only) or `trials` seeded random draws ("montecarlo")."""
     if mode == "enumerate":
         if m > 20:
             raise TooManyForEnumeration(f"2^{m} sign patterns is too many to enumerate")
-        bits = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
-        return 2 * bits - 1
+        return _enumerated_signs(m)
     rng = np.random.default_rng(seed)
-    return rng.choice([-1, 1], size=(trials, m))
+    return rng.choice([-1, 1], size=(trials, m)).astype(complex)
+
+
+# Largest signed-sum array one kernel call builds, in complex entries (256 KB):
+# a longer batch of instances or probe points is scored in blocks along its
+# first axis, so the temporaries stay near the size of one instance's.
+_BLOCK_ENTRIES = 2**14
+
+
+def _rademacher_terms(signs: np.ndarray, Tu: np.ndarray, us: np.ndarray, q: float):
+    """Numerator and denominator of the Rademacher ratio, batched.
+
+    `signs` is (P, m); `Tu` (operators applied) and `us` (raw vectors) are
+    (..., m, N).  Each term is the mean over the P patterns of the l_q norm of
+    the signed sum; both come back with shape (...).
+    """
+    step = max(1, _BLOCK_ENTRIES // (len(signs) * Tu.shape[-1]))
+    if Tu.ndim > 2 and len(Tu) > step:
+        parts = [_rademacher_terms(signs, Tu[i:i + step], us[i:i + step], q)
+                 for i in range(0, len(Tu), step)]
+        return tuple(np.concatenate(terms) for terms in zip(*parts))
+    num = vector_norms(signs @ Tu, q).mean(axis=-1)
+    den = vector_norms(signs @ us, q).mean(axis=-1)
+    return num, den
 
 
 def rademacher_average(operators, vectors, q: float = 2.0, mode: str = "enumerate",
@@ -371,57 +405,53 @@ def rademacher_average(operators, vectors, q: float = 2.0, mode: str = "enumerat
     denominator without): the building block of R-bound estimation."""
     if len(operators) != len(vectors) or not operators:
         raise ValueError("need equally many operators and vectors, at least one")
-    ops = [np.atleast_2d(np.asarray(T, dtype=complex)) for T in operators]
+    signs = _sign_patterns(len(operators), mode, trials, seed)
     us = np.stack([np.atleast_1d(np.asarray(u, dtype=complex)) for u in vectors])
-    Tu = np.stack([T @ u for T, u in zip(ops, us)])
-    signs = _sign_patterns(len(ops), mode, trials, seed).astype(complex)
-    num = float(np.mean(vector_norms(np.tensordot(signs, Tu, axes=(1, 0)), q)))
-    den = float(np.mean(vector_norms(np.tensordot(signs, us, axes=(1, 0)), q)))
-    return num, den
+    Tu = np.stack([np.atleast_2d(np.asarray(T, dtype=complex)) @ u
+                   for T, u in zip(operators, us)])
+    num, den = _rademacher_terms(signs, Tu, us, q)
+    return float(num), float(den)
 
 
-def _ratio_objective(ops, q, x):
-    """Rademacher ratio as a function of stacked real coordinates."""
-    m = len(ops)
-    N = ops[0].shape[0]
-    vecs = x.reshape(m, 2, N)
-    us = vecs[:, 0, :] + 1j * vecs[:, 1, :]
-    num, den = rademacher_average(ops, list(us), q=q, mode="enumerate")
-    if den == 0:
-        return 0.0
-    return num / den
+def _ratio_objective(stack: np.ndarray, signs: np.ndarray, q: float, x: np.ndarray):
+    """Rademacher ratio of the operator stack (m, N, N) at probe vectors given
+    as stacked real coordinates x (..., 2 m N); 0 where every signed sum
+    vanishes.  `signs` is the enumerated (2^m, m) pattern matrix."""
+    m, N = stack.shape[:2]
+    vecs = x.reshape(x.shape[:-1] + (m, 2, N))
+    us = vecs[..., 0, :] + 1j * vecs[..., 1, :]
+    num, den = _rademacher_terms(signs, (stack @ us[..., None])[..., 0], us, q)
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
-def _maximize_tuple(ops, q: float, seed: int, restarts: int = 4) -> float:
-    """Best Rademacher ratio over probe vectors for a fixed operator tuple.
+def _maximize_tuple(stack: np.ndarray, q: float, seed: int, restarts: int = 4) -> float:
+    """Best Rademacher ratio over probe vectors for a fixed operator tuple,
+    given as a stack (m, N, N).
 
-    Deterministic given (ops, q, seed) and independent of any enclosing
+    Deterministic given (stack, q, seed) and independent of any enclosing
     family, so enlarging a family can only enlarge the resulting estimate.
     """
-    m = len(ops)
-    N = ops[0].shape[0]
+    m, N = stack.shape[:2]
+    signs = _sign_patterns(m, "enumerate", 0, 0)
+
+    def neg_ratio(x):
+        return -float(_ratio_objective(stack, signs, q, x))
+
     rng = np.random.default_rng(seed)
-    starts = []
     # each slot seeded with its operator's leading right singular vector
-    sv = np.zeros((m, 2, N))
-    for j, T in enumerate(ops):
-        v = np.linalg.svd(T)[2][0].conj()
-        sv[j, 0], sv[j, 1] = v.real, v.imag
-    starts.append(sv.ravel())
+    v = np.linalg.svd(stack)[2][:, 0].conj()
+    starts = [np.stack([v.real, v.imag], axis=1).ravel()]
     for _ in range(restarts):
         starts.append(rng.standard_normal(m * 2 * N))
     cloud = rng.standard_normal((64, m * 2 * N))
-    vals = np.array([_ratio_objective(ops, q, x) for x in cloud])
-    starts.append(cloud[int(vals.argmax())])
+    starts.append(cloud[int(_ratio_objective(stack, signs, q, cloud).argmax())])
     best, best_x = 0.0, starts[0]
     for x0 in starts:
-        res = optimize.minimize(lambda x: -_ratio_objective(ops, q, x), x0,
-                                method="Nelder-Mead",
+        res = optimize.minimize(neg_ratio, x0, method="Nelder-Mead",
                                 options={"maxiter": 2000, "xatol": 1e-9, "fatol": 1e-12})
         if -float(res.fun) > best:
             best, best_x = -float(res.fun), res.x
-    polish = optimize.minimize(lambda x: -_ratio_objective(ops, q, x), best_x,
-                               method="L-BFGS-B",
+    polish = optimize.minimize(neg_ratio, best_x, method="L-BFGS-B",
                                options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-12})
     return max(best, -float(polish.fun))
 
@@ -432,23 +462,25 @@ def probe_norm(T, q: float = 2.0, seed: int = 1234, probes: int = 512) -> float:
     N = T.shape[1]
     rng = np.random.default_rng(seed)
 
-    def ratio(x):
-        u = x[:N] + 1j * x[N:]
-        nu = float(vector_norms(u[None, :], q)[0])
-        if nu == 0:
-            return 0.0
-        return float(vector_norms((T @ u)[None, :], q)[0]) / nu
+    def ratios(x):
+        u = x[..., :N] + 1j * x[..., N:]
+        nu = vector_norms(u, q)
+        nTu = vector_norms((T @ u[..., None])[..., 0], q)
+        return np.divide(nTu, nu, out=np.zeros_like(nu), where=nu > 0)
+
+    def neg_ratio(x):
+        return -float(ratios(x))
 
     cloud = rng.standard_normal((probes, 2 * N))
-    vals = np.array([ratio(x) for x in cloud])
+    vals = ratios(cloud)
     order = np.argsort(vals)[::-1]
     best, best_x = float(vals.max()), cloud[order[0]]
     for idx in order[:4]:
-        res = optimize.minimize(lambda x: -ratio(x), cloud[idx], method="Nelder-Mead",
+        res = optimize.minimize(neg_ratio, cloud[idx], method="Nelder-Mead",
                                 options={"maxiter": 4000, "xatol": 1e-9, "fatol": 1e-12})
         if -float(res.fun) > best:
             best, best_x = -float(res.fun), res.x
-    polish = optimize.minimize(lambda x: -ratio(x), best_x, method="L-BFGS-B",
+    polish = optimize.minimize(neg_ratio, best_x, method="L-BFGS-B",
                                options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-12})
     return max(best, -float(polish.fun))
 
@@ -476,10 +508,10 @@ def estimate_rbound(family, q: float = 2.0, tuple_size: int = 3, restarts: int =
     the candidate set, and since each tuple is scored independently of the
     family, the estimate never decreases under family inclusion.
     """
-    members = [np.atleast_2d(np.asarray(T, dtype=complex)) for T in family]
-    k = len(members)
+    k = len(family)
     if k == 0:
         raise ValueError("family must be non-empty")
+    members = np.stack([np.atleast_2d(np.asarray(T, dtype=complex)) for T in family])
     candidates = [(j,) for j in range(k)]
     candidates += [(j,) * tuple_size for j in range(k)]
     mixed = sorted(combinations_with_replacement(range(k), tuple_size),
@@ -493,7 +525,7 @@ def estimate_rbound(family, q: float = 2.0, tuple_size: int = 3, restarts: int =
         if key in seen:
             continue
         seen.add(key)
-        val = _maximize_tuple([members[j] for j in tup], q, seed, restarts=restarts)
+        val = _maximize_tuple(members[list(tup)], q, seed, restarts=restarts)
         if val > best_val:
             best_val, best_tup = val, tup
     return RBoundEstimate(value=best_val, tuple_indices=best_tup, tuples_tried=len(seen))
@@ -513,18 +545,27 @@ def kahane_contraction_check(scalars, vectors, q: float = 2.0) -> KahaneResult:
     Real scalars of modulus <= s inflate the average by at most s; complex
     scalars by at most 2s.
     """
-    scalars = list(scalars)
-    if len(scalars) > 12:
+    return _kahane_checks([scalars], [[np.atleast_1d(u) for u in vectors]], q)[0]
+
+
+def _kahane_checks(scalars, vectors, q: float) -> list:
+    """kahane_contraction_check of K instances in one batch: scalars (K, m),
+    vectors (K, m, N)."""
+    scalars = np.asarray(scalars, dtype=complex)
+    if scalars.shape[-1] > 12:
         raise TooManyForEnumeration("kahane check enumerates at most 2^12 patterns")
-    s = max(abs(complex(a)) for a in scalars)
-    is_complex = any(abs(complex(a).imag) > 0 for a in scalars)
-    N = len(np.atleast_1d(vectors[0]))
-    ops = [complex(a) * np.eye(N) for a in scalars]
-    num, den = rademacher_average(ops, vectors, q=q, mode="enumerate")
-    constant = num / den if den > 0 else 0.0
-    factor = 2.0 if is_complex else 1.0
-    return KahaneResult(constant=constant, scale=s, complex_scalars=is_complex,
-                        verdict=constant <= factor * s + 1e-12)
+    us = np.asarray(vectors, dtype=complex)
+    if us.shape[:-1] != scalars.shape:
+        raise ValueError("need one vector per scalar")
+    signs = _sign_patterns(scalars.shape[-1], "enumerate", 0, 0)
+    num, den = _rademacher_terms(signs, scalars[:, :, None] * us, us, q)
+    constants = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    scales = np.hypot(scalars.real, scalars.imag).max(axis=-1)  # as abs(complex(a))
+    is_complex = (np.abs(scalars.imag) > 0).any(axis=-1)
+    factors = np.where(is_complex, 2.0, 1.0)
+    return [KahaneResult(constant=float(c), scale=float(s), complex_scalars=bool(z),
+                         verdict=bool(c <= f * s + 1e-12))
+            for c, s, z, f in zip(constants, scales, is_complex, factors)]
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ def test_acceptance_03_coercive_ratio_spot_value():
 # 4. resolvent estimate ---------------------------------------------------
 
 def test_acceptance_04_resolvent_uniformity():
-    rep = resolvent_sweep(scalar_template(), reference_sweep(), seed=0)
+    rep = resolvent_sweep(scalar_template(), reference_sweep())
     assert rep.passed
     assert np.isfinite(rep.max_ratio)
     assert rep.flatness <= 2.0

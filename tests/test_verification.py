@@ -34,6 +34,7 @@ from psdo import (
     sigma_matrix,
     solve_principal,
     tridiagonal_matrix,
+    vector_norms,
 )
 from psdo import verification
 from psdo.elliptic import _mode_shifts, _relative_residual
@@ -41,7 +42,10 @@ from psdo.operators import operator_norm_upper
 from psdo.verification import (
     _adapted_grid,
     _adapted_xi_samples,
+    _kahane_checks,
+    _ratio_objective,
     _saturation_frequency,
+    _sign_patterns,
     _worst_mode_data,
     fd_sigma_matrix,
 )
@@ -115,11 +119,81 @@ def test_estimate_rbound_monotone_under_inclusion():
     mats = [np.array([[1.0, 0.2], [0.0, 0.5]]),
             np.array([[0.3, 0.0], [0.1, 0.9]]),
             np.array([[1.1, 0.0], [0.0, 0.4]])]
+    # any rewrite of the objective or the search must reproduce these values
+    pinned = [(1.0258955378778036, (0,), 2),
+              (1.1165781729839532, (0, 1), 5),
+              (1.1165781729839532, (0, 1), 9)]
     prev = 0.0
-    for k in (1, 2, 3):
+    for k, (value, tup, tried) in zip((1, 2, 3), pinned):
         est = estimate_rbound(mats[:k], tuple_size=2)
         assert est.value >= prev
         prev = est.value
+        assert est.value == pytest.approx(value, rel=1e-12)
+        assert est.tuple_indices == tup
+        assert est.tuples_tried == tried
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, np.inf])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2, 4])
+def test_ratio_objective_matches_rademacher_average(q, m, N):
+    rng = np.random.default_rng(10 * m + N)
+    stack = rng.standard_normal((m, N, N)) + 1j * rng.standard_normal((m, N, N))
+    signs = _sign_patterns(m, "enumerate", 0, 0)
+    cloud = rng.standard_normal((5, 2 * m * N))
+    batched = _ratio_objective(stack, signs, q, cloud)
+    for x, value in zip(cloud, batched):
+        vecs = x.reshape(m, 2, N)
+        num, den = rademacher_average(list(stack), list(vecs[:, 0] + 1j * vecs[:, 1]), q=q)
+        assert _ratio_objective(stack, signs, q, x) == num / den
+        assert value == num / den
+
+
+def _kahane_reference(scalars, vectors, q):
+    """Constant of one instance through diagonal operators a_j I and the
+    per-call sign enumeration and tensordot."""
+    N = len(vectors[0])
+    Tu = np.stack([(complex(a) * np.eye(N)) @ u for a, u in zip(scalars, vectors)])
+    us = np.stack(vectors)
+    m = len(scalars)
+    bits = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
+    signs = (2 * bits - 1).astype(complex)
+    num = float(np.mean(vector_norms(np.tensordot(signs, Tu, axes=(1, 0)), q)))
+    den = float(np.mean(vector_norms(np.tensordot(signs, us, axes=(1, 0)), q)))
+    return num / den if den > 0 else 0.0
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+@pytest.mark.parametrize("complex_scalars", [False, True])
+@pytest.mark.parametrize("N", [1, 3, 4])
+def test_batched_kahane_matches_per_instance_reference(q, complex_scalars, N):
+    rng = np.random.default_rng(11)
+    count, m = 200, 5
+    scal = rng.uniform(-1.0, 1.0, size=(count, m))
+    if complex_scalars:
+        scal = scal + 1j * rng.uniform(-1.0, 1.0, size=(count, m))
+    vecs = rng.standard_normal((count, m, N)) + 1j * rng.standard_normal((count, m, N))
+    results = _kahane_checks(scal, vecs, q)
+    assert len(results) == count
+    for a, u, res in zip(scal, vecs, results):
+        expected = _kahane_reference(a, list(u), q)
+        if complex_scalars:
+            # BLAS matrix-vector kernels may fuse the multiply-add of a complex
+            # product, so a_j I @ u and a_j * u can differ in the last bit.
+            assert res.constant == pytest.approx(expected, rel=1e-14)
+        else:
+            assert res.constant == expected
+        assert res.complex_scalars == complex_scalars
+        assert res.scale == max(abs(complex(v)) for v in a)
+        assert kahane_contraction_check(a, list(u), q=q) == res
+
+
+def test_enumerated_sign_patterns_are_shared_and_read_only():
+    signs = _sign_patterns(3, "enumerate", 0, 0)
+    assert signs is _sign_patterns(3, "enumerate", 0, 0)
+    assert signs.dtype == complex and signs.shape == (8, 3)
+    with pytest.raises(ValueError):
+        signs[0, 0] = 1.0
 
 
 def test_lambda_resolvent_scalar_bracket():
@@ -225,7 +299,7 @@ def test_sweep_records_per_point_errors():
 
 
 def test_resolvent_sweep_passes_small():
-    rep = resolvent_sweep(scalar_template(), small_sweep(), per_axis=17, seed=0)
+    rep = resolvent_sweep(scalar_template(), small_sweep(), per_axis=17)
     assert rep.passed
     assert rep.flatness <= 2.0
     assert max(p["residual"] for p in rep.points) < 1e-10
