@@ -21,6 +21,7 @@ from . import __version__
 from .elliptic import (
     EllipticProblem,
     LowerTerm,
+    _relative_residual,
     graph_norm,
     solve_full,
     solve_principal,
@@ -325,7 +326,6 @@ def _task_solve_elliptic(cfg, seed):
     else:
         u = solve_principal(prob, f)
         iterations, contraction = 1, 0.0
-        from .elliptic import _relative_residual
         residual = _relative_residual(prob, u, f)
     p = float(cfg.get("p", 2.0))
     onorm, hnorm, gratio = graph_norm(prob, u, p=p)

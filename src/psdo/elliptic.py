@@ -23,7 +23,6 @@ from .spaces import (
     _lp_lq_norms,
     fractional_multiplier,
     h_m_pt_norm,
-    liouville_derivative,
     lp_lq_norm,
     random_band_limited_field,
 )
@@ -32,6 +31,8 @@ from .symbols import MultiIndex, ScaleParams, SymbolSpec, eval_symbol
 RESIDUAL_TOL = 1e-10
 NEUMANN_TOL = 1e-9
 MAX_ITER = 200
+# probe fields per principal solve in contraction_estimate; bounds its peak memory
+PROBE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ def _solve_modes(prob: EllipticProblem, shifts: np.ndarray, fvals: np.ndarray) -
     """
     axes = tuple(range(1, prob.grid.n + 1))
     F, N = fvals.shape[0], fvals.shape[-1]
-    fhat = np.fft.fftn(fvals, axes=axes, norm="ortho")
+    fhat = _spectra(prob, fvals)
     rhs = np.moveaxis(fhat.reshape(F, -1, N), 0, -1)  # (modes, N, F)
     try:
         uhat = np.linalg.solve(_mode_matrices(prob.model.A, shifts), rhs)
@@ -162,16 +163,28 @@ def solve_principal(prob: EllipticProblem, f: SampledField) -> SampledField:
     return f.with_values(_solve_modes(prob, _mode_shifts(prob), f.values[None])[0])
 
 
+def _spectra(prob: EllipticProblem, vals: np.ndarray) -> np.ndarray:
+    """Unitary FFT of a stack of fields, vals shape (F,) + grid.shape + (N,)."""
+    return np.fft.fftn(vals, axes=tuple(range(1, prob.grid.n + 1)), norm="ortho")
+
+
+def _apply_lower(prob: EllipticProblem, vals: np.ndarray, spec: np.ndarray) -> np.ndarray:
+    """L_t u for a stack of fields vals with spectra spec: one multiplier per term."""
+    axes = tuple(range(1, prob.grid.n + 1))
+    out = np.zeros_like(vals)
+    for term in prob.lower_terms:
+        w = prob.t.weight(term.alpha, prob.symbol.m)
+        mult = fractional_multiplier(prob.grid, term.alpha)
+        du = np.fft.ifftn(spec * mult[..., None], axes=axes, norm="ortho")
+        coeff = term.coefficient_on(prob.grid, vals.shape[-1])
+        out = out + w * np.einsum("...ij,...j->...i", coeff, du)
+    return out
+
+
 def apply_lower_terms(prob: EllipticProblem, u: SampledField) -> SampledField:
     """L_t u = sum over lower terms of t(alpha) A_alpha(x) D^alpha u."""
-    out = np.zeros_like(u.values)
-    m = prob.symbol.m
-    for term in prob.lower_terms:
-        w = prob.t.weight(term.alpha, m)
-        du = liouville_derivative(u, term.alpha, check_nyquist=False)
-        coeff = term.coefficient_on(prob.grid, u.N)
-        out = out + w * np.einsum("...ij,...j->...i", coeff, du.values)
-    return u.with_values(out)
+    uvals = u.values[None]
+    return u.with_values(_apply_lower(prob, uvals, _spectra(prob, uvals))[0])
 
 
 def _apply_principal(prob: EllipticProblem, uvals: np.ndarray, uspec: np.ndarray) -> np.ndarray:
@@ -185,11 +198,11 @@ def _apply_principal(prob: EllipticProblem, uvals: np.ndarray, uspec: np.ndarray
 def apply_operator(prob: EllipticProblem, u: SampledField) -> SampledField:
     """Forward operator: symbol part + A u + lambda u + lower-order terms."""
     uvals = u.values[None]
-    uspec = np.fft.fftn(uvals, axes=tuple(range(1, prob.grid.n + 1)), norm="ortho")
-    out = _apply_principal(prob, uvals, uspec)[0]
+    uspec = _spectra(prob, uvals)
+    out = _apply_principal(prob, uvals, uspec)
     if prob.lower_terms:
-        out = out + apply_lower_terms(prob, u).values
-    return u.with_values(out)
+        out = out + _apply_lower(prob, uvals, uspec)
+    return u.with_values(out[0])
 
 
 def _lower_symbol_blocks(prob: EllipticProblem):
@@ -211,27 +224,30 @@ def contraction_estimate(prob: EllipticProblem, probes: int = 64, seed: int = 0)
 
     Constant-coefficient terms are diagonal per mode, so the exact per-mode
     block norms are taken alongside random band-limited probe fields; the max
-    over both is returned.
+    over both is returned.  Probes are solved in blocks of PROBE_BLOCK fields.
     """
     if not prob.lower_terms:
         return 0.0
     base = prob.principal
+    shifts = _mode_shifts(base)
     best = 0.0
     blocks = _lower_symbol_blocks(prob)
     if blocks is not None:
-        mats = _mode_matrices(prob.model.A, _mode_shifts(base))
+        mats = _mode_matrices(prob.model.A, shifts)
         Binv = np.linalg.inv(mats.reshape(prob.grid.shape + (prob.model.N,) * 2))
         comp = np.einsum("...ij,...jk->...ik", blocks, Binv)
         best = float(np.max(operator_norm_upper(comp, prob.model.q)))
     rng = np.random.default_rng(seed)
-    for _ in range(max(0, probes)):
-        u = random_band_limited_field(prob.grid, prob.model.N, rng, q=prob.model.q)
-        nu = lp_lq_norm(u, 2.0)
-        if nu == 0:
-            continue
-        v = solve_principal(base, u)
-        Lv = apply_lower_terms(prob, v)
-        best = max(best, lp_lq_norm(Lv, 2.0) / nu)
+    grid, N, q = prob.grid, prob.model.N, prob.model.q
+    for start in range(0, probes, PROBE_BLOCK):
+        u = np.stack([random_band_limited_field(grid, N, rng, q=q).values
+                      for _ in range(min(PROBE_BLOCK, probes - start))])
+        nu = _lp_lq_norms(u, grid, q, 2.0)
+        u, nu = u[nu > 0], nu[nu > 0]
+        if nu.size:
+            v = _solve_modes(base, shifts, u)
+            ratios = _lp_lq_norms(_apply_lower(prob, v, _spectra(prob, v)), grid, q, 2.0) / nu
+            best = max(best, float(ratios.max()))
     return best
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import EllipticProblem, apply_operator
+from .elliptic import EllipticProblem, _apply_principal, _spectra
 from .errors import ModeSingular, NotDiagonalizable
 from .operators import KAPPA_LIMIT
 from .spaces import SpaceTimeField, mixed_norm
@@ -173,9 +173,7 @@ def equation_residual(prob: ParabolicProblem, u: SpaceTimeField) -> float:
     f = prob.forcing
     nf = mixed_norm(f)
     du = time_derivative(u)
-    zero_shift = prob.elliptic
-    res_vals = du.values + np.stack(
-        [apply_operator(zero_shift, u.slice(j)).values for j in range(u.J + 1)]
-    ) - f.values
+    ell = prob.elliptic
+    res_vals = du.values + _apply_principal(ell, u.values, _spectra(ell, u.values)) - f.values
     res = SpaceTimeField(grid=u.grid, values=res_vals, Y=u.Y, q=u.q, p=u.p, p1=u.p1)
     return mixed_norm(res) / nf if nf > 0 else mixed_norm(res)

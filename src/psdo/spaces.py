@@ -328,13 +328,9 @@ def export_columnar(u: SampledField) -> str:
     """One row per grid point: coordinates, then Re/Im per component."""
     x = u.grid.points().reshape(-1, u.grid.n)
     v = u.values.reshape(-1, u.N)
-    lines = []
-    header = ["# " + " ".join([f"x{k}" for k in range(u.grid.n)]
-                              + [f"re{j} im{j}" for j in range(u.N)])]
-    for xi, vi in zip(x, v):
-        parts = [f"{c:.17g}" for c in xi]
-        for comp in vi:
-            parts.append(f"{comp.real:.17g}")
-            parts.append(f"{comp.imag:.17g}")
-        lines.append(" ".join(parts))
-    return "\n".join(header + lines) + "\n"
+    cols = np.concatenate([x, np.stack([v.real, v.imag], axis=-1).reshape(len(v), -1)], axis=1)
+    header = "# " + " ".join([f"x{k}" for k in range(u.grid.n)]
+                             + [f"re{j} im{j}" for j in range(u.N)])
+    row = " ".join(["%.17g"] * cols.shape[1])
+    body = "\n".join([row] * len(cols)) % tuple(cols.ravel().tolist())
+    return header + "\n" + body + "\n"

@@ -9,11 +9,13 @@ from psdo import (
     ModeSingular,
     MultiIndex,
     ScaleParams,
+    apply_lower_terms,
     apply_operator,
     coercive_index_set,
     contraction_estimate,
     gaussian_field,
     graph_norm,
+    liouville_derivative,
     lp_lq_norm,
     make_model,
     mode_field,
@@ -23,6 +25,7 @@ from psdo import (
     solve_full,
     solve_principal,
 )
+import psdo.elliptic
 from psdo.symbols import i_xi_power_factor
 
 
@@ -166,3 +169,74 @@ def test_principal_property_strips_lower_terms():
     prob = scalar_problem(lam=10.0, lower_terms=(term,))
     assert prob.principal.lower_terms == ()
     assert prob.principal.lam == prob.lam
+
+
+def _lower_terms_per_term(prob, u):
+    """Reference: L_t u with one liouville_derivative call per lower term."""
+    out = np.zeros_like(u.values)
+    for term in prob.lower_terms:
+        w = prob.t.weight(term.alpha, prob.symbol.m)
+        du = liouville_derivative(u, term.alpha, check_nyquist=False)
+        out = out + w * np.einsum("...ij,...j->...i", term.coefficient_on(prob.grid, u.N),
+                                  du.values)
+    return u.with_values(out)
+
+
+def _contraction_per_probe(prob, probes, seed, make_field):
+    """Reference: the probe part of contraction_estimate, one field at a time."""
+    best = 0.0
+    rng = np.random.default_rng(seed)
+    for _ in range(max(0, probes)):
+        u = make_field(prob.grid, prob.model.N, rng, q=prob.model.q)
+        nu = lp_lq_norm(u, 2.0)
+        if nu == 0:
+            continue
+        Lv = _lower_terms_per_term(prob, solve_principal(prob.principal, u))
+        best = max(best, lp_lq_norm(Lv, 2.0) / nu)
+    return best
+
+
+def x_dependent_2d_problem(q=3.0):
+    grid = GridSpec(n=2, M=8, L=2 * np.pi)
+    x = grid.points()
+    c = np.empty(grid.shape + (2, 2), dtype=complex)
+    c[..., 0, 0] = 0.4 + 0.2 * np.cos(x[..., 0])
+    c[..., 0, 1] = 0.1j * np.sin(x[..., 1])
+    c[..., 1, 0] = 0.2
+    c[..., 1, 1] = 0.3 * np.sin(x[..., 0] + x[..., 1])
+    terms = (LowerTerm(alpha=MultiIndex((1.0, 0.0)), coefficient=c),
+             LowerTerm(alpha=MultiIndex((0.5, 0.5)), coefficient=np.array([[0.3, 0.0], [0.1, 0.2]])))
+    A = np.array([[2.0, 0.5], [0.0, 1.0]])
+    return EllipticProblem(model=make_model(A, q=q), symbol=power_symbol(m=2.0),
+                           t=ScaleParams((0.5, 0.1)), lam=3.0 + 4.0j, grid=grid,
+                           lower_terms=terms)
+
+
+def test_apply_lower_terms_matches_per_term_loop():
+    prob = x_dependent_2d_problem()
+    u = random_band_limited_field(prob.grid, 2, np.random.default_rng(8), q=3.0)
+    np.testing.assert_array_equal(apply_lower_terms(prob, u).values,
+                                  _lower_terms_per_term(prob, u).values)
+
+
+@pytest.mark.parametrize("probes", [0, 1, 37, 64])
+def test_contraction_estimate_matches_per_probe_loop(probes, monkeypatch):
+    prob = x_dependent_2d_problem()
+    expected = _contraction_per_probe(prob, probes, 11, random_band_limited_field)
+    got = contraction_estimate(prob, probes=probes, seed=11)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert (got > 0) == (probes > 0)
+
+    # every third probe field is zero: it is skipped, and the RNG stream stays aligned
+    calls = []
+
+    def some_zero(grid, N, rng, q=2.0):
+        u = random_band_limited_field(grid, N, rng, q=q)
+        calls.append(None)
+        return u * 0.0 if len(calls) % 3 == 0 else u
+
+    expected = _contraction_per_probe(prob, probes, 11, some_zero)
+    calls.clear()
+    monkeypatch.setattr(psdo.elliptic, "random_band_limited_field", some_zero)
+    assert contraction_estimate(prob, probes=probes, seed=11) == pytest.approx(
+        expected, rel=1e-12, abs=0.0)

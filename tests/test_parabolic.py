@@ -9,6 +9,7 @@ from psdo import (
     ParabolicProblem,
     ScaleParams,
     SpaceTimeField,
+    apply_operator,
     equation_residual,
     gaussian_field,
     make_model,
@@ -19,6 +20,7 @@ from psdo import (
     solve_duhamel,
     solve_implicit_euler,
     time_derivative,
+    tridiagonal_matrix,
 )
 
 
@@ -134,3 +136,40 @@ def test_mixed_norm_solution_bounded_by_forcing():
     prob = make_problem(J=64)
     u = solve_duhamel(prob)
     assert mixed_norm(u) <= mixed_norm(prob.forcing)
+
+
+def _equation_residual_per_slice(prob, u):
+    """Reference: equation_residual with one apply_operator call per time slice."""
+    f = prob.forcing
+    nf = mixed_norm(f)
+    du = time_derivative(u)
+    res_vals = du.values + np.stack(
+        [apply_operator(prob.elliptic, u.slice(j)).values for j in range(u.J + 1)]
+    ) - f.values
+    res = SpaceTimeField(grid=u.grid, values=res_vals, Y=u.Y, q=u.q, p=u.p, p1=u.p1)
+    return mixed_norm(res) / nf if nf > 0 else mixed_norm(res)
+
+
+def make_tridiagonal_2d_problem(J=16):
+    grid = GridSpec(n=2, M=8, L=2 * np.pi)
+    model = make_model(tridiagonal_matrix(8, -1.0, 2.0, -1.0))
+    ell = EllipticProblem(model=model, symbol=power_symbol(m=2.0),
+                          t=ScaleParams.isotropic(0.5, 2), lam=0.0, grid=grid)
+    times = np.linspace(0.0, 1.0, J + 1)
+    base = gaussian_field(grid, vector=np.linspace(1.0, 2.0, 8)).values
+    forcing = SpaceTimeField(grid=grid, values=np.sin(np.pi * times)[:, None, None, None] * base,
+                             Y=1.0)
+    return ParabolicProblem(elliptic=ell, forcing=forcing)
+
+
+@pytest.mark.parametrize("make", [lambda: make_problem(J=128),
+                                  lambda: make_tridiagonal_2d_problem(J=16)],
+                         ids=["scalar-1d", "tridiagonal-2d"])
+@pytest.mark.parametrize("solver", [solve_duhamel, solve_implicit_euler])
+def test_equation_residual_matches_per_slice_loop(make, solver):
+    prob = make()
+    u = solver(prob)
+    assert equation_residual(prob, u) == _equation_residual_per_slice(prob, u)
+    zero = SpaceTimeField(grid=u.grid, values=np.zeros_like(u.values), Y=u.Y)
+    unforced = ParabolicProblem(elliptic=prob.elliptic, forcing=zero)
+    assert equation_residual(unforced, u) == _equation_residual_per_slice(unforced, u)

@@ -183,3 +183,33 @@ def test_export_columnar():
     assert lines[0].startswith("#")
     assert len(lines) == 5
     assert lines[1].split()[1:] == ["1", "2"]
+
+
+def _export_per_element(u):
+    """Reference: export_columnar formatting each number with its own f-string."""
+    x = u.grid.points().reshape(-1, u.grid.n)
+    v = u.values.reshape(-1, u.N)
+    lines = ["# " + " ".join([f"x{k}" for k in range(u.grid.n)]
+                             + [f"re{j} im{j}" for j in range(u.N)])]
+    for xi, vi in zip(x, v):
+        parts = [f"{c:.17g}" for c in xi]
+        for comp in vi:
+            parts.append(f"{comp.real:.17g}")
+            parts.append(f"{comp.imag:.17g}")
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n,N", [(1, 2), (2, 3)])
+def test_export_columnar_matches_per_element_formatting(n, N):
+    g = GridSpec(n=n, M=4, L=3.0)
+    rng = np.random.default_rng(4)
+    vals = (rng.standard_normal(g.shape + (N,))
+            + 1j * rng.standard_normal(g.shape + (N,))) * 10.0 ** rng.integers(-20, 20, g.shape + (N,))
+    flat = vals.reshape(-1)
+    flat[:6] = [complex(-0.0, 0.0), complex(5e-324, -5e-324), complex(1e300, -1e300),
+                complex(3.0, -7.0), complex(0.0, -0.0), complex(-2.0, 1e16)]
+    u = SampledField(grid=g, values=vals)
+    assert export_columnar(u) == _export_per_element(u)
+    sliced = SpaceTimeField(grid=g, values=np.stack([vals, -vals]), Y=1.0).slice(1)
+    assert export_columnar(sliced) == _export_per_element(sliced)
