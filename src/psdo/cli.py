@@ -502,6 +502,7 @@ def _task_estimate_rbound(cfg, seed):
     verdict = "pass" if math.isfinite(est.value) else "fail"
     result = {
         "rbound_lower": est.value,
+        "upper": est.upper,
         "tuple_indices": list(est.tuple_indices),
         "tuples_tried": est.tuples_tried,
         "family_size": len(members),

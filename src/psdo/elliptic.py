@@ -280,12 +280,15 @@ def solve_full(prob: EllipticProblem, f: SampledField, tol: float = NEUMANN_TOL,
     u = solve_principal(base, f)
     residuals = []
     for it in range(1, max_iter + 1):
-        res = apply_operator(prob, u) - f
+        uvals = u.values[None]
+        uspec = _spectra(prob, uvals)
+        lower = u.with_values(_apply_lower(prob, uvals, uspec)[0])
+        res = u.with_values(_apply_principal(prob, uvals, uspec)[0] + lower.values) - f
         rel = lp_lq_norm(res, 2.0) / nf if nf > 0 else 0.0
         residuals.append(rel)
         if rel < tol:
             return u, IterationReport(iterations=it, residuals=residuals, contraction=kappa)
-        u = solve_principal(base, f - apply_lower_terms(prob, u))
+        u = solve_principal(base, f - lower)
     raise NoConvergence(f"residual {residuals[-1]:.2e} after {max_iter} iterations")
 
 

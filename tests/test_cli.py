@@ -126,6 +126,20 @@ def test_estimate_rbound_subcommand(tmp_path):
     assert report["result"]["singleton_probe_norm"] == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("q, upper", [(2.0, np.sqrt(2.0)), (3.0, None)])
+def test_estimate_rbound_reports_upper_at_q2(tmp_path, q, upper):
+    cfg = write_cfg(tmp_path, {
+        "task": "estimate-rbound",
+        "family": {"kind": "matrices", "members": [[[1.0, 0.0], [0.0, 0.5]]]},
+        "q": q,
+        "tuple_size": 2,
+    })
+    out = str(tmp_path / "out")
+    assert main(["estimate-rbound", "--config", cfg, "--out", out]) == 0
+    result = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
+    assert result["upper"] == (pytest.approx(upper, rel=1e-14) if upper else None)
+
+
 def test_check_kahane_subcommand(tmp_path):
     cfg = write_cfg(tmp_path, {
         "task": "check-kahane",

@@ -1,15 +1,18 @@
-"""Dense-matrix oracles for the spectral solvers.
+"""Dense-matrix oracles for the spectral solvers and the norm bounds.
 
 On grids with M^n * N <= 512 every operator is assembled as a dense matrix
 from unitary DFT matrices, independently of the per-mode kernels, and the
-solvers are checked against np.linalg.solve, scipy.linalg.expm and exact
-singular values.  Fields are flattened in C order, grid point major and
-component minor, so a field's values.reshape(-1) is the dense vector.
+solvers are checked against np.linalg.solve, scipy.linalg.expm, the dense
+implicit Euler recursion and exact singular values.  Fields are flattened in
+C order, grid point major and component minor, so a field's
+values.reshape(-1) is the dense vector.  The operator-norm bounds are checked
+against column and row sums, brute-force probing, and the R-bound estimate
+against its Khintchine-Kahane bracket at q = 2.
 """
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from psdo import (
     EllipticProblem,
@@ -21,15 +24,20 @@ from psdo import (
     SpaceTimeField,
     apply_operator,
     contraction_estimate,
+    estimate_rbound,
     gaussian_field,
     make_model,
     power_symbol,
+    probe_norm,
     random_band_limited_field,
     solve_duhamel,
     solve_full,
+    solve_implicit_euler,
     solve_principal,
+    vector_norms,
 )
 from psdo.elliptic import NEUMANN_TOL
+from psdo.operators import operator_norm_upper
 
 GRID = GridSpec(n=2, M=8, L=2 * np.pi)  # M^n * N = 128 with N = 2
 T = ScaleParams((0.5, 0.1))
@@ -188,3 +196,75 @@ def test_contraction_estimate_constant_coefficients_is_exact_norm():
     exact = np.linalg.norm(dense_lower(prob) @ np.linalg.inv(dense_principal(prob.principal)), 2)
     assert contraction_estimate(prob, probes=0) == pytest.approx(exact, rel=1e-12)
     assert contraction_estimate(prob, probes=16, seed=3) == pytest.approx(exact, rel=1e-12)
+
+
+def test_implicit_euler_matches_dense_recursion():
+    J, Y = 8, 0.7
+    ell = problem(lam=0.0)
+    rng = np.random.default_rng(4)
+    vals = np.stack([random_band_limited_field(GRID, 2, rng, fraction=1.0).values
+                     for _ in range(J + 1)])
+    u = solve_implicit_euler(ParabolicProblem(
+        elliptic=ell, forcing=SpaceTimeField(grid=GRID, values=vals, Y=Y)))
+    dy = Y / J
+    G = dense_principal(ell)
+    step = np.linalg.inv(np.eye(len(G)) + dy * G)
+    ref = np.zeros(len(G), dtype=complex)
+    assert np.abs(u.values[0]).max() == 0.0
+    for j in range(J):
+        # u_{j+1} = (I + dy G)^-1 (u_j + dy f_{j+1})
+        ref = step @ (ref + dy * vals[j + 1].reshape(-1))
+        assert rel_err(u.values[j + 1].reshape(-1), ref) < 1e-12
+
+
+def per_mode_stack():
+    """(A + lambda + P(xi))^-1 at every lattice mode, with A the test problem's
+    non-normal matrix plus a seeded complex perturbation."""
+    prob = problem()
+    xi = frequency_points(GRID)
+    P = np.sum(np.asarray(T.t) * np.abs(xi) ** 2.0, axis=-1)
+    A = A_NONNORMAL + 0.3j * np.random.default_rng(5).standard_normal((2, 2))
+    return np.linalg.inv(A + (prob.lam + P)[:, None, None] * np.eye(2))
+
+
+def test_operator_norm_upper_exact_at_one_and_inf():
+    mats = per_mode_stack()
+    dense = block_diag(*mats)
+    for q, axis, order in [(1, 0, 1), (np.inf, 1, np.inf)]:
+        norms = operator_norm_upper(mats, q)
+        # the max column (q = 1) or row (q = inf) sum of each matrix ...
+        sums = np.abs(mats).sum(axis=axis + 1).max(axis=-1)
+        assert norms == pytest.approx(sums, rel=1e-14)
+        # ... and of the dense block-diagonal operator
+        assert norms.max() == pytest.approx(np.linalg.norm(dense, order), rel=1e-14)
+    # both are attained: by a unit column at q = 1, by a phase vector at q = inf
+    for M, n1, ninf in zip(mats, operator_norm_upper(mats, 1), operator_norm_upper(mats, np.inf)):
+        j = int(np.abs(M).sum(axis=0).argmax())
+        assert vector_norms(M[:, j], 1) == pytest.approx(n1, rel=1e-14)
+        i = int(np.abs(M).sum(axis=1).argmax())
+        x = np.exp(-1j * np.angle(M[i]))
+        assert vector_norms(M @ x, np.inf) == pytest.approx(ninf, rel=1e-14)
+
+
+def test_operator_norm_upper_q3_bounds_probe_maximum():
+    mats = per_mode_stack()[::7]
+    upper = operator_norm_upper(mats, 3.0)
+    rng = np.random.default_rng(6)
+    probes = rng.standard_normal((4096, 2)) + 1j * rng.standard_normal((4096, 2))
+    for M, bound in zip(mats, upper):
+        brute = float((vector_norms(probes @ M.T, 3.0) / vector_norms(probes, 3.0)).max())
+        searched = probe_norm(M, q=3.0)
+        assert brute <= searched * (1 + 1e-12)
+        assert searched <= bound * (1 + 1e-12)
+
+
+def test_rbound_bracket_at_q2():
+    # max_j ||T_j||_2 <= est <= sqrt(2) max_j ||T_j||_2 (Khintchine-Kahane, constant sqrt(2))
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        N = 1 + seed % 4
+        fam = list(rng.standard_normal((2, N, N)) + 1j * rng.standard_normal((2, N, N)))
+        est = estimate_rbound(fam, q=2.0, tuple_size=2)
+        largest = max(np.linalg.norm(Tj, 2) for Tj in fam)
+        assert est.upper == pytest.approx(np.sqrt(2.0) * largest, rel=1e-14)
+        assert largest * (1 - 1e-12) <= est.value <= est.upper
