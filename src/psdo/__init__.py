@@ -107,7 +107,6 @@ from .verification import (
     probe_norm,
     rademacher_average,
     resolvent_sweep,
-    sigma_alpha_matrix,
     sigma_matrix,
 )
 

@@ -21,10 +21,8 @@ from . import __version__
 from .elliptic import (
     EllipticProblem,
     LowerTerm,
-    _relative_residual,
     graph_norm,
     solve_full,
-    solve_principal,
 )
 from .errors import ConfigError, PsdoError
 from .operators import (
@@ -202,17 +200,18 @@ def _parse_sweep(cfg: dict, n: int, phi1: float) -> SectorSweep:
             radii = tuple(float(r) for r in cfg["radii"])
             tvals = cfg.get("t_values", [1.0])
             t_grid = tuple(_parse_scale(v, n) for v in tvals)
-            return SectorSweep(phi2=phi2, rays=rays, radii=radii, t_grid=t_grid)
-        return default_sweep(
-            phi2=phi2, n=n,
-            n_rays=int(cfg.get("n_rays", 3)),
-            n_radii=int(cfg.get("n_radii", 13)),
-            radius_range=tuple(cfg.get("radius_range", (1.0, 1e6))),
-            n_t=int(cfg.get("n_t", 5)),
-            t_range=tuple(cfg.get("t_range", (1e-4, 1.0))),
-        )
+            sweep = SectorSweep(phi2=phi2, rays=rays, radii=radii, t_grid=t_grid)
+        else:
+            sweep = default_sweep(
+                phi2=phi2, n=n, n_rays=int(cfg.get("n_rays", 3)),
+                n_radii=int(cfg.get("n_radii", 13)), n_t=int(cfg.get("n_t", 5)),
+                radius_range=tuple(cfg.get("radius_range", (1.0, 1e6))),
+                t_range=tuple(cfg.get("t_range", (1e-4, 1.0))))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"sweep: {exc}") from exc
+    if not (sweep.rays and sweep.radii and sweep.t_grid):
+        raise ConfigError("sweep: rays, radii and the t-grid must each be non-empty")
+    return sweep
 
 
 def _parse_complex(value) -> complex:
@@ -319,14 +318,8 @@ def _task_solve_elliptic(cfg, seed):
     lower = _parse_lower_terms(cfg.get("lower_terms"), grid.n, model.N)
     prob = EllipticProblem(model=model, symbol=symbol, t=t, lam=lam, grid=grid,
                            lower_terms=lower)
-    if lower:
-        u, it = solve_full(prob, f, seed=seed)
-        iterations, contraction = it.iterations, it.contraction
-        residual = it.residuals[-1]
-    else:
-        u = solve_principal(prob, f)
-        iterations, contraction = 1, 0.0
-        residual = _relative_residual(prob, u, f)
+    u, it = solve_full(prob, f, seed=seed)
+    residual = it.residuals[-1]
     p = float(cfg.get("p", 2.0))
     onorm, hnorm, gratio = graph_norm(prob, u, p=p)
     tol = float(cfg.get("residual_tol", 1e-8))
@@ -334,8 +327,8 @@ def _task_solve_elliptic(cfg, seed):
     result = {
         "residual": residual,
         "residual_tol": tol,
-        "iterations": iterations,
-        "contraction": contraction,
+        "iterations": it.iterations,
+        "contraction": it.contraction,
         "solution_norm": lp_lq_norm(u, p),
         "data_norm": lp_lq_norm(f, p),
         "graph_norm": {"operator": onorm, "sobolev": hnorm, "ratio": gratio},
@@ -414,68 +407,49 @@ def _task_solve_parabolic(cfg, seed):
     return verdict, result, rows, extras
 
 
-def _template_from_cfg(cfg):
+def _sweep_inputs(cfg, *optional):
+    """(template, sweep, thresholds) of a sweep task; `optional` are its own config keys."""
+    _expect_keys(cfg, "config", required=("grid", "model", "symbol", "sweep"),
+                 optional=("task", "p", "thresholds", "seed") + optional)
     grid = _parse_grid(cfg["grid"])
     model = _parse_model(cfg["model"])
     symbol = _parse_symbol(cfg["symbol"])
-    return ProblemTemplate(model=model, symbol=symbol, grid=grid,
-                           p=float(cfg.get("p", 2.0)))
-
-
-def _thresholds(cfg):
+    template = ProblemTemplate(model=model, symbol=symbol, grid=grid,
+                               p=float(cfg.get("p", 2.0)))
+    sweep = _parse_sweep(cfg["sweep"], grid.n, symbol.phi1)
     th = cfg.get("thresholds", {})
-    _expect_keys(th, "thresholds", optional=("flatness", "max_ratio", "sigma_sup"))
-    flat = th.get("flatness")
-    maxr = th.get("max_ratio")
-    return (float(flat) if flat is not None else None,
-            float(maxr) if maxr is not None else None, th)
+    names = ("flatness", "max_ratio", "sigma_sup")
+    _expect_keys(th, "thresholds", optional=names)
+    return template, sweep, {k: None if th.get(k) is None else float(th[k]) for k in names}
+
+
+def _sweep_result(rep):
+    d = rep.to_dict()
+    return rep.status, d, _sweep_csv(d), {}
 
 
 def _task_verify_coercivity(cfg, seed):
-    _expect_keys(cfg, "config", required=("grid", "model", "symbol", "sweep"),
-                 optional=("task", "p", "thresholds", "data_count", "seed",
-                           "adapt_grid"))
-    template = _template_from_cfg(cfg)
-    sweep = _parse_sweep(cfg["sweep"], template.grid.n, template.symbol.phi1)
-    flat, maxr, _ = _thresholds(cfg)
-    rep = coercivity_sweep(template, sweep,
-                           data_count=int(cfg.get("data_count", 8)),
-                           seed=seed, flatness_threshold=flat, max_ratio_threshold=maxr,
-                           adapt_grid=bool(cfg.get("adapt_grid", True)))
-    d = rep.to_dict()
-    return rep.status, d, _sweep_csv(d), {}
+    template, sweep, th = _sweep_inputs(cfg, "data_count", "adapt_grid")
+    return _sweep_result(coercivity_sweep(
+        template, sweep, data_count=int(cfg.get("data_count", 8)), seed=seed,
+        flatness_threshold=th["flatness"], max_ratio_threshold=th["max_ratio"],
+        adapt_grid=bool(cfg.get("adapt_grid", True))))
 
 
 def _task_verify_resolvent(cfg, seed):
-    _expect_keys(cfg, "config", required=("grid", "model", "symbol", "sweep"),
-                 optional=("task", "p", "thresholds", "per_axis", "seed"))
-    template = _template_from_cfg(cfg)
-    sweep = _parse_sweep(cfg["sweep"], template.grid.n, template.symbol.phi1)
-    flat, maxr, _ = _thresholds(cfg)
-    rep = resolvent_sweep(template, sweep, per_axis=int(cfg.get("per_axis", 33)),
-                          flatness_threshold=flat, max_ratio_threshold=maxr)
-    d = rep.to_dict()
-    return rep.status, d, _sweep_csv(d), {}
+    template, sweep, th = _sweep_inputs(cfg, "per_axis")
+    return _sweep_result(resolvent_sweep(
+        template, sweep, per_axis=int(cfg.get("per_axis", 33)),
+        flatness_threshold=th["flatness"], max_ratio_threshold=th["max_ratio"]))
 
 
 def _task_check_multipliers(cfg, seed):
-    _expect_keys(cfg, "config", required=("grid", "model", "symbol", "sweep"),
-                 optional=("task", "p", "thresholds", "seed", "rbound_subsample",
-                           "tuple_size"))
-    grid = _parse_grid(cfg["grid"])
-    model = _parse_model(cfg["model"])
-    symbol = _parse_symbol(cfg["symbol"])
-    sweep = _parse_sweep(cfg["sweep"], grid.n, symbol.phi1)
-    flat, _, th = _thresholds(cfg)
-    sig = th.get("sigma_sup")
-    rep = multiplier_family_check(
-        model, symbol, sweep, dims=grid.n,
+    template, sweep, th = _sweep_inputs(cfg, "rbound_subsample", "tuple_size")
+    return _sweep_result(multiplier_family_check(
+        template.model, template.symbol, sweep, dims=template.grid.n,
         rbound_subsample=int(cfg.get("rbound_subsample", 8)),
-        tuple_size=int(cfg.get("tuple_size", 3)),
-        seed=seed, flatness_threshold=flat,
-        sigma_sup_threshold=float(sig) if sig is not None else None)
-    d = rep.to_dict()
-    return rep.status, d, _sweep_csv(d), {}
+        tuple_size=int(cfg.get("tuple_size", 3)), seed=seed,
+        flatness_threshold=th["flatness"], sigma_sup_threshold=th["sigma_sup"]))
 
 
 def _task_estimate_rbound(cfg, seed):

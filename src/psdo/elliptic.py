@@ -11,12 +11,18 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ContractionFailure, ModeSingular, NoConvergence
-from .operators import OperatorModel, PositivityCertificate, operator_norm_upper
+from .operators import (
+    OperatorModel,
+    PositivityCertificate,
+    operator_norm_upper,
+    shifted_solve,
+    spectrum_hit,
+)
 from .spaces import (
     GridSpec,
     SampledField,
@@ -81,11 +87,7 @@ class EllipticProblem:
 
     @property
     def principal(self) -> "EllipticProblem":
-        if not self.lower_terms:
-            return self
-        return EllipticProblem(model=self.model, symbol=self.symbol, t=self.t,
-                               lam=self.lam, grid=self.grid, lower_terms=(),
-                               positivity=self.positivity)
+        return replace(self, lower_terms=()) if self.lower_terms else self
 
     def symbol_values(self) -> np.ndarray:
         """P_t(xi) on the frequency lattice, FFT order."""
@@ -117,24 +119,15 @@ def coercive_index_set(n: int, m: float):
     return out
 
 
-def _mode_matrices(A: np.ndarray, shifts) -> np.ndarray:
-    """A + s I stacked over the shifts s = lambda + P_t(xi), shape (len, N, N)."""
-    eye = np.eye(A.shape[0], dtype=complex)
-    return A[None, :, :] + np.asarray(shifts)[:, None, None] * eye
-
-
 def _mode_shifts(prob: EllipticProblem) -> np.ndarray:
     """lambda + P_t(xi) per lattice mode (flattened FFT order).
 
     Raises ModeSingular when a shift lies within roundoff of -spectrum(A).
     """
     shifts = prob.lam + prob.symbol_values().reshape(-1)
-    eigs = prob.model.eigvals
-    scale = max(1.0, float(np.abs(prob.model.A).max()))
-    dist = np.abs(eigs[None, :] + shifts[:, None]).min(axis=1)
-    bad = np.flatnonzero(dist <= 1e-12 * scale)
-    if bad.size:
-        xi = prob.grid.frequency_mesh().reshape(-1, prob.grid.n)[bad[0]]
+    hit = spectrum_hit(prob.model, shifts)
+    if hit is not None:
+        xi = prob.grid.frequency_mesh().reshape(-1, prob.grid.n)[hit]
         raise ModeSingular(tuple(xi))
     return shifts
 
@@ -149,7 +142,7 @@ def _solve_modes(prob: EllipticProblem, shifts: np.ndarray, fvals: np.ndarray) -
     fhat = _spectra(prob, fvals)
     rhs = np.moveaxis(fhat.reshape(F, -1, N), 0, -1)  # (modes, N, F)
     try:
-        uhat = np.linalg.solve(_mode_matrices(prob.model.A, shifts), rhs)
+        uhat = shifted_solve(prob.model, shifts, rhs)
     except np.linalg.LinAlgError as exc:
         raise ModeSingular(None, str(exc)) from exc
     uhat = np.moveaxis(uhat, -1, 0).reshape(fhat.shape)
@@ -233,8 +226,7 @@ def contraction_estimate(prob: EllipticProblem, probes: int = 64, seed: int = 0)
     best = 0.0
     blocks = _lower_symbol_blocks(prob)
     if blocks is not None:
-        mats = _mode_matrices(prob.model.A, shifts)
-        Binv = np.linalg.inv(mats.reshape(prob.grid.shape + (prob.model.N,) * 2))
+        Binv = shifted_solve(prob.model, shifts).reshape(prob.grid.shape + (prob.model.N,) * 2)
         comp = np.einsum("...ij,...jk->...ik", blocks, Binv)
         best = float(np.max(operator_norm_upper(comp, prob.model.q)))
     rng = np.random.default_rng(seed)
@@ -310,8 +302,7 @@ def graph_norm(prob: EllipticProblem, u: SampledField, p: float = 2.0):
     O_t is the principal operator with lambda = 0.  The ratio is reported as 1
     when both norms vanish.
     """
-    zero_shift = EllipticProblem(model=prob.model, symbol=prob.symbol, t=prob.t,
-                                 lam=0.0, grid=prob.grid)
+    zero_shift = replace(prob, lam=0.0, lower_terms=(), positivity=None)
     onorm = lp_lq_norm(apply_operator(zero_shift, u), p)
     hnorm = h_m_pt_norm(u, prob.t, prob.symbol.m, p, A=prob.model.A)
     if onorm == 0 and hnorm == 0:

@@ -1,8 +1,10 @@
 """Finite-dimensional operator realizations: matrices on C^N with l_q norms.
 
-Provides resolvents, sector-positivity certificates, fractional powers via
-eigendecomposition, the symmetric-system builder and a 1-D Dirichlet BVP
-discretizer whose matrix serves as the abstract operator in scenarios.
+Every spectral decision about A lives here: the batched shifted solve
+(A + s I)^-1 over an array of shifts, the guard against shifts within roundoff
+of -spectrum(A), the cached eigenbasis (w, V, V^-1) and, built on them,
+resolvents, sector-positivity certificates and fractional powers.  Also the
+symmetric-system builder and a 1-D Dirichlet BVP discretizer.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ class OperatorModel:
     q: float = 2.0
     eigvals: np.ndarray = field(default=None, repr=False)
     eigvecs: np.ndarray = field(default=None, repr=False)
+    eigvecs_inv: np.ndarray = field(default=None, repr=False)  # None when kappa >= KAPPA_LIMIT
     kappa: float = None              # condition number of the eigenvector matrix
     symmetric: bool = False
     positive_definite: bool = False
@@ -98,8 +101,46 @@ def make_model(A, q: float = 2.0) -> OperatorModel:
         kappa = float(np.linalg.cond(V))
     pd = hermitian and bool(w.real.min() > 0)
     C0 = float(w.real.min()) if pd else None
-    return OperatorModel(A=A, q=q, eigvals=w, eigvecs=V, kappa=kappa,
+    Vinv = np.linalg.inv(V) if kappa < KAPPA_LIMIT else None
+    return OperatorModel(A=A, q=q, eigvals=w, eigvecs=V, eigvecs_inv=Vinv, kappa=kappa,
                          symmetric=symmetric, positive_definite=pd, C0=C0)
+
+
+def eigenbasis(model: OperatorModel):
+    """(w, V, V^-1) of A = V diag(w) V^-1; NotDiagonalizable unless kappa < KAPPA_LIMIT."""
+    if model.eigvecs_inv is None:
+        raise NotDiagonalizable(f"no eigenbasis with condition below {KAPPA_LIMIT} "
+                                f"(kappa = {model.kappa})")
+    return model.eigvals, model.eigvecs, model.eigvecs_inv
+
+
+def _shifted_matrices(A: np.ndarray, shifts) -> np.ndarray:
+    """A + s I stacked over the shifts s, shape (len(shifts), N, N)."""
+    eye = np.eye(A.shape[0], dtype=complex)
+    return A[None, :, :] + np.asarray(shifts)[:, None, None] * eye
+
+
+def shifted_solve(model: OperatorModel, shifts, rhs=None) -> np.ndarray:
+    """(A + s_k I)^-1 for each shift s_k, or, given rhs (len(shifts), N, F), the
+    solutions of the stacked systems (A + s_k I) x_k = rhs_k."""
+    mats = _shifted_matrices(model.A, shifts)
+    return np.linalg.inv(mats) if rhs is None else np.linalg.solve(mats, rhs)
+
+
+def inverse_residuals(model: OperatorModel, shifts, B: np.ndarray) -> np.ndarray:
+    """max |(A + s_k I) B_k - I| per shift: the defect of a shifted_solve inverse."""
+    eye = np.eye(model.N, dtype=complex)
+    return np.abs(_shifted_matrices(model.A, shifts) @ B - eye).max(axis=(-2, -1))
+
+
+def spectrum_hit(model: OperatorModel, shifts):
+    """Index of the first shift s with -s within roundoff of spectrum(A), else None."""
+    if model.eigvals is None:
+        return None
+    scale = max(1.0, float(np.abs(model.A).max()))
+    dist = np.abs(model.eigvals[None, :] + np.asarray(shifts)[:, None]).min(axis=1)
+    bad = np.flatnonzero(dist <= 1e-12 * scale)
+    return int(bad[0]) if bad.size else None
 
 
 def tridiagonal_matrix(N: int, lower: float, diag: float, upper: float) -> np.ndarray:
@@ -153,20 +194,24 @@ def operator_norm(mat, q: float) -> NormBracket:
     return NormBracket(min(lo, upper), upper)
 
 
-def resolvent(model: OperatorModel, lam: complex) -> np.ndarray:
-    """(A + lam I)^-1 by direct solve; rejects lam within roundoff of -spectrum."""
-    lam = complex(lam)
-    scale = max(1.0, float(np.abs(model.A).max()))
-    if model.eigvals is not None:
-        dist = float(np.abs(model.eigvals + lam).min())
-        if dist <= 1e-12 * scale:
-            raise SpectrumHit(f"-lambda = {-lam} within tolerance of the spectrum")
-    N = model.N
-    R = np.linalg.solve(model.A + lam * np.eye(N), np.eye(N, dtype=complex))
-    residual = np.abs((model.A + lam * np.eye(N)) @ R - np.eye(N)).max()
-    if residual > 1e-10 * max(1.0, abs(lam)):
-        raise SpectrumHit(f"resolvent residual {residual:.2e} too large at lambda={lam}")
-    return R
+def resolvent(model: OperatorModel, lam) -> np.ndarray:
+    """(A + lam I)^-1; a (len, N, N) stack for a 1-D array of lam.
+
+    Rejects lam within roundoff of -spectrum and inverses with a large residual.
+    """
+    lams = np.asarray(lam, dtype=complex)
+    shifts = lams.reshape(-1)
+    hit = spectrum_hit(model, shifts)
+    if hit is not None:
+        raise SpectrumHit(f"-lambda = {-complex(shifts[hit])} within tolerance of the spectrum")
+    R = shifted_solve(model, shifts)
+    residual = inverse_residuals(model, shifts, R)
+    bad = np.flatnonzero(residual > 1e-10 * np.maximum(1.0, np.abs(shifts)))
+    if bad.size:
+        k = bad[0]
+        raise SpectrumHit(f"resolvent residual {residual[k]:.2e} too large at "
+                          f"lambda={complex(shifts[k])}")
+    return R.reshape(lams.shape + R.shape[1:])
 
 
 def check_positivity(model: OperatorModel, phi: float, sweep: SectorSweep) -> PositivityCertificate:
@@ -176,15 +221,11 @@ def check_positivity(model: OperatorModel, phi: float, sweep: SectorSweep) -> Po
     """
     if any(abs(r) > phi + 1e-12 for r in sweep.rays):
         raise ValueError("sweep rays must lie within [-phi, phi]")
-    best = -np.inf
-    worst = 0.0 + 0.0j
-    for lam in [0.0 + 0.0j] + sweep.lambdas():
-        R = resolvent(model, lam)
-        val = (1.0 + abs(lam)) * float(operator_norm_upper(R, model.q))
-        if val > best:
-            best = val
-            worst = lam
-    return PositivityCertificate(phi=phi, M=float(best), sweep=sweep, worst_lambda=worst)
+    lams = np.array([0.0 + 0.0j] + sweep.lambdas())
+    vals = (1.0 + np.abs(lams)) * operator_norm_upper(resolvent(model, lams), model.q)
+    worst = int(np.argmax(vals))
+    return PositivityCertificate(phi=phi, M=float(vals[worst]), sweep=sweep,
+                                 worst_lambda=complex(lams[worst]))
 
 
 def fractional_power(model: OperatorModel, theta: float) -> np.ndarray:
@@ -193,15 +234,10 @@ def fractional_power(model: OperatorModel, theta: float) -> np.ndarray:
     Requires a well-conditioned eigenbasis and spectrum in the open right
     half-plane (except theta >= 0 integer powers, which are polynomial anyway).
     """
-    if model.eigvals is None or model.eigvecs is None:
-        raise NotDiagonalizable("model carries no diagonalization cache")
-    if model.kappa is None or model.kappa >= KAPPA_LIMIT:
-        raise NotDiagonalizable(f"eigenvector condition {model.kappa} >= {KAPPA_LIMIT}")
-    if model.eigvals.real.min() <= 0:
+    w, V, Vinv = eigenbasis(model)
+    if w.real.min() <= 0:
         raise SpectrumNotSectorial("eigenvalue with nonpositive real part")
-    powered = model.eigvals**theta
-    V = model.eigvecs
-    return V @ np.diag(powered) @ np.linalg.inv(V)
+    return V @ np.diag(w**theta) @ Vinv
 
 
 def build_system(a) -> OperatorModel:
@@ -256,5 +292,4 @@ def build_bvp_operator(K: int, ell: float, b2, b1=None, b0=None,
     for i in range(Nint - 1):
         A[i, i + 1] = -c2[i] / h**2 + c1[i] / (2.0 * h)
         A[i + 1, i] = -c2[i + 1] / h**2 - c1[i + 1] / (2.0 * h)
-    model = make_model(A, q=q)
-    return model
+    return make_model(A, q=q)

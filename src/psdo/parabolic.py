@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import EllipticProblem, _apply_principal, _spectra
-from .errors import ModeSingular, NotDiagonalizable
-from .operators import KAPPA_LIMIT
+from .errors import ModeSingular
+from .operators import eigenbasis
 from .spaces import SpaceTimeField, mixed_norm
 
 
@@ -47,18 +47,13 @@ class ParabolicProblem:
 
 def _eigensetup(prob: ParabolicProblem):
     """Eigenvalues of G(xi) per mode/channel plus the shared eigenbasis of A."""
-    model = prob.elliptic.model
-    if model.eigvals is None or model.kappa is None or model.kappa >= KAPPA_LIMIT:
-        raise NotDiagonalizable("operator eigenbasis unavailable or ill-conditioned")
+    w, V, Vinv = eigenbasis(prob.elliptic.model)
     P = prob.elliptic.symbol_values()          # grid.shape
-    g = P[..., None] + model.eigvals           # grid.shape + (N,)
-    return g, model.eigvecs, np.linalg.inv(model.eigvecs)
+    return P[..., None] + w, V, Vinv           # g: grid.shape + (N,)
 
 
 def _forcing_eigencoords(prob: ParabolicProblem, Vinv: np.ndarray) -> np.ndarray:
-    n = prob.elliptic.grid.n
-    axes = tuple(range(1, n + 1))
-    fhat = np.fft.fftn(prob.forcing.values, axes=axes, norm="ortho")
+    fhat = _spectra(prob.elliptic, prob.forcing.values)
     return np.einsum("ij,...j->...i", Vinv, fhat)
 
 
@@ -67,8 +62,7 @@ def _back_to_physical(prob: ParabolicProblem, coeffs: np.ndarray, V: np.ndarray)
     axes = tuple(range(1, n + 1))
     uhat = np.einsum("ij,...j->...i", V, coeffs)
     vals = np.fft.ifftn(uhat, axes=axes, norm="ortho")
-    f = prob.forcing
-    return SpaceTimeField(grid=f.grid, values=vals, Y=f.Y, q=f.q, p=f.p, p1=f.p1)
+    return prob.forcing.with_values(vals)
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -144,7 +138,7 @@ def time_derivative(u: SpaceTimeField) -> SpaceTimeField:
     vals[1:-1] = (u.values[2:] - u.values[:-2]) / (2.0 * dy)
     vals[0] = (u.values[1] - u.values[0]) / dy
     vals[-1] = (u.values[-1] - u.values[-2]) / dy
-    return SpaceTimeField(grid=u.grid, values=vals, Y=u.Y, q=u.q, p=u.p, p1=u.p1)
+    return u.with_values(vals)
 
 
 def parabolic_coercive_ratio(prob: ParabolicProblem, u: SpaceTimeField):
@@ -157,14 +151,12 @@ def parabolic_coercive_ratio(prob: ParabolicProblem, u: SpaceTimeField):
     if nf == 0:
         return None
     du = time_derivative(u)
-    n = prob.elliptic.grid.n
-    axes = tuple(range(1, n + 1))
+    axes = tuple(range(1, prob.elliptic.grid.n + 1))
     P = prob.elliptic.symbol_values()
-    uhat = np.fft.fftn(u.values, axes=axes, norm="ortho")
+    uhat = _spectra(prob.elliptic, u.values)
     Pu_vals = np.fft.ifftn(P[None, ..., None] * uhat, axes=axes, norm="ortho")
-    Pu = SpaceTimeField(grid=u.grid, values=Pu_vals, Y=u.Y, q=u.q, p=u.p, p1=u.p1)
-    Au_vals = prob.elliptic.model.apply(u.values)
-    Au = SpaceTimeField(grid=u.grid, values=Au_vals, Y=u.Y, q=u.q, p=u.p, p1=u.p1)
+    Pu = u.with_values(Pu_vals)
+    Au = u.with_values(prob.elliptic.model.apply(u.values))
     return (mixed_norm(du) + mixed_norm(Pu) + mixed_norm(Au)) / nf
 
 
@@ -175,5 +167,5 @@ def equation_residual(prob: ParabolicProblem, u: SpaceTimeField) -> float:
     du = time_derivative(u)
     ell = prob.elliptic
     res_vals = du.values + _apply_principal(ell, u.values, _spectra(ell, u.values)) - f.values
-    res = SpaceTimeField(grid=u.grid, values=res_vals, Y=u.Y, q=u.q, p=u.p, p1=u.p1)
+    res = u.with_values(res_vals)
     return mixed_norm(res) / nf if nf > 0 else mixed_norm(res)

@@ -148,6 +148,9 @@ class SpaceTimeField:
     def slice(self, j: int) -> SampledField:
         return SampledField(grid=self.grid, values=self.values[j], q=self.q)
 
+    def with_values(self, values: np.ndarray) -> "SpaceTimeField":
+        return replace(self, values=np.asarray(values, dtype=complex))
+
 
 def constant_field(grid: GridSpec, vector, q: float = 2.0) -> SampledField:
     v = np.atleast_1d(np.asarray(vector, dtype=complex))

@@ -13,7 +13,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 import numpy as np
 from scipy import optimize
@@ -21,14 +21,19 @@ from scipy import optimize
 from .elliptic import (
     EllipticProblem,
     _apply_principal,
-    _mode_matrices,
     _mode_shifts,
     _relative_residuals,
     _solve_modes,
     coercive_index_set,
 )
 from .errors import PsdoError, TooManyForEnumeration
-from .operators import OperatorModel, operator_norm_upper, resolvent
+from .operators import (
+    OperatorModel,
+    inverse_residuals,
+    operator_norm_upper,
+    resolvent,
+    shifted_solve,
+)
 from .spaces import (
     GridSpec,
     SampledField,
@@ -205,7 +210,7 @@ def _worst_mode_data(prob: EllipticProblem, index_set, shifts: np.ndarray) -> Sa
         best = int(np.argmax(score))
         vec = model.eigvecs[:, int(np.argmin(dist[best]))]
     else:
-        B = np.linalg.inv(_mode_matrices(model.A, shifts))
+        B = shifted_solve(model, shifts)
         score = weights * operator_norm_upper(B, model.q) \
             + operator_norm_upper(model.A @ B, model.q)
         best = int(np.argmax(score))
@@ -231,6 +236,8 @@ def _sweep_points(points, evaluate) -> list:
     """
     records = []
     for idx, (lam, t) in enumerate(points):
+        if t is None:
+            raise ValueError("sweep point has no scale parameters t")
         rec = {"ray": cmath.phase(lam) if lam != 0 else 0.0, "radius": abs(lam),
                "t": list(t.t)}
         try:
@@ -332,14 +339,12 @@ def resolvent_sweep(template: ProblemTemplate, sweep: SectorSweep,
     m = template.symbol.m
     model = template.model
     n = template.grid.n
-    eye = np.eye(model.N, dtype=complex)
 
     def evaluate(idx, lam, t):
         xi = _adapted_xi_samples(lam, t, m, n, per_axis)
-        P = np.asarray(eval_symbol(template.symbol, t, xi), dtype=complex)
-        mats = _mode_matrices(model.A, lam + P)
-        B = np.linalg.inv(mats)
-        residual = float(np.abs(mats @ B - eye).max())
+        shifts = lam + np.asarray(eval_symbol(template.symbol, t, xi), dtype=complex)
+        B = shifted_solve(model, shifts)
+        residual = float(inverse_residuals(model, shifts, B).max())
         nB = operator_norm_upper(B, model.q)
         terms = [float((w * nB).max()) for w in _symbol_weights(xi, index_set, t, lam, m)]
         aterm = float(operator_norm_upper(model.A @ B, model.q).max())
@@ -533,6 +538,12 @@ class RBoundEstimate:
         return self.value
 
 
+def _mixed_tuples(k: int, size: int, budget: int) -> list:
+    """The first `budget` unordered size-tuples of range(k) in (largest index, lex) order."""
+    return list(islice((rest + (last,) for last in range(k) for rest in
+                        combinations_with_replacement(range(last + 1), size - 1)), budget))
+
+
 def estimate_rbound(family, q: float = 2.0, tuple_size: int = 3, restarts: int = 2,
                     seed: int = 0, budget: int = 48) -> RBoundEstimate:
     """Maximize the Rademacher ratio over operator tuples drawn from the family.
@@ -556,9 +567,7 @@ def estimate_rbound(family, q: float = 2.0, tuple_size: int = 3, restarts: int =
     norms = operator_norm_upper(members, q)
     candidates = [(j,) for j in range(k)]
     candidates += [(j,) * tuple_size for j in range(k)]
-    mixed = sorted(combinations_with_replacement(range(k), tuple_size),
-                   key=lambda tup: (tup[-1], tup))
-    candidates += mixed[:budget]
+    candidates += _mixed_tuples(k, tuple_size, budget)
     seen = set()
     best_val, best_tup = 0.0, (0,)
     for tup in candidates:
@@ -641,21 +650,13 @@ class OperatorFamilySample:
 def _B_matrix(model: OperatorModel, symbol: SymbolSpec, t: ScaleParams, lam, xi):
     """[A + lam + P_t(xi)]^-1 at one frequency xi (n,), or at each row of xi (S, n)."""
     P = np.asarray(eval_symbol(symbol, t, np.atleast_1d(xi)), dtype=complex)
-    B = np.linalg.inv(_mode_matrices(model.A, lam + P.reshape(-1)))
+    B = shifted_solve(model, lam + P.reshape(-1))
     return B.reshape(P.shape + B.shape[1:])
 
 
 def sigma_matrix(model, symbol, t, lam, xi) -> np.ndarray:
     """A [A + lam + P_t(xi)]^-1; a stack over the rows of a 2-D xi."""
     return model.A @ _B_matrix(model, symbol, t, lam, xi)
-
-
-def sigma_alpha_matrix(model, symbol, t, lam, xi, alpha: MultiIndex) -> np.ndarray:
-    """t(alpha) |lam|^(1-|alpha|/m) (i xi)^alpha [A + lam + P_t(xi)]^-1; a stack
-    over the rows of a 2-D xi."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    scalar = _derivative_weight(t, lam, symbol.m, alpha) * i_xi_power_rows(xi, alpha)
-    return scalar[..., None, None] * _B_matrix(model, symbol, t, lam, xi)
 
 
 def fd_sigma_matrix(model, symbol, t, lam, xi, beta, fd_scale: float = 1e-4) -> np.ndarray:
@@ -678,12 +679,8 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
 
     When xi_samples is None the frequencies are re-sampled per sweep point,
     log-spaced through the saturation scale (|lam| / t_k)^(1/m)."""
-    if xi_samples is None:
-        n = dims
-        fixed_samples = None
-    else:
-        fixed_samples = np.atleast_2d(xi_samples)
-        n = fixed_samples.shape[1]
+    fixed = None if xi_samples is None else np.atleast_2d(np.asarray(xi_samples, dtype=float))
+    n = dims if fixed is None else fixed.shape[1]
     if index_set is None:
         index_set = [a for a in coercive_index_set(n, symbol.m) if a.order > 0]
     if betas is None:
@@ -694,13 +691,18 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
     def sup_norm(mats):
         return float(operator_norm_upper(mats, model.q).max())
 
+    def samples_at(lam, t):
+        return fixed if fixed is not None else _adapted_xi_samples(lam, t, symbol.m, n, 17)
+
     def evaluate(idx, lam, t):
-        samples = fixed_samples if fixed_samples is not None \
-            else _adapted_xi_samples(lam, t, symbol.m, n, per_axis=17)
-        sig = sup_norm(sigma_matrix(model, symbol, t, lam, samples))
-        sig_alpha = {str(key): sup_norm(sigma_alpha_matrix(model, symbol, t, lam, samples, a))
+        xi = samples_at(lam, t)
+        B = _B_matrix(model, symbol, t, lam, xi)
+        sig = sup_norm(model.A @ B)
+        # sigma_alpha = t(alpha) |lam|^(1-|alpha|/m) (i xi)^alpha B, from the same B
+        sig_alpha = {str(key): sup_norm((_derivative_weight(t, lam, symbol.m, a)
+                                         * i_xi_power_rows(xi, a))[:, None, None] * B)
                      for a, key in zip(index_set, alpha_keys)}
-        fd = {str(b): sup_norm(fd_sigma_matrix(model, symbol, t, lam, samples, b))
+        fd = {str(b): sup_norm(fd_sigma_matrix(model, symbol, t, lam, xi, b))
               for b in betas}
         return {"ratio": sig, "residual": 0.0, "sigma_alpha": sig_alpha, "fd_sup": fd}
 
@@ -715,8 +717,7 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
                            replace=False)
         for pi in sorted(picks):
             lam, t = ok_points[pi]
-            samples = fixed_samples if fixed_samples is not None \
-                else _adapted_xi_samples(lam, t, symbol.m, n, per_axis=17)
+            samples = samples_at(lam, t)
             xi = samples[int(rng.integers(0, len(samples)))]
             family.add(sigma_matrix(model, symbol, t, lam, xi), lam=lam, t=t, xi=xi)
     details = {}
@@ -747,6 +748,7 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
 def lambda_resolvent_family(model: OperatorModel, lambdas) -> OperatorFamilySample:
     """The family {lam (A + lam)^-1} sampled at the given spectral parameters."""
     fam = OperatorFamilySample(name="lambda-resolvent")
-    for lam in lambdas:
-        fam.add(complex(lam) * resolvent(model, lam), lam=complex(lam))
+    lams = np.asarray(lambdas, dtype=complex).reshape(-1)
+    for lam, R in zip(lams, resolvent(model, lams)):
+        fam.add(complex(lam) * R, lam=complex(lam))
     return fam

@@ -71,6 +71,21 @@ def test_angle_sum_validation(tmp_path):
     assert main(["run-scenario", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("task", ["verify-coercivity", "verify-resolvent", "check-multipliers"])
+@pytest.mark.parametrize("sweep", [{"n_t": 0}, {"n_radii": 0}, {"n_rays": 0},
+                                   {"radii": [1.0], "t_values": []},
+                                   {"radii": []}, {"rays": [], "radii": [1.0]}],
+                         ids=["n_t", "n_radii", "n_rays", "t_values", "radii", "rays"])
+def test_empty_sweep_is_config_error(tmp_path, task, sweep):
+    cfg_d = small_verify_cfg()
+    cfg_d["task"] = task
+    del cfg_d["data_count"]
+    cfg_d["sweep"].update(sweep)  # explicit radii take precedence over n_radii etc.
+    cfg = write_cfg(tmp_path, cfg_d)
+    assert main([task, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_task_mismatch_rejected(tmp_path):
     cfg = write_cfg(tmp_path, small_verify_cfg())
     assert main(["verify-resolvent", "--config", cfg, "--out", str(tmp_path)]) == 2

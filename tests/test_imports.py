@@ -1,5 +1,7 @@
 """Import hygiene: every module of the package (the re-exporting __init__.py
-aside) uses each name it imports."""
+aside) uses each name it imports, and only operators.py makes spectral
+decisions about A (dense inverses, solves and eigendecompositions, and the
+eigenbasis condition limit KAPPA_LIMIT)."""
 
 import ast
 from pathlib import Path
@@ -30,3 +32,46 @@ def test_unused_import_is_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+SPECTRAL_KERNELS = {"inv", "solve", "eig", "eigh"}
+
+
+def spectral_decisions(source: str) -> list:
+    """linalg inv/solve/eig/eigh calls, KAPPA_LIMIT names and _mode_matrices
+    imports from elliptic, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in SPECTRAL_KERNELS:
+            base = node.func.value
+            if getattr(base, "attr", getattr(base, "id", None)) == "linalg":
+                found.append((node.lineno, f"linalg.{node.func.attr}"))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            for a in node.names:
+                if module.endswith("linalg") and a.name in SPECTRAL_KERNELS:
+                    found.append((node.lineno, f"linalg.{a.name}"))
+                elif a.name == "KAPPA_LIMIT":
+                    found.append((node.lineno, "KAPPA_LIMIT"))
+                elif a.name == "_mode_matrices" and module.split(".")[-1] == "elliptic":
+                    found.append((node.lineno, "_mode_matrices"))
+        elif isinstance(node, (ast.Name, ast.Attribute)) and "KAPPA_LIMIT" in (
+                getattr(node, "id", None), getattr(node, "attr", None)):
+            found.append((node.lineno, "KAPPA_LIMIT"))
+    return [name for _, name in sorted(found)]
+
+
+def test_spectral_decision_is_detected():
+    source = ("import numpy as np\nfrom numpy.linalg import eigh\n"
+              "from .operators import KAPPA_LIMIT\nfrom .elliptic import _mode_matrices\n"
+              "x = np.linalg.inv(a)\ny = scipy.linalg.solve(a, b)\nz = ops.KAPPA_LIMIT\n"
+              "w = np.linalg.svd(a)\n")
+    assert spectral_decisions(source) == ["linalg.eigh", "KAPPA_LIMIT", "_mode_matrices",
+                                          "linalg.inv", "linalg.solve", "KAPPA_LIMIT"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "operators.py"],
+                         ids=lambda p: p.name)
+def test_only_operators_decides_about_the_spectrum(path):
+    assert spectral_decisions(path.read_text()) == []

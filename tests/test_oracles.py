@@ -3,7 +3,8 @@
 On grids with M^n * N <= 512 every operator is assembled as a dense matrix
 from unitary DFT matrices, independently of the per-mode kernels, and the
 solvers are checked against np.linalg.solve, scipy.linalg.expm, the dense
-implicit Euler recursion and exact singular values.  Fields are flattened in
+implicit Euler recursion and exact singular values, and the batched
+resolvents against per-lambda dense inverses, bit for bit.  Fields are flattened in
 C order, grid point major and component minor, so a field's
 values.reshape(-1) is the dense vector.  The operator-norm bounds are checked
 against column and row sums, brute-force probing, and the R-bound estimate
@@ -21,15 +22,20 @@ from psdo import (
     MultiIndex,
     ParabolicProblem,
     ScaleParams,
+    SectorSweep,
     SpaceTimeField,
     apply_operator,
+    check_positivity,
     contraction_estimate,
     estimate_rbound,
     gaussian_field,
+    lambda_resolvent_family,
     make_model,
     power_symbol,
     probe_norm,
     random_band_limited_field,
+    rotated_power_symbol,
+    smoothed_power_symbol,
     solve_duhamel,
     solve_full,
     solve_implicit_euler,
@@ -87,11 +93,21 @@ def derivative_symbol(grid, alpha):
     return out
 
 
+def dense_symbol(symbol, t, xi):
+    """P_t(xi) of the power symbol sum_k t_k |xi_k|^m, its rotation by
+    e^{i theta0} and its smoothing sum_k t_k (epsilon^2 + xi_k^2)^(m/2)."""
+    tv = np.asarray(t.t)
+    if symbol.kind == "smoothed-power":
+        return np.sum(tv * (symbol.epsilon**2 + xi**2) ** (symbol.m / 2), axis=-1)
+    P = np.sum(tv * np.abs(xi) ** symbol.m, axis=-1)
+    return np.exp(1j * symbol.theta0) * P if symbol.kind == "rotated-power" else P
+
+
 def dense_principal(prob):
-    """P_t(D) + A + lambda for the power symbol P_t(xi) = sum_k t_k |xi_k|^m."""
+    """P_t(D) + A + lambda for the symbols of dense_symbol."""
     N = prob.model.N
     xi = frequency_points(prob.grid)
-    P = np.sum(np.asarray(prob.t.t) * np.abs(xi) ** prob.symbol.m, axis=-1)
+    P = dense_symbol(prob.symbol, prob.t, xi)
     npts = len(xi)
     return (multiplier_matrix(prob.grid, N, P) + np.kron(np.eye(npts), prob.model.A)
             + prob.lam * np.eye(npts * N))
@@ -147,6 +163,19 @@ def test_apply_operator_and_solve_principal_match_dense(terms):
     base = prob.principal
     direct = np.linalg.solve(dense_principal(base), u.values.reshape(-1))
     assert rel_err(solve_principal(base, u).values.reshape(-1), direct) < 1e-12
+
+
+@pytest.mark.parametrize("symbol", [rotated_power_symbol(2.0, theta0=0.6),
+                                    smoothed_power_symbol(1.5, epsilon=0.5)],
+                         ids=lambda s: s.kind)
+def test_solve_principal_matches_dense_for_other_symbols(symbol):
+    prob = EllipticProblem(model=make_model(A_NONNORMAL), symbol=symbol, t=T,
+                           lam=3.0 + 4.0j, grid=GRID)
+    u = random_band_limited_field(GRID, 2, np.random.default_rng(7), fraction=1.0)
+    O = dense_principal(prob)
+    assert rel_err(apply_operator(prob, u).values.reshape(-1), O @ u.values.reshape(-1)) < 1e-13
+    direct = np.linalg.solve(O, u.values.reshape(-1))
+    assert rel_err(solve_principal(prob, u).values.reshape(-1), direct) < 1e-12
 
 
 def test_solve_full_x_dependent_matches_dense_solve():
@@ -268,3 +297,37 @@ def test_rbound_bracket_at_q2():
         largest = max(np.linalg.norm(Tj, 2) for Tj in fam)
         assert est.upper == pytest.approx(np.sqrt(2.0) * largest, rel=1e-14)
         assert largest * (1 - 1e-12) <= est.value <= est.upper
+
+
+def resolvent_models():
+    """A scalar, the N = 8 tridiagonal system and a complex non-normal matrix."""
+    tri = 2.0 * np.eye(8) - np.eye(8, k=1) - np.eye(8, k=-1)
+    rng = np.random.default_rng(8)
+    nonnormal = np.triu(rng.standard_normal((3, 3))) + 3.0 * np.eye(3) + 0.2j
+    return [np.array([[1.0]]), tri, nonnormal]
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, np.inf])
+@pytest.mark.parametrize("k", range(3))
+def test_check_positivity_matches_per_lambda_dense_loop(k, q):
+    model = make_model(resolvent_models()[k], q=q)
+    sweep = SectorSweep(phi2=1.0, rays=(-1.0, 0.0, 1.0), radii=tuple(np.logspace(-1, 3, 9)))
+    cert = check_positivity(model, 1.0, sweep)
+    best, worst = -np.inf, None
+    for lam in [0.0 + 0.0j] + sweep.lambdas():
+        R = np.linalg.inv(model.A + lam * np.eye(model.N))
+        val = (1.0 + abs(lam)) * float(operator_norm_upper(R, q))
+        if val > best:
+            best, worst = val, lam
+    assert cert.M == best
+    assert cert.worst_lambda == worst
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_lambda_resolvent_family_matches_dense_inverse(k):
+    model = make_model(resolvent_models()[k])
+    lambdas = [0.5, 2.0 + 1.0j, -1.0j, 1e3]
+    fam = lambda_resolvent_family(model, lambdas)
+    assert [meta[0] for meta in fam.meta] == [complex(lam) for lam in lambdas]
+    for lam, member in zip(lambdas, fam.members):
+        assert np.array_equal(member, lam * np.linalg.inv(model.A + lam * np.eye(model.N)))

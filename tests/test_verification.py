@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,15 @@ def test_estimate_rbound_constant_family():
     fam = [np.eye(2), 2.0 * np.eye(2)]
     est = estimate_rbound(fam, tuple_size=3)
     assert est.value >= 2.0 - 1e-9
+
+
+@pytest.mark.parametrize("budget", [0, 1, 6, 48, 1000])
+def test_mixed_tuples_match_sorted_enumeration(budget):
+    for k in range(1, 8):
+        for size in range(1, 5):
+            ref = sorted(combinations_with_replacement(range(k), size),
+                         key=lambda tup: (tup[-1], tup))[:budget]
+            assert verification._mixed_tuples(k, size, budget) == ref
 
 
 def test_estimate_rbound_monotone_under_inclusion():
@@ -356,6 +367,12 @@ def test_coercivity_sweep_empty_not_applicable():
     rep = coercivity_sweep(scalar_template(), sweep)
     assert rep.status == "not-applicable"
     assert rep.points == []
+
+
+def test_sweep_without_t_grid_raises():
+    sweep = SectorSweep(phi2=0.0, rays=(0.0,), radii=(1.0,))
+    with pytest.raises(ValueError, match="no scale parameters"):
+        coercivity_sweep(scalar_template(), sweep)
 
 
 def test_sweep_records_per_point_errors():
