@@ -62,11 +62,9 @@ from .spaces import (
     SampledField,
     SpaceTimeField,
     constant_field,
-    forward_transform,
     fractional_multiplier,
     gaussian_field,
     h_m_pt_norm,
-    inverse_transform,
     liouville_derivative,
     lp_lq_norm,
     mixed_norm,

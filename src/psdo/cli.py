@@ -222,11 +222,22 @@ def _parse_complex(value) -> complex:
     raise ConfigError(f"expected number or [re, im] pair, got {value!r}")
 
 
+def _parse_vector(cfg: dict, where: str, N: int) -> np.ndarray:
+    """The component `vector` of a data or forcing config (default all ones)."""
+    try:
+        vector = np.atleast_1d(np.asarray(cfg.get("vector", [1.0] * N), dtype=complex))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}.vector: {exc}") from exc
+    if vector.shape != (N,):
+        raise ConfigError(f"{where}.vector must have N = {N} entries, got shape {vector.shape}")
+    return vector
+
+
 def _parse_data(cfg: dict, grid: GridSpec, N: int, q: float, rng) -> SampledField:
     _expect_keys(cfg, "data", required=("kind",),
                  optional=("width", "xi0", "vector", "fraction"))
     kind = cfg["kind"]
-    vector = np.asarray(cfg.get("vector", [1.0] * N), dtype=complex)
+    vector = _parse_vector(cfg, "data", N)
     if kind == "gaussian":
         return gaussian_field(grid, width=cfg.get("width"), vector=vector, q=q)
     if kind == "mode":
@@ -237,18 +248,27 @@ def _parse_data(cfg: dict, grid: GridSpec, N: int, q: float, rng) -> SampledFiel
     raise ConfigError(f"unknown data kind {kind!r}")
 
 
-def _parse_lower_terms(cfg, n: int, N: int):
+def _parse_problem(cfg: dict, **parts) -> EllipticProblem:
+    """The elliptic problem of parsed config parts and the config's lower_terms.
+
+    The problem's consistency checks (angle arithmetic, dimensions, lower-term
+    orders and coefficient shapes) are config errors.
+    """
+    N = parts["model"].N
     terms = []
-    for i, item in enumerate(cfg or []):
-        _expect_keys(item, f"lower_terms[{i}]", required=("alpha", "coefficient"))
-        alpha = MultiIndex(tuple(float(a) for a in item["alpha"]))
-        coeff = item["coefficient"]
-        if isinstance(coeff, (int, float)):
-            coeff = coeff * np.eye(N)
-        else:
-            coeff = np.array(coeff, dtype=complex)
-        terms.append(LowerTerm(alpha=alpha, coefficient=coeff))
-    return tuple(terms)
+    try:
+        for i, item in enumerate(cfg.get("lower_terms") or []):
+            _expect_keys(item, f"lower_terms[{i}]", required=("alpha", "coefficient"))
+            alpha = MultiIndex(tuple(float(a) for a in item["alpha"]))
+            coeff = item["coefficient"]
+            if isinstance(coeff, (int, float)):
+                coeff = coeff * np.eye(N)
+            else:
+                coeff = np.array(coeff, dtype=complex)
+            terms.append(LowerTerm(alpha=alpha, coefficient=coeff))
+        return EllipticProblem(lower_terms=tuple(terms), **parts)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"problem: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +327,7 @@ def _task_solve_elliptic(cfg, seed):
     _expect_keys(cfg, "config",
                  required=("grid", "model", "symbol", "t", "lambda", "data"),
                  optional=("task", "p", "lower_terms", "residual_tol",
-                           "export_fields", "seed", "thresholds"))
+                           "export_fields", "seed"))
     grid = _parse_grid(cfg["grid"])
     model = _parse_model(cfg["model"])
     symbol = _parse_symbol(cfg["symbol"])
@@ -315,9 +335,7 @@ def _task_solve_elliptic(cfg, seed):
     lam = _parse_complex(cfg["lambda"])
     rng = np.random.default_rng(seed)
     f = _parse_data(cfg["data"], grid, model.N, model.q, rng)
-    lower = _parse_lower_terms(cfg.get("lower_terms"), grid.n, model.N)
-    prob = EllipticProblem(model=model, symbol=symbol, t=t, lam=lam, grid=grid,
-                           lower_terms=lower)
+    prob = _parse_problem(cfg, model=model, symbol=symbol, t=t, lam=lam, grid=grid)
     u, it = solve_full(prob, f, seed=seed)
     residual = it.residuals[-1]
     p = float(cfg.get("p", 2.0))
@@ -345,7 +363,9 @@ def _parse_forcing(cfg: dict, grid: GridSpec, N: int, q: float, Y: float, J: int
                    p: float, p1: float) -> SpaceTimeField:
     _expect_keys(cfg, "forcing", required=("kind",),
                  optional=("width", "vector", "time_profile", "omega"))
-    vector = np.asarray(cfg.get("vector", [1.0] * N), dtype=complex)
+    if not (math.isfinite(Y) and Y > 0) or J < 1:
+        raise ConfigError(f"need horizon > 0 and steps >= 1, got horizon {Y}, steps {J}")
+    vector = _parse_vector(cfg, "forcing", N)
     base = gaussian_field(grid, width=cfg.get("width"), vector=vector, q=q)
     times = np.linspace(0.0, Y, J + 1)
     profile = cfg.get("time_profile", "sin")
@@ -366,7 +386,7 @@ def _task_solve_parabolic(cfg, seed):
     _expect_keys(cfg, "config",
                  required=("grid", "model", "symbol", "t", "horizon", "steps", "forcing"),
                  optional=("task", "p", "p1", "method", "export_fields", "seed",
-                           "thresholds", "residual_tol"))
+                           "residual_tol"))
     grid = _parse_grid(cfg["grid"])
     model = _parse_model(cfg["model"])
     symbol = _parse_symbol(cfg["symbol"])
@@ -376,7 +396,7 @@ def _task_solve_parabolic(cfg, seed):
     p = float(cfg.get("p", 2.0))
     p1 = float(cfg.get("p1", 2.0))
     forcing = _parse_forcing(cfg["forcing"], grid, model.N, model.q, Y, J, p, p1)
-    ell = EllipticProblem(model=model, symbol=symbol, t=t, lam=0.0, grid=grid)
+    ell = _parse_problem(cfg, model=model, symbol=symbol, t=t, lam=0.0, grid=grid)
     prob = ParabolicProblem(elliptic=ell, forcing=forcing)
     method = cfg.get("method", "duhamel")
     if method == "duhamel":
@@ -407,10 +427,11 @@ def _task_solve_parabolic(cfg, seed):
     return verdict, result, rows, extras
 
 
-def _sweep_inputs(cfg, *optional):
-    """(template, sweep, thresholds) of a sweep task; `optional` are its own config keys."""
+def _sweep_inputs(cfg, thresholds, *optional):
+    """(template, sweep, thresholds) of a sweep task; `thresholds` names the
+    threshold keys it reads and `optional` its other config keys."""
     _expect_keys(cfg, "config", required=("grid", "model", "symbol", "sweep"),
-                 optional=("task", "p", "thresholds", "seed") + optional)
+                 optional=("task", "thresholds", "seed") + optional)
     grid = _parse_grid(cfg["grid"])
     model = _parse_model(cfg["model"])
     symbol = _parse_symbol(cfg["symbol"])
@@ -418,9 +439,8 @@ def _sweep_inputs(cfg, *optional):
                                p=float(cfg.get("p", 2.0)))
     sweep = _parse_sweep(cfg["sweep"], grid.n, symbol.phi1)
     th = cfg.get("thresholds", {})
-    names = ("flatness", "max_ratio", "sigma_sup")
-    _expect_keys(th, "thresholds", optional=names)
-    return template, sweep, {k: None if th.get(k) is None else float(th[k]) for k in names}
+    _expect_keys(th, "thresholds", optional=thresholds)
+    return template, sweep, {k: None if th.get(k) is None else float(th[k]) for k in thresholds}
 
 
 def _sweep_result(rep):
@@ -429,7 +449,8 @@ def _sweep_result(rep):
 
 
 def _task_verify_coercivity(cfg, seed):
-    template, sweep, th = _sweep_inputs(cfg, "data_count", "adapt_grid")
+    template, sweep, th = _sweep_inputs(cfg, ("flatness", "max_ratio"), "p", "data_count",
+                                         "adapt_grid")
     return _sweep_result(coercivity_sweep(
         template, sweep, data_count=int(cfg.get("data_count", 8)), seed=seed,
         flatness_threshold=th["flatness"], max_ratio_threshold=th["max_ratio"],
@@ -437,14 +458,15 @@ def _task_verify_coercivity(cfg, seed):
 
 
 def _task_verify_resolvent(cfg, seed):
-    template, sweep, th = _sweep_inputs(cfg, "per_axis")
+    template, sweep, th = _sweep_inputs(cfg, ("flatness", "max_ratio"), "per_axis")
     return _sweep_result(resolvent_sweep(
         template, sweep, per_axis=int(cfg.get("per_axis", 33)),
         flatness_threshold=th["flatness"], max_ratio_threshold=th["max_ratio"]))
 
 
 def _task_check_multipliers(cfg, seed):
-    template, sweep, th = _sweep_inputs(cfg, "rbound_subsample", "tuple_size")
+    template, sweep, th = _sweep_inputs(cfg, ("flatness", "sigma_sup"), "rbound_subsample",
+                                         "tuple_size")
     return _sweep_result(multiplier_family_check(
         template.model, template.symbol, sweep, dims=template.grid.n,
         rbound_subsample=int(cfg.get("rbound_subsample", 8)),
@@ -454,7 +476,7 @@ def _task_check_multipliers(cfg, seed):
 
 def _task_estimate_rbound(cfg, seed):
     _expect_keys(cfg, "config", required=("family",),
-                 optional=("task", "q", "tuple_size", "seed", "thresholds"))
+                 optional=("task", "q", "tuple_size", "seed"))
     fam_cfg = cfg["family"]
     _expect_keys(fam_cfg, "family", required=("kind",),
                  optional=("model", "lambdas", "members"))
@@ -488,8 +510,7 @@ def _task_estimate_rbound(cfg, seed):
 
 def _task_check_kahane(cfg, seed):
     _expect_keys(cfg, "config", required=(),
-                 optional=("task", "q", "scalars", "vectors", "random", "seed",
-                           "thresholds"))
+                 optional=("task", "q", "scalars", "vectors", "random", "seed"))
     q = float(cfg.get("q", 2.0))
     results = []
     if "scalars" in cfg:
@@ -526,7 +547,7 @@ def _task_check_kahane(cfg, seed):
 
 def _task_check_symbol(cfg, seed):
     _expect_keys(cfg, "config", required=("symbol", "t_values", "xi"),
-                 optional=("task", "n", "seed", "thresholds"))
+                 optional=("task", "n", "seed"))
     symbol = _parse_symbol(cfg["symbol"])
     n = int(cfg.get("n", 1))
     t_grid = [_parse_scale(v, n) for v in cfg["t_values"]]
@@ -534,10 +555,7 @@ def _task_check_symbol(cfg, seed):
     _expect_keys(xcfg, "xi", required=("lo", "hi", "count"))
     vals = _signed_logspace(math.log10(float(xcfg["lo"])), math.log10(float(xcfg["hi"])),
                             int(xcfg["count"]))
-    if n == 1:
-        xi_grid = vals[:, None]
-    else:
-        xi_grid = np.stack(np.meshgrid(*([vals] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    xi_grid = np.stack(np.meshgrid(*([vals] * n), indexing="ij"), axis=-1).reshape(-1, n)
     rep = check_symbol_class(symbol, t_grid, xi_grid)
     verdict = "pass" if rep.verdict else "fail"
     result = {
@@ -564,13 +582,7 @@ TASKS = {
 
 def _run_task(task: str, cfg: dict, args) -> int:
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    try:
-        verdict, result, rows, extras = TASKS[task](cfg, seed)
-    except ConfigError:
-        raise
-    except PsdoError as exc:
-        print(f"execution failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_EXECUTION
+    verdict, result, rows, extras = TASKS[task](cfg, seed)
     report = {
         "version": __version__,
         "task": task,

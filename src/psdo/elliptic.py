@@ -80,9 +80,10 @@ class EllipticProblem:
         if self.positivity is not None and self.symbol.phi1 + phi2 > self.positivity.phi + 1e-12:
             raise ValueError("phi1 + |arg lambda| exceeds the certified positivity angle")
         for term in self.lower_terms:
-            if term.alpha.order >= self.symbol.m:
-                raise ValueError(
-                    f"lower-term order {term.alpha.order} must be < m = {self.symbol.m}")
+            if term.alpha.order >= self.symbol.m or term.alpha.n != self.grid.n:
+                raise ValueError(f"lower-term alpha {list(term.alpha)} needs {self.grid.n} "
+                                 f"entries and order < m = {self.symbol.m}")
+            term.coefficient_on(self.grid, self.model.N)  # raises on a wrong shape
         object.__setattr__(self, "lower_terms", tuple(self.lower_terms))
 
     @property
@@ -137,16 +138,15 @@ def _solve_modes(prob: EllipticProblem, shifts: np.ndarray, fvals: np.ndarray) -
 
     One FFT of the stack and one per-mode solve with all F right-hand sides.
     """
-    axes = tuple(range(1, prob.grid.n + 1))
     F, N = fvals.shape[0], fvals.shape[-1]
-    fhat = _spectra(prob, fvals)
+    fhat = prob.grid.fft(fvals)
     rhs = np.moveaxis(fhat.reshape(F, -1, N), 0, -1)  # (modes, N, F)
     try:
         uhat = shifted_solve(prob.model, shifts, rhs)
     except np.linalg.LinAlgError as exc:
         raise ModeSingular(None, str(exc)) from exc
     uhat = np.moveaxis(uhat, -1, 0).reshape(fhat.shape)
-    return np.fft.ifftn(uhat, axes=axes, norm="ortho")
+    return prob.grid.ifft(uhat)
 
 
 def solve_principal(prob: EllipticProblem, f: SampledField) -> SampledField:
@@ -156,19 +156,13 @@ def solve_principal(prob: EllipticProblem, f: SampledField) -> SampledField:
     return f.with_values(_solve_modes(prob, _mode_shifts(prob), f.values[None])[0])
 
 
-def _spectra(prob: EllipticProblem, vals: np.ndarray) -> np.ndarray:
-    """Unitary FFT of a stack of fields, vals shape (F,) + grid.shape + (N,)."""
-    return np.fft.fftn(vals, axes=tuple(range(1, prob.grid.n + 1)), norm="ortho")
-
-
 def _apply_lower(prob: EllipticProblem, vals: np.ndarray, spec: np.ndarray) -> np.ndarray:
     """L_t u for a stack of fields vals with spectra spec: one multiplier per term."""
-    axes = tuple(range(1, prob.grid.n + 1))
     out = np.zeros_like(vals)
     for term in prob.lower_terms:
         w = prob.t.weight(term.alpha, prob.symbol.m)
         mult = fractional_multiplier(prob.grid, term.alpha)
-        du = np.fft.ifftn(spec * mult[..., None], axes=axes, norm="ortho")
+        du = prob.grid.ifft(spec * mult[..., None])
         coeff = term.coefficient_on(prob.grid, vals.shape[-1])
         out = out + w * np.einsum("...ij,...j->...i", coeff, du)
     return out
@@ -177,21 +171,19 @@ def _apply_lower(prob: EllipticProblem, vals: np.ndarray, spec: np.ndarray) -> n
 def apply_lower_terms(prob: EllipticProblem, u: SampledField) -> SampledField:
     """L_t u = sum over lower terms of t(alpha) A_alpha(x) D^alpha u."""
     uvals = u.values[None]
-    return u.with_values(_apply_lower(prob, uvals, _spectra(prob, uvals))[0])
+    return u.with_values(_apply_lower(prob, uvals, prob.grid.fft(uvals))[0])
 
 
 def _apply_principal(prob: EllipticProblem, uvals: np.ndarray, uspec: np.ndarray) -> np.ndarray:
     """P_t(D) u + A u + lambda u for a stack of fields uvals with spectra uspec."""
-    axes = tuple(range(1, prob.grid.n + 1))
-    P = prob.symbol_values()
-    principal = np.fft.ifftn(P[..., None] * uspec, axes=axes, norm="ortho")
+    principal = prob.grid.ifft(prob.symbol_values()[..., None] * uspec)
     return principal + prob.model.apply(uvals) + prob.lam * uvals
 
 
 def apply_operator(prob: EllipticProblem, u: SampledField) -> SampledField:
     """Forward operator: symbol part + A u + lambda u + lower-order terms."""
     uvals = u.values[None]
-    uspec = _spectra(prob, uvals)
+    uspec = prob.grid.fft(uvals)
     out = _apply_principal(prob, uvals, uspec)
     if prob.lower_terms:
         out = out + _apply_lower(prob, uvals, uspec)
@@ -238,7 +230,7 @@ def contraction_estimate(prob: EllipticProblem, probes: int = 64, seed: int = 0)
         u, nu = u[nu > 0], nu[nu > 0]
         if nu.size:
             v = _solve_modes(base, shifts, u)
-            ratios = _lp_lq_norms(_apply_lower(prob, v, _spectra(prob, v)), grid, q, 2.0) / nu
+            ratios = _lp_lq_norms(_apply_lower(prob, v, grid.fft(v)), grid, q, 2.0) / nu
             best = max(best, float(ratios.max()))
     return best
 
@@ -273,7 +265,7 @@ def solve_full(prob: EllipticProblem, f: SampledField, tol: float = NEUMANN_TOL,
     residuals = []
     for it in range(1, max_iter + 1):
         uvals = u.values[None]
-        uspec = _spectra(prob, uvals)
+        uspec = prob.grid.fft(uvals)
         lower = u.with_values(_apply_lower(prob, uvals, uspec)[0])
         res = u.with_values(_apply_principal(prob, uvals, uspec)[0] + lower.values) - f
         rel = lp_lq_norm(res, 2.0) / nf if nf > 0 else 0.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import EllipticProblem, _apply_principal, _spectra
+from .elliptic import EllipticProblem, _apply_principal
 from .errors import ModeSingular
 from .operators import eigenbasis
 from .spaces import SpaceTimeField, mixed_norm
@@ -53,16 +53,13 @@ def _eigensetup(prob: ParabolicProblem):
 
 
 def _forcing_eigencoords(prob: ParabolicProblem, Vinv: np.ndarray) -> np.ndarray:
-    fhat = _spectra(prob.elliptic, prob.forcing.values)
+    fhat = prob.elliptic.grid.fft(prob.forcing.values)
     return np.einsum("ij,...j->...i", Vinv, fhat)
 
 
 def _back_to_physical(prob: ParabolicProblem, coeffs: np.ndarray, V: np.ndarray) -> SpaceTimeField:
-    n = prob.elliptic.grid.n
-    axes = tuple(range(1, n + 1))
     uhat = np.einsum("ij,...j->...i", V, coeffs)
-    vals = np.fft.ifftn(uhat, axes=axes, norm="ortho")
-    return prob.forcing.with_values(vals)
+    return prob.forcing.with_values(prob.elliptic.grid.ifft(uhat))
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -151,12 +148,9 @@ def parabolic_coercive_ratio(prob: ParabolicProblem, u: SpaceTimeField):
     if nf == 0:
         return None
     du = time_derivative(u)
-    axes = tuple(range(1, prob.elliptic.grid.n + 1))
-    P = prob.elliptic.symbol_values()
-    uhat = _spectra(prob.elliptic, u.values)
-    Pu_vals = np.fft.ifftn(P[None, ..., None] * uhat, axes=axes, norm="ortho")
-    Pu = u.with_values(Pu_vals)
-    Au = u.with_values(prob.elliptic.model.apply(u.values))
+    ell = prob.elliptic
+    Pu = u.with_values(ell.grid.ifft(ell.symbol_values()[..., None] * ell.grid.fft(u.values)))
+    Au = u.with_values(ell.model.apply(u.values))
     return (mixed_norm(du) + mixed_norm(Pu) + mixed_norm(Au)) / nf
 
 
@@ -166,6 +160,6 @@ def equation_residual(prob: ParabolicProblem, u: SpaceTimeField) -> float:
     nf = mixed_norm(f)
     du = time_derivative(u)
     ell = prob.elliptic
-    res_vals = du.values + _apply_principal(ell, u.values, _spectra(ell, u.values)) - f.values
+    res_vals = du.values + _apply_principal(ell, u.values, ell.grid.fft(u.values)) - f.values
     res = u.with_values(res_vals)
     return mixed_norm(res) / nf if nf > 0 else mixed_norm(res)

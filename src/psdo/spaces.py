@@ -63,6 +63,14 @@ class GridSpec:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
+    def fft(self, values: np.ndarray) -> np.ndarray:
+        """Unitary DFT over the grid axes of a (..., *shape, N) array, in FFT order."""
+        return np.fft.fftn(values, axes=tuple(range(-self.n - 1, -1)), norm="ortho")
+
+    def ifft(self, spectrum: np.ndarray) -> np.ndarray:
+        """Inverse of fft over the grid axes of a (..., *shape, N) array."""
+        return np.fft.ifftn(spectrum, axes=tuple(range(-self.n - 1, -1)), norm="ortho")
+
     def nyquist_mask(self) -> np.ndarray:
         """Boolean array marking modes with any axis at the Nyquist index."""
         mask = np.zeros(self.shape, dtype=bool)
@@ -191,19 +199,7 @@ def random_band_limited_field(grid: GridSpec, N: int, rng, q: float = 2.0,
         mask = np.logical_and.outer(mask, keep)
     coeffs = rng.standard_normal(grid.shape + (N,)) + 1j * rng.standard_normal(grid.shape + (N,))
     spec[mask] = coeffs[mask]
-    vals = np.fft.ifftn(spec, axes=tuple(range(grid.n)), norm="ortho")
-    return SampledField(grid=grid, values=vals, q=q)
-
-
-def forward_transform(u: SampledField) -> SampledField:
-    """Unitary discrete Fourier transform per component (FFT frequency order)."""
-    spec = np.fft.fftn(u.values, axes=tuple(range(u.grid.n)), norm="ortho")
-    return u.with_values(spec)
-
-
-def inverse_transform(u_hat: SampledField) -> SampledField:
-    vals = np.fft.ifftn(u_hat.values, axes=tuple(range(u_hat.grid.n)), norm="ortho")
-    return u_hat.with_values(vals)
+    return SampledField(grid=grid, values=grid.ifft(spec), q=q)
 
 
 def _zeroes_nyquist(a: float) -> bool:
@@ -238,7 +234,7 @@ def liouville_derivative(u: SampledField, alpha, check_nyquist: bool = True) -> 
         alpha = MultiIndex(tuple(np.atleast_1d(alpha)))
     if alpha.n != u.grid.n:
         raise ValueError("alpha dimension does not match the grid")
-    spec = np.fft.fftn(u.values, axes=tuple(range(u.grid.n)), norm="ortho")
+    spec = u.grid.fft(u.values)
     mult = fractional_multiplier(u.grid, alpha)
     if check_nyquist and any(_zeroes_nyquist(a) for a in alpha):
         mask = u.grid.nyquist_mask()
@@ -248,9 +244,7 @@ def liouville_derivative(u: SampledField, alpha, check_nyquist: bool = True) -> 
             if nyq > NYQUIST_TOL * total:
                 raise NyquistEnergy(
                     f"relative Nyquist energy {nyq / total:.2e} exceeds {NYQUIST_TOL}")
-    spec = spec * mult[..., None]
-    vals = np.fft.ifftn(spec, axes=tuple(range(u.grid.n)), norm="ortho")
-    return u.with_values(vals)
+    return u.with_values(u.grid.ifft(spec * mult[..., None]))
 
 
 def vector_norms(values: np.ndarray, q: float) -> np.ndarray:
@@ -295,8 +289,7 @@ def h_m_pt_norm(u: SampledField, t, m: float, p: float, A: np.ndarray = None) ->
     xi = u.grid.frequency_mesh()
     tvec = np.asarray(t.t)
     bracket = (1.0 + np.sqrt(np.sum(tvec ** (2.0 / m) * xi**2, axis=-1))) ** m
-    spec = np.fft.fftn(u.values, axes=tuple(range(u.grid.n)), norm="ortho")
-    vals = np.fft.ifftn(spec * bracket[..., None], axes=tuple(range(u.grid.n)), norm="ortho")
+    vals = u.grid.ifft(u.grid.fft(u.values) * bracket[..., None])
     term2 = lp_lq_norm(u.with_values(vals), p)
     return term1 + term2
 

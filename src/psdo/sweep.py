@@ -48,7 +48,7 @@ def default_sweep(phi2: float, n: int = 1, n_rays: int = 3, n_radii: int = 13,
     if phi2 > 0:
         rays = tuple(np.linspace(-phi2, phi2, n_rays))
     else:
-        rays = (0.0,)
+        rays = (0.0,) if n_rays > 0 else ()  # the one ray of S_0
     radii = tuple(np.logspace(np.log10(radius_range[0]), np.log10(radius_range[1]), n_radii))
     ts = tuple(
         ScaleParams.isotropic(v, n, t0=max(1.0, t_range[1]))

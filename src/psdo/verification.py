@@ -161,14 +161,13 @@ def _coercive_ratios(grid: GridSpec, q: float, uvals: np.ndarray, uspec: np.ndar
     nf = _lp_lq_norms(fvals, grid, q, p)
     if np.any(nf == 0):
         raise ZeroDivisionError("coercive ratio undefined for f = 0")
-    axes = tuple(range(1, grid.n + 1))
     total = np.zeros(len(uvals))
     for alpha in index_set:
         w = _derivative_weight(t, lam, m, alpha)
         if w == 0:
             continue
         mult = fractional_multiplier(grid, alpha)[..., None]
-        du = np.fft.ifftn(uspec * mult, axes=axes, norm="ortho")
+        du = grid.ifft(uspec * mult)
         total = total + w * _lp_lq_norms(du, grid, q, p)
     total = total + _lp_lq_norms(model.apply(uvals), grid, q, p)
     return total / nf
@@ -184,8 +183,7 @@ def coercive_ratio(u: SampledField, f: SampledField, model: OperatorModel,
     if index_set is None:
         index_set = coercive_index_set(u.grid.n, m)
     uvals = u.values[None]
-    uspec = np.fft.fftn(uvals, axes=tuple(range(1, u.grid.n + 1)), norm="ortho")
-    return float(_coercive_ratios(u.grid, u.q, uvals, uspec, f.values[None], model,
+    return float(_coercive_ratios(u.grid, u.q, uvals, u.grid.fft(uvals), f.values[None], model,
                                   t, lam, m, p, index_set)[0])
 
 
@@ -280,7 +278,6 @@ def coercivity_sweep(template: ProblemTemplate, sweep: SectorSweep,
     flat = DEFAULT_FLATNESS["coercivity"] if flatness_threshold is None else flatness_threshold
     m = template.symbol.m
     model, q = template.model, template.model.q
-    axes = tuple(range(1, template.grid.n + 1))
 
     def evaluate(idx, lam, t):
         rng = np.random.default_rng((seed, idx))
@@ -290,7 +287,7 @@ def coercivity_sweep(template: ProblemTemplate, sweep: SectorSweep,
         fields = _sweep_data(prob, index_set, shifts, data_count, rng)
         fvals = np.stack([f.values for f in fields])
         uvals = _solve_modes(prob, shifts, fvals)
-        uspec = np.fft.fftn(uvals, axes=axes, norm="ortho")
+        uspec = grid.fft(uvals)
         ratios = _coercive_ratios(grid, q, uvals, uspec, fvals, model, t, lam, m,
                                   template.p, index_set)
         residuals = _relative_residuals(grid, q, _apply_principal(prob, uvals, uspec), fvals)

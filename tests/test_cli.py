@@ -210,3 +210,102 @@ def test_check_symbol_user_table(tmp_path):
     assert main(["run-scenario", "--config", cfg, "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["result"]["samples"] == 18
+
+
+def small_elliptic_cfg():
+    return {
+        "task": "solve-elliptic",
+        "grid": {"n": 1, "M": 32, "L": 2 * np.pi},
+        "model": {"kind": "tridiagonal", "N": 2},
+        "symbol": {"kind": "power", "m": 2.0},
+        "t": 1.0,
+        "lambda": 100.0,
+        "data": {"kind": "gaussian"},
+        "lower_terms": [{"alpha": [1.0], "coefficient": 0.5}],
+    }
+
+
+def run_with_sets(tmp_path, task, cfg, sets):
+    argv = [task, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]
+    for item in sets:
+        argv += ["--set", item]
+    return main(argv)
+
+
+def test_small_elliptic_cfg_passes(tmp_path):
+    assert run_with_sets(tmp_path, "solve-elliptic", small_elliptic_cfg(), []) == 0
+
+
+@pytest.mark.parametrize("sets", [
+    ["data.vector=[1.0, 2.0, 3.0]"],
+    ['data.vector="one"'],
+    ["lower_terms=[{\"alpha\": [1.0], \"coefficient\": [[1.0, 0.0, 0.0]]}]"],
+    ["lower_terms=[{\"alpha\": [2.0], \"coefficient\": 0.5}]"],
+    ["lower_terms=[{\"alpha\": [1.0, 0.0], \"coefficient\": 0.5}]"],
+    ["lambda=-1.0"],
+    ['t={"t": [1.0, 1.0]}'],
+], ids=["vector-length", "vector-type", "coefficient-shape", "order-m", "alpha-dimension",
+        "angle", "t-dimension"])
+def test_solve_elliptic_bad_value_is_config_error(tmp_path, capsys, sets):
+    assert run_with_sets(tmp_path, "solve-elliptic", small_elliptic_cfg(), sets) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sets", [["steps=0"], ["steps=-3"], ["horizon=-1"], ["horizon=0"],
+                                  ["forcing.vector=[1.0, 1.0]"]],
+                         ids=["steps-0", "steps-negative", "horizon-negative", "horizon-0",
+                              "vector-length"])
+def test_solve_parabolic_bad_value_is_config_error(tmp_path, capsys, sets):
+    cfg = json.loads((SCENARIOS / "parabolic-reference.json").read_text())
+    assert run_with_sets(tmp_path, "solve-parabolic", cfg, sets) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def task_cfgs():
+    resolvent = {**small_verify_cfg(), "task": "verify-resolvent"}
+    multipliers = {**small_verify_cfg(), "task": "check-multipliers",
+                   "rbound_subsample": 2, "tuple_size": 1}
+    for cfg in (resolvent, multipliers):
+        del cfg["data_count"]
+    return {
+        "verify-coercivity": small_verify_cfg(),
+        "verify-resolvent": resolvent,
+        "check-multipliers": multipliers,
+        "solve-elliptic": small_elliptic_cfg(),
+        "solve-parabolic": json.loads((SCENARIOS / "parabolic-reference.json").read_text()),
+        "estimate-rbound": {"task": "estimate-rbound", "family": {
+            "kind": "matrices", "members": [[[1.0, 0.0], [0.0, 0.5]]]}},
+        "check-kahane": {"task": "check-kahane", "random": {"count": 5}},
+        "check-symbol": {"task": "check-symbol", "symbol": {"kind": "power", "m": 2.0},
+                         "t_values": [1.0], "xi": {"lo": 0.1, "hi": 10.0, "count": 5}},
+    }
+
+
+@pytest.mark.parametrize("task, key", [
+    ("verify-coercivity", "thresholds.sigma_sup=0.0001"),
+    ("verify-resolvent", "thresholds.sigma_sup=0.0001"),
+    ("verify-resolvent", "p=3.0"),
+    ("check-multipliers", "thresholds.max_ratio=0.0001"),
+    ("check-multipliers", "p=3.0"),
+    ("solve-elliptic", "thresholds.flatness=1.5"),
+    ("solve-parabolic", "thresholds.flatness=1.5"),
+    ("estimate-rbound", "thresholds.flatness=1.5"),
+    ("check-kahane", "thresholds.flatness=1.5"),
+    ("check-symbol", "thresholds.flatness=1.5"),
+])
+def test_key_the_task_does_not_read_is_config_error(tmp_path, capsys, task, key):
+    cfg = task_cfgs()[task]
+    assert run_with_sets(tmp_path, task, cfg, [key]) == 2
+    assert "unknown keys" in capsys.readouterr().err
+    assert run_with_sets(tmp_path, task, cfg, []) != 2  # the config without it is valid
+
+
+@pytest.mark.parametrize("n_rays", [0, -1])
+def test_no_rays_is_config_error_at_phi2_zero(tmp_path, n_rays):
+    cfg_d = small_verify_cfg()
+    cfg_d["sweep"].update(phi2=0.0, n_rays=n_rays)
+    cfg = write_cfg(tmp_path, cfg_d)
+    assert main(["verify-coercivity", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()

@@ -1,7 +1,8 @@
 """Import hygiene: every module of the package (the re-exporting __init__.py
-aside) uses each name it imports, and only operators.py makes spectral
+aside) uses each name it imports, only operators.py makes spectral
 decisions about A (dense inverses, solves and eigendecompositions, and the
-eigenbasis condition limit KAPPA_LIMIT)."""
+eigenbasis condition limit KAPPA_LIMIT), and only GridSpec.fft/ifft in
+spaces.py transform sampled fields."""
 
 import ast
 from pathlib import Path
@@ -75,3 +76,44 @@ def test_spectral_decision_is_detected():
                          ids=lambda p: p.name)
 def test_only_operators_decides_about_the_spectrum(path):
     assert spectral_decisions(path.read_text()) == []
+
+
+def np_fft_names(source: str) -> list:
+    """(enclosing class/function path, name) for each use of np.fft, in source order."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Attribute) \
+                    and child.value.attr == "fft" and getattr(child.value.value, "id", None) == "np":
+                found.append((child.lineno, inner, child.attr))
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                names = [getattr(child, "module", None) or ""] + [a.name for a in child.names]
+                if any(name == "fft" or name.startswith("numpy.fft") for name in names):
+                    found.append((child.lineno, inner, "import"))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return [(scope, name) for _, scope, name in sorted(found)]
+
+
+def test_np_fft_use_is_detected():
+    source = ("import numpy as np\nfrom numpy.fft import fftn\n"
+              "class G:\n    def f(self, v):\n        return np.fft.fftn(v)\n"
+              "def h(v):\n    return np.fft.fftfreq(4) + np.linalg.norm(v)\n")
+    assert np_fft_names(source) == [("", "import"), ("G.f", "fftn"), ("h", "fftfreq")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "spaces.py"],
+                         ids=lambda p: p.name)
+def test_only_spaces_names_np_fft(path):
+    assert np_fft_names(path.read_text()) == []
+
+
+def test_grid_spec_owns_the_transforms():
+    names = np_fft_names((PACKAGE / "spaces.py").read_text())
+    transforms = [(scope, name) for scope, name in names if name != "fftfreq"]
+    assert transforms == [("GridSpec.fft", "fftn"), ("GridSpec.ifft", "ifftn")]

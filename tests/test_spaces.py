@@ -9,10 +9,8 @@ from psdo import (
     ScaleParams,
     SpaceTimeField,
     constant_field,
-    forward_transform,
     gaussian_field,
     h_m_pt_norm,
-    inverse_transform,
     liouville_derivative,
     lp_lq_norm,
     mixed_norm,
@@ -45,7 +43,7 @@ def test_nyquist_mask():
 def test_mode_field_is_single_spike():
     g = GridSpec(n=1, M=16, L=2 * np.pi)
     u = mode_field(g, [3.0], [1.0])
-    spec = forward_transform(u).values[:, 0]
+    spec = g.fft(u.values)[:, 0]
     assert abs(spec[3]) == pytest.approx(4.0)  # ortho norm: sqrt(M)
     spec[3] = 0.0
     assert np.abs(spec).max() < 1e-12
@@ -55,8 +53,18 @@ def test_transform_round_trip():
     g = GridSpec(n=2, M=8, L=3.0)
     rng = np.random.default_rng(0)
     u = random_band_limited_field(g, 3, rng)
-    back = inverse_transform(forward_transform(u))
-    assert np.abs(back.values - u.values).max() < 1e-13
+    back = g.ifft(g.fft(u.values))
+    assert np.abs(back - u.values).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_fft_of_a_stack_matches_per_field_transforms(n):
+    g = GridSpec(n=n, M=8, L=3.0)
+    rng = np.random.default_rng(2)
+    stack = np.stack([random_band_limited_field(g, 3, rng).values for _ in range(4)])
+    spec = g.fft(stack)
+    assert np.array_equal(spec, np.stack([g.fft(v) for v in stack]))
+    assert np.array_equal(g.ifft(spec), np.stack([g.ifft(s) for s in spec]))
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 0.5, 1.5])
@@ -114,8 +122,8 @@ def test_parseval():
     g = GridSpec(n=1, M=64, L=5.0)
     rng = np.random.default_rng(1)
     u = random_band_limited_field(g, 2, rng)
-    assert lp_lq_norm(u, 2.0) == pytest.approx(lp_lq_norm(forward_transform(u), 2.0),
-                                               rel=1e-12)
+    spec = u.with_values(g.fft(u.values))
+    assert lp_lq_norm(u, 2.0) == pytest.approx(lp_lq_norm(spec, 2.0), rel=1e-12)
 
 
 def test_h_m_pt_norm_on_mode():
