@@ -70,7 +70,6 @@ from .spaces import (
     mixed_norm,
     mode_field,
     random_band_limited_field,
-    shift_field,
     vector_norms,
 )
 from .sweep import SectorSweep, default_sweep

@@ -126,6 +126,20 @@ def _expect_keys(d: dict, where: str, required=(), optional=()):
         raise ConfigError(f"{where} has unknown keys: {unknown}")
 
 
+def _expect_kind(cfg: dict, where: str, kinds: dict) -> str:
+    """The `kind` of a config object that may hold only the keys its kind
+    reads; `kinds` maps each kind to its (required, optional) other keys."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be an object")
+    kind = cfg.get("kind")
+    if kind not in tuple(kinds):
+        raise ConfigError(f"{where} kind must be one of {list(kinds)}, got {kind!r}")
+    required, optional = kinds[kind]
+    _expect_keys(cfg, f"{where} of kind {kind!r}", required=("kind",) + required,
+                 optional=optional)
+    return kind
+
+
 def _parse_grid(cfg: dict) -> GridSpec:
     _expect_keys(cfg, "grid", required=("n", "M", "L"))
     try:
@@ -233,19 +247,19 @@ def _parse_vector(cfg: dict, where: str, N: int) -> np.ndarray:
     return vector
 
 
+DATA_KINDS = {"gaussian": ((), ("width", "vector")), "mode": ((), ("xi0", "vector")),
+              "random": ((), ("fraction",))}
+
+
 def _parse_data(cfg: dict, grid: GridSpec, N: int, q: float, rng) -> SampledField:
-    _expect_keys(cfg, "data", required=("kind",),
-                 optional=("width", "xi0", "vector", "fraction"))
-    kind = cfg["kind"]
+    kind = _expect_kind(cfg, "data", DATA_KINDS)
+    if kind == "random":
+        fraction = float(cfg.get("fraction", 0.25))
+        return random_band_limited_field(grid, N, rng, q=q, fraction=fraction)
     vector = _parse_vector(cfg, "data", N)
     if kind == "gaussian":
         return gaussian_field(grid, width=cfg.get("width"), vector=vector, q=q)
-    if kind == "mode":
-        return mode_field(grid, cfg.get("xi0", [1.0] * grid.n), vector, q=q)
-    if kind == "random":
-        return random_band_limited_field(grid, N, rng, q=q,
-                                         fraction=float(cfg.get("fraction", 0.25)))
-    raise ConfigError(f"unknown data kind {kind!r}")
+    return mode_field(grid, cfg.get("xi0", [1.0] * grid.n), vector, q=q)
 
 
 def _parse_problem(cfg: dict, **parts) -> EllipticProblem:
@@ -361,17 +375,18 @@ def _task_solve_elliptic(cfg, seed):
 
 def _parse_forcing(cfg: dict, grid: GridSpec, N: int, q: float, Y: float, J: int,
                    p: float, p1: float) -> SpaceTimeField:
-    _expect_keys(cfg, "forcing", required=("kind",),
-                 optional=("width", "vector", "time_profile", "omega"))
+    _expect_kind(cfg, "forcing", {"gaussian": ((), ("width", "vector", "time_profile",
+                                                     "omega"))})
     if not (math.isfinite(Y) and Y > 0) or J < 1:
         raise ConfigError(f"need horizon > 0 and steps >= 1, got horizon {Y}, steps {J}")
     vector = _parse_vector(cfg, "forcing", N)
     base = gaussian_field(grid, width=cfg.get("width"), vector=vector, q=q)
     times = np.linspace(0.0, Y, J + 1)
     profile = cfg.get("time_profile", "sin")
-    omega = float(cfg.get("omega", 1.0))
+    if "omega" in cfg and profile != "sin":
+        raise ConfigError(f"forcing.omega is read only by the 'sin' time profile, not {profile!r}")
     if profile == "sin":
-        weights = np.sin(math.pi * omega * times / Y)
+        weights = np.sin(math.pi * float(cfg.get("omega", 1.0)) * times / Y)
     elif profile == "ramp":
         weights = times / Y
     elif profile == "constant":
@@ -449,12 +464,10 @@ def _sweep_result(rep):
 
 
 def _task_verify_coercivity(cfg, seed):
-    template, sweep, th = _sweep_inputs(cfg, ("flatness", "max_ratio"), "p", "data_count",
-                                         "adapt_grid")
+    template, sweep, th = _sweep_inputs(cfg, ("flatness", "max_ratio"), "p", "data_count")
     return _sweep_result(coercivity_sweep(
         template, sweep, data_count=int(cfg.get("data_count", 8)), seed=seed,
-        flatness_threshold=th["flatness"], max_ratio_threshold=th["max_ratio"],
-        adapt_grid=bool(cfg.get("adapt_grid", True))))
+        flatness_threshold=th["flatness"], max_ratio_threshold=th["max_ratio"]))
 
 
 def _task_verify_resolvent(cfg, seed):
@@ -474,22 +487,28 @@ def _task_check_multipliers(cfg, seed):
         flatness_threshold=th["flatness"], sigma_sup_threshold=th["sigma_sup"]))
 
 
+FAMILY_KINDS = {"lambda-resolvent": (("model", "lambdas"), ()), "matrices": (("members",), ())}
+
+
 def _task_estimate_rbound(cfg, seed):
     _expect_keys(cfg, "config", required=("family",),
                  optional=("task", "q", "tuple_size", "seed"))
     fam_cfg = cfg["family"]
-    _expect_keys(fam_cfg, "family", required=("kind",),
-                 optional=("model", "lambdas", "members"))
     q = float(cfg.get("q", 2.0))
-    if fam_cfg["kind"] == "lambda-resolvent":
+    if _expect_kind(fam_cfg, "family", FAMILY_KINDS) == "lambda-resolvent":
         model = _parse_model(fam_cfg["model"])
         lambdas = [_parse_complex(v) for v in fam_cfg["lambdas"]]
-        fam = lambda_resolvent_family(model, lambdas)
-        members = fam.members
-    elif fam_cfg["kind"] == "matrices":
-        members = [np.array(mv, dtype=complex) for mv in fam_cfg["members"]]
+        members = lambda_resolvent_family(model, lambdas).members
     else:
-        raise ConfigError(f"unknown family kind {fam_cfg['kind']!r}")
+        try:
+            members = [np.atleast_2d(np.array(mv, dtype=complex)) for mv in fam_cfg["members"]]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"family.members: {exc}") from exc
+        shapes = {mv.shape for mv in members}
+        if len(shapes) > 1 or any(len(shape) != 2 for shape in shapes):
+            raise ConfigError(f"family.members must be matrices of one shape, got {shapes}")
+    if not members:
+        raise ConfigError("family needs at least one member")
     est = estimate_rbound(members, q=q, tuple_size=int(cfg.get("tuple_size", 3)),
                           seed=seed)
     singleton_check = None
@@ -513,10 +532,19 @@ def _task_check_kahane(cfg, seed):
                  optional=("task", "q", "scalars", "vectors", "random", "seed"))
     q = float(cfg.get("q", 2.0))
     results = []
-    if "scalars" in cfg:
-        vectors = [np.array(v, dtype=complex) for v in cfg["vectors"]]
-        res = kahane_contraction_check(cfg["scalars"], vectors, q=q)
-        results.append(res)
+    if "scalars" in cfg or "vectors" in cfg:
+        if "scalars" not in cfg or "vectors" not in cfg:
+            raise ConfigError("check-kahane needs 'scalars' and 'vectors' together")
+        try:
+            scalars = np.asarray(cfg["scalars"], dtype=complex)
+            vectors = np.asarray(cfg["vectors"], dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"scalars/vectors: {exc}") from exc
+        # a vector of length 1 may be given as a number
+        if scalars.ndim != 1 or vectors.ndim not in (1, 2) or len(vectors) != len(scalars):
+            raise ConfigError(f"need m scalars and m vectors of one length, got shapes "
+                              f"{scalars.shape} and {vectors.shape}")
+        results.append(kahane_contraction_check(scalars, list(vectors), q=q))
     if "random" in cfg:
         rcfg = cfg["random"]
         _expect_keys(rcfg, "random", required=("count",), optional=("m", "N"))

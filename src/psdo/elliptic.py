@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ContractionFailure, ModeSingular, NoConvergence
 from .operators import (
     OperatorModel,
-    PositivityCertificate,
     operator_norm_upper,
     shifted_solve,
     spectrum_hit,
@@ -67,7 +66,6 @@ class EllipticProblem:
     lam: complex
     grid: GridSpec
     lower_terms: tuple = ()
-    positivity: PositivityCertificate = None
 
     def __post_init__(self):
         if self.t.n != self.grid.n:
@@ -77,8 +75,6 @@ class EllipticProblem:
             raise ValueError(
                 f"angle arithmetic violated: phi1 + |arg lambda| = "
                 f"{self.symbol.phi1 + phi2:.4f} >= pi")
-        if self.positivity is not None and self.symbol.phi1 + phi2 > self.positivity.phi + 1e-12:
-            raise ValueError("phi1 + |arg lambda| exceeds the certified positivity angle")
         for term in self.lower_terms:
             if term.alpha.order >= self.symbol.m or term.alpha.n != self.grid.n:
                 raise ValueError(f"lower-term alpha {list(term.alpha)} needs {self.grid.n} "
@@ -242,11 +238,11 @@ class IterationReport:
     contraction: float
 
 
-def solve_full(prob: EllipticProblem, f: SampledField, tol: float = NEUMANN_TOL,
-               max_iter: int = MAX_ITER, probes: int = 64, seed: int = 0):
+def solve_full(prob: EllipticProblem, f: SampledField, seed: int = 0):
     """Neumann fixed-point solve of the full equation with lower-order terms.
 
-    Iterates u <- principal_solve(f - L_t u); requires the empirical
+    Iterates u <- principal_solve(f - L_t u) until the relative residual is
+    below NEUMANN_TOL, for at most MAX_ITER iterations; requires the empirical
     contraction estimate to be below one, otherwise the spectral parameter is
     too small for the perturbation argument and ContractionFailure is raised.
     Returns (solution, IterationReport).
@@ -256,24 +252,24 @@ def solve_full(prob: EllipticProblem, f: SampledField, tol: float = NEUMANN_TOL,
         u = solve_principal(base, f)
         return u, IterationReport(iterations=1, residuals=[_relative_residual(prob, u, f)],
                                   contraction=0.0)
-    kappa = contraction_estimate(prob, probes=probes, seed=seed)
+    kappa = contraction_estimate(prob, seed=seed)
     if kappa >= 1.0:
         raise ContractionFailure(
             f"contraction estimate {kappa:.3f} >= 1; increase |lambda|")
     nf = lp_lq_norm(f, 2.0)
     u = solve_principal(base, f)
     residuals = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         uvals = u.values[None]
         uspec = prob.grid.fft(uvals)
         lower = u.with_values(_apply_lower(prob, uvals, uspec)[0])
         res = u.with_values(_apply_principal(prob, uvals, uspec)[0] + lower.values) - f
         rel = lp_lq_norm(res, 2.0) / nf if nf > 0 else 0.0
         residuals.append(rel)
-        if rel < tol:
+        if rel < NEUMANN_TOL:
             return u, IterationReport(iterations=it, residuals=residuals, contraction=kappa)
         u = solve_principal(base, f - lower)
-    raise NoConvergence(f"residual {residuals[-1]:.2e} after {max_iter} iterations")
+    raise NoConvergence(f"residual {residuals[-1]:.2e} after {MAX_ITER} iterations")
 
 
 def _relative_residuals(grid: GridSpec, q: float, Ou: np.ndarray, fvals: np.ndarray) -> np.ndarray:
@@ -294,7 +290,7 @@ def graph_norm(prob: EllipticProblem, u: SampledField, p: float = 2.0):
     O_t is the principal operator with lambda = 0.  The ratio is reported as 1
     when both norms vanish.
     """
-    zero_shift = replace(prob, lam=0.0, lower_terms=(), positivity=None)
+    zero_shift = replace(prob, lam=0.0, lower_terms=())
     onorm = lp_lq_norm(apply_operator(zero_shift, u), p)
     hnorm = h_m_pt_norm(u, prob.t, prob.symbol.m, p, A=prob.model.A)
     if onorm == 0 and hnorm == 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NyquistEnergy
-from .symbols import MultiIndex, i_xi_power_factor
+from .symbols import MultiIndex, i_xi_power
 
 NYQUIST_TOL = 1e-10
 
@@ -211,17 +211,18 @@ def _zeroes_nyquist(a: float) -> bool:
 
 def fractional_multiplier(grid: GridSpec, alpha: MultiIndex) -> np.ndarray:
     """(i*xi)^alpha on the frequency lattice, with Nyquist modes zeroed
-    whenever the corresponding order is fractional or an odd integer."""
+    whenever the corresponding order is fractional or an odd integer.
+
+    i_xi_power runs on the open mesh: axis k carries freqs() shaped
+    (1,...,M,...,1), its Nyquist coordinate set to 0 where it is zeroed.
+    """
     freqs = grid.freqs()
-    mult = np.ones(grid.shape, dtype=complex)
-    for ax, a in enumerate(alpha):
-        fac = i_xi_power_factor(freqs, a)
-        if _zeroes_nyquist(a):
-            fac[grid.M // 2] = 0.0
-        shape = [1] * grid.n
-        shape[ax] = grid.M
-        mult = mult * fac.reshape(shape)
-    return mult
+    zeroed = freqs.copy()
+    zeroed[grid.M // 2] = 0.0
+    axes = [(zeroed if _zeroes_nyquist(a) else freqs).reshape((1,) * k + (grid.M,)
+                                                              + (1,) * (grid.n - k - 1))
+            for k, a in enumerate(alpha)]
+    return i_xi_power(axes, alpha)
 
 
 def liouville_derivative(u: SampledField, alpha, check_nyquist: bool = True) -> SampledField:
@@ -311,13 +312,6 @@ def mixed_norm(u: SpaceTimeField, p: float = None, p1: float = None) -> float:
     w[0] *= 0.5
     w[-1] *= 0.5
     return float((np.sum(w * inner**p1)) ** (1.0 / p1))
-
-
-def shift_field(u: SampledField, shifts) -> SampledField:
-    """Cyclic grid translation by integer offsets per axis."""
-    shifts = tuple(int(s) for s in np.atleast_1d(shifts))
-    vals = np.roll(u.values, shifts, axis=tuple(range(u.grid.n)))
-    return u.with_values(vals)
 
 
 def export_columnar(u: SampledField) -> str:

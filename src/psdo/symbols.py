@@ -18,6 +18,8 @@ import numpy as np
 from .errors import AngleSumTooLarge, NonFiniteDerivative, OutOfTable
 
 SYMBOL_KINDS = ("power", "rotated-power", "smoothed-power", "user-table")
+# relative finite-difference step: D^beta is taken with steps FD_STEP (1 + |xi_k|)
+FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -158,33 +160,24 @@ def i_xi_power_factor(xi, alpha_k: float):
     return out
 
 
-def i_xi_power_rows(xi, alpha) -> np.ndarray:
-    """(i*xi)^alpha at each frequency row of xi, shape (..., n) -> (...).
+def i_xi_power(xi, alpha):
+    """(i*xi)^alpha = prod_k (i*xi_k)^alpha_k with the logarithmic branch.
 
-    The axis factors of i_xi_power_factor are multiplied in axis order.  A
-    vanishing coordinate with positive order makes the product zero; alpha = 0
-    gives 1 at every point.
+    xi carries the n coordinates along its first axis: a frequency vector (n,),
+    the transpose (n, S) of S frequency rows, or n arrays that broadcast
+    against each other, such as an open lattice mesh.  alpha is a MultiIndex
+    or a sequence of n orders.  The factors of i_xi_power_factor are
+    multiplied in axis order into the broadcast shape of the coordinates (0-d
+    for one vector); a vanishing coordinate with positive order makes the
+    product zero, and alpha = 0 gives 1 at every point.
     """
-    xi = np.asarray(xi, dtype=float)
-    if isinstance(alpha, MultiIndex):
-        alpha_vec = alpha.components
-    else:
-        alpha_vec = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if xi.shape[-1] != len(alpha_vec):
+    orders = tuple(alpha)
+    if len(xi) != len(orders):
         raise ValueError("xi and alpha must have the same length")
-    out = np.ones(xi.shape[:-1], dtype=complex)
-    for k, ak in enumerate(alpha_vec):
-        out = out * i_xi_power_factor(xi[..., k], float(ak))
+    out = np.ones((), dtype=complex)
+    for xk, ak in zip(xi, orders):
+        out = out * i_xi_power_factor(xk, float(ak))
     return out
-
-
-def i_xi_power(xi, alpha) -> complex:
-    """Product over axes of (i*xi_k)^alpha_k with the logarithmic branch.
-
-    xi is a scalar or a frequency vector; alpha a scalar order, sequence or
-    MultiIndex of matching length (see i_xi_power_rows).
-    """
-    return complex(i_xi_power_rows(np.atleast_1d(np.asarray(xi, dtype=float)), alpha))
 
 
 def eval_symbol(spec: SymbolSpec, t: ScaleParams, xi):
@@ -241,13 +234,14 @@ def _signed_logspace(start: float, stop: float, num: int) -> np.ndarray:
     return np.concatenate([-mags[::-1], mags])
 
 
-def _central_difference(fn, xi, beta, h):
+def _central_difference(fn, xi, beta):
     """Central finite difference D^beta fn (beta in {0,1}^n) at the rows of xi.
 
     fn maps frequency rows (..., n) to values of shape (...) or (..., a, b);
-    h holds the step of each row and axis, shaped like xi.
+    the step along each axis is FD_STEP (1 + |xi_k|).
     """
     xi = np.asarray(xi, dtype=float)
+    h = FD_STEP * (1.0 + np.abs(xi))
     axes = [k for k, b in enumerate(beta) if b]
     if not axes:
         return fn(xi)
@@ -264,8 +258,7 @@ def _central_difference(fn, xi, beta, h):
     return total
 
 
-def check_symbol_class(spec: SymbolSpec, t_grid, xi_grid, betas=None,
-                       fd_scale: float = 1e-4) -> SymbolClassReport:
+def check_symbol_class(spec: SymbolSpec, t_grid, xi_grid) -> SymbolClassReport:
     """Estimate the symbol-class constants C_beta by finite differences.
 
     For each derivative order beta in {0,1}^n the bound reads
@@ -276,18 +269,17 @@ def check_symbol_class(spec: SymbolSpec, t_grid, xi_grid, betas=None,
     """
     xi_grid = np.atleast_2d(np.asarray(xi_grid, dtype=float))
     n = xi_grid.shape[1]
-    if betas is None:
-        betas = [tuple(b) for b in np.ndindex(*([2] * n))]
+    betas = list(np.ndindex(*([2] * n)))
     sector = Sector(spec.phi1)
 
-    constants = {tuple(b): 0.0 for b in betas}
+    constants = {b: 0.0 for b in betas}
     sector_ok = True
     margin = np.inf
     count = 0
     for t in t_grid:
         tvec = np.asarray(t.t)
         for xi in xi_grid:
-            h = fd_scale * (1.0 + np.abs(xi))
+            h = FD_STEP * (1.0 + np.abs(xi))
             count += 1
             val = complex(eval_symbol(spec, t, xi))
             if not sector.contains(val, tol=1e-9):
@@ -299,7 +291,7 @@ def check_symbol_class(spec: SymbolSpec, t_grid, xi_grid, betas=None,
                 order = sum(beta)
                 if any(beta[k] and abs(xi[k]) < 10.0 * h[k] for k in range(n)):
                     continue  # finite differences would straddle xi_k = 0
-                d = complex(_central_difference(lambda x: eval_symbol(spec, t, x), xi, beta, h))
+                d = complex(_central_difference(lambda x: eval_symbol(spec, t, x), xi, beta))
                 if not np.isfinite(d):
                     raise NonFiniteDerivative(
                         f"derivative D^{beta} diverged at xi={xi}, t={t.t}")

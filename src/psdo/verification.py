@@ -52,10 +52,14 @@ from .symbols import (
     _central_difference,
     _signed_logspace,
     eval_symbol,
-    i_xi_power_rows,
+    i_xi_power,
 )
 
 DEFAULT_FLATNESS = {"coercivity": 1.5, "resolvent": 2.0}
+SPAN = 4.0           # adapted grids reach SPAN times the saturation frequency
+DECADES_BELOW = 4.0  # adapted frequency samples start this many decades below it
+RESTARTS = 2         # seeded random starts per searched R-bound tuple
+PROBE_CLOUD = 512    # random points probe_norm scores before its search
 
 # Failures that mark one sweep point failed; anything else is a bug and propagates.
 POINT_ERRORS = (PsdoError, np.linalg.LinAlgError, ValueError, ZeroDivisionError,
@@ -135,11 +139,8 @@ class ProblemTemplate:
     symbol: SymbolSpec
     grid: GridSpec
     p: float = 2.0
-    index_set: tuple = None
 
     def indices(self):
-        if self.index_set is not None:
-            return list(self.index_set)
         return coercive_index_set(self.grid.n, self.symbol.m)
 
 
@@ -150,7 +151,7 @@ def _derivative_weight(t: ScaleParams, lam: complex, m: float, alpha: MultiIndex
 
 def _symbol_weights(xi: np.ndarray, index_set, t: ScaleParams, lam: complex, m: float):
     """t(alpha) |lam|^(1-|alpha|/m) |(i xi)^alpha| over the rows of xi, one array per alpha."""
-    return [_derivative_weight(t, lam, m, alpha) * np.abs(i_xi_power_rows(xi, alpha))
+    return [_derivative_weight(t, lam, m, alpha) * np.abs(i_xi_power(xi.T, alpha))
             for alpha in index_set]
 
 
@@ -174,17 +175,15 @@ def _coercive_ratios(grid: GridSpec, q: float, uvals: np.ndarray, uspec: np.ndar
 
 
 def coercive_ratio(u: SampledField, f: SampledField, model: OperatorModel,
-                   t: ScaleParams, lam: complex, m: float, p: float = 2.0,
-                   index_set=None) -> float:
-    """[sum_alpha t(alpha) |lam|^(1-|alpha|/m) ||D^alpha u|| + ||A u||] / ||f||.
+                   t: ScaleParams, lam: complex, m: float, p: float = 2.0) -> float:
+    """[sum_alpha t(alpha) |lam|^(1-|alpha|/m) ||D^alpha u|| + ||A u||] / ||f||
+    over the coercive index set.
 
     Both fields are measured with the l_q norm of u.
     """
-    if index_set is None:
-        index_set = coercive_index_set(u.grid.n, m)
     uvals = u.values[None]
     return float(_coercive_ratios(u.grid, u.q, uvals, u.grid.fft(uvals), f.values[None], model,
-                                  t, lam, m, p, index_set)[0])
+                                  t, lam, m, p, coercive_index_set(u.grid.n, m))[0])
 
 
 def _worst_mode_data(prob: EllipticProblem, index_set, shifts: np.ndarray) -> SampledField:
@@ -256,23 +255,21 @@ def _saturation_frequency(lam: complex, t: ScaleParams, m: float) -> float:
     return max((r / tk) ** (1.0 / m) for tk in t.t)
 
 
-def _adapted_grid(grid: GridSpec, lam: complex, t: ScaleParams, m: float,
-                  span: float = 4.0) -> GridSpec:
-    """Rescale the box so the lattice reaches `span` times the peak frequency."""
+def _adapted_grid(grid: GridSpec, lam: complex, t: ScaleParams, m: float) -> GridSpec:
+    """Rescale the box so the lattice reaches SPAN times the peak frequency."""
     xi_star = _saturation_frequency(lam, t, m)
-    L = math.pi * grid.M / (span * xi_star)
+    L = math.pi * grid.M / (SPAN * xi_star)
     return GridSpec(n=grid.n, M=grid.M, L=L)
 
 
 def coercivity_sweep(template: ProblemTemplate, sweep: SectorSweep,
                      data_count: int = 8, seed: int = 0, flatness_threshold: float = None,
-                     max_ratio_threshold: float = None,
-                     adapt_grid: bool = True) -> VerificationReport:
+                     max_ratio_threshold: float = None) -> VerificationReport:
     """Solve and measure the coercive ratio at every (lambda, t) sweep point.
 
-    With adapt_grid the box length is rescaled per point so that the lattice
-    resolves the saturation frequency (|lam| / t_k)^(1/m); data fields are
-    generated on the adapted grid.
+    The box length is rescaled per point so that the lattice resolves the
+    saturation frequency (|lam| / t_k)^(1/m); data fields are generated on
+    the adapted grid.
     """
     index_set = template.indices()
     flat = DEFAULT_FLATNESS["coercivity"] if flatness_threshold is None else flatness_threshold
@@ -281,7 +278,7 @@ def coercivity_sweep(template: ProblemTemplate, sweep: SectorSweep,
 
     def evaluate(idx, lam, t):
         rng = np.random.default_rng((seed, idx))
-        grid = _adapted_grid(template.grid, lam, t, m) if adapt_grid else template.grid
+        grid = _adapted_grid(template.grid, lam, t, m)
         prob = EllipticProblem(model=model, symbol=template.symbol, t=t, lam=lam, grid=grid)
         shifts = _mode_shifts(prob)
         fields = _sweep_data(prob, index_set, shifts, data_count, rng)
@@ -301,10 +298,10 @@ def coercivity_sweep(template: ProblemTemplate, sweep: SectorSweep,
 
 
 def _adapted_xi_samples(lam: complex, t: ScaleParams, m: float, n: int,
-                        per_axis: int = 33, decades_below: float = 4.0) -> np.ndarray:
+                        per_axis: int = 33) -> np.ndarray:
     """Signed log-spaced frequencies reaching past the saturation scale."""
     xi_star = _saturation_frequency(lam, t, m)
-    vals = _signed_logspace(math.log10(xi_star) - decades_below,
+    vals = _signed_logspace(math.log10(xi_star) - DECADES_BELOW,
                             math.log10(xi_star) + 1.0, per_axis)
     if n == 1:
         return vals[:, None]
@@ -359,23 +356,14 @@ def resolvent_sweep(template: ProblemTemplate, sweep: SectorSweep,
 
 
 @functools.lru_cache(maxsize=8)  # bounded: the matrix for m = 20 takes 320 MiB
-def _enumerated_signs(m: int) -> np.ndarray:
-    """All 2^m sign patterns as a read-only complex (2^m, m) matrix."""
+def _sign_patterns(m: int) -> np.ndarray:
+    """All 2^m sign patterns as a shared, read-only complex (2^m, m) matrix."""
+    if m > 20:
+        raise TooManyForEnumeration(f"2^{m} sign patterns is too many to enumerate")
     bits = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
     signs = (2 * bits - 1).astype(complex)
     signs.flags.writeable = False
     return signs
-
-
-def _sign_patterns(m: int, mode: str, trials: int, seed: int) -> np.ndarray:
-    """Complex (P, m) sign-pattern matrix: every pattern ("enumerate", shared
-    and read-only) or `trials` seeded random draws ("montecarlo")."""
-    if mode == "enumerate":
-        if m > 20:
-            raise TooManyForEnumeration(f"2^{m} sign patterns is too many to enumerate")
-        return _enumerated_signs(m)
-    rng = np.random.default_rng(seed)
-    return rng.choice([-1, 1], size=(trials, m)).astype(complex)
 
 
 # Largest signed-sum array one kernel call builds, in complex entries (256 KB):
@@ -401,13 +389,13 @@ def _rademacher_terms(signs: np.ndarray, Tu: np.ndarray, us: np.ndarray, q: floa
     return num, den
 
 
-def rademacher_average(operators, vectors, q: float = 2.0, mode: str = "enumerate",
-                       trials: int = 4096, seed: int = 0):
-    """Averaged randomized-sign norms (numerator with operators applied,
-    denominator without): the building block of R-bound estimation."""
+def rademacher_average(operators, vectors, q: float = 2.0):
+    """Averaged randomized-sign norms over every sign pattern (numerator with
+    operators applied, denominator without): the building block of R-bound
+    estimation."""
     if len(operators) != len(vectors) or not operators:
         raise ValueError("need equally many operators and vectors, at least one")
-    signs = _sign_patterns(len(operators), mode, trials, seed)
+    signs = _sign_patterns(len(operators))
     us = np.stack([np.atleast_1d(np.asarray(u, dtype=complex)) for u in vectors])
     Tu = np.stack([np.atleast_2d(np.asarray(T, dtype=complex)) @ u
                    for T, u in zip(operators, us)])
@@ -473,7 +461,7 @@ def _search(stack: np.ndarray, q: float, starts, cloud: np.ndarray, keep: int) -
     below 1 % of the largest vanish, on which the ratio is smooth.
     """
     m, N = len(stack), stack.shape[-1]
-    signs = _sign_patterns(m, "enumerate", 0, 0)
+    signs = _sign_patterns(m)
 
     def climb(basis, x, ftol):
         """(ratio, x) after L-BFGS-B over y, x = basis @ y: the m slots of x
@@ -500,7 +488,7 @@ def _search(stack: np.ndarray, q: float, starts, cloud: np.ndarray, keep: int) -
     return best
 
 
-def _maximize_tuple(stack: np.ndarray, q: float, seed: int, restarts: int) -> float:
+def _maximize_tuple(stack: np.ndarray, q: float, seed: int) -> float:
     """Best Rademacher ratio over probe vectors for a fixed operator tuple, a
     stack (m, N, N).  Deterministic given (stack, q, seed) and independent of
     any enclosing family, so enlarging a family can only enlarge the estimate.
@@ -510,15 +498,15 @@ def _maximize_tuple(stack: np.ndarray, q: float, seed: int, restarts: int) -> fl
     # each slot seeded with its operator's leading right singular vector
     v = np.linalg.svd(stack)[2][:, 0].conj()
     starts = [np.stack([v.real, v.imag], axis=1).ravel()]
-    starts += list(rng.standard_normal((restarts, m * 2 * N)))
+    starts += list(rng.standard_normal((RESTARTS, m * 2 * N)))
     return _search(stack, q, starts, rng.standard_normal((64, m * 2 * N)), keep=8)
 
 
-def probe_norm(T, q: float = 2.0, seed: int = 1234, probes: int = 512) -> float:
+def probe_norm(T, q: float = 2.0, seed: int = 1234) -> float:
     """Probe-maximized l_q -> l_q operator norm: the one-member Rademacher
     ratio, since mean(||+-T u||) = ||T u||, searched from a random cloud."""
     T = np.atleast_2d(np.asarray(T, dtype=complex))
-    cloud = np.random.default_rng(seed).standard_normal((probes, 2 * T.shape[1]))
+    cloud = np.random.default_rng(seed).standard_normal((PROBE_CLOUD, 2 * T.shape[1]))
     return _search(T[None], q, [], cloud, keep=4)
 
 
@@ -541,8 +529,8 @@ def _mixed_tuples(k: int, size: int, budget: int) -> list:
                         combinations_with_replacement(range(last + 1), size - 1)), budget))
 
 
-def estimate_rbound(family, q: float = 2.0, tuple_size: int = 3, restarts: int = 2,
-                    seed: int = 0, budget: int = 48) -> RBoundEstimate:
+def estimate_rbound(family, q: float = 2.0, tuple_size: int = 3, seed: int = 0,
+                    budget: int = 48) -> RBoundEstimate:
     """Maximize the Rademacher ratio over operator tuples drawn from the family.
 
     The result is a lower bound on the family R-bound.  The candidate set is
@@ -575,7 +563,7 @@ def estimate_rbound(family, q: float = 2.0, tuple_size: int = 3, restarts: int =
         if q in (1, 2, np.inf) and len(set(key)) == 1:
             val = float(norms[key[0]])
         else:
-            val = _maximize_tuple(members[list(tup)], q, seed, restarts=restarts)
+            val = _maximize_tuple(members[list(tup)], q, seed)
         if val > best_val:
             best_val, best_tup = val, tup
     upper = math.sqrt(2.0) * float(norms.max()) if q == 2 else None
@@ -609,7 +597,7 @@ def _kahane_checks(scalars, vectors, q: float) -> list:
     us = np.asarray(vectors, dtype=complex)
     if us.shape[:-1] != scalars.shape:
         raise ValueError("need one vector per scalar")
-    signs = _sign_patterns(scalars.shape[-1], "enumerate", 0, 0)
+    signs = _sign_patterns(scalars.shape[-1])
     num, den = _rademacher_terms(signs, scalars[:, :, None] * us, us, q)
     constants = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     scales = np.hypot(scalars.real, scalars.imag).max(axis=-1)  # as abs(complex(a))
@@ -656,18 +644,18 @@ def sigma_matrix(model, symbol, t, lam, xi) -> np.ndarray:
     return model.A @ _B_matrix(model, symbol, t, lam, xi)
 
 
-def fd_sigma_matrix(model, symbol, t, lam, xi, beta, fd_scale: float = 1e-4) -> np.ndarray:
+def fd_sigma_matrix(model, symbol, t, lam, xi, beta) -> np.ndarray:
     """|xi|^{|beta|} times the central finite difference Delta^beta of sigma;
     a stack over the rows of a 2-D xi."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     total = _central_difference(lambda rows: sigma_matrix(model, symbol, t, lam, rows),
-                                xi, beta, fd_scale * (1.0 + np.abs(xi)))
+                                xi, beta)
     scale = np.linalg.norm(xi, axis=-1) ** sum(1 for b in beta if b)
     return scale[..., None, None] * total
 
 
 def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: SectorSweep,
-                            xi_samples=None, dims: int = 1, index_set=None, betas=None,
+                            xi_samples=None, dims: int = 1,
                             rbound_subsample: int = 8, tuple_size: int = 3,
                             seed: int = 0, flatness_threshold: float = None,
                             sigma_sup_threshold: float = None) -> VerificationReport:
@@ -675,13 +663,13 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
     lower estimates for each family from a subsample of its members.
 
     When xi_samples is None the frequencies are re-sampled per sweep point,
-    log-spaced through the saturation scale (|lam| / t_k)^(1/m)."""
+    log-spaced through the saturation scale (|lam| / t_k)^(1/m).  The
+    families are sigma_alpha for every positive order of the coercive index
+    set, and the finite differences of sigma for every beta in {0,1}^n but 0."""
     fixed = None if xi_samples is None else np.atleast_2d(np.asarray(xi_samples, dtype=float))
     n = dims if fixed is None else fixed.shape[1]
-    if index_set is None:
-        index_set = [a for a in coercive_index_set(n, symbol.m) if a.order > 0]
-    if betas is None:
-        betas = [tuple(b) for b in np.ndindex(*([2] * n)) if sum(b) > 0]
+    index_set = [a for a in coercive_index_set(n, symbol.m) if a.order > 0]
+    betas = [b for b in np.ndindex(*([2] * n)) if sum(b) > 0]
     points = sweep.points()
     alpha_keys = [tuple(a.components) for a in index_set]
 
@@ -697,7 +685,7 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
         sig = sup_norm(model.A @ B)
         # sigma_alpha = t(alpha) |lam|^(1-|alpha|/m) (i xi)^alpha B, from the same B
         sig_alpha = {str(key): sup_norm((_derivative_weight(t, lam, symbol.m, a)
-                                         * i_xi_power_rows(xi, a))[:, None, None] * B)
+                                         * i_xi_power(xi.T, a))[:, None, None] * B)
                      for a, key in zip(index_set, alpha_keys)}
         fd = {str(b): sup_norm(fd_sigma_matrix(model, symbol, t, lam, xi, b))
               for b in betas}

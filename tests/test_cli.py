@@ -244,18 +244,38 @@ def test_small_elliptic_cfg_passes(tmp_path):
     ["lower_terms=[{\"alpha\": [1.0, 0.0], \"coefficient\": 0.5}]"],
     ["lambda=-1.0"],
     ['t={"t": [1.0, 1.0]}'],
+    ['data={"kind": "gaussian", "xi0": [1.0]}'],
+    ['data={"kind": "gaussian", "fraction": 0.5}'],
+    ['data={"kind": "mode", "width": 0.1}'],
+    ['data={"kind": "mode", "fraction": 0.5}'],
+    ['data={"kind": "random", "width": 0.1}'],
+    ['data={"kind": "random", "vector": [1.0, 1.0]}'],
+    ['data={"kind": "random", "xi0": [1.0]}'],
+    ['data={"kind": "nonsense"}'],
 ], ids=["vector-length", "vector-type", "coefficient-shape", "order-m", "alpha-dimension",
-        "angle", "t-dimension"])
+        "angle", "t-dimension", "gaussian-xi0", "gaussian-fraction", "mode-width",
+        "mode-fraction", "random-width", "random-vector", "random-xi0", "data-kind"])
 def test_solve_elliptic_bad_value_is_config_error(tmp_path, capsys, sets):
     assert run_with_sets(tmp_path, "solve-elliptic", small_elliptic_cfg(), sets) == 2
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("data", [{"kind": "gaussian", "width": 0.5, "vector": [1.0, 2.0]},
+                                  {"kind": "mode", "xi0": [2.0], "vector": [1.0, 2.0]},
+                                  {"kind": "random", "fraction": 0.5}],
+                         ids=["gaussian", "mode", "random"])
+def test_data_kind_accepts_the_keys_it_reads(tmp_path, data):
+    assert run_with_sets(tmp_path, "solve-elliptic", {**small_elliptic_cfg(), "data": data},
+                         []) == 0
+
+
 @pytest.mark.parametrize("sets", [["steps=0"], ["steps=-3"], ["horizon=-1"], ["horizon=0"],
-                                  ["forcing.vector=[1.0, 1.0]"]],
+                                  ["forcing.vector=[1.0, 1.0]"], ["forcing.kind=nonsense"],
+                                  ["forcing.time_profile=ramp", "forcing.omega=0.5"],
+                                  ["forcing.time_profile=constant", "forcing.omega=0.5"]],
                          ids=["steps-0", "steps-negative", "horizon-negative", "horizon-0",
-                              "vector-length"])
+                              "vector-length", "forcing-kind", "omega-ramp", "omega-constant"])
 def test_solve_parabolic_bad_value_is_config_error(tmp_path, capsys, sets):
     cfg = json.loads((SCENARIOS / "parabolic-reference.json").read_text())
     assert run_with_sets(tmp_path, "solve-parabolic", cfg, sets) == 2
@@ -300,6 +320,29 @@ def test_key_the_task_does_not_read_is_config_error(tmp_path, capsys, task, key)
     assert run_with_sets(tmp_path, task, cfg, [key]) == 2
     assert "unknown keys" in capsys.readouterr().err
     assert run_with_sets(tmp_path, task, cfg, []) != 2  # the config without it is valid
+
+
+@pytest.mark.parametrize("task, cfg", [
+    ("estimate-rbound", {"family": {"kind": "nonsense", "members": [[[1.0]]]}}),
+    ("estimate-rbound", {"family": {"kind": "lambda-resolvent", "model": {"kind": "scalar"}}}),
+    ("estimate-rbound", {"family": {"kind": "lambda-resolvent", "lambdas": [1.0, 10.0]}}),
+    ("estimate-rbound", {"family": {"kind": "matrices"}}),
+    ("estimate-rbound", {"family": {"kind": "matrices", "members": []}}),
+    ("estimate-rbound", {"family": {"kind": "matrices",
+                                    "members": [[[1.0]], [[1.0, 0.0], [0.0, 1.0]]]}}),
+    ("estimate-rbound", {"family": {"kind": "matrices", "members": [[[1.0, 0.0], [1.0]]]}}),
+    ("estimate-rbound", {"family": {"kind": "matrices", "members": [[[1.0]]],
+                                    "lambdas": [1.0]}}),
+    ("check-kahane", {"scalars": [0.5, -1.0]}),
+    ("check-kahane", {"vectors": [[1.0], [2.0]], "random": {"count": 2}}),
+    ("check-kahane", {"scalars": [0.5, -1.0], "vectors": [[1.0, 0.0]]}),
+], ids=["family-kind", "resolvent-no-lambdas", "resolvent-no-model", "matrices-no-members", "no-members",
+        "mixed-shapes", "ragged-member", "matrices-lambdas", "scalars-only", "vectors-only",
+        "unequal-lengths"])
+def test_malformed_family_or_instance_is_config_error(tmp_path, capsys, task, cfg):
+    assert run_with_sets(tmp_path, task, {"task": task, **cfg}, []) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("n_rays", [0, -1])

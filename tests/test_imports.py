@@ -1,8 +1,9 @@
 """Import hygiene: every module of the package (the re-exporting __init__.py
 aside) uses each name it imports, only operators.py makes spectral
 decisions about A (dense inverses, solves and eigendecompositions, and the
-eigenbasis condition limit KAPPA_LIMIT), and only GridSpec.fft/ifft in
-spaces.py transform sampled fields."""
+eigenbasis condition limit KAPPA_LIMIT), only GridSpec.fft/ifft in
+spaces.py transform sampled fields, and only symbols.py names the axis factor
+of (i xi)^alpha, so i_xi_power stays its one product."""
 
 import ast
 from pathlib import Path
@@ -117,3 +118,25 @@ def test_grid_spec_owns_the_transforms():
     names = np_fft_names((PACKAGE / "spaces.py").read_text())
     transforms = [(scope, name) for scope, name in names if name != "fftfreq"]
     assert transforms == [("GridSpec.fft", "fftn"), ("GridSpec.ifft", "ifftn")]
+
+
+def axis_factor_names(source: str) -> list:
+    """Line numbers of every import, name, attribute or definition called
+    i_xi_power_factor."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if "i_xi_power_factor" in (getattr(node, "id", None),
+                                             getattr(node, "attr", None),
+                                             getattr(node, "name", None)))
+
+
+def test_axis_factor_use_is_detected():
+    source = ("from .symbols import i_xi_power_factor as f\nimport psdo.symbols as s\n"
+              "y = s.i_xi_power_factor(x, 1.0)\ndef i_xi_power_factor(x, a):\n"
+              "    return x\nz = i_xi_power(x, a) + i_xi_power_factor\n")
+    assert axis_factor_names(source) == [1, 3, 4, 6]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "symbols.py"],
+                         ids=lambda p: p.name)
+def test_only_symbols_names_the_axis_factor(path):
+    assert axis_factor_names(path.read_text()) == []

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,12 @@ from psdo import (
     constant_field,
     gaussian_field,
     h_m_pt_norm,
+    i_xi_power,
     liouville_derivative,
     lp_lq_norm,
     mixed_norm,
     mode_field,
     random_band_limited_field,
-    shift_field,
     vector_norms,
 )
 from psdo.spaces import export_columnar, fractional_multiplier
@@ -102,6 +104,22 @@ def test_fractional_multiplier_zeroes_nyquist():
     assert fractional_multiplier(g, MultiIndex((2.0,)))[4] != 0.0
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_fractional_multiplier_is_i_xi_power_on_the_lattice(n):
+    # oracle: i_xi_power on every frequency_mesh() row, each Nyquist coordinate
+    # set to 0 on the axes of fractional or odd order, bit for bit
+    g = GridSpec(n=n, M=8, L=3.0)
+    rows = g.frequency_mesh().reshape(-1, n)
+    nyquist = rows == g.freqs()[g.M // 2]
+    for alpha in itertools.product([0.0, 0.5, 1.0, 1.5, 2.0], repeat=n):
+        zeroed = np.where(nyquist & np.isin(alpha, [0.5, 1.0, 1.5]), 0.0, rows)
+        stacked = i_xi_power(zeroed.T, MultiIndex(alpha))
+        per_row = np.array([i_xi_power(xi, MultiIndex(alpha)) for xi in zeroed])
+        np.testing.assert_array_equal(per_row, stacked)
+        np.testing.assert_array_equal(fractional_multiplier(g, MultiIndex(alpha)),
+                                      stacked.reshape(g.shape))
+
+
 def test_vector_norms_exponents():
     v = np.array([[3.0, -4.0]])
     assert vector_norms(v, 2)[0] == pytest.approx(5.0)
@@ -158,13 +176,6 @@ def test_space_time_field_slices():
     assert u.J == 3
     assert u.dy == pytest.approx(1.0 / 3.0)
     assert np.all(u.slice(2).values[:, 1] == 1.0)
-
-
-def test_shift_preserves_norm():
-    g = GridSpec(n=1, M=16, L=2.0)
-    rng = np.random.default_rng(2)
-    u = random_band_limited_field(g, 1, rng)
-    assert lp_lq_norm(shift_field(u, 5), 2.0) == pytest.approx(lp_lq_norm(u, 2.0))
 
 
 def test_gaussian_field_peak():

@@ -82,15 +82,6 @@ def test_rademacher_average_orthogonal_cancellation():
     assert den == pytest.approx(np.sqrt(2.0))
 
 
-def test_rademacher_montecarlo_close_to_enumerate():
-    rng = np.random.default_rng(0)
-    ops = [rng.standard_normal((3, 3)) for _ in range(4)]
-    us = [rng.standard_normal(3) for _ in range(4)]
-    n1, d1 = rademacher_average(ops, us, mode="enumerate")
-    n2, d2 = rademacher_average(ops, us, mode="montecarlo", trials=20_000, seed=1)
-    assert n1 / d1 == pytest.approx(n2 / d2, rel=0.05)
-
-
 def test_rademacher_enumeration_cap():
     ops = [np.eye(1)] * 21
     us = [np.ones(1)] * 21
@@ -151,7 +142,7 @@ def test_estimate_rbound_monotone_under_inclusion():
 def test_ratio_objective_matches_rademacher_average(q, m, N):
     rng = np.random.default_rng(10 * m + N)
     stack = rng.standard_normal((m, N, N)) + 1j * rng.standard_normal((m, N, N))
-    signs = _sign_patterns(m, "enumerate", 0, 0)
+    signs = _sign_patterns(m)
     cloud = rng.standard_normal((5, 2 * m * N))
     batched = _ratio_objective(stack, signs, q, cloud)
     for x, value in zip(cloud, batched):
@@ -167,7 +158,7 @@ def test_ratio_objective_matches_rademacher_average(q, m, N):
 def test_ratio_and_grad_matches_central_differences(q, m, N):
     rng = np.random.default_rng(7 * m + N)
     stack = rng.standard_normal((m, N, N)) + 1j * rng.standard_normal((m, N, N))
-    signs = _sign_patterns(m, "enumerate", 0, 0)
+    signs = _sign_patterns(m)
     x = rng.standard_normal(2 * m * N)
     ratio, grad = _ratio_and_grad(stack, signs, q, x)
     assert ratio == pytest.approx(_ratio_objective(stack, signs, q, x), rel=1e-14)
@@ -272,8 +263,8 @@ def test_batched_kahane_matches_per_instance_reference(q, complex_scalars, N):
 
 
 def test_enumerated_sign_patterns_are_shared_and_read_only():
-    signs = _sign_patterns(3, "enumerate", 0, 0)
-    assert signs is _sign_patterns(3, "enumerate", 0, 0)
+    signs = _sign_patterns(3)
+    assert signs is _sign_patterns(3)
     assert signs.dtype == complex and signs.shape == (8, 3)
     with pytest.raises(ValueError):
         signs[0, 0] = 1.0
