@@ -48,6 +48,7 @@ from .spaces import (
     lp_lq_norm,
     mixed_norm,
     mode_field,
+    product_mesh,
     random_band_limited_field,
 )
 from .sweep import SectorSweep, default_sweep
@@ -140,6 +141,14 @@ def _expect_kind(cfg: dict, where: str, kinds: dict) -> str:
     return kind
 
 
+def _positive_int(cfg: dict, key: str, where: str, default=None) -> int:
+    """cfg[key] (or the default when absent), which must be an integer >= 1."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{where}.{key} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _parse_grid(cfg: dict) -> GridSpec:
     _expect_keys(cfg, "grid", required=("n", "M", "L"))
     try:
@@ -156,13 +165,13 @@ def _parse_symbol(cfg: dict):
 
 
 def _parse_scale(cfg, n: int) -> ScaleParams:
-    if isinstance(cfg, (int, float)):
-        return ScaleParams.isotropic(float(cfg), n)
-    _expect_keys(cfg, "t", required=("t",), optional=("t0",))
-    vals = cfg["t"]
-    if isinstance(vals, (int, float)):
-        vals = [vals] * n
     try:
+        if isinstance(cfg, (int, float)):
+            return ScaleParams.isotropic(float(cfg), n)
+        _expect_keys(cfg, "t", required=("t",), optional=("t0",))
+        vals = cfg["t"]
+        if isinstance(vals, (int, float)):
+            vals = [vals] * n
         return ScaleParams(tuple(float(v) for v in vals),
                            t0=float(cfg.get("t0", max(1.0, max(vals)))))
     except (TypeError, ValueError) as exc:
@@ -497,6 +506,9 @@ def _task_estimate_rbound(cfg, seed):
     q = float(cfg.get("q", 2.0))
     if _expect_kind(fam_cfg, "family", FAMILY_KINDS) == "lambda-resolvent":
         model = _parse_model(fam_cfg["model"])
+        if not isinstance(fam_cfg["lambdas"], list) or not fam_cfg["lambdas"]:
+            raise ConfigError(f"family.lambdas must be a non-empty list, "
+                              f"got {fam_cfg['lambdas']!r}")
         lambdas = [_parse_complex(v) for v in fam_cfg["lambdas"]]
         members = lambda_resolvent_family(model, lambdas).members
     else:
@@ -549,9 +561,9 @@ def _task_check_kahane(cfg, seed):
         rcfg = cfg["random"]
         _expect_keys(rcfg, "random", required=("count",), optional=("m", "N"))
         rng = np.random.default_rng(seed)
-        m = int(rcfg.get("m", 6))
-        N = int(rcfg.get("N", 4))
-        count = int(rcfg["count"])
+        m = _positive_int(rcfg, "m", "random", 6)
+        N = _positive_int(rcfg, "N", "random", 4)
+        count = _positive_int(rcfg, "count", "random")
         scal = np.empty((count, m))
         vecs = np.empty((count, m, N), dtype=complex)
         for k in range(count):
@@ -577,13 +589,20 @@ def _task_check_symbol(cfg, seed):
     _expect_keys(cfg, "config", required=("symbol", "t_values", "xi"),
                  optional=("task", "n", "seed"))
     symbol = _parse_symbol(cfg["symbol"])
-    n = int(cfg.get("n", 1))
+    n = _positive_int(cfg, "n", "config", 1)
+    if not isinstance(cfg["t_values"], list) or not cfg["t_values"]:
+        raise ConfigError(f"t_values must be a non-empty list, got {cfg['t_values']!r}")
     t_grid = [_parse_scale(v, n) for v in cfg["t_values"]]
     xcfg = cfg["xi"]
     _expect_keys(xcfg, "xi", required=("lo", "hi", "count"))
-    vals = _signed_logspace(math.log10(float(xcfg["lo"])), math.log10(float(xcfg["hi"])),
-                            int(xcfg["count"]))
-    xi_grid = np.stack(np.meshgrid(*([vals] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    try:
+        lo, hi = float(xcfg["lo"]), float(xcfg["hi"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"xi: {exc}") from exc
+    if not (math.isfinite(hi) and 0 < lo <= hi):
+        raise ConfigError(f"xi needs finite 0 < lo <= hi, got lo {lo}, hi {hi}")
+    vals = _signed_logspace(math.log10(lo), math.log10(hi), _positive_int(xcfg, "count", "xi"))
+    xi_grid = product_mesh([vals] * n).reshape(-1, n)
     rep = check_symbol_class(symbol, t_grid, xi_grid)
     verdict = "pass" if rep.verdict else "fail"
     result = {

@@ -18,6 +18,12 @@ from .symbols import MultiIndex, i_xi_power
 NYQUIST_TOL = 1e-10
 
 
+def product_mesh(axes) -> np.ndarray:
+    """Every tuple of coordinates from the 1-D arrays `axes`, shape
+    (len(a) for a in axes) + (len(axes),), the first axis varying slowest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid on [-L/2, L/2)^n with M points per axis (M even)."""
@@ -49,9 +55,7 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         """Grid coordinates, shape (M,)*n + (n,)."""
-        axes = [self.axis_points()] * self.n
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        return product_mesh([self.axis_points()] * self.n)
 
     def freqs(self) -> np.ndarray:
         """Per-axis frequencies 2*pi*k/L in FFT order (Nyquist at index M/2)."""
@@ -59,9 +63,7 @@ class GridSpec:
 
     def frequency_mesh(self) -> np.ndarray:
         """Frequency vectors in FFT order, shape (M,)*n + (n,)."""
-        axes = [self.freqs()] * self.n
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        return product_mesh([self.freqs()] * self.n)
 
     def fft(self, values: np.ndarray) -> np.ndarray:
         """Unitary DFT over the grid axes of a (..., *shape, N) array, in FFT order."""
@@ -144,10 +146,6 @@ class SpaceTimeField:
     @property
     def dy(self) -> float:
         return self.Y / self.J
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.Y, self.J + 1)
 
     @property
     def N(self) -> int:

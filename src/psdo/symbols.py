@@ -9,7 +9,6 @@ sector sum constant |lam + nu| >= C (|lam| + |nu|).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -61,11 +60,10 @@ class Sector:
         if not 0.0 <= self.angle < math.pi:
             raise ValueError(f"sector angle must lie in [0, pi), got {self.angle}")
 
-    def contains(self, z: complex, tol: float = 1e-12) -> bool:
-        z = complex(z)
-        if abs(z) <= tol:
-            return True
-        return abs(cmath.phase(z)) <= self.angle + tol
+    def contains(self, z, tol: float = 1e-12):
+        """Whether z lies in the sector; elementwise for an array of values."""
+        z = np.asarray(z, dtype=complex)
+        return (np.abs(z) <= tol) | (np.abs(np.angle(z)) <= self.angle + tol)
 
 
 @dataclass(frozen=True)
@@ -234,14 +232,19 @@ def _signed_logspace(start: float, stop: float, num: int) -> np.ndarray:
     return np.concatenate([-mags[::-1], mags])
 
 
+def _fd_steps(xi):
+    """Finite-difference step FD_STEP (1 + |xi_k|) at every coordinate of xi."""
+    return FD_STEP * (1.0 + np.abs(xi))
+
+
 def _central_difference(fn, xi, beta):
     """Central finite difference D^beta fn (beta in {0,1}^n) at the rows of xi.
 
     fn maps frequency rows (..., n) to values of shape (...) or (..., a, b);
-    the step along each axis is FD_STEP (1 + |xi_k|).
+    the step along each axis is _fd_steps(xi).
     """
     xi = np.asarray(xi, dtype=float)
-    h = FD_STEP * (1.0 + np.abs(xi))
+    h = _fd_steps(xi)
     axes = [k for k, b in enumerate(beta) if b]
     if not axes:
         return fn(xi)
@@ -265,47 +268,40 @@ def check_symbol_class(spec: SymbolSpec, t_grid, xi_grid) -> SymbolClassReport:
     |D^beta P_t(xi)| <= C_beta [1 + (sum_k t_k^(2/(m-|beta|)) xi_k^2)^(1/2)]^(m-|beta|);
     the report carries the smallest C_beta valid over every sampled (t, xi),
     sector membership of every value, and the lower-bound margin against
-    gamma * sum_k t_k |xi_k|^m.
+    gamma * sum_k t_k |xi_k|^m.  Each t takes all xi rows at once; D^beta
+    skips the rows whose stencil would straddle xi_k = 0 on a differenced axis.
     """
     xi_grid = np.atleast_2d(np.asarray(xi_grid, dtype=float))
     n = xi_grid.shape[1]
     betas = list(np.ndindex(*([2] * n)))
+    straddles = np.abs(xi_grid) < 10.0 * _fd_steps(xi_grid)
     sector = Sector(spec.phi1)
 
     constants = {b: 0.0 for b in betas}
     sector_ok = True
     margin = np.inf
-    count = 0
     for t in t_grid:
         tvec = np.asarray(t.t)
-        for xi in xi_grid:
-            h = FD_STEP * (1.0 + np.abs(xi))
-            count += 1
-            val = complex(eval_symbol(spec, t, xi))
-            if not sector.contains(val, tol=1e-9):
-                sector_ok = False
-            denom = spec.gamma * float(np.sum(tvec * np.abs(xi) ** spec.m))
-            if denom > 0:
-                margin = min(margin, abs(val) / denom)
-            for beta in betas:
-                order = sum(beta)
-                if any(beta[k] and abs(xi[k]) < 10.0 * h[k] for k in range(n)):
-                    continue  # finite differences would straddle xi_k = 0
-                d = complex(_central_difference(lambda x: eval_symbol(spec, t, x), xi, beta))
-                if not np.isfinite(d):
-                    raise NonFiniteDerivative(
-                        f"derivative D^{beta} diverged at xi={xi}, t={t.t}")
-                e = spec.m - order
-                if e > 0:
-                    bracket = (1.0 + math.sqrt(
-                        float(np.sum(tvec ** (2.0 / e) * xi**2)))) ** e
-                else:
-                    bracket = 1.0
-                constants[beta] = max(constants[beta], abs(d) / bracket)
+        vals = np.asarray(eval_symbol(spec, t, xi_grid), dtype=complex)
+        sector_ok = sector_ok and bool(sector.contains(vals, tol=1e-9).all())
+        denom = spec.gamma * np.sum(tvec * np.abs(xi_grid) ** spec.m, axis=-1)
+        if np.any(denom > 0):
+            margin = min(margin, float((np.abs(vals[denom > 0]) / denom[denom > 0]).min()))
+        for beta in betas:
+            xi = xi_grid[~straddles[:, np.array(beta, dtype=bool)].any(axis=1)]
+            d = np.asarray(_central_difference(lambda x: eval_symbol(spec, t, x), xi, beta))
+            if not np.all(np.isfinite(d)):
+                raise NonFiniteDerivative(f"derivative D^{beta} diverged at "
+                                          f"xi={xi[~np.isfinite(d)][0]}, t={t.t}")
+            e = spec.m - sum(beta)
+            bracket = (1.0 + np.sqrt(np.sum(tvec ** (2.0 / e) * xi**2, axis=-1))) ** e \
+                if e > 0 else 1.0
+            constants[beta] = max(constants[beta],
+                                  float((np.abs(d) / bracket).max(initial=0.0)))
     if not np.isfinite(margin):
         margin = 1.0  # no sample had a nonzero lower bound to compare against
     return SymbolClassReport(constants=constants, sector_ok=sector_ok,
-                             lower_margin=float(margin), samples=count)
+                             lower_margin=float(margin), samples=len(t_grid) * len(xi_grid))
 
 
 def sector_sum_constant(phi1: float, phi2: float, samples: int = 100_000) -> float:

@@ -106,16 +106,20 @@ class VerificationReport:
         }
 
 
+def _flatness(values) -> tuple:
+    """(max, median, max / median) of values; the ratio is inf unless the median is positive."""
+    values = np.asarray(values, dtype=float)
+    top, med = float(values.max()), float(np.median(values))
+    return top, med, top / med if med > 0 else math.inf
+
+
 def _summarize(report: VerificationReport) -> VerificationReport:
     ok = [p for p in report.points if p.get("error") is None]
     if not ok:
         report.status = "not-applicable" if not report.points else "fail"
         return report
     ratios = np.array([p["ratio"] for p in ok])
-    report.max_ratio = float(ratios.max())
-    report.median_ratio = float(np.median(ratios))
-    report.flatness = float(report.max_ratio / report.median_ratio) \
-        if report.median_ratio > 0 else math.inf
+    report.max_ratio, report.median_ratio, report.flatness = _flatness(ratios)
     report.worst = dict(ok[int(ratios.argmax())])
     failed = len(report.points) - len(ok)
     verdict = failed == 0 and np.all(np.isfinite(ratios))
@@ -299,20 +303,29 @@ def coercivity_sweep(template: ProblemTemplate, sweep: SectorSweep,
 
 def _adapted_xi_samples(lam: complex, t: ScaleParams, m: float, n: int,
                         per_axis: int = 33) -> np.ndarray:
-    """Signed log-spaced frequencies reaching past the saturation scale."""
+    """Signed log-spaced frequencies reaching past the saturation scale: the
+    rows along each axis in turn, then (for n > 1) along the diagonal."""
     xi_star = _saturation_frequency(lam, t, m)
     vals = _signed_logspace(math.log10(xi_star) - DECADES_BELOW,
                             math.log10(xi_star) + 1.0, per_axis)
-    if n == 1:
-        return vals[:, None]
-    out = []
-    for ax in range(n):
-        pts = np.zeros((len(vals), n))
-        pts[:, ax] = vals
-        out.append(pts)
-    diag = np.repeat(vals[:, None], n, axis=1)
-    out.append(diag)
-    return np.concatenate(out, axis=0)
+    lines = np.eye(n) if n == 1 else np.vstack([np.eye(n), np.ones(n)])
+    return np.where(lines[:, None, :] > 0, vals[:, None], 0.0).reshape(-1, n)
+
+
+def _frequency_terms(model: OperatorModel, symbol: SymbolSpec, t: ScaleParams, lam,
+                     xi: np.ndarray, index_set):
+    """Per-frequency kernel of the continuum checks at the rows of xi (S, n).
+
+    Returns the shifts lam + P_t(xi), the inverses B = (A + shift)^-1 (S, N, N),
+    ||A B|| per row, and per alpha of index_set the terms
+    t(alpha) |lam|^(1-|alpha|/m) |(i xi)^alpha| ||B|| per row: the norms of
+    sigma_alpha, all from one ||B||.
+    """
+    shifts = lam + np.asarray(eval_symbol(symbol, t, xi), dtype=complex)
+    B = shifted_solve(model, shifts)
+    nB = operator_norm_upper(B, model.q)
+    terms = [w * nB for w in _symbol_weights(xi, index_set, t, lam, symbol.m)]
+    return shifts, B, operator_norm_upper(model.A @ B, model.q), terms
 
 
 def resolvent_sweep(template: ProblemTemplate, sweep: SectorSweep,
@@ -336,13 +349,9 @@ def resolvent_sweep(template: ProblemTemplate, sweep: SectorSweep,
 
     def evaluate(idx, lam, t):
         xi = _adapted_xi_samples(lam, t, m, n, per_axis)
-        shifts = lam + np.asarray(eval_symbol(template.symbol, t, xi), dtype=complex)
-        B = shifted_solve(model, shifts)
-        residual = float(inverse_residuals(model, shifts, B).max())
-        nB = operator_norm_upper(B, model.q)
-        terms = [float((w * nB).max()) for w in _symbol_weights(xi, index_set, t, lam, m)]
-        aterm = float(operator_norm_upper(model.A @ B, model.q).max())
-        return {"ratio": sum(terms) + aterm, "residual": residual}
+        shifts, B, nAB, terms = _frequency_terms(model, template.symbol, t, lam, xi, index_set)
+        return {"ratio": sum(float(w.max()) for w in terms) + float(nAB.max()),
+                "residual": float(inverse_residuals(model, shifts, B).max())}
 
     records = _sweep_points(sweep.points(), evaluate)
     report = VerificationReport(kind="resolvent", points=records,
@@ -519,9 +528,6 @@ class RBoundEstimate:
     tuples_tried: int
     upper: float = None       # sqrt(2) max_j ||T_j||_2 at q = 2, else None
 
-    def __float__(self):
-        return self.value
-
 
 def _mixed_tuples(k: int, size: int, budget: int) -> list:
     """The first `budget` unordered size-tuples of range(k) in (largest index, lex) order."""
@@ -632,26 +638,19 @@ class OperatorFamilySample:
         return len(self.members)
 
 
-def _B_matrix(model: OperatorModel, symbol: SymbolSpec, t: ScaleParams, lam, xi):
-    """[A + lam + P_t(xi)]^-1 at one frequency xi (n,), or at each row of xi (S, n)."""
+def sigma_matrix(model, symbol, t, lam, xi) -> np.ndarray:
+    """A [A + lam + P_t(xi)]^-1 at one frequency xi (n,); a stack over the rows of a 2-D xi."""
     P = np.asarray(eval_symbol(symbol, t, np.atleast_1d(xi)), dtype=complex)
     B = shifted_solve(model, lam + P.reshape(-1))
-    return B.reshape(P.shape + B.shape[1:])
-
-
-def sigma_matrix(model, symbol, t, lam, xi) -> np.ndarray:
-    """A [A + lam + P_t(xi)]^-1; a stack over the rows of a 2-D xi."""
-    return model.A @ _B_matrix(model, symbol, t, lam, xi)
+    return model.A @ B.reshape(P.shape + B.shape[1:])
 
 
 def fd_sigma_matrix(model, symbol, t, lam, xi, beta) -> np.ndarray:
     """|xi|^{|beta|} times the central finite difference Delta^beta of sigma;
     a stack over the rows of a 2-D xi."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    total = _central_difference(lambda rows: sigma_matrix(model, symbol, t, lam, rows),
-                                xi, beta)
-    scale = np.linalg.norm(xi, axis=-1) ** sum(1 for b in beta if b)
-    return scale[..., None, None] * total
+    total = _central_difference(functools.partial(sigma_matrix, model, symbol, t, lam), xi, beta)
+    return (np.linalg.norm(xi, axis=-1) ** sum(beta))[..., None, None] * total
 
 
 def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: SectorSweep,
@@ -671,25 +670,18 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
     index_set = [a for a in coercive_index_set(n, symbol.m) if a.order > 0]
     betas = [b for b in np.ndindex(*([2] * n)) if sum(b) > 0]
     points = sweep.points()
-    alpha_keys = [tuple(a.components) for a in index_set]
-
-    def sup_norm(mats):
-        return float(operator_norm_upper(mats, model.q).max())
+    keys = [str(tuple(a.components)) for a in index_set]
 
     def samples_at(lam, t):
         return fixed if fixed is not None else _adapted_xi_samples(lam, t, symbol.m, n, 17)
 
     def evaluate(idx, lam, t):
         xi = samples_at(lam, t)
-        B = _B_matrix(model, symbol, t, lam, xi)
-        sig = sup_norm(model.A @ B)
-        # sigma_alpha = t(alpha) |lam|^(1-|alpha|/m) (i xi)^alpha B, from the same B
-        sig_alpha = {str(key): sup_norm((_derivative_weight(t, lam, symbol.m, a)
-                                         * i_xi_power(xi.T, a))[:, None, None] * B)
-                     for a, key in zip(index_set, alpha_keys)}
-        fd = {str(b): sup_norm(fd_sigma_matrix(model, symbol, t, lam, xi, b))
-              for b in betas}
-        return {"ratio": sig, "residual": 0.0, "sigma_alpha": sig_alpha, "fd_sup": fd}
+        _, _, nAB, terms = _frequency_terms(model, symbol, t, lam, xi, index_set)
+        fd = {str(b): float(operator_norm_upper(fd_sigma_matrix(model, symbol, t, lam, xi, b),
+                                                model.q).max()) for b in betas}
+        return {"ratio": float(nAB.max()), "residual": 0.0, "fd_sup": fd,
+                "sigma_alpha": {k: float(w.max()) for k, w in zip(keys, terms)}}
 
     records = _sweep_points(points, evaluate)
 
@@ -697,14 +689,12 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
     rng = np.random.default_rng(seed)
     family = OperatorFamilySample(name="sigma")
     ok_points = [(lam, t) for (lam, t), rec in zip(points, records) if rec["error"] is None]
-    if ok_points:
-        picks = rng.choice(len(ok_points), size=min(rbound_subsample, len(ok_points)),
-                           replace=False)
-        for pi in sorted(picks):
-            lam, t = ok_points[pi]
-            samples = samples_at(lam, t)
-            xi = samples[int(rng.integers(0, len(samples)))]
-            family.add(sigma_matrix(model, symbol, t, lam, xi), lam=lam, t=t, xi=xi)
+    picks = rng.choice(len(ok_points), size=min(rbound_subsample, len(ok_points)), replace=False)
+    for pi in sorted(picks):
+        lam, t = ok_points[pi]
+        samples = samples_at(lam, t)
+        xi = samples[int(rng.integers(0, len(samples)))]
+        family.add(sigma_matrix(model, symbol, t, lam, xi), lam=lam, t=t, xi=xi)
     details = {}
     if len(family):
         est = estimate_rbound(family.members, q=model.q, tuple_size=tuple_size, seed=seed)
@@ -713,15 +703,10 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
     # aggregate per-family suprema
     ok = [r for r in records if r["error"] is None]
     if ok:
-        def flat(vals):
-            med = float(np.median(vals))
-            return float(max(vals) / med) if med > 0 else math.inf
-
+        stats = {k: _flatness([r["sigma_alpha"][k] for r in ok]) for k in keys}
         details["sigma_sup"] = max(r["ratio"] for r in ok)
-        details["sigma_alpha_sup"] = {
-            k: max(r["sigma_alpha"][str(k)] for r in ok) for k in map(str, alpha_keys)}
-        details["sigma_alpha_flatness"] = {
-            k: flat([r["sigma_alpha"][str(k)] for r in ok]) for k in map(str, alpha_keys)}
+        details["sigma_alpha_sup"] = {k: top for k, (top, _, _) in stats.items()}
+        details["sigma_alpha_flatness"] = {k: flat for k, (_, _, flat) in stats.items()}
         details["fd_sup"] = {str(b): max(r["fd_sup"][str(b)] for r in ok) for b in betas}
     report = VerificationReport(kind="multipliers", points=records,
                                 flatness_threshold=flatness_threshold,

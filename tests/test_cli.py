@@ -252,9 +252,12 @@ def test_small_elliptic_cfg_passes(tmp_path):
     ['data={"kind": "random", "vector": [1.0, 1.0]}'],
     ['data={"kind": "random", "xi0": [1.0]}'],
     ['data={"kind": "nonsense"}'],
+    ["t=0.0"],
+    ['t={"t": -1.0}'],
 ], ids=["vector-length", "vector-type", "coefficient-shape", "order-m", "alpha-dimension",
         "angle", "t-dimension", "gaussian-xi0", "gaussian-fraction", "mode-width",
-        "mode-fraction", "random-width", "random-vector", "random-xi0", "data-kind"])
+        "mode-fraction", "random-width", "random-vector", "random-xi0", "data-kind",
+        "t-zero", "t-negative"])
 def test_solve_elliptic_bad_value_is_config_error(tmp_path, capsys, sets):
     assert run_with_sets(tmp_path, "solve-elliptic", small_elliptic_cfg(), sets) == 2
     assert "config error:" in capsys.readouterr().err
@@ -322,6 +325,10 @@ def test_key_the_task_does_not_read_is_config_error(tmp_path, capsys, task, key)
     assert run_with_sets(tmp_path, task, cfg, []) != 2  # the config without it is valid
 
 
+CHECK_SYMBOL = {"symbol": {"kind": "power", "m": 2.0}, "t_values": [1.0],
+                "xi": {"lo": 0.1, "hi": 10.0, "count": 5}}
+
+
 @pytest.mark.parametrize("task, cfg", [
     ("estimate-rbound", {"family": {"kind": "nonsense", "members": [[[1.0]]]}}),
     ("estimate-rbound", {"family": {"kind": "lambda-resolvent", "model": {"kind": "scalar"}}}),
@@ -336,13 +343,38 @@ def test_key_the_task_does_not_read_is_config_error(tmp_path, capsys, task, key)
     ("check-kahane", {"scalars": [0.5, -1.0]}),
     ("check-kahane", {"vectors": [[1.0], [2.0]], "random": {"count": 2}}),
     ("check-kahane", {"scalars": [0.5, -1.0], "vectors": [[1.0, 0.0]]}),
+    ("estimate-rbound", {"family": {"kind": "lambda-resolvent", "model": {"kind": "scalar"},
+                                    "lambdas": 5}}),
+    ("estimate-rbound", {"family": {"kind": "lambda-resolvent", "model": {"kind": "scalar"},
+                                    "lambdas": []}}),
+    ("check-kahane", {"random": {"count": -1}}),
+    ("check-kahane", {"random": {"count": 0}}),
+    ("check-kahane", {"random": {"count": 2.5}}),
+    ("check-kahane", {"random": {"count": 2, "m": 0}}),
+    ("check-kahane", {"random": {"count": 2, "N": -3}}),
+    ("check-symbol", {**CHECK_SYMBOL, "xi": {"lo": 0, "hi": 10.0, "count": 5}}),
+    ("check-symbol", {**CHECK_SYMBOL, "xi": {"lo": -1.0, "hi": 10.0, "count": 5}}),
+    ("check-symbol", {**CHECK_SYMBOL, "xi": {"lo": 10.0, "hi": 1.0, "count": 5}}),
+    ("check-symbol", {**CHECK_SYMBOL, "xi": {"lo": 0.1, "hi": float("inf"), "count": 5}}),
+    ("check-symbol", {**CHECK_SYMBOL, "xi": {"lo": 0.1, "hi": 10.0, "count": 0}}),
+    ("check-symbol", {**CHECK_SYMBOL, "n": 0}),
+    ("check-symbol", {**CHECK_SYMBOL, "t_values": []}),
+    ("check-symbol", {**CHECK_SYMBOL, "t_values": [0.0]}),
 ], ids=["family-kind", "resolvent-no-lambdas", "resolvent-no-model", "matrices-no-members", "no-members",
         "mixed-shapes", "ragged-member", "matrices-lambdas", "scalars-only", "vectors-only",
-        "unequal-lengths"])
+        "unequal-lengths", "lambdas-number", "lambdas-empty", "count-negative", "count-0",
+        "count-fraction", "m-0", "N-negative", "xi-lo-0", "xi-lo-negative", "xi-hi-below-lo",
+        "xi-hi-inf", "xi-count-0", "n-0", "t-values-empty", "t-value-0"])
 def test_malformed_family_or_instance_is_config_error(tmp_path, capsys, task, cfg):
     assert run_with_sets(tmp_path, task, {"task": task, **cfg}, []) == 2
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_kahane_beyond_enumeration_limit_is_execution_failure(tmp_path, capsys):
+    cfg = {"task": "check-kahane", "random": {"count": 1, "m": 13}}
+    assert run_with_sets(tmp_path, "check-kahane", cfg, []) == 1
+    assert "TooManyForEnumeration" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n_rays", [0, -1])

@@ -8,8 +8,13 @@ resolvents against per-lambda dense inverses, bit for bit.  Fields are flattened
 C order, grid point major and component minor, so a field's
 values.reshape(-1) is the dense vector.  The operator-norm bounds are checked
 against column and row sums, brute-force probing, and the R-bound estimate
-against its Khintchine-Kahane bracket at q = 2.
+against its Khintchine-Kahane bracket at q = 2.  The batched continuum checks
+are checked against per-sample references: check_symbol_class against one
+eval_symbol and one stencil per (t, xi), and the sigma_alpha suprema of
+multiplier_family_check against the norms of the scaled dense inverses.
 """
+
+import cmath
 
 import numpy as np
 import pytest
@@ -24,13 +29,19 @@ from psdo import (
     ScaleParams,
     SectorSweep,
     SpaceTimeField,
+    SymbolSpec,
     apply_operator,
     check_positivity,
+    check_symbol_class,
+    coercive_index_set,
     contraction_estimate,
     estimate_rbound,
+    eval_symbol,
     gaussian_field,
+    i_xi_power,
     lambda_resolvent_family,
     make_model,
+    multiplier_family_check,
     power_symbol,
     probe_norm,
     random_band_limited_field,
@@ -44,6 +55,8 @@ from psdo import (
 )
 from psdo.elliptic import NEUMANN_TOL
 from psdo.operators import operator_norm_upper
+from psdo.symbols import FD_STEP, _central_difference
+from psdo.verification import _adapted_xi_samples
 
 GRID = GridSpec(n=2, M=8, L=2 * np.pi)  # M^n * N = 128 with N = 2
 T = ScaleParams((0.5, 0.1))
@@ -331,3 +344,92 @@ def test_lambda_resolvent_family_matches_dense_inverse(k):
     assert [meta[0] for meta in fam.meta] == [complex(lam) for lam in lambdas]
     for lam, member in zip(lambdas, fam.members):
         assert np.array_equal(member, lam * np.linalg.inv(model.A + lam * np.eye(model.N)))
+
+
+def per_sample_symbol_class(spec, t_grid, xi_grid):
+    """(constants, sector_ok, lower_margin, samples) of the symbol-class check,
+    one eval_symbol and one stencil per (t, xi) sample."""
+    n = xi_grid.shape[1]
+    betas = list(np.ndindex(*([2] * n)))
+    constants = {b: 0.0 for b in betas}
+    sector_ok, margin, count = True, np.inf, 0
+    for t in t_grid:
+        tvec = np.asarray(t.t)
+        for xi in xi_grid:
+            h = FD_STEP * (1.0 + np.abs(xi))
+            count += 1
+            val = complex(eval_symbol(spec, t, xi))
+            if abs(val) > 1e-9 and abs(cmath.phase(val)) > spec.phi1 + 1e-9:
+                sector_ok = False
+            denom = spec.gamma * float(np.sum(tvec * np.abs(xi) ** spec.m))
+            if denom > 0:
+                margin = min(margin, abs(val) / denom)
+            for beta in betas:
+                if any(beta[k] and abs(xi[k]) < 10.0 * h[k] for k in range(n)):
+                    continue
+                d = complex(_central_difference(lambda x: eval_symbol(spec, t, x), xi, beta))
+                e = spec.m - sum(beta)
+                bracket = (1.0 + np.sqrt(np.sum(tvec ** (2.0 / e) * xi**2))) ** e \
+                    if e > 0 else 1.0
+                constants[beta] = max(constants[beta], abs(d) / bracket)
+    return constants, sector_ok, margin if np.isfinite(margin) else 1.0, count
+
+
+def symbol_class_grid(n):
+    """Signed log-spaced values, all tuples, with 0 and two values inside the
+    straddle band |xi_k| < 10 steps, one of them (5e-4) outside one step; the
+    largest, 10^1.5, stays inside the user table's range."""
+    mags = np.logspace(-1, 1.5, 4)
+    vals = np.concatenate([-mags[::-1], [0.0, 1e-6, 5e-4], mags])
+    return np.stack(np.meshgrid(*[vals] * n, indexing="ij"), axis=-1).reshape(-1, n)
+
+
+TABLE_POINTS = np.linspace(-60.0, 60.0, 241)
+
+
+@pytest.mark.parametrize("spec, n", [
+    (power_symbol(2.0), 1), (power_symbol(3.0), 2), (power_symbol(0.5), 1),
+    (rotated_power_symbol(2.0, theta0=0.3), 1), (rotated_power_symbol(1.5, theta0=-0.4), 2),
+    (smoothed_power_symbol(2.0, epsilon=0.5), 1), (smoothed_power_symbol(1.5, epsilon=0.5), 2),
+    (SymbolSpec(kind="user-table", m=2.0,
+                table=(TABLE_POINTS, TABLE_POINTS**2 * np.exp(0.05j * np.sign(TABLE_POINTS)))), 1),
+], ids=["power-n1", "power-n2", "power-m0.5-n1", "rotated-n1", "rotated-n2", "smoothed-n1", "smoothed-n2",
+        "user-table"])
+def test_check_symbol_class_matches_per_sample_loop(spec, n):
+    t_grid = [ScaleParams.isotropic(1e-2, n), ScaleParams(tuple(np.linspace(0.3, 1.0, n)))]
+    xi = symbol_class_grid(n)
+    rep = check_symbol_class(spec, t_grid, xi)
+    constants, sector_ok, margin, samples = per_sample_symbol_class(spec, t_grid, xi)
+    assert rep.samples == samples == len(t_grid) * len(xi)
+    assert rep.sector_ok == sector_ok
+    assert rep.lower_margin == pytest.approx(margin, rel=1e-12, abs=0)
+    assert rep.constants.keys() == constants.keys()
+    for beta, c in constants.items():
+        assert c > 0
+        assert rep.constants[beta] == pytest.approx(c, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+@pytest.mark.parametrize("n", [1, 2])
+def test_multiplier_sigma_alpha_matches_scaled_stack_norms(q, n):
+    """Each point's sigma_alpha, taken as |(i xi)^alpha| ||B||, against the
+    operator norm of the scaled stack t(alpha) |lam|^(1-|alpha|/m) (i xi)^alpha B
+    with B the dense inverse of A + lam + P_t(xi) at every sampled frequency."""
+    A = np.array([[2.0, -0.5, 0.0], [-1.0, 2.0, -0.5], [0.0, -1.0, 2.0]])
+    model, symbol, m = make_model(A, q=q), power_symbol(2.0), 2.0
+    sweep = SectorSweep(phi2=np.pi / 4, rays=(-np.pi / 4, 0.0, np.pi / 4),
+                        radii=(1.0, 1e2, 1e4),
+                        t_grid=(ScaleParams.isotropic(1e-2, n), ScaleParams.isotropic(1.0, n)))
+    rep = multiplier_family_check(model, symbol, sweep, dims=n, rbound_subsample=1,
+                                  tuple_size=1)
+    alphas = [a for a in coercive_index_set(n, m) if a.order > 0]
+    for (lam, t), point in zip(sweep.points(), rep.points):
+        xi = _adapted_xi_samples(lam, t, m, n, 17)
+        P = eval_symbol(symbol, t, xi)
+        B = np.linalg.inv(A + (lam + P)[:, None, None] * np.eye(3))
+        for alpha in alphas:
+            scale = t.weight(alpha, m) * abs(lam) ** (1 - alpha.order / m) \
+                * i_xi_power(xi.T, alpha)
+            expected = float(operator_norm_upper(scale[:, None, None] * B, q).max())
+            assert point["sigma_alpha"][str(alpha.components)] == pytest.approx(expected,
+                                                                                rel=1e-12)
