@@ -52,6 +52,7 @@ from .parabolic import (
     ParabolicProblem,
     equation_residual,
     parabolic_coercive_ratio,
+    parabolic_diagnostics,
     semigroup_propagator,
     solve_duhamel,
     solve_implicit_euler,

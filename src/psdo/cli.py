@@ -34,8 +34,7 @@ from .operators import (
 )
 from .parabolic import (
     ParabolicProblem,
-    equation_residual,
-    parabolic_coercive_ratio,
+    parabolic_diagnostics,
     solve_duhamel,
     solve_implicit_euler,
 )
@@ -370,6 +369,7 @@ def _task_solve_elliptic(cfg, seed):
         "residual_tol": tol,
         "iterations": it.iterations,
         "contraction": it.contraction,
+        "contraction_exact": it.contraction_exact,
         "solution_norm": lp_lq_norm(u, p),
         "data_norm": lp_lq_norm(f, p),
         "graph_norm": {"operator": onorm, "sobolev": hnorm, "ratio": gratio},
@@ -429,8 +429,7 @@ def _task_solve_parabolic(cfg, seed):
         u = solve_implicit_euler(prob)
     else:
         raise ConfigError(f"unknown method {method!r}")
-    ratio = parabolic_coercive_ratio(prob, u)
-    residual = equation_residual(prob, u)
+    ratio, residual, forcing_norm = parabolic_diagnostics(prob, u)
     tol = float(cfg.get("residual_tol", 1e-2))  # time discretization limits this
     verdict = "pass" if (ratio is None or math.isfinite(ratio)) and residual < tol else "fail"
     result = {
@@ -441,7 +440,7 @@ def _task_solve_parabolic(cfg, seed):
         "residual": residual,
         "residual_tol": tol,
         "solution_norm": mixed_norm(u),
-        "forcing_norm": mixed_norm(forcing),
+        "forcing_norm": forcing_norm,
     }
     rows = [_csv_row(0.0, 0.0, t.t, ratio, residual, verdict)]
     extras = {}

@@ -186,39 +186,51 @@ def apply_operator(prob: EllipticProblem, u: SampledField) -> SampledField:
     return u.with_values(out[0])
 
 
+def _constant_coefficients(prob: EllipticProblem) -> bool:
+    """True when every lower term has an (N, N) coefficient, i.e. L_t is diagonal per mode."""
+    N = prob.model.N
+    return all(np.shape(term.coefficient) == (N, N) for term in prob.lower_terms)
+
+
 def _lower_symbol_blocks(prob: EllipticProblem):
     """Per-mode matrices of L_t for constant-coefficient lower terms, or None."""
+    if not _constant_coefficients(prob):
+        return None  # x-dependent coefficient: not diagonal in frequency
     N = prob.model.N
     blocks = np.zeros(prob.grid.shape + (N, N), dtype=complex)
-    m = prob.symbol.m
     for term in prob.lower_terms:
         c = np.asarray(term.coefficient, dtype=complex)
-        if c.shape != (N, N):
-            return None  # x-dependent coefficient: not diagonal in frequency
         mult = fractional_multiplier(prob.grid, term.alpha)
-        blocks = blocks + prob.t.weight(term.alpha, m) * mult[..., None, None] * c
+        blocks = blocks + prob.t.weight(term.alpha, prob.symbol.m) * mult[..., None, None] * c
     return blocks
 
 
 def contraction_estimate(prob: EllipticProblem, probes: int = 64, seed: int = 0) -> float:
-    """Empirical norm of u -> L_t (principal)^-1 u.
+    """Norm of u -> L_t (principal)^-1 u on L^2(x; l_q^N), exact or estimated.
 
-    Constant-coefficient terms are diagonal per mode, so the exact per-mode
-    block norms are taken alongside random band-limited probe fields; the max
-    over both is returned.  Probes are solved in blocks of PROBE_BLOCK fields.
+    With constant coefficients L_t P^-1 is a Fourier multiplier, and its
+    largest per-mode block norm is taken: at q = 2 that is the norm itself
+    (Plancherel) and is returned without probes; at q in {1, inf} pure modes
+    e^{i xi x} v attain it, so it is a lower estimate; at other q it is the
+    Riesz-Thorin upper bound per mode.  Otherwise the max with the ratios of
+    `probes` random band-limited fields (lower bounds, and the only term for
+    x-dependent coefficients) is returned; probes are solved in blocks of
+    PROBE_BLOCK fields.
     """
     if not prob.lower_terms:
         return 0.0
     base = prob.principal
     shifts = _mode_shifts(base)
     best = 0.0
+    grid, N, q = prob.grid, prob.model.N, prob.model.q
     blocks = _lower_symbol_blocks(prob)
     if blocks is not None:
-        Binv = shifted_solve(prob.model, shifts).reshape(prob.grid.shape + (prob.model.N,) * 2)
+        Binv = shifted_solve(prob.model, shifts).reshape(grid.shape + (N, N))
         comp = np.einsum("...ij,...jk->...ik", blocks, Binv)
-        best = float(np.max(operator_norm_upper(comp, prob.model.q)))
+        best = float(np.max(operator_norm_upper(comp, q)))
+        if q == 2:
+            return best
     rng = np.random.default_rng(seed)
-    grid, N, q = prob.grid, prob.model.N, prob.model.q
     for start in range(0, probes, PROBE_BLOCK):
         u = np.stack([random_band_limited_field(grid, N, rng, q=q).values
                       for _ in range(min(PROBE_BLOCK, probes - start))])
@@ -236,39 +248,48 @@ class IterationReport:
     iterations: int
     residuals: list
     contraction: float
+    contraction_exact: bool
 
 
 def solve_full(prob: EllipticProblem, f: SampledField, seed: int = 0):
     """Neumann fixed-point solve of the full equation with lower-order terms.
 
     Iterates u <- principal_solve(f - L_t u) until the relative residual is
-    below NEUMANN_TOL, for at most MAX_ITER iterations; requires the empirical
+    below NEUMANN_TOL, for at most MAX_ITER iterations; requires the
     contraction estimate to be below one, otherwise the spectral parameter is
     too small for the perturbation argument and ContractionFailure is raised.
+    The per-mode shifts lambda + P_t(xi) are computed once for all solves.
     Returns (solution, IterationReport).
     """
     base = prob.principal
+    shifts = _mode_shifts(base)
+
+    def solve(fvals: np.ndarray) -> SampledField:
+        return f.with_values(_solve_modes(base, shifts, fvals[None])[0])
+
     if not prob.lower_terms:
-        u = solve_principal(base, f)
+        u = solve(f.values)
         return u, IterationReport(iterations=1, residuals=[_relative_residual(prob, u, f)],
-                                  contraction=0.0)
+                                  contraction=0.0, contraction_exact=True)
     kappa = contraction_estimate(prob, seed=seed)
     if kappa >= 1.0:
         raise ContractionFailure(
             f"contraction estimate {kappa:.3f} >= 1; increase |lambda|")
     nf = lp_lq_norm(f, 2.0)
-    u = solve_principal(base, f)
+    u = solve(f.values)
     residuals = []
     for it in range(1, MAX_ITER + 1):
         uvals = u.values[None]
         uspec = prob.grid.fft(uvals)
-        lower = u.with_values(_apply_lower(prob, uvals, uspec)[0])
-        res = u.with_values(_apply_principal(prob, uvals, uspec)[0] + lower.values) - f
+        lower = _apply_lower(prob, uvals, uspec)[0]
+        res = u.with_values(_apply_principal(prob, uvals, uspec)[0] + lower) - f
         rel = lp_lq_norm(res, 2.0) / nf if nf > 0 else 0.0
         residuals.append(rel)
         if rel < NEUMANN_TOL:
-            return u, IterationReport(iterations=it, residuals=residuals, contraction=kappa)
-        u = solve_principal(base, f - lower)
+            exact = prob.model.q == 2 and _constant_coefficients(prob)  # no probes drawn
+            return u, IterationReport(iterations=it, residuals=residuals, contraction=kappa,
+                                      contraction_exact=exact)
+        u = solve(f.values - lower)
     raise NoConvergence(f"residual {residuals[-1]:.2e} after {MAX_ITER} iterations")
 
 

@@ -66,7 +66,7 @@ class OperatorModel:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Apply the matrix along the trailing component axis."""
-        return np.einsum("ij,...j->...i", self.A, values)
+        return values @ self.A.T
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import EllipticProblem, _apply_principal
+from .elliptic import EllipticProblem
 from .errors import ModeSingular
 from .operators import eigenbasis
 from .spaces import SpaceTimeField, mixed_norm
@@ -53,13 +53,11 @@ def _eigensetup(prob: ParabolicProblem):
 
 
 def _forcing_eigencoords(prob: ParabolicProblem, Vinv: np.ndarray) -> np.ndarray:
-    fhat = prob.elliptic.grid.fft(prob.forcing.values)
-    return np.einsum("ij,...j->...i", Vinv, fhat)
+    return prob.elliptic.grid.fft(prob.forcing.values) @ Vinv.T
 
 
 def _back_to_physical(prob: ParabolicProblem, coeffs: np.ndarray, V: np.ndarray) -> SpaceTimeField:
-    uhat = np.einsum("ij,...j->...i", V, coeffs)
-    return prob.forcing.with_values(prob.elliptic.grid.ifft(uhat))
+    return prob.forcing.with_values(prob.elliptic.grid.ifft(coeffs @ V.T))
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -130,36 +128,33 @@ def semigroup_propagator(prob: ParabolicProblem, y: float) -> np.ndarray:
 
 def time_derivative(u: SpaceTimeField) -> SpaceTimeField:
     """Centered differences in time, one-sided at the interval ends."""
-    dy = u.dy
-    vals = np.empty_like(u.values)
-    vals[1:-1] = (u.values[2:] - u.values[:-2]) / (2.0 * dy)
-    vals[0] = (u.values[1] - u.values[0]) / dy
-    vals[-1] = (u.values[-1] - u.values[-2]) / dy
-    return u.with_values(vals)
+    return u.with_values(np.gradient(u.values, u.dy, axis=0))
+
+
+def parabolic_diagnostics(prob: ParabolicProblem, u: SpaceTimeField):
+    """(coercive ratio, equation residual, ||f||) from one pass over du/dy, P_t(D) u and A u.
+
+    The ratio is (||du/dy|| + ||P_t(D) u|| + ||A u||) / ||f|| and the residual
+    ||du/dy + P_t(D) u + A u - f|| / ||f||, both in mixed space-time norms.
+    With f = 0 the ratio is None (not applicable) and the residual absolute.
+    """
+    ell, f = prob.elliptic, prob.forcing
+    nf = mixed_norm(f)
+    du = time_derivative(u).values
+    Pu = ell.grid.ifft(ell.symbol_values()[..., None] * ell.grid.fft(u.values))
+    Au = ell.model.apply(u.values)
+    res = mixed_norm(u.with_values(du + (Pu + Au) - f.values))
+    if nf == 0:
+        return None, res, nf
+    n_du, n_Pu, n_Au = (mixed_norm(u.with_values(v)) for v in (du, Pu, Au))
+    return (n_du + n_Pu + n_Au) / nf, res / nf, nf
 
 
 def parabolic_coercive_ratio(prob: ParabolicProblem, u: SpaceTimeField):
-    """(||du/dy|| + ||P_t(D) u|| + ||A u||) / ||f|| in mixed space-time norms.
-
-    Returns None (not applicable) when the forcing vanishes.
-    """
-    f = prob.forcing
-    nf = mixed_norm(f)
-    if nf == 0:
-        return None
-    du = time_derivative(u)
-    ell = prob.elliptic
-    Pu = u.with_values(ell.grid.ifft(ell.symbol_values()[..., None] * ell.grid.fft(u.values)))
-    Au = u.with_values(ell.model.apply(u.values))
-    return (mixed_norm(du) + mixed_norm(Pu) + mixed_norm(Au)) / nf
+    """(||du/dy|| + ||P_t(D) u|| + ||A u||) / ||f||; None when the forcing vanishes."""
+    return parabolic_diagnostics(prob, u)[0]
 
 
 def equation_residual(prob: ParabolicProblem, u: SpaceTimeField) -> float:
     """Relative mixed-norm residual of du/dy + P u + A u - f (diagnostic)."""
-    f = prob.forcing
-    nf = mixed_norm(f)
-    du = time_derivative(u)
-    ell = prob.elliptic
-    res_vals = du.values + _apply_principal(ell, u.values, ell.grid.fft(u.values)) - f.values
-    res = u.with_values(res_vals)
-    return mixed_norm(res) / nf if nf > 0 else mixed_norm(res)
+    return parabolic_diagnostics(prob, u)[1]

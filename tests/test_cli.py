@@ -236,6 +236,16 @@ def test_small_elliptic_cfg_passes(tmp_path):
     assert run_with_sets(tmp_path, "solve-elliptic", small_elliptic_cfg(), []) == 0
 
 
+@pytest.mark.parametrize("q, exact", [(2.0, True), (3.0, False)])
+def test_solve_elliptic_reports_contraction_exact(tmp_path, q, exact):
+    cfg = small_elliptic_cfg()
+    cfg["model"] = {**cfg["model"], "q": q}
+    assert run_with_sets(tmp_path, "solve-elliptic", cfg, []) == 0
+    result = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
+    assert result["contraction_exact"] is exact
+    assert 0.0 < result["contraction"] < 1.0
+
+
 @pytest.mark.parametrize("sets", [
     ["data.vector=[1.0, 2.0, 3.0]"],
     ['data.vector="one"'],

@@ -8,10 +8,13 @@ resolvents against per-lambda dense inverses, bit for bit.  Fields are flattened
 C order, grid point major and component minor, so a field's
 values.reshape(-1) is the dense vector.  The operator-norm bounds are checked
 against column and row sums, brute-force probing, and the R-bound estimate
-against its Khintchine-Kahane bracket at q = 2.  The batched continuum checks
-are checked against per-sample references: check_symbol_class against one
-eval_symbol and one stencil per (t, xi), and the sigma_alpha suprema of
-multiplier_family_check against the norms of the scaled dense inverses.
+against its Khintchine-Kahane bracket at q = 2.  The contraction estimate is
+checked against the dense norm of L P^-1 at q = 2 and, at q in {1, inf},
+against the pure-mode field that attains the largest block norm.  The batched
+continuum checks are checked against per-sample references: check_symbol_class
+against one eval_symbol and one stencil per (t, xi), and the sigma_alpha
+suprema of multiplier_family_check against the norms of the scaled dense
+inverses.
 """
 
 import cmath
@@ -53,6 +56,7 @@ from psdo import (
     solve_principal,
     vector_norms,
 )
+import psdo.elliptic
 from psdo.elliptic import NEUMANN_TOL
 from psdo.operators import operator_norm_upper
 from psdo.symbols import FD_STEP, _central_difference
@@ -158,8 +162,8 @@ def constant_terms():
             LowerTerm(alpha=MultiIndex((0.5, 0.5)), coefficient=0.4j * np.eye(2)))
 
 
-def problem(lower_terms=(), lam=3.0 + 4.0j):
-    return EllipticProblem(model=make_model(A_NONNORMAL), symbol=power_symbol(m=2.0),
+def problem(lower_terms=(), lam=3.0 + 4.0j, q=2.0):
+    return EllipticProblem(model=make_model(A_NONNORMAL, q=q), symbol=power_symbol(m=2.0),
                            t=T, lam=lam, grid=GRID, lower_terms=lower_terms)
 
 
@@ -238,6 +242,61 @@ def test_contraction_estimate_constant_coefficients_is_exact_norm():
     exact = np.linalg.norm(dense_lower(prob) @ np.linalg.inv(dense_principal(prob.principal)), 2)
     assert contraction_estimate(prob, probes=0) == pytest.approx(exact, rel=1e-12)
     assert contraction_estimate(prob, probes=16, seed=3) == pytest.approx(exact, rel=1e-12)
+
+
+def test_contraction_estimate_q2_constant_coefficients_draws_no_probes(monkeypatch):
+    # at q = 2 the largest block norm is the norm (Plancherel), so no probe is drawn
+    def no_probes(*args, **kwargs):
+        raise AssertionError("contraction_estimate drew a probe field")
+
+    monkeypatch.setattr(psdo.elliptic, "random_band_limited_field", no_probes)
+    prob = problem(constant_terms())
+    exact = np.linalg.norm(dense_lower(prob) @ np.linalg.inv(dense_principal(prob.principal)), 2)
+    assert contraction_estimate(prob) == pytest.approx(exact, rel=1e-12)
+
+
+def dense_mode_blocks(K, grid, N):
+    """Per-mode N x N blocks of a dense Fourier multiplier K, FFT order."""
+    FN = np.kron(dft_matrix(grid), np.eye(N))
+    Khat = FN @ K @ FN.conj().T
+    modes = grid.M ** grid.n
+    return np.stack([Khat[k * N:(k + 1) * N, k * N:(k + 1) * N] for k in range(modes)])
+
+
+def l2_lq_norm(vec, grid, N, q):
+    """L_2 norm over the grid of the pointwise l_q norm of a dense field vector."""
+    return np.linalg.norm(vector_norms(vec.reshape(-1, N), q)) * np.sqrt(grid.cell_volume)
+
+
+@pytest.mark.parametrize("q", [1.0, np.inf])
+def test_contraction_estimate_q1_inf_keeps_probes_above_pure_mode_value(q, monkeypatch):
+    prob = problem(constant_terms(), q=q)
+    N = prob.model.N
+    K = dense_lower(prob) @ np.linalg.inv(dense_principal(prob.principal))
+    blocks = dense_mode_blocks(K, GRID, N)
+    # l_1 norm: largest column sum; l_inf norm: largest row sum
+    sums = np.abs(blocks).sum(axis=1 if q == 1 else 2)
+    k, j = np.unravel_index(np.argmax(sums), sums.shape)
+    block_value = sums[k, j]
+    # the vector attaining the block norm: a unit vector (q = 1) or the phases of row j (q = inf)
+    v = np.eye(N)[j] if q == 1 else np.exp(-1j * np.angle(blocks[k, j]))
+    x = GRID.points().reshape(-1, GRID.n)
+    u = (np.exp(1j * x @ frequency_points(GRID)[k])[:, None] * v).reshape(-1)
+    attained = l2_lq_norm(K @ u, GRID, N, q) / l2_lq_norm(u, GRID, N, q)
+    assert attained == pytest.approx(block_value, rel=1e-12)
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return random_band_limited_field(*args, **kwargs)
+
+    monkeypatch.setattr(psdo.elliptic, "random_band_limited_field", counted)
+    assert contraction_estimate(prob, probes=0) == pytest.approx(block_value, rel=1e-12)
+    assert not calls
+    est = contraction_estimate(prob)
+    assert len(calls) == 64
+    assert est >= block_value * (1 - 1e-12)
 
 
 def test_implicit_euler_matches_dense_recursion():

@@ -15,6 +15,7 @@ from psdo import (
     make_model,
     mixed_norm,
     parabolic_coercive_ratio,
+    parabolic_diagnostics,
     power_symbol,
     semigroup_propagator,
     solve_duhamel,
@@ -173,3 +174,41 @@ def test_equation_residual_matches_per_slice_loop(make, solver):
     zero = SpaceTimeField(grid=u.grid, values=np.zeros_like(u.values), Y=u.Y)
     unforced = ParabolicProblem(elliptic=prob.elliptic, forcing=zero)
     assert equation_residual(unforced, u) == _equation_residual_per_slice(unforced, u)
+
+
+def _ratio_and_residual_reference(prob, u):
+    """Reference: the coercive ratio and the residual from explicit time differences and
+    an einsum for A u."""
+    ell, f = prob.elliptic, prob.forcing
+    nf = mixed_norm(f)
+    du = np.empty_like(u.values)
+    du[1:-1] = (u.values[2:] - u.values[:-2]) / (2.0 * u.dy)
+    du[0] = (u.values[1] - u.values[0]) / u.dy
+    du[-1] = (u.values[-1] - u.values[-2]) / u.dy
+    Pu = ell.grid.ifft(ell.symbol_values()[..., None] * ell.grid.fft(u.values))
+    Au = np.einsum("ij,...j->...i", ell.model.A, u.values)
+    ratio = sum(mixed_norm(u.with_values(v)) for v in (du, Pu, Au)) / nf
+    residual = mixed_norm(u.with_values(du + Pu + Au - f.values)) / nf
+    return ratio, residual
+
+
+@pytest.mark.parametrize("solver", [solve_duhamel, solve_implicit_euler])
+def test_parabolic_diagnostics_match_separate_computation(solver):
+    # a 2-D problem with N = 2 and a non-symmetric A
+    grid = GridSpec(n=2, M=8, L=2 * np.pi)
+    ell = EllipticProblem(model=make_model(np.array([[2.0, 0.5], [0.0, 1.0]])),
+                          symbol=power_symbol(m=2.0), t=ScaleParams((0.5, 0.1)), lam=0.0,
+                          grid=grid)
+    times = np.linspace(0.0, 1.0, 17)
+    base = gaussian_field(grid, vector=[1.0, -0.5j]).values
+    forcing = SpaceTimeField(grid=grid, values=np.sin(np.pi * times)[:, None, None, None] * base,
+                             Y=1.0)
+    prob = ParabolicProblem(elliptic=ell, forcing=forcing)
+    u = solver(prob)
+    ratio, residual, nf = parabolic_diagnostics(prob, u)
+    ref_ratio, ref_residual = _ratio_and_residual_reference(prob, u)
+    assert ratio == pytest.approx(ref_ratio, rel=1e-13)
+    assert residual == pytest.approx(ref_residual, rel=1e-13)
+    assert nf == mixed_norm(forcing)
+    assert parabolic_coercive_ratio(prob, u) == ratio
+    assert equation_residual(prob, u) == residual
