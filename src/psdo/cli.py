@@ -140,11 +140,11 @@ def _expect_kind(cfg: dict, where: str, kinds: dict) -> str:
     return kind
 
 
-def _positive_int(cfg: dict, key: str, where: str, default=None) -> int:
-    """cfg[key] (or the default when absent), which must be an integer >= 1."""
+def _positive_int(cfg: dict, key: str, where: str, default=None, least: int = 1) -> int:
+    """cfg[key] (or the default when absent), which must be an integer >= least."""
     value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{where}.{key} must be an integer >= 1, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{where}.{key} must be an integer >= {least}, got {value!r}")
     return value
 
 
@@ -474,14 +474,14 @@ def _sweep_result(rep):
 def _task_verify_coercivity(cfg, seed):
     template, sweep, th = _sweep_inputs(cfg, ("flatness", "max_ratio"), "p", "data_count")
     return _sweep_result(coercivity_sweep(
-        template, sweep, data_count=int(cfg.get("data_count", 8)), seed=seed,
-        flatness_threshold=th["flatness"], max_ratio_threshold=th["max_ratio"]))
+        template, sweep, data_count=_positive_int(cfg, "data_count", "config", 8, least=2),
+        seed=seed, flatness_threshold=th["flatness"], max_ratio_threshold=th["max_ratio"]))
 
 
 def _task_verify_resolvent(cfg, seed):
     template, sweep, th = _sweep_inputs(cfg, ("flatness", "max_ratio"), "per_axis")
     return _sweep_result(resolvent_sweep(
-        template, sweep, per_axis=int(cfg.get("per_axis", 33)),
+        template, sweep, per_axis=_positive_int(cfg, "per_axis", "config", 33),
         flatness_threshold=th["flatness"], max_ratio_threshold=th["max_ratio"]))
 
 
@@ -491,7 +491,7 @@ def _task_check_multipliers(cfg, seed):
     return _sweep_result(multiplier_family_check(
         template.model, template.symbol, sweep, dims=template.grid.n,
         rbound_subsample=int(cfg.get("rbound_subsample", 8)),
-        tuple_size=int(cfg.get("tuple_size", 3)), seed=seed,
+        tuple_size=_positive_int(cfg, "tuple_size", "config", 3), seed=seed,
         flatness_threshold=th["flatness"], sigma_sup_threshold=th["sigma_sup"]))
 
 
@@ -520,8 +520,8 @@ def _task_estimate_rbound(cfg, seed):
             raise ConfigError(f"family.members must be matrices of one shape, got {shapes}")
     if not members:
         raise ConfigError("family needs at least one member")
-    est = estimate_rbound(members, q=q, tuple_size=int(cfg.get("tuple_size", 3)),
-                          seed=seed)
+    est = estimate_rbound(members, q=q, seed=seed,
+                          tuple_size=_positive_int(cfg, "tuple_size", "config", 3))
     singleton_check = None
     if len(members) == 1:
         singleton_check = probe_norm(members[0], q=q, seed=seed + 1)

@@ -29,7 +29,7 @@ from .spaces import (
     fractional_multiplier,
     h_m_pt_norm,
     lp_lq_norm,
-    random_band_limited_field,
+    random_band_limited_values,
 )
 from .symbols import MultiIndex, ScaleParams, SymbolSpec, eval_symbol
 
@@ -129,27 +129,26 @@ def _mode_shifts(prob: EllipticProblem) -> np.ndarray:
     return shifts
 
 
-def _solve_modes(prob: EllipticProblem, shifts: np.ndarray, fvals: np.ndarray) -> np.ndarray:
+def _solve_modes(prob: EllipticProblem, shifts: np.ndarray, fvals: np.ndarray):
     """Principal solve of a stack of fields, fvals shape (F,) + grid.shape + (N,).
 
     One FFT of the stack and one per-mode solve with all F right-hand sides.
+    Returns the solutions' values and their spectra, both shaped like fvals.
     """
-    F, N = fvals.shape[0], fvals.shape[-1]
     fhat = prob.grid.fft(fvals)
-    rhs = np.moveaxis(fhat.reshape(F, -1, N), 0, -1)  # (modes, N, F)
     try:
-        uhat = shifted_solve(prob.model, shifts, rhs)
+        uhat = shifted_solve(prob.model, shifts, fhat.reshape(len(fvals), -1, fvals.shape[-1]))
     except np.linalg.LinAlgError as exc:
         raise ModeSingular(None, str(exc)) from exc
-    uhat = np.moveaxis(uhat, -1, 0).reshape(fhat.shape)
-    return prob.grid.ifft(uhat)
+    uhat = uhat.reshape(fhat.shape)
+    return prob.grid.ifft(uhat), uhat
 
 
 def solve_principal(prob: EllipticProblem, f: SampledField) -> SampledField:
     """Exact per-mode solve of the principal equation (no lower-order terms)."""
     if prob.lower_terms:
         raise ValueError("solve_principal requires empty lower terms; use solve_full")
-    return f.with_values(_solve_modes(prob, _mode_shifts(prob), f.values[None])[0])
+    return f.with_values(_solve_modes(prob, _mode_shifts(prob), f.values[None])[0][0])
 
 
 def _apply_lower(prob: EllipticProblem, vals: np.ndarray, spec: np.ndarray) -> np.ndarray:
@@ -232,13 +231,12 @@ def contraction_estimate(prob: EllipticProblem, probes: int = 64, seed: int = 0)
             return best
     rng = np.random.default_rng(seed)
     for start in range(0, probes, PROBE_BLOCK):
-        u = np.stack([random_band_limited_field(grid, N, rng, q=q).values
-                      for _ in range(min(PROBE_BLOCK, probes - start))])
+        u = random_band_limited_values(grid, N, rng, min(PROBE_BLOCK, probes - start))
         nu = _lp_lq_norms(u, grid, q, 2.0)
         u, nu = u[nu > 0], nu[nu > 0]
         if nu.size:
-            v = _solve_modes(base, shifts, u)
-            ratios = _lp_lq_norms(_apply_lower(prob, v, grid.fft(v)), grid, q, 2.0) / nu
+            ratios = _lp_lq_norms(_apply_lower(prob, *_solve_modes(base, shifts, u)),
+                                  grid, q, 2.0) / nu
             best = max(best, float(ratios.max()))
     return best
 
@@ -258,38 +256,30 @@ def solve_full(prob: EllipticProblem, f: SampledField, seed: int = 0):
     below NEUMANN_TOL, for at most MAX_ITER iterations; requires the
     contraction estimate to be below one, otherwise the spectral parameter is
     too small for the perturbation argument and ContractionFailure is raised.
-    The per-mode shifts lambda + P_t(xi) are computed once for all solves.
+    The per-mode shifts lambda + P_t(xi) are computed once for all solves,
+    and each iterate keeps the spectrum its solve produced.
     Returns (solution, IterationReport).
     """
     base = prob.principal
     shifts = _mode_shifts(base)
-
-    def solve(fvals: np.ndarray) -> SampledField:
-        return f.with_values(_solve_modes(base, shifts, fvals[None])[0])
-
-    if not prob.lower_terms:
-        u = solve(f.values)
-        return u, IterationReport(iterations=1, residuals=[_relative_residual(prob, u, f)],
-                                  contraction=0.0, contraction_exact=True)
-    kappa = contraction_estimate(prob, seed=seed)
-    if kappa >= 1.0:
-        raise ContractionFailure(
-            f"contraction estimate {kappa:.3f} >= 1; increase |lambda|")
-    nf = lp_lq_norm(f, 2.0)
-    u = solve(f.values)
+    kappa, exact = 0.0, True
+    if prob.lower_terms:
+        kappa = contraction_estimate(prob, seed=seed)
+        if kappa >= 1.0:
+            raise ContractionFailure(
+                f"contraction estimate {kappa:.3f} >= 1; increase |lambda|")
+        exact = prob.model.q == 2 and _constant_coefficients(prob)  # no probes drawn
+    fvals = f.values[None]
+    uvals, uspec = _solve_modes(base, shifts, fvals)
     residuals = []
     for it in range(1, MAX_ITER + 1):
-        uvals = u.values[None]
-        uspec = prob.grid.fft(uvals)
-        lower = _apply_lower(prob, uvals, uspec)[0]
-        res = u.with_values(_apply_principal(prob, uvals, uspec)[0] + lower) - f
-        rel = lp_lq_norm(res, 2.0) / nf if nf > 0 else 0.0
-        residuals.append(rel)
-        if rel < NEUMANN_TOL:
-            exact = prob.model.q == 2 and _constant_coefficients(prob)  # no probes drawn
-            return u, IterationReport(iterations=it, residuals=residuals, contraction=kappa,
-                                      contraction_exact=exact)
-        u = solve(f.values - lower)
+        lower = _apply_lower(prob, uvals, uspec)
+        Ou = _apply_principal(prob, uvals, uspec) + lower
+        residuals.append(float(_relative_residuals(prob.grid, f.q, Ou, fvals)[0]))
+        if residuals[-1] < NEUMANN_TOL or not prob.lower_terms:
+            return f.with_values(uvals[0]), IterationReport(
+                iterations=it, residuals=residuals, contraction=kappa, contraction_exact=exact)
+        uvals, uspec = _solve_modes(base, shifts, fvals - lower)
     raise NoConvergence(f"residual {residuals[-1]:.2e} after {MAX_ITER} iterations")
 
 
@@ -298,11 +288,6 @@ def _relative_residuals(grid: GridSpec, q: float, Ou: np.ndarray, fvals: np.ndar
     nf = _lp_lq_norms(fvals, grid, q, 2.0)
     nr = _lp_lq_norms(Ou - fvals, grid, q, 2.0)
     return np.divide(nr, nf, out=np.zeros_like(nr), where=nf > 0)
-
-
-def _relative_residual(prob: EllipticProblem, u: SampledField, f: SampledField) -> float:
-    Ou = apply_operator(prob, u).values[None]
-    return float(_relative_residuals(u.grid, u.q, Ou, f.values[None])[0])
 
 
 def graph_norm(prob: EllipticProblem, u: SampledField, p: float = 2.0):

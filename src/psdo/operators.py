@@ -121,10 +121,20 @@ def _shifted_matrices(A: np.ndarray, shifts) -> np.ndarray:
 
 
 def shifted_solve(model: OperatorModel, shifts, rhs=None) -> np.ndarray:
-    """(A + s_k I)^-1 for each shift s_k, or, given rhs (len(shifts), N, F), the
-    solutions of the stacked systems (A + s_k I) x_k = rhs_k."""
+    """(A + s_k I)^-1 for each shift s_k, or, given rhs (F, len(shifts), N), the
+    solutions x[f, k] of (A + s_k I) x = rhs[f, k].
+
+    With rhs and a unitary eigenbasis (Hermitian A, kappa = 1) the solve is
+    V ((V^H rhs) / (w + s_k)): two products with V and no factorization.
+    Otherwise one batched LU of the shifted matrices.
+    """
+    if rhs is not None and model.kappa == 1.0:
+        w, V = model.eigvals, model.eigvecs
+        return (rhs @ V.conj() / (w + np.asarray(shifts)[:, None])) @ V.T
     mats = _shifted_matrices(model.A, shifts)
-    return np.linalg.inv(mats) if rhs is None else np.linalg.solve(mats, rhs)
+    if rhs is None:
+        return np.linalg.inv(mats)
+    return np.moveaxis(np.linalg.solve(mats, np.moveaxis(rhs, 0, -1)), -1, 0)
 
 
 def inverse_residuals(model: OperatorModel, shifts, B: np.ndarray) -> np.ndarray:

@@ -185,19 +185,25 @@ def gaussian_field(grid: GridSpec, width: float = None, vector=None,
     return SampledField(grid=grid, values=vals, q=q)
 
 
+def random_band_limited_values(grid: GridSpec, N: int, rng, count: int,
+                               fraction: float = 0.25) -> np.ndarray:
+    """Values (count,) + grid.shape + (N,) of `count` random band-limited fields.
+
+    Complex Gaussian coefficients on the lowest `fraction` of modes, drawn in
+    one batch in the RNG order of `count` random_band_limited_field calls, and
+    one inverse FFT of the stack.
+    """
+    kmax = max(1, int(grid.M * fraction / 2))
+    keep = np.abs(np.fft.fftfreq(grid.M) * grid.M) <= kmax  # integer mode numbers
+    mask = product_mesh([keep] * grid.n).all(axis=-1)
+    draws = rng.standard_normal((count, 2) + grid.shape + (N,))
+    return grid.ifft(np.where(mask[..., None], draws[:, 0] + 1j * draws[:, 1], 0.0))
+
+
 def random_band_limited_field(grid: GridSpec, N: int, rng, q: float = 2.0,
                               fraction: float = 0.25) -> SampledField:
-    """Random complex Gaussian coefficients on the lowest `fraction` of modes."""
-    spec = np.zeros(grid.shape + (N,), dtype=complex)
-    kmax = max(1, int(grid.M * fraction / 2))
-    freqs_idx = np.fft.fftfreq(grid.M) * grid.M  # integer mode numbers
-    keep = np.abs(freqs_idx) <= kmax
-    mask = keep
-    for _ in range(grid.n - 1):
-        mask = np.logical_and.outer(mask, keep)
-    coeffs = rng.standard_normal(grid.shape + (N,)) + 1j * rng.standard_normal(grid.shape + (N,))
-    spec[mask] = coeffs[mask]
-    return SampledField(grid=grid, values=grid.ifft(spec), q=q)
+    """One field of random_band_limited_values."""
+    return SampledField(grid, random_band_limited_values(grid, N, rng, 1, fraction)[0], q)
 
 
 def _zeroes_nyquist(a: float) -> bool:

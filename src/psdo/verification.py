@@ -41,7 +41,7 @@ from .spaces import (
     fractional_multiplier,
     gaussian_field,
     mode_field,
-    random_band_limited_field,
+    random_band_limited_values,
     vector_norms,
 )
 from .sweep import SectorSweep
@@ -220,12 +220,12 @@ def _worst_mode_data(prob: EllipticProblem, index_set, shifts: np.ndarray) -> Sa
 
 
 def _sweep_data(prob: EllipticProblem, index_set, shifts: np.ndarray, count: int, rng):
-    fields = [gaussian_field(prob.grid, vector=np.ones(prob.model.N), q=prob.model.q),
-              _worst_mode_data(prob, index_set, shifts)]
-    while len(fields) < count:
-        fields.append(random_band_limited_field(prob.grid, prob.model.N, rng,
-                                                q=prob.model.q))
-    return fields
+    """Data stack (count,) + grid.shape + (N,): the Gaussian, the worst mode,
+    then count - 2 random band-limited fields."""
+    grid, N = prob.grid, prob.model.N
+    return np.concatenate([gaussian_field(grid, vector=np.ones(N)).values[None],
+                           _worst_mode_data(prob, index_set, shifts).values[None],
+                           random_band_limited_values(grid, N, rng, count - 2)])
 
 
 def _sweep_points(points, evaluate) -> list:
@@ -272,9 +272,11 @@ def coercivity_sweep(template: ProblemTemplate, sweep: SectorSweep,
     """Solve and measure the coercive ratio at every (lambda, t) sweep point.
 
     The box length is rescaled per point so that the lattice resolves the
-    saturation frequency (|lam| / t_k)^(1/m); data fields are generated on
-    the adapted grid.
+    saturation frequency (|lam| / t_k)^(1/m); the data_count >= 2 data
+    fields of _sweep_data are generated on the adapted grid.
     """
+    if data_count < 2:
+        raise ValueError(f"data_count must be at least 2, got {data_count}")
     index_set = template.indices()
     flat = DEFAULT_FLATNESS["coercivity"] if flatness_threshold is None else flatness_threshold
     m = template.symbol.m
@@ -285,10 +287,8 @@ def coercivity_sweep(template: ProblemTemplate, sweep: SectorSweep,
         grid = _adapted_grid(template.grid, lam, t, m)
         prob = EllipticProblem(model=model, symbol=template.symbol, t=t, lam=lam, grid=grid)
         shifts = _mode_shifts(prob)
-        fields = _sweep_data(prob, index_set, shifts, data_count, rng)
-        fvals = np.stack([f.values for f in fields])
-        uvals = _solve_modes(prob, shifts, fvals)
-        uspec = grid.fft(uvals)
+        fvals = _sweep_data(prob, index_set, shifts, data_count, rng)
+        uvals, uspec = _solve_modes(prob, shifts, fvals)
         ratios = _coercive_ratios(grid, q, uvals, uspec, fvals, model, t, lam, m,
                                   template.p, index_set)
         residuals = _relative_residuals(grid, q, _apply_principal(prob, uvals, uspec), fvals)

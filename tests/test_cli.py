@@ -370,11 +370,19 @@ CHECK_SYMBOL = {"symbol": {"kind": "power", "m": 2.0}, "t_values": [1.0],
     ("check-symbol", {**CHECK_SYMBOL, "n": 0}),
     ("check-symbol", {**CHECK_SYMBOL, "t_values": []}),
     ("check-symbol", {**CHECK_SYMBOL, "t_values": [0.0]}),
+    ("verify-coercivity", {**task_cfgs()["verify-coercivity"], "data_count": 0}),
+    ("verify-coercivity", {**task_cfgs()["verify-coercivity"], "data_count": 1}),
+    ("verify-coercivity", {**task_cfgs()["verify-coercivity"], "data_count": 4.5}),
+    ("verify-resolvent", {**task_cfgs()["verify-resolvent"], "per_axis": 0}),
+    ("check-multipliers", {**task_cfgs()["check-multipliers"], "tuple_size": 0}),
+    ("estimate-rbound", {**task_cfgs()["estimate-rbound"], "tuple_size": 0}),
 ], ids=["family-kind", "resolvent-no-lambdas", "resolvent-no-model", "matrices-no-members", "no-members",
         "mixed-shapes", "ragged-member", "matrices-lambdas", "scalars-only", "vectors-only",
         "unequal-lengths", "lambdas-number", "lambdas-empty", "count-negative", "count-0",
         "count-fraction", "m-0", "N-negative", "xi-lo-0", "xi-lo-negative", "xi-hi-below-lo",
-        "xi-hi-inf", "xi-count-0", "n-0", "t-values-empty", "t-value-0"])
+        "xi-hi-inf", "xi-count-0", "n-0", "t-values-empty", "t-value-0", "data-count-0",
+        "data-count-1", "data-count-fraction", "per-axis-0", "multipliers-tuple-size-0",
+        "rbound-tuple-size-0"])
 def test_malformed_family_or_instance_is_config_error(tmp_path, capsys, task, cfg):
     assert run_with_sets(tmp_path, task, {"task": task, **cfg}, []) == 2
     assert "config error:" in capsys.readouterr().err

@@ -21,11 +21,14 @@ from psdo import (
     mode_field,
     power_symbol,
     random_band_limited_field,
+    random_band_limited_values,
     rotated_power_symbol,
     solve_full,
     solve_principal,
+    tridiagonal_matrix,
 )
 import psdo.elliptic
+from psdo.elliptic import _mode_shifts, _solve_modes
 from psdo.symbols import i_xi_power_factor
 
 
@@ -69,6 +72,20 @@ def test_residual_round_trip():
     u = solve_principal(prob, f)
     res = apply_operator(prob, u) - f
     assert lp_lq_norm(res, 2.0) / lp_lq_norm(f, 2.0) < 1e-10
+
+
+@pytest.mark.parametrize("n, A", [(2, [[2.0, 0.5], [0.0, 1.0]]),
+                                  (1, tridiagonal_matrix(8, -1.0, 2.0, -1.0))],
+                         ids=["2d-n2-lu", "1d-n8-eigenbasis"])
+def test_solve_modes_spectrum_is_fft_of_its_values(n, A):
+    grid = GridSpec(n=n, M=16, L=2 * np.pi)
+    prob = EllipticProblem(model=make_model(A), symbol=power_symbol(m=2.0),
+                           t=ScaleParams((0.5, 0.1)[:n]), lam=2.0 + 1.0j, grid=grid)
+    fvals = random_band_limited_values(grid, prob.model.N, np.random.default_rng(6), 3)
+    vals, spec = _solve_modes(prob, _mode_shifts(prob), fvals)
+    assert spec.shape == vals.shape == fvals.shape
+    ref = grid.fft(vals)
+    assert np.linalg.norm(spec - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_mode_singular_detection():
@@ -235,8 +252,16 @@ def test_contraction_estimate_matches_per_probe_loop(probes, monkeypatch):
         calls.append(None)
         return u * 0.0 if len(calls) % 3 == 0 else u
 
+    def some_zero_batch(grid, N, rng, count):
+        vals = random_band_limited_values(grid, N, rng, count)
+        for k in range(count):
+            calls.append(None)
+            if len(calls) % 3 == 0:
+                vals[k] = 0.0
+        return vals
+
     expected = _contraction_per_probe(prob, probes, 11, some_zero)
     calls.clear()
-    monkeypatch.setattr(psdo.elliptic, "random_band_limited_field", some_zero)
+    monkeypatch.setattr(psdo.elliptic, "random_band_limited_values", some_zero_batch)
     assert contraction_estimate(prob, probes=probes, seed=11) == pytest.approx(
         expected, rel=1e-12, abs=0.0)

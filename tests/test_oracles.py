@@ -34,6 +34,7 @@ from psdo import (
     SpaceTimeField,
     SymbolSpec,
     apply_operator,
+    build_bvp_operator,
     check_positivity,
     check_symbol_class,
     coercive_index_set,
@@ -48,17 +49,19 @@ from psdo import (
     power_symbol,
     probe_norm,
     random_band_limited_field,
+    random_band_limited_values,
     rotated_power_symbol,
     smoothed_power_symbol,
     solve_duhamel,
     solve_full,
     solve_implicit_euler,
     solve_principal,
+    tridiagonal_matrix,
     vector_norms,
 )
 import psdo.elliptic
 from psdo.elliptic import NEUMANN_TOL
-from psdo.operators import operator_norm_upper
+from psdo.operators import operator_norm_upper, shifted_solve
 from psdo.symbols import FD_STEP, _central_difference
 from psdo.verification import _adapted_xi_samples
 
@@ -249,7 +252,7 @@ def test_contraction_estimate_q2_constant_coefficients_draws_no_probes(monkeypat
     def no_probes(*args, **kwargs):
         raise AssertionError("contraction_estimate drew a probe field")
 
-    monkeypatch.setattr(psdo.elliptic, "random_band_limited_field", no_probes)
+    monkeypatch.setattr(psdo.elliptic, "random_band_limited_values", no_probes)
     prob = problem(constant_terms())
     exact = np.linalg.norm(dense_lower(prob) @ np.linalg.inv(dense_principal(prob.principal)), 2)
     assert contraction_estimate(prob) == pytest.approx(exact, rel=1e-12)
@@ -287,11 +290,11 @@ def test_contraction_estimate_q1_inf_keeps_probes_above_pure_mode_value(q, monke
 
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return random_band_limited_field(*args, **kwargs)
+    def counted(grid, N, rng, count):
+        calls.extend([None] * count)
+        return random_band_limited_values(grid, N, rng, count)
 
-    monkeypatch.setattr(psdo.elliptic, "random_band_limited_field", counted)
+    monkeypatch.setattr(psdo.elliptic, "random_band_limited_values", counted)
     assert contraction_estimate(prob, probes=0) == pytest.approx(block_value, rel=1e-12)
     assert not calls
     est = contraction_estimate(prob)
@@ -492,3 +495,46 @@ def test_multiplier_sigma_alpha_matches_scaled_stack_norms(q, n):
             expected = float(operator_norm_upper(scale[:, None, None] * B, q).max())
             assert point["sigma_alpha"][str(alpha.components)] == pytest.approx(expected,
                                                                                 rel=1e-12)
+
+
+HERMITIAN_MODELS = {
+    "scalar": lambda: make_model(np.array([[1.0]])),
+    "tridiagonal-n8": lambda: make_model(tridiagonal_matrix(8, -1.0, 2.0, -1.0)),
+    "bvp-k64": lambda: build_bvp_operator(64, np.pi, 1.0),
+}
+
+
+def sector_shifts_and_rhs(N):
+    """Shifts lambda + P with |arg lambda| <= pi/4 and P >= 0 from 0 to 3e3, and
+    three random complex right-hand sides per shift, shape (3, shifts, N)."""
+    lams = [r * cmath.exp(1j * a) for r in (1.0, 1e2, 1e4)
+            for a in (-np.pi / 4, 0.0, np.pi / 5, np.pi / 4)]
+    shifts = np.array([lam + P for lam in lams for P in (0.0, 0.5, 40.0, 3e3)])
+    rng = np.random.default_rng(5)
+    shape = (3, len(shifts), N)
+    return shifts, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("name", HERMITIAN_MODELS)
+def test_shifted_solve_eigenbasis_matches_dense_solve(name):
+    """Hermitian A solves in its eigenbasis; each shift's solutions match the
+    dense solve of A + s I to rel 1e-12 and leave a relative residual <= 1e-12."""
+    model = HERMITIAN_MODELS[name]()
+    assert model.kappa == 1.0
+    shifts, rhs = sector_shifts_and_rhs(model.N)
+    x = shifted_solve(model, shifts, rhs)
+    for k, s in enumerate(shifts):
+        mat = model.A + s * np.eye(model.N)
+        ref = np.linalg.solve(mat, rhs[:, k].T).T
+        assert np.linalg.norm(x[:, k] - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(x[:, k] @ mat.T - rhs[:, k]) <= 1e-12 * np.linalg.norm(rhs[:, k])
+
+
+def test_shifted_solve_nonnormal_keeps_lu_bit_for_bit():
+    model = build_bvp_operator(12, np.pi, 1.0, b1=3.0)
+    assert model.kappa > 1.0
+    shifts, rhs = sector_shifts_and_rhs(model.N)
+    x = shifted_solve(model, shifts, rhs)
+    for k, s in enumerate(shifts):
+        ref = np.linalg.solve(model.A + s * np.eye(model.N), rhs[:, k].T).T
+        assert np.array_equal(x[:, k], ref)

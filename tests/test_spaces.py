@@ -19,6 +19,7 @@ from psdo import (
     mixed_norm,
     mode_field,
     random_band_limited_field,
+    random_band_limited_values,
     vector_norms,
 )
 from psdo.spaces import export_columnar, fractional_multiplier
@@ -67,6 +68,34 @@ def test_fft_of_a_stack_matches_per_field_transforms(n):
     spec = g.fft(stack)
     assert np.array_equal(spec, np.stack([g.fft(v) for v in stack]))
     assert np.array_equal(g.ifft(spec), np.stack([g.ifft(s) for s in spec]))
+
+
+def _band_limited_field_per_field(grid, N, rng, fraction=0.25):
+    """Reference: one field's coefficients drawn as a real and an imaginary
+    standard-normal block, kept on |mode number| <= kmax per axis, one ifft."""
+    kmax = max(1, int(grid.M * fraction / 2))
+    keep = np.abs(np.fft.fftfreq(grid.M) * grid.M) <= kmax
+    mask = keep
+    for _ in range(grid.n - 1):
+        mask = np.logical_and.outer(mask, keep)
+    coeffs = rng.standard_normal(grid.shape + (N,)) + 1j * rng.standard_normal(grid.shape + (N,))
+    spec = np.zeros(grid.shape + (N,), dtype=complex)
+    spec[mask] = coeffs[mask]
+    return grid.ifft(spec)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("N", [1, 8])
+def test_random_band_limited_values_match_successive_fields(n, N):
+    g = GridSpec(n=n, M=16, L=3.0)
+    batch = random_band_limited_values(g, N, np.random.default_rng(4), 5)
+    assert batch.shape == (5,) + g.shape + (N,)
+    rng = np.random.default_rng(4)
+    assert np.array_equal(batch, np.stack([random_band_limited_field(g, N, rng).values
+                                           for _ in range(5)]))
+    rng = np.random.default_rng(4)
+    assert np.array_equal(batch, np.stack([_band_limited_field_per_field(g, N, rng)
+                                           for _ in range(5)]))
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 0.5, 1.5])
