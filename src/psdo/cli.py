@@ -386,8 +386,6 @@ def _parse_forcing(cfg: dict, grid: GridSpec, N: int, q: float, Y: float, J: int
                    p: float, p1: float) -> SpaceTimeField:
     _expect_kind(cfg, "forcing", {"gaussian": ((), ("width", "vector", "time_profile",
                                                      "omega"))})
-    if not (math.isfinite(Y) and Y > 0) or J < 1:
-        raise ConfigError(f"need horizon > 0 and steps >= 1, got horizon {Y}, steps {J}")
     vector = _parse_vector(cfg, "forcing", N)
     base = gaussian_field(grid, width=cfg.get("width"), vector=vector, q=q)
     times = np.linspace(0.0, Y, J + 1)
@@ -415,8 +413,10 @@ def _task_solve_parabolic(cfg, seed):
     model = _parse_model(cfg["model"])
     symbol = _parse_symbol(cfg["symbol"])
     t = _parse_scale(cfg["t"], grid.n)
-    Y = float(cfg["horizon"])
-    J = int(cfg["steps"])
+    Y = cfg["horizon"]
+    if isinstance(Y, bool) or not isinstance(Y, (int, float)) or not 0 < Y <= sys.float_info.max:
+        raise ConfigError(f"config.horizon must be a finite number > 0, got {Y!r}")
+    Y, J = float(Y), _positive_int(cfg, "steps", "config")
     p = float(cfg.get("p", 2.0))
     p1 = float(cfg.get("p1", 2.0))
     forcing = _parse_forcing(cfg["forcing"], grid, model.N, model.q, Y, J, p, p1)
@@ -445,8 +445,7 @@ def _task_solve_parabolic(cfg, seed):
     rows = [_csv_row(0.0, 0.0, t.t, ratio, residual, verdict)]
     extras = {}
     if cfg.get("export_fields"):
-        parts = [export_columnar(u.slice(j)) for j in range(u.J + 1)]
-        extras["solution.txt"] = ("\n".join(parts))
+        extras["solution.txt"] = export_columnar(u)
     return verdict, result, rows, extras
 
 
@@ -648,15 +647,13 @@ def main(argv=None) -> int:
         description="Spectral solves and uniform-estimate sweeps for "
                     "parameter-elliptic operator equations.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    names = list(TASKS) + ["run-scenario"]
-    for name in names:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a (dotted) config key")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=".", help="output directory for reports")
+    parser.add_argument("command", choices=list(TASKS) + ["run-scenario"], metavar="COMMAND",
+                        help="one of %(choices)s")
+    parser.add_argument("--config", required=True, help="JSON config path")
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="override a (dotted) config key")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--out", default=".", help="output directory for reports")
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)

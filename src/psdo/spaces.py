@@ -318,13 +318,30 @@ def mixed_norm(u: SpaceTimeField, p: float = None, p1: float = None) -> float:
     return float((np.sum(w * inner**p1)) ** (1.0 / p1))
 
 
-def export_columnar(u: SampledField) -> str:
-    """One row per grid point: coordinates, then Re/Im per component."""
-    x = u.grid.points().reshape(-1, u.grid.n)
-    v = u.values.reshape(-1, u.N)
-    cols = np.concatenate([x, np.stack([v.real, v.imag], axis=-1).reshape(len(v), -1)], axis=1)
-    header = "# " + " ".join([f"x{k}" for k in range(u.grid.n)]
-                             + [f"re{j} im{j}" for j in range(u.N)])
-    row = " ".join(["%.17g"] * cols.shape[1])
-    body = "\n".join([row] * len(cols)) % tuple(cols.ravel().tolist())
-    return header + "\n" + body + "\n"
+def _formatted(rows: np.ndarray) -> list:
+    """The "%.17g" text of each row of a 2-D float array, by one template."""
+    row = " ".join(["%.17g"] * rows.shape[1])
+    return ("\n".join([row] * len(rows)) % tuple(rows.ravel().tolist())).split("\n")
+
+
+def export_columnar(u: SampledField | SpaceTimeField) -> str:
+    """Text columns of a SampledField, or of every slice of a SpaceTimeField:
+    per slice a header, then per grid point the coordinates and Re/Im per
+    component in "%.17g"; an empty line between slices.  One slice template
+    holds the coordinates; when at most half of the numbers are distinct, each
+    distinct 64-bit pattern (-0.0 is not 0.0) is formatted once."""
+    grid, N = u.grid, u.N
+    floats = np.ascontiguousarray(u.values).reshape(-1, grid.M**grid.n * N).view(np.float64)
+    distinct, index = np.unique(floats.view(np.int64), return_inverse=True)
+    if 2 * len(distinct) <= floats.size:
+        texts = np.array(_formatted(distinct.view(np.float64)[:, None]), dtype=object)
+        source, spec = texts[index.reshape(floats.shape)], "%s"
+    else:
+        source, spec = floats, "%.17g"
+    header = "# " + " ".join([f"x{k}" for k in range(grid.n)] + [f"re{j} im{j}" for j in range(N)])
+    row = " ".join([spec] * (2 * N))
+    x = _formatted(grid.points().reshape(-1, grid.n))
+    template = "".join([header + "\n"] + [f"{c} {row}\n" for c in x])
+    step = max(1, 2**14 // floats.shape[1])  # slices per block keep the fill tuple small
+    blocks = [source[j:j + step] for j in range(0, len(source), step)]
+    return "\n".join(["\n".join([template] * len(b)) % tuple(b.ravel().tolist()) for b in blocks])

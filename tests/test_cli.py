@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from psdo import __version__, cli
 from psdo.cli import _write_reports, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -117,6 +118,46 @@ def test_solve_elliptic_with_export(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["result"]["residual"] < 1e-10
     assert (tmp_path / "out" / "solution.txt").exists()
+
+
+def test_solve_parabolic_export_writes_every_slice(tmp_path, monkeypatch):
+    solve, solved = cli.solve_implicit_euler, []
+
+    def recording(prob):
+        solved.append(solve(prob))
+        return solved[-1]
+
+    monkeypatch.setattr(cli, "solve_implicit_euler", recording)
+    cfg = json.loads((SCENARIOS / "parabolic-reference.json").read_text())
+    cfg.update(grid={"n": 2, "M": 8, "L": 2 * np.pi}, steps=6, method="implicit-euler",
+               model={"kind": "tridiagonal", "N": 3}, export_fields=True,
+               residual_tol=1.0)  # six implicit-Euler steps are coarse; the export is checked
+    assert main(["solve-parabolic", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    blocks = (tmp_path / "out" / "solution.txt").read_text().split("\n\n")
+    assert len(blocks) == 6 + 1
+    rows = blocks[-1].splitlines()
+    assert rows[0] == "# x0 x1 re0 im0 re1 im1 re2 im2" and len(rows) == 1 + 8 * 8
+    numbers = np.array([[float(v) for v in row.split()[2:]] for row in rows[1:]])
+    final = solved[0].values[-1].reshape(8 * 8, 3)
+    np.testing.assert_array_equal(numbers.view(np.int64),
+                                  final.view(np.float64).view(np.int64))
+
+
+@pytest.mark.parametrize("argv", [["bogus", "--config", "c.json"], ["solve-elliptic"], []],
+                         ids=["unknown-command", "no-config", "nothing"])
+def test_bad_command_line_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: psdo" in capsys.readouterr().err
+
+
+def test_version_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == __version__
 
 
 def test_solve_parabolic_subcommand(tmp_path):
@@ -286,9 +327,13 @@ def test_data_kind_accepts_the_keys_it_reads(tmp_path, data):
 @pytest.mark.parametrize("sets", [["steps=0"], ["steps=-3"], ["horizon=-1"], ["horizon=0"],
                                   ["forcing.vector=[1.0, 1.0]"], ["forcing.kind=nonsense"],
                                   ["forcing.time_profile=ramp", "forcing.omega=0.5"],
-                                  ["forcing.time_profile=constant", "forcing.omega=0.5"]],
+                                  ["forcing.time_profile=constant", "forcing.omega=0.5"],
+                                  ["horizon=abc"], ["steps=abc"], ["steps=2.5"],
+                                  ["horizon=NaN"], ["horizon=Infinity"], ["horizon=true"]],
                          ids=["steps-0", "steps-negative", "horizon-negative", "horizon-0",
-                              "vector-length", "forcing-kind", "omega-ramp", "omega-constant"])
+                              "vector-length", "forcing-kind", "omega-ramp", "omega-constant",
+                              "horizon-text", "steps-text", "steps-fractional", "horizon-nan",
+                              "horizon-inf", "horizon-bool"])
 def test_solve_parabolic_bad_value_is_config_error(tmp_path, capsys, sets):
     cfg = json.loads((SCENARIOS / "parabolic-reference.json").read_text())
     assert run_with_sets(tmp_path, "solve-parabolic", cfg, sets) == 2

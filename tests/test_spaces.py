@@ -261,3 +261,40 @@ def test_export_columnar_matches_per_element_formatting(n, N):
     assert export_columnar(u) == _export_per_element(u)
     sliced = SpaceTimeField(grid=g, values=np.stack([vals, -vals]), Y=1.0).slice(1)
     assert export_columnar(sliced) == _export_per_element(sliced)
+
+
+def _special_stack(n, N, S, M, repeated):
+    """A (S, M, ..., N) stack with -0.0 and 0.0, subnormals, +-1e300, values
+    repeated across slices and an all-zero imaginary part (the last component
+    of slice 0).  With `repeated`, every number is one of 7 values, so at most
+    half of them are distinct; otherwise nearly all are."""
+    g = GridSpec(n=n, M=M, L=3.0)
+    rng = np.random.default_rng(7)
+    shape = (S,) + g.shape + (N,)
+    if repeated:
+        pool = np.array([0.0, -0.0, 5e-324, 1e300, -1e300, 2.5])
+        vals = rng.choice(pool, shape) + 1j * rng.choice(pool, shape)
+    else:
+        vals = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                * 10.0 ** rng.integers(-20, 20, shape))
+    vals[-1].reshape(-1).real[:5] = [-0.0, 5e-324, -2.5e-310, 1e300, -1e300]
+    vals[:, 1] = vals[-1, 1]
+    vals[0, ..., -1].imag = 0.0
+    return g, vals
+
+
+@pytest.mark.parametrize("repeated", [True, False], ids=["dedup", "plain"])
+@pytest.mark.parametrize("n, N, S, M",
+                         [(n, N, S, 8) for n in (1, 2) for N in (1, 3) for S in (1, 4)]
+                         + [(1, 4, 5, 1024)])  # 2^13 numbers a slice: blocks of 2, 2 and 1 slices
+def test_export_columnar_stack_matches_per_slice_reference(n, N, S, M, repeated):
+    g, vals = _special_stack(n, N, S, M, repeated)
+    floats = vals.view(np.float64)
+    distinct = len(np.unique(floats.view(np.int64)))
+    assert (2 * distinct <= floats.size) == repeated  # which path the data take
+    if S == 1:
+        u = SampledField(grid=g, values=vals[0])
+    else:
+        u = SpaceTimeField(grid=g, values=vals, Y=1.0)
+    expected = "\n".join(_export_per_element(SampledField(grid=g, values=v)) for v in vals)
+    assert export_columnar(u) == expected
