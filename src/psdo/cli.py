@@ -148,6 +148,18 @@ def _positive_int(cfg: dict, key: str, where: str, default=None, least: int = 1)
     return value
 
 
+def _number(cfg: dict, key: str, where: str, default=None) -> float:
+    """cfg[key] (or the default when absent) as a float: a JSON number, not NaN."""
+    value = cfg.get(key, default)
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool) \
+                and not math.isnan(value):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+
+
 def _parse_grid(cfg: dict) -> GridSpec:
     _expect_keys(cfg, "grid", required=("n", "M", "L"))
     try:
@@ -350,6 +362,8 @@ def _task_solve_elliptic(cfg, seed):
                  required=("grid", "model", "symbol", "t", "lambda", "data"),
                  optional=("task", "p", "lower_terms", "residual_tol",
                            "export_fields", "seed"))
+    p = _number(cfg, "p", "config", 2.0)
+    tol = _number(cfg, "residual_tol", "config", 1e-8)
     grid = _parse_grid(cfg["grid"])
     model = _parse_model(cfg["model"])
     symbol = _parse_symbol(cfg["symbol"])
@@ -360,9 +374,7 @@ def _task_solve_elliptic(cfg, seed):
     prob = _parse_problem(cfg, model=model, symbol=symbol, t=t, lam=lam, grid=grid)
     u, it = solve_full(prob, f, seed=seed)
     residual = it.residuals[-1]
-    p = float(cfg.get("p", 2.0))
     onorm, hnorm, gratio = graph_norm(prob, u, p=p)
-    tol = float(cfg.get("residual_tol", 1e-8))
     verdict = "pass" if residual < tol else "fail"
     result = {
         "residual": residual,
@@ -393,7 +405,7 @@ def _parse_forcing(cfg: dict, grid: GridSpec, N: int, q: float, Y: float, J: int
     if "omega" in cfg and profile != "sin":
         raise ConfigError(f"forcing.omega is read only by the 'sin' time profile, not {profile!r}")
     if profile == "sin":
-        weights = np.sin(math.pi * float(cfg.get("omega", 1.0)) * times / Y)
+        weights = np.sin(math.pi * _number(cfg, "omega", "forcing", 1.0) * times / Y)
     elif profile == "ramp":
         weights = times / Y
     elif profile == "constant":
@@ -413,12 +425,13 @@ def _task_solve_parabolic(cfg, seed):
     model = _parse_model(cfg["model"])
     symbol = _parse_symbol(cfg["symbol"])
     t = _parse_scale(cfg["t"], grid.n)
-    Y = cfg["horizon"]
-    if isinstance(Y, bool) or not isinstance(Y, (int, float)) or not 0 < Y <= sys.float_info.max:
+    Y = _number(cfg, "horizon", "config")
+    if not 0 < Y < math.inf:
         raise ConfigError(f"config.horizon must be a finite number > 0, got {Y!r}")
-    Y, J = float(Y), _positive_int(cfg, "steps", "config")
-    p = float(cfg.get("p", 2.0))
-    p1 = float(cfg.get("p1", 2.0))
+    J = _positive_int(cfg, "steps", "config")
+    p = _number(cfg, "p", "config", 2.0)
+    p1 = _number(cfg, "p1", "config", 2.0)
+    tol = _number(cfg, "residual_tol", "config", 1e-2)  # time discretization limits this
     forcing = _parse_forcing(cfg["forcing"], grid, model.N, model.q, Y, J, p, p1)
     ell = _parse_problem(cfg, model=model, symbol=symbol, t=t, lam=0.0, grid=grid)
     prob = ParabolicProblem(elliptic=ell, forcing=forcing)
@@ -430,7 +443,6 @@ def _task_solve_parabolic(cfg, seed):
     else:
         raise ConfigError(f"unknown method {method!r}")
     ratio, residual, forcing_norm = parabolic_diagnostics(prob, u)
-    tol = float(cfg.get("residual_tol", 1e-2))  # time discretization limits this
     verdict = "pass" if (ratio is None or math.isfinite(ratio)) and residual < tol else "fail"
     result = {
         "method": method,

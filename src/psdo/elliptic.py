@@ -26,6 +26,7 @@ from .spaces import (
     GridSpec,
     SampledField,
     _lp_lq_norms,
+    _lp_lq_norms_from_spectra,
     fractional_multiplier,
     h_m_pt_norm,
     lp_lq_norm,
@@ -116,17 +117,28 @@ def coercive_index_set(n: int, m: float):
     return out
 
 
-def _mode_shifts(prob: EllipticProblem) -> np.ndarray:
-    """lambda + P_t(xi) per lattice mode (flattened FFT order).
+def _mode_shifts(prob: EllipticProblem, P: np.ndarray = None) -> np.ndarray:
+    """lambda + P_t(xi) per lattice mode (flattened FFT order); P is
+    prob.symbol_values(), evaluated here unless the caller has it.
 
     Raises ModeSingular when a shift lies within roundoff of -spectrum(A).
     """
-    shifts = prob.lam + prob.symbol_values().reshape(-1)
+    P = prob.symbol_values() if P is None else P
+    shifts = prob.lam + P.reshape(-1)
     hit = spectrum_hit(prob.model, shifts)
     if hit is not None:
         xi = prob.grid.frequency_mesh().reshape(-1, prob.grid.n)[hit]
         raise ModeSingular(tuple(xi))
     return shifts
+
+
+def _solve_spectra(prob: EllipticProblem, shifts: np.ndarray, fhat: np.ndarray) -> np.ndarray:
+    """Per-mode principal solve of a stack of spectra, fhat shape (F,) + grid.shape + (N,)."""
+    try:
+        uhat = shifted_solve(prob.model, shifts, fhat.reshape(len(fhat), -1, fhat.shape[-1]))
+    except np.linalg.LinAlgError as exc:
+        raise ModeSingular(None, str(exc)) from exc
+    return uhat.reshape(fhat.shape)
 
 
 def _solve_modes(prob: EllipticProblem, shifts: np.ndarray, fvals: np.ndarray):
@@ -135,12 +147,7 @@ def _solve_modes(prob: EllipticProblem, shifts: np.ndarray, fvals: np.ndarray):
     One FFT of the stack and one per-mode solve with all F right-hand sides.
     Returns the solutions' values and their spectra, both shaped like fvals.
     """
-    fhat = prob.grid.fft(fvals)
-    try:
-        uhat = shifted_solve(prob.model, shifts, fhat.reshape(len(fvals), -1, fvals.shape[-1]))
-    except np.linalg.LinAlgError as exc:
-        raise ModeSingular(None, str(exc)) from exc
-    uhat = uhat.reshape(fhat.shape)
+    uhat = _solve_spectra(prob, shifts, prob.grid.fft(fvals))
     return prob.grid.ifft(uhat), uhat
 
 
@@ -151,27 +158,28 @@ def solve_principal(prob: EllipticProblem, f: SampledField) -> SampledField:
     return f.with_values(_solve_modes(prob, _mode_shifts(prob), f.values[None])[0][0])
 
 
-def _apply_lower(prob: EllipticProblem, vals: np.ndarray, spec: np.ndarray) -> np.ndarray:
-    """L_t u for a stack of fields vals with spectra spec: one multiplier per term."""
-    out = np.zeros_like(vals)
+def _apply_lower(prob: EllipticProblem, spec: np.ndarray) -> np.ndarray:
+    """L_t u for a stack of fields with spectra spec: one multiplier per term."""
+    out = np.zeros_like(spec)
     for term in prob.lower_terms:
         w = prob.t.weight(term.alpha, prob.symbol.m)
         mult = fractional_multiplier(prob.grid, term.alpha)
         du = prob.grid.ifft(spec * mult[..., None])
-        coeff = term.coefficient_on(prob.grid, vals.shape[-1])
+        coeff = term.coefficient_on(prob.grid, spec.shape[-1])
         out = out + w * np.einsum("...ij,...j->...i", coeff, du)
     return out
 
 
 def apply_lower_terms(prob: EllipticProblem, u: SampledField) -> SampledField:
     """L_t u = sum over lower terms of t(alpha) A_alpha(x) D^alpha u."""
-    uvals = u.values[None]
-    return u.with_values(_apply_lower(prob, uvals, prob.grid.fft(uvals))[0])
+    return u.with_values(_apply_lower(prob, prob.grid.fft(u.values[None]))[0])
 
 
-def _apply_principal(prob: EllipticProblem, uvals: np.ndarray, uspec: np.ndarray) -> np.ndarray:
-    """P_t(D) u + A u + lambda u for a stack of fields uvals with spectra uspec."""
-    principal = prob.grid.ifft(prob.symbol_values()[..., None] * uspec)
+def _apply_principal(prob: EllipticProblem, P: np.ndarray, uvals: np.ndarray,
+                     uspec: np.ndarray) -> np.ndarray:
+    """P_t(D) u + A u + lambda u for a stack of fields uvals with spectra uspec;
+    P is prob.symbol_values()."""
+    principal = prob.grid.ifft(P[..., None] * uspec)
     return principal + prob.model.apply(uvals) + prob.lam * uvals
 
 
@@ -179,23 +187,18 @@ def apply_operator(prob: EllipticProblem, u: SampledField) -> SampledField:
     """Forward operator: symbol part + A u + lambda u + lower-order terms."""
     uvals = u.values[None]
     uspec = prob.grid.fft(uvals)
-    out = _apply_principal(prob, uvals, uspec)
+    out = _apply_principal(prob, prob.symbol_values(), uvals, uspec)
     if prob.lower_terms:
-        out = out + _apply_lower(prob, uvals, uspec)
+        out = out + _apply_lower(prob, uspec)
     return u.with_values(out[0])
 
 
-def _constant_coefficients(prob: EllipticProblem) -> bool:
-    """True when every lower term has an (N, N) coefficient, i.e. L_t is diagonal per mode."""
-    N = prob.model.N
-    return all(np.shape(term.coefficient) == (N, N) for term in prob.lower_terms)
-
-
 def _lower_symbol_blocks(prob: EllipticProblem):
-    """Per-mode matrices of L_t for constant-coefficient lower terms, or None."""
-    if not _constant_coefficients(prob):
-        return None  # x-dependent coefficient: not diagonal in frequency
+    """Per-mode matrices of L_t, grid.shape + (N, N), when every lower term has a
+    constant (N, N) coefficient (L_t is then diagonal per mode); else None."""
     N = prob.model.N
+    if any(np.shape(term.coefficient) != (N, N) for term in prob.lower_terms):
+        return None  # x-dependent coefficient: not diagonal in frequency
     blocks = np.zeros(prob.grid.shape + (N, N), dtype=complex)
     for term in prob.lower_terms:
         c = np.asarray(term.coefficient, dtype=complex)
@@ -204,27 +207,46 @@ def _lower_symbol_blocks(prob: EllipticProblem):
     return blocks
 
 
-def contraction_estimate(prob: EllipticProblem, probes: int = 64, seed: int = 0) -> float:
+def _scalar_coefficients(prob: EllipticProblem) -> bool:
+    """True when every lower-term coefficient is exactly c * I with a constant c."""
+    eye = np.eye(prob.model.N)
+    coeffs = [np.asarray(term.coefficient) for term in prob.lower_terms]
+    return all(c.shape == eye.shape and np.array_equal(c, c[0, 0] * eye) for c in coeffs)
+
+
+def contraction_estimate(prob: EllipticProblem, probes: int = 64, seed: int = 0, *,
+                         shifts: np.ndarray = None, blocks: np.ndarray = None) -> float:
     """Norm of u -> L_t (principal)^-1 u on L^2(x; l_q^N), exact or estimated.
 
     With constant coefficients L_t P^-1 is a Fourier multiplier, and its
     largest per-mode block norm is taken: at q = 2 that is the norm itself
     (Plancherel) and is returned without probes; at q in {1, inf} pure modes
     e^{i xi x} v attain it, so it is a lower estimate; at other q it is the
-    Riesz-Thorin upper bound per mode.  Otherwise the max with the ratios of
-    `probes` random band-limited fields (lower bounds, and the only term for
-    x-dependent coefficients) is returned; probes are solved in blocks of
-    PROBE_BLOCK fields.
+    Riesz-Thorin upper bound per mode.  At q = 2 with Hermitian A (unitary
+    eigenbasis, kappa = 1) and every coefficient c_alpha I, the block of mode
+    xi is l(xi) (A + lambda + P_t(xi))^-1 with l(xi) = sum t(alpha) c_alpha
+    (i xi)^alpha, a normal matrix, so the norm is the closed form
+    max_xi |l(xi)| / min_j |w_j + lambda + P_t(xi)| over the eigenvalues w_j.
+    Otherwise the max with the ratios of `probes` random band-limited fields
+    (lower bounds, and the only term for x-dependent coefficients) is
+    returned; probes are solved in blocks of PROBE_BLOCK fields.
+
+    `shifts` (the per-mode lambda + P_t(xi)) and `blocks` (the per-mode
+    matrices of L_t) are computed here unless a caller that has them passes
+    them.
     """
     if not prob.lower_terms:
         return 0.0
     base = prob.principal
-    shifts = _mode_shifts(base)
+    shifts = _mode_shifts(base) if shifts is None else shifts
+    blocks = _lower_symbol_blocks(prob) if blocks is None else blocks
     best = 0.0
-    grid, N, q = prob.grid, prob.model.N, prob.model.q
-    blocks = _lower_symbol_blocks(prob)
+    grid, model, N, q = prob.grid, prob.model, prob.model.N, prob.model.q
+    if q == 2 and model.kappa == 1.0 and _scalar_coefficients(prob):
+        dist = np.abs(model.eigvals[None, :] + shifts[:, None]).min(axis=1)
+        return float(np.max(np.abs(blocks[..., 0, 0]).reshape(-1) / dist))
     if blocks is not None:
-        Binv = shifted_solve(prob.model, shifts).reshape(grid.shape + (N, N))
+        Binv = shifted_solve(model, shifts).reshape(grid.shape + (N, N))
         comp = np.einsum("...ij,...jk->...ik", blocks, Binv)
         best = float(np.max(operator_norm_upper(comp, q)))
         if q == 2:
@@ -235,9 +257,8 @@ def contraction_estimate(prob: EllipticProblem, probes: int = 64, seed: int = 0)
         nu = _lp_lq_norms(u, grid, q, 2.0)
         u, nu = u[nu > 0], nu[nu > 0]
         if nu.size:
-            ratios = _lp_lq_norms(_apply_lower(prob, *_solve_modes(base, shifts, u)),
-                                  grid, q, 2.0) / nu
-            best = max(best, float(ratios.max()))
+            Lv = _apply_lower(prob, _solve_spectra(base, shifts, grid.fft(u)))
+            best = max(best, float((_lp_lq_norms(Lv, grid, q, 2.0) / nu).max()))
     return best
 
 
@@ -256,30 +277,43 @@ def solve_full(prob: EllipticProblem, f: SampledField, seed: int = 0):
     below NEUMANN_TOL, for at most MAX_ITER iterations; requires the
     contraction estimate to be below one, otherwise the spectral parameter is
     too small for the perturbation argument and ContractionFailure is raised.
-    The per-mode shifts lambda + P_t(xi) are computed once for all solves,
-    and each iterate keeps the spectrum its solve produced.
+
+    The iteration runs on spectra: f is transformed once, and u once back at
+    the end.  The spectrum of L_t u is the per-mode blocks of L_t times the
+    iterate's spectrum for constant coefficients (the blocks are built once
+    and shared with contraction_estimate), and the FFT of the physical
+    product otherwise.  The residual is that of the applied operator,
+    (A + lambda + P_t(xi)) uhat + (L_t u)^ - fhat; at q = 2 its L^2(l_2) norm
+    is taken from the spectrum by Parseval, at other q after an inverse FFT.
     Returns (solution, IterationReport).
     """
-    base = prob.principal
-    shifts = _mode_shifts(base)
+    grid = prob.grid
+    shifts = _mode_shifts(prob)
+    blocks = _lower_symbol_blocks(prob)
     kappa, exact = 0.0, True
     if prob.lower_terms:
-        kappa = contraction_estimate(prob, seed=seed)
+        kappa = contraction_estimate(prob, seed=seed, shifts=shifts, blocks=blocks)
         if kappa >= 1.0:
             raise ContractionFailure(
                 f"contraction estimate {kappa:.3f} >= 1; increase |lambda|")
-        exact = prob.model.q == 2 and _constant_coefficients(prob)  # no probes drawn
-    fvals = f.values[None]
-    uvals, uspec = _solve_modes(base, shifts, fvals)
+        exact = prob.model.q == 2 and blocks is not None  # no probes drawn
+    fhat = grid.fft(f.values[None])
+    nf = float(_lp_lq_norms(f.values[None], grid, f.q, 2.0)[0])
+    mode_shifts = shifts.reshape(grid.shape)[..., None]
+    uhat = _solve_spectra(prob, shifts, fhat)
     residuals = []
     for it in range(1, MAX_ITER + 1):
-        lower = _apply_lower(prob, uvals, uspec)
-        Ou = _apply_principal(prob, uvals, uspec) + lower
-        residuals.append(float(_relative_residuals(prob.grid, f.q, Ou, fvals)[0]))
+        if blocks is not None:
+            lower = (blocks @ uhat[..., None])[..., 0]
+        else:
+            lower = grid.fft(_apply_lower(prob, uhat))
+        rhat = prob.model.apply(uhat) + mode_shifts * uhat + lower - fhat
+        nr = float(_lp_lq_norms_from_spectra(rhat, grid, f.q, 2.0)[0])
+        residuals.append(nr / nf if nf > 0 else 0.0)
         if residuals[-1] < NEUMANN_TOL or not prob.lower_terms:
-            return f.with_values(uvals[0]), IterationReport(
+            return f.with_values(grid.ifft(uhat)[0]), IterationReport(
                 iterations=it, residuals=residuals, contraction=kappa, contraction_exact=exact)
-        uvals, uspec = _solve_modes(base, shifts, fvals - lower)
+        uhat = _solve_spectra(prob, shifts, fhat - lower)
     raise NoConvergence(f"residual {residuals[-1]:.2e} after {MAX_ITER} iterations")
 
 

@@ -272,6 +272,18 @@ def _lp_lq_norms(values: np.ndarray, grid: GridSpec, q: float, p: float) -> np.n
     return (np.sum(pointwise**p, axis=1) * grid.cell_volume) ** (1.0 / p)
 
 
+def _lp_lq_norms_from_spectra(spectra: np.ndarray, grid: GridSpec, q: float,
+                              p: float) -> np.ndarray:
+    """_lp_lq_norms of the fields whose unitary spectra (grid.fft) are `spectra`.
+
+    At p = q = 2 Parseval gives the L^2(l_2) norm from the spectrum itself, with
+    no inverse FFT; other exponents take it after one.
+    """
+    if p == q == 2:
+        return np.linalg.norm(spectra.reshape(len(spectra), -1), axis=1) * np.sqrt(grid.cell_volume)
+    return _lp_lq_norms(grid.ifft(spectra), grid, q, p)
+
+
 def lp_lq_norm(u: SampledField, p: float) -> float:
     """L_p norm over the box of the pointwise l_q vector norm.
 

@@ -38,6 +38,7 @@ from .spaces import (
     GridSpec,
     SampledField,
     _lp_lq_norms,
+    _lp_lq_norms_from_spectra,
     fractional_multiplier,
     gaussian_field,
     mode_field,
@@ -162,7 +163,10 @@ def _symbol_weights(xi: np.ndarray, index_set, t: ScaleParams, lam: complex, m: 
 def _coercive_ratios(grid: GridSpec, q: float, uvals: np.ndarray, uspec: np.ndarray,
                      fvals: np.ndarray, model: OperatorModel, t: ScaleParams, lam: complex,
                      m: float, p: float, index_set) -> np.ndarray:
-    """coercive_ratio of each field of a stack; uspec is the spectrum of uvals."""
+    """coercive_ratio of each field of a stack; uspec is the spectrum of uvals.
+
+    Each ||D^alpha u|| is taken from the spectrum uspec (i xi)^alpha: by
+    Parseval at p = q = 2, after an inverse FFT otherwise."""
     nf = _lp_lq_norms(fvals, grid, q, p)
     if np.any(nf == 0):
         raise ZeroDivisionError("coercive ratio undefined for f = 0")
@@ -172,8 +176,7 @@ def _coercive_ratios(grid: GridSpec, q: float, uvals: np.ndarray, uspec: np.ndar
         if w == 0:
             continue
         mult = fractional_multiplier(grid, alpha)[..., None]
-        du = grid.ifft(uspec * mult)
-        total = total + w * _lp_lq_norms(du, grid, q, p)
+        total = total + w * _lp_lq_norms_from_spectra(uspec * mult, grid, q, p)
     total = total + _lp_lq_norms(model.apply(uvals), grid, q, p)
     return total / nf
 
@@ -286,12 +289,13 @@ def coercivity_sweep(template: ProblemTemplate, sweep: SectorSweep,
         rng = np.random.default_rng((seed, idx))
         grid = _adapted_grid(template.grid, lam, t, m)
         prob = EllipticProblem(model=model, symbol=template.symbol, t=t, lam=lam, grid=grid)
-        shifts = _mode_shifts(prob)
+        P = prob.symbol_values()
+        shifts = _mode_shifts(prob, P)
         fvals = _sweep_data(prob, index_set, shifts, data_count, rng)
         uvals, uspec = _solve_modes(prob, shifts, fvals)
         ratios = _coercive_ratios(grid, q, uvals, uspec, fvals, model, t, lam, m,
                                   template.p, index_set)
-        residuals = _relative_residuals(grid, q, _apply_principal(prob, uvals, uspec), fvals)
+        residuals = _relative_residuals(grid, q, _apply_principal(prob, P, uvals, uspec), fvals)
         return {"ratio": float(ratios.max()), "residual": float(residuals.max())}
 
     records = _sweep_points(sweep.points(), evaluate)

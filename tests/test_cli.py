@@ -305,10 +305,14 @@ def test_solve_elliptic_reports_contraction_exact(tmp_path, q, exact):
     ['data={"kind": "nonsense"}'],
     ["t=0.0"],
     ['t={"t": -1.0}'],
+    ["p=abc"],
+    ["residual_tol=abc"],
+    ["p=true"],
+    ["residual_tol=NaN"],
 ], ids=["vector-length", "vector-type", "coefficient-shape", "order-m", "alpha-dimension",
         "angle", "t-dimension", "gaussian-xi0", "gaussian-fraction", "mode-width",
         "mode-fraction", "random-width", "random-vector", "random-xi0", "data-kind",
-        "t-zero", "t-negative"])
+        "t-zero", "t-negative", "p-text", "residual-tol-text", "p-bool", "residual-tol-nan"])
 def test_solve_elliptic_bad_value_is_config_error(tmp_path, capsys, sets):
     assert run_with_sets(tmp_path, "solve-elliptic", small_elliptic_cfg(), sets) == 2
     assert "config error:" in capsys.readouterr().err
@@ -329,11 +333,16 @@ def test_data_kind_accepts_the_keys_it_reads(tmp_path, data):
                                   ["forcing.time_profile=ramp", "forcing.omega=0.5"],
                                   ["forcing.time_profile=constant", "forcing.omega=0.5"],
                                   ["horizon=abc"], ["steps=abc"], ["steps=2.5"],
-                                  ["horizon=NaN"], ["horizon=Infinity"], ["horizon=true"]],
+                                  ["horizon=NaN"], ["horizon=Infinity"], ["horizon=true"],
+                                  ["p=abc"], ["p1=abc"], ["residual_tol=abc"],
+                                  ["forcing.omega=abc"], ["p1=NaN"], ["forcing.omega=true"],
+                                  ["horizon=" + "9" * 400]],
                          ids=["steps-0", "steps-negative", "horizon-negative", "horizon-0",
                               "vector-length", "forcing-kind", "omega-ramp", "omega-constant",
                               "horizon-text", "steps-text", "steps-fractional", "horizon-nan",
-                              "horizon-inf", "horizon-bool"])
+                              "horizon-inf", "horizon-bool", "p-text", "p1-text",
+                              "residual-tol-text", "omega-text", "p1-nan", "omega-bool",
+                              "horizon-400-digits"])
 def test_solve_parabolic_bad_value_is_config_error(tmp_path, capsys, sets):
     cfg = json.loads((SCENARIOS / "parabolic-reference.json").read_text())
     assert run_with_sets(tmp_path, "solve-parabolic", cfg, sets) == 2

@@ -144,6 +144,36 @@ def test_solve_full_matches_direct_inversion():
     assert err < 1e-8
 
 
+@pytest.mark.parametrize("A", [np.array([[1.0]]), np.array([[2.0, 0.5], [0.0, 1.0]])],
+                         ids=["hermitian", "nonnormal"])
+def test_solve_full_constant_coefficients_transforms_once(A, monkeypatch):
+    # the Neumann loop runs on spectra: one FFT of f and one inverse FFT of u,
+    # however many iterations it takes
+    N = len(A)
+    grid = GridSpec(n=1, M=64, L=2 * np.pi)
+    term = LowerTerm(alpha=MultiIndex((1.0,)), coefficient=0.5 * np.eye(N) + 0.1 * np.ones((N, N)))
+    f = random_band_limited_field(grid, N, np.random.default_rng(9))
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        original = getattr(psdo.elliptic.GridSpec, name)
+
+        def counted(self, values, name=name, original=original):
+            calls[name] += 1
+            return original(self, values)
+
+        monkeypatch.setattr(psdo.elliptic.GridSpec, name, counted)
+    iterations = set()
+    for lam in (400.0, 20.0):
+        prob = EllipticProblem(model=make_model(A), symbol=power_symbol(m=2.0),
+                               t=ScaleParams.isotropic(1.0, 1), lam=lam, grid=grid,
+                               lower_terms=(term,))
+        calls.update(fft=0, ifft=0)
+        u, rep = solve_full(prob, f)
+        assert calls == {"fft": 1, "ifft": 1}
+        iterations.add(rep.iterations)
+    assert len(iterations) == 2 and min(iterations) > 1
+
+
 def test_contraction_failure_small_lambda():
     term = LowerTerm(alpha=MultiIndex((1.0,)), coefficient=10.0 * np.eye(1))
     prob = scalar_problem(lam=1e-2, lower_terms=(term,))

@@ -9,8 +9,10 @@ C order, grid point major and component minor, so a field's
 values.reshape(-1) is the dense vector.  The operator-norm bounds are checked
 against column and row sums, brute-force probing, and the R-bound estimate
 against its Khintchine-Kahane bracket at q = 2.  The contraction estimate is
-checked against the dense norm of L P^-1 at q = 2 and, at q in {1, inf},
-against the pure-mode field that attains the largest block norm.  The batched
+checked against the dense norm of L P^-1 at q = 2 (also its closed form for
+Hermitian A and c I coefficients) and, at q in {1, inf}, against the
+pure-mode field that attains the largest block norm.  The Parseval norms of
+spectra are checked against the norms of their inverse FFTs.  The batched
 continuum checks are checked against per-sample references: check_symbol_class
 against one eval_symbol and one stencil per (t, xi), and the sigma_alpha
 suprema of multiplier_family_check against the norms of the scaled dense
@@ -62,12 +64,14 @@ from psdo import (
 import psdo.elliptic
 from psdo.elliptic import NEUMANN_TOL
 from psdo.operators import operator_norm_upper, shifted_solve
+from psdo.spaces import _lp_lq_norms, _lp_lq_norms_from_spectra
 from psdo.symbols import FD_STEP, _central_difference
 from psdo.verification import _adapted_xi_samples
 
 GRID = GridSpec(n=2, M=8, L=2 * np.pi)  # M^n * N = 128 with N = 2
 T = ScaleParams((0.5, 0.1))
 A_NONNORMAL = np.array([[2.0, 0.5], [0.0, 1.0]])
+A_HERMITIAN = tridiagonal_matrix(2, -1.0, 2.0, -1.0)
 
 
 def axis_freqs(grid):
@@ -165,8 +169,14 @@ def constant_terms():
             LowerTerm(alpha=MultiIndex((0.5, 0.5)), coefficient=0.4j * np.eye(2)))
 
 
-def problem(lower_terms=(), lam=3.0 + 4.0j, q=2.0):
-    return EllipticProblem(model=make_model(A_NONNORMAL, q=q), symbol=power_symbol(m=2.0),
+def scalar_terms():
+    """Every coefficient c I: with Hermitian A the contraction has a closed form."""
+    return (LowerTerm(alpha=MultiIndex((1.0, 0.0)), coefficient=0.5 * np.eye(2)),
+            LowerTerm(alpha=MultiIndex((0.5, 0.5)), coefficient=0.4j * np.eye(2)))
+
+
+def problem(lower_terms=(), lam=3.0 + 4.0j, q=2.0, A=A_NONNORMAL):
+    return EllipticProblem(model=make_model(A, q=q), symbol=power_symbol(m=2.0),
                            t=T, lam=lam, grid=GRID, lower_terms=lower_terms)
 
 
@@ -210,6 +220,23 @@ def test_solve_full_x_dependent_matches_dense_solve():
     # at most cond(O) times that
     assert rel_err(O @ u.values.reshape(-1), fv) < NEUMANN_TOL
     assert rel_err(u.values.reshape(-1), direct) <= np.linalg.cond(O) * NEUMANN_TOL
+
+
+@pytest.mark.parametrize("A", [A_HERMITIAN, A_NONNORMAL], ids=["hermitian", "nonnormal"])
+@pytest.mark.parametrize("terms", [constant_terms, scalar_terms])
+def test_solve_full_constant_coefficients_matches_dense_solve(A, terms):
+    prob = problem(terms(), A=A)
+    f = random_band_limited_field(GRID, 2, np.random.default_rng(2), fraction=1.0)
+    u, rep = solve_full(prob, f)
+    assert rep.iterations > 1 and rep.contraction_exact
+    O = dense_principal(prob) + dense_lower(prob)
+    fv = f.values.reshape(-1)
+    direct = np.linalg.solve(O, fv)
+    assert rel_err(O @ u.values.reshape(-1), fv) < NEUMANN_TOL
+    assert rel_err(u.values.reshape(-1), direct) <= np.linalg.cond(O) * NEUMANN_TOL
+    # the reported residual is that of the applied operator, not an iterate difference
+    assert rep.residuals[-1] == pytest.approx(rel_err(O @ u.values.reshape(-1), fv),
+                                              rel=1e-5)
 
 
 def test_duhamel_constant_forcing_matches_expm():
@@ -256,6 +283,37 @@ def test_contraction_estimate_q2_constant_coefficients_draws_no_probes(monkeypat
     prob = problem(constant_terms())
     exact = np.linalg.norm(dense_lower(prob) @ np.linalg.inv(dense_principal(prob.principal)), 2)
     assert contraction_estimate(prob) == pytest.approx(exact, rel=1e-12)
+
+
+def test_contraction_estimate_scalar_coefficients_closed_form(monkeypatch):
+    # Hermitian A and c I coefficients at q = 2: max |l(xi)| / min_j |w_j + lambda + P_t(xi)|,
+    # with no inverse and no singular values
+    def unused(*args, **kwargs):
+        raise AssertionError("the closed form inverted or decomposed a block")
+
+    prob = problem(scalar_terms(), A=A_HERMITIAN)
+    exact = np.linalg.norm(dense_lower(prob) @ np.linalg.inv(dense_principal(prob.principal)), 2)
+    monkeypatch.setattr(psdo.elliptic, "shifted_solve", unused)
+    monkeypatch.setattr(psdo.elliptic, "operator_norm_upper", unused)
+    assert contraction_estimate(prob) == pytest.approx(exact, rel=1e-12)
+
+
+def test_contraction_estimate_hermitian_non_scalar_coefficient_is_dense_norm():
+    # one coefficient is not c I, so the block norms are taken from the blocks themselves
+    prob = problem(constant_terms(), A=A_HERMITIAN)
+    exact = np.linalg.norm(dense_lower(prob) @ np.linalg.inv(dense_principal(prob.principal)), 2)
+    assert contraction_estimate(prob) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("N", [1, 3])
+def test_parseval_norms_match_physical_norms(n, N):
+    grid = GridSpec(n=n, M=8, L=3.0)
+    rng = np.random.default_rng(10 * n + N)
+    spec = rng.standard_normal((4,) + grid.shape + (N,)) \
+        + 1j * rng.standard_normal((4,) + grid.shape + (N,))
+    got = _lp_lq_norms_from_spectra(spec, grid, 2.0, 2.0)
+    np.testing.assert_allclose(got, _lp_lq_norms(grid.ifft(spec), grid, 2.0, 2.0), rtol=1e-13)
 
 
 def dense_mode_blocks(K, grid, N):
