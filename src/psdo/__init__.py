@@ -9,7 +9,6 @@ from .elliptic import (
     EllipticProblem,
     IterationReport,
     LowerTerm,
-    apply_lower_terms,
     apply_operator,
     coercive_index_set,
     contraction_estimate,
@@ -32,7 +31,6 @@ from .errors import (
     OutOfTable,
     PsdoError,
     SpectrumHit,
-    SpectrumNotSectorial,
     TooManyForEnumeration,
 )
 from .operators import (
@@ -42,7 +40,6 @@ from .operators import (
     build_bvp_operator,
     build_system,
     check_positivity,
-    fractional_power,
     make_model,
     operator_norm,
     resolvent,
@@ -62,7 +59,6 @@ from .spaces import (
     GridSpec,
     SampledField,
     SpaceTimeField,
-    constant_field,
     fractional_multiplier,
     gaussian_field,
     h_m_pt_norm,

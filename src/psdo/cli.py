@@ -9,10 +9,10 @@ are byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -115,194 +115,309 @@ def _apply_overrides(cfg: dict, sets) -> dict:
     return cfg
 
 
-def _expect_keys(d: dict, where: str, required=(), optional=()):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object")
-    missing = [k for k in required if k not in d]
-    if missing:
-        raise ConfigError(f"{where} missing required keys: {missing}")
-    unknown = sorted(set(d) - set(required) - set(optional))
-    if unknown:
-        raise ConfigError(f"{where} has unknown keys: {unknown}")
+# ---------------------------------------------------------------------------
+# config schema: each table maps a key to its type, range and default (or
+# REQUIRED).  SCHEMA[task].value(cfg, "config") checks every key and value of
+# a config before any work starts and returns the typed values the handlers
+# read.  `null` for an optional key is the same as leaving the key out.
+
+REQUIRED = object()
 
 
-def _expect_kind(cfg: dict, where: str, kinds: dict) -> str:
-    """The `kind` of a config object that may hold only the keys its kind
-    reads; `kinds` maps each kind to its (required, optional) other keys."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{where} must be an object")
-    kind = cfg.get("kind")
-    if kind not in tuple(kinds):
-        raise ConfigError(f"{where} kind must be one of {list(kinds)}, got {kind!r}")
-    required, optional = kinds[kind]
-    _expect_keys(cfg, f"{where} of kind {kind!r}", required=("kind",) + required,
-                 optional=optional)
-    return kind
-
-
-def _positive_int(cfg: dict, key: str, where: str, default=None, least: int = 1) -> int:
-    """cfg[key] (or the default when absent), which must be an integer >= least."""
-    value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigError(f"{where}.{key} must be an integer >= {least}, got {value!r}")
-    return value
-
-
-def _number(cfg: dict, key: str, where: str, default=None) -> float:
-    """cfg[key] (or the default when absent) as a float: a JSON number, not NaN."""
-    value = cfg.get(key, default)
+def _checked(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs); the TypeError, ValueError or KeyError raised by
+    a library constructor's own domain checks is a config error, and so is the
+    OverflowError of an integer beyond the float range."""
     try:
-        if isinstance(value, (int, float)) and not isinstance(value, bool) \
-                and not math.isnan(value):
-            return float(value)
-    except OverflowError:  # an integer beyond the float range
-        pass
-    raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+        return make(*args, **kwargs)
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_grid(cfg: dict) -> GridSpec:
-    _expect_keys(cfg, "grid", required=("n", "M", "L"))
-    try:
-        return GridSpec(n=int(cfg["n"]), M=int(cfg["M"]), L=float(cfg["L"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+@dataclass(frozen=True)
+class _Type:
+    """A config value's type: `check` accepts or rejects the raw value, and
+    `make`, when given, turns the checked value into the typed one."""
+
+    default: object = field(default=REQUIRED, kw_only=True)
+    make: object = field(default=None, kw_only=True)
+
+    def fail(self, value, where: str):
+        raise ConfigError(f"{where} must be {self.what}, got {value!r}")
+
+    def value(self, raw, where: str):
+        checked = self.check(raw, where)
+        return checked if self.make is None else _checked(where, self.make, checked)
 
 
-def _parse_symbol(cfg: dict):
-    try:
-        return symbol_from_config(cfg)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"symbol: {exc}") from exc
+@dataclass(frozen=True)
+class Scalar(_Type):
+    """A JSON value that `test` accepts."""
+
+    what: str
+    test: object
+
+    def check(self, value, where):
+        if not self.test(value):
+            self.fail(value, where)
+        return value
 
 
-def _parse_scale(cfg, n: int) -> ScaleParams:
-    try:
-        if isinstance(cfg, (int, float)):
-            return ScaleParams.isotropic(float(cfg), n)
-        _expect_keys(cfg, "t", required=("t",), optional=("t0",))
-        vals = cfg["t"]
-        if isinstance(vals, (int, float)):
-            vals = [vals] * n
-        return ScaleParams(tuple(float(v) for v in vals),
-                           t0=float(cfg.get("t0", max(1.0, max(vals)))))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"t: {exc}") from exc
+def integer(least: int = 1, **kw) -> Scalar:
+    return Scalar(f"an integer >= {least}", lambda v: type(v) is int and v >= least, **kw)
 
 
-def _parse_model(cfg: dict) -> OperatorModel:
-    _expect_keys(cfg, "model", required=("kind",),
-                 optional=("a", "q", "entries", "N", "lower", "diag", "upper",
-                           "K", "ell", "b2", "b1", "b0", "system"))
-    kind = cfg["kind"]
-    q = float(cfg.get("q", 2.0))
-    try:
-        if kind == "scalar":
-            return make_model(np.array([[float(cfg.get("a", 1.0))]]), q=q)
-        if kind == "matrix":
-            return make_model(np.array(cfg["entries"], dtype=complex), q=q)
-        if kind == "tridiagonal":
-            A = tridiagonal_matrix(int(cfg["N"]), float(cfg.get("lower", -1.0)),
-                                   float(cfg.get("diag", 2.0)), float(cfg.get("upper", -1.0)))
-            if cfg.get("system", True):
-                return dataclasses.replace(build_system(A), q=q)
-            return make_model(A, q=q)
-        if kind == "bvp":
-            return build_bvp_operator(int(cfg["K"]), float(cfg["ell"]),
-                                      cfg.get("b2", 1.0), cfg.get("b1"),
-                                      cfg.get("b0"), q=q)
-    except KeyError as exc:
-        raise ConfigError(f"model kind {kind!r} missing key {exc}") from exc
-    except PsdoError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model: {exc}") from exc
-    raise ConfigError(f"unknown model kind {kind!r}")
+def number(what: str = "a number", test=lambda x: True, **kw) -> Scalar:
+    """A JSON number other than NaN that `test` accepts, as a float."""
+    return Scalar(what, lambda v: type(v) in (int, float) and v == v and test(v), make=float,
+                  **kw)
 
 
-def _parse_sweep(cfg: dict, n: int, phi1: float) -> SectorSweep:
-    _expect_keys(cfg, "sweep", required=("phi2",),
-                 optional=("n_rays", "n_radii", "radius_range", "n_t", "t_range",
-                           "rays", "radii", "t_values"))
-    phi2 = float(cfg["phi2"])
-    if phi1 + phi2 >= math.pi:
+def choice(*options, **kw) -> Scalar:
+    return Scalar(f"one of {list(options)}", lambda v: type(v) is str and v in options, **kw)
+
+
+def boolean(**kw) -> Scalar:
+    return Scalar("true or false", lambda v: type(v) is bool, **kw)
+
+
+def _numeric(value) -> bool:
+    if isinstance(value, list):
+        return all(_numeric(v) for v in value)
+    return type(value) in (int, float)
+
+
+@dataclass(frozen=True)
+class List(_Type):
+    """A list of `item` values: exactly `size` of them, or at least `least`."""
+
+    item: _Type
+    least: int = 0
+    size: int = None
+
+    @property
+    def what(self):
+        count = f"{self.least} or more" if self.size is None else self.size
+        return f"a list of {count} entries, each {self.item.what}"
+
+    def check(self, value, where):
+        if not isinstance(value, list) or len(value) < self.least \
+                or self.size not in (None, len(value)):
+            self.fail(value, where)
+        return [self.item.value(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
+@dataclass(frozen=True)
+class Table(_Type):
+    """An object holding only the keys of `keys`, each checked by its type."""
+
+    keys: dict
+    what = "an object"
+
+    def check(self, value, where):
+        if not isinstance(value, dict):
+            self.fail(value, where)
+        missing = [k for k, kind in self.keys.items()
+                   if kind.default is REQUIRED and k not in value]
+        if missing:
+            raise ConfigError(f"{where} missing required keys: {missing}")
+        unknown = sorted(set(value) - set(self.keys))
+        if unknown:
+            raise ConfigError(f"{where} has unknown keys: {unknown}")
+        out = {}
+        for key, kind in self.keys.items():
+            raw = value.get(key)
+            if raw is None and kind.default is not REQUIRED:
+                raw = kind.default
+            out[key] = None if raw is None and kind.default is None \
+                else kind.value(raw, f"{where}.{key}")
+        return out
+
+
+@dataclass(frozen=True)
+class Switch(_Type):
+    """A value checked by the type of `types` that `pick(value)` names."""
+
+    what: str
+    pick: object
+    types: dict
+
+    def check(self, value, where):
+        name = self.pick(value)
+        if name not in tuple(self.types):
+            self.fail(value, where)
+        return self.types[name].value(value, where)
+
+
+def either(scalar: _Type, nested: _Type, **kw) -> Switch:
+    """`nested` checks a JSON object or list, `scalar` any other value."""
+    return Switch(f"{scalar.what} or {nested.what}", lambda v: isinstance(v, (dict, list)),
+                  {False: scalar, True: nested}, **kw)
+
+
+def kinds(tag: str, tables: dict, tag_default: str = None, **kw) -> Switch:
+    """An object whose `tag` key (`tag_default` when absent) names the table
+    of its keys."""
+    return Switch(f"an object with {tag} one of {list(tables)}",
+                  lambda v: v.get(tag, tag_default) if isinstance(v, dict) else None,
+                  {name: Table({tag: choice(name, default=tag_default), **keys})
+                   for name, keys in tables.items()}, **kw)
+
+
+def _model(v: dict) -> OperatorModel:
+    kind, q = v["kind"], v["q"]
+    if kind == "bvp":
+        return build_bvp_operator(v["K"], v["ell"], v["b2"], v["b1"], v["b0"], q=q)
+    if kind == "tridiagonal":
+        A = tridiagonal_matrix(v["N"], v["lower"], v["diag"], v["upper"])
+        return replace(build_system(A), q=q) if v["system"] else make_model(A, q=q)
+    return make_model([[v["a"]]] if kind == "scalar" else v["entries"], q=q)
+
+
+Q = number("a number >= 1", lambda x: x >= 1, default=2.0)  # an l_q exponent
+P = number("a number > 0", lambda x: x > 0, default=2.0)  # an L_p exponent
+WIDTH = replace(P, default=None)  # a Gaussian width; 0 would make the field NaN
+POSITIVE = number("a finite number > 0", lambda x: 0 < x < math.inf)
+FINITE = number("a finite number", lambda x: abs(x) < math.inf)  # an integer may exceed floats
+ARRAY = Scalar("a number or nested lists of numbers", _numeric,
+               make=lambda v: np.array(v, dtype=complex))  # ragged nesting is a ValueError
+OPTIONAL_ARRAY = replace(ARRAY, default=None)
+COMPLEX = either(number(), List(number(), size=2),  # a number or [re, im]
+                 make=lambda v: complex(*v) if isinstance(v, list) else complex(v))
+SCALE = either(number(), Table({"t": either(number(), List(number(), least=1)),
+                                "t0": number(default=None)}))
+GRID = Table({"n": integer(), "M": integer(), "L": number()}, make=lambda v: GridSpec(**v))
+MODEL = kinds("kind", {
+    "scalar": {"a": number(default=1.0), "q": Q},
+    "matrix": {"entries": ARRAY, "q": Q},
+    "tridiagonal": {"N": integer(), "lower": number(default=-1.0), "diag": number(default=2.0),
+                    "upper": number(default=-1.0), "system": boolean(default=True), "q": Q},
+    "bvp": {"K": integer(3), "ell": number(), "b2": number(default=1.0),
+            "b1": number(default=None), "b0": number(default=None), "q": Q},
+}, make=_model)
+SYMBOL = Scalar("an object", lambda v: isinstance(v, dict), make=symbol_from_config)
+SWEEP = Switch(  # explicit rays and radii, or the generated form; never both
+    "an object", lambda v: "explicit" if isinstance(v, dict)
+    and not {"rays", "radii", "t_values"}.isdisjoint(v) else "generated", {
+        "explicit": Table({"phi2": number(), "rays": List(number(), least=1, default=[0.0]),
+                           "radii": List(number(), least=1),
+                           "t_values": List(SCALE, least=1, default=[1.0])}),
+        "generated": Table({"phi2": number(), "n_rays": integer(default=3),
+                            "n_radii": integer(default=13),
+                            "radius_range": List(POSITIVE, size=2, default=[1.0, 1e6]),
+                            "n_t": integer(default=5),
+                            "t_range": List(POSITIVE, size=2, default=[1e-4, 1.0])})})
+DATA = kinds("kind", {
+    "gaussian": {"width": WIDTH, "vector": OPTIONAL_ARRAY},
+    "mode": {"xi0": List(number(), default=None), "vector": OPTIONAL_ARRAY},
+    "random": {"fraction": replace(FINITE, default=0.25)},
+})
+GAUSSIAN = {"kind": choice("gaussian"), "width": WIDTH, "vector": OPTIONAL_ARRAY}
+FORCING = kinds("time_profile", {"sin": {**GAUSSIAN, "omega": number(default=1.0)},
+                                 "ramp": GAUSSIAN, "constant": GAUSSIAN}, tag_default="sin")
+LOWER_TERM = Table({"alpha": List(number(), make=lambda a: MultiIndex(tuple(a))),
+                    "coefficient": ARRAY})  # a number c is c I
+FAMILY = kinds("kind", {
+    "lambda-resolvent": {"model": MODEL, "lambdas": List(COMPLEX, least=1)},
+    "matrices": {"members": List(ARRAY, least=1)},
+})
+
+
+def _sweep_task(thresholds, **keys) -> dict:
+    """The keys of a sweep task; its `thresholds` become the sweep's
+    `<key>_threshold` arguments."""
+    return {"grid": GRID, "model": MODEL, "symbol": SYMBOL, "sweep": SWEEP,
+            "thresholds": Table({k: number(default=None) for k in thresholds}, default={},
+                                make=lambda th: {f"{k}_threshold": x for k, x in th.items()}),
+            **keys}
+
+
+TASKS = {}  # task name: handler(checked values, seed)
+SCHEMA = {}  # task name: the table of its config
+
+
+def _task(name: str, keys: dict):
+    """Register a task handler with the keys of its config (besides `task`
+    and `seed`, which every task accepts)."""
+    def register(handler):
+        TASKS[name] = handler
+        SCHEMA[name] = Table({**keys, "task": choice(name, default=None),
+                              "seed": integer(0, default=0)})
+        return handler
+    return register
+
+
+# ---------------------------------------------------------------------------
+# objects built from checked values whose checks need more than one key
+
+
+def _parse_scale(v, n: int) -> ScaleParams:
+    """The scale parameters of a checked `t` value on n axes."""
+    if not isinstance(v, dict):
+        return _checked("t", ScaleParams.isotropic, v, n)
+    t = v["t"] if isinstance(v["t"], list) else [v["t"]] * n
+    if len(t) != n:
+        raise ConfigError(f"t needs n = {n} entries, got {t}")
+    return _checked("t", ScaleParams, tuple(t), t0=max(1.0, max(t)) if v["t0"] is None else v["t0"])
+
+
+def _parse_sweep(v: dict) -> SectorSweep:
+    """The sector sweep of a sweep task's checked values."""
+    s, n, phi1 = v["sweep"], v["grid"].n, v["symbol"].phi1
+    if phi1 + s["phi2"] >= math.pi:
         raise ConfigError(
             f"symbol sector angle plus sweep sector angle must stay below pi "
-            f"(phi1 + phi2 = {phi1 + phi2:.6f})")
-    try:
-        if "rays" in cfg or "radii" in cfg:
-            rays = tuple(float(r) for r in cfg.get("rays", (0.0,)))
-            radii = tuple(float(r) for r in cfg["radii"])
-            tvals = cfg.get("t_values", [1.0])
-            t_grid = tuple(_parse_scale(v, n) for v in tvals)
-            sweep = SectorSweep(phi2=phi2, rays=rays, radii=radii, t_grid=t_grid)
-        else:
-            sweep = default_sweep(
-                phi2=phi2, n=n, n_rays=int(cfg.get("n_rays", 3)),
-                n_radii=int(cfg.get("n_radii", 13)), n_t=int(cfg.get("n_t", 5)),
-                radius_range=tuple(cfg.get("radius_range", (1.0, 1e6))),
-                t_range=tuple(cfg.get("t_range", (1e-4, 1.0))))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
-    if not (sweep.rays and sweep.radii and sweep.t_grid):
-        raise ConfigError("sweep: rays, radii and the t-grid must each be non-empty")
-    return sweep
+            f"(phi1 + phi2 = {phi1 + s['phi2']:.6f})")
+    if "radii" in s:
+        return _checked("sweep", SectorSweep, phi2=s["phi2"], rays=tuple(s["rays"]),
+                        radii=tuple(s["radii"]),
+                        t_grid=tuple(_parse_scale(t, n) for t in s["t_values"]))
+    return _checked("sweep", default_sweep, phi2=s["phi2"], n=n, n_rays=s["n_rays"],
+                    n_radii=s["n_radii"], n_t=s["n_t"], radius_range=tuple(s["radius_range"]),
+                    t_range=tuple(s["t_range"]))
 
 
-def _parse_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"expected number or [re, im] pair, got {value!r}")
-
-
-def _parse_vector(cfg: dict, where: str, N: int) -> np.ndarray:
-    """The component `vector` of a data or forcing config (default all ones)."""
-    try:
-        vector = np.atleast_1d(np.asarray(cfg.get("vector", [1.0] * N), dtype=complex))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.vector: {exc}") from exc
+def _parse_data(v: dict, prob: EllipticProblem, rng=None, where: str = "data") -> SampledField:
+    """The field of a checked data value, or the spatial part of a forcing."""
+    grid, N, q = prob.grid, prob.model.N, prob.model.q
+    if v["kind"] == "random":
+        return random_band_limited_field(grid, N, rng, q=q, fraction=v["fraction"])
+    vector = np.ones(N, dtype=complex) if v["vector"] is None else np.atleast_1d(v["vector"])
     if vector.shape != (N,):
         raise ConfigError(f"{where}.vector must have N = {N} entries, got shape {vector.shape}")
-    return vector
+    if v["kind"] == "gaussian":
+        return gaussian_field(grid, width=v["width"], vector=vector, q=q)
+    xi0 = [1.0] * grid.n if v["xi0"] is None else v["xi0"]
+    if len(xi0) != grid.n:
+        raise ConfigError(f"data.xi0 must have n = {grid.n} entries, got {xi0}")
+    return mode_field(grid, xi0, vector, q=q)
 
 
-DATA_KINDS = {"gaussian": ((), ("width", "vector")), "mode": ((), ("xi0", "vector")),
-              "random": ((), ("fraction",))}
+def _parse_problem(v: dict, lam: complex, lower_terms=()) -> EllipticProblem:
+    """The elliptic problem of checked values.  Its own consistency checks
+    (angle arithmetic, dimensions, lower-term orders and coefficient shapes)
+    are config errors."""
+    N = v["model"].N
+    terms = tuple(LowerTerm(alpha=item["alpha"], coefficient=c * np.eye(N) if c.ndim == 0 else c)
+                  for item in lower_terms for c in [item["coefficient"]])
+    return _checked("problem", EllipticProblem, model=v["model"], symbol=v["symbol"],
+                    t=_parse_scale(v["t"], v["grid"].n), lam=lam, grid=v["grid"],
+                    lower_terms=terms)
 
 
-def _parse_data(cfg: dict, grid: GridSpec, N: int, q: float, rng) -> SampledField:
-    kind = _expect_kind(cfg, "data", DATA_KINDS)
-    if kind == "random":
-        fraction = float(cfg.get("fraction", 0.25))
-        return random_band_limited_field(grid, N, rng, q=q, fraction=fraction)
-    vector = _parse_vector(cfg, "data", N)
-    if kind == "gaussian":
-        return gaussian_field(grid, width=cfg.get("width"), vector=vector, q=q)
-    return mode_field(grid, cfg.get("xi0", [1.0] * grid.n), vector, q=q)
-
-
-def _parse_problem(cfg: dict, **parts) -> EllipticProblem:
-    """The elliptic problem of parsed config parts and the config's lower_terms.
-
-    The problem's consistency checks (angle arithmetic, dimensions, lower-term
-    orders and coefficient shapes) are config errors.
-    """
-    N = parts["model"].N
-    terms = []
-    try:
-        for i, item in enumerate(cfg.get("lower_terms") or []):
-            _expect_keys(item, f"lower_terms[{i}]", required=("alpha", "coefficient"))
-            alpha = MultiIndex(tuple(float(a) for a in item["alpha"]))
-            coeff = item["coefficient"]
-            if isinstance(coeff, (int, float)):
-                coeff = coeff * np.eye(N)
-            else:
-                coeff = np.array(coeff, dtype=complex)
-            terms.append(LowerTerm(alpha=alpha, coefficient=coeff))
-        return EllipticProblem(lower_terms=tuple(terms), **parts)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"problem: {exc}") from exc
+def _parse_forcing(v: dict, ell: EllipticProblem) -> SpaceTimeField:
+    """The forcing of a solve-parabolic task's checked values."""
+    f, Y, J = v["forcing"], v["horizon"], v["steps"]
+    base = _parse_data(f, ell, where="forcing")
+    times = np.linspace(0.0, Y, J + 1)
+    if f["time_profile"] == "sin":
+        weights = np.sin(math.pi * f["omega"] * times / Y)
+    elif f["time_profile"] == "ramp":
+        weights = times / Y
+    else:
+        weights = np.ones_like(times)
+    vals = weights[(...,) + (None,) * (ell.grid.n + 1)] * base.values[None]
+    return SpaceTimeField(grid=ell.grid, values=vals, Y=Y, q=ell.model.q, p=v["p"], p1=v["p1"])
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +430,22 @@ def _csv_row(ray, radius, t, ratio, residual, verdict):
     return f"{fmt(ray)},{fmt(radius)},{tstr},{fmt(ratio)},{fmt(residual)},{verdict}"
 
 
-def _sweep_csv(report_dict: dict):
-    rows = []
-    for p in report_dict.get("points", []):
-        verdict = "ok" if p.get("error") is None else "error"
-        rows.append(_csv_row(p.get("ray"), p.get("radius"), p.get("t"),
-                             p.get("ratio"), p.get("residual"), verdict))
-    return rows
+def _outcome(ok, result: dict, ratio, ray=None, radius=None, t=None, residual=None,
+             export=None):
+    """(verdict, result, CSV rows, extra files) of a task with one CSV row;
+    the field `export`, when given, goes to solution.txt."""
+    verdict = "pass" if ok else "fail"
+    extras = {} if export is None else {"solution.txt": export_columnar(export)}
+    return verdict, result, [_csv_row(ray, radius, t, ratio, residual, verdict)], extras
+
+
+def _sweep_outcome(rep):
+    """(status, report, one CSV row per sweep point, no extra files) of a sweep."""
+    d = rep.to_dict()
+    rows = [_csv_row(p.get("ray"), p.get("radius"), p.get("t"), p.get("ratio"),
+                     p.get("residual"), "ok" if p.get("error") is None else "error")
+            for p in d.get("points", [])]
+    return rep.status, d, rows, {}
 
 
 def _sanitize(obj):
@@ -354,226 +478,127 @@ def _write_reports(out_dir: str, report: dict, csv_rows, extra_files=None):
 
 
 # ---------------------------------------------------------------------------
-# task handlers: each returns (verdict_string, result_dict, csv_rows, extras)
+# task handlers: each takes the checked values and the seed and returns
+# (verdict_string, result_dict, csv_rows, extras)
 
 
-def _task_solve_elliptic(cfg, seed):
-    _expect_keys(cfg, "config",
-                 required=("grid", "model", "symbol", "t", "lambda", "data"),
-                 optional=("task", "p", "lower_terms", "residual_tol",
-                           "export_fields", "seed"))
-    p = _number(cfg, "p", "config", 2.0)
-    tol = _number(cfg, "residual_tol", "config", 1e-8)
-    grid = _parse_grid(cfg["grid"])
-    model = _parse_model(cfg["model"])
-    symbol = _parse_symbol(cfg["symbol"])
-    t = _parse_scale(cfg["t"], grid.n)
-    lam = _parse_complex(cfg["lambda"])
-    rng = np.random.default_rng(seed)
-    f = _parse_data(cfg["data"], grid, model.N, model.q, rng)
-    prob = _parse_problem(cfg, model=model, symbol=symbol, t=t, lam=lam, grid=grid)
+@_task("solve-elliptic", {
+    "grid": GRID, "model": MODEL, "symbol": SYMBOL, "t": SCALE, "lambda": COMPLEX,
+    "data": DATA, "p": P, "lower_terms": List(LOWER_TERM, default=[]),
+    "residual_tol": number(default=1e-8), "export_fields": boolean(default=False)})
+def _task_solve_elliptic(v, seed):
+    prob = _parse_problem(v, v["lambda"], v["lower_terms"])
+    f = _parse_data(v["data"], prob, np.random.default_rng(seed))
     u, it = solve_full(prob, f, seed=seed)
     residual = it.residuals[-1]
-    onorm, hnorm, gratio = graph_norm(prob, u, p=p)
-    verdict = "pass" if residual < tol else "fail"
+    onorm, hnorm, gratio = graph_norm(prob, u, p=v["p"])
     result = {
         "residual": residual,
-        "residual_tol": tol,
+        "residual_tol": v["residual_tol"],
         "iterations": it.iterations,
         "contraction": it.contraction,
         "contraction_exact": it.contraction_exact,
-        "solution_norm": lp_lq_norm(u, p),
-        "data_norm": lp_lq_norm(f, p),
+        "solution_norm": lp_lq_norm(u, v["p"]),
+        "data_norm": lp_lq_norm(f, v["p"]),
         "graph_norm": {"operator": onorm, "sobolev": hnorm, "ratio": gratio},
     }
-    rows = [_csv_row(np.angle(lam) if lam != 0 else 0.0, abs(lam), t.t,
-                     gratio, residual, verdict)]
-    extras = {}
-    if cfg.get("export_fields"):
-        extras["solution.txt"] = export_columnar(u)
-    return verdict, result, rows, extras
+    lam = prob.lam
+    return _outcome(residual < v["residual_tol"], result, gratio,
+                    ray=np.angle(lam) if lam != 0 else 0.0, radius=abs(lam), t=prob.t.t,
+                    residual=residual, export=u if v["export_fields"] else None)
 
 
-def _parse_forcing(cfg: dict, grid: GridSpec, N: int, q: float, Y: float, J: int,
-                   p: float, p1: float) -> SpaceTimeField:
-    _expect_kind(cfg, "forcing", {"gaussian": ((), ("width", "vector", "time_profile",
-                                                     "omega"))})
-    vector = _parse_vector(cfg, "forcing", N)
-    base = gaussian_field(grid, width=cfg.get("width"), vector=vector, q=q)
-    times = np.linspace(0.0, Y, J + 1)
-    profile = cfg.get("time_profile", "sin")
-    if "omega" in cfg and profile != "sin":
-        raise ConfigError(f"forcing.omega is read only by the 'sin' time profile, not {profile!r}")
-    if profile == "sin":
-        weights = np.sin(math.pi * _number(cfg, "omega", "forcing", 1.0) * times / Y)
-    elif profile == "ramp":
-        weights = times / Y
-    elif profile == "constant":
-        weights = np.ones_like(times)
-    else:
-        raise ConfigError(f"unknown time profile {profile!r}")
-    vals = weights[(...,) + (None,) * (grid.n + 1)] * base.values[None]
-    return SpaceTimeField(grid=grid, values=vals, Y=Y, q=q, p=p, p1=p1)
-
-
-def _task_solve_parabolic(cfg, seed):
-    _expect_keys(cfg, "config",
-                 required=("grid", "model", "symbol", "t", "horizon", "steps", "forcing"),
-                 optional=("task", "p", "p1", "method", "export_fields", "seed",
-                           "residual_tol"))
-    grid = _parse_grid(cfg["grid"])
-    model = _parse_model(cfg["model"])
-    symbol = _parse_symbol(cfg["symbol"])
-    t = _parse_scale(cfg["t"], grid.n)
-    Y = _number(cfg, "horizon", "config")
-    if not 0 < Y < math.inf:
-        raise ConfigError(f"config.horizon must be a finite number > 0, got {Y!r}")
-    J = _positive_int(cfg, "steps", "config")
-    p = _number(cfg, "p", "config", 2.0)
-    p1 = _number(cfg, "p1", "config", 2.0)
-    tol = _number(cfg, "residual_tol", "config", 1e-2)  # time discretization limits this
-    forcing = _parse_forcing(cfg["forcing"], grid, model.N, model.q, Y, J, p, p1)
-    ell = _parse_problem(cfg, model=model, symbol=symbol, t=t, lam=0.0, grid=grid)
-    prob = ParabolicProblem(elliptic=ell, forcing=forcing)
-    method = cfg.get("method", "duhamel")
-    if method == "duhamel":
-        u = solve_duhamel(prob)
-    elif method == "implicit-euler":
-        u = solve_implicit_euler(prob)
-    else:
-        raise ConfigError(f"unknown method {method!r}")
+@_task("solve-parabolic", {
+    "grid": GRID, "model": MODEL, "symbol": SYMBOL, "t": SCALE, "horizon": POSITIVE,
+    "steps": integer(), "forcing": FORCING, "p": P, "p1": P,
+    "method": choice("duhamel", "implicit-euler", default="duhamel"),
+    "residual_tol": number(default=1e-2),  # the time discretization limits the residual
+    "export_fields": boolean(default=False)})
+def _task_solve_parabolic(v, seed):
+    ell = _parse_problem(v, 0.0)
+    prob = ParabolicProblem(elliptic=ell, forcing=_parse_forcing(v, ell))
+    solve = solve_duhamel if v["method"] == "duhamel" else solve_implicit_euler
+    u = solve(prob)
     ratio, residual, forcing_norm = parabolic_diagnostics(prob, u)
-    verdict = "pass" if (ratio is None or math.isfinite(ratio)) and residual < tol else "fail"
     result = {
-        "method": method,
-        "steps": J,
-        "horizon": Y,
+        "method": v["method"],
+        "steps": v["steps"],
+        "horizon": v["horizon"],
         "coercive_ratio": ratio,
         "residual": residual,
-        "residual_tol": tol,
+        "residual_tol": v["residual_tol"],
         "solution_norm": mixed_norm(u),
         "forcing_norm": forcing_norm,
     }
-    rows = [_csv_row(0.0, 0.0, t.t, ratio, residual, verdict)]
-    extras = {}
-    if cfg.get("export_fields"):
-        extras["solution.txt"] = export_columnar(u)
-    return verdict, result, rows, extras
+    ok = (ratio is None or math.isfinite(ratio)) and residual < v["residual_tol"]
+    return _outcome(ok, result, ratio, ray=0.0, radius=0.0, t=ell.t.t, residual=residual,
+                    export=u if v["export_fields"] else None)
 
 
-def _sweep_inputs(cfg, thresholds, *optional):
-    """(template, sweep, thresholds) of a sweep task; `thresholds` names the
-    threshold keys it reads and `optional` its other config keys."""
-    _expect_keys(cfg, "config", required=("grid", "model", "symbol", "sweep"),
-                 optional=("task", "thresholds", "seed") + optional)
-    grid = _parse_grid(cfg["grid"])
-    model = _parse_model(cfg["model"])
-    symbol = _parse_symbol(cfg["symbol"])
-    template = ProblemTemplate(model=model, symbol=symbol, grid=grid,
-                               p=float(cfg.get("p", 2.0)))
-    sweep = _parse_sweep(cfg["sweep"], grid.n, symbol.phi1)
-    th = cfg.get("thresholds", {})
-    _expect_keys(th, "thresholds", optional=thresholds)
-    return template, sweep, {k: None if th.get(k) is None else float(th[k]) for k in thresholds}
+@_task("verify-coercivity", _sweep_task(("flatness", "max_ratio"), p=P,
+                                       data_count=integer(2, default=8)))
+def _task_verify_coercivity(v, seed):
+    template = ProblemTemplate(model=v["model"], symbol=v["symbol"], grid=v["grid"], p=v["p"])
+    return _sweep_outcome(coercivity_sweep(template, _parse_sweep(v), data_count=v["data_count"],
+                                           seed=seed, **v["thresholds"]))
 
 
-def _sweep_result(rep):
-    d = rep.to_dict()
-    return rep.status, d, _sweep_csv(d), {}
+@_task("verify-resolvent", _sweep_task(("flatness", "max_ratio"), per_axis=integer(default=33)))
+def _task_verify_resolvent(v, seed):
+    template = ProblemTemplate(model=v["model"], symbol=v["symbol"], grid=v["grid"])
+    return _sweep_outcome(resolvent_sweep(template, _parse_sweep(v), per_axis=v["per_axis"],
+                                          **v["thresholds"]))
 
 
-def _task_verify_coercivity(cfg, seed):
-    template, sweep, th = _sweep_inputs(cfg, ("flatness", "max_ratio"), "p", "data_count")
-    return _sweep_result(coercivity_sweep(
-        template, sweep, data_count=_positive_int(cfg, "data_count", "config", 8, least=2),
-        seed=seed, flatness_threshold=th["flatness"], max_ratio_threshold=th["max_ratio"]))
+@_task("check-multipliers", _sweep_task(("flatness", "sigma_sup"),
+                                       rbound_subsample=integer(default=8),
+                                       tuple_size=integer(default=3)))
+def _task_check_multipliers(v, seed):
+    return _sweep_outcome(multiplier_family_check(
+        v["model"], v["symbol"], _parse_sweep(v), dims=v["grid"].n,
+        rbound_subsample=v["rbound_subsample"], tuple_size=v["tuple_size"], seed=seed,
+        **v["thresholds"]))
 
 
-def _task_verify_resolvent(cfg, seed):
-    template, sweep, th = _sweep_inputs(cfg, ("flatness", "max_ratio"), "per_axis")
-    return _sweep_result(resolvent_sweep(
-        template, sweep, per_axis=_positive_int(cfg, "per_axis", "config", 33),
-        flatness_threshold=th["flatness"], max_ratio_threshold=th["max_ratio"]))
-
-
-def _task_check_multipliers(cfg, seed):
-    template, sweep, th = _sweep_inputs(cfg, ("flatness", "sigma_sup"), "rbound_subsample",
-                                         "tuple_size")
-    return _sweep_result(multiplier_family_check(
-        template.model, template.symbol, sweep, dims=template.grid.n,
-        rbound_subsample=int(cfg.get("rbound_subsample", 8)),
-        tuple_size=_positive_int(cfg, "tuple_size", "config", 3), seed=seed,
-        flatness_threshold=th["flatness"], sigma_sup_threshold=th["sigma_sup"]))
-
-
-FAMILY_KINDS = {"lambda-resolvent": (("model", "lambdas"), ()), "matrices": (("members",), ())}
-
-
-def _task_estimate_rbound(cfg, seed):
-    _expect_keys(cfg, "config", required=("family",),
-                 optional=("task", "q", "tuple_size", "seed"))
-    fam_cfg = cfg["family"]
-    q = float(cfg.get("q", 2.0))
-    if _expect_kind(fam_cfg, "family", FAMILY_KINDS) == "lambda-resolvent":
-        model = _parse_model(fam_cfg["model"])
-        if not isinstance(fam_cfg["lambdas"], list) or not fam_cfg["lambdas"]:
-            raise ConfigError(f"family.lambdas must be a non-empty list, "
-                              f"got {fam_cfg['lambdas']!r}")
-        lambdas = [_parse_complex(v) for v in fam_cfg["lambdas"]]
-        members = lambda_resolvent_family(model, lambdas).members
+@_task("estimate-rbound", {"family": FAMILY, "q": Q, "tuple_size": integer(default=3)})
+def _task_estimate_rbound(v, seed):
+    family, q = v["family"], v["q"]
+    if family["kind"] == "lambda-resolvent":
+        members = lambda_resolvent_family(family["model"], family["lambdas"]).members
     else:
-        try:
-            members = [np.atleast_2d(np.array(mv, dtype=complex)) for mv in fam_cfg["members"]]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"family.members: {exc}") from exc
+        members = [np.atleast_2d(mv) for mv in family["members"]]
         shapes = {mv.shape for mv in members}
         if len(shapes) > 1 or any(len(shape) != 2 for shape in shapes):
             raise ConfigError(f"family.members must be matrices of one shape, got {shapes}")
-    if not members:
-        raise ConfigError("family needs at least one member")
-    est = estimate_rbound(members, q=q, seed=seed,
-                          tuple_size=_positive_int(cfg, "tuple_size", "config", 3))
-    singleton_check = None
-    if len(members) == 1:
-        singleton_check = probe_norm(members[0], q=q, seed=seed + 1)
-    verdict = "pass" if math.isfinite(est.value) else "fail"
+    est = estimate_rbound(members, q=q, seed=seed, tuple_size=v["tuple_size"])
     result = {
         "rbound_lower": est.value,
         "upper": est.upper,
         "tuple_indices": list(est.tuple_indices),
         "tuples_tried": est.tuples_tried,
         "family_size": len(members),
-        "singleton_probe_norm": singleton_check,
+        "singleton_probe_norm": probe_norm(members[0], q=q, seed=seed + 1)
+        if len(members) == 1 else None,
     }
-    rows = [_csv_row(None, None, None, est.value, None, verdict)]
-    return verdict, result, rows, {}
+    return _outcome(math.isfinite(est.value), result, est.value)
 
 
-def _task_check_kahane(cfg, seed):
-    _expect_keys(cfg, "config", required=(),
-                 optional=("task", "q", "scalars", "vectors", "random", "seed"))
-    q = float(cfg.get("q", 2.0))
-    results = []
-    if "scalars" in cfg or "vectors" in cfg:
-        if "scalars" not in cfg or "vectors" not in cfg:
-            raise ConfigError("check-kahane needs 'scalars' and 'vectors' together")
-        try:
-            scalars = np.asarray(cfg["scalars"], dtype=complex)
-            vectors = np.asarray(cfg["vectors"], dtype=complex)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"scalars/vectors: {exc}") from exc
-        # a vector of length 1 may be given as a number
-        if scalars.ndim != 1 or vectors.ndim not in (1, 2) or len(vectors) != len(scalars):
-            raise ConfigError(f"need m scalars and m vectors of one length, got shapes "
-                              f"{scalars.shape} and {vectors.shape}")
-        results.append(kahane_contraction_check(scalars, list(vectors), q=q))
-    if "random" in cfg:
-        rcfg = cfg["random"]
-        _expect_keys(rcfg, "random", required=("count",), optional=("m", "N"))
+@_task("check-kahane", {"q": Q, "scalars": OPTIONAL_ARRAY, "vectors": OPTIONAL_ARRAY,
+                      "random": Table({"count": integer(), "m": integer(default=6),
+                                       "N": integer(default=4)}, default=None)})
+def _task_check_kahane(v, seed):
+    q, scalars, vectors, rand = v["q"], v["scalars"], v["vectors"], v["random"]
+    if (scalars is None) != (vectors is None) or (scalars is None and rand is None):
+        raise ConfigError("check-kahane needs 'scalars' and 'vectors' together, or 'random'")
+    # a vector of length 1 may be given as a number
+    if scalars is not None and (scalars.ndim != 1 or vectors.ndim not in (1, 2)
+                                or len(vectors) != len(scalars)):
+        raise ConfigError(f"need m scalars and m vectors of one length, got shapes "
+                          f"{scalars.shape} and {vectors.shape}")
+    results = [] if scalars is None else [kahane_contraction_check(scalars, list(vectors), q=q)]
+    if rand is not None:
         rng = np.random.default_rng(seed)
-        m = _positive_int(rcfg, "m", "random", 6)
-        N = _positive_int(rcfg, "N", "random", 4)
-        count = _positive_int(rcfg, "count", "random")
+        m, N, count = rand["m"], rand["N"], rand["count"]
         scal = np.empty((count, m))
         vecs = np.empty((count, m, N), dtype=complex)
         for k in range(count):
@@ -581,65 +606,41 @@ def _task_check_kahane(cfg, seed):
             draws = rng.standard_normal((m, 2, N))  # per vector: N real, then N imaginary
             vecs[k] = draws[:, 0] + 1j * draws[:, 1]
         results.extend(_kahane_checks(scal, vecs, q))
-    if not results:
-        raise ConfigError("check-kahane needs 'scalars'/'vectors' or 'random'")
     worst = max(r.constant / max(r.scale, 1e-300) for r in results)
     ok = all(r.verdict for r in results)
-    verdict = "pass" if ok else "fail"
     result = {
         "instances": len(results),
         "worst_normalized_constant": worst,
         "all_within_bound": ok,
     }
-    rows = [_csv_row(None, None, None, worst, None, verdict)]
-    return verdict, result, rows, {}
+    return _outcome(ok, result, worst)
 
 
-def _task_check_symbol(cfg, seed):
-    _expect_keys(cfg, "config", required=("symbol", "t_values", "xi"),
-                 optional=("task", "n", "seed"))
-    symbol = _parse_symbol(cfg["symbol"])
-    n = _positive_int(cfg, "n", "config", 1)
-    if not isinstance(cfg["t_values"], list) or not cfg["t_values"]:
-        raise ConfigError(f"t_values must be a non-empty list, got {cfg['t_values']!r}")
-    t_grid = [_parse_scale(v, n) for v in cfg["t_values"]]
-    xcfg = cfg["xi"]
-    _expect_keys(xcfg, "xi", required=("lo", "hi", "count"))
-    try:
-        lo, hi = float(xcfg["lo"]), float(xcfg["hi"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"xi: {exc}") from exc
-    if not (math.isfinite(hi) and 0 < lo <= hi):
-        raise ConfigError(f"xi needs finite 0 < lo <= hi, got lo {lo}, hi {hi}")
-    vals = _signed_logspace(math.log10(lo), math.log10(hi), _positive_int(xcfg, "count", "xi"))
-    xi_grid = product_mesh([vals] * n).reshape(-1, n)
-    rep = check_symbol_class(symbol, t_grid, xi_grid)
-    verdict = "pass" if rep.verdict else "fail"
+@_task("check-symbol", {"symbol": SYMBOL, "t_values": List(SCALE, least=1),
+                      "xi": Table({"lo": number("a number > 0", lambda x: x > 0),
+                                   "hi": FINITE,
+                                   "count": integer()}),
+                      "n": integer(default=1)})
+def _task_check_symbol(v, seed):
+    n, xi = v["n"], v["xi"]
+    if xi["lo"] > xi["hi"]:
+        raise ConfigError(f"xi needs lo <= hi, got lo {xi['lo']}, hi {xi['hi']}")
+    t_grid = [_parse_scale(t, n) for t in v["t_values"]]
+    vals = _signed_logspace(math.log10(xi["lo"]), math.log10(xi["hi"]), xi["count"])
+    rep = check_symbol_class(v["symbol"], t_grid, product_mesh([vals] * n).reshape(-1, n))
     result = {
-        "constants": {str(k): v for k, v in rep.constants.items()},
+        "constants": {str(k): c for k, c in rep.constants.items()},
         "sector_ok": rep.sector_ok,
         "lower_margin": rep.lower_margin,
         "samples": rep.samples,
     }
-    rows = [_csv_row(None, None, None, rep.lower_margin, None, verdict)]
-    return verdict, result, rows, {}
-
-
-TASKS = {
-    "solve-elliptic": _task_solve_elliptic,
-    "solve-parabolic": _task_solve_parabolic,
-    "verify-coercivity": _task_verify_coercivity,
-    "verify-resolvent": _task_verify_resolvent,
-    "check-multipliers": _task_check_multipliers,
-    "estimate-rbound": _task_estimate_rbound,
-    "check-kahane": _task_check_kahane,
-    "check-symbol": _task_check_symbol,
-}
+    return _outcome(rep.verdict, result, rep.lower_margin)
 
 
 def _run_task(task: str, cfg: dict, args) -> int:
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    verdict, result, rows, extras = TASKS[task](cfg, seed)
+    values = SCHEMA[task].value(cfg, "config")
+    seed = args.seed if args.seed is not None else values["seed"]
+    verdict, result, rows, extras = TASKS[task](values, seed)
     report = {
         "version": __version__,
         "task": task,
@@ -667,19 +668,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=".", help="output directory for reports")
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:  # as the config's `seed`
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     try:
         cfg = _load_config(args.config)
         cfg = _apply_overrides(cfg, args.set)
-        if args.command == "run-scenario":
-            task = cfg.get("task")
-            if task not in TASKS:
-                raise ConfigError(f"scenario must declare a valid 'task', got {task!r}")
-        else:
-            task = args.command
-            declared = cfg.get("task")
-            if declared is not None and declared != task:
-                raise ConfigError(
-                    f"config declares task {declared!r} but {task!r} was invoked")
+        # a task command checks the config's own `task` key against its table
+        task = cfg.get("task") if args.command == "run-scenario" else args.command
+        if task not in tuple(TASKS):
+            raise ConfigError(f"scenario must declare a valid 'task', got {task!r}")
         return _run_task(task, cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -29,7 +29,6 @@ from .spaces import (
     _lp_lq_norms_from_spectra,
     fractional_multiplier,
     h_m_pt_norm,
-    lp_lq_norm,
     random_band_limited_values,
 )
 from .symbols import MultiIndex, ScaleParams, SymbolSpec, eval_symbol
@@ -168,11 +167,6 @@ def _apply_lower(prob: EllipticProblem, spec: np.ndarray) -> np.ndarray:
         coeff = term.coefficient_on(prob.grid, spec.shape[-1])
         out = out + w * np.einsum("...ij,...j->...i", coeff, du)
     return out
-
-
-def apply_lower_terms(prob: EllipticProblem, u: SampledField) -> SampledField:
-    """L_t u = sum over lower terms of t(alpha) A_alpha(x) D^alpha u."""
-    return u.with_values(_apply_lower(prob, prob.grid.fft(u.values[None]))[0])
 
 
 def _apply_principal(prob: EllipticProblem, P: np.ndarray, uvals: np.ndarray,
@@ -327,12 +321,16 @@ def _relative_residuals(grid: GridSpec, q: float, Ou: np.ndarray, fvals: np.ndar
 def graph_norm(prob: EllipticProblem, u: SampledField, p: float = 2.0):
     """(||O_t u||, parameterized Sobolev norm, their ratio) at the lambda=1 slice.
 
-    O_t is the principal operator with lambda = 0.  The ratio is reported as 1
+    O_t is the principal operator with lambda = 0.  Both norms start from one
+    FFT of u: ||O_t u|| is the norm of the spectrum (P_t(xi) + A) u_hat, by
+    Parseval at p = q = 2 and after one inverse FFT otherwise, and the Sobolev
+    norm's bracket term is taken the same way.  The ratio is reported as 1
     when both norms vanish.
     """
-    zero_shift = replace(prob, lam=0.0, lower_terms=())
-    onorm = lp_lq_norm(apply_operator(zero_shift, u), p)
-    hnorm = h_m_pt_norm(u, prob.t, prob.symbol.m, p, A=prob.model.A)
+    uspec = prob.grid.fft(u.values)
+    ospec = prob.symbol_values()[..., None] * uspec + prob.model.apply(uspec)
+    onorm = float(_lp_lq_norms_from_spectra(ospec[None], prob.grid, u.q, p)[0])
+    hnorm = h_m_pt_norm(u, prob.t, prob.symbol.m, p, A=prob.model.A, spec=uspec)
     if onorm == 0 and hnorm == 0:
         return 0.0, 0.0, 1.0
     ratio = hnorm / onorm if onorm > 0 else math.inf

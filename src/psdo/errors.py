@@ -25,10 +25,6 @@ class NotDiagonalizable(PsdoError):
     """Eigenvector matrix too ill-conditioned for spectral calculus."""
 
 
-class SpectrumNotSectorial(PsdoError):
-    """An eigenvalue has non-positive real part; fractional power undefined."""
-
-
 class NotSymmetric(PsdoError):
     """System matrix is not symmetric."""
 

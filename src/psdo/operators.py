@@ -20,7 +20,6 @@ from .errors import (
     NotPositiveDefinite,
     NotSymmetric,
     SpectrumHit,
-    SpectrumNotSectorial,
 )
 from .spaces import vector_norms
 from .sweep import SectorSweep
@@ -236,18 +235,6 @@ def check_positivity(model: OperatorModel, phi: float, sweep: SectorSweep) -> Po
     worst = int(np.argmax(vals))
     return PositivityCertificate(phi=phi, M=float(vals[worst]), sweep=sweep,
                                  worst_lambda=complex(lams[worst]))
-
-
-def fractional_power(model: OperatorModel, theta: float) -> np.ndarray:
-    """A^theta = V diag(eig^theta) V^-1 with the principal branch.
-
-    Requires a well-conditioned eigenbasis and spectrum in the open right
-    half-plane (except theta >= 0 integer powers, which are polynomial anyway).
-    """
-    w, V, Vinv = eigenbasis(model)
-    if w.real.min() <= 0:
-        raise SpectrumNotSectorial("eigenvalue with nonpositive real part")
-    return V @ np.diag(w**theta) @ Vinv
 
 
 def build_system(a) -> OperatorModel:

@@ -158,12 +158,6 @@ class SpaceTimeField:
         return replace(self, values=np.asarray(values, dtype=complex))
 
 
-def constant_field(grid: GridSpec, vector, q: float = 2.0) -> SampledField:
-    v = np.atleast_1d(np.asarray(vector, dtype=complex))
-    vals = np.broadcast_to(v, grid.shape + v.shape).copy()
-    return SampledField(grid=grid, values=vals, q=q)
-
-
 def mode_field(grid: GridSpec, xi0, vector, q: float = 2.0) -> SampledField:
     """Pure plane wave e^{i xi0 . x} * v; xi0 must lie on the frequency lattice."""
     xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
@@ -293,11 +287,13 @@ def lp_lq_norm(u: SampledField, p: float) -> float:
     return float(_lp_lq_norms(u.values[None], u.grid, u.q, p)[0])
 
 
-def h_m_pt_norm(u: SampledField, t, m: float, p: float, A: np.ndarray = None) -> float:
+def h_m_pt_norm(u: SampledField, t, m: float, p: float, A: np.ndarray = None,
+                spec: np.ndarray = None) -> float:
     """Parameterized Sobolev norm: graph term plus the weighted bracket term.
 
     Returns ||A u||_{L_p} (0 when no operator part is supplied) plus
-    ||F^-1 [1 + (sum_k t_k^(2/m) xi_k^2)^(1/2)]^m F u||_{L_p}.
+    ||F^-1 [1 + (sum_k t_k^(2/m) xi_k^2)^(1/2)]^m F u||_{L_p}, the latter by
+    Parseval at p = q = 2.  `spec`, when given, is F u = u.grid.fft(u.values).
     """
     term1 = 0.0
     if A is not None:
@@ -306,8 +302,8 @@ def h_m_pt_norm(u: SampledField, t, m: float, p: float, A: np.ndarray = None) ->
     xi = u.grid.frequency_mesh()
     tvec = np.asarray(t.t)
     bracket = (1.0 + np.sqrt(np.sum(tvec ** (2.0 / m) * xi**2, axis=-1))) ** m
-    vals = u.grid.ifft(u.grid.fft(u.values) * bracket[..., None])
-    term2 = lp_lq_norm(u.with_values(vals), p)
+    spec = u.grid.fft(u.values) if spec is None else spec
+    term2 = float(_lp_lq_norms_from_spectra((spec * bracket[..., None])[None], u.grid, u.q, p)[0])
     return term1 + term2
 
 

@@ -61,6 +61,7 @@ SPAN = 4.0           # adapted grids reach SPAN times the saturation frequency
 DECADES_BELOW = 4.0  # adapted frequency samples start this many decades below it
 RESTARTS = 2         # seeded random starts per searched R-bound tuple
 PROBE_CLOUD = 512    # random points probe_norm scores before its search
+TIE_ULPS = 4         # ratios within this many ulp of the largest tie with it (summary.worst)
 
 # Failures that mark one sweep point failed; anything else is a bug and propagates.
 POINT_ERRORS = (PsdoError, np.linalg.LinAlgError, ValueError, ZeroDivisionError,
@@ -121,7 +122,12 @@ def _summarize(report: VerificationReport) -> VerificationReport:
         return report
     ratios = np.array([p["ratio"] for p in ok])
     report.max_ratio, report.median_ratio, report.flatness = _flatness(ratios)
-    report.worst = dict(ok[int(ratios.argmax())])
+    # points that scale invariance makes equal tie up to roundoff: the first
+    # in sweep order within TIE_ULPS ulp of the largest ratio is the worst
+    top = ratios.max()
+    first = int(np.argmax(ratios >= top - TIE_ULPS * np.spacing(top))) if np.isfinite(top) \
+        else int(ratios.argmax())
+    report.worst = dict(ok[first])
     failed = len(report.points) - len(ok)
     verdict = failed == 0 and np.all(np.isfinite(ratios))
     if report.flatness_threshold is not None:

@@ -144,8 +144,9 @@ def test_solve_parabolic_export_writes_every_slice(tmp_path, monkeypatch):
                                   final.view(np.float64).view(np.int64))
 
 
-@pytest.mark.parametrize("argv", [["bogus", "--config", "c.json"], ["solve-elliptic"], []],
-                         ids=["unknown-command", "no-config", "nothing"])
+@pytest.mark.parametrize("argv", [["bogus", "--config", "c.json"], ["solve-elliptic"], [],
+                                  ["solve-elliptic", "--config", "c.json", "--seed", "-1"]],
+                         ids=["unknown-command", "no-config", "nothing", "negative-seed"])
 def test_bad_command_line_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -309,10 +310,22 @@ def test_solve_elliptic_reports_contraction_exact(tmp_path, q, exact):
     ["residual_tol=abc"],
     ["p=true"],
     ["residual_tol=NaN"],
+    ['data={"kind": "random", "fraction": "abc"}'],
+    ["data.width=abc"],
+    ["grid.n=1.5"],
+    ["seed=1.7"],
+    ['model={"kind": "tridiagonal", "N": 2.9}'],
+    ['model={"kind": "scalar", "K": 64, "entries": [[2.0]]}'],
+    ['export_fields="no"'],
+    ['data={"kind": "mode", "xi0": [1.0, 2.0]}'],
+    ["data.width=0"],
 ], ids=["vector-length", "vector-type", "coefficient-shape", "order-m", "alpha-dimension",
         "angle", "t-dimension", "gaussian-xi0", "gaussian-fraction", "mode-width",
         "mode-fraction", "random-width", "random-vector", "random-xi0", "data-kind",
-        "t-zero", "t-negative", "p-text", "residual-tol-text", "p-bool", "residual-tol-nan"])
+        "t-zero", "t-negative", "p-text", "residual-tol-text", "p-bool", "residual-tol-nan",
+        "fraction-text", "width-text", "grid-n-fractional", "seed-fractional",
+        "tridiagonal-N-fractional", "scalar-model-other-kinds-keys", "export-fields-text",
+        "xi0-dimension", "width-0"])
 def test_solve_elliptic_bad_value_is_config_error(tmp_path, capsys, sets):
     assert run_with_sets(tmp_path, "solve-elliptic", small_elliptic_cfg(), sets) == 2
     assert "config error:" in capsys.readouterr().err
@@ -336,13 +349,13 @@ def test_data_kind_accepts_the_keys_it_reads(tmp_path, data):
                                   ["horizon=NaN"], ["horizon=Infinity"], ["horizon=true"],
                                   ["p=abc"], ["p1=abc"], ["residual_tol=abc"],
                                   ["forcing.omega=abc"], ["p1=NaN"], ["forcing.omega=true"],
-                                  ["horizon=" + "9" * 400]],
+                                  ["horizon=" + "9" * 400], ["forcing.width=abc"]],
                          ids=["steps-0", "steps-negative", "horizon-negative", "horizon-0",
                               "vector-length", "forcing-kind", "omega-ramp", "omega-constant",
                               "horizon-text", "steps-text", "steps-fractional", "horizon-nan",
                               "horizon-inf", "horizon-bool", "p-text", "p1-text",
                               "residual-tol-text", "omega-text", "p1-nan", "omega-bool",
-                              "horizon-400-digits"])
+                              "horizon-400-digits", "forcing-width-text"])
 def test_solve_parabolic_bad_value_is_config_error(tmp_path, capsys, sets):
     cfg = json.loads((SCENARIOS / "parabolic-reference.json").read_text())
     assert run_with_sets(tmp_path, "solve-parabolic", cfg, sets) == 2
@@ -430,13 +443,37 @@ CHECK_SYMBOL = {"symbol": {"kind": "power", "m": 2.0}, "t_values": [1.0],
     ("verify-resolvent", {**task_cfgs()["verify-resolvent"], "per_axis": 0}),
     ("check-multipliers", {**task_cfgs()["check-multipliers"], "tuple_size": 0}),
     ("estimate-rbound", {**task_cfgs()["estimate-rbound"], "tuple_size": 0}),
+    ("verify-coercivity", {**task_cfgs()["verify-coercivity"], "p": "abc"}),
+    ("verify-coercivity", {**task_cfgs()["verify-coercivity"], "thresholds": {"flatness": "abc"}}),
+    ("verify-coercivity", {**task_cfgs()["verify-coercivity"],
+                           "model": {"kind": "scalar", "a": 1.0, "q": "abc"}}),
+    ("verify-coercivity", {**task_cfgs()["verify-coercivity"],
+                           "sweep": {**small_verify_cfg()["sweep"], "phi2": "abc"}}),
+    ("verify-coercivity", {**task_cfgs()["verify-coercivity"], "seed": "abc"}),
+    ("verify-coercivity", {**task_cfgs()["verify-coercivity"],
+                           "sweep": {**small_verify_cfg()["sweep"], "n_rays": 2.7}}),
+    ("verify-coercivity", {**task_cfgs()["verify-coercivity"],
+                           "sweep": {**small_verify_cfg()["sweep"], "rays": [0.0],
+                                     "radii": [1.0, 10.0]}}),
+    ("check-multipliers", {**task_cfgs()["check-multipliers"], "rbound_subsample": "abc"}),
+    ("check-multipliers", {**task_cfgs()["check-multipliers"], "rbound_subsample": -2}),
+    ("check-multipliers", {**task_cfgs()["check-multipliers"], "rbound_subsample": 0}),
+    ("estimate-rbound", {**task_cfgs()["estimate-rbound"], "q": "abc"}),
+    ("estimate-rbound", {**task_cfgs()["estimate-rbound"], "q": 0.5}),
+    ("check-kahane", {**task_cfgs()["check-kahane"], "q": "abc"}),
+    ("verify-coercivity", {**task_cfgs()["verify-coercivity"],
+                           "grid": {"n": 2, "M": 8, "L": 2 * np.pi},
+                           "sweep": {"phi2": 0.5, "radii": [1.0], "t_values": [{"t": [1.0]}]}}),
 ], ids=["family-kind", "resolvent-no-lambdas", "resolvent-no-model", "matrices-no-members", "no-members",
         "mixed-shapes", "ragged-member", "matrices-lambdas", "scalars-only", "vectors-only",
         "unequal-lengths", "lambdas-number", "lambdas-empty", "count-negative", "count-0",
         "count-fraction", "m-0", "N-negative", "xi-lo-0", "xi-lo-negative", "xi-hi-below-lo",
         "xi-hi-inf", "xi-count-0", "n-0", "t-values-empty", "t-value-0", "data-count-0",
         "data-count-1", "data-count-fraction", "per-axis-0", "multipliers-tuple-size-0",
-        "rbound-tuple-size-0"])
+        "rbound-tuple-size-0", "coercivity-p-text", "flatness-text", "model-q-text",
+        "phi2-text", "seed-text", "n-rays-fractional", "rays-beside-n-rays",
+        "subsample-text", "subsample-negative", "subsample-0", "rbound-q-text",
+        "rbound-q-below-1", "kahane-q-text", "t-values-dimension"])
 def test_malformed_family_or_instance_is_config_error(tmp_path, capsys, task, cfg):
     assert run_with_sets(tmp_path, task, {"task": task, **cfg}, []) == 2
     assert "config error:" in capsys.readouterr().err
@@ -456,3 +493,65 @@ def test_no_rays_is_config_error_at_phi2_zero(tmp_path, n_rays):
     cfg = write_cfg(tmp_path, cfg_d)
     assert main(["verify-coercivity", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def key_note(key, kind):
+    """`key` (its type unless it is an object, and its default)."""
+    notes = [] if kind.what.startswith("an object") else [kind.what]
+    if kind.default not in (cli.REQUIRED, None, {}):
+        notes.append(f"default {json.dumps(kind.default)}")
+    return f"`{key}`" + (f" ({', '.join(notes)})" if notes else "")
+
+
+def key_columns(table, form=""):
+    """The required and the optional keys of a table, without the tag that
+    names its form."""
+    keys = [(k, kind) for k, kind in table.keys.items()
+            if not (form and kind.what == f"one of {[form]}")]
+    return [", ".join(key_note(k, kind) for k, kind in keys
+                      if (kind.default is cli.REQUIRED) == required) or "none"
+            for required in (True, False)]
+
+
+def schema_tables():
+    """The README's CLI key tables, rendered from cli.SCHEMA: one row per task,
+    then one row per form of every config object."""
+    tasks = ["| task | required keys | optional keys | `thresholds` keys |", "|---|---|---|---|"]
+    objects = ["| object | form | required keys | optional keys |", "|---|---|---|---|"]
+    seen = set()
+
+    def walk(name, kind, form=""):
+        if id(kind) in seen and isinstance(kind, (cli.Table, cli.Switch)):
+            return
+        seen.add(id(kind))
+        if isinstance(kind, cli.List):
+            walk(name + "[]", kind.item)
+        elif isinstance(kind, cli.Switch):
+            for label, sub in kind.types.items():
+                walk(name, sub, "" if isinstance(label, bool) else label)
+        elif isinstance(kind, cli.Table):
+            required, optional = key_columns(kind, form)
+            label = f"`{form}`" if form else ""
+            objects.append(f"| `{name}` | {label} | {required} | {optional} |")
+            for key, sub in kind.keys.items():
+                walk(f"{name}.{key}", sub)
+
+    for task, table in cli.SCHEMA.items():
+        keys = {k: kind for k, kind in table.keys.items()
+                if k not in ("task", "seed", "thresholds")}
+        required, optional = key_columns(cli.Table(keys))
+        thresholds = table.keys.get("thresholds")
+        th = ", ".join(f"`{k}`" for k in thresholds.keys) if thresholds else "none"
+        tasks.append(f"| `{task}` | {required} | {optional} | {th} |")
+        for key, kind in keys.items():
+            walk(key, kind)
+    return "\n".join(tasks) + "\n\n" + "\n".join(objects) + "\n"
+
+
+def test_readme_key_tables_are_the_schema():
+    """After a schema change, paste the output of schema_tables() into the
+    README's CLI section."""
+    assert schema_tables() in README.read_text()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from psdo import (
     ModeSingular,
     MultiIndex,
     ScaleParams,
-    apply_lower_terms,
     apply_operator,
     coercive_index_set,
     contraction_estimate,
@@ -28,7 +29,7 @@ from psdo import (
     tridiagonal_matrix,
 )
 import psdo.elliptic
-from psdo.elliptic import _mode_shifts, _solve_modes
+from psdo.elliptic import _apply_lower, _mode_shifts, _solve_modes
 from psdo.symbols import i_xi_power_factor
 
 
@@ -174,6 +175,28 @@ def test_solve_full_constant_coefficients_transforms_once(A, monkeypatch):
     assert len(iterations) == 2 and min(iterations) > 1
 
 
+@pytest.mark.parametrize("p, q, transforms", [(2.0, 2.0, {"fft": 1, "ifft": 0}),
+                                               (3.0, 2.0, {"fft": 1, "ifft": 2})])
+def test_graph_norm_transforms_u_once(p, q, transforms, monkeypatch):
+    # both norms start from one FFT of u; at p = q = 2 they are Parseval norms
+    prob = replace(scalar_problem(lam=1.0), model=make_model(np.diag([1.0, 2.0]), q=q))
+    u = random_band_limited_field(prob.grid, 2, np.random.default_rng(3), q=q)
+    expected = graph_norm(prob, u, p=p)
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        original = getattr(psdo.elliptic.GridSpec, name)
+
+        def counted(self, values, name=name, original=original):
+            calls[name] += 1
+            return original(self, values)
+
+        monkeypatch.setattr(psdo.elliptic.GridSpec, name, counted)
+    assert graph_norm(prob, u, p=p) == expected
+    assert calls == transforms
+    zero_shift = replace(prob, lam=0.0)
+    assert expected[0] == pytest.approx(lp_lq_norm(apply_operator(zero_shift, u), p), rel=1e-13)
+
+
 def test_contraction_failure_small_lambda():
     term = LowerTerm(alpha=MultiIndex((1.0,)), coefficient=10.0 * np.eye(1))
     prob = scalar_problem(lam=1e-2, lower_terms=(term,))
@@ -259,10 +282,10 @@ def x_dependent_2d_problem(q=3.0):
                            lower_terms=terms)
 
 
-def test_apply_lower_terms_matches_per_term_loop():
+def test_apply_lower_matches_per_term_loop():
     prob = x_dependent_2d_problem()
     u = random_band_limited_field(prob.grid, 2, np.random.default_rng(8), q=3.0)
-    np.testing.assert_array_equal(apply_lower_terms(prob, u).values,
+    np.testing.assert_array_equal(_apply_lower(prob, prob.grid.fft(u.values[None]))[0],
                                   _lower_terms_per_term(prob, u).values)
 
 

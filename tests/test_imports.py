@@ -2,8 +2,9 @@
 aside) uses each name it imports, only operators.py makes spectral
 decisions about A (dense inverses, solves and eigendecompositions, and the
 eigenbasis condition limit KAPPA_LIMIT), only GridSpec.fft/ifft in
-spaces.py transform sampled fields, and only symbols.py names the axis factor
-of (i xi)^alpha, so i_xi_power stays its one product."""
+spaces.py transform sampled fields, only symbols.py names the axis factor
+of (i xi)^alpha, so i_xi_power stays its one product, and the CLI's task
+handlers read config values only through its schema."""
 
 import ast
 from pathlib import Path
@@ -179,3 +180,40 @@ def test_only_the_step_function_names_fd_step(path):
     stencil and check_symbol_class's straddle mask cannot drift apart."""
     expected = [("", "Store"), ("_fd_steps", "Load")] if path.name == "symbols.py" else []
     assert fd_step_names(path.read_text()) == expected
+
+
+def config_value_reads(source: str) -> list:
+    """(function, call) for each int(...), float(...) or .get(...) call in the
+    body of a _task_* handler or _parse_* helper, in source order."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith(("_task_", "_parse_"))):
+            continue
+        for node in (n for stmt in fn.body for n in ast.walk(stmt)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) if isinstance(node.func, ast.Name) \
+                else getattr(node.func, "attr", None)
+            if name in ("int", "float") and isinstance(node.func, ast.Name) \
+                    or name == "get" and isinstance(node.func, ast.Attribute):
+                found.append((node.lineno, node.col_offset, fn.name, name))
+    return [(fn, name) for _, _, fn, name in sorted(found)]
+
+
+def test_config_value_read_is_detected():
+    source = ("@_task('x', {'n': int})\ndef _task_x(cfg, seed):\n"
+              "    return int(cfg['n']) + cfg.get('p', 2)\n"
+              "def _parse_y(v):\n    def inner():\n        return float(v)\n    return inner\n"
+              "def helper(cfg):\n    return int(cfg.get('n'))\n")
+    assert config_value_reads(source) == [("_task_x", "int"), ("_task_x", "get"),
+                                          ("_parse_y", "float")]
+
+
+def test_cli_handlers_read_only_checked_values():
+    """The config schema in cli.py is the one place raw config values are read
+    and converted: no task handler or parse helper calls int(), float() or .get()."""
+    source = (PACKAGE / "cli.py").read_text()
+    readers = [node.name for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.FunctionDef) and node.name.startswith(("_task_", "_parse_"))]
+    assert sum(name.startswith("_task_") for name in readers) == 8
+    assert config_value_reads(source) == []

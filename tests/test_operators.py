@@ -3,16 +3,13 @@ import pytest
 
 from psdo import (
     EllipticityFailure,
-    NotDiagonalizable,
     NotPositiveDefinite,
     NotSymmetric,
     SectorSweep,
     SpectrumHit,
-    SpectrumNotSectorial,
     build_bvp_operator,
     build_system,
     check_positivity,
-    fractional_power,
     make_model,
     operator_norm,
     resolvent,
@@ -91,24 +88,6 @@ def test_check_positivity_monotone_in_phi():
         cert = check_positivity(model, phi, sweep)
         assert cert.M >= prev - 1e-12
         prev = cert.M
-
-
-def test_fractional_power_laws():
-    model = make_model(laplacian_like(6))
-    th, sg = 0.3, 0.45
-    lhs = fractional_power(model, th) @ fractional_power(model, sg)
-    rhs = fractional_power(model, th + sg)
-    assert np.abs(lhs - rhs).max() < 1e-8 * model.kappa
-    assert np.abs(fractional_power(model, 1.0) - model.A).max() < 1e-10
-
-
-def test_fractional_power_rejections():
-    shifted = make_model(laplacian_like(4) - 5.0 * np.eye(4))
-    with pytest.raises(SpectrumNotSectorial):
-        fractional_power(shifted, 0.5)
-    defective = make_model(np.array([[1.0, 1.0], [0.0, 1.0 + 1e-14]]))
-    with pytest.raises(NotDiagonalizable):
-        fractional_power(defective, 0.5)
 
 
 def test_build_system_c0_matches_rayleigh():

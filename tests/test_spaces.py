@@ -10,7 +10,6 @@ from psdo import (
     SampledField,
     ScaleParams,
     SpaceTimeField,
-    constant_field,
     gaussian_field,
     h_m_pt_norm,
     i_xi_power,
@@ -23,6 +22,12 @@ from psdo import (
     vector_norms,
 )
 from psdo.spaces import export_columnar, fractional_multiplier
+
+
+def constant_field(grid, vector):
+    """The field equal to `vector` at every grid point."""
+    v = np.atleast_1d(np.asarray(vector, dtype=complex))
+    return SampledField(grid=grid, values=np.broadcast_to(v, grid.shape + v.shape).copy())
 
 
 def test_grid_basics():

@@ -50,6 +50,7 @@ from psdo.verification import (
     _ratio_objective,
     _saturation_frequency,
     _sign_patterns,
+    _summarize,
     _worst_mode_data,
     fd_sigma_matrix,
 )
@@ -581,3 +582,22 @@ def test_operator_norm_upper_matches_operator_norm(q):
     assert batched.shape == (6,)
     for mat, value in zip(mats, batched):
         assert operator_norm(mat, q).upper == value
+
+
+@pytest.mark.parametrize("moved, step", [(1, -1), (2, +1), (4, +1), (4, -1)],
+                         ids=["first-down", "second-up", "last-up", "last-down"])
+def test_worst_is_stable_under_roundoff_ties(moved, step):
+    # points 1, 2 and 4 tie at one ratio; a 1-ulp change of any of them leaves
+    # the first in sweep order the worst
+    tie = 2.176680815242367
+    ratios = [1.0, tie, tie, 1.5, np.nextafter(tie, 0.0)]
+    ratios[moved] = ratios[moved] + step * np.spacing(tie)
+
+    def worst(values):
+        points = [{"ray": 0.0, "radius": float(k), "ratio": r, "error": None}
+                  for k, r in enumerate(values)]
+        return _summarize(verification.VerificationReport(kind="coercivity", points=points)).worst
+
+    assert worst(ratios)["radius"] == 1.0
+    assert worst([1.0, 3.0, tie])["radius"] == 1.0  # a clear maximum still wins
+    assert worst([1.0, np.inf, np.inf])["radius"] == 1.0
