@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, islice
 
 import numpy as np
-from scipy import optimize
 
 from .elliptic import (
     EllipticProblem,
@@ -61,6 +60,12 @@ SPAN = 4.0           # adapted grids reach SPAN times the saturation frequency
 DECADES_BELOW = 4.0  # adapted frequency samples start this many decades below it
 RESTARTS = 2         # seeded random starts per searched R-bound tuple
 PROBE_CLOUD = 512    # random points probe_norm scores before its search
+ROUGH_TOL = 1e-4     # an R-bound search's first climb stops at relative rises below this
+STEP_TOL = 1e-10     # and its climbs on the kink subspaces at rises below this
+CUSP = 1e-2          # kinks: sums below this fraction of the largest vanish, entries tie
+CUSP_ROUNDS = 10     # kink subspaces per start, each fitted where the last climb ended
+MAX_STEPS = 500      # BFGS steps per climb, and trial steps per line search
+ARMIJO, WOLFE = 1e-4, 0.5  # an accepted step's least rise and largest slope, as fractions
 TIE_ULPS = 4         # ratios within this many ulp of the largest tie with it (summary.worst)
 
 # Failures that mark one sweep point failed; anything else is a bug and propagates.
@@ -422,35 +427,30 @@ def rademacher_average(operators, vectors, q: float = 2.0):
     return float(num), float(den)
 
 
-def _ratio_objective(stack: np.ndarray, signs: np.ndarray, q: float, x: np.ndarray):
-    """Rademacher ratio of the operator stack (m, N, N) at probe vectors given
-    as stacked real coordinates x (..., 2 m N); 0 where every signed sum
-    vanishes.  `signs` is the enumerated (2^m, m) pattern matrix.  Through
-    the shared kernel, the reference that _ratio_and_grad is tested against."""
-    vecs = x.reshape(x.shape[:-1] + (len(stack), 2, stack.shape[-1]))
-    us = vecs[..., 0, :] + 1j * vecs[..., 1, :]
-    num, den = _rademacher_terms(signs, (stack @ us[..., None])[..., 0], us, q)
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-
-
-def _norm_grad(v: np.ndarray, nv: np.ndarray, q: float) -> np.ndarray:
+def _norm_grad(v: np.ndarray, nv: np.ndarray, q: float, pick=None) -> np.ndarray:
     """Gradient, as Re + i Im, of the l_q norm at each row of v (norms nv):
     g(v) = |v|^(q-2) v / ||v||^(q-1), v/|v| at q = 1, the unit phase at the
-    first argmax at q = inf, and 0 in every entry where v vanishes."""
+    first argmax (or at entry pick) at q = inf, and 0 where v vanishes."""
     a = np.abs(v)
     phase = np.divide(v, a, out=np.zeros_like(v), where=a > 0)
     if q == np.inf:
-        return phase * (np.arange(a.shape[-1]) == a.argmax(axis=-1)[..., None])
+        pick = a.argmax(axis=-1) if pick is None else pick
+        return phase * (np.arange(a.shape[-1]) == pick[..., None])
     nv = nv[..., None]
     return np.divide(a, nv, out=np.zeros_like(a), where=nv > 0) ** (q - 1) * phase
 
 
-def _ratio_and_grad(stack: np.ndarray, signs: np.ndarray, q: float, x: np.ndarray):
-    """_ratio_objective R = num / den and its gradient in the coordinates x.
+def _ratio_and_grad(stack: np.ndarray, signs: np.ndarray, q: float, x: np.ndarray,
+                    pick: np.ndarray = None):
+    """Rademacher ratio R = num / den of the stack (m, N, N) at probe vectors
+    given as stacked real coordinates x (..., 2 m N), 0 at u = 0, and its
+    gradient in x; `signs` is the (P, m) matrix of sign patterns.
 
     With S_p = sum_j eps_pj T_j u_j and s_p = sum_j eps_pj u_j, the slot-j
     gradients are T_j^H mean_p eps_pj g(S_p) for num and mean_p eps_pj g(s_p)
     for den (g of _norm_grad), and grad R = (grad num - R grad den) / den.
+    At q = inf, pick (..., P) names the entry of each s_p whose phase is the
+    gradient of ||s_p||, so that across a tie it stays that of one piece.
     """
     vecs = x.reshape(x.shape[:-1] + (len(stack), 2, stack.shape[-1]))
     us = vecs[..., 0, :] + 1j * vecs[..., 1, :]
@@ -463,48 +463,147 @@ def _ratio_and_grad(stack: np.ndarray, signs: np.ndarray, q: float, x: np.ndarra
     R = num / den
     weights = signs / len(signs)
     gnum = np.einsum("pj,...pn->...jn", weights, _norm_grad(S, nS, q))
-    gden = np.einsum("pj,...pn->...jn", weights, _norm_grad(s, ns, q))
+    gden = np.einsum("pj,...pn->...jn", weights, _norm_grad(s, ns, q, pick))
     grad = ((stack.conj().swapaxes(-1, -2) @ gnum[..., None])[..., 0]
             - R[..., None, None] * gden) / den[..., None, None]
     return R, np.stack([grad.real, grad.imag], axis=-2).reshape(x.shape)
 
 
-def _search(stack: np.ndarray, q: float, starts, cloud: np.ndarray, keep: int) -> float:
-    """Largest Rademacher ratio of the stack (m, N, N) that L-BFGS-B with the
-    analytic gradient reaches from each of `starts` and from the `keep` best
-    points of `cloud`; never below the cloud's best.
+def _climb(fun, x: np.ndarray, tol: float, proj: np.ndarray):
+    """Batched BFGS ascent from the rows of x (S, D), each on the range of
+    its projector in proj (S, D, D): (values, points).
 
-    The ratio has a cusp wherever a signed sum s_p vanishes, and its maxima
-    often lie on one, where L-BFGS-B crawls.  So each start runs to a loose
-    tolerance, then to a tight one on the subspace where the signed sums
-    below 1 % of the largest vanish, on which the ratio is smooth.
+    fun(points, rows) gives values and ascent gradients at points standing for
+    those rows of x.  Each row has its own dense inverse Hessian and weak
+    Wolfe line search (a rise of at least ARMIJO of the predicted one, a slope
+    fallen to WOLFE of its start), and stops once its step, or any step its
+    line search could still try, rises by at most tol relatively.
+    """
+    def project(v, rows):
+        return (proj[rows] @ v[..., None])[..., 0]
+
+    live = np.arange(len(x))
+    x = project(x, live)
+    f, g = fun(x, live)
+    g = project(g, live)
+    H, fresh = np.array(proj), np.ones(len(x), dtype=bool)
+    for _ in range(MAX_STEPS):
+        d = (H[live] @ g[live, :, None])[..., 0]
+        slope = np.einsum("sd,sd->s", g[live], d)
+        lo, hi, t = np.zeros(len(live)), np.full(len(live), np.inf), np.ones(len(live))
+        new_f, new_g = f[live], g[live]
+        todo = np.flatnonzero(slope > 0)
+        for _ in range(MAX_STEPS):
+            if not len(todo):
+                break
+            rows = live[todo]
+            ft, gt = fun(x[rows] + t[todo, None] * d[todo], rows)
+            gt = project(gt, rows)
+            rise = ft > f[rows] + ARMIJO * t[todo] * slope[todo]
+            far = rise & (np.einsum("sd,sd->s", gt, d[todo]) <= WOLFE * slope[todo])
+            up, down = todo[rise], todo[~rise]
+            new_f[up], new_g[up], lo[up], hi[down] = ft[rise], gt[rise], t[up], t[down]
+            todo = todo[~far & ((hi[todo] - lo[todo]) * slope[todo] > tol * np.abs(f[rows]))]
+            # double until a step is too long, cut by 10 until one rises, then bisect
+            lo_t, hi_t = lo[todo], hi[todo]
+            t[todo] = np.where(np.isinf(hi_t), 2 * lo_t,
+                               np.where(lo_t > 0, (lo_t + hi_t) / 2, hi_t / 10))
+        moved = lo > 0
+        rows, s, y = live[moved], lo[moved, None] * d[moved], g[live[moved]] - new_g[moved]
+        done = np.ones(len(live), dtype=bool)
+        done[moved] = new_f[moved] - f[rows] <= tol * np.abs(new_f[moved])
+        x[rows] += s
+        f[rows], g[rows] = new_f[moved], new_g[moved]
+        live = live[~done]
+        if not len(live):
+            break
+        # the inverse BFGS update for -f where the curvature s.y is positive,
+        # the first one scaled by s.y / y.y (Shanno and Phua)
+        sy = np.einsum("sd,sd->s", s, y)
+        ok = sy > 1e-12 * np.linalg.norm(s, axis=-1) * np.linalg.norm(y, axis=-1)
+        rows, s, y, sy = rows[ok], s[ok], y[ok], sy[ok]
+        H[rows] *= np.where(fresh[rows], sy / np.einsum("sd,sd->s", y, y), 1.0)[:, None, None]
+        fresh[rows], sy = False, sy[:, None, None]
+        Hy, ss = (H[rows] @ y[..., None])[..., 0], s[:, :, None] * s[:, None, :]
+        H[rows] += (sy + np.einsum("sd,sd->s", y, Hy)[:, None, None]) / sy**2 * ss \
+            - (Hy[:, :, None] * s[:, None, :] + s[:, :, None] * Hy[:, None, :]) / sy
+    return f, x
+
+
+def _kinks(signs: np.ndarray, x: np.ndarray, q: float, N: int):
+    """Projectors (S, D, D) onto the points where the denominator's kinks
+    near each row of x (S, 2 m N) hold exactly and, at q = inf, the largest
+    entry of each s_p (S, P).
+
+    A kink is a real-linear condition on a signed sum: s_p = 0 where ||s_p||
+    is below CUSP of the largest (at q = 1 entry by entry: s_pn = 0 where
+    |s_pn| is); at q = inf, for each entry n within CUSP of the largest b,
+    the tie |s_pn| = |s_pb| linearized at x as Re(conj(e_n) s_pn) =
+    Re(conj(e_b) s_pb), e the phases at x, which holds to first order since
+    |s_pn| is homogeneous of degree 1.
+    """
+    S, m = len(x), signs.shape[1]
+    u = x.reshape(S, m, 2, N)
+    sums = np.einsum("pj,sjn->spn", signs.real, u[:, :, 0] + 1j * u[:, :, 1])
+    a = np.abs(sums)
+    size = a if q == 1 else np.broadcast_to(vector_norms(sums, q)[..., None], a.shape)
+    small = size < CUSP * size.max(axis=(1, 2), keepdims=True)
+    eye = np.eye(N)
+    w = [small[..., None] * eye, 1j * small[..., None] * eye]   # weights w of Re(conj(w) s_p)
+    pick = a.argmax(axis=-1) if q == np.inf else None
+    if q == np.inf:
+        phase = np.divide(sums, a, out=np.zeros_like(sums), where=a > 0)
+        tied = (a >= (1 - CUSP) * a.max(axis=-1, keepdims=True)) & ~small \
+            & (np.arange(N) != pick[..., None])
+        lead = (np.take_along_axis(phase, pick[..., None], -1) * eye[pick])[..., None, :]
+        w.append(tied[..., None] * (phase[..., None] * eye - lead))
+    # a condition's row is eps_p (x) (Re w, Im w): its Gram matrix sums, over the
+    # patterns p, eps_p eps_p^T (x) the Gram matrix of the pattern's (Re w, Im w)
+    w = np.concatenate(w, axis=2)
+    w = np.concatenate([w.real, w.imag], axis=-1)                           # (S, P, K, 2 N)
+    outer = (signs.real[:, :, None] * signs.real[:, None, :]).reshape(len(signs), -1)
+    gram = outer.T @ (w.swapaxes(-1, -2) @ w).reshape(S, len(signs), -1)
+    gram = gram.reshape(S, m, m, 2 * N, 2 * N).transpose(0, 1, 3, 2, 4).reshape(S, 2 * m * N, -1)
+    return np.eye(2 * m * N) - np.linalg.pinv(gram, rcond=1e-12) @ gram, pick
+
+
+def _search(stack: np.ndarray, q: float, starts, cloud: np.ndarray, keep: int) -> float:
+    """Largest Rademacher ratio of the stack (m, N, N) that batched BFGS
+    reaches from each of `starts` and from the `keep` best points of
+    `cloud`; never below the cloud's best.
+
+    The ratio has kinks where its denominator does: where a signed sum s_p
+    vanishes, at q = 1 where an entry s_pn does, at q = inf where the largest
+    entries of s_p tie.  Its maxima often lie on them, where BFGS crawls.  So
+    all starts climb at once to ROUGH_TOL; then, for up to CUSP_ROUNDS
+    rounds, each start's kinks (_kinks) are made exact on a subspace fitted
+    at its point, on which it climbs to STEP_TOL, until a round no longer
+    raises it.  At q = inf the gradient takes the largest entry of each s_p
+    as frozen at the round's start, that of one smooth piece across a tie,
+    while a step is still accepted only if the true ratio rises.
     """
     m, N = len(stack), stack.shape[-1]
-    signs = _sign_patterns(m)
+    signs = _sign_patterns(m)[2 ** (m - 1):]  # the other half: s_p of -eps_p is -s_p
 
-    def climb(basis, x, ftol):
-        """(ratio, x) after L-BFGS-B over y, x = basis @ y: the m slots of x
-        are combinations of the columns of the real (m, r) basis."""
-        def neg_ratio(y):
-            r, g = _ratio_and_grad(stack, signs, q, (basis @ y.reshape(-1, 2 * N)).ravel())
-            return -float(r), -(basis.T @ g.reshape(m, -1)).ravel()
-
-        res = optimize.minimize(neg_ratio, (basis.T @ x.reshape(m, -1)).ravel(), jac=True,
-                                method="L-BFGS-B",
-                                options={"ftol": ftol, "gtol": 1e-12, "maxiter": 500})
-        return -float(res.fun), (basis @ res.x.reshape(-1, 2 * N)).ravel()
+    def fun(x, rows=None, pick=None):
+        return _ratio_and_grad(stack, signs, q, x, None if pick is None else pick[rows])
 
     # in blocks of about _BLOCK_ENTRIES signed-sum entries, as in _rademacher_terms
     step = max(1, _BLOCK_ENTRIES // (len(signs) * N))
-    vals = np.concatenate([_ratio_and_grad(stack, signs, q, cloud[i:i + step])[0]
-                           for i in range(0, len(cloud), step)])
-    best = float(vals.max())
-    for x0 in list(starts) + list(cloud[np.argsort(-vals, kind="stable")[:keep]]):
-        rough, x = climb(np.eye(m), x0, 1e-4)
-        sums = np.linalg.norm(signs.real @ x.reshape(m, -1), axis=-1)
-        _, sv, vh = np.linalg.svd(signs[sums < 1e-2 * sums.max()].real)
-        best = max(best, rough, climb(vh[np.count_nonzero(sv > 1e-9):].T, x, 1e-10)[0])
-    return best
+    vals = np.concatenate([fun(cloud[i:i + step])[0] for i in range(0, len(cloud), step)])
+    x = np.concatenate([np.reshape(starts, (-1, cloud.shape[-1])),
+                        cloud[np.argsort(-vals, kind="stable")[:keep]]])
+    f, x = _climb(fun, x, ROUGH_TOL, np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:]))
+    live = np.arange(len(x))
+    for _ in range(CUSP_ROUNDS):
+        proj, pick = _kinks(signs, x[live], q, N)
+        fine, y = _climb(functools.partial(fun, pick=pick), x[live], STEP_TOL, proj)
+        rose = fine > (1 + STEP_TOL) * f[live]
+        live = live[rose]
+        x[live], f[live] = y[rose], fine[rose]
+        if not len(live):
+            break
+    return float(max(vals.max(), f.max()))
 
 
 def _maximize_tuple(stack: np.ndarray, q: float, seed: int) -> float:

@@ -1,4 +1,5 @@
-"""Import hygiene: every module of the package (the re-exporting __init__.py
+"""Import hygiene: no module of the package imports scipy, so a run pays
+only for numpy at start-up; every module (the re-exporting __init__.py
 aside) uses each name it imports, only operators.py makes spectral
 decisions about A (dense inverses, solves and eigendecompositions, and the
 eigenbasis condition limit KAPPA_LIMIT), only GridSpec.fft/ifft in
@@ -7,12 +8,72 @@ of (i xi)^alpha, so i_xi_power stays its one product, and the CLI's task
 handlers read config values only through its schema."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "psdo"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def scipy_imports(source: str) -> list:
+    """Line numbers of every import of scipy or of a scipy submodule,
+    wherever it stands (module level, in a function, under try)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_scipy_import_is_detected():
+    source = ("import numpy as np\nfrom scipy import optimize\n"
+              "def f():\n    import scipy.linalg as la\n    return la\n"
+              "try:\n    import scipy\nexcept ImportError:\n    scipy = None\n"
+              "from .scipy_like import x\nimport scipyx\n")
+    assert scipy_imports(source) == [2, 4, 7]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_does_not_import_scipy(path):
+    assert scipy_imports(path.read_text()) == []
+
+
+def test_cli_runs_without_loading_scipy(tmp_path):
+    """In a fresh interpreter, importing the CLI and running an R-bound search
+    at q = 1 on a mixed tuple and a multiplier check leaves scipy unloaded."""
+    rbound = {"task": "estimate-rbound", "q": 1.0, "tuple_size": 2, "family": {
+        "kind": "matrices", "members": [[[1.0, 0.3], [0.0, 0.5]], [[0.2, 0.0], [0.7, 1.0]]]}}
+    multipliers = {"task": "check-multipliers", "grid": {"n": 1, "M": 16, "L": 6.0},
+                   "model": {"kind": "scalar", "a": 1.0}, "symbol": {"kind": "power", "m": 2.0},
+                   "sweep": {"phi2": 0.7, "n_rays": 2, "n_radii": 2, "radius_range": [1.0, 1e3],
+                             "n_t": 1, "t_range": [1.0, 1.0]},
+                   "rbound_subsample": 2, "tuple_size": 2}
+    for name, cfg in (("rbound", rbound), ("multipliers", multipliers)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    script = ("import sys\n"
+              "import psdo.cli\n"
+              "loaded = 'scipy' in sys.modules\n"
+              "for name in ('rbound', 'multipliers'):\n"
+              "    path = sys.argv[1] + '/' + name\n"
+              "    code = psdo.cli.main(['run-scenario', '--config', path + '.json', '--out', path])\n"
+              "    assert code == 0, (name, code)\n"
+              "print(loaded, 'scipy' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                         text=True, env={"PYTHONPATH": str(PACKAGE.parent)}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False False"
+    report = json.loads((tmp_path / "rbound" / "report.json").read_text())
+    assert report["result"]["tuple_indices"] == [0, 1]
 
 
 def unused_imports(source: str) -> list:

@@ -46,8 +46,8 @@ from psdo.verification import (
     _adapted_grid,
     _adapted_xi_samples,
     _kahane_checks,
+    _rademacher_terms,
     _ratio_and_grad,
-    _ratio_objective,
     _saturation_frequency,
     _sign_patterns,
     _summarize,
@@ -138,6 +138,17 @@ def test_estimate_rbound_monotone_under_inclusion():
         assert est.tuples_tried == tried
 
 
+def _ratio_objective(stack: np.ndarray, signs: np.ndarray, q: float, x: np.ndarray):
+    """Rademacher ratio of the operator stack (m, N, N) at probe vectors given
+    as stacked real coordinates x (..., 2 m N); 0 where every signed sum
+    vanishes.  `signs` is the enumerated (2^m, m) pattern matrix.  Through
+    the shared kernel, the reference that _ratio_and_grad is tested against."""
+    vecs = x.reshape(x.shape[:-1] + (len(stack), 2, stack.shape[-1]))
+    us = vecs[..., 0, :] + 1j * vecs[..., 1, :]
+    num, den = _rademacher_terms(signs, (stack @ us[..., None])[..., 0], us, q)
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, np.inf])
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("N", [1, 2, 4])
@@ -213,6 +224,104 @@ def test_estimate_rbound_closed_form_singletons(q, monkeypatch):
         assert est.upper == pytest.approx(np.sqrt(2.0) * max(norms), rel=1e-14)
     else:
         assert est.upper is None
+
+
+# A regression panel for the R-bound search: each case's estimate and the
+# scores of the tuples it searched, in search order, as the scipy L-BFGS-B
+# search of commit b0c237e (one call per start and stage) read them.  A
+# rewrite of the search may raise them, never lower them by more than 1e-9.
+RBOUND_PANEL = {
+    "lambda-0": (0.9978627543645022, (0.9960594124300025, 0.9978627543645021, 0.9978627543645022)),
+    "lambda-7": (0.9951308033269258, (0.7868834367790802, 0.9951308033269257, 0.9951308033269258)),
+    "lambda-43": (0.9979748456678612, (0.9770509518571908, 0.997974845667861,
+                                       0.9979748456678612)),
+    "singleton-task": (1.999999728551685, ()),
+    "singleton-probe": (1.9999997285516853, ()),
+    "acceptance-07": (0.999000999000999, (0.6829859869471915, 0.6829859869471914,
+                                          0.6829859869471914, 0.6829859869471914,
+                                          0.6829859869471915)),
+    "pair-0-inf": (5.920300398601094, (5.920300398601094,)),
+    "pair-1-inf": (6.160463675074861, (6.160463675074861,)),
+    "pair-2-inf": (7.435396846645741, (7.435396846645741,)),
+    "pair-3-inf": (6.678419056781213, (6.678419056781213,)),
+    "triple-0-1": (8.079417910830935, (8.079417910830935,)),
+    "triple-0-2": (5.423607156590158, (5.423607156590158,)),
+    "triple-0-3": (5.47747766630471, (5.47747766630471,)),
+    "triple-0-inf": (7.018452061433901, (7.018452061433901,)),
+    "triple-1-1": (6.938730056049589, (6.938730056049589,)),
+    "triple-1-2": (5.364736666588715, (5.364736666588715,)),
+    "triple-1-3": (5.5856444124263875, (5.5856444124263875,)),
+    "triple-1-inf": (7.039498892750958, (7.039498892750958,)),
+    "triple-2-1": (7.017272771242515, (7.017272771242515,)),
+    "triple-2-2": (4.811513686332867, (4.811513686332867,)),
+    "triple-2-3": (5.095194733839844, (5.095194733839844,)),
+    "triple-2-inf": (6.81648378245361, (6.81648378245361,)),
+}
+
+
+def pair_family(k):
+    """The k-th random complex two-member 3x3 family of PANEL_FLOORS."""
+    rng = np.random.default_rng(100 + k)
+    return list(rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3)))
+
+
+def rbound_panel_case(name):
+    """The estimate of one RBOUND_PANEL case: the probe benchmark workload's
+    R-bound tasks (lambda-SEED, singleton-task, and singleton-probe, the
+    CLI's probe_norm check of it), the acceptance-07 scalar family, the
+    PANEL_FLOORS families and seeded random complex 3x3 triples at q."""
+    kind, _, arg = name.partition("-")
+    scalar = make_model(np.array([[1.0]]))
+    if kind == "lambda":
+        rng = np.random.default_rng([int(arg), 1])
+        lambdas = sorted(float(v) for v in 10.0 ** rng.uniform(0.0, 3.0, size=3))
+        family = lambda_resolvent_family(scalar, lambdas).members
+        return estimate_rbound(family, q=2.0, tuple_size=2, seed=int(arg)).value
+    if kind == "singleton":
+        rot = lambda t: np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        member = np.round(rot(0.3) @ np.diag([2.0, 0.5]) @ rot(1.1).T, 6)
+        if arg == "probe":
+            return probe_norm(member, q=2.0, seed=1)
+        return estimate_rbound([member], q=2.0, tuple_size=2, seed=0).value
+    if kind == "acceptance":
+        family = lambda_resolvent_family(scalar, list(np.logspace(0, 3, 10))).members
+        return estimate_rbound(family, tuple_size=10, budget=6).value
+    k, q = arg.split("-")
+    k, q = int(k), float(q)
+    if kind == "pair":
+        return estimate_rbound(pair_family(k), q=q, tuple_size=2, budget=6).value
+    rng = np.random.default_rng(200 + k)
+    return verification._maximize_tuple(
+        rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3)), q, 0)
+
+
+@pytest.mark.parametrize("name", list(RBOUND_PANEL))
+def test_rbound_panel_floors(name, monkeypatch):
+    scores = []
+    search = verification._maximize_tuple
+
+    def recorded(*args):
+        scores.append(search(*args))
+        return scores[-1]
+
+    monkeypatch.setattr(verification, "_maximize_tuple", recorded)
+    value, tuple_floors = RBOUND_PANEL[name]
+    assert rbound_panel_case(name) >= value * (1 - 1e-9)
+    assert len(scores) == len(tuple_floors)
+    assert all(a >= b * (1 - 1e-9) for a, b in zip(scores, tuple_floors))
+
+
+@pytest.mark.parametrize("q", [1.0, np.inf])
+def test_rbound_search_does_not_depend_on_its_tolerance(q, monkeypatch):
+    """At the kinks of q = 1 and q = inf the search ends on the kink, not
+    where a line search gave up: a loose and a tight stopping tolerance
+    agree on the PANEL_FLOORS families."""
+    values = []
+    for tol in (1e-6, 1e-13):
+        monkeypatch.setattr(verification, "STEP_TOL", tol)
+        values.append([estimate_rbound(pair_family(k), q=q, tuple_size=2, budget=6).value
+                       for k in range(4)])
+    np.testing.assert_allclose(values[0], values[1], rtol=1e-6)
 
 
 def test_estimate_rbound_searches_singletons_at_other_q():
