@@ -131,10 +131,14 @@ def _mode_shifts(prob: EllipticProblem, P: np.ndarray = None) -> np.ndarray:
     return shifts
 
 
-def _solve_spectra(prob: EllipticProblem, shifts: np.ndarray, fhat: np.ndarray) -> np.ndarray:
-    """Per-mode principal solve of a stack of spectra, fhat shape (F,) + grid.shape + (N,)."""
+def _solve_spectra(model: OperatorModel, shifts: np.ndarray, fhat: np.ndarray) -> np.ndarray:
+    """Per-mode principal solve of a stack of spectra, fhat shape (..., F) +
+    grid.shape + (N,), with the mode shifts (..., modes) of its leading axes
+    (flattened FFT order; shifts of one lattice have no leading axes)."""
+    lead = shifts.shape[:-1]
     try:
-        uhat = shifted_solve(prob.model, shifts, fhat.reshape(len(fhat), -1, fhat.shape[-1]))
+        uhat = shifted_solve(model, shifts, fhat.reshape(lead + (-1,) + shifts.shape[-1:]
+                                                         + fhat.shape[-1:]))
     except np.linalg.LinAlgError as exc:
         raise ModeSingular(None, str(exc)) from exc
     return uhat.reshape(fhat.shape)
@@ -146,7 +150,7 @@ def _solve_modes(prob: EllipticProblem, shifts: np.ndarray, fvals: np.ndarray):
     One FFT of the stack and one per-mode solve with all F right-hand sides.
     Returns the solutions' values and their spectra, both shaped like fvals.
     """
-    uhat = _solve_spectra(prob, shifts, prob.grid.fft(fvals))
+    uhat = _solve_spectra(prob.model, shifts, prob.grid.fft(fvals))
     return prob.grid.ifft(uhat), uhat
 
 
@@ -165,23 +169,16 @@ def _apply_lower(prob: EllipticProblem, spec: np.ndarray) -> np.ndarray:
         mult = fractional_multiplier(prob.grid, term.alpha)
         du = prob.grid.ifft(spec * mult[..., None])
         coeff = term.coefficient_on(prob.grid, spec.shape[-1])
-        out = out + w * np.einsum("...ij,...j->...i", coeff, du)
+        out = out + w * (coeff @ du[..., None])[..., 0]
     return out
-
-
-def _apply_principal(prob: EllipticProblem, P: np.ndarray, uvals: np.ndarray,
-                     uspec: np.ndarray) -> np.ndarray:
-    """P_t(D) u + A u + lambda u for a stack of fields uvals with spectra uspec;
-    P is prob.symbol_values()."""
-    principal = prob.grid.ifft(P[..., None] * uspec)
-    return principal + prob.model.apply(uvals) + prob.lam * uvals
 
 
 def apply_operator(prob: EllipticProblem, u: SampledField) -> SampledField:
     """Forward operator: symbol part + A u + lambda u + lower-order terms."""
     uvals = u.values[None]
     uspec = prob.grid.fft(uvals)
-    out = _apply_principal(prob, prob.symbol_values(), uvals, uspec)
+    out = prob.grid.ifft(prob.symbol_values()[..., None] * uspec) + prob.model.apply(uvals) \
+        + prob.lam * uvals
     if prob.lower_terms:
         out = out + _apply_lower(prob, uspec)
     return u.with_values(out[0])
@@ -241,8 +238,7 @@ def contraction_estimate(prob: EllipticProblem, probes: int = 64, seed: int = 0,
         return float(np.max(np.abs(blocks[..., 0, 0]).reshape(-1) / dist))
     if blocks is not None:
         Binv = shifted_solve(model, shifts).reshape(grid.shape + (N, N))
-        comp = np.einsum("...ij,...jk->...ik", blocks, Binv)
-        best = float(np.max(operator_norm_upper(comp, q)))
+        best = float(np.max(operator_norm_upper(blocks @ Binv, q)))
         if q == 2:
             return best
     rng = np.random.default_rng(seed)
@@ -251,7 +247,7 @@ def contraction_estimate(prob: EllipticProblem, probes: int = 64, seed: int = 0,
         nu = _lp_lq_norms(u, grid, q, 2.0)
         u, nu = u[nu > 0], nu[nu > 0]
         if nu.size:
-            Lv = _apply_lower(prob, _solve_spectra(base, shifts, grid.fft(u)))
+            Lv = _apply_lower(prob, _solve_spectra(model, shifts, grid.fft(u)))
             best = max(best, float((_lp_lq_norms(Lv, grid, q, 2.0) / nu).max()))
     return best
 
@@ -294,7 +290,7 @@ def solve_full(prob: EllipticProblem, f: SampledField, seed: int = 0):
     fhat = grid.fft(f.values[None])
     nf = float(_lp_lq_norms(f.values[None], grid, f.q, 2.0)[0])
     mode_shifts = shifts.reshape(grid.shape)[..., None]
-    uhat = _solve_spectra(prob, shifts, fhat)
+    uhat = _solve_spectra(prob.model, shifts, fhat)
     residuals = []
     for it in range(1, MAX_ITER + 1):
         if blocks is not None:
@@ -307,15 +303,8 @@ def solve_full(prob: EllipticProblem, f: SampledField, seed: int = 0):
         if residuals[-1] < NEUMANN_TOL or not prob.lower_terms:
             return f.with_values(grid.ifft(uhat)[0]), IterationReport(
                 iterations=it, residuals=residuals, contraction=kappa, contraction_exact=exact)
-        uhat = _solve_spectra(prob, shifts, fhat - lower)
+        uhat = _solve_spectra(prob.model, shifts, fhat - lower)
     raise NoConvergence(f"residual {residuals[-1]:.2e} after {MAX_ITER} iterations")
-
-
-def _relative_residuals(grid: GridSpec, q: float, Ou: np.ndarray, fvals: np.ndarray) -> np.ndarray:
-    """||O u - f|| / ||f|| (L_2 of the l_q norm) per field of a stack; 0 where f = 0."""
-    nf = _lp_lq_norms(fvals, grid, q, 2.0)
-    nr = _lp_lq_norms(Ou - fvals, grid, q, 2.0)
-    return np.divide(nr, nf, out=np.zeros_like(nr), where=nf > 0)
 
 
 def graph_norm(prob: EllipticProblem, u: SampledField, p: float = 2.0):

@@ -114,14 +114,15 @@ def eigenbasis(model: OperatorModel):
 
 
 def _shifted_matrices(A: np.ndarray, shifts) -> np.ndarray:
-    """A + s I stacked over the shifts s, shape (len(shifts), N, N)."""
+    """A + s I for each entry s of an array of shifts, shape shifts.shape + (N, N)."""
     eye = np.eye(A.shape[0], dtype=complex)
-    return A[None, :, :] + np.asarray(shifts)[:, None, None] * eye
+    return A + np.asarray(shifts)[..., None, None] * eye
 
 
 def shifted_solve(model: OperatorModel, shifts, rhs=None) -> np.ndarray:
-    """(A + s_k I)^-1 for each shift s_k, or, given rhs (F, len(shifts), N), the
-    solutions x[f, k] of (A + s_k I) x = rhs[f, k].
+    """(A + s I)^-1 for each entry s of an array of shifts (shape shifts.shape +
+    (N, N)), or, given rhs (..., F, K, N) and shifts (..., K), the solutions
+    x[..., f, k] of (A + s[..., k] I) x = rhs[..., f, k].
 
     With rhs and a unitary eigenbasis (Hermitian A, kappa = 1) the solve is
     V ((V^H rhs) / (w + s_k)): two products with V and no factorization.
@@ -129,15 +130,17 @@ def shifted_solve(model: OperatorModel, shifts, rhs=None) -> np.ndarray:
     """
     if rhs is not None and model.kappa == 1.0:
         w, V = model.eigvals, model.eigvecs
-        return (rhs @ V.conj() / (w + np.asarray(shifts)[:, None])) @ V.T
+        coords = rhs @ V.conj()
+        coords /= w + np.asarray(shifts)[..., None, :, None]
+        return coords @ V.T
     mats = _shifted_matrices(model.A, shifts)
     if rhs is None:
         return np.linalg.inv(mats)
-    return np.moveaxis(np.linalg.solve(mats, np.moveaxis(rhs, 0, -1)), -1, 0)
+    return np.moveaxis(np.linalg.solve(mats, np.moveaxis(rhs, -3, -1)), -1, -3)
 
 
 def inverse_residuals(model: OperatorModel, shifts, B: np.ndarray) -> np.ndarray:
-    """max |(A + s_k I) B_k - I| per shift: the defect of a shifted_solve inverse."""
+    """max |(A + s I) B_s - I| per entry s of the shifts: the defect of a shifted_solve inverse."""
     eye = np.eye(model.N, dtype=complex)
     return np.abs(_shifted_matrices(model.A, shifts) @ B - eye).max(axis=(-2, -1))
 

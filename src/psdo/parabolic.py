@@ -123,7 +123,8 @@ def semigroup_propagator(prob: ParabolicProblem, y: float) -> np.ndarray:
         raise ValueError("propagation time must be nonnegative")
     g, V, Vinv = _eigensetup(prob)
     E = np.exp(-y * g)
-    return np.einsum("ij,...j,jk->...ik", V, E, Vinv)
+    N = len(Vinv)
+    return ((V * E[..., None, :]).reshape(-1, N) @ Vinv).reshape(E.shape + (N,))
 
 
 def time_derivative(u: SpaceTimeField) -> SpaceTimeField:

@@ -24,6 +24,34 @@ def product_mesh(axes) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
+def _open_axes(values: np.ndarray, n: int) -> list:
+    """The per-axis values (..., M) of n grid axes as an open mesh: axis k shaped
+    (..., 1, ..., M, ..., 1) with M in place k of the n grid places."""
+    M = values.shape[-1]
+    return [values.reshape(values.shape[:-1] + (1,) * k + (M,) + (1,) * (n - k - 1))
+            for k in range(n)]
+
+
+def lattice_mesh(values: np.ndarray, n: int) -> np.ndarray:
+    """product_mesh of n copies of the per-axis values (..., M), for each of
+    their leading entries: shape (...) + (M,)*n + (n,)."""
+    return np.stack(np.broadcast_arrays(*_open_axes(values, n)), axis=-1)
+
+
+def box_freqs(M: int, L) -> np.ndarray:
+    """Per-axis frequencies 2*pi*k/L in FFT order (Nyquist at index M/2) of the
+    box length L, or of each entry of an array of them: shape np.shape(L) + (M,)."""
+    k = (np.arange(M) + M // 2) % M - M // 2  # the mode numbers of np.fft.fftfreq
+    return 2.0 * np.pi * (k * (1.0 / (M * (np.asarray(L)[..., None] / M))))
+
+
+def box_points(M: int, L) -> np.ndarray:
+    """Per-axis coordinates of [-L/2, L/2) with M points, for a box length L or
+    each entry of an array of them: shape np.shape(L) + (M,)."""
+    L = np.asarray(L)[..., None]
+    return -L / 2.0 + (L / M) * np.arange(M)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid on [-L/2, L/2)^n with M points per axis (M even)."""
@@ -51,19 +79,19 @@ class GridSpec:
         return (self.M,) * self.n
 
     def axis_points(self) -> np.ndarray:
-        return -self.L / 2.0 + self.dx * np.arange(self.M)
+        return box_points(self.M, self.L)
 
     def points(self) -> np.ndarray:
         """Grid coordinates, shape (M,)*n + (n,)."""
-        return product_mesh([self.axis_points()] * self.n)
+        return lattice_mesh(self.axis_points(), self.n)
 
     def freqs(self) -> np.ndarray:
         """Per-axis frequencies 2*pi*k/L in FFT order (Nyquist at index M/2)."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.M, d=self.L / self.M)
+        return box_freqs(self.M, self.L)
 
     def frequency_mesh(self) -> np.ndarray:
         """Frequency vectors in FFT order, shape (M,)*n + (n,)."""
-        return product_mesh([self.freqs()] * self.n)
+        return lattice_mesh(self.freqs(), self.n)
 
     def fft(self, values: np.ndarray) -> np.ndarray:
         """Unitary DFT over the grid axes of a (..., *shape, N) array, in FFT order."""
@@ -179,19 +207,29 @@ def gaussian_field(grid: GridSpec, width: float = None, vector=None,
     return SampledField(grid=grid, values=vals, q=q)
 
 
-def random_band_limited_values(grid: GridSpec, N: int, rng, count: int,
-                               fraction: float = 0.25) -> np.ndarray:
-    """Values (count,) + grid.shape + (N,) of `count` random band-limited fields.
-
-    Complex Gaussian coefficients on the lowest `fraction` of modes, drawn in
-    one batch in the RNG order of `count` random_band_limited_field calls, and
-    one inverse FFT of the stack.
-    """
+def band_limited_spectra(grid: GridSpec, N: int, rngs, count: int,
+                         fraction: float = 0.25) -> np.ndarray:
+    """Spectra (len(rngs), count) + grid.shape + (N,) of random band-limited
+    fields: complex Gaussian coefficients on the lowest `fraction` of modes,
+    `count` fields drawn from each generator of `rngs` in the RNG order of
+    `count` random_band_limited_field calls."""
     kmax = max(1, int(grid.M * fraction / 2))
     keep = np.abs(np.fft.fftfreq(grid.M) * grid.M) <= kmax  # integer mode numbers
     mask = product_mesh([keep] * grid.n).all(axis=-1)
-    draws = rng.standard_normal((count, 2) + grid.shape + (N,))
-    return grid.ifft(np.where(mask[..., None], draws[:, 0] + 1j * draws[:, 1], 0.0))
+    draws = np.empty((len(rngs), count, 2) + grid.shape + (N,))
+    for rng, out in zip(rngs, draws):
+        rng.standard_normal(out=out)
+    spectra = np.empty((len(rngs), count) + grid.shape + (N,), dtype=complex)
+    spectra.real, spectra.imag = draws[:, :, 0], draws[:, :, 1]
+    spectra[:, :, ~mask] = 0.0
+    return spectra
+
+
+def random_band_limited_values(grid: GridSpec, N: int, rng, count: int,
+                               fraction: float = 0.25) -> np.ndarray:
+    """Values (count,) + grid.shape + (N,) of `count` random band-limited fields:
+    the inverse FFT of their band_limited_spectra."""
+    return grid.ifft(band_limited_spectra(grid, N, [rng], count, fraction)[0])
 
 
 def random_band_limited_field(grid: GridSpec, N: int, rng, q: float = 2.0,
@@ -207,20 +245,21 @@ def _zeroes_nyquist(a: float) -> bool:
     return a > 0 and (a != round(a) or round(a) % 2 == 1)
 
 
-def fractional_multiplier(grid: GridSpec, alpha: MultiIndex) -> np.ndarray:
+def fractional_multiplier(grid: GridSpec, alpha: MultiIndex,
+                          freqs: np.ndarray = None) -> np.ndarray:
     """(i*xi)^alpha on the frequency lattice, with Nyquist modes zeroed
     whenever the corresponding order is fractional or an odd integer.
 
     i_xi_power runs on the open mesh: axis k carries freqs() shaped
     (1,...,M,...,1), its Nyquist coordinate set to 0 where it is zeroed.
+    `freqs` (..., M), the per-axis frequencies of boxes of other lengths
+    (box_freqs), replaces grid.freqs(); the result then has its leading axes.
     """
-    freqs = grid.freqs()
+    freqs = grid.freqs() if freqs is None else freqs
     zeroed = freqs.copy()
-    zeroed[grid.M // 2] = 0.0
-    axes = [(zeroed if _zeroes_nyquist(a) else freqs).reshape((1,) * k + (grid.M,)
-                                                              + (1,) * (grid.n - k - 1))
-            for k, a in enumerate(alpha)]
-    return i_xi_power(axes, alpha)
+    zeroed[..., grid.M // 2] = 0.0
+    axes = zip(_open_axes(freqs, grid.n), _open_axes(zeroed, grid.n))
+    return i_xi_power([z if _zeroes_nyquist(a) else f for (f, z), a in zip(axes, alpha)], alpha)
 
 
 def liouville_derivative(u: SampledField, alpha, check_nyquist: bool = True) -> SampledField:
@@ -259,11 +298,11 @@ def vector_norms(values: np.ndarray, q: float) -> np.ndarray:
 
 
 def _lp_lq_norms(values: np.ndarray, grid: GridSpec, q: float, p: float) -> np.ndarray:
-    """lp_lq_norm of each field of a stack, values shape (F,) + grid.shape + (N,)."""
-    pointwise = vector_norms(values, q).reshape(len(values), -1)
+    """lp_lq_norm of each field of a stack, values shape (...) + grid.shape + (N,)."""
+    pointwise = vector_norms(values, q).reshape(values.shape[:-grid.n - 1] + (-1,))
     if p == np.inf:
-        return pointwise.max(axis=1)
-    return (np.sum(pointwise**p, axis=1) * grid.cell_volume) ** (1.0 / p)
+        return pointwise.max(axis=-1)
+    return (np.sum(pointwise**p, axis=-1) * grid.cell_volume) ** (1.0 / p)
 
 
 def _lp_lq_norms_from_spectra(spectra: np.ndarray, grid: GridSpec, q: float,
@@ -274,7 +313,9 @@ def _lp_lq_norms_from_spectra(spectra: np.ndarray, grid: GridSpec, q: float,
     no inverse FFT; other exponents take it after one.
     """
     if p == q == 2:
-        return np.linalg.norm(spectra.reshape(len(spectra), -1), axis=1) * np.sqrt(grid.cell_volume)
+        flat = np.ascontiguousarray(spectra).reshape(spectra.shape[:-grid.n - 1] + (-1,))
+        flat = flat.view(np.float64)  # (Re, Im) pairs: one pass, no complex temporaries
+        return np.sqrt(np.einsum("...k,...k->...", flat, flat)) * np.sqrt(grid.cell_volume)
     return _lp_lq_norms(grid.ifft(spectra), grid, q, p)
 
 
@@ -297,7 +338,7 @@ def h_m_pt_norm(u: SampledField, t, m: float, p: float, A: np.ndarray = None,
     """
     term1 = 0.0
     if A is not None:
-        Au = u.with_values(np.einsum("ij,...j->...i", np.asarray(A, dtype=complex), u.values))
+        Au = u.with_values(u.values @ np.asarray(A, dtype=complex).T)
         term1 = lp_lq_norm(Au, p)
     xi = u.grid.frequency_mesh()
     tvec = np.asarray(t.t)

@@ -87,7 +87,7 @@ class ScaleParams:
 
     def weight(self, alpha: MultiIndex, m: float) -> float:
         """Anisotropic weight t(alpha) = prod_k t_k^(alpha_k / m)."""
-        return float(np.prod([tk ** (ak / m) for tk, ak in zip(self.t, alpha)]))
+        return float(math.prod(tk ** (ak / m) for tk, ak in zip(self.t, alpha)))
 
     @classmethod
     def isotropic(cls, value: float, n: int, t0: float = None) -> "ScaleParams":
@@ -178,14 +178,19 @@ def i_xi_power(xi, alpha):
     return out
 
 
-def eval_symbol(spec: SymbolSpec, t: ScaleParams, xi):
-    """Evaluate P_t(xi).  xi has shape (..., n); broadcasts over leading axes."""
+def eval_symbol(spec: SymbolSpec, t, xi):
+    """Evaluate P_t(xi).  xi has shape (..., n); broadcasts over leading axes.
+
+    t is one ScaleParams, or a sequence of them with one per entry of the
+    first axis of xi (the points of a sweep block, each with its own rows).
+    """
     xi = np.asarray(xi, dtype=float)
     if xi.ndim == 0:
         xi = xi.reshape(1)
-    if xi.shape[-1] != t.n:
-        raise ValueError(f"frequency dimension {xi.shape[-1]} != len(t) = {t.n}")
-    tvec = np.asarray(t.t)
+    tvec = np.asarray(t.t) if isinstance(t, ScaleParams) else \
+        np.array([s.t for s in t]).reshape((len(t),) + (1,) * (xi.ndim - 2) + (-1,))
+    if xi.shape[-1] != tvec.shape[-1]:
+        raise ValueError(f"frequency dimension {xi.shape[-1]} != len(t) = {tvec.shape[-1]}")
     if spec.kind == "power":
         vals = np.sum(tvec * np.abs(xi) ** spec.m, axis=-1)
         return vals if vals.ndim else complex(vals)
@@ -197,7 +202,7 @@ def eval_symbol(spec: SymbolSpec, t: ScaleParams, xi):
         vals = np.sum(tvec * (spec.epsilon**2 + xi**2) ** (spec.m / 2.0), axis=-1)
         return vals if vals.ndim else complex(vals)
     # user-table: 1-D only, linear interpolation, strict range
-    if t.n != 1:
+    if tvec.shape[-1] != 1:
         raise ValueError("user-table symbols are one-dimensional")
     pts, values = spec.table
     pts = np.asarray(pts, dtype=float)

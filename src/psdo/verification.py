@@ -19,34 +19,32 @@ import numpy as np
 
 from .elliptic import (
     EllipticProblem,
-    _apply_principal,
-    _mode_shifts,
-    _relative_residuals,
-    _solve_modes,
+    _solve_spectra,
     coercive_index_set,
 )
-from .errors import PsdoError, TooManyForEnumeration
+from .errors import ModeSingular, PsdoError, TooManyForEnumeration
 from .operators import (
     OperatorModel,
     inverse_residuals,
     operator_norm_upper,
     resolvent,
     shifted_solve,
+    spectrum_hit,
 )
 from .spaces import (
     GridSpec,
     SampledField,
-    _lp_lq_norms,
     _lp_lq_norms_from_spectra,
+    band_limited_spectra,
+    box_freqs,
+    box_points,
     fractional_multiplier,
     gaussian_field,
-    mode_field,
-    random_band_limited_values,
+    lattice_mesh,
     vector_norms,
 )
 from .sweep import SectorSweep
 from .symbols import (
-    MultiIndex,
     ScaleParams,
     SymbolSpec,
     _central_difference,
@@ -67,6 +65,10 @@ CUSP_ROUNDS = 10     # kink subspaces per start, each fitted where the last clim
 MAX_STEPS = 500      # BFGS steps per climb, and trial steps per line search
 ARMIJO, WOLFE = 1e-4, 0.5  # an accepted step's least rise and largest slope, as fractions
 TIE_ULPS = 4         # ratios within this many ulp of the largest tie with it (summary.worst)
+# Largest array one batched kernel call builds, in complex entries (256 KB): the
+# points of a sweep, and a longer batch of Rademacher instances or probe points,
+# run in blocks along their first axis, so the temporaries stay near that size.
+_BLOCK_ENTRIES = 2**14
 
 # Failures that mark one sweep point failed; anything else is a bug and propagates.
 POINT_ERRORS = (PsdoError, np.linalg.LinAlgError, ValueError, ZeroDivisionError,
@@ -160,35 +162,48 @@ class ProblemTemplate:
         return coercive_index_set(self.grid.n, self.symbol.m)
 
 
-def _derivative_weight(t: ScaleParams, lam: complex, m: float, alpha: MultiIndex) -> float:
-    """t(alpha) |lam|^(1-|alpha|/m): the weight of D^alpha in the coercive sum."""
-    return t.weight(alpha, m) * abs(lam) ** (1.0 - alpha.order / m)
+def _derivative_weights(ts, lams, m: float, index_set) -> np.ndarray:
+    """t(alpha) |lam|^(1-|alpha|/m), the weight of D^alpha in the coercive sum,
+    per alpha of index_set (rows) and per point (ts[k], lams[k]) (columns)."""
+    weights = [[t.weight(alpha, m) * abs(lam) ** (1.0 - alpha.order / m)
+                for t, lam in zip(ts, lams)] for alpha in index_set]
+    return np.array(weights).reshape(len(index_set), len(ts))
 
 
-def _symbol_weights(xi: np.ndarray, index_set, t: ScaleParams, lam: complex, m: float):
-    """t(alpha) |lam|^(1-|alpha|/m) |(i xi)^alpha| over the rows of xi, one array per alpha."""
-    return [_derivative_weight(t, lam, m, alpha) * np.abs(i_xi_power(xi.T, alpha))
-            for alpha in index_set]
+def _symbol_weights(xi: np.ndarray, weights: np.ndarray, index_set) -> list:
+    """weights[a, k] |(i xi)^alpha| at the frequency rows xi[k] (b, S, n) of each
+    point k, one (b, S) array per alpha of index_set."""
+    return [w[:, None] * np.abs(i_xi_power(np.moveaxis(xi, -1, 0), alpha))
+            for w, alpha in zip(weights, index_set)]
 
 
-def _coercive_ratios(grid: GridSpec, q: float, uvals: np.ndarray, uspec: np.ndarray,
-                     fvals: np.ndarray, model: OperatorModel, t: ScaleParams, lam: complex,
-                     m: float, p: float, index_set) -> np.ndarray:
-    """coercive_ratio of each field of a stack; uspec is the spectrum of uvals.
+def _coercive_ratios(grid: GridSpec, L: np.ndarray, q: float, p: float, uspec: np.ndarray,
+                     Auspec: np.ndarray, fspec: np.ndarray, weights: np.ndarray,
+                     index_set) -> np.ndarray:
+    """coercive_ratio of each field of a block of points from the spectra
+    (b, F) + grid.shape + (N,) of u, A u and f: point k lives on the grid of
+    box length L[k] and weighs D^alpha with weights[a, k] (_derivative_weights).
 
-    Each ||D^alpha u|| is taken from the spectrum uspec (i xi)^alpha: by
-    Parseval at p = q = 2, after an inverse FFT otherwise."""
-    nf = _lp_lq_norms(fvals, grid, q, p)
+    Each ||D^alpha u|| is the norm of the spectrum uspec (i xi)^alpha; every
+    norm is taken by Parseval at p = q = 2, after an inverse FFT otherwise.
+    A point's cell volume scales all of its norms alike, so grid's stands in."""
+    nf = _lp_lq_norms_from_spectra(fspec, grid, q, p)
     if np.any(nf == 0):
         raise ZeroDivisionError("coercive ratio undefined for f = 0")
-    total = np.zeros(len(uvals))
-    for alpha in index_set:
-        w = _derivative_weight(t, lam, m, alpha)
-        if w == 0:
-            continue
-        mult = fractional_multiplier(grid, alpha)[..., None]
-        total = total + w * _lp_lq_norms_from_spectra(uspec * mult, grid, q, p)
-    total = total + _lp_lq_norms(model.apply(uvals), grid, q, p)
+    total = _lp_lq_norms_from_spectra(Auspec, grid, q, p)
+    freqs = box_freqs(grid.M, L)
+    mults = [fractional_multiplier(grid, alpha, freqs) for alpha in index_set]
+    if p == q == 2:  # from the power sum_j |u_hat_j|^2 per mode: no stack per alpha
+        flat = np.ascontiguousarray(uspec).view(np.float64)  # (Re, Im) pairs
+        flat = flat.reshape(uspec.shape[:2] + (-1, 2 * uspec.shape[-1]))
+        power = np.einsum("bfmk,bfmk->bfm", flat, flat)
+        norms = [np.sqrt(np.einsum("bfm,bm->bf", power, np.abs(mult.reshape(len(L), -1)) ** 2)
+                         * grid.cell_volume) for mult in mults]
+    else:
+        norms = [_lp_lq_norms_from_spectra(uspec * mult[:, None, ..., None], grid, q, p)
+                 for mult in mults]
+    for w, norm in zip(weights, norms):
+        total = total + w[:, None] * norm
     return total / nf
 
 
@@ -199,68 +214,69 @@ def coercive_ratio(u: SampledField, f: SampledField, model: OperatorModel,
 
     Both fields are measured with the l_q norm of u.
     """
-    uvals = u.values[None]
-    return float(_coercive_ratios(u.grid, u.q, uvals, u.grid.fft(uvals), f.values[None], model,
-                                  t, lam, m, p, coercive_index_set(u.grid.n, m))[0])
+    grid, index_set = u.grid, coercive_index_set(u.grid.n, m)
+    uspec = grid.fft(u.values[None, None])
+    return float(_coercive_ratios(grid, np.array([grid.L]), u.q, p, uspec, model.apply(uspec),
+                                  grid.fft(f.values[None, None]),
+                                  _derivative_weights([t], [lam], m, index_set), index_set)[0, 0])
 
 
-def _worst_mode_data(prob: EllipticProblem, index_set, shifts: np.ndarray) -> SampledField:
-    """Single lattice mode maximizing the per-mode coercive bound.
+def _worst_modes(model: OperatorModel, xi: np.ndarray, shifts: np.ndarray, weights: np.ndarray):
+    """Frequency (b, n) and vector (b, N) of the lattice mode that maximizes
+    weights ||B|| + ||A B||, B = (A + shift)^-1, for each point of a block:
+    rows xi (b, K, n), shifts and weights (b, K); the first maximum wins.
 
-    The score of mode xi is sum_alpha t(alpha) |lam|^(1-|alpha|/m) |(i xi)^alpha|
-    ||B|| + ||A B|| with B = (A + lambda + P_t(xi))^-1, evaluated for all
-    non-Nyquist modes at once; the first maximum wins.  For a unitary
-    eigenbasis (kappa = 1) and q = 2 the norms are closed forms in the
-    eigenvalues w_j; otherwise the modes are inverted in one batch.
+    For a unitary eigenbasis (kappa = 1) and q = 2 the norms are closed forms
+    in the eigenvalues w_j and the vector is the eigenvector of the nearest
+    -w_j; otherwise all modes are inverted in one batch and the vector is the
+    leading right singular vector of B.
     """
-    grid, model = prob.grid, prob.model
-    keep = ~grid.nyquist_mask().reshape(-1)
-    xi = grid.frequency_mesh().reshape(-1, grid.n)[keep]
-    shifts = shifts[keep]
-    weights = sum(_symbol_weights(xi, index_set, prob.t, prob.lam, prob.symbol.m))
+    rows = np.arange(len(xi))
     if model.kappa == 1.0 and model.q == 2:
-        dist = np.abs(model.eigvals[None, :] + shifts[:, None])
-        score = weights * (1.0 / dist).max(axis=1) \
-            + (np.abs(model.eigvals)[None, :] / dist).max(axis=1)
-        best = int(np.argmax(score))
-        vec = model.eigvecs[:, int(np.argmin(dist[best]))]
+        dist = np.abs(model.eigvals + shifts[..., None])
+        score = weights * (1.0 / dist).max(axis=-1) + (np.abs(model.eigvals) / dist).max(axis=-1)
+        best = score.argmax(axis=-1)
+        vec = model.eigvecs[:, dist[rows, best].argmin(axis=-1)].T
     else:
         B = shifted_solve(model, shifts)
         score = weights * operator_norm_upper(B, model.q) \
             + operator_norm_upper(model.A @ B, model.q)
-        best = int(np.argmax(score))
-        vec = np.linalg.svd(B[best])[2][0].conj()
-    return mode_field(grid, xi[best], vec, q=model.q)
+        best = score.argmax(axis=-1)
+        vec = np.linalg.svd(B[rows, best])[2][:, 0].conj()
+    return xi[rows, best], vec
 
 
-def _sweep_data(prob: EllipticProblem, index_set, shifts: np.ndarray, count: int, rng):
-    """Data stack (count,) + grid.shape + (N,): the Gaussian, the worst mode,
-    then count - 2 random band-limited fields."""
-    grid, N = prob.grid, prob.model.N
-    return np.concatenate([gaussian_field(grid, vector=np.ones(N)).values[None],
-                           _worst_mode_data(prob, index_set, shifts).values[None],
-                           random_band_limited_values(grid, N, rng, count - 2)])
+def _sweep_report(kind: str, points, kernel, per_point: int, flatness_threshold: float = None,
+                  max_ratio_threshold: float = None) -> VerificationReport:
+    """Summarized report with one record per (lambda, t) point, in sweep order.
 
-
-def _sweep_points(points, evaluate) -> list:
-    """One record per (lambda, t) point, in sweep order.
-
-    evaluate(idx, lam, t) returns the point's numbers (ratio, residual, ...).
-    A POINT_ERRORS failure is recorded, not raised: one bad point fails the
-    verdict.
+    kernel(idxs) evaluates the points with the sweep indices idxs at once and
+    returns their numbers (ratio, residual, ...), one dict per point.  The
+    points run in blocks of about _BLOCK_ENTRIES // per_point, per_point being
+    the entries of one point's largest array.  A POINT_ERRORS failure re-runs
+    its block one point at a time, so that a bad point gets its error record,
+    which fails the verdict, while the others complete; any other exception
+    propagates.
     """
-    records = []
-    for idx, (lam, t) in enumerate(points):
-        if t is None:
-            raise ValueError("sweep point has no scale parameters t")
-        rec = {"ray": cmath.phase(lam) if lam != 0 else 0.0, "radius": abs(lam),
-               "t": list(t.t)}
+    if any(t is None for _, t in points):
+        raise ValueError("sweep point has no scale parameters t")
+
+    def run(idxs):
         try:
-            rec.update(evaluate(idx, lam, t), error=None)
+            return [dict(out, error=None) for out in kernel(idxs)]
         except POINT_ERRORS as exc:
-            rec.update(ratio=None, residual=None, error=f"{type(exc).__name__}: {exc}")
-        records.append(rec)
-    return records
+            if len(idxs) > 1:
+                return [rec for idx in idxs for rec in run([idx])]
+            return [{"ratio": None, "residual": None, "error": f"{type(exc).__name__}: {exc}"}]
+
+    step = max(1, _BLOCK_ENTRIES // per_point)
+    outs = [out for start in range(0, len(points), step)
+            for out in run(list(range(start, min(start + step, len(points)))))]
+    records = [{"ray": cmath.phase(lam) if lam != 0 else 0.0, "radius": abs(lam), "t": list(t.t),
+                **out} for (lam, t), out in zip(points, outs)]
+    flat = DEFAULT_FLATNESS.get(kind) if flatness_threshold is None else flatness_threshold
+    return _summarize(VerificationReport(kind=kind, points=records, flatness_threshold=flat,
+                                         max_ratio_threshold=max_ratio_threshold))
 
 
 def _saturation_frequency(lam: complex, t: ScaleParams, m: float) -> float:
@@ -286,34 +302,63 @@ def coercivity_sweep(template: ProblemTemplate, sweep: SectorSweep,
     """Solve and measure the coercive ratio at every (lambda, t) sweep point.
 
     The box length is rescaled per point so that the lattice resolves the
-    saturation frequency (|lam| / t_k)^(1/m); the data_count >= 2 data
-    fields of _sweep_data are generated on the adapted grid.
+    saturation frequency (|lam| / t_k)^(1/m); only L changes, so the points
+    of a block (_sweep_report) share one array shape and are solved as one
+    stack of spectra.  Each point's data_count >= 2 fields are the Gaussian
+    (whose values do not depend on L), the point's worst lattice mode
+    (_worst_modes) and data_count - 2 random band-limited fields drawn from
+    the point's own stream default_rng((seed, index)).  A point's ratio and
+    residual are the largest over its fields; the residual is that of the
+    per-mode solve, ||(A + lam + P_t(xi)) u_hat - f_hat|| / ||f_hat||.
     """
     if data_count < 2:
         raise ValueError(f"data_count must be at least 2, got {data_count}")
     index_set = template.indices()
-    flat = DEFAULT_FLATNESS["coercivity"] if flatness_threshold is None else flatness_threshold
-    m = template.symbol.m
-    model, q = template.model, template.model.q
+    model, grid, symbol = template.model, template.grid, template.symbol
+    m, q, n, N = symbol.m, model.q, grid.n, model.N
+    keep = ~grid.nyquist_mask().reshape(-1)
+    gauss = grid.fft(gaussian_field(grid, vector=np.ones(N)).values)
+    points = sweep.points()
 
-    def evaluate(idx, lam, t):
-        rng = np.random.default_rng((seed, idx))
-        grid = _adapted_grid(template.grid, lam, t, m)
-        prob = EllipticProblem(model=model, symbol=template.symbol, t=t, lam=lam, grid=grid)
-        P = prob.symbol_values()
-        shifts = _mode_shifts(prob, P)
-        fvals = _sweep_data(prob, index_set, shifts, data_count, rng)
-        uvals, uspec = _solve_modes(prob, shifts, fvals)
-        ratios = _coercive_ratios(grid, q, uvals, uspec, fvals, model, t, lam, m,
-                                  template.p, index_set)
-        residuals = _relative_residuals(grid, q, _apply_principal(prob, P, uvals, uspec), fvals)
-        return {"ratio": float(ratios.max()), "residual": float(residuals.max())}
+    def kernel(idxs):
+        ts = [points[i][1] for i in idxs]
+        lams = np.array([points[i][0] for i in idxs], dtype=complex)
+        # one box length per point; EllipticProblem checks the point's hypotheses
+        L = np.array([EllipticProblem(model=model, symbol=symbol, t=t, lam=lam,
+                                      grid=_adapted_grid(grid, lam, t, m)).grid.L
+                      for lam, t in zip(lams, ts)])
+        xi = lattice_mesh(box_freqs(grid.M, L), n)
+        shifts = lams[:, None] + eval_symbol(symbol, ts, xi).reshape(len(idxs), -1)
+        hit = spectrum_hit(model, shifts.reshape(-1))
+        if hit is not None:
+            raise ModeSingular(tuple(xi.reshape(-1, n)[hit]))
+        weights = _derivative_weights(ts, lams, m, index_set)
+        rows = xi.reshape(len(idxs), -1, n)[:, keep]
+        xi0, vec = _worst_modes(model, rows, shifts[:, keep],
+                                sum(_symbol_weights(rows, weights, index_set)))
+        lattice = (len(idxs),) + (1,) * n
+        phase = (lattice_mesh(box_points(grid.M, L), n) * xi0.reshape(lattice + (n,))).sum(axis=-1)
+        modes = np.exp(1j * phase)[..., None] * vec.reshape(lattice + (N,))
+        rngs = [np.random.default_rng((seed, i)) for i in idxs]
+        fspec = np.concatenate([np.broadcast_to(gauss, (len(idxs), 1) + gauss.shape),
+                                grid.fft(modes)[:, None],
+                                band_limited_spectra(grid, N, rngs, data_count - 2)], axis=1)
+        uspec = _solve_spectra(model, shifts, fspec)
+        Auspec = model.apply(uspec)
+        ratios = _coercive_ratios(grid, L, q, template.p, uspec, Auspec, fspec, weights, index_set)
+        rspec = uspec  # the residual (A + lam + P) u_hat - f_hat, in place of u_hat
+        rspec *= shifts.reshape((len(idxs), 1) + grid.shape + (1,))
+        rspec += Auspec
+        rspec -= fspec
+        residuals = _lp_lq_norms_from_spectra(rspec, grid, q, 2.0) \
+            / _lp_lq_norms_from_spectra(fspec, grid, q, 2.0)
+        return [{"ratio": float(r), "residual": float(s)}
+                for r, s in zip(ratios.max(axis=1), residuals.max(axis=1))]
 
-    records = _sweep_points(sweep.points(), evaluate)
-    report = VerificationReport(kind="coercivity", points=records,
-                                flatness_threshold=flat,
-                                max_ratio_threshold=max_ratio_threshold)
-    return _summarize(report)
+    closed = model.kappa == 1.0 and q == 2  # else the worst-mode search inverts (K, N, N)
+    per_point = grid.M ** n * N * (data_count if closed else max(data_count, N))
+    return _sweep_report("coercivity", points, kernel, per_point, flatness_threshold,
+                         max_ratio_threshold)
 
 
 def _adapted_xi_samples(lam: complex, t: ScaleParams, m: float, n: int,
@@ -327,19 +372,29 @@ def _adapted_xi_samples(lam: complex, t: ScaleParams, m: float, n: int,
     return np.where(lines[:, None, :] > 0, vals[:, None], 0.0).reshape(-1, n)
 
 
-def _frequency_terms(model: OperatorModel, symbol: SymbolSpec, t: ScaleParams, lam,
-                     xi: np.ndarray, index_set):
-    """Per-frequency kernel of the continuum checks at the rows of xi (S, n).
+def _inverses(model: OperatorModel, symbol: SymbolSpec, t, lam, xi: np.ndarray):
+    """Shifts lam + P_t(xi) and inverses (A + shift)^-1 at the frequency rows
+    xi (..., n).  For the points of a block t is the sequence of their scale
+    parameters (eval_symbol) and lam the array of their spectral parameters."""
+    P = np.asarray(eval_symbol(symbol, t, xi), dtype=complex)
+    shifts = np.reshape(lam, np.shape(lam) + (1,) * (P.ndim - np.ndim(lam))) + P
+    return shifts, shifted_solve(model, shifts)
 
-    Returns the shifts lam + P_t(xi), the inverses B = (A + shift)^-1 (S, N, N),
-    ||A B|| per row, and per alpha of index_set the terms
+
+def _frequency_terms(model: OperatorModel, symbol: SymbolSpec, ts, lams, xi: np.ndarray,
+                     index_set):
+    """Per-frequency kernel of the continuum checks at the rows xi[k] (b, S, n)
+    of each point k = (lams[k], ts[k]).
+
+    Returns the shifts lam + P_t(xi) (b, S), the inverses B = (A + shift)^-1
+    (b, S, N, N), ||A B|| per row, and per alpha of index_set the terms
     t(alpha) |lam|^(1-|alpha|/m) |(i xi)^alpha| ||B|| per row: the norms of
     sigma_alpha, all from one ||B||.
     """
-    shifts = lam + np.asarray(eval_symbol(symbol, t, xi), dtype=complex)
-    B = shifted_solve(model, shifts)
+    shifts, B = _inverses(model, symbol, ts, lams, xi)
     nB = operator_norm_upper(B, model.q)
-    terms = [w * nB for w in _symbol_weights(xi, index_set, t, lam, symbol.m)]
+    weights = _derivative_weights(ts, lams, symbol.m, index_set)
+    terms = [w * nB for w in _symbol_weights(xi, weights, index_set)]
     return shifts, B, operator_norm_upper(model.A @ B, model.q), terms
 
 
@@ -354,25 +409,25 @@ def resolvent_sweep(template: ProblemTemplate, sweep: SectorSweep,
     action on the plane wave e^{i xi x} v is exact, so the term norms are the
     suprema over sampled frequencies (log-spaced through the saturation
     scale) of the per-frequency matrix norms.  The residual column carries
-    the worst per-frequency inversion defect.
+    the worst per-frequency inversion defect.  The frequencies of a block of
+    points (_sweep_report) are inverted as one stack.
     """
     index_set = template.indices()
-    flat = DEFAULT_FLATNESS["resolvent"] if flatness_threshold is None else flatness_threshold
-    m = template.symbol.m
-    model = template.model
-    n = template.grid.n
+    model, symbol, n = template.model, template.symbol, template.grid.n
+    points = sweep.points()
 
-    def evaluate(idx, lam, t):
-        xi = _adapted_xi_samples(lam, t, m, n, per_axis)
-        shifts, B, nAB, terms = _frequency_terms(model, template.symbol, t, lam, xi, index_set)
-        return {"ratio": sum(float(w.max()) for w in terms) + float(nAB.max()),
-                "residual": float(inverse_residuals(model, shifts, B).max())}
+    def kernel(idxs):
+        lams, ts = zip(*(points[i] for i in idxs))
+        xi = np.stack([_adapted_xi_samples(lam, t, symbol.m, n, per_axis)
+                       for lam, t in zip(lams, ts)])
+        shifts, B, nAB, terms = _frequency_terms(model, symbol, ts, lams, xi, index_set)
+        ratios = sum(w.max(axis=-1) for w in terms) + nAB.max(axis=-1)
+        residuals = inverse_residuals(model, shifts, B).max(axis=-1)
+        return [{"ratio": float(r), "residual": float(s)} for r, s in zip(ratios, residuals)]
 
-    records = _sweep_points(sweep.points(), evaluate)
-    report = VerificationReport(kind="resolvent", points=records,
-                                flatness_threshold=flat,
-                                max_ratio_threshold=max_ratio_threshold)
-    return _summarize(report)
+    rows = per_axis * 2 * (n if n == 1 else n + 1)
+    return _sweep_report("resolvent", points, kernel, rows * model.N ** 2, flatness_threshold,
+                         max_ratio_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +443,6 @@ def _sign_patterns(m: int) -> np.ndarray:
     signs = (2 * bits - 1).astype(complex)
     signs.flags.writeable = False
     return signs
-
-
-# Largest signed-sum array one kernel call builds, in complex entries (256 KB):
-# a longer batch of instances or probe points is scored in blocks along its
-# first axis, so the temporaries stay near the size of one instance's.
-_BLOCK_ENTRIES = 2**14
 
 
 def _rademacher_terms(signs: np.ndarray, Tu: np.ndarray, us: np.ndarray, q: float):
@@ -748,15 +797,14 @@ class OperatorFamilySample:
 
 
 def sigma_matrix(model, symbol, t, lam, xi) -> np.ndarray:
-    """A [A + lam + P_t(xi)]^-1 at one frequency xi (n,); a stack over the rows of a 2-D xi."""
-    P = np.asarray(eval_symbol(symbol, t, np.atleast_1d(xi)), dtype=complex)
-    B = shifted_solve(model, lam + P.reshape(-1))
-    return model.A @ B.reshape(P.shape + B.shape[1:])
+    """A [A + lam + P_t(xi)]^-1 at one frequency xi (n,); a stack over the rows
+    of a 2-D xi, or over the points of a block as in _inverses."""
+    return model.A @ _inverses(model, symbol, t, lam, np.atleast_1d(xi))[1]
 
 
 def fd_sigma_matrix(model, symbol, t, lam, xi, beta) -> np.ndarray:
     """|xi|^{|beta|} times the central finite difference Delta^beta of sigma;
-    a stack over the rows of a 2-D xi."""
+    a stack over the rows of a 2-D xi, or over the points of a block."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     total = _central_difference(functools.partial(sigma_matrix, model, symbol, t, lam), xi, beta)
     return (np.linalg.norm(xi, axis=-1) ** sum(beta))[..., None, None] * total
@@ -773,7 +821,9 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
     When xi_samples is None the frequencies are re-sampled per sweep point,
     log-spaced through the saturation scale (|lam| / t_k)^(1/m).  The
     families are sigma_alpha for every positive order of the coercive index
-    set, and the finite differences of sigma for every beta in {0,1}^n but 0."""
+    set, and the finite differences of sigma for every beta in {0,1}^n but 0.
+    The frequencies of a block of points (_sweep_report) are evaluated as
+    one stack."""
     fixed = None if xi_samples is None else np.atleast_2d(np.asarray(xi_samples, dtype=float))
     n = dims if fixed is None else fixed.shape[1]
     index_set = [a for a in coercive_index_set(n, symbol.m) if a.order > 0]
@@ -784,15 +834,21 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
     def samples_at(lam, t):
         return fixed if fixed is not None else _adapted_xi_samples(lam, t, symbol.m, n, 17)
 
-    def evaluate(idx, lam, t):
-        xi = samples_at(lam, t)
-        _, _, nAB, terms = _frequency_terms(model, symbol, t, lam, xi, index_set)
-        fd = {str(b): float(operator_norm_upper(fd_sigma_matrix(model, symbol, t, lam, xi, b),
-                                                model.q).max()) for b in betas}
-        return {"ratio": float(nAB.max()), "residual": 0.0, "fd_sup": fd,
-                "sigma_alpha": {k: float(w.max()) for k, w in zip(keys, terms)}}
+    def kernel(idxs):
+        lams, ts = zip(*(points[i] for i in idxs))
+        xi = np.stack([samples_at(lam, t) for lam, t in zip(lams, ts)])
+        _, _, nAB, terms = _frequency_terms(model, symbol, ts, lams, xi, index_set)
+        fd = [operator_norm_upper(fd_sigma_matrix(model, symbol, ts, lams, xi, b), model.q)
+              for b in betas]
+        return [{"ratio": float(nAB[k].max()), "residual": 0.0,
+                 "fd_sup": {str(b): float(v[k].max()) for b, v in zip(betas, fd)},
+                 "sigma_alpha": {key: float(w[k].max()) for key, w in zip(keys, terms)}}
+                for k in range(len(idxs))]
 
-    records = _sweep_points(points, evaluate)
+    rows = len(fixed) if fixed is not None else 2 * 17 * (n if n == 1 else n + 1)
+    report = _sweep_report("multipliers", points, kernel, rows * model.N ** 2,
+                           flatness_threshold, sigma_sup_threshold)
+    records, details = report.points, report.details
 
     # R-bound lower estimate for the sigma family, subsampled across the sweep
     rng = np.random.default_rng(seed)
@@ -804,7 +860,6 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
         samples = samples_at(lam, t)
         xi = samples[int(rng.integers(0, len(samples)))]
         family.add(sigma_matrix(model, symbol, t, lam, xi), lam=lam, t=t, xi=xi)
-    details = {}
     if len(family):
         est = estimate_rbound(family.members, q=model.q, tuple_size=tuple_size, seed=seed)
         details["sigma_rbound_lower"] = est.value
@@ -817,11 +872,7 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
         details["sigma_alpha_sup"] = {k: top for k, (top, _, _) in stats.items()}
         details["sigma_alpha_flatness"] = {k: flat for k, (_, _, flat) in stats.items()}
         details["fd_sup"] = {str(b): max(r["fd_sup"][str(b)] for r in ok) for b in betas}
-    report = VerificationReport(kind="multipliers", points=records,
-                                flatness_threshold=flatness_threshold,
-                                max_ratio_threshold=sigma_sup_threshold,
-                                details=details)
-    return _summarize(report)
+    return report
 
 
 def lambda_resolvent_family(model: OperatorModel, lambdas) -> OperatorFamilySample:

@@ -9,6 +9,7 @@ from psdo import (
     ProblemTemplate,
     ScaleParams,
     SectorSweep,
+    SymbolSpec,
     TooManyForEnumeration,
     apply_operator,
     build_bvp_operator,
@@ -51,7 +52,7 @@ from psdo.verification import (
     _saturation_frequency,
     _sign_patterns,
     _summarize,
-    _worst_mode_data,
+    _worst_modes,
     fd_sigma_matrix,
 )
 
@@ -540,9 +541,15 @@ def test_sweep_programming_errors_propagate(monkeypatch):
     def broken(*args, **kwargs):
         raise IndexError("bug in the batched kernel")
 
-    monkeypatch.setattr(verification, "_worst_mode_data", broken)
+    monkeypatch.setattr(verification, "_worst_modes", broken)
     with pytest.raises(IndexError):
         coercivity_sweep(scalar_template(), small_sweep(n_radii=2, n_t=1), data_count=2)
+    monkeypatch.setattr(verification, "operator_norm_upper", broken)
+    with pytest.raises(IndexError):
+        resolvent_sweep(scalar_template(), small_sweep(n_radii=2, n_t=1), per_axis=5)
+    with pytest.raises(IndexError):
+        multiplier_family_check(make_model(np.array([[1.0]])), power_symbol(m=2.0),
+                                small_sweep(n_radii=2, n_t=1), rbound_subsample=1, tuple_size=1)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +639,12 @@ def test_batched_coercivity_matches_per_mode_loop(name):
         prob = EllipticProblem(model=model, symbol=template.symbol, t=t, lam=lam,
                                grid=grid)
         xi_ref, vec_ref = _reference_worst_mode(prob, index_set)
-        new = _worst_mode_data(prob, index_set, _mode_shifts(prob)).values
+        keep = ~grid.nyquist_mask().reshape(-1)
+        rows = grid.frequency_mesh().reshape(-1, 1)[keep]
+        weights = sum(_reference_weight(t, lam, 2.0, alpha) * np.abs(i_xi_power(rows.T, alpha))
+                      for alpha in index_set)
+        xi0, vec = _worst_modes(model, rows[None], _mode_shifts(prob)[keep][None], weights[None])
+        new = mode_field(grid, xi0[0], vec[0], q=model.q).values
         ref = mode_field(grid, xi_ref, vec_ref, q=model.q).values
         # same mode, same vector up to a unit phase; the reference singular
         # vector is only accurate to roundoff over the relative singular-value
@@ -710,3 +722,147 @@ def test_worst_is_stable_under_roundoff_ties(moved, step):
     assert worst(ratios)["radius"] == 1.0
     assert worst([1.0, 3.0, tie])["radius"] == 1.0  # a clear maximum still wins
     assert worst([1.0, np.inf, np.inf])["radius"] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# blocks of sweep points: a bad point fails alone, and the partition is invisible
+
+ONE_T = (ScaleParams((1.0,)),)
+
+
+def _assert_same_records(points, expected):
+    assert len(points) == len(expected)
+    for got, want in zip(points, expected):
+        assert got["error"] == want["error"]
+        assert (got["ray"], got["radius"], got["t"]) == (want["ray"], want["radius"], want["t"])
+        for key in ("ratio", "residual"):
+            if want[key] is None:
+                assert got[key] is None
+            else:
+                assert got[key] == pytest.approx(want[key], rel=1e-12)
+        for key in ("sigma_alpha", "fd_sup"):
+            if key in want:
+                assert got[key].keys() == want[key].keys()
+                for k, v in want[key].items():
+                    assert got[key][k] == pytest.approx(v, rel=1e-12)
+
+
+def _one_point_blocks(monkeypatch, run):
+    with monkeypatch.context() as patch:
+        patch.setattr(verification, "_BLOCK_ENTRIES", 1)
+        return run()
+
+
+def test_coercivity_bad_point_fails_alone_inside_its_block(monkeypatch):
+    # -spectrum(A) = 10 is the shift of the mode xi = 0 at radius 10 only
+    template = ProblemTemplate(model=make_model(np.array([[-10.0]])), symbol=power_symbol(m=2.0),
+                               grid=GridSpec(n=1, M=16, L=2 * np.pi))
+    sweep = SectorSweep(phi2=0.0, rays=(0.0,), radii=(1.7, 4.1, 10.0, 23.0, 61.0), t_grid=ONE_T)
+    assert 16 * 4 * len(sweep.points()) < verification._BLOCK_ENTRIES  # one block
+
+    def run():
+        return coercivity_sweep(template, sweep, data_count=4, seed=5)
+
+    rep = run()
+    assert [p["error"] is None for p in rep.points] == [True, True, False, True, True]
+    assert rep.points[2]["error"] == "ModeSingular: singular mode matrix at xi=(np.float64(0.0),)"
+    assert rep.status == "fail"
+    _assert_same_records(rep.points, _one_point_blocks(monkeypatch, run).points)
+
+
+def test_resolvent_bad_point_fails_alone_inside_its_block(monkeypatch):
+    # the constant symbol -11 makes A + lam + P = 1 + 10 - 11 singular at radius 10 only
+    pts = np.linspace(-1e4, 1e4, 5)
+    symbol = SymbolSpec(kind="user-table", m=2.0, table=(pts, np.full(5, -11.0 + 0j)))
+    template = ProblemTemplate(model=make_model(np.array([[1.0]])), symbol=symbol,
+                               grid=GridSpec(n=1, M=16, L=2 * np.pi))
+    radii = (1.0, 3.0, 10.0, 30.0, 100.0)
+    rep = resolvent_sweep(template, SectorSweep(0.0, (0.0,), radii, ONE_T), per_axis=9)
+    assert rep.points[2]["error"] == "LinAlgError: Singular matrix"
+    assert [p["error"] is None for p in rep.points] == [True, True, False, True, True]
+    good = resolvent_sweep(template, SectorSweep(0.0, (0.0,), radii[:2] + radii[3:], ONE_T),
+                           per_axis=9)
+    _assert_same_records(rep.points[:2] + rep.points[3:], good.points)
+
+
+def test_multiplier_bad_point_fails_alone_inside_its_block(monkeypatch):
+    # t = 0.01 puts the adapted samples up to |xi| = 100, past the table's 50
+    pts = np.linspace(-50.0, 50.0, 201)
+    symbol = SymbolSpec(kind="user-table", m=2.0, table=(pts, pts**2 + 0j))
+    ts = [ScaleParams((v,)) for v in (1.0, 0.5, 0.01, 0.7, 0.9)]
+
+    def run(t_grid):
+        return multiplier_family_check(make_model(np.array([[1.0]])), symbol,
+                                       SectorSweep(0.0, (0.0,), (1.0, 4.0), tuple(t_grid)),
+                                       rbound_subsample=2, tuple_size=1)
+
+    rep = run(ts)
+    errors = [p["error"] for p in rep.points]
+    assert errors[2] == errors[7] == "OutOfTable: frequency outside tabulated range [-50.0, 50.0]"
+    assert sum(e is None for e in errors) == 8
+    good = [p for p in rep.points if p["error"] is None]
+    _assert_same_records(good, run(ts[:2] + ts[3:]).points)
+    _assert_same_records(rep.points, _one_point_blocks(monkeypatch, lambda: run(ts)).points)
+
+
+def _block_templates():
+    out = {name: (ProblemTemplate(model=model, symbol=power_symbol(m=2.0),
+                                  grid=GridSpec(n=1, M=16, L=2 * np.pi)),
+                  small_sweep(n_radii=3, n_t=2))
+           for name, model in ORACLE_MODELS.items()}
+    # q = p = 3: every norm after an inverse FFT, the worst mode by inversion
+    out["tridiagonal-n4-q3"] = (ProblemTemplate(model=make_model(tridiagonal_matrix(
+        4, -0.5, 2.0, -1.0), q=3.0), symbol=power_symbol(m=2.0),
+        grid=GridSpec(n=1, M=16, L=2 * np.pi), p=3.0), small_sweep(n_radii=3, n_t=2))
+    out["scalar-2d"] = (ProblemTemplate(model=make_model(np.array([[1.0]])),
+                                        symbol=power_symbol(m=2.0),
+                                        grid=GridSpec(n=2, M=8, L=2 * np.pi)),
+                        # anisotropic t: the per-axis scaling of each point's lattice shows
+                        SectorSweep(phi2=np.pi / 4, rays=(-np.pi / 4, np.pi / 4),
+                                    radii=(1.0, 1e2, 1e4),
+                                    t_grid=(ScaleParams((1.0, 0.1)), ScaleParams((0.01, 1.0)))))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_block_templates()))
+def test_sweep_records_do_not_depend_on_the_block_size(name, monkeypatch):
+    template, sweep = _block_templates()[name]
+    reports = []
+    for entries in (1, 2**40):  # one point per block, then the whole sweep in one
+        monkeypatch.setattr(verification, "_BLOCK_ENTRIES", entries)
+        # with two data fields the worst mode's own ratio is the point's ratio
+        reports.append([coercivity_sweep(template, sweep, data_count=count, seed=3).points
+                        for count in (2, 4)] + [resolvent_sweep(template, sweep, per_axis=7).points])
+    for one, whole in zip(*reports):
+        _assert_same_records(one, whole)
+    for count, points in zip((2, 4), reports[0]):
+        ref = _reference_coercivity_points(template, sweep, data_count=count, seed=3)
+        for point, (ratio, residual) in zip(points, ref):
+            assert point["ratio"] == pytest.approx(ratio, rel=1e-12)
+            assert point["residual"] < 1e-9 and residual < 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(_block_templates()))
+def test_worst_mode_field_is_the_plane_wave_on_its_points_lattice(name, monkeypatch):
+    template, sweep = _block_templates()[name]
+    spectra = []
+
+    def recording(model, shifts, fspec):
+        spectra.append(fspec)
+        return solve(model, shifts, fspec)
+
+    solve = verification._solve_spectra
+    monkeypatch.setattr(verification, "_solve_spectra", recording)
+    monkeypatch.setattr(verification, "_BLOCK_ENTRIES", 2**40)
+    coercivity_sweep(template, sweep, data_count=2, seed=3)
+    (fspec,) = spectra
+    for k, (lam, t) in enumerate(sweep.points()):
+        grid = _adapted_grid(template.grid, lam, t, 2.0)
+        prob = EllipticProblem(model=template.model, symbol=template.symbol, t=t, lam=lam,
+                               grid=grid)
+        xi0, vec = _reference_worst_mode(prob, template.indices())
+        want = grid.fft(mode_field(grid, xi0, vec).values)
+        # the same plane wave, its vector up to a unit phase (see above)
+        c = np.vdot(want, fspec[k, 1]) / np.vdot(want, want)
+        assert abs(c) == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_allclose(fspec[k, 1], c * want, rtol=0, atol=1e-9 * np.abs(want).max())
