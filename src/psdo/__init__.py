@@ -34,20 +34,17 @@ from .errors import (
     TooManyForEnumeration,
 )
 from .operators import (
-    NormBracket,
     OperatorModel,
     PositivityCertificate,
     build_bvp_operator,
     build_system,
     check_positivity,
     make_model,
-    operator_norm,
     resolvent,
     tridiagonal_matrix,
 )
 from .parabolic import (
     ParabolicProblem,
-    equation_residual,
     parabolic_coercive_ratio,
     parabolic_diagnostics,
     semigroup_propagator,
@@ -85,7 +82,6 @@ from .symbols import (
     sector_sum_constant,
     smoothed_power_symbol,
     symbol_from_config,
-    symbol_to_config,
 )
 from .verification import (
     KahaneResult,
@@ -100,7 +96,6 @@ from .verification import (
     lambda_resolvent_family,
     multiplier_family_check,
     probe_norm,
-    rademacher_average,
     resolvent_sweep,
     sigma_matrix,
 )

@@ -59,7 +59,9 @@ from .symbols import (
     symbol_from_config,
 )
 from .verification import (
+    KAHANE_MAX,
     ProblemTemplate,
+    TUPLE_MAX,
     _kahane_checks,
     coercivity_sweep,
     estimate_rbound,
@@ -163,8 +165,9 @@ class Scalar(_Type):
         return value
 
 
-def integer(least: int = 1, **kw) -> Scalar:
-    return Scalar(f"an integer >= {least}", lambda v: type(v) is int and v >= least, **kw)
+def integer(least: int = 1, most: float = math.inf, **kw) -> Scalar:
+    what = f"an integer >= {least}" if most == math.inf else f"an integer from {least} to {most}"
+    return Scalar(what, lambda v: type(v) is int and least <= v <= most, **kw)
 
 
 def number(what: str = "a number", test=lambda x: True, **kw) -> Scalar:
@@ -317,6 +320,7 @@ FORCING = kinds("time_profile", {"sin": {**GAUSSIAN, "omega": number(default=1.0
                                  "ramp": GAUSSIAN, "constant": GAUSSIAN}, tag_default="sin")
 LOWER_TERM = Table({"alpha": List(number(), make=lambda a: MultiIndex(tuple(a))),
                     "coefficient": ARRAY})  # a number c is c I
+TUPLE_SIZE = integer(most=TUPLE_MAX, default=3)  # its 2^size sign patterns are enumerated
 FAMILY = kinds("kind", {
     "lambda-resolvent": {"model": MODEL, "lambdas": List(COMPLEX, least=1)},
     "matrices": {"members": List(ARRAY, least=1)},
@@ -552,7 +556,7 @@ def _task_verify_resolvent(v, seed):
 
 @_task("check-multipliers", _sweep_task(("flatness", "sigma_sup"),
                                        rbound_subsample=integer(default=8),
-                                       tuple_size=integer(default=3)))
+                                       tuple_size=TUPLE_SIZE))
 def _task_check_multipliers(v, seed):
     return _sweep_outcome(multiplier_family_check(
         v["model"], v["symbol"], _parse_sweep(v), dims=v["grid"].n,
@@ -560,7 +564,7 @@ def _task_check_multipliers(v, seed):
         **v["thresholds"]))
 
 
-@_task("estimate-rbound", {"family": FAMILY, "q": Q, "tuple_size": integer(default=3)})
+@_task("estimate-rbound", {"family": FAMILY, "q": Q, "tuple_size": TUPLE_SIZE})
 def _task_estimate_rbound(v, seed):
     family, q = v["family"], v["q"]
     if family["kind"] == "lambda-resolvent":
@@ -584,7 +588,8 @@ def _task_estimate_rbound(v, seed):
 
 
 @_task("check-kahane", {"q": Q, "scalars": OPTIONAL_ARRAY, "vectors": OPTIONAL_ARRAY,
-                      "random": Table({"count": integer(), "m": integer(default=6),
+                      "random": Table({"count": integer(),
+                                       "m": integer(most=KAHANE_MAX, default=6),
                                        "N": integer(default=4)}, default=None)})
 def _task_check_kahane(v, seed):
     q, scalars, vectors, rand = v["q"], v["scalars"], v["vectors"], v["random"]

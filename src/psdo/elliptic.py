@@ -27,6 +27,7 @@ from .spaces import (
     SampledField,
     _lp_lq_norms,
     _lp_lq_norms_from_spectra,
+    blocks,
     fractional_multiplier,
     h_m_pt_norm,
     random_band_limited_values,
@@ -36,8 +37,6 @@ from .symbols import MultiIndex, ScaleParams, SymbolSpec, eval_symbol
 RESIDUAL_TOL = 1e-10
 NEUMANN_TOL = 1e-9
 MAX_ITER = 200
-# probe fields per principal solve in contraction_estimate; bounds its peak memory
-PROBE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -116,19 +115,20 @@ def coercive_index_set(n: int, m: float):
     return out
 
 
-def _mode_shifts(prob: EllipticProblem, P: np.ndarray = None) -> np.ndarray:
-    """lambda + P_t(xi) per lattice mode (flattened FFT order); P is
-    prob.symbol_values(), evaluated here unless the caller has it.
-
-    Raises ModeSingular when a shift lies within roundoff of -spectrum(A).
-    """
-    P = prob.symbol_values() if P is None else P
-    shifts = prob.lam + P.reshape(-1)
-    hit = spectrum_hit(prob.model, shifts)
+def _checked_shifts(model: OperatorModel, shifts: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The mode shifts lambda + P_t(xi), checked: ModeSingular for the first
+    within roundoff of -spectrum(A), naming its frequency, the matching row
+    of xi (..., n)."""
+    hit = spectrum_hit(model, shifts.reshape(-1))
     if hit is not None:
-        xi = prob.grid.frequency_mesh().reshape(-1, prob.grid.n)[hit]
-        raise ModeSingular(tuple(xi))
+        raise ModeSingular(tuple(xi.reshape(-1, xi.shape[-1])[hit]))
     return shifts
+
+
+def _mode_shifts(prob: EllipticProblem) -> np.ndarray:
+    """lambda + P_t(xi) per lattice mode (flattened FFT order), checked."""
+    return _checked_shifts(prob.model, prob.lam + prob.symbol_values().reshape(-1),
+                           prob.grid.frequency_mesh())
 
 
 def _solve_spectra(model: OperatorModel, shifts: np.ndarray, fhat: np.ndarray) -> np.ndarray:
@@ -144,21 +144,12 @@ def _solve_spectra(model: OperatorModel, shifts: np.ndarray, fhat: np.ndarray) -
     return uhat.reshape(fhat.shape)
 
 
-def _solve_modes(prob: EllipticProblem, shifts: np.ndarray, fvals: np.ndarray):
-    """Principal solve of a stack of fields, fvals shape (F,) + grid.shape + (N,).
-
-    One FFT of the stack and one per-mode solve with all F right-hand sides.
-    Returns the solutions' values and their spectra, both shaped like fvals.
-    """
-    uhat = _solve_spectra(prob.model, shifts, prob.grid.fft(fvals))
-    return prob.grid.ifft(uhat), uhat
-
-
 def solve_principal(prob: EllipticProblem, f: SampledField) -> SampledField:
     """Exact per-mode solve of the principal equation (no lower-order terms)."""
     if prob.lower_terms:
         raise ValueError("solve_principal requires empty lower terms; use solve_full")
-    return f.with_values(_solve_modes(prob, _mode_shifts(prob), f.values[None])[0][0])
+    uhat = _solve_spectra(prob.model, _mode_shifts(prob), prob.grid.fft(f.values[None]))
+    return f.with_values(prob.grid.ifft(uhat)[0])
 
 
 def _apply_lower(prob: EllipticProblem, spec: np.ndarray) -> np.ndarray:
@@ -190,12 +181,12 @@ def _lower_symbol_blocks(prob: EllipticProblem):
     N = prob.model.N
     if any(np.shape(term.coefficient) != (N, N) for term in prob.lower_terms):
         return None  # x-dependent coefficient: not diagonal in frequency
-    blocks = np.zeros(prob.grid.shape + (N, N), dtype=complex)
+    out = np.zeros(prob.grid.shape + (N, N), dtype=complex)
     for term in prob.lower_terms:
         c = np.asarray(term.coefficient, dtype=complex)
         mult = fractional_multiplier(prob.grid, term.alpha)
-        blocks = blocks + prob.t.weight(term.alpha, prob.symbol.m) * mult[..., None, None] * c
-    return blocks
+        out = out + prob.t.weight(term.alpha, prob.symbol.m) * mult[..., None, None] * c
+    return out
 
 
 def _scalar_coefficients(prob: EllipticProblem) -> bool:
@@ -206,7 +197,7 @@ def _scalar_coefficients(prob: EllipticProblem) -> bool:
 
 
 def contraction_estimate(prob: EllipticProblem, probes: int = 64, seed: int = 0, *,
-                         shifts: np.ndarray = None, blocks: np.ndarray = None) -> float:
+                         shifts: np.ndarray = None, lower_blocks: np.ndarray = None) -> float:
     """Norm of u -> L_t (principal)^-1 u on L^2(x; l_q^N), exact or estimated.
 
     With constant coefficients L_t P^-1 is a Fourier multiplier, and its
@@ -220,9 +211,9 @@ def contraction_estimate(prob: EllipticProblem, probes: int = 64, seed: int = 0,
     max_xi |l(xi)| / min_j |w_j + lambda + P_t(xi)| over the eigenvalues w_j.
     Otherwise the max with the ratios of `probes` random band-limited fields
     (lower bounds, and the only term for x-dependent coefficients) is
-    returned; probes are solved in blocks of PROBE_BLOCK fields.
+    returned; probes are drawn and solved in blocks (spaces.blocks).
 
-    `shifts` (the per-mode lambda + P_t(xi)) and `blocks` (the per-mode
+    `shifts` (the per-mode lambda + P_t(xi)) and `lower_blocks` (the per-mode
     matrices of L_t) are computed here unless a caller that has them passes
     them.
     """
@@ -230,20 +221,20 @@ def contraction_estimate(prob: EllipticProblem, probes: int = 64, seed: int = 0,
         return 0.0
     base = prob.principal
     shifts = _mode_shifts(base) if shifts is None else shifts
-    blocks = _lower_symbol_blocks(prob) if blocks is None else blocks
+    lower_blocks = _lower_symbol_blocks(prob) if lower_blocks is None else lower_blocks
     best = 0.0
     grid, model, N, q = prob.grid, prob.model, prob.model.N, prob.model.q
     if q == 2 and model.kappa == 1.0 and _scalar_coefficients(prob):
         dist = np.abs(model.eigvals[None, :] + shifts[:, None]).min(axis=1)
-        return float(np.max(np.abs(blocks[..., 0, 0]).reshape(-1) / dist))
-    if blocks is not None:
+        return float(np.max(np.abs(lower_blocks[..., 0, 0]).reshape(-1) / dist))
+    if lower_blocks is not None:
         Binv = shifted_solve(model, shifts).reshape(grid.shape + (N, N))
-        best = float(np.max(operator_norm_upper(blocks @ Binv, q)))
+        best = float(np.max(operator_norm_upper(lower_blocks @ Binv, q)))
         if q == 2:
             return best
     rng = np.random.default_rng(seed)
-    for start in range(0, probes, PROBE_BLOCK):
-        u = random_band_limited_values(grid, N, rng, min(PROBE_BLOCK, probes - start))
+    for b in blocks(probes, grid.M ** grid.n * N):  # the stream's fields in order
+        u = random_band_limited_values(grid, N, rng, b.stop - b.start)
         nu = _lp_lq_norms(u, grid, q, 2.0)
         u, nu = u[nu > 0], nu[nu > 0]
         if nu.size:
@@ -279,22 +270,22 @@ def solve_full(prob: EllipticProblem, f: SampledField, seed: int = 0):
     """
     grid = prob.grid
     shifts = _mode_shifts(prob)
-    blocks = _lower_symbol_blocks(prob)
+    lower_blocks = _lower_symbol_blocks(prob)
     kappa, exact = 0.0, True
     if prob.lower_terms:
-        kappa = contraction_estimate(prob, seed=seed, shifts=shifts, blocks=blocks)
+        kappa = contraction_estimate(prob, seed=seed, shifts=shifts, lower_blocks=lower_blocks)
         if kappa >= 1.0:
             raise ContractionFailure(
                 f"contraction estimate {kappa:.3f} >= 1; increase |lambda|")
-        exact = prob.model.q == 2 and blocks is not None  # no probes drawn
+        exact = prob.model.q == 2 and lower_blocks is not None  # no probes drawn
     fhat = grid.fft(f.values[None])
     nf = float(_lp_lq_norms(f.values[None], grid, f.q, 2.0)[0])
     mode_shifts = shifts.reshape(grid.shape)[..., None]
     uhat = _solve_spectra(prob.model, shifts, fhat)
     residuals = []
     for it in range(1, MAX_ITER + 1):
-        if blocks is not None:
-            lower = (blocks @ uhat[..., None])[..., 0]
+        if lower_blocks is not None:
+            lower = (lower_blocks @ uhat[..., None])[..., 0]
         else:
             lower = grid.fft(_apply_lower(prob, uhat))
         rhat = prob.model.apply(uhat) + mode_shifts * uhat + lower - fhat

@@ -3,8 +3,8 @@
 Every spectral decision about A lives here: the batched shifted solve
 (A + s I)^-1 over an array of shifts, the guard against shifts within roundoff
 of -spectrum(A), the cached eigenbasis (w, V, V^-1) and, built on them,
-resolvents, sector-positivity certificates and fractional powers.  Also the
-symmetric-system builder and a 1-D Dirichlet BVP discretizer.
+resolvents and sector-positivity certificates.  Also the symmetric-system
+builder and a 1-D Dirichlet BVP discretizer.
 """
 
 from __future__ import annotations
@@ -21,28 +21,9 @@ from .errors import (
     NotSymmetric,
     SpectrumHit,
 )
-from .spaces import vector_norms
 from .sweep import SectorSweep
 
 KAPPA_LIMIT = 1e6
-
-
-@dataclass(frozen=True)
-class NormBracket:
-    """Certified two-sided bound on an operator norm; exact when lower == upper."""
-
-    lower: float
-    upper: float
-
-    @property
-    def exact(self) -> bool:
-        return self.lower == self.upper
-
-    @property
-    def value(self) -> float:
-        if not self.exact:
-            raise ValueError("norm bracket is not exact; use .lower / .upper")
-        return self.upper
 
 
 @dataclass(frozen=True)
@@ -186,24 +167,6 @@ def operator_norm_upper(mats, q: float) -> np.ndarray:
         return np.power(operator_norm_upper(mats, 1), 1 - theta) * np.power(n2, theta)
     theta = 1.0 - 2.0 / q
     return np.power(n2, 1 - theta) * np.power(operator_norm_upper(mats, np.inf), theta)
-
-
-def operator_norm(mat, q: float) -> NormBracket:
-    """l_q -> l_q operator norm; exact for q in {1, 2, inf}.
-
-    Other exponents get a lower bound from vector maximization and the
-    Riesz-Thorin upper bound of operator_norm_upper.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    upper = float(operator_norm_upper(mat, q))
-    if q in (1, 2, np.inf):
-        return NormBracket(upper, upper)
-    rng = np.random.default_rng(0)
-    N = mat.shape[1]
-    probes = rng.standard_normal((256, N)) + 1j * rng.standard_normal((256, N))
-    probes = np.concatenate([probes, np.eye(N)], axis=0)
-    lo = float((vector_norms(probes @ mat.T, q) / vector_norms(probes, q)).max())
-    return NormBracket(min(lo, upper), upper)
 
 
 def resolvent(model: OperatorModel, lam) -> np.ndarray:

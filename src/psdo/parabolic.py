@@ -154,8 +154,3 @@ def parabolic_diagnostics(prob: ParabolicProblem, u: SpaceTimeField):
 def parabolic_coercive_ratio(prob: ParabolicProblem, u: SpaceTimeField):
     """(||du/dy|| + ||P_t(D) u|| + ||A u||) / ||f||; None when the forcing vanishes."""
     return parabolic_diagnostics(prob, u)[0]
-
-
-def equation_residual(prob: ParabolicProblem, u: SpaceTimeField) -> float:
-    """Relative mixed-norm residual of du/dy + P u + A u - f (diagnostic)."""
-    return parabolic_diagnostics(prob, u)[1]

@@ -16,6 +16,18 @@ from .errors import NyquistEnergy
 from .symbols import MultiIndex, i_xi_power
 
 NYQUIST_TOL = 1e-10
+# Largest array one batched kernel call builds, in complex entries (256 KB): long
+# batches (sweep points, Rademacher instances, probe fields, time slices) run in
+# blocks along their first axis, so the temporaries stay near that size.
+BLOCK_ENTRIES = 2**14
+
+
+def blocks(count: int, per_item: int) -> list:
+    """Consecutive slices covering range(count) once, each of about
+    BLOCK_ENTRIES // per_item items (at least one), per_item being the entries
+    of one item's largest array."""
+    step = max(1, BLOCK_ENTRIES // per_item)
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 def product_mesh(axes) -> np.ndarray:
@@ -356,9 +368,8 @@ def mixed_norm(u: SpaceTimeField, p: float = None, p1: float = None) -> float:
     """
     p = u.p if p is None else p
     p1 = u.p1 if p1 is None else p1
-    # blocks of slices keep the norm's temporaries small next to the field
-    inner = np.concatenate([_lp_lq_norms(u.values[j:j + 64], u.grid, u.q, p)
-                            for j in range(0, u.J + 1, 64)])
+    inner = np.concatenate([_lp_lq_norms(u.values[b], u.grid, u.q, p)
+                            for b in blocks(u.J + 1, u.values[0].size)])
     if p1 == np.inf:
         return float(inner.max())
     w = np.full(u.J + 1, u.dy)
@@ -391,6 +402,5 @@ def export_columnar(u: SampledField | SpaceTimeField) -> str:
     row = " ".join([spec] * (2 * N))
     x = _formatted(grid.points().reshape(-1, grid.n))
     template = "".join([header + "\n"] + [f"{c} {row}\n" for c in x])
-    step = max(1, 2**14 // floats.shape[1])  # slices per block keep the fill tuple small
-    blocks = [source[j:j + step] for j in range(0, len(source), step)]
-    return "\n".join(["\n".join([template] * len(b)) % tuple(b.ravel().tolist()) for b in blocks])
+    parts = [source[b] for b in blocks(len(source), floats.shape[1])]  # a small fill tuple
+    return "\n".join(["\n".join([template] * len(b)) % tuple(b.ravel().tolist()) for b in parts])

@@ -333,23 +333,8 @@ def sector_sum_constant(phi1: float, phi2: float, samples: int = 100_000) -> flo
     return float(vals.min())
 
 
-def symbol_to_config(spec: SymbolSpec) -> dict:
-    cfg = {
-        "kind": spec.kind,
-        "m": spec.m,
-        "theta0": spec.theta0,
-        "epsilon": spec.epsilon,
-        "gamma": spec.gamma,
-        "phi1": spec.phi1,
-    }
-    if spec.table is not None:
-        pts, values = spec.table
-        cfg["table"] = [np.asarray(v).tolist() for v in (pts, np.real(values), np.imag(values))]
-    return cfg
-
-
 def symbol_from_config(cfg: dict) -> SymbolSpec:
-    """Inverse of symbol_to_config; "table" is [points, real values, imag values]."""
+    """The SymbolSpec of a config object; "table" is [points, real values, imag values]."""
     known = {"kind", "m", "theta0", "epsilon", "gamma", "phi1", "table"}
     unknown = set(cfg) - known
     if unknown:

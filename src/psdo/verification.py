@@ -19,23 +19,24 @@ import numpy as np
 
 from .elliptic import (
     EllipticProblem,
+    _checked_shifts,
     _solve_spectra,
     coercive_index_set,
 )
-from .errors import ModeSingular, PsdoError, TooManyForEnumeration
+from .errors import PsdoError, TooManyForEnumeration
 from .operators import (
     OperatorModel,
     inverse_residuals,
     operator_norm_upper,
     resolvent,
     shifted_solve,
-    spectrum_hit,
 )
 from .spaces import (
     GridSpec,
     SampledField,
     _lp_lq_norms_from_spectra,
     band_limited_spectra,
+    blocks,
     box_freqs,
     box_points,
     fractional_multiplier,
@@ -65,10 +66,8 @@ CUSP_ROUNDS = 10     # kink subspaces per start, each fitted where the last clim
 MAX_STEPS = 500      # BFGS steps per climb, and trial steps per line search
 ARMIJO, WOLFE = 1e-4, 0.5  # an accepted step's least rise and largest slope, as fractions
 TIE_ULPS = 4         # ratios within this many ulp of the largest tie with it (summary.worst)
-# Largest array one batched kernel call builds, in complex entries (256 KB): the
-# points of a sweep, and a longer batch of Rademacher instances or probe points,
-# run in blocks along their first axis, so the temporaries stay near that size.
-_BLOCK_ENTRIES = 2**14
+KAHANE_MAX = 12      # scalars of a kahane check, whose 2^m sign patterns it enumerates
+TUPLE_MAX = 20       # members of a tuple whose 2^m sign patterns are enumerated
 
 # Failures that mark one sweep point failed; anything else is a bug and propagates.
 POINT_ERRORS = (PsdoError, np.linalg.LinAlgError, ValueError, ZeroDivisionError,
@@ -252,11 +251,10 @@ def _sweep_report(kind: str, points, kernel, per_point: int, flatness_threshold:
 
     kernel(idxs) evaluates the points with the sweep indices idxs at once and
     returns their numbers (ratio, residual, ...), one dict per point.  The
-    points run in blocks of about _BLOCK_ENTRIES // per_point, per_point being
-    the entries of one point's largest array.  A POINT_ERRORS failure re-runs
-    its block one point at a time, so that a bad point gets its error record,
-    which fails the verdict, while the others complete; any other exception
-    propagates.
+    points run in blocks (spaces.blocks), per_point being the entries of one
+    point's largest array.  A POINT_ERRORS failure re-runs its block one
+    point at a time, so that a bad point gets its error record, which fails
+    the verdict, while the others complete; any other exception propagates.
     """
     if any(t is None for _, t in points):
         raise ValueError("sweep point has no scale parameters t")
@@ -269,9 +267,8 @@ def _sweep_report(kind: str, points, kernel, per_point: int, flatness_threshold:
                 return [rec for idx in idxs for rec in run([idx])]
             return [{"ratio": None, "residual": None, "error": f"{type(exc).__name__}: {exc}"}]
 
-    step = max(1, _BLOCK_ENTRIES // per_point)
-    outs = [out for start in range(0, len(points), step)
-            for out in run(list(range(start, min(start + step, len(points)))))]
+    outs = [out for b in blocks(len(points), per_point)
+            for out in run(list(range(len(points))[b]))]
     records = [{"ray": cmath.phase(lam) if lam != 0 else 0.0, "radius": abs(lam), "t": list(t.t),
                 **out} for (lam, t), out in zip(points, outs)]
     flat = DEFAULT_FLATNESS.get(kind) if flatness_threshold is None else flatness_threshold
@@ -328,10 +325,8 @@ def coercivity_sweep(template: ProblemTemplate, sweep: SectorSweep,
                                       grid=_adapted_grid(grid, lam, t, m)).grid.L
                       for lam, t in zip(lams, ts)])
         xi = lattice_mesh(box_freqs(grid.M, L), n)
-        shifts = lams[:, None] + eval_symbol(symbol, ts, xi).reshape(len(idxs), -1)
-        hit = spectrum_hit(model, shifts.reshape(-1))
-        if hit is not None:
-            raise ModeSingular(tuple(xi.reshape(-1, n)[hit]))
+        P = eval_symbol(symbol, ts, xi).reshape(len(idxs), -1)
+        shifts = _checked_shifts(model, lams[:, None] + P, xi)
         weights = _derivative_weights(ts, lams, m, index_set)
         rows = xi.reshape(len(idxs), -1, n)[:, keep]
         xi0, vec = _worst_modes(model, rows, shifts[:, keep],
@@ -434,10 +429,10 @@ def resolvent_sweep(template: ProblemTemplate, sweep: SectorSweep,
 # Rademacher machinery
 
 
-@functools.lru_cache(maxsize=8)  # bounded: the matrix for m = 20 takes 320 MiB
+@functools.lru_cache(maxsize=8)  # bounded: the matrix for m = TUPLE_MAX takes 320 MiB
 def _sign_patterns(m: int) -> np.ndarray:
     """All 2^m sign patterns as a shared, read-only complex (2^m, m) matrix."""
-    if m > 20:
+    if m > TUPLE_MAX:
         raise TooManyForEnumeration(f"2^{m} sign patterns is too many to enumerate")
     bits = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
     signs = (2 * bits - 1).astype(complex)
@@ -446,34 +441,17 @@ def _sign_patterns(m: int) -> np.ndarray:
 
 
 def _rademacher_terms(signs: np.ndarray, Tu: np.ndarray, us: np.ndarray, q: float):
-    """Numerator and denominator of the Rademacher ratio, batched.
+    """Numerator and denominator of the Rademacher ratio of K instances.
 
     `signs` is (P, m); `Tu` (operators applied) and `us` (raw vectors) are
-    (..., m, N).  Each term is the mean over the P patterns of the l_q norm of
-    the signed sum; both come back with shape (...).
+    (K, m, N).  Each term is the mean over the P patterns of the l_q norm of
+    the signed sum; both come back with shape (K,).  The instances run in
+    blocks (spaces.blocks), each instance holding P N signed-sum entries.
     """
-    step = max(1, _BLOCK_ENTRIES // (len(signs) * Tu.shape[-1]))
-    if Tu.ndim > 2 and len(Tu) > step:
-        parts = [_rademacher_terms(signs, Tu[i:i + step], us[i:i + step], q)
-                 for i in range(0, len(Tu), step)]
-        return tuple(np.concatenate(terms) for terms in zip(*parts))
-    num = vector_norms(signs @ Tu, q).mean(axis=-1)
-    den = vector_norms(signs @ us, q).mean(axis=-1)
-    return num, den
-
-
-def rademacher_average(operators, vectors, q: float = 2.0):
-    """Averaged randomized-sign norms over every sign pattern (numerator with
-    operators applied, denominator without): the building block of R-bound
-    estimation."""
-    if len(operators) != len(vectors) or not operators:
-        raise ValueError("need equally many operators and vectors, at least one")
-    signs = _sign_patterns(len(operators))
-    us = np.stack([np.atleast_1d(np.asarray(u, dtype=complex)) for u in vectors])
-    Tu = np.stack([np.atleast_2d(np.asarray(T, dtype=complex)) @ u
-                   for T, u in zip(operators, us)])
-    num, den = _rademacher_terms(signs, Tu, us, q)
-    return float(num), float(den)
+    parts = [(vector_norms(signs @ Tu[b], q).mean(axis=-1),
+              vector_norms(signs @ us[b], q).mean(axis=-1))
+             for b in blocks(len(Tu), len(signs) * Tu.shape[-1])]
+    return tuple(np.concatenate(terms) for terms in zip(*parts))
 
 
 def _norm_grad(v: np.ndarray, nv: np.ndarray, q: float, pick=None) -> np.ndarray:
@@ -637,9 +615,8 @@ def _search(stack: np.ndarray, q: float, starts, cloud: np.ndarray, keep: int) -
     def fun(x, rows=None, pick=None):
         return _ratio_and_grad(stack, signs, q, x, None if pick is None else pick[rows])
 
-    # in blocks of about _BLOCK_ENTRIES signed-sum entries, as in _rademacher_terms
-    step = max(1, _BLOCK_ENTRIES // (len(signs) * N))
-    vals = np.concatenate([fun(cloud[i:i + step])[0] for i in range(0, len(cloud), step)])
+    # in blocks of P N signed-sum entries per point, as in _rademacher_terms
+    vals = np.concatenate([fun(cloud[b])[0] for b in blocks(len(cloud), len(signs) * N)])
     x = np.concatenate([np.reshape(starts, (-1, cloud.shape[-1])),
                         cloud[np.argsort(-vals, kind="stable")[:keep]]])
     f, x = _climb(fun, x, ROUGH_TOL, np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:]))
@@ -756,8 +733,8 @@ def _kahane_checks(scalars, vectors, q: float) -> list:
     """kahane_contraction_check of K instances in one batch: scalars (K, m),
     vectors (K, m, N)."""
     scalars = np.asarray(scalars, dtype=complex)
-    if scalars.shape[-1] > 12:
-        raise TooManyForEnumeration("kahane check enumerates at most 2^12 patterns")
+    if scalars.shape[-1] > KAHANE_MAX:
+        raise TooManyForEnumeration(f"kahane check enumerates at most 2^{KAHANE_MAX} patterns")
     us = np.asarray(vectors, dtype=complex)
     if us.shape[:-1] != scalars.shape:
         raise ValueError("need one vector per scalar")
@@ -778,19 +755,15 @@ def _kahane_checks(scalars, vectors, q: float) -> list:
 
 @dataclass
 class OperatorFamilySample:
-    """A finite sample from a named operator family with its draw metadata."""
+    """A finite sample of an operator family: its members, each checked finite."""
 
-    name: str
     members: list = field(default_factory=list)
-    meta: list = field(default_factory=list)   # (lam, t, xi) per member
 
-    def add(self, member: np.ndarray, lam=None, t=None, xi=None):
+    def add(self, member: np.ndarray):
         member = np.asarray(member, dtype=complex)
         if not np.all(np.isfinite(member)):
-            raise ValueError(f"non-finite member in family {self.name}")
+            raise ValueError("non-finite member in an operator family sample")
         self.members.append(member)
-        self.meta.append((lam, tuple(t.t) if t is not None else None,
-                          tuple(np.atleast_1d(xi)) if xi is not None else None))
 
     def __len__(self):
         return len(self.members)
@@ -852,14 +825,14 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
 
     # R-bound lower estimate for the sigma family, subsampled across the sweep
     rng = np.random.default_rng(seed)
-    family = OperatorFamilySample(name="sigma")
+    family = OperatorFamilySample()
     ok_points = [(lam, t) for (lam, t), rec in zip(points, records) if rec["error"] is None]
     picks = rng.choice(len(ok_points), size=min(rbound_subsample, len(ok_points)), replace=False)
     for pi in sorted(picks):
         lam, t = ok_points[pi]
         samples = samples_at(lam, t)
         xi = samples[int(rng.integers(0, len(samples)))]
-        family.add(sigma_matrix(model, symbol, t, lam, xi), lam=lam, t=t, xi=xi)
+        family.add(sigma_matrix(model, symbol, t, lam, xi))
     if len(family):
         est = estimate_rbound(family.members, q=model.q, tuple_size=tuple_size, seed=seed)
         details["sigma_rbound_lower"] = est.value
@@ -877,8 +850,8 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
 
 def lambda_resolvent_family(model: OperatorModel, lambdas) -> OperatorFamilySample:
     """The family {lam (A + lam)^-1} sampled at the given spectral parameters."""
-    fam = OperatorFamilySample(name="lambda-resolvent")
+    fam = OperatorFamilySample()
     lams = np.asarray(lambdas, dtype=complex).reshape(-1)
     for lam, R in zip(lams, resolvent(model, lams)):
-        fam.add(complex(lam) * R, lam=complex(lam))
+        fam.add(complex(lam) * R)
     return fam

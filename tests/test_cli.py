@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psdo import __version__, cli
+from psdo import __version__, cli, verification
 from psdo.cli import _write_reports, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -481,9 +481,32 @@ def test_malformed_family_or_instance_is_config_error(tmp_path, capsys, task, cf
 
 
 def test_kahane_beyond_enumeration_limit_is_execution_failure(tmp_path, capsys):
-    cfg = {"task": "check-kahane", "random": {"count": 1, "m": 13}}
+    # 13 explicit scalars: the library check refuses them before any work
+    cfg = {"task": "check-kahane", "scalars": [0.5] * 13, "vectors": [[1.0]] * 13}
     assert run_with_sets(tmp_path, "check-kahane", cfg, []) == 1
     assert "TooManyForEnumeration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task, key, limit", [
+    ("check-kahane", "random.m", verification.KAHANE_MAX),
+    ("estimate-rbound", "tuple_size", verification.TUPLE_MAX),
+    ("check-multipliers", "tuple_size", verification.TUPLE_MAX)])
+def test_enumeration_size_beyond_its_limit_is_config_error(tmp_path, capsys, task, key, limit,
+                                                           monkeypatch):
+    # checked by the schema, so no instance is drawn and no tuple is scored
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the config was checked")
+
+    for name in ("_kahane_checks", "estimate_rbound", "multiplier_family_check"):
+        monkeypatch.setattr(cli, name, no_work)
+    cfg = dict(task_cfgs()[task])
+    if task == "estimate-rbound":  # a two-member family: a mixed tuple would be searched
+        cfg["family"] = {"kind": "matrices", "members": [[[1.0, 0.3], [0.0, 0.5]],
+                                                         [[0.2, 0.0], [0.7, 1.0]]]}
+    assert run_with_sets(tmp_path, task, cfg, [f"{key}={limit + 1}"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: config.{key} must be an integer from 1 to {limit}" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("n_rays", [0, -1])

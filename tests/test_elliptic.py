@@ -10,6 +10,7 @@ from psdo import (
     LowerTerm,
     ModeSingular,
     MultiIndex,
+    SampledField,
     ScaleParams,
     apply_operator,
     coercive_index_set,
@@ -29,7 +30,7 @@ from psdo import (
     tridiagonal_matrix,
 )
 import psdo.elliptic
-from psdo.elliptic import _apply_lower, _mode_shifts, _solve_modes
+from psdo.elliptic import _apply_lower, _mode_shifts, _solve_spectra
 from psdo.symbols import i_xi_power_factor
 
 
@@ -79,13 +80,15 @@ def test_residual_round_trip():
                                   (1, tridiagonal_matrix(8, -1.0, 2.0, -1.0))],
                          ids=["2d-n2-lu", "1d-n8-eigenbasis"])
 def test_solve_modes_spectrum_is_fft_of_its_values(n, A):
+    # the per-mode solve of a stack of spectra gives, field by field, the
+    # spectrum of the values solve_principal returns for that field alone
     grid = GridSpec(n=n, M=16, L=2 * np.pi)
     prob = EllipticProblem(model=make_model(A), symbol=power_symbol(m=2.0),
                            t=ScaleParams((0.5, 0.1)[:n]), lam=2.0 + 1.0j, grid=grid)
     fvals = random_band_limited_values(grid, prob.model.N, np.random.default_rng(6), 3)
-    vals, spec = _solve_modes(prob, _mode_shifts(prob), fvals)
-    assert spec.shape == vals.shape == fvals.shape
-    ref = grid.fft(vals)
+    spec = _solve_spectra(prob.model, _mode_shifts(prob), grid.fft(fvals))
+    assert spec.shape == fvals.shape
+    ref = grid.fft(np.stack([solve_principal(prob, SampledField(grid, f)).values for f in fvals]))
     assert np.linalg.norm(spec - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
@@ -318,3 +321,23 @@ def test_contraction_estimate_matches_per_probe_loop(probes, monkeypatch):
     monkeypatch.setattr(psdo.elliptic, "random_band_limited_values", some_zero_batch)
     assert contraction_estimate(prob, probes=probes, seed=11) == pytest.approx(
         expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+def test_contraction_estimate_probes_do_not_depend_on_the_block_size(q, monkeypatch):
+    prob = x_dependent_2d_problem(q=q)  # x-dependent: the probes are the estimate
+    counts, values = [], []
+
+    def counting(grid, N, rng, count):
+        counts.append(count)
+        return draw(grid, N, rng, count)
+
+    draw = psdo.elliptic.random_band_limited_values
+    monkeypatch.setattr(psdo.elliptic, "random_band_limited_values", counting)
+    for entries in (1, 2**40):  # one probe field per block, then all 37 in one
+        monkeypatch.setattr(psdo.spaces, "BLOCK_ENTRIES", entries)
+        values.append(contraction_estimate(prob, probes=37, seed=11))
+    assert counts == [1] * 37 + [37]
+    # to roundoff: numpy sums a one-field block's norm pairwise, several fields term by term
+    assert values[0] == pytest.approx(values[1], rel=1e-14)
+    assert values[1] > 0

@@ -4,8 +4,9 @@ aside) uses each name it imports, only operators.py makes spectral
 decisions about A (dense inverses, solves and eigendecompositions, and the
 eigenbasis condition limit KAPPA_LIMIT), only GridSpec.fft/ifft in
 spaces.py transform sampled fields, only symbols.py names the axis factor
-of (i xi)^alpha, so i_xi_power stays its one product, and the CLI's task
-handlers read config values only through its schema."""
+of (i xi)^alpha, so i_xi_power stays its one product, the CLI's task
+handlers read config values only through its schema, and every public
+function or class is used by the package or named in PUBLIC_API."""
 
 import ast
 import json
@@ -278,3 +279,57 @@ def test_cli_handlers_read_only_checked_values():
                if isinstance(node, ast.FunctionDef) and node.name.startswith(("_task_", "_parse_"))]
     assert sum(name.startswith("_task_") for name in readers) == 8
     assert config_value_reads(source) == []
+
+
+# Public functions and classes that no package code uses, each kept for a reason.
+PUBLIC_API = {
+    "apply_operator": "the forward operator; acceptance checks the residual of a solve with it",
+    "solve_principal": "the exact per-mode solve of one field; acceptance pins its exactness",
+    "coercive_ratio": "the coercive ratio of one solution; acceptance pins its spot value",
+    "check_positivity": "the sector-positivity certificate of A; acceptance checks a BVP's",
+    "semigroup_propagator": "e^{-y G(xi)} per mode; acceptance checks the semigroup law",
+    "parabolic_coercive_ratio": "the parabolic coercive ratio; acceptance checks it flat in t",
+    "sector_sum_constant": "C of |lam + nu| >= C (|lam| + |nu|); acceptance checks its closed form",
+    "liouville_derivative": "the paper's fractional derivative D^alpha of a sampled field",
+    "power_symbol": "builds the power symbol for library callers; configs use symbol_from_config",
+    "rotated_power_symbol": "builds the rotated power symbol for library callers",
+    "smoothed_power_symbol": "builds the smoothed power symbol for library callers",
+}
+
+
+def unreferenced_public_names(sources: dict) -> list:
+    """(module, name) of each public top-level function or class of the
+    modules {name: source} that no code of them names outside its own
+    definition.  A name counts as a bare name or as an attribute; strings
+    and docstrings do not count."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
+                defined.append((module, own))
+            for sub in ast.walk(node):
+                name = getattr(sub, "id", None) if isinstance(sub, ast.Name) \
+                    else getattr(sub, "attr", None)
+                if name is not None and name != own:
+                    used.add(name)
+    return [(module, name) for module, name in defined if name not in used]
+
+
+def test_unreferenced_public_name_is_detected():
+    sources = {"a.py": ('def used(x):\n    return used(x - 1)\n'
+                        'def dead():\n    """calls used and Kept"""\n    return "dead"\n'
+                        'class Kept:\n    pass\n'
+                        'def _private():\n    return 0\n'),
+               "b.py": "from .a import used\nimport a\ny = a.Kept()\nz = used(3)\n"}
+    assert unreferenced_public_names(sources) == [("a.py", "dead")]
+    assert unreferenced_public_names({"a.py": sources["a.py"]}) == [
+        ("a.py", "used"), ("a.py", "dead"), ("a.py", "Kept")]
+
+
+def test_every_public_name_is_used_or_kept_for_a_reason():
+    """Dead public code fails here: delete it, or add it to PUBLIC_API with
+    the reason it stays."""
+    found = unreferenced_public_names({p.name: p.read_text() for p in MODULES})
+    assert [name for _, name in found if name not in PUBLIC_API] == []
+    assert sorted(name for _, name in found) == sorted(PUBLIC_API)  # no stale entry

@@ -461,7 +461,6 @@ def test_lambda_resolvent_family_matches_dense_inverse(k):
     model = make_model(resolvent_models()[k])
     lambdas = [0.5, 2.0 + 1.0j, -1.0j, 1e3]
     fam = lambda_resolvent_family(model, lambdas)
-    assert [meta[0] for meta in fam.meta] == [complex(lam) for lam in lambdas]
     for lam, member in zip(lambdas, fam.members):
         assert np.array_equal(member, lam * np.linalg.inv(model.A + lam * np.eye(model.N)))
 

@@ -10,7 +10,6 @@ from psdo import (
     ScaleParams,
     SpaceTimeField,
     apply_operator,
-    equation_residual,
     gaussian_field,
     make_model,
     mixed_norm,
@@ -118,7 +117,7 @@ def test_coercive_ratio_and_residual():
     u = solve_duhamel(prob)
     ratio = parabolic_coercive_ratio(prob, u)
     assert ratio is not None and np.isfinite(ratio) and ratio >= 1.0 - 1e-9
-    assert equation_residual(prob, u) < 5e-3  # limited by time discretization
+    assert parabolic_diagnostics(prob, u)[1] < 5e-3  # limited by time discretization
     zero = SpaceTimeField(grid=prob.elliptic.grid,
                           values=np.zeros_like(prob.forcing.values), Y=prob.Y)
     none_prob = ParabolicProblem(elliptic=prob.elliptic, forcing=zero)
@@ -140,7 +139,8 @@ def test_mixed_norm_solution_bounded_by_forcing():
 
 
 def _equation_residual_per_slice(prob, u):
-    """Reference: equation_residual with one apply_operator call per time slice."""
+    """Reference: the equation residual of parabolic_diagnostics with one
+    apply_operator call per time slice."""
     f = prob.forcing
     nf = mixed_norm(f)
     du = time_derivative(u)
@@ -170,10 +170,10 @@ def make_tridiagonal_2d_problem(J=16):
 def test_equation_residual_matches_per_slice_loop(make, solver):
     prob = make()
     u = solver(prob)
-    assert equation_residual(prob, u) == _equation_residual_per_slice(prob, u)
+    assert parabolic_diagnostics(prob, u)[1] == _equation_residual_per_slice(prob, u)
     zero = SpaceTimeField(grid=u.grid, values=np.zeros_like(u.values), Y=u.Y)
     unforced = ParabolicProblem(elliptic=prob.elliptic, forcing=zero)
-    assert equation_residual(unforced, u) == _equation_residual_per_slice(unforced, u)
+    assert parabolic_diagnostics(unforced, u)[1] == _equation_residual_per_slice(unforced, u)
 
 
 def _ratio_and_residual_reference(prob, u):
@@ -211,4 +211,3 @@ def test_parabolic_diagnostics_match_separate_computation(solver):
     assert residual == pytest.approx(ref_residual, rel=1e-13)
     assert nf == mixed_norm(forcing)
     assert parabolic_coercive_ratio(prob, u) == ratio
-    assert equation_residual(prob, u) == residual

@@ -21,7 +21,8 @@ from psdo import (
     random_band_limited_values,
     vector_norms,
 )
-from psdo.spaces import export_columnar, fractional_multiplier
+from psdo import spaces
+from psdo.spaces import blocks, export_columnar, fractional_multiplier
 
 
 def constant_field(grid, vector):
@@ -303,3 +304,32 @@ def test_export_columnar_stack_matches_per_slice_reference(n, N, S, M, repeated)
         u = SpaceTimeField(grid=g, values=vals, Y=1.0)
     expected = "\n".join(_export_per_element(SampledField(grid=g, values=v)) for v in vals)
     assert export_columnar(u) == expected
+
+
+@pytest.mark.parametrize("count, per_item, step", [
+    (0, 1, None), (1, 1, 1), (7, 2**13, 2), (5, 2**14, 1), (3, 2**14 + 1, 1), (4, 2**20, 1),
+    (2**14 + 3, 1, 2**14), (100, 3, 5461)])
+def test_blocks_cover_the_range_once(count, per_item, step):
+    slices = blocks(count, per_item)
+    covered = [i for b in slices for i in range(count)[b]]
+    assert covered == list(range(count))
+    assert all(b.stop - b.start == step for b in slices[:-1])
+    assert not slices if count == 0 else 1 <= slices[-1].stop - slices[-1].start <= step
+
+
+@pytest.mark.parametrize("n, N, J", [(1, 2, 70), (2, 3, 9)])
+def test_mixed_norm_and_export_do_not_depend_on_the_block_size(n, N, J, monkeypatch):
+    g = GridSpec(n=n, M=8, L=3.0)
+    rng = np.random.default_rng(9)
+    shape = (J + 1,) + g.shape + (N,)
+    u = SpaceTimeField(grid=g, values=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                       Y=2.0, q=3.0, p=1.5, p1=4.0)
+    results = []
+    for entries in (1, 2**40):  # one slice per block, then every slice in one
+        monkeypatch.setattr(spaces, "BLOCK_ENTRIES", entries)
+        results.append((mixed_norm(u), mixed_norm(u, p=2.0, p1=np.inf), export_columnar(u)))
+    (norm, sup, text), (norm_all, sup_all, text_all) = results
+    assert text == text_all
+    # numpy sums a one-row block pairwise but several rows one term at a
+    # time, so the norms of the two partitions agree to roundoff only
+    assert (norm, sup) == pytest.approx((norm_all, sup_all), rel=1e-14)

@@ -28,10 +28,8 @@ from psdo import (
     make_model,
     mode_field,
     multiplier_family_check,
-    operator_norm,
     power_symbol,
     probe_norm,
-    rademacher_average,
     random_band_limited_field,
     resolvent_sweep,
     rotated_power_symbol,
@@ -40,7 +38,7 @@ from psdo import (
     tridiagonal_matrix,
     vector_norms,
 )
-from psdo import verification
+from psdo import spaces, verification
 from psdo.elliptic import _mode_shifts
 from psdo.operators import operator_norm_upper
 from psdo.verification import (
@@ -66,6 +64,17 @@ def scalar_template(M=32):
     return ProblemTemplate(model=make_model(np.array([[1.0]])),
                            symbol=power_symbol(m=2.0),
                            grid=GridSpec(n=1, M=M, L=2 * np.pi))
+
+
+def rademacher_average(operators, vectors, q: float = 2.0):
+    """Reference: the averaged randomized-sign norms over every sign pattern
+    (numerator with the operators applied, denominator without) of one
+    instance, through the batched kernel."""
+    us = np.stack([np.atleast_1d(np.asarray(u, dtype=complex)) for u in vectors])
+    Tu = np.stack([np.atleast_2d(np.asarray(T, dtype=complex)) @ u
+                   for T, u in zip(operators, us)])
+    num, den = _rademacher_terms(_sign_patterns(len(operators)), Tu[None], us[None], q)
+    return float(num[0]), float(den[0])
 
 
 def test_rademacher_average_single_operator():
@@ -144,10 +153,10 @@ def _ratio_objective(stack: np.ndarray, signs: np.ndarray, q: float, x: np.ndarr
     as stacked real coordinates x (..., 2 m N); 0 where every signed sum
     vanishes.  `signs` is the enumerated (2^m, m) pattern matrix.  Through
     the shared kernel, the reference that _ratio_and_grad is tested against."""
-    vecs = x.reshape(x.shape[:-1] + (len(stack), 2, stack.shape[-1]))
+    vecs = x.reshape((-1, len(stack), 2, stack.shape[-1]))
     us = vecs[..., 0, :] + 1j * vecs[..., 1, :]
     num, den = _rademacher_terms(signs, (stack @ us[..., None])[..., 0], us, q)
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0).reshape(x.shape[:-1])
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, np.inf])
@@ -575,8 +584,8 @@ def _reference_worst_mode(prob, index_set):
         B = np.linalg.inv(prob.model.A + (prob.lam + P[k]) * eye)
         weights = sum(_reference_weight(prob.t, prob.lam, m, alpha)
                       * abs(i_xi_power(xi[k], alpha)) for alpha in index_set)
-        score = weights * operator_norm(B, prob.model.q).upper \
-            + operator_norm(prob.model.A @ B, prob.model.q).upper
+        score = weights * float(operator_norm_upper(B, prob.model.q)) \
+            + float(operator_norm_upper(prob.model.A @ B, prob.model.q))
         if score > best_score:
             best_score, best_idx = score, k
             best_vec = np.linalg.svd(B)[2][0].conj()
@@ -674,11 +683,11 @@ def _reference_resolvent_points(template, sweep, per_axis):
             mat = model.A + (lam + complex(eval_symbol(template.symbol, t, xi))) * eye
             B = np.linalg.inv(mat)
             worst_res = max(worst_res, float(np.abs(mat @ B - eye).max()))
-            nB = operator_norm(B, model.q).upper
+            nB = float(operator_norm_upper(B, model.q))
             for i, alpha in enumerate(index_set):
                 w = _reference_weight(t, lam, m, alpha)
                 terms[i] = max(terms[i], w * abs(i_xi_power(xi, alpha)) * nB)
-            aterm = max(aterm, operator_norm(model.A @ B, model.q).upper)
+            aterm = max(aterm, float(operator_norm_upper(model.A @ B, model.q)))
         out.append((sum(terms) + aterm, worst_res))
     return out
 
@@ -697,12 +706,17 @@ def test_batched_resolvent_matches_per_frequency_loop_q3():
 
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, np.inf])
 def test_operator_norm_upper_matches_operator_norm(q):
+    # a stack's norms are those of its matrices one at a time; exact at q in
+    # {1, 2, inf}, else the Riesz-Thorin bound between the exact norms at 2 and inf
     rng = np.random.default_rng(5)
     mats = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
     batched = operator_norm_upper(mats, q)
     assert batched.shape == (6,)
     for mat, value in zip(mats, batched):
-        assert operator_norm(mat, q).upper == value
+        assert float(operator_norm_upper(mat, q)) == value
+        exact = {q_: np.linalg.norm(mat, q_) for q_ in (1, 2, np.inf)}
+        want = exact[q] if q in exact else exact[2] ** (2 / q) * exact[np.inf] ** (1 - 2 / q)
+        assert value == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("moved, step", [(1, -1), (2, +1), (4, +1), (4, -1)],
@@ -749,7 +763,7 @@ def _assert_same_records(points, expected):
 
 def _one_point_blocks(monkeypatch, run):
     with monkeypatch.context() as patch:
-        patch.setattr(verification, "_BLOCK_ENTRIES", 1)
+        patch.setattr(spaces, "BLOCK_ENTRIES", 1)
         return run()
 
 
@@ -758,7 +772,7 @@ def test_coercivity_bad_point_fails_alone_inside_its_block(monkeypatch):
     template = ProblemTemplate(model=make_model(np.array([[-10.0]])), symbol=power_symbol(m=2.0),
                                grid=GridSpec(n=1, M=16, L=2 * np.pi))
     sweep = SectorSweep(phi2=0.0, rays=(0.0,), radii=(1.7, 4.1, 10.0, 23.0, 61.0), t_grid=ONE_T)
-    assert 16 * 4 * len(sweep.points()) < verification._BLOCK_ENTRIES  # one block
+    assert 16 * 4 * len(sweep.points()) < spaces.BLOCK_ENTRIES  # one block
 
     def run():
         return coercivity_sweep(template, sweep, data_count=4, seed=5)
@@ -829,7 +843,7 @@ def test_sweep_records_do_not_depend_on_the_block_size(name, monkeypatch):
     template, sweep = _block_templates()[name]
     reports = []
     for entries in (1, 2**40):  # one point per block, then the whole sweep in one
-        monkeypatch.setattr(verification, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(spaces, "BLOCK_ENTRIES", entries)
         # with two data fields the worst mode's own ratio is the point's ratio
         reports.append([coercivity_sweep(template, sweep, data_count=count, seed=3).points
                         for count in (2, 4)] + [resolvent_sweep(template, sweep, per_axis=7).points])
@@ -853,7 +867,7 @@ def test_worst_mode_field_is_the_plane_wave_on_its_points_lattice(name, monkeypa
 
     solve = verification._solve_spectra
     monkeypatch.setattr(verification, "_solve_spectra", recording)
-    monkeypatch.setattr(verification, "_BLOCK_ENTRIES", 2**40)
+    monkeypatch.setattr(spaces, "BLOCK_ENTRIES", 2**40)
     coercivity_sweep(template, sweep, data_count=2, seed=3)
     (fspec,) = spectra
     for k, (lam, t) in enumerate(sweep.points()):
