@@ -45,12 +45,13 @@ from .operators import (
 )
 from .parabolic import (
     ParabolicProblem,
+    evolve_spectra,
     parabolic_coercive_ratio,
     parabolic_diagnostics,
     semigroup_propagator,
+    solution_on_grid,
     solve_duhamel,
     solve_implicit_euler,
-    time_derivative,
 )
 from .spaces import (
     GridSpec,

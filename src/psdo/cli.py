@@ -33,10 +33,11 @@ from .operators import (
     tridiagonal_matrix,
 )
 from .parabolic import (
+    METHODS,
     ParabolicProblem,
+    evolve_spectra,
     parabolic_diagnostics,
-    solve_duhamel,
-    solve_implicit_euler,
+    solution_on_grid,
 )
 from .spaces import (
     GridSpec,
@@ -45,7 +46,6 @@ from .spaces import (
     export_columnar,
     gaussian_field,
     lp_lq_norm,
-    mixed_norm,
     mode_field,
     product_mesh,
     random_band_limited_field,
@@ -277,9 +277,9 @@ def _model(v: dict) -> OperatorModel:
     return make_model([[v["a"]]] if kind == "scalar" else v["entries"], q=q)
 
 
-Q = number("a number >= 1", lambda x: x >= 1, default=2.0)  # an l_q exponent
-P = number("a number > 0", lambda x: x > 0, default=2.0)  # an L_p exponent
-WIDTH = replace(P, default=None)  # a Gaussian width; 0 would make the field NaN
+# An l_q or L_p exponent: below 1 it is no norm, and the L_p quadrature can overflow.
+Q = number("a number >= 1", lambda x: x >= 1, default=2.0)
+WIDTH = number("a number > 0", lambda x: x > 0, default=None)  # 0 would make the field NaN
 POSITIVE = number("a finite number > 0", lambda x: 0 < x < math.inf)
 FINITE = number("a finite number", lambda x: abs(x) < math.inf)  # an integer may exceed floats
 ARRAY = Scalar("a number or nested lists of numbers", _numeric,
@@ -488,7 +488,7 @@ def _write_reports(out_dir: str, report: dict, csv_rows, extra_files=None):
 
 @_task("solve-elliptic", {
     "grid": GRID, "model": MODEL, "symbol": SYMBOL, "t": SCALE, "lambda": COMPLEX,
-    "data": DATA, "p": P, "lower_terms": List(LOWER_TERM, default=[]),
+    "data": DATA, "p": Q, "lower_terms": List(LOWER_TERM, default=[]),
     "residual_tol": number(default=1e-8), "export_fields": boolean(default=False)})
 def _task_solve_elliptic(v, seed):
     prob = _parse_problem(v, v["lambda"], v["lower_terms"])
@@ -514,16 +514,17 @@ def _task_solve_elliptic(v, seed):
 
 @_task("solve-parabolic", {
     "grid": GRID, "model": MODEL, "symbol": SYMBOL, "t": SCALE, "horizon": POSITIVE,
-    "steps": integer(), "forcing": FORCING, "p": P, "p1": P,
-    "method": choice("duhamel", "implicit-euler", default="duhamel"),
+    "steps": integer(), "forcing": FORCING, "p": Q, "p1": Q,
+    "method": choice(*METHODS, default="duhamel"),
     "residual_tol": number(default=1e-2),  # the time discretization limits the residual
     "export_fields": boolean(default=False)})
 def _task_solve_parabolic(v, seed):
     ell = _parse_problem(v, 0.0)
     prob = ParabolicProblem(elliptic=ell, forcing=_parse_forcing(v, ell))
-    solve = solve_duhamel if v["method"] == "duhamel" else solve_implicit_euler
-    u = solve(prob)
-    ratio, residual, forcing_norm = parabolic_diagnostics(prob, u)
+    u_hat, f_hat = evolve_spectra(prob, v["method"])
+    ratio, residual, forcing_norm, solution_norm = parabolic_diagnostics(prob, u_hat, f_hat)
+    export = solution_on_grid(prob, u_hat) if v["export_fields"] else None
+    del u_hat, f_hat  # not held through export_columnar, the task's largest step
     result = {
         "method": v["method"],
         "steps": v["steps"],
@@ -531,15 +532,15 @@ def _task_solve_parabolic(v, seed):
         "coercive_ratio": ratio,
         "residual": residual,
         "residual_tol": v["residual_tol"],
-        "solution_norm": mixed_norm(u),
+        "solution_norm": solution_norm,
         "forcing_norm": forcing_norm,
     }
     ok = (ratio is None or math.isfinite(ratio)) and residual < v["residual_tol"]
     return _outcome(ok, result, ratio, ray=0.0, radius=0.0, t=ell.t.t, residual=residual,
-                    export=u if v["export_fields"] else None)
+                    export=export)
 
 
-@_task("verify-coercivity", _sweep_task(("flatness", "max_ratio"), p=P,
+@_task("verify-coercivity", _sweep_task(("flatness", "max_ratio"), p=Q,
                                        data_count=integer(2, default=8)))
 def _task_verify_coercivity(v, seed):
     template = ProblemTemplate(model=v["model"], symbol=v["symbol"], grid=v["grid"], p=v["p"])

@@ -2,9 +2,12 @@
 
 Each lattice mode evolves under the matrix G(xi) = A + P_t(xi) I, which
 shares the eigenbasis of A, so the whole evolution reduces to independent
-scalar ODEs in eigencoordinates.  Two solvers are provided: exact Duhamel
+scalar ODEs in eigencoordinates.  Two steppers are provided: exact Duhamel
 propagation with exponential-integrator weights for piecewise-linear forcing
-(the oracle) and first-order implicit Euler (the stepper under test).
+(the oracle) and first-order implicit Euler (the stepper under test).  The
+evolution and its diagnostics stay in Fourier space: one forward FFT of the
+forcing, and an inverse FFT only for a solution wanted on the grid or for
+norms other than p = q = 2.
 """
 
 from __future__ import annotations
@@ -16,7 +19,13 @@ import numpy as np
 from .elliptic import EllipticProblem
 from .errors import ModeSingular
 from .operators import eigenbasis
-from .spaces import SpaceTimeField, mixed_norm
+from .spaces import (
+    SpaceTimeField,
+    _lp_lq_norms,
+    _lp_lq_norms_from_spectra,
+    _time_norm,
+    blocks,
+)
 
 
 @dataclass(frozen=True)
@@ -52,14 +61,6 @@ def _eigensetup(prob: ParabolicProblem):
     return P[..., None] + w, V, Vinv           # g: grid.shape + (N,)
 
 
-def _forcing_eigencoords(prob: ParabolicProblem, Vinv: np.ndarray) -> np.ndarray:
-    return prob.elliptic.grid.fft(prob.forcing.values) @ Vinv.T
-
-
-def _back_to_physical(prob: ParabolicProblem, coeffs: np.ndarray, V: np.ndarray) -> SpaceTimeField:
-    return prob.forcing.with_values(prob.elliptic.grid.ifft(coeffs @ V.T))
-
-
 def _phi1(z: np.ndarray) -> np.ndarray:
     """(e^z - 1) / z, stable near z = 0."""
     out = np.empty_like(z)
@@ -82,39 +83,75 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_duhamel(prob: ParabolicProblem) -> SpaceTimeField:
+def _duhamel_steps(c: np.ndarray, g: np.ndarray, dy: float) -> np.ndarray:
     """Exact per-mode Duhamel propagation with piecewise-linear forcing.
 
     One step reads u_{j+1} = e^z u_j + dy (phi1(z) f_j + phi2(z) (f_{j+1} - f_j))
     with z = -dy g per eigen-channel; exact whenever the forcing is linear on
-    each step, second-order accurate otherwise.
+    each step, second-order accurate otherwise.  `c` holds the forcing's
+    eigencoordinates and is overwritten; the forcing terms of every step are
+    formed over the whole stack first, so a step is three in-place operations.
     """
-    g, V, Vinv = _eigensetup(prob)
-    c = _forcing_eigencoords(prob, Vinv)
-    dy = prob.forcing.dy
     z = -dy * g
     E = np.exp(z)
     w0 = dy * _phi1(z)
     w1 = dy * _phi2(z)
-    u = np.zeros_like(c)
-    for j in range(prob.J):
-        df = c[j + 1] - c[j]
-        u[j + 1] = E * u[j] + w0 * c[j] + w1 * df
-    return _back_to_physical(prob, u, V)
+    u = np.empty_like(c)
+    u[0] = 0.0
+    np.subtract(c[1:], c[:-1], out=u[1:])
+    np.multiply(w1, u[1:], out=u[1:])      # u[j+1] holds the phi2 term of step j
+    np.multiply(w0, c[:-1], out=c[:-1])    # c[j] holds the phi1 term of step j
+    term = np.empty_like(c[0])
+    for j in range(len(c) - 1):
+        np.multiply(E, u[j], out=term)
+        np.add(term, c[j], out=term)
+        np.add(term, u[j + 1], out=u[j + 1])
+    return u
 
 
-def solve_implicit_euler(prob: ParabolicProblem) -> SpaceTimeField:
-    """First-order implicit Euler: u_{j+1} = (I + dy G)^-1 (u_j + dy f_{j+1})."""
-    g, V, Vinv = _eigensetup(prob)
-    c = _forcing_eigencoords(prob, Vinv)
-    dy = prob.forcing.dy
+def _implicit_euler_steps(c: np.ndarray, g: np.ndarray, dy: float) -> np.ndarray:
+    """First-order implicit Euler: u_{j+1} = (I + dy G)^-1 (u_j + dy f_{j+1}).
+
+    `c` holds the forcing's eigencoordinates and becomes the solution's."""
     denom = 1.0 + dy * g
     if np.any(np.abs(denom) < 1e-14):
         raise ModeSingular(None, "I + dy G singular on some mode")
-    u = np.zeros_like(c)
-    for j in range(prob.J):
-        u[j + 1] = (u[j] + dy * c[j + 1]) / denom
-    return _back_to_physical(prob, u, V)
+    u = c
+    u[0] = 0.0
+    np.multiply(dy, u[1:], out=u[1:])
+    for j in range(len(u) - 1):
+        np.add(u[j], u[j + 1], out=u[j + 1])
+        np.divide(u[j + 1], denom, out=u[j + 1])
+    return u
+
+
+# The time steppers by method name, each on eigencoordinates (J+1,) + grid.shape + (N,).
+METHODS = {"duhamel": _duhamel_steps, "implicit-euler": _implicit_euler_steps}
+
+
+def evolve_spectra(prob: ParabolicProblem, method: str):
+    """(u_hat, f_hat): the unitary spectra (GridSpec.fft) of the solution and
+    of the forcing stacks, from one forward FFT of the forcing.  Each lattice
+    mode evolves in the eigenbasis of A by the stepper METHODS[method]."""
+    g, V, Vinv = _eigensetup(prob)
+    f_hat = prob.elliptic.grid.fft(prob.forcing.values)
+    u = METHODS[method](f_hat @ Vinv.T, g, prob.forcing.dy)
+    return u @ V.T, f_hat
+
+
+def solution_on_grid(prob: ParabolicProblem, u_hat: np.ndarray) -> SpaceTimeField:
+    """The space-time field of the spectra u_hat: one inverse FFT."""
+    return prob.forcing.with_values(prob.elliptic.grid.ifft(u_hat))
+
+
+def solve_duhamel(prob: ParabolicProblem) -> SpaceTimeField:
+    """The solution of the Duhamel stepper (_duhamel_steps) on the grid."""
+    return solution_on_grid(prob, evolve_spectra(prob, "duhamel")[0])
+
+
+def solve_implicit_euler(prob: ParabolicProblem) -> SpaceTimeField:
+    """The solution of the implicit-Euler stepper (_implicit_euler_steps) on the grid."""
+    return solution_on_grid(prob, evolve_spectra(prob, "implicit-euler")[0])
 
 
 def semigroup_propagator(prob: ParabolicProblem, y: float) -> np.ndarray:
@@ -127,30 +164,47 @@ def semigroup_propagator(prob: ParabolicProblem, y: float) -> np.ndarray:
     return ((V * E[..., None, :]).reshape(-1, N) @ Vinv).reshape(E.shape + (N,))
 
 
-def time_derivative(u: SpaceTimeField) -> SpaceTimeField:
-    """Centered differences in time, one-sided at the interval ends."""
-    return u.with_values(np.gradient(u.values, u.dy, axis=0))
-
-
-def parabolic_diagnostics(prob: ParabolicProblem, u: SpaceTimeField):
-    """(coercive ratio, equation residual, ||f||) from one pass over du/dy, P_t(D) u and A u.
+def parabolic_diagnostics(prob: ParabolicProblem, u_hat: np.ndarray, f_hat: np.ndarray):
+    """(coercive ratio, equation residual, ||f||, ||u||) from the unitary
+    spectra (GridSpec.fft) of the solution and of the forcing.
 
     The ratio is (||du/dy|| + ||P_t(D) u|| + ||A u||) / ||f|| and the residual
-    ||du/dy + P_t(D) u + A u - f|| / ||f||, both in mixed space-time norms.
+    ||du/dy + P_t(D) u + A u - f|| / ||f||, every norm the forcing's mixed
+    L_p1(L_p(l_q)) norm; du/dy is np.gradient along time.  At p = q = 2 each
+    norm is taken from the spectra by Parseval, with no inverse FFT, and the
+    terms are formed in blocks of slices, never as whole stacks; other
+    exponents take u and P_t(D) u on the grid from one inverse FFT each.
     With f = 0 the ratio is None (not applicable) and the residual absolute.
     """
     ell, f = prob.elliptic, prob.forcing
-    nf = mixed_norm(f)
-    du = time_derivative(u).values
-    Pu = ell.grid.ifft(ell.symbol_values()[..., None] * ell.grid.fft(u.values))
-    Au = ell.model.apply(u.values)
-    res = mixed_norm(u.with_values(du + (Pu + Au) - f.values))
+    P = ell.symbol_values()[..., None]
+    spectral = f.p == f.q == 2
+    if spectral:
+        u, fv, norms = u_hat, f_hat, _lp_lq_norms_from_spectra
+    else:
+        u, fv, norms = ell.grid.ifft(u_hat), f.values, _lp_lq_norms
+        Pu_grid = ell.grid.ifft(P * u_hat)
+    inner = np.empty((6, f.J + 1))  # per slice: f, u, du/dy, P_t(D) u, A u, residual
+    for b in blocks(f.J + 1, u[0].size):
+        lo, hi = max(b.start - 1, 0), min(b.stop + 1, f.J + 1)  # one slice beyond each end
+        du = np.gradient(u[lo:hi], f.dy, axis=0)[b.start - lo:b.stop - lo]
+        Pu = P * u_hat[b] if spectral else Pu_grid[b]
+        res = ell.model.apply(u[b])  # A u, then in place du + (P u + A u) - f
+        for row, v in zip(inner, (fv[b], u[b], du, Pu, res)):
+            row[b] = norms(v, ell.grid, f.q, f.p)
+        np.add(Pu, res, out=res)
+        np.add(du, res, out=res)
+        np.subtract(res, fv[b], out=res)
+        inner[5, b] = norms(res, ell.grid, f.q, f.p)
+    nf, nu, n_du, n_Pu, n_Au, nres = (_time_norm(row, f.dy, f.p1) for row in inner)
     if nf == 0:
-        return None, res, nf
-    n_du, n_Pu, n_Au = (mixed_norm(u.with_values(v)) for v in (du, Pu, Au))
-    return (n_du + n_Pu + n_Au) / nf, res / nf, nf
+        return None, nres, nf, nu
+    return (n_du + n_Pu + n_Au) / nf, nres / nf, nf, nu
 
 
 def parabolic_coercive_ratio(prob: ParabolicProblem, u: SpaceTimeField):
-    """(||du/dy|| + ||P_t(D) u|| + ||A u||) / ||f||; None when the forcing vanishes."""
-    return parabolic_diagnostics(prob, u)[0]
+    """(||du/dy|| + ||P_t(D) u|| + ||A u||) / ||f|| of a solution u on the grid;
+    None when the forcing vanishes.  One FFT of u and f together, then
+    parabolic_diagnostics."""
+    spectra = prob.elliptic.grid.fft(np.stack([u.values, prob.forcing.values]))
+    return parabolic_diagnostics(prob, spectra[0], spectra[1])[0]

@@ -370,9 +370,15 @@ def mixed_norm(u: SpaceTimeField, p: float = None, p1: float = None) -> float:
     p1 = u.p1 if p1 is None else p1
     inner = np.concatenate([_lp_lq_norms(u.values[b], u.grid, u.q, p)
                             for b in blocks(u.J + 1, u.values[0].size)])
+    return _time_norm(inner, u.dy, p1)
+
+
+def _time_norm(inner: np.ndarray, dy: float, p1: float) -> float:
+    """L_{p1} norm over [0, Y] of the values `inner` at the J + 1 times of a
+    uniform partition with step dy: trapezoid weights; p1 = inf takes the maximum."""
     if p1 == np.inf:
         return float(inner.max())
-    w = np.full(u.J + 1, u.dy)
+    w = np.full(len(inner), dy)
     w[0] *= 0.5
     w[-1] *= 0.5
     return float((np.sum(w * inner**p1)) ** (1.0 / p1))

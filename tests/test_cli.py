@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psdo import __version__, cli, verification
+from psdo import GridSpec, ParabolicProblem, __version__, cli, solve_implicit_euler, verification
 from psdo.cli import _write_reports, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -120,28 +120,54 @@ def test_solve_elliptic_with_export(tmp_path):
     assert (tmp_path / "out" / "solution.txt").exists()
 
 
-def test_solve_parabolic_export_writes_every_slice(tmp_path, monkeypatch):
-    solve, solved = cli.solve_implicit_euler, []
+def small_parabolic_cfg(**changes):
+    """parabolic-reference.json with the given keys replaced."""
+    return {**json.loads((SCENARIOS / "parabolic-reference.json").read_text()), **changes}
 
-    def recording(prob):
-        solved.append(solve(prob))
-        return solved[-1]
 
-    monkeypatch.setattr(cli, "solve_implicit_euler", recording)
-    cfg = json.loads((SCENARIOS / "parabolic-reference.json").read_text())
-    cfg.update(grid={"n": 2, "M": 8, "L": 2 * np.pi}, steps=6, method="implicit-euler",
-               model={"kind": "tridiagonal", "N": 3}, export_fields=True,
-               residual_tol=1.0)  # six implicit-Euler steps are coarse; the export is checked
+def parabolic_problem(cfg):
+    """The ParabolicProblem that solve-parabolic builds from `cfg`."""
+    v = cli.SCHEMA["solve-parabolic"].value(cfg, "config")
+    ell = cli._parse_problem(v, 0.0)
+    return ParabolicProblem(elliptic=ell, forcing=cli._parse_forcing(v, ell))
+
+
+def test_solve_parabolic_export_writes_every_slice(tmp_path):
+    cfg = small_parabolic_cfg(grid={"n": 2, "M": 8, "L": 2 * np.pi}, steps=6,
+                              method="implicit-euler", model={"kind": "tridiagonal", "N": 3},
+                              export_fields=True,
+                              residual_tol=1.0)  # six implicit-Euler steps are coarse
     assert main(["solve-parabolic", "--config", write_cfg(tmp_path, cfg),
                  "--out", str(tmp_path / "out")]) == 0
     blocks = (tmp_path / "out" / "solution.txt").read_text().split("\n\n")
     assert len(blocks) == 6 + 1
-    rows = blocks[-1].splitlines()
-    assert rows[0] == "# x0 x1 re0 im0 re1 im1 re2 im2" and len(rows) == 1 + 8 * 8
-    numbers = np.array([[float(v) for v in row.split()[2:]] for row in rows[1:]])
-    final = solved[0].values[-1].reshape(8 * 8, 3)
-    np.testing.assert_array_equal(numbers.view(np.int64),
-                                  final.view(np.float64).view(np.int64))
+    solution = solve_implicit_euler(parabolic_problem(cfg)).values
+    for j, block in enumerate(blocks):
+        rows = block.splitlines()
+        assert rows[0] == "# x0 x1 re0 im0 re1 im1 re2 im2" and len(rows) == 1 + 8 * 8
+        numbers = np.array([[float(v) for v in row.split()[2:]] for row in rows[1:]])
+        np.testing.assert_array_equal(numbers.view(np.int64),
+                                      solution[j].reshape(8 * 8, 3).view(np.float64).view(np.int64))
+
+
+@pytest.mark.parametrize("changes, transforms", [
+    ({}, ["fft"]),
+    ({"method": "implicit-euler", "p1": float("inf"), "residual_tol": 1.0}, ["fft"]),
+    ({"export_fields": True}, ["fft", "ifft"]),
+    ({"p": 3.0}, ["fft", "ifft", "ifft"]),
+    ({"model": {"kind": "scalar", "q": 3.0}}, ["fft", "ifft", "ifft"]),
+], ids=["p2", "implicit-euler-p1-inf", "export", "p3", "q3"])
+def test_solve_parabolic_grid_transforms(tmp_path, monkeypatch, changes, transforms):
+    """One forward FFT per task; at p = q = 2 the diagnostics use no inverse FFT,
+    at other exponents two, and export_fields one more."""
+    calls = []
+    for name in ("fft", "ifft"):
+        def counting(grid, values, name=name, transform=getattr(GridSpec, name)):
+            calls.append(name)
+            return transform(grid, values)
+        monkeypatch.setattr(GridSpec, name, counting)
+    assert run_with_sets(tmp_path, "solve-parabolic", small_parabolic_cfg(**changes), []) == 0
+    assert calls == transforms
 
 
 @pytest.mark.parametrize("argv", [["bogus", "--config", "c.json"], ["solve-elliptic"], [],
@@ -319,13 +345,14 @@ def test_solve_elliptic_reports_contraction_exact(tmp_path, q, exact):
     ['export_fields="no"'],
     ['data={"kind": "mode", "xi0": [1.0, 2.0]}'],
     ["data.width=0"],
+    ["p=0.5"],
 ], ids=["vector-length", "vector-type", "coefficient-shape", "order-m", "alpha-dimension",
         "angle", "t-dimension", "gaussian-xi0", "gaussian-fraction", "mode-width",
         "mode-fraction", "random-width", "random-vector", "random-xi0", "data-kind",
         "t-zero", "t-negative", "p-text", "residual-tol-text", "p-bool", "residual-tol-nan",
         "fraction-text", "width-text", "grid-n-fractional", "seed-fractional",
         "tridiagonal-N-fractional", "scalar-model-other-kinds-keys", "export-fields-text",
-        "xi0-dimension", "width-0"])
+        "xi0-dimension", "width-0", "p-below-1"])
 def test_solve_elliptic_bad_value_is_config_error(tmp_path, capsys, sets):
     assert run_with_sets(tmp_path, "solve-elliptic", small_elliptic_cfg(), sets) == 2
     assert "config error:" in capsys.readouterr().err
@@ -349,13 +376,15 @@ def test_data_kind_accepts_the_keys_it_reads(tmp_path, data):
                                   ["horizon=NaN"], ["horizon=Infinity"], ["horizon=true"],
                                   ["p=abc"], ["p1=abc"], ["residual_tol=abc"],
                                   ["forcing.omega=abc"], ["p1=NaN"], ["forcing.omega=true"],
-                                  ["horizon=" + "9" * 400], ["forcing.width=abc"]],
+                                  ["horizon=" + "9" * 400], ["forcing.width=abc"],
+                                  ["p=0.001"], ["p1=0.5"]],
                          ids=["steps-0", "steps-negative", "horizon-negative", "horizon-0",
                               "vector-length", "forcing-kind", "omega-ramp", "omega-constant",
                               "horizon-text", "steps-text", "steps-fractional", "horizon-nan",
                               "horizon-inf", "horizon-bool", "p-text", "p1-text",
                               "residual-tol-text", "omega-text", "p1-nan", "omega-bool",
-                              "horizon-400-digits", "forcing-width-text"])
+                              "horizon-400-digits", "forcing-width-text", "p-below-1",
+                              "p1-below-1"])
 def test_solve_parabolic_bad_value_is_config_error(tmp_path, capsys, sets):
     cfg = json.loads((SCENARIOS / "parabolic-reference.json").read_text())
     assert run_with_sets(tmp_path, "solve-parabolic", cfg, sets) == 2
@@ -444,6 +473,7 @@ CHECK_SYMBOL = {"symbol": {"kind": "power", "m": 2.0}, "t_values": [1.0],
     ("check-multipliers", {**task_cfgs()["check-multipliers"], "tuple_size": 0}),
     ("estimate-rbound", {**task_cfgs()["estimate-rbound"], "tuple_size": 0}),
     ("verify-coercivity", {**task_cfgs()["verify-coercivity"], "p": "abc"}),
+    ("verify-coercivity", {**task_cfgs()["verify-coercivity"], "p": 0.5}),
     ("verify-coercivity", {**task_cfgs()["verify-coercivity"], "thresholds": {"flatness": "abc"}}),
     ("verify-coercivity", {**task_cfgs()["verify-coercivity"],
                            "model": {"kind": "scalar", "a": 1.0, "q": "abc"}}),
@@ -470,7 +500,8 @@ CHECK_SYMBOL = {"symbol": {"kind": "power", "m": 2.0}, "t_values": [1.0],
         "count-fraction", "m-0", "N-negative", "xi-lo-0", "xi-lo-negative", "xi-hi-below-lo",
         "xi-hi-inf", "xi-count-0", "n-0", "t-values-empty", "t-value-0", "data-count-0",
         "data-count-1", "data-count-fraction", "per-axis-0", "multipliers-tuple-size-0",
-        "rbound-tuple-size-0", "coercivity-p-text", "flatness-text", "model-q-text",
+        "rbound-tuple-size-0", "coercivity-p-text", "coercivity-p-below-1",
+        "flatness-text", "model-q-text",
         "phi2-text", "seed-text", "n-rays-fractional", "rays-beside-n-rays",
         "subsample-text", "subsample-negative", "subsample-0", "rbound-q-text",
         "rbound-q-below-1", "kahane-q-text", "t-values-dimension"])

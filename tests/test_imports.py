@@ -289,6 +289,9 @@ PUBLIC_API = {
     "check_positivity": "the sector-positivity certificate of A; acceptance checks a BVP's",
     "semigroup_propagator": "e^{-y G(xi)} per mode; acceptance checks the semigroup law",
     "parabolic_coercive_ratio": "the parabolic coercive ratio; acceptance checks it flat in t",
+    "solve_duhamel": "the Duhamel solution on the grid; acceptance uses it as the fine reference",
+    "solve_implicit_euler": "the implicit-Euler solution on the grid; acceptance checks its order",
+    "mixed_norm": "the paper's L_p1(L_p(l_q)) norm of a space-time field, on the grid",
     "sector_sum_constant": "C of |lam + nu| >= C (|lam| + |nu|); acceptance checks its closed form",
     "liouville_derivative": "the paper's fractional derivative D^alpha of a sampled field",
     "power_symbol": "builds the power symbol for library callers; configs use symbol_from_config",

@@ -10,6 +10,7 @@ from psdo import (
     ScaleParams,
     SpaceTimeField,
     apply_operator,
+    evolve_spectra,
     gaussian_field,
     make_model,
     mixed_norm,
@@ -19,9 +20,14 @@ from psdo import (
     semigroup_propagator,
     solve_duhamel,
     solve_implicit_euler,
-    time_derivative,
     tridiagonal_matrix,
 )
+from psdo import spaces
+from psdo.operators import eigenbasis
+from psdo.parabolic import _phi1, _phi2
+from psdo.spaces import _lp_lq_norms_from_spectra
+
+METHOD = {solve_duhamel: "duhamel", solve_implicit_euler: "implicit-euler"}
 
 
 def make_problem(J=64, t_val=1.0, Y=1.0, M=64, profile="sin", A=None):
@@ -103,21 +109,13 @@ def test_system_evolution_matches_scalar_channels():
         assert np.abs(u.values[..., ch] - us.values[..., 0]).max() < 1e-12
 
 
-def test_time_derivative_on_linear_profile():
-    grid = GridSpec(n=1, M=8, L=1.0)
-    times = np.linspace(0, 2.0, 9)
-    vals = times[:, None, None] * np.ones((9, 8, 1))
-    u = SpaceTimeField(grid=grid, values=vals, Y=2.0)
-    du = time_derivative(u)
-    assert np.abs(du.values - 1.0).max() < 1e-12
-
-
 def test_coercive_ratio_and_residual():
     prob = make_problem(J=128)
     u = solve_duhamel(prob)
     ratio = parabolic_coercive_ratio(prob, u)
     assert ratio is not None and np.isfinite(ratio) and ratio >= 1.0 - 1e-9
-    assert parabolic_diagnostics(prob, u)[1] < 5e-3  # limited by time discretization
+    residual = parabolic_diagnostics(prob, *evolve_spectra(prob, "duhamel"))[1]
+    assert residual < 5e-3  # limited by time discretization
     zero = SpaceTimeField(grid=prob.elliptic.grid,
                           values=np.zeros_like(prob.forcing.values), Y=prob.Y)
     none_prob = ParabolicProblem(elliptic=prob.elliptic, forcing=zero)
@@ -139,16 +137,40 @@ def test_mixed_norm_solution_bounded_by_forcing():
 
 
 def _equation_residual_per_slice(prob, u):
-    """Reference: the equation residual of parabolic_diagnostics with one
-    apply_operator call per time slice."""
+    """Physical oracle: the equation residual with one apply_operator call per
+    time slice and every norm taken on the grid."""
     f = prob.forcing
     nf = mixed_norm(f)
-    du = time_derivative(u)
-    res_vals = du.values + np.stack(
+    du = np.gradient(u.values, u.dy, axis=0)  # centered, one-sided at the ends
+    res_vals = du + np.stack(
         [apply_operator(prob.elliptic, u.slice(j)).values for j in range(u.J + 1)]
     ) - f.values
     res = SpaceTimeField(grid=u.grid, values=res_vals, Y=u.Y, q=u.q, p=u.p, p1=u.p1)
     return mixed_norm(res) / nf if nf > 0 else mixed_norm(res)
+
+
+def _spectral_residual_per_slice(prob, u_hat, f_hat):
+    """Reference: the residual of parabolic_diagnostics at p = q = 2 one slice
+    at a time: the time difference of the spectra, P_t(xi) u_hat and u_hat A^T,
+    each slice's Parseval norm, then trapezoid weights in time."""
+    ell, f = prob.elliptic, prob.forcing
+    P, A, J, dy = ell.symbol_values()[..., None], ell.model.A, f.J, f.dy
+    inner, fnorm = np.empty(J + 1), np.empty(J + 1)
+    for j in range(J + 1):
+        if j == 0:
+            du = (u_hat[1] - u_hat[0]) / dy
+        elif j == J:
+            du = (u_hat[J] - u_hat[J - 1]) / dy
+        else:
+            du = (u_hat[j + 1] - u_hat[j - 1]) / (2.0 * dy)
+        res = du + (P * u_hat[j] + u_hat[j] @ A.T) - f_hat[j]
+        inner[j] = _lp_lq_norms_from_spectra(res[None], ell.grid, 2.0, 2.0)[0]
+        fnorm[j] = _lp_lq_norms_from_spectra(f_hat[j][None], ell.grid, 2.0, 2.0)[0]
+    w = np.full(J + 1, dy)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    nres, nf = (float(np.sum(w * v**2) ** 0.5) for v in (inner, fnorm))
+    return nres / nf if nf > 0 else nres
 
 
 def make_tridiagonal_2d_problem(J=16):
@@ -163,22 +185,90 @@ def make_tridiagonal_2d_problem(J=16):
     return ParabolicProblem(elliptic=ell, forcing=forcing)
 
 
-@pytest.mark.parametrize("make", [lambda: make_problem(J=128),
-                                  lambda: make_tridiagonal_2d_problem(J=16)],
-                         ids=["scalar-1d", "tridiagonal-2d"])
+def make_nonnormal_2d_problem(J=16, q=2.0, p=2.0, p1=2.0, amplitude=1.0):
+    """A 2-D problem with N = 2 and a non-symmetric A."""
+    grid = GridSpec(n=2, M=8, L=2 * np.pi)
+    ell = EllipticProblem(model=make_model(np.array([[2.0, 0.5], [0.0, 1.0]]), q=q),
+                          symbol=power_symbol(m=2.0), t=ScaleParams((0.5, 0.1)), lam=0.0,
+                          grid=grid)
+    times = np.linspace(0.0, 1.0, J + 1)
+    base = gaussian_field(grid, vector=[1.0, -0.5j]).values
+    forcing = SpaceTimeField(grid=grid, Y=1.0, q=q, p=p, p1=p1,
+                             values=amplitude * np.sin(np.pi * times)[:, None, None, None] * base)
+    return ParabolicProblem(elliptic=ell, forcing=forcing)
+
+
+PROBLEMS = {"scalar-1d": lambda: make_problem(J=128),
+            "tridiagonal-2d": lambda: make_tridiagonal_2d_problem(J=16),
+            "nonnormal-2d": make_nonnormal_2d_problem}
+
+
+def _step_by_step(prob, method):
+    """Reference: the time stepping with every product formed inside the step,
+    one slice at a time; returns the solution spectra."""
+    w, V, Vinv = eigenbasis(prob.elliptic.model)
+    g = prob.elliptic.symbol_values()[..., None] + w
+    dy = prob.forcing.dy
+    c = prob.elliptic.grid.fft(prob.forcing.values) @ Vinv.T
+    u = np.zeros_like(c)
+    if method == "duhamel":
+        z = -dy * g
+        E, w0, w1 = np.exp(z), dy * _phi1(z), dy * _phi2(z)
+        for j in range(prob.J):
+            df = c[j + 1] - c[j]
+            u[j + 1] = E * u[j] + w0 * c[j] + w1 * df
+    else:
+        denom = 1.0 + dy * g
+        for j in range(prob.J):
+            u[j + 1] = (u[j] + dy * c[j + 1]) / denom
+    return u @ V.T
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+@pytest.mark.parametrize("make", list(PROBLEMS.values()), ids=list(PROBLEMS))
 @pytest.mark.parametrize("solver", [solve_duhamel, solve_implicit_euler])
-def test_equation_residual_matches_per_slice_loop(make, solver):
+def test_solvers_match_step_by_step_reference_bit_for_bit(make, solver):
     prob = make()
-    u = solver(prob)
-    assert parabolic_diagnostics(prob, u)[1] == _equation_residual_per_slice(prob, u)
-    zero = SpaceTimeField(grid=u.grid, values=np.zeros_like(u.values), Y=u.Y)
+    u_hat, f_hat = evolve_spectra(prob, METHOD[solver])
+    ref = _step_by_step(prob, METHOD[solver])
+    np.testing.assert_array_equal(_bits(u_hat), _bits(ref))
+    np.testing.assert_array_equal(_bits(f_hat), _bits(prob.elliptic.grid.fft(prob.forcing.values)))
+    np.testing.assert_array_equal(_bits(solver(prob).values),
+                                  _bits(prob.elliptic.grid.ifft(ref)))
+
+
+@pytest.mark.parametrize("name", ["scalar-1d", "tridiagonal-2d"])
+@pytest.mark.parametrize("solver", [solve_duhamel, solve_implicit_euler])
+def test_equation_residual_matches_per_slice_loop(name, solver):
+    prob = PROBLEMS[name]()
+    u_hat, f_hat = evolve_spectra(prob, METHOD[solver])
+    residual = parabolic_diagnostics(prob, u_hat, f_hat)[1]
+    assert residual == _spectral_residual_per_slice(prob, u_hat, f_hat)
+    assert residual == pytest.approx(_equation_residual_per_slice(prob, solver(prob)), rel=1e-13)
+    zero = SpaceTimeField(grid=prob.elliptic.grid, values=np.zeros_like(u_hat), Y=prob.Y)
     unforced = ParabolicProblem(elliptic=prob.elliptic, forcing=zero)
-    assert parabolic_diagnostics(unforced, u)[1] == _equation_residual_per_slice(unforced, u)
+    residual = parabolic_diagnostics(unforced, u_hat, np.zeros_like(u_hat))[1]
+    assert residual == _spectral_residual_per_slice(unforced, u_hat, np.zeros_like(u_hat))
+    assert residual == pytest.approx(_equation_residual_per_slice(unforced, solver(prob)),
+                                     rel=1e-13)
 
 
-def _ratio_and_residual_reference(prob, u):
-    """Reference: the coercive ratio and the residual from explicit time differences and
-    an einsum for A u."""
+@pytest.mark.parametrize("slices", [1, 3, 7])
+def test_diagnostics_do_not_depend_on_the_block_size(monkeypatch, slices):
+    prob = make_problem(J=64)
+    spectra = evolve_spectra(prob, "duhamel")
+    whole = parabolic_diagnostics(prob, *spectra)
+    monkeypatch.setattr(spaces, "BLOCK_ENTRIES", slices * spectra[0][0].size)
+    assert parabolic_diagnostics(prob, *spectra) == whole
+    assert whole[1] == _spectral_residual_per_slice(prob, *spectra)
+
+
+def _diagnostics_reference(prob, u):
+    """Physical oracle: the coercive ratio, the residual and the norms of f and u from
+    explicit time differences and an einsum for A u, every norm taken on the grid."""
     ell, f = prob.elliptic, prob.forcing
     nf = mixed_norm(f)
     du = np.empty_like(u.values)
@@ -187,27 +277,40 @@ def _ratio_and_residual_reference(prob, u):
     du[-1] = (u.values[-1] - u.values[-2]) / u.dy
     Pu = ell.grid.ifft(ell.symbol_values()[..., None] * ell.grid.fft(u.values))
     Au = np.einsum("ij,...j->...i", ell.model.A, u.values)
+    residual = mixed_norm(u.with_values(du + Pu + Au - f.values))
+    if nf == 0:
+        return None, residual, nf, mixed_norm(u)
     ratio = sum(mixed_norm(u.with_values(v)) for v in (du, Pu, Au)) / nf
-    residual = mixed_norm(u.with_values(du + Pu + Au - f.values)) / nf
-    return ratio, residual
+    return ratio, residual / nf, nf, mixed_norm(u)
 
 
 @pytest.mark.parametrize("solver", [solve_duhamel, solve_implicit_euler])
 def test_parabolic_diagnostics_match_separate_computation(solver):
-    # a 2-D problem with N = 2 and a non-symmetric A
-    grid = GridSpec(n=2, M=8, L=2 * np.pi)
-    ell = EllipticProblem(model=make_model(np.array([[2.0, 0.5], [0.0, 1.0]])),
-                          symbol=power_symbol(m=2.0), t=ScaleParams((0.5, 0.1)), lam=0.0,
-                          grid=grid)
-    times = np.linspace(0.0, 1.0, 17)
-    base = gaussian_field(grid, vector=[1.0, -0.5j]).values
-    forcing = SpaceTimeField(grid=grid, values=np.sin(np.pi * times)[:, None, None, None] * base,
-                             Y=1.0)
-    prob = ParabolicProblem(elliptic=ell, forcing=forcing)
-    u = solver(prob)
-    ratio, residual, nf = parabolic_diagnostics(prob, u)
-    ref_ratio, ref_residual = _ratio_and_residual_reference(prob, u)
-    assert ratio == pytest.approx(ref_ratio, rel=1e-13)
-    assert residual == pytest.approx(ref_residual, rel=1e-13)
-    assert nf == mixed_norm(forcing)
-    assert parabolic_coercive_ratio(prob, u) == ratio
+    prob = make_nonnormal_2d_problem()
+    spectra = evolve_spectra(prob, METHOD[solver])
+    ratio, residual, nf, nu = parabolic_diagnostics(prob, *spectra)
+    ref = _diagnostics_reference(prob, solver(prob))
+    for value, expected in zip((ratio, residual, nf, nu), ref):
+        assert value == pytest.approx(expected, rel=1e-13)
+    u, grid = solver(prob), prob.elliptic.grid
+    assert parabolic_coercive_ratio(prob, u) == parabolic_diagnostics(
+        prob, grid.fft(u.values), grid.fft(prob.forcing.values))[0]
+
+
+@pytest.mark.parametrize("exponents", [{"p": 3.0}, {"p1": np.inf}, {"q": 3.0},
+                                       {"p": 1.0, "p1": 1.5, "q": np.inf}],
+                         ids=["p3", "p1-inf", "q3", "p1-q-inf"])
+@pytest.mark.parametrize("solver", [solve_duhamel, solve_implicit_euler])
+def test_parabolic_diagnostics_at_other_exponents(solver, exponents):
+    prob = make_nonnormal_2d_problem(**exponents)
+    got = parabolic_diagnostics(prob, *evolve_spectra(prob, METHOD[solver]))
+    for value, expected in zip(got, _diagnostics_reference(prob, solver(prob))):
+        assert value == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("exponents", [{}, {"p": 3.0}], ids=["p2", "p3"])
+def test_parabolic_diagnostics_without_forcing(exponents):
+    prob = make_nonnormal_2d_problem(amplitude=0.0, **exponents)
+    u_hat, f_hat = evolve_spectra(prob, "duhamel")
+    assert not u_hat.any()
+    assert parabolic_diagnostics(prob, u_hat, f_hat) == (None, 0.0, 0.0, 0.0)
