@@ -82,7 +82,6 @@ from .symbols import (
     rotated_power_symbol,
     sector_sum_constant,
     smoothed_power_symbol,
-    symbol_from_config,
 )
 from .verification import (
     KahaneResult,

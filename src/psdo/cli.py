@@ -54,9 +54,9 @@ from .sweep import SectorSweep, default_sweep
 from .symbols import (
     MultiIndex,
     ScaleParams,
+    SymbolSpec,
     _signed_logspace,
     check_symbol_class,
-    symbol_from_config,
 )
 from .verification import (
     KAHANE_MAX,
@@ -170,10 +170,14 @@ def integer(least: int = 1, most: float = math.inf, **kw) -> Scalar:
     return Scalar(what, lambda v: type(v) is int and least <= v <= most, **kw)
 
 
+def _finite(value) -> bool:
+    """A JSON number other than NaN and +-Infinity (an integer beyond floats fails to convert)."""
+    return type(value) in (int, float) and abs(value) < math.inf
+
+
 def number(what: str = "a number", test=lambda x: True, **kw) -> Scalar:
-    """A JSON number other than NaN that `test` accepts, as a float."""
-    return Scalar(what, lambda v: type(v) in (int, float) and v == v and test(v), make=float,
-                  **kw)
+    """A finite JSON number that `test` accepts, as a float."""
+    return Scalar(what, lambda v: _finite(v) and test(v), make=float, **kw)
 
 
 def choice(*options, **kw) -> Scalar:
@@ -187,7 +191,7 @@ def boolean(**kw) -> Scalar:
 def _numeric(value) -> bool:
     if isinstance(value, list):
         return all(_numeric(v) for v in value)
-    return type(value) in (int, float)
+    return _finite(value)
 
 
 @dataclass(frozen=True)
@@ -277,11 +281,17 @@ def _model(v: dict) -> OperatorModel:
     return make_model([[v["a"]]] if kind == "scalar" else v["entries"], q=q)
 
 
-# An l_q or L_p exponent: below 1 it is no norm, and the L_p quadrature can overflow.
-Q = number("a number >= 1", lambda x: x >= 1, default=2.0)
-WIDTH = number("a number > 0", lambda x: x > 0, default=None)  # 0 would make the field NaN
-POSITIVE = number("a finite number > 0", lambda x: 0 < x < math.inf)
-FINITE = number("a finite number", lambda x: abs(x) < math.inf)  # an integer may exceed floats
+def _table(v: list) -> tuple:
+    """(points, complex values) of a checked [points, real values, imag values]."""
+    re, im = np.array(v[1:])  # unequal lengths are a ValueError
+    return np.array(v[0]), re + 1j * im
+
+
+# An l_q or L_p exponent, the one number that may be Infinity: below 1 it is no norm, and
+# the L_p quadrature can overflow.
+Q = Scalar("a number >= 1 or Infinity", lambda v: type(v) in (int, float) and v >= 1,
+           make=float, default=2.0)
+POSITIVE = number("a number > 0", lambda x: x > 0)  # a width of 0 would make a field NaN
 ARRAY = Scalar("a number or nested lists of numbers", _numeric,
                make=lambda v: np.array(v, dtype=complex))  # ragged nesting is a ValueError
 OPTIONAL_ARRAY = replace(ARRAY, default=None)
@@ -289,7 +299,9 @@ COMPLEX = either(number(), List(number(), size=2),  # a number or [re, im]
                  make=lambda v: complex(*v) if isinstance(v, list) else complex(v))
 SCALE = either(number(), Table({"t": either(number(), List(number(), least=1)),
                                 "t0": number(default=None)}))
-GRID = Table({"n": integer(), "M": integer(), "L": number()}, make=lambda v: GridSpec(**v))
+GRID = Table({"n": integer(), "M": Scalar("an even integer >= 4", lambda v: type(v) is int
+                                          and v >= 4 and v % 2 == 0), "L": POSITIVE},
+             make=lambda v: GridSpec(**v))
 MODEL = kinds("kind", {
     "scalar": {"a": number(default=1.0), "q": Q},
     "matrix": {"entries": ARRAY, "q": Q},
@@ -298,7 +310,14 @@ MODEL = kinds("kind", {
     "bvp": {"K": integer(3), "ell": number(), "b2": number(default=1.0),
             "b1": number(default=None), "b0": number(default=None), "q": Q},
 }, make=_model)
-SYMBOL = Scalar("an object", lambda v: isinstance(v, dict), make=symbol_from_config)
+SYMBOL_KEYS = {"m": POSITIVE, "gamma": replace(POSITIVE, default=1.0),
+               "phi1": number(default=None)}
+SYMBOL = kinds("kind", {
+    "power": SYMBOL_KEYS,
+    "rotated-power": {**SYMBOL_KEYS, "theta0": number(default=0.0)},
+    "smoothed-power": {**SYMBOL_KEYS, "epsilon": number(default=0.0)},
+    "user-table": {**SYMBOL_KEYS, "table": List(List(number(), least=1), size=3, make=_table)},
+}, make=lambda v: SymbolSpec(**v))  # phi1 defaults to |theta0|
 SWEEP = Switch(  # explicit rays and radii, or the generated form; never both
     "an object", lambda v: "explicit" if isinstance(v, dict)
     and not {"rays", "radii", "t_values"}.isdisjoint(v) else "generated", {
@@ -310,12 +329,13 @@ SWEEP = Switch(  # explicit rays and radii, or the generated form; never both
                             "radius_range": List(POSITIVE, size=2, default=[1.0, 1e6]),
                             "n_t": integer(default=5),
                             "t_range": List(POSITIVE, size=2, default=[1e-4, 1.0])})})
+GAUSSIAN = {"kind": choice("gaussian"), "width": replace(POSITIVE, default=None),
+            "vector": OPTIONAL_ARRAY}
 DATA = kinds("kind", {
-    "gaussian": {"width": WIDTH, "vector": OPTIONAL_ARRAY},
+    "gaussian": GAUSSIAN,
     "mode": {"xi0": List(number(), default=None), "vector": OPTIONAL_ARRAY},
-    "random": {"fraction": replace(FINITE, default=0.25)},
+    "random": {"fraction": number(default=0.25)},
 })
-GAUSSIAN = {"kind": choice("gaussian"), "width": WIDTH, "vector": OPTIONAL_ARRAY}
 FORCING = kinds("time_profile", {"sin": {**GAUSSIAN, "omega": number(default=1.0)},
                                  "ramp": GAUSSIAN, "constant": GAUSSIAN}, tag_default="sin")
 LOWER_TERM = Table({"alpha": List(number(), make=lambda a: MultiIndex(tuple(a))),
@@ -623,9 +643,7 @@ def _task_check_kahane(v, seed):
 
 
 @_task("check-symbol", {"symbol": SYMBOL, "t_values": List(SCALE, least=1),
-                      "xi": Table({"lo": number("a number > 0", lambda x: x > 0),
-                                   "hi": FINITE,
-                                   "count": integer()}),
+                      "xi": Table({"lo": POSITIVE, "hi": number(), "count": integer()}),
                       "n": integer(default=1)})
 def _task_check_symbol(v, seed):
     n, xi = v["n"], v["xi"]

@@ -108,13 +108,15 @@ class SymbolSpec:
 
     kind: str
     m: float
-    phi1: float = 0.0
+    phi1: float = None  # the sector angle; |theta0| when not given
     theta0: float = 0.0
     epsilon: float = 0.0
     gamma: float = 1.0
     table: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.phi1 is None:
+            object.__setattr__(self, "phi1", abs(self.theta0))
         if self.kind not in SYMBOL_KINDS:
             raise ValueError(f"unknown symbol kind {self.kind!r}")
         if self.m <= 0:
@@ -125,20 +127,24 @@ class SymbolSpec:
             raise ValueError("gamma must be positive")
         if self.kind == "rotated-power" and abs(self.theta0) > self.phi1 + 1e-15:
             raise ValueError("rotated-power requires |theta0| <= phi1")
-        if self.kind == "user-table" and self.table is None:
-            raise ValueError("user-table kind requires a table")
+        # np.interp would silently misread unsorted points
+        if self.kind == "user-table" and (self.table is None or np.ndim(self.table[0]) != 1
+                                          or np.shape(self.table[1]) != np.shape(self.table[0])
+                                          or not np.all(np.diff(self.table[0]) > 0)):
+            raise ValueError("user-table kind requires a table of strictly increasing points "
+                             "with one value each")
 
 
 def power_symbol(m: float = 2.0, gamma: float = 1.0) -> SymbolSpec:
-    return SymbolSpec(kind="power", m=m, gamma=gamma, phi1=0.0)
+    return SymbolSpec(kind="power", m=m, gamma=gamma)
 
 
 def rotated_power_symbol(m: float, theta0: float, gamma: float = 1.0) -> SymbolSpec:
-    return SymbolSpec(kind="rotated-power", m=m, theta0=theta0, phi1=abs(theta0), gamma=gamma)
+    return SymbolSpec(kind="rotated-power", m=m, theta0=theta0, gamma=gamma)
 
 
 def smoothed_power_symbol(m: float, epsilon: float, gamma: float = 1.0) -> SymbolSpec:
-    return SymbolSpec(kind="smoothed-power", m=m, epsilon=epsilon, gamma=gamma, phi1=0.0)
+    return SymbolSpec(kind="smoothed-power", m=m, epsilon=epsilon, gamma=gamma)
 
 
 def i_xi_power_factor(xi, alpha_k: float):
@@ -331,24 +337,3 @@ def sector_sum_constant(phi1: float, phi2: float, samples: int = 100_000) -> flo
     nu = r * np.exp(1j * th2)
     vals = np.abs(lam + nu) / (np.abs(lam) + np.abs(nu))
     return float(vals.min())
-
-
-def symbol_from_config(cfg: dict) -> SymbolSpec:
-    """The SymbolSpec of a config object; "table" is [points, real values, imag values]."""
-    known = {"kind", "m", "theta0", "epsilon", "gamma", "phi1", "table"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ValueError(f"unknown symbol config keys: {sorted(unknown)}")
-    table = None
-    if cfg.get("table") is not None:
-        pts, re, im = (np.asarray(v, dtype=float) for v in cfg["table"])
-        table = (pts, re + 1j * im)
-    return SymbolSpec(
-        kind=cfg["kind"],
-        m=float(cfg["m"]),
-        theta0=float(cfg.get("theta0", 0.0)),
-        epsilon=float(cfg.get("epsilon", 0.0)),
-        gamma=float(cfg.get("gamma", 1.0)),
-        phi1=float(cfg.get("phi1", abs(cfg.get("theta0", 0.0)))),
-        table=table,
-    )

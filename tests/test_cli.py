@@ -4,7 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psdo import GridSpec, ParabolicProblem, __version__, cli, solve_implicit_euler, verification
+from psdo import (
+    GridSpec,
+    ParabolicProblem,
+    __version__,
+    cli,
+    rotated_power_symbol,
+    solve_implicit_euler,
+    verification,
+)
 from psdo.cli import _write_reports, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -280,6 +288,63 @@ def test_check_symbol_user_table(tmp_path):
     assert report["result"]["samples"] == 18
 
 
+def symbol_value(cfg):
+    """The SymbolSpec that cli.SYMBOL builds from `cfg` after a JSON round trip."""
+    return cli.SYMBOL.value(json.loads(json.dumps(cfg)), "symbol")
+
+
+def test_symbol_config_builds_the_symbol_spec():
+    rotated = rotated_power_symbol(2.0, theta0=0.25)  # phi1 defaults to |theta0|
+    assert symbol_value({"kind": "rotated-power", "m": 2, "theta0": 0.25}) == rotated
+    assert symbol_value({"kind": "rotated-power", "m": 2.0, "theta0": 0.25,
+                         "phi1": None}) == rotated
+    assert symbol_value({"kind": "rotated-power", "m": 2.0, "theta0": None}) == \
+        rotated_power_symbol(2.0, theta0=0.0)
+    pts = np.linspace(-10, 10, 41)
+    table = symbol_value({"kind": "user-table", "m": 2.0,
+                          "table": [pts.tolist(), (pts**2).tolist(), (0.5 * pts).tolist()]})
+    assert table.kind == "user-table" and table.m == 2.0 and table.phi1 == 0.0
+    assert np.array_equal(table.table[0], pts)
+    assert np.array_equal(table.table[1], pts**2 + 0.5j * pts)
+
+
+def scalar_leaves(name, kind):
+    """(path, Scalar) of every scalar value type below `kind`, walked as
+    schema_tables() walks cli.SCHEMA."""
+    if isinstance(kind, cli.Scalar):
+        yield name, kind
+    elif isinstance(kind, cli.List):
+        yield from scalar_leaves(name + "[]", kind.item)
+    elif isinstance(kind, cli.Switch):
+        for sub in kind.types.values():
+            yield from scalar_leaves(name, sub)
+    elif isinstance(kind, cli.Table):
+        for key, sub in kind.keys.items():
+            yield from scalar_leaves(f"{name}.{key}", sub)
+
+
+def refuses(kind, value) -> bool:
+    try:
+        kind.value(value, "x")
+    except cli.ConfigError:
+        return True
+    return False
+
+
+def test_every_number_is_finite_unless_it_is_an_exponent():
+    """One number rule for every key, those added later included: a value type
+    that takes the number 4 refuses NaN, -Infinity, "4" and true, and
+    Infinity too unless it is the exponent type Q."""
+    numeric = [(path, kind) for task, table in cli.SCHEMA.items()
+               for path, kind in scalar_leaves(task, table) if not refuses(kind, 4)]
+    assert len(numeric) > 50
+    bad = [(path, value) for path, kind in numeric
+           for value in [float("nan"), -float("inf"), "4", True]
+           + ([] if kind is cli.Q else [float("inf")]) if not refuses(kind, value)]
+    assert bad == []
+    assert not refuses(cli.Q, float("inf"))
+
+
 def small_elliptic_cfg():
     return {
         "task": "solve-elliptic",
@@ -433,6 +498,7 @@ def test_key_the_task_does_not_read_is_config_error(tmp_path, capsys, task, key)
 
 CHECK_SYMBOL = {"symbol": {"kind": "power", "m": 2.0}, "t_values": [1.0],
                 "xi": {"lo": 0.1, "hi": 10.0, "count": 5}}
+NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN and Infinity
 
 
 @pytest.mark.parametrize("task, cfg", [
@@ -494,6 +560,34 @@ CHECK_SYMBOL = {"symbol": {"kind": "power", "m": 2.0}, "t_values": [1.0],
     ("verify-coercivity", {**task_cfgs()["verify-coercivity"],
                            "grid": {"n": 2, "M": 8, "L": 2 * np.pi},
                            "sweep": {"phi2": 0.5, "radii": [1.0], "t_values": [{"t": [1.0]}]}}),
+    ("check-symbol", {**CHECK_SYMBOL, "symbol": {"kind": "power", "m": "2"}}),
+    ("check-symbol", {**CHECK_SYMBOL, "symbol": {"kind": "power", "m": 2.0, "gamma": True}}),
+    ("check-symbol", {**CHECK_SYMBOL, "symbol": {"kind": "power", "m": 2.0, "gamma": "0.5"}}),
+    ("check-symbol", {**CHECK_SYMBOL, "symbol": {"kind": "power", "m": NAN}}),
+    ("check-symbol", {**CHECK_SYMBOL, "symbol": {"kind": "power", "m": INF}}),
+    ("check-symbol", {**CHECK_SYMBOL, "symbol": {"kind": "power", "m": 2.0, "theta0": 0.3}}),
+    ("check-symbol", {**CHECK_SYMBOL, "symbol": {"kind": "power", "m": 2.0, "bogus": 1}}),
+    ("check-symbol", {**CHECK_SYMBOL, "symbol": {"kind": "user-table", "m": 2.0, "table": [
+        [-10.0, 1.0, 0.0, 10.0], [100.0, 1.0, 0.0, 100.0], [0.0] * 4]}}),
+    ("check-symbol", {**CHECK_SYMBOL, "symbol": {"kind": "user-table", "m": 2.0, "table": [
+        [-10.0, 0.0, 10.0], [100.0, 0.0], [0.0, 0.0]]}}),
+    ("check-symbol", {**CHECK_SYMBOL, "symbol": {"kind": "user-table", "m": 2.0, "table": [
+        [-10.0, 0.0, 10.0], [100.0, 0.0, 100.0], [0.0]]}}),
+    ("solve-elliptic", {**small_elliptic_cfg(), "lambda": INF}),
+    ("verify-coercivity", {**task_cfgs()["verify-coercivity"],
+                           "model": {"kind": "bvp", "K": 8, "ell": INF}}),
+    ("solve-elliptic", {**small_elliptic_cfg(), "grid": {"n": 1, "M": 32, "L": INF}}),
+    ("solve-elliptic", {**small_elliptic_cfg(), "t": INF}),
+    ("solve-parabolic", {**task_cfgs()["solve-parabolic"],
+                         "forcing": {"kind": "gaussian", "omega": INF}}),
+    ("estimate-rbound", {"family": {"kind": "lambda-resolvent", "model": {"kind": "scalar"},
+                                    "lambdas": [INF]}}),
+    ("estimate-rbound", {"family": {"kind": "matrices", "members": [[[1.0, NAN], [0.0, 1.0]]]}}),
+    ("solve-elliptic", {**small_elliptic_cfg(),
+                        "lower_terms": [{"alpha": [1.0], "coefficient": NAN}]}),
+    ("solve-elliptic", {**small_elliptic_cfg(), "data": {"kind": "gaussian",
+                                                         "vector": [1.0, NAN]}}),
+    ("check-kahane", {"scalars": [0.5, NAN], "vectors": [[1.0], [2.0]]}),
 ], ids=["family-kind", "resolvent-no-lambdas", "resolvent-no-model", "matrices-no-members", "no-members",
         "mixed-shapes", "ragged-member", "matrices-lambdas", "scalars-only", "vectors-only",
         "unequal-lengths", "lambdas-number", "lambdas-empty", "count-negative", "count-0",
@@ -504,7 +598,12 @@ CHECK_SYMBOL = {"symbol": {"kind": "power", "m": 2.0}, "t_values": [1.0],
         "flatness-text", "model-q-text",
         "phi2-text", "seed-text", "n-rays-fractional", "rays-beside-n-rays",
         "subsample-text", "subsample-negative", "subsample-0", "rbound-q-text",
-        "rbound-q-below-1", "kahane-q-text", "t-values-dimension"])
+        "rbound-q-below-1", "kahane-q-text", "t-values-dimension", "symbol-m-text",
+        "symbol-gamma-bool", "symbol-gamma-text", "symbol-m-nan", "symbol-m-inf",
+        "symbol-theta0-on-power", "symbol-unknown-key", "table-unsorted",
+        "table-value-count", "table-imag-count", "lambda-inf", "bvp-ell-inf", "grid-L-inf",
+        "t-inf", "omega-inf", "lambdas-inf", "members-nan", "coefficient-nan", "vector-nan",
+        "scalars-nan"])
 def test_malformed_family_or_instance_is_config_error(tmp_path, capsys, task, cfg):
     assert run_with_sets(tmp_path, task, {"task": task, **cfg}, []) == 2
     assert "config error:" in capsys.readouterr().err

@@ -294,7 +294,7 @@ PUBLIC_API = {
     "mixed_norm": "the paper's L_p1(L_p(l_q)) norm of a space-time field, on the grid",
     "sector_sum_constant": "C of |lam + nu| >= C (|lam| + |nu|); acceptance checks its closed form",
     "liouville_derivative": "the paper's fractional derivative D^alpha of a sampled field",
-    "power_symbol": "builds the power symbol for library callers; configs use symbol_from_config",
+    "power_symbol": "builds the power symbol for library callers; configs build it in cli.SYMBOL",
     "rotated_power_symbol": "builds the rotated power symbol for library callers",
     "smoothed_power_symbol": "builds the smoothed power symbol for library callers",
 }

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -18,7 +17,6 @@ from psdo import (
     rotated_power_symbol,
     sector_sum_constant,
     smoothed_power_symbol,
-    symbol_from_config,
 )
 from psdo.symbols import i_xi_power_factor
 
@@ -116,6 +114,17 @@ def test_symbol_spec_validation():
         SymbolSpec(kind="user-table", m=2.0)
 
 
+@pytest.mark.parametrize("pts, values", [
+    ([0.0, 2.0, 1.0, 3.0], [0.0, 4.0, 1.0, 9.0]),  # np.interp would read 1, 3, 7 at 0.5, 1.5, 2.5
+    ([0.0, 1.0, 1.0, 3.0], [0.0, 1.0, 1.0, 9.0]),
+    ([0.0, 1.0, 2.0], [0.0, 1.0]),
+    ([[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0], [4.0, 9.0]]),
+], ids=["unsorted", "repeated", "value-count", "two-dimensional"])
+def test_user_table_needs_increasing_points_with_one_value_each(pts, values):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SymbolSpec(kind="user-table", m=2.0, table=(np.array(pts), np.array(values) + 0j))
+
+
 def test_sector_contains():
     s = Sector(np.pi / 4)
     assert s.contains(1.0 + 0.5j)
@@ -163,18 +172,3 @@ def test_sector_sum_constant_matches_closed_form(phi1, phi2):
 def test_sector_sum_angle_overflow():
     with pytest.raises(AngleSumTooLarge):
         sector_sum_constant(np.pi / 2, np.pi / 2)
-
-
-def test_symbol_from_config_reads_the_config_form():
-    cfg = {"kind": "rotated-power", "m": 2.0, "theta0": 0.25}
-    assert symbol_from_config(cfg) == rotated_power_symbol(2.0, theta0=0.25)
-    pts = np.linspace(-10, 10, 41)
-    spec = SymbolSpec(kind="user-table", m=2.0, table=(pts, pts**2 + 0.5j * pts))
-    cfg = {"kind": "user-table", "m": 2.0,
-           "table": [pts.tolist(), (pts**2).tolist(), (0.5 * pts).tolist()]}
-    again = symbol_from_config(json.loads(json.dumps(cfg)))
-    assert again.kind == spec.kind and again.m == spec.m
-    assert np.array_equal(again.table[0], pts)
-    assert np.array_equal(again.table[1], spec.table[1])
-    with pytest.raises(ValueError):
-        symbol_from_config({"kind": "power", "m": 2.0, "bogus": 1})
