@@ -85,7 +85,6 @@ from .symbols import (
 )
 from .verification import (
     KahaneResult,
-    OperatorFamilySample,
     ProblemTemplate,
     RBoundEstimate,
     VerificationReport,

@@ -589,7 +589,7 @@ def _task_check_multipliers(v, seed):
 def _task_estimate_rbound(v, seed):
     family, q = v["family"], v["q"]
     if family["kind"] == "lambda-resolvent":
-        members = lambda_resolvent_family(family["model"], family["lambdas"]).members
+        members = lambda_resolvent_family(family["model"], family["lambdas"])
     else:
         members = [np.atleast_2d(mv) for mv in family["members"]]
         shapes = {mv.shape for mv in members}

@@ -19,6 +19,7 @@ from .errors import ContractionFailure, ModeSingular, NoConvergence
 from .operators import (
     OperatorModel,
     operator_norm_upper,
+    resolvent_norms,
     shifted_solve,
     spectrum_hit,
 )
@@ -204,13 +205,13 @@ def contraction_estimate(prob: EllipticProblem, probes: int = 64, seed: int = 0,
     largest per-mode block norm is taken: at q = 2 that is the norm itself
     (Plancherel) and is returned without probes; at q in {1, inf} pure modes
     e^{i xi x} v attain it, so it is a lower estimate; at other q it is the
-    Riesz-Thorin upper bound per mode.  At q = 2 with Hermitian A (unitary
-    eigenbasis, kappa = 1) and every coefficient c_alpha I, the block of mode
-    xi is l(xi) (A + lambda + P_t(xi))^-1 with l(xi) = sum t(alpha) c_alpha
-    (i xi)^alpha, a normal matrix, so the norm is the closed form
-    max_xi |l(xi)| / min_j |w_j + lambda + P_t(xi)| over the eigenvalues w_j.
-    Otherwise the max with the ratios of `probes` random band-limited fields
-    (lower bounds, and the only term for x-dependent coefficients) is
+    Riesz-Thorin upper bound per mode.  When every coefficient is c_alpha I,
+    the block of mode xi is l(xi) B(xi), B(xi) = (A + lambda + P_t(xi))^-1
+    and l(xi) = sum t(alpha) c_alpha (i xi)^alpha, so its norm is
+    |l(xi)| ||B(xi)|| with ||B(xi)|| from operators.resolvent_norms: no
+    inverse at q = 2 with Hermitian A.  At q != 2, and for x-dependent
+    coefficients, the max with the ratios of `probes` random band-limited
+    fields (lower bounds, and the only term for x-dependent coefficients) is
     returned; probes are drawn and solved in blocks (spaces.blocks).
 
     `shifts` (the per-mode lambda + P_t(xi)) and `lower_blocks` (the per-mode
@@ -224,12 +225,13 @@ def contraction_estimate(prob: EllipticProblem, probes: int = 64, seed: int = 0,
     lower_blocks = _lower_symbol_blocks(prob) if lower_blocks is None else lower_blocks
     best = 0.0
     grid, model, N, q = prob.grid, prob.model, prob.model.N, prob.model.q
-    if q == 2 and model.kappa == 1.0 and _scalar_coefficients(prob):
-        dist = np.abs(model.eigvals[None, :] + shifts[:, None]).min(axis=1)
-        return float(np.max(np.abs(lower_blocks[..., 0, 0]).reshape(-1) / dist))
     if lower_blocks is not None:
-        Binv = shifted_solve(model, shifts).reshape(grid.shape + (N, N))
-        best = float(np.max(operator_norm_upper(lower_blocks @ Binv, q)))
+        if _scalar_coefficients(prob):
+            norms = np.abs(lower_blocks[..., 0, 0]).reshape(-1) * resolvent_norms(model, shifts)[0]
+        else:
+            Binv = shifted_solve(model, shifts).reshape(grid.shape + (N, N))
+            norms = operator_norm_upper(lower_blocks @ Binv, q)
+        best = float(np.max(norms))
         if q == 2:
             return best
     rng = np.random.default_rng(seed)
@@ -271,12 +273,12 @@ def solve_full(prob: EllipticProblem, f: SampledField, seed: int = 0):
     grid = prob.grid
     shifts = _mode_shifts(prob)
     lower_blocks = _lower_symbol_blocks(prob)
-    kappa, exact = 0.0, True
+    rate, exact = 0.0, True
     if prob.lower_terms:
-        kappa = contraction_estimate(prob, seed=seed, shifts=shifts, lower_blocks=lower_blocks)
-        if kappa >= 1.0:
+        rate = contraction_estimate(prob, seed=seed, shifts=shifts, lower_blocks=lower_blocks)
+        if rate >= 1.0:
             raise ContractionFailure(
-                f"contraction estimate {kappa:.3f} >= 1; increase |lambda|")
+                f"contraction estimate {rate:.3f} >= 1; increase |lambda|")
         exact = prob.model.q == 2 and lower_blocks is not None  # no probes drawn
     fhat = grid.fft(f.values[None])
     nf = float(_lp_lq_norms(f.values[None], grid, f.q, 2.0)[0])
@@ -293,7 +295,7 @@ def solve_full(prob: EllipticProblem, f: SampledField, seed: int = 0):
         residuals.append(nr / nf if nf > 0 else 0.0)
         if residuals[-1] < NEUMANN_TOL or not prob.lower_terms:
             return f.with_values(grid.ifft(uhat)[0]), IterationReport(
-                iterations=it, residuals=residuals, contraction=kappa, contraction_exact=exact)
+                iterations=it, residuals=residuals, contraction=rate, contraction_exact=exact)
         uhat = _solve_spectra(prob.model, shifts, fhat - lower)
     raise NoConvergence(f"residual {residuals[-1]:.2e} after {MAX_ITER} iterations")
 

@@ -1,8 +1,9 @@
 """Finite-dimensional operator realizations: matrices on C^N with l_q norms.
 
-Every spectral decision about A lives here: the batched shifted solve
-(A + s I)^-1 over an array of shifts, the guard against shifts within roundoff
-of -spectrum(A), the cached eigenbasis (w, V, V^-1) and, built on them,
+Every spectral decision about A lives here, and no other module reads a
+model's eigen-data: the batched shifted solve (A + s I)^-1 over an array of
+shifts and its per-shift norms, the guard against shifts within roundoff of
+-spectrum(A), the cached eigenbasis (w, V, V^-1) and, built on them,
 resolvents and sector-positivity certificates.  Also the symmetric-system
 builder and a 1-D Dirichlet BVP discretizer.
 """
@@ -128,12 +129,39 @@ def inverse_residuals(model: OperatorModel, shifts, B: np.ndarray) -> np.ndarray
 
 def spectrum_hit(model: OperatorModel, shifts):
     """Index of the first shift s with -s within roundoff of spectrum(A), else None."""
-    if model.eigvals is None:
-        return None
     scale = max(1.0, float(np.abs(model.A).max()))
     dist = np.abs(model.eigvals[None, :] + np.asarray(shifts)[:, None]).min(axis=1)
     bad = np.flatnonzero(dist <= 1e-12 * scale)
     return int(bad[0]) if bad.size else None
+
+
+def resolvent_norms(model: OperatorModel, shifts, defect: bool = False):
+    """(||B||, ||A B||, defect) per entry s of an array of checked shifts
+    (spectrum_hit), B = (A + s I)^-1: l_q norms (operator_norm_upper) and,
+    if asked for, the defect of inverse_residuals (else None).
+
+    With a unitary eigenbasis (kappa = 1) at q = 2, B and A B are diagonal in
+    it with channel values 1 / (w_j + s) and w_j / (w_j + s), so each norm is
+    the largest channel modulus: no inverse is formed, and the defect is 0.
+    Otherwise one batched shifted_solve.
+    """
+    if model.kappa == 1.0 and model.q == 2:
+        dist = np.abs(model.eigvals + shifts[..., None])
+        return (1.0 / dist.min(axis=-1), (np.abs(model.eigvals) / dist).max(axis=-1),
+                np.zeros(shifts.shape) if defect else None)
+    B = shifted_solve(model, shifts)
+    return (operator_norm_upper(B, model.q), operator_norm_upper(model.A @ B, model.q),
+            inverse_residuals(model, shifts, B) if defect else None)
+
+
+def top_vectors(model: OperatorModel, shifts) -> np.ndarray:
+    """A unit vector v (..., N) per entry s of an array of checked shifts with
+    ||B v||_2 = ||B||_2, B = (A + s I)^-1: where resolvent_norms takes channel
+    moduli, the eigenvector of the -w_j nearest s; otherwise the leading right
+    singular vector of B."""
+    if model.kappa == 1.0 and model.q == 2:
+        return model.eigvecs.T[np.abs(model.eigvals + shifts[..., None]).argmin(axis=-1)]
+    return np.linalg.svd(shifted_solve(model, shifts))[2][..., 0, :].conj()
 
 
 def tridiagonal_matrix(N: int, lower: float, diag: float, upper: float) -> np.ndarray:

@@ -75,7 +75,7 @@ class GridSpec:
     def __post_init__(self):
         if self.M % 2 != 0 or self.M < 4:
             raise ValueError("M must be even and >= 4")
-        if self.L <= 0:
+        if not self.L > 0:
             raise ValueError("L must be positive")
 
     @property

@@ -75,9 +75,9 @@ class ScaleParams:
 
     def __post_init__(self):
         t = tuple(float(v) for v in self.t)
-        if self.t0 <= 0:
+        if not self.t0 > 0:
             raise ValueError("cap t0 must be positive")
-        if any(v <= 0 or v > self.t0 + 1e-15 for v in t):
+        if not all(0 < v <= self.t0 + 1e-15 for v in t):
             raise ValueError(f"scale parameters must lie in (0, t0={self.t0}], got {t}")
         object.__setattr__(self, "t", t)
 
@@ -119,11 +119,11 @@ class SymbolSpec:
             object.__setattr__(self, "phi1", abs(self.theta0))
         if self.kind not in SYMBOL_KINDS:
             raise ValueError(f"unknown symbol kind {self.kind!r}")
-        if self.m <= 0:
+        if not self.m > 0:
             raise ValueError("order m must be positive")
         if not 0.0 <= self.phi1 < math.pi:
             raise ValueError("phi1 must lie in [0, pi)")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if self.kind == "rotated-power" and abs(self.theta0) > self.phi1 + 1e-15:
             raise ValueError("rotated-power requires |theta0| <= phi1")

@@ -26,10 +26,11 @@ from .elliptic import (
 from .errors import PsdoError, TooManyForEnumeration
 from .operators import (
     OperatorModel,
-    inverse_residuals,
     operator_norm_upper,
     resolvent,
+    resolvent_norms,
     shifted_solve,
+    top_vectors,
 )
 from .spaces import (
     GridSpec,
@@ -222,27 +223,13 @@ def coercive_ratio(u: SampledField, f: SampledField, model: OperatorModel,
 
 def _worst_modes(model: OperatorModel, xi: np.ndarray, shifts: np.ndarray, weights: np.ndarray):
     """Frequency (b, n) and vector (b, N) of the lattice mode that maximizes
-    weights ||B|| + ||A B||, B = (A + shift)^-1, for each point of a block:
-    rows xi (b, K, n), shifts and weights (b, K); the first maximum wins.
-
-    For a unitary eigenbasis (kappa = 1) and q = 2 the norms are closed forms
-    in the eigenvalues w_j and the vector is the eigenvector of the nearest
-    -w_j; otherwise all modes are inverted in one batch and the vector is the
-    leading right singular vector of B.
+    weights ||B|| + ||A B||, B = (A + shift)^-1 (operators.resolvent_norms),
+    for each point of a block: rows xi (b, K, n), shifts and weights (b, K);
+    the first maximum wins.  The vector is operators.top_vectors of its shift.
     """
-    rows = np.arange(len(xi))
-    if model.kappa == 1.0 and model.q == 2:
-        dist = np.abs(model.eigvals + shifts[..., None])
-        score = weights * (1.0 / dist).max(axis=-1) + (np.abs(model.eigvals) / dist).max(axis=-1)
-        best = score.argmax(axis=-1)
-        vec = model.eigvecs[:, dist[rows, best].argmin(axis=-1)].T
-    else:
-        B = shifted_solve(model, shifts)
-        score = weights * operator_norm_upper(B, model.q) \
-            + operator_norm_upper(model.A @ B, model.q)
-        best = score.argmax(axis=-1)
-        vec = np.linalg.svd(B[rows, best])[2][:, 0].conj()
-    return xi[rows, best], vec
+    nB, nAB, _ = resolvent_norms(model, shifts)
+    rows, best = np.arange(len(xi)), (weights * nB + nAB).argmax(axis=-1)
+    return xi[rows, best], top_vectors(model, shifts[rows, best])
 
 
 def _sweep_report(kind: str, points, kernel, per_point: int, flatness_threshold: float = None,
@@ -350,10 +337,9 @@ def coercivity_sweep(template: ProblemTemplate, sweep: SectorSweep,
         return [{"ratio": float(r), "residual": float(s)}
                 for r, s in zip(ratios.max(axis=1), residuals.max(axis=1))]
 
-    closed = model.kappa == 1.0 and q == 2  # else the worst-mode search inverts (K, N, N)
-    per_point = grid.M ** n * N * (data_count if closed else max(data_count, N))
-    return _sweep_report("coercivity", points, kernel, per_point, flatness_threshold,
-                         max_ratio_threshold)
+    # the worst-mode search may invert (K, N, N)
+    return _sweep_report("coercivity", points, kernel, grid.M ** n * N * max(data_count, N),
+                         flatness_threshold, max_ratio_threshold)
 
 
 def _adapted_xi_samples(lam: complex, t: ScaleParams, m: float, n: int,
@@ -367,30 +353,22 @@ def _adapted_xi_samples(lam: complex, t: ScaleParams, m: float, n: int,
     return np.where(lines[:, None, :] > 0, vals[:, None], 0.0).reshape(-1, n)
 
 
-def _inverses(model: OperatorModel, symbol: SymbolSpec, t, lam, xi: np.ndarray):
-    """Shifts lam + P_t(xi) and inverses (A + shift)^-1 at the frequency rows
-    xi (..., n).  For the points of a block t is the sequence of their scale
-    parameters (eval_symbol) and lam the array of their spectral parameters."""
-    P = np.asarray(eval_symbol(symbol, t, xi), dtype=complex)
-    shifts = np.reshape(lam, np.shape(lam) + (1,) * (P.ndim - np.ndim(lam))) + P
-    return shifts, shifted_solve(model, shifts)
-
-
 def _frequency_terms(model: OperatorModel, symbol: SymbolSpec, ts, lams, xi: np.ndarray,
-                     index_set):
+                     index_set, defect: bool = False):
     """Per-frequency kernel of the continuum checks at the rows xi[k] (b, S, n)
     of each point k = (lams[k], ts[k]).
 
-    Returns the shifts lam + P_t(xi) (b, S), the inverses B = (A + shift)^-1
-    (b, S, N, N), ||A B|| per row, and per alpha of index_set the terms
+    The shifts lam + P_t(xi) are checked (ModeSingular names the first
+    singular frequency) and B = (A + shift)^-1 is measured by
+    operators.resolvent_norms.  Returns ||A B|| and, if asked for, the defect
+    of B per row (b, S), and per alpha of index_set the terms
     t(alpha) |lam|^(1-|alpha|/m) |(i xi)^alpha| ||B|| per row: the norms of
     sigma_alpha, all from one ||B||.
     """
-    shifts, B = _inverses(model, symbol, ts, lams, xi)
-    nB = operator_norm_upper(B, model.q)
+    shifts = np.reshape(lams, (-1, 1)) + np.asarray(eval_symbol(symbol, ts, xi), dtype=complex)
+    nB, nAB, defects = resolvent_norms(model, _checked_shifts(model, shifts, xi), defect)
     weights = _derivative_weights(ts, lams, symbol.m, index_set)
-    terms = [w * nB for w in _symbol_weights(xi, weights, index_set)]
-    return shifts, B, operator_norm_upper(model.A @ B, model.q), terms
+    return nAB, defects, [w * nB for w in _symbol_weights(xi, weights, index_set)]
 
 
 def resolvent_sweep(template: ProblemTemplate, sweep: SectorSweep,
@@ -404,8 +382,9 @@ def resolvent_sweep(template: ProblemTemplate, sweep: SectorSweep,
     action on the plane wave e^{i xi x} v is exact, so the term norms are the
     suprema over sampled frequencies (log-spaced through the saturation
     scale) of the per-frequency matrix norms.  The residual column carries
-    the worst per-frequency inversion defect.  The frequencies of a block of
-    points (_sweep_report) are inverted as one stack.
+    the worst per-frequency inversion defect, 0.0 where resolvent_norms forms
+    no inverse.  The frequencies of a block of points (_sweep_report) are
+    measured as one stack.
     """
     index_set = template.indices()
     model, symbol, n = template.model, template.symbol, template.grid.n
@@ -415,10 +394,11 @@ def resolvent_sweep(template: ProblemTemplate, sweep: SectorSweep,
         lams, ts = zip(*(points[i] for i in idxs))
         xi = np.stack([_adapted_xi_samples(lam, t, symbol.m, n, per_axis)
                        for lam, t in zip(lams, ts)])
-        shifts, B, nAB, terms = _frequency_terms(model, symbol, ts, lams, xi, index_set)
+        nAB, defects, terms = _frequency_terms(model, symbol, ts, lams, xi, index_set,
+                                               defect=True)
         ratios = sum(w.max(axis=-1) for w in terms) + nAB.max(axis=-1)
-        residuals = inverse_residuals(model, shifts, B).max(axis=-1)
-        return [{"ratio": float(r), "residual": float(s)} for r, s in zip(ratios, residuals)]
+        return [{"ratio": float(r), "residual": float(s)}
+                for r, s in zip(ratios, defects.max(axis=-1))]
 
     rows = per_axis * 2 * (n if n == 1 else n + 1)
     return _sweep_report("resolvent", points, kernel, rows * model.N ** 2, flatness_threshold,
@@ -690,6 +670,8 @@ def estimate_rbound(family, q: float = 2.0, tuple_size: int = 3, seed: int = 0,
     if k == 0:
         raise ValueError("family must be non-empty")
     members = np.stack([np.atleast_2d(np.asarray(T, dtype=complex)) for T in family])
+    if not np.all(np.isfinite(members)):
+        raise ValueError("non-finite member in an operator family")
     norms = operator_norm_upper(members, q)
     candidates = [(j,) for j in range(k)]
     candidates += [(j,) * tuple_size for j in range(k)]
@@ -753,26 +735,13 @@ def _kahane_checks(scalars, vectors, q: float) -> list:
 # multiplier families
 
 
-@dataclass
-class OperatorFamilySample:
-    """A finite sample of an operator family: its members, each checked finite."""
-
-    members: list = field(default_factory=list)
-
-    def add(self, member: np.ndarray):
-        member = np.asarray(member, dtype=complex)
-        if not np.all(np.isfinite(member)):
-            raise ValueError("non-finite member in an operator family sample")
-        self.members.append(member)
-
-    def __len__(self):
-        return len(self.members)
-
-
 def sigma_matrix(model, symbol, t, lam, xi) -> np.ndarray:
     """A [A + lam + P_t(xi)]^-1 at one frequency xi (n,); a stack over the rows
-    of a 2-D xi, or over the points of a block as in _inverses."""
-    return model.A @ _inverses(model, symbol, t, lam, np.atleast_1d(xi))[1]
+    of a 2-D xi, or over the points of a block: t the sequence of their scale
+    parameters (eval_symbol) and lam the array of their spectral parameters."""
+    P = np.asarray(eval_symbol(symbol, t, np.atleast_1d(xi)), dtype=complex)
+    lam = np.reshape(lam, np.shape(lam) + (1,) * (P.ndim - np.ndim(lam)))
+    return model.A @ shifted_solve(model, lam + P)
 
 
 def fd_sigma_matrix(model, symbol, t, lam, xi, beta) -> np.ndarray:
@@ -810,7 +779,7 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
     def kernel(idxs):
         lams, ts = zip(*(points[i] for i in idxs))
         xi = np.stack([samples_at(lam, t) for lam, t in zip(lams, ts)])
-        _, _, nAB, terms = _frequency_terms(model, symbol, ts, lams, xi, index_set)
+        nAB, _, terms = _frequency_terms(model, symbol, ts, lams, xi, index_set)
         fd = [operator_norm_upper(fd_sigma_matrix(model, symbol, ts, lams, xi, b), model.q)
               for b in betas]
         return [{"ratio": float(nAB[k].max()), "residual": 0.0,
@@ -825,16 +794,16 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
 
     # R-bound lower estimate for the sigma family, subsampled across the sweep
     rng = np.random.default_rng(seed)
-    family = OperatorFamilySample()
+    family = []
     ok_points = [(lam, t) for (lam, t), rec in zip(points, records) if rec["error"] is None]
     picks = rng.choice(len(ok_points), size=min(rbound_subsample, len(ok_points)), replace=False)
     for pi in sorted(picks):
         lam, t = ok_points[pi]
         samples = samples_at(lam, t)
         xi = samples[int(rng.integers(0, len(samples)))]
-        family.add(sigma_matrix(model, symbol, t, lam, xi))
-    if len(family):
-        est = estimate_rbound(family.members, q=model.q, tuple_size=tuple_size, seed=seed)
+        family.append(sigma_matrix(model, symbol, t, lam, xi))
+    if family:
+        est = estimate_rbound(family, q=model.q, tuple_size=tuple_size, seed=seed)
         details["sigma_rbound_lower"] = est.value
         details["sigma_rbound_tuple"] = list(est.tuple_indices)
     # aggregate per-family suprema
@@ -848,10 +817,8 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
     return report
 
 
-def lambda_resolvent_family(model: OperatorModel, lambdas) -> OperatorFamilySample:
-    """The family {lam (A + lam)^-1} sampled at the given spectral parameters."""
-    fam = OperatorFamilySample()
+def lambda_resolvent_family(model: OperatorModel, lambdas) -> np.ndarray:
+    """The family {lam (A + lam)^-1} sampled at the given spectral parameters,
+    a (len, N, N) stack."""
     lams = np.asarray(lambdas, dtype=complex).reshape(-1)
-    for lam, R in zip(lams, resolvent(model, lams)):
-        fam.add(complex(lam) * R)
-    return fam
+    return lams[:, None, None] * resolvent(model, lams)

@@ -204,7 +204,7 @@ def test_acceptance_07_scalar_family_bracket():
     lambdas = list(np.logspace(0, 3, 10))
     fam = lambda_resolvent_family(model, lambdas)
     S = max(abs(l / (1.0 + l)) for l in lambdas)
-    est = estimate_rbound(fam.members, tuple_size=10, budget=6)
+    est = estimate_rbound(fam, tuple_size=10, budget=6)
     assert S - 1e-9 <= est.value <= 2.0 * S + 1e-9
 
 

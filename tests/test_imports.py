@@ -1,8 +1,9 @@
 """Import hygiene: no module of the package imports scipy, so a run pays
 only for numpy at start-up; every module (the re-exporting __init__.py
 aside) uses each name it imports, only operators.py makes spectral
-decisions about A (dense inverses, solves and eigendecompositions, and the
-eigenbasis condition limit KAPPA_LIMIT), only GridSpec.fft/ifft in
+decisions about A (dense inverses, solves and eigendecompositions, the
+eigenbasis condition limit KAPPA_LIMIT, and reads of a model's eigen-data
+kappa, eigvals, eigvecs and eigvecs_inv), only GridSpec.fft/ifft in
 spaces.py transform sampled fields, only symbols.py names the axis factor
 of (i xi)^alpha, so i_xi_power stays its one product, the CLI's task
 handlers read config values only through its schema, and every public
@@ -100,11 +101,13 @@ def test_module_uses_its_imports(path):
 
 
 SPECTRAL_KERNELS = {"inv", "solve", "eig", "eigh"}
+EIGEN_DATA = {"kappa", "eigvals", "eigvecs", "eigvecs_inv"}
 
 
 def spectral_decisions(source: str) -> list:
-    """linalg inv/solve/eig/eigh calls, KAPPA_LIMIT names and _mode_matrices
-    imports from elliptic, in source order."""
+    """linalg inv/solve/eig/eigh calls, KAPPA_LIMIT names, _mode_matrices
+    imports from elliptic and attribute reads of a model's eigen-data, in
+    source order."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
@@ -124,6 +127,8 @@ def spectral_decisions(source: str) -> list:
         elif isinstance(node, (ast.Name, ast.Attribute)) and "KAPPA_LIMIT" in (
                 getattr(node, "id", None), getattr(node, "attr", None)):
             found.append((node.lineno, "KAPPA_LIMIT"))
+        elif isinstance(node, ast.Attribute) and node.attr in EIGEN_DATA:
+            found.append((node.lineno, f".{node.attr}"))
     return [name for _, name in sorted(found)]
 
 
@@ -131,9 +136,12 @@ def test_spectral_decision_is_detected():
     source = ("import numpy as np\nfrom numpy.linalg import eigh\n"
               "from .operators import KAPPA_LIMIT\nfrom .elliptic import _mode_matrices\n"
               "x = np.linalg.inv(a)\ny = scipy.linalg.solve(a, b)\nz = ops.KAPPA_LIMIT\n"
-              "w = np.linalg.svd(a)\n")
+              "w = np.linalg.svd(a)\nif model.kappa == 1.0:\n    v = model.eigvecs[:, 0]\n"
+              "d = m.eigvals + s\nr = prob.model.eigvecs_inv\nkappa = 0.0\n"
+              "w, V, Vinv = eigenbasis(model)\n")
     assert spectral_decisions(source) == ["linalg.eigh", "KAPPA_LIMIT", "_mode_matrices",
-                                          "linalg.inv", "linalg.solve", "KAPPA_LIMIT"]
+                                          "linalg.inv", "linalg.solve", "KAPPA_LIMIT",
+                                          ".kappa", ".eigvecs", ".eigvals", ".eigvecs_inv"]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "operators.py"],

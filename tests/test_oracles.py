@@ -4,7 +4,8 @@ On grids with M^n * N <= 512 every operator is assembled as a dense matrix
 from unitary DFT matrices, independently of the per-mode kernels, and the
 solvers are checked against np.linalg.solve, scipy.linalg.expm, the dense
 implicit Euler recursion and exact singular values, and the batched
-resolvents against per-lambda dense inverses, bit for bit.  Fields are flattened in
+resolvents against per-lambda dense inverses, bit for bit, and the per-shift
+resolvent norms and worst-mode vectors against explicit inverses.  Fields are flattened in
 C order, grid point major and component minor, so a field's
 values.reshape(-1) is the dense vector.  The operator-norm bounds are checked
 against column and row sums, brute-force probing, and the R-bound estimate
@@ -62,8 +63,9 @@ from psdo import (
     vector_norms,
 )
 import psdo.elliptic
+import psdo.operators
 from psdo.elliptic import NEUMANN_TOL
-from psdo.operators import operator_norm_upper, shifted_solve
+from psdo.operators import operator_norm_upper, resolvent_norms, shifted_solve, top_vectors
 from psdo.spaces import _lp_lq_norms, _lp_lq_norms_from_spectra
 from psdo.symbols import FD_STEP, _central_difference
 from psdo.verification import _adapted_xi_samples
@@ -286,15 +288,16 @@ def test_contraction_estimate_q2_constant_coefficients_draws_no_probes(monkeypat
 
 
 def test_contraction_estimate_scalar_coefficients_closed_form(monkeypatch):
-    # Hermitian A and c I coefficients at q = 2: max |l(xi)| / min_j |w_j + lambda + P_t(xi)|,
+    # Hermitian A and c I coefficients at q = 2: max |l(xi)| max_j 1 / |w_j + lambda + P_t(xi)|,
     # with no inverse and no singular values
     def unused(*args, **kwargs):
         raise AssertionError("the closed form inverted or decomposed a block")
 
     prob = problem(scalar_terms(), A=A_HERMITIAN)
     exact = np.linalg.norm(dense_lower(prob) @ np.linalg.inv(dense_principal(prob.principal)), 2)
-    monkeypatch.setattr(psdo.elliptic, "shifted_solve", unused)
-    monkeypatch.setattr(psdo.elliptic, "operator_norm_upper", unused)
+    for module in (psdo.elliptic, psdo.operators):
+        monkeypatch.setattr(module, "shifted_solve", unused)
+        monkeypatch.setattr(module, "operator_norm_upper", unused)
     assert contraction_estimate(prob) == pytest.approx(exact, rel=1e-12)
 
 
@@ -331,21 +334,6 @@ def l2_lq_norm(vec, grid, N, q):
 
 @pytest.mark.parametrize("q", [1.0, np.inf])
 def test_contraction_estimate_q1_inf_keeps_probes_above_pure_mode_value(q, monkeypatch):
-    prob = problem(constant_terms(), q=q)
-    N = prob.model.N
-    K = dense_lower(prob) @ np.linalg.inv(dense_principal(prob.principal))
-    blocks = dense_mode_blocks(K, GRID, N)
-    # l_1 norm: largest column sum; l_inf norm: largest row sum
-    sums = np.abs(blocks).sum(axis=1 if q == 1 else 2)
-    k, j = np.unravel_index(np.argmax(sums), sums.shape)
-    block_value = sums[k, j]
-    # the vector attaining the block norm: a unit vector (q = 1) or the phases of row j (q = inf)
-    v = np.eye(N)[j] if q == 1 else np.exp(-1j * np.angle(blocks[k, j]))
-    x = GRID.points().reshape(-1, GRID.n)
-    u = (np.exp(1j * x @ frequency_points(GRID)[k])[:, None] * v).reshape(-1)
-    attained = l2_lq_norm(K @ u, GRID, N, q) / l2_lq_norm(u, GRID, N, q)
-    assert attained == pytest.approx(block_value, rel=1e-12)
-
     calls = []
 
     def counted(grid, N, rng, count):
@@ -353,11 +341,29 @@ def test_contraction_estimate_q1_inf_keeps_probes_above_pure_mode_value(q, monke
         return random_band_limited_values(grid, N, rng, count)
 
     monkeypatch.setattr(psdo.elliptic, "random_band_limited_values", counted)
-    assert contraction_estimate(prob, probes=0) == pytest.approx(block_value, rel=1e-12)
-    assert not calls
-    est = contraction_estimate(prob)
-    assert len(calls) == 64
-    assert est >= block_value * (1 - 1e-12)
+    # with c I coefficients the block norms are |l(xi)| ||B(xi)||_q, from resolvent_norms
+    for terms in (constant_terms, scalar_terms):
+        prob = problem(terms(), q=q)
+        N = prob.model.N
+        K = dense_lower(prob) @ np.linalg.inv(dense_principal(prob.principal))
+        blocks = dense_mode_blocks(K, GRID, N)
+        # l_1 norm: largest column sum; l_inf norm: largest row sum
+        sums = np.abs(blocks).sum(axis=1 if q == 1 else 2)
+        k, j = np.unravel_index(np.argmax(sums), sums.shape)
+        block_value = sums[k, j]
+        # the vector attaining the block norm: a unit vector (q = 1) or the phases of row j (q = inf)
+        v = np.eye(N)[j] if q == 1 else np.exp(-1j * np.angle(blocks[k, j]))
+        x = GRID.points().reshape(-1, GRID.n)
+        u = (np.exp(1j * x @ frequency_points(GRID)[k])[:, None] * v).reshape(-1)
+        attained = l2_lq_norm(K @ u, GRID, N, q) / l2_lq_norm(u, GRID, N, q)
+        assert attained == pytest.approx(block_value, rel=1e-12)
+
+        calls.clear()
+        assert contraction_estimate(prob, probes=0) == pytest.approx(block_value, rel=1e-12)
+        assert not calls
+        est = contraction_estimate(prob)
+        assert len(calls) == 64
+        assert est >= block_value * (1 - 1e-12)
 
 
 def test_implicit_euler_matches_dense_recursion():
@@ -461,7 +467,7 @@ def test_lambda_resolvent_family_matches_dense_inverse(k):
     model = make_model(resolvent_models()[k])
     lambdas = [0.5, 2.0 + 1.0j, -1.0j, 1e3]
     fam = lambda_resolvent_family(model, lambdas)
-    for lam, member in zip(lambdas, fam.members):
+    for lam, member in zip(lambdas, fam):
         assert np.array_equal(member, lam * np.linalg.inv(model.A + lam * np.eye(model.N)))
 
 
@@ -595,3 +601,42 @@ def test_shifted_solve_nonnormal_keeps_lu_bit_for_bit():
     for k, s in enumerate(shifts):
         ref = np.linalg.solve(model.A + s * np.eye(model.N), rhs[:, k].T).T
         assert np.array_equal(x[:, k], ref)
+
+
+def resolvent_norm_models():
+    """A random real symmetric 4x4 (unitary eigenbasis) and a random non-normal
+    3x3, both with spectra off the closed left half-plane."""
+    rng = np.random.default_rng(11)
+    G = rng.standard_normal((4, 4))
+    return {"hermitian-4x4": G @ G.T + np.eye(4),
+            "nonnormal-3x3": rng.standard_normal((3, 3)) + np.diag([4.0, 5.0, 6.0])}
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+@pytest.mark.parametrize("name", ["hermitian-4x4", "nonnormal-3x3"])
+def test_resolvent_norms_match_dense_inverses(name, q):
+    """||B|| and ||A B|| per shift against the explicit inverses: the spectral
+    norm at q = 2, operator_norm_upper at q = 3.  The channel path (unitary
+    eigenbasis at q = 2) forms no inverse and reports defect 0; every other
+    path reports the inverse's defect; either only if asked.  top_vectors
+    attains ||B||_2."""
+    model = make_model(resolvent_norm_models()[name], q=q)
+    assert (model.kappa == 1.0) == (name == "hermitian-4x4")
+    shifts = sector_shifts_and_rhs(model.N)[0]
+    nB, nAB, defect = resolvent_norms(model, shifts, defect=True)
+    assert resolvent_norms(model, shifts)[2] is None
+    B = np.linalg.inv(model.A + shifts[:, None, None] * np.eye(model.N))
+    if q == 2:
+        norm = lambda mats: np.linalg.norm(mats, 2, axis=(-2, -1))
+    else:
+        norm = lambda mats: operator_norm_upper(mats, q)
+    np.testing.assert_allclose(nB, norm(B), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(nAB, norm(model.A @ B), rtol=1e-12, atol=0)
+    if model.kappa == 1.0 and q == 2:
+        assert np.array_equal(defect, np.zeros(len(shifts)))
+    else:
+        assert 0 < defect.max() <= 1e-12
+    v = top_vectors(model, shifts)
+    np.testing.assert_allclose(np.linalg.norm(v, axis=-1), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm((B @ v[..., None])[..., 0], axis=-1),
+                               np.linalg.norm(B, 2, axis=(-2, -1)), rtol=1e-12)

@@ -5,6 +5,7 @@ import pytest
 
 from psdo import (
     AngleSumTooLarge,
+    GridSpec,
     MultiIndex,
     OutOfTable,
     ScaleParams,
@@ -112,6 +113,18 @@ def test_symbol_spec_validation():
         SymbolSpec(kind="rotated-power", m=2.0, theta0=0.5, phi1=0.2)
     with pytest.raises(ValueError):
         SymbolSpec(kind="user-table", m=2.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SymbolSpec(kind="power", m=math.nan),
+    lambda: SymbolSpec(kind="power", m=2.0, gamma=math.nan),
+    lambda: ScaleParams((math.nan,)),
+    lambda: ScaleParams((0.5,), t0=math.nan),
+    lambda: GridSpec(n=1, M=8, L=math.nan),
+], ids=["SymbolSpec.m", "SymbolSpec.gamma", "ScaleParams.t", "ScaleParams.t0", "GridSpec.L"])
+def test_range_guards_reject_nan(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 @pytest.mark.parametrize("pts, values", [

@@ -121,6 +121,16 @@ def test_estimate_rbound_constant_family():
     assert est.value >= 2.0 - 1e-9
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("q", [2.0, 3.0])
+def test_estimate_rbound_rejects_non_finite_members(bad, q):
+    # without the check a NaN member failed in the SVD and, at q = 2, an inf
+    # member returned value 0.0 with upper nan
+    member = np.array([[1.0, bad], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="non-finite member"):
+        estimate_rbound([np.eye(2), member], q=q, tuple_size=2)
+
+
 @pytest.mark.parametrize("budget", [0, 1, 6, 48, 1000])
 def test_mixed_tuples_match_sorted_enumeration(budget):
     for k in range(1, 8):
@@ -285,7 +295,7 @@ def rbound_panel_case(name):
     if kind == "lambda":
         rng = np.random.default_rng([int(arg), 1])
         lambdas = sorted(float(v) for v in 10.0 ** rng.uniform(0.0, 3.0, size=3))
-        family = lambda_resolvent_family(scalar, lambdas).members
+        family = lambda_resolvent_family(scalar, lambdas)
         return estimate_rbound(family, q=2.0, tuple_size=2, seed=int(arg)).value
     if kind == "singleton":
         rot = lambda t: np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
@@ -294,7 +304,7 @@ def rbound_panel_case(name):
             return probe_norm(member, q=2.0, seed=1)
         return estimate_rbound([member], q=2.0, tuple_size=2, seed=0).value
     if kind == "acceptance":
-        family = lambda_resolvent_family(scalar, list(np.logspace(0, 3, 10))).members
+        family = lambda_resolvent_family(scalar, list(np.logspace(0, 3, 10)))
         return estimate_rbound(family, tuple_size=10, budget=6).value
     k, q = arg.split("-")
     k, q = int(k), float(q)
@@ -396,7 +406,7 @@ def test_lambda_resolvent_scalar_bracket():
     lambdas = list(np.logspace(0, 3, 8))
     fam = lambda_resolvent_family(model, lambdas)
     S = max(abs(l / (1.0 + l)) for l in lambdas)
-    est = estimate_rbound(fam.members, tuple_size=3)
+    est = estimate_rbound(fam, tuple_size=3)
     assert S - 1e-9 <= est.value <= 2.0 * S + 1e-9
 
 
@@ -553,7 +563,7 @@ def test_sweep_programming_errors_propagate(monkeypatch):
     monkeypatch.setattr(verification, "_worst_modes", broken)
     with pytest.raises(IndexError):
         coercivity_sweep(scalar_template(), small_sweep(n_radii=2, n_t=1), data_count=2)
-    monkeypatch.setattr(verification, "operator_norm_upper", broken)
+    monkeypatch.setattr(verification, "resolvent_norms", broken)
     with pytest.raises(IndexError):
         resolvent_sweep(scalar_template(), small_sweep(n_radii=2, n_t=1), per_axis=5)
     with pytest.raises(IndexError):
@@ -792,11 +802,26 @@ def test_resolvent_bad_point_fails_alone_inside_its_block(monkeypatch):
                                grid=GridSpec(n=1, M=16, L=2 * np.pi))
     radii = (1.0, 3.0, 10.0, 30.0, 100.0)
     rep = resolvent_sweep(template, SectorSweep(0.0, (0.0,), radii, ONE_T), per_axis=9)
-    assert rep.points[2]["error"] == "LinAlgError: Singular matrix"
+    assert rep.points[2]["error"] == \
+        "ModeSingular: singular mode matrix at xi=(np.float64(-31.622776601683793),)"
     assert [p["error"] is None for p in rep.points] == [True, True, False, True, True]
     good = resolvent_sweep(template, SectorSweep(0.0, (0.0,), radii[:2] + radii[3:], ONE_T),
                            per_axis=9)
     _assert_same_records(rep.points[:2] + rep.points[3:], good.points)
+
+
+@pytest.mark.parametrize("A, q", [([[1.0]], 2.0), ([[1.0]], 3.0), ([[1.0, 0.5], [0.0, 2.0]], 2.0)],
+                         ids=["channels", "inverse-q3", "inverse-nonnormal"])
+def test_resolvent_shift_at_spectrum_is_mode_singular(A, q):
+    """A shift at -w_j is ModeSingular, naming its frequency, whether
+    resolvent_norms takes channel moduli or forms inverses."""
+    pts = np.linspace(-1e4, 1e4, 5)
+    symbol = SymbolSpec(kind="user-table", m=2.0, table=(pts, np.full(5, -11.0 + 0j)))
+    template = ProblemTemplate(model=make_model(np.array(A), q=q), symbol=symbol,
+                               grid=GridSpec(n=1, M=16, L=2 * np.pi))
+    rep = resolvent_sweep(template, SectorSweep(0.0, (0.0,), (3.0, 10.0), ONE_T), per_axis=9)
+    assert rep.points[0]["error"] is None
+    assert rep.points[1]["error"].startswith("ModeSingular: singular mode matrix at xi=")
 
 
 def test_multiplier_bad_point_fails_alone_inside_its_block(monkeypatch):
