@@ -625,12 +625,12 @@ def _task_check_kahane(v, seed):
     if rand is not None:
         rng = np.random.default_rng(seed)
         m, N, count = rand["m"], rand["N"], rand["count"]
-        scal = np.empty((count, m))
+        # every instance's scalars, then every vector as N real, then N imaginary parts
+        scal = rng.uniform(-1.0, 1.0, size=(count, m))
+        draws = rng.standard_normal((count, m, 2, N))
         vecs = np.empty((count, m, N), dtype=complex)
-        for k in range(count):
-            scal[k] = rng.uniform(-1.0, 1.0, size=m)
-            draws = rng.standard_normal((m, 2, N))  # per vector: N real, then N imaginary
-            vecs[k] = draws[:, 0] + 1j * draws[:, 1]
+        vecs.real, vecs.imag = draws[:, :, 0], draws[:, :, 1]
+        del draws  # no temporaries, and no draws held: peak memory as in one draw per instance
         results.extend(_kahane_checks(scal, vecs, q))
     worst = max(r.constant / max(r.scale, 1e-300) for r in results)
     ok = all(r.verdict for r in results)

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ContractionFailure, ModeSingular, NoConvergence
 from .operators import (
     OperatorModel,
+    inverse_norms,
     operator_norm_upper,
-    resolvent_norms,
     shifted_solve,
     spectrum_hit,
 )
@@ -208,7 +208,7 @@ def contraction_estimate(prob: EllipticProblem, probes: int = 64, seed: int = 0,
     Riesz-Thorin upper bound per mode.  When every coefficient is c_alpha I,
     the block of mode xi is l(xi) B(xi), B(xi) = (A + lambda + P_t(xi))^-1
     and l(xi) = sum t(alpha) c_alpha (i xi)^alpha, so its norm is
-    |l(xi)| ||B(xi)|| with ||B(xi)|| from operators.resolvent_norms: no
+    |l(xi)| ||B(xi)|| with ||B(xi)|| from operators.inverse_norms: no
     inverse at q = 2 with Hermitian A.  At q != 2, and for x-dependent
     coefficients, the max with the ratios of `probes` random band-limited
     fields (lower bounds, and the only term for x-dependent coefficients) is
@@ -227,7 +227,7 @@ def contraction_estimate(prob: EllipticProblem, probes: int = 64, seed: int = 0,
     grid, model, N, q = prob.grid, prob.model, prob.model.N, prob.model.q
     if lower_blocks is not None:
         if _scalar_coefficients(prob):
-            norms = np.abs(lower_blocks[..., 0, 0]).reshape(-1) * resolvent_norms(model, shifts)[0]
+            norms = np.abs(lower_blocks[..., 0, 0]).reshape(-1) * inverse_norms(model, shifts)
         else:
             Binv = shifted_solve(model, shifts).reshape(grid.shape + (N, N))
             norms = operator_norm_upper(lower_blocks @ Binv, q)

@@ -47,7 +47,14 @@ class OperatorModel:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Apply the matrix along the trailing component axis."""
-        return values @ self.A.T
+        return component_product(values, self.A.T)
+
+
+def component_product(values: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """values @ M for a stack values (..., N) and one (N, K) matrix, as one
+    product of the (-1, N) reshape: matmul on the stack itself loops over its
+    core matrices, with the same bits and about three times the time."""
+    return (values.reshape(-1, values.shape[-1]) @ M).reshape(values.shape[:-1] + M.shape[-1:])
 
 
 @dataclass(frozen=True)
@@ -135,6 +142,12 @@ def spectrum_hit(model: OperatorModel, shifts):
     return int(bad[0]) if bad.size else None
 
 
+def _channel_path(model: OperatorModel) -> bool:
+    """Whether per-mode norms are channel moduli: a unitary eigenbasis (kappa
+    = 1) at q = 2."""
+    return model.kappa == 1.0 and model.q == 2
+
+
 def resolvent_norms(model: OperatorModel, shifts, defect: bool = False):
     """(||B||, ||A B||, defect) per entry s of an array of checked shifts
     (spectrum_hit), B = (A + s I)^-1: l_q norms (operator_norm_upper) and,
@@ -145,7 +158,7 @@ def resolvent_norms(model: OperatorModel, shifts, defect: bool = False):
     the largest channel modulus: no inverse is formed, and the defect is 0.
     Otherwise one batched shifted_solve.
     """
-    if model.kappa == 1.0 and model.q == 2:
+    if _channel_path(model):
         dist = np.abs(model.eigvals + shifts[..., None])
         return (1.0 / dist.min(axis=-1), (np.abs(model.eigvals) / dist).max(axis=-1),
                 np.zeros(shifts.shape) if defect else None)
@@ -154,12 +167,20 @@ def resolvent_norms(model: OperatorModel, shifts, defect: bool = False):
             inverse_residuals(model, shifts, B) if defect else None)
 
 
+def inverse_norms(model: OperatorModel, shifts) -> np.ndarray:
+    """||B|| per entry s of an array of checked shifts: the first norm of
+    resolvent_norms, with the same bits, and no ||A B||."""
+    if _channel_path(model):
+        return 1.0 / np.abs(model.eigvals + shifts[..., None]).min(axis=-1)
+    return operator_norm_upper(shifted_solve(model, shifts), model.q)
+
+
 def top_vectors(model: OperatorModel, shifts) -> np.ndarray:
     """A unit vector v (..., N) per entry s of an array of checked shifts with
     ||B v||_2 = ||B||_2, B = (A + s I)^-1: where resolvent_norms takes channel
     moduli, the eigenvector of the -w_j nearest s; otherwise the leading right
     singular vector of B."""
-    if model.kappa == 1.0 and model.q == 2:
+    if _channel_path(model):
         return model.eigvecs.T[np.abs(model.eigvals + shifts[..., None]).argmin(axis=-1)]
     return np.linalg.svd(shifted_solve(model, shifts))[2][..., 0, :].conj()
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .elliptic import EllipticProblem
 from .errors import ModeSingular
-from .operators import eigenbasis
+from .operators import component_product, eigenbasis
 from .spaces import (
     SpaceTimeField,
     _lp_lq_norms,
@@ -135,8 +135,8 @@ def evolve_spectra(prob: ParabolicProblem, method: str):
     mode evolves in the eigenbasis of A by the stepper METHODS[method]."""
     g, V, Vinv = _eigensetup(prob)
     f_hat = prob.elliptic.grid.fft(prob.forcing.values)
-    u = METHODS[method](f_hat @ Vinv.T, g, prob.forcing.dy)
-    return u @ V.T, f_hat
+    u = METHODS[method](component_product(f_hat, Vinv.T), g, prob.forcing.dy)
+    return component_product(u, V.T), f_hat
 
 
 def solution_on_grid(prob: ParabolicProblem, u_hat: np.ndarray) -> SpaceTimeField:

@@ -451,7 +451,8 @@ def _ratio_and_grad(stack: np.ndarray, signs: np.ndarray, q: float, x: np.ndarra
                     pick: np.ndarray = None):
     """Rademacher ratio R = num / den of the stack (m, N, N) at probe vectors
     given as stacked real coordinates x (..., 2 m N), 0 at u = 0, and its
-    gradient in x; `signs` is the (P, m) matrix of sign patterns.
+    gradient in x; `signs` is the (P, m) matrix of sign patterns.  A stack
+    (..., m, N, N) gives each probe row its own tuple.
 
     With S_p = sum_j eps_pj T_j u_j and s_p = sum_j eps_pj u_j, the slot-j
     gradients are T_j^H mean_p eps_pj g(S_p) for num and mean_p eps_pj g(s_p)
@@ -459,7 +460,7 @@ def _ratio_and_grad(stack: np.ndarray, signs: np.ndarray, q: float, x: np.ndarra
     At q = inf, pick (..., P) names the entry of each s_p whose phase is the
     gradient of ||s_p||, so that across a tie it stays that of one piece.
     """
-    vecs = x.reshape(x.shape[:-1] + (len(stack), 2, stack.shape[-1]))
+    vecs = x.reshape(x.shape[:-1] + (stack.shape[-3], 2, stack.shape[-1]))
     us = vecs[..., 0, :] + 1j * vecs[..., 1, :]
     # einsum, not @: a BLAS product with 2^m rows spins up threads at every call
     S = np.einsum("pj,...jn->...pn", signs, (stack @ us[..., None])[..., 0])
@@ -574,10 +575,12 @@ def _kinks(signs: np.ndarray, x: np.ndarray, q: float, N: int):
     return np.eye(2 * m * N) - np.linalg.pinv(gram, rcond=1e-12) @ gram, pick
 
 
-def _search(stack: np.ndarray, q: float, starts, cloud: np.ndarray, keep: int) -> float:
-    """Largest Rademacher ratio of the stack (m, N, N) that batched BFGS
-    reaches from each of `starts` and from the `keep` best points of
-    `cloud`; never below the cloud's best.
+def _search(stacks: np.ndarray, q: float, starts: np.ndarray, cloud: np.ndarray,
+            keep: int) -> np.ndarray:
+    """Largest Rademacher ratio of each tuple of stacks (T, m, N, N) that
+    batched BFGS reaches from its starts (T, s, 2 m N) and from the `keep`
+    points of the shared cloud (C, 2 m N) it scores best; never below its
+    best cloud point.
 
     The ratio has kinks where its denominator does: where a signed sum s_p
     vanishes, at q = 1 where an entry s_pn does, at q = inf where the largest
@@ -587,43 +590,67 @@ def _search(stack: np.ndarray, q: float, starts, cloud: np.ndarray, keep: int) -
     at its point, on which it climbs to STEP_TOL, until a round no longer
     raises it.  At q = inf the gradient takes the largest entry of each s_p
     as frozen at the round's start, that of one smooth piece across a tie,
-    while a step is still accepted only if the true ratio rises.
+    while a step is still accepted only if the true ratio rises.  Each row
+    reads only its own tuple, and no step of _climb or _kinks mixes rows, so
+    a tuple's score is the one it reaches when searched alone.
     """
-    m, N = len(stack), stack.shape[-1]
+    T, m, N = stacks.shape[:2] + stacks.shape[-1:]
     signs = _sign_patterns(m)[2 ** (m - 1):]  # the other half: s_p of -eps_p is -s_p
 
-    def fun(x, rows=None, pick=None):
-        return _ratio_and_grad(stack, signs, q, x, None if pick is None else pick[rows])
+    def fun(own, x, rows, pick=None):
+        return _ratio_and_grad(stacks[own[rows]], signs, q, x,
+                               None if pick is None else pick[rows])
 
-    # in blocks of P N signed-sum entries per point, as in _rademacher_terms
-    vals = np.concatenate([fun(cloud[b])[0] for b in blocks(len(cloud), len(signs) * N)])
-    x = np.concatenate([np.reshape(starts, (-1, cloud.shape[-1])),
-                        cloud[np.argsort(-vals, kind="stable")[:keep]]])
-    f, x = _climb(fun, x, ROUGH_TOL, np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:]))
+    # every tuple at every cloud point, in blocks of P N signed-sum entries per point
+    own, at = np.divmod(np.arange(T * len(cloud)), len(cloud))
+    vals = np.concatenate([_ratio_and_grad(stacks[own[b]], signs, q, cloud[at[b]])[0]
+                           for b in blocks(len(own), len(signs) * N)]).reshape(T, -1)
+    best = cloud[np.argsort(-vals, axis=-1, kind="stable")[:, :keep]]
+    x = np.concatenate([starts, best], axis=1).reshape(-1, cloud.shape[-1])
+    own = np.repeat(np.arange(T), len(x) // T)
+    f, x = _climb(functools.partial(fun, own), x, ROUGH_TOL,
+                  np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:]))
     live = np.arange(len(x))
     for _ in range(CUSP_ROUNDS):
         proj, pick = _kinks(signs, x[live], q, N)
-        fine, y = _climb(functools.partial(fun, pick=pick), x[live], STEP_TOL, proj)
+        fine, y = _climb(functools.partial(fun, own[live], pick=pick), x[live], STEP_TOL, proj)
         rose = fine > (1 + STEP_TOL) * f[live]
         live = live[rose]
         x[live], f[live] = y[rose], fine[rose]
         if not len(live):
             break
-    return float(max(vals.max(), f.max()))
+    return np.maximum(vals.max(axis=-1), f.reshape(T, -1).max(axis=-1))
 
 
-def _maximize_tuple(stack: np.ndarray, q: float, seed: int) -> float:
-    """Best Rademacher ratio over probe vectors for a fixed operator tuple, a
-    stack (m, N, N).  Deterministic given (stack, q, seed) and independent of
-    any enclosing family, so enlarging a family can only enlarge the estimate.
+def _maximize_tuples(stacks, q: float, seed: int) -> list:
+    """Best Rademacher ratio over probe vectors of each operator tuple of a
+    list of stacks (m, N, N) of one N, in list order.
+
+    Tuples of one size m climb together (_search) from starts drawn for
+    (seed, m, N): each slot's leading right singular vector, RESTARTS random
+    points and the 8 best of 64 random ones, in blocks (spaces.blocks) that
+    hold as many tuples as fit, one at the least.  A score depends only on
+    (stack, q, seed), never on the other tuples, so enlarging a family can
+    only enlarge the estimate.
     """
-    m, N = len(stack), stack.shape[-1]
-    rng = np.random.default_rng(seed)
-    # each slot seeded with its operator's leading right singular vector
-    v = np.linalg.svd(stack)[2][:, 0].conj()
-    starts = [np.stack([v.real, v.imag], axis=1).ravel()]
-    starts += list(rng.standard_normal((RESTARTS, m * 2 * N)))
-    return _search(stack, q, starts, rng.standard_normal((64, m * 2 * N)), keep=8)
+    scores, keep = np.empty(len(stacks)), 8
+    sizes = np.array([len(stack) for stack in stacks])
+    for m in dict.fromkeys(sizes.tolist()):
+        group = np.flatnonzero(sizes == m)
+        tuples = np.stack([stacks[i] for i in group])
+        N = tuples.shape[-1]
+        rng = np.random.default_rng(seed)
+        restarts = rng.standard_normal((RESTARTS, m * 2 * N))
+        cloud = rng.standard_normal((64, m * 2 * N))
+        v = np.linalg.svd(tuples)[2][..., 0, :].conj()
+        starts = np.concatenate([np.stack([v.real, v.imag], axis=-2).reshape(len(group), 1, -1),
+                                 np.broadcast_to(restarts, (len(group),) + restarts.shape)],
+                                axis=1)
+        # per start, the largest arrays are the kink weights (P, 3 N, 2 N) and the (D, D) ones
+        per_start = max(2 ** (m - 1) * N * N, (2 * m * N) ** 2)
+        for b in blocks(len(group), (starts.shape[1] + keep) * per_start):
+            scores[group[b]] = _search(tuples[b], q, starts[b], cloud, keep)
+    return scores.tolist()
 
 
 def probe_norm(T, q: float = 2.0, seed: int = 1234) -> float:
@@ -631,7 +658,7 @@ def probe_norm(T, q: float = 2.0, seed: int = 1234) -> float:
     ratio, since mean(||+-T u||) = ||T u||, searched from a random cloud."""
     T = np.atleast_2d(np.asarray(T, dtype=complex))
     cloud = np.random.default_rng(seed).standard_normal((PROBE_CLOUD, 2 * T.shape[1]))
-    return _search(T[None], q, [], cloud, keep=4)
+    return float(_search(T[None, None], q, np.empty((1, 0, cloud.shape[1])), cloud, keep=4)[0])
 
 
 @dataclass
@@ -676,21 +703,19 @@ def estimate_rbound(family, q: float = 2.0, tuple_size: int = 3, seed: int = 0,
     candidates = [(j,) for j in range(k)]
     candidates += [(j,) * tuple_size for j in range(k)]
     candidates += _mixed_tuples(k, tuple_size, budget)
-    seen = set()
-    best_val, best_tup = 0.0, (0,)
+    tried = {}
     for tup in candidates:
-        key = tuple(sorted(tup))  # the ratio is invariant under tuple reordering
-        if key in seen:
-            continue
-        seen.add(key)
-        if q in (1, 2, np.inf) and len(set(key)) == 1:
-            val = float(norms[key[0]])
-        else:
-            val = _maximize_tuple(members[list(tup)], q, seed)
+        tried.setdefault(tuple(sorted(tup)), tup)  # the ratio is invariant under reordering
+    searched = [tup for tup in tried.values() if q not in (1, 2, np.inf) or len(set(tup)) > 1]
+    stacks = [members[list(tup)] for tup in searched]
+    scores = dict(zip(searched, _maximize_tuples(stacks, q, seed))) if searched else {}
+    best_val, best_tup = 0.0, (0,)
+    for tup in tried.values():
+        val = scores[tup] if tup in scores else float(norms[tup[0]])
         if val > best_val:
             best_val, best_tup = val, tup
     upper = math.sqrt(2.0) * float(norms.max()) if q == 2 else None
-    return RBoundEstimate(value=best_val, tuple_indices=best_tup, tuples_tried=len(seen),
+    return RBoundEstimate(value=best_val, tuple_indices=best_tup, tuples_tried=len(tried),
                           upper=upper)
 
 

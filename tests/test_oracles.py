@@ -301,6 +301,34 @@ def test_contraction_estimate_scalar_coefficients_closed_form(monkeypatch):
     assert contraction_estimate(prob) == pytest.approx(exact, rel=1e-12)
 
 
+@pytest.mark.parametrize("A, q", [(A_NONNORMAL, 2.0), (A_HERMITIAN, 3.0)],
+                         ids=["nonnormal-q2", "hermitian-q3"])
+def test_contraction_estimate_scalar_coefficients_take_one_norm_set(A, q, monkeypatch):
+    # on the inverse path the c I terms need ||B(xi)|| alone: one batched set of
+    # block norms, the same bits as the norms of the inverses themselves
+    prob = problem(scalar_terms(), A=A, q=q)
+    blocks = psdo.elliptic._lower_symbol_blocks(prob)
+    shifts = psdo.elliptic._mode_shifts(prob.principal)
+    B = shifted_solve(prob.model, shifts)
+    expected = float(np.max(np.abs(blocks[..., 0, 0]).reshape(-1) * operator_norm_upper(B, q)))
+    calls, svd = [], np.linalg.svd
+
+    def counted(mats, q):
+        calls.append((np.shape(mats), q))
+        return operator_norm_upper(mats, q)
+
+    def svds(*args, **kwargs):
+        calls.append("svd")
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(psdo.operators, "operator_norm_upper", counted)
+    monkeypatch.setattr(np.linalg, "svd", svds)
+    assert contraction_estimate(prob, probes=0) == expected
+    # at q = 3 the Riesz-Thorin bound also takes the q = inf norm of the same stack
+    assert calls[:2] == [(B.shape, q), "svd"] and calls.count("svd") == 1
+    assert calls[2:] == ([] if q == 2 else [(B.shape, np.inf)])
+
+
 def test_contraction_estimate_hermitian_non_scalar_coefficient_is_dense_norm():
     # one coefficient is not c I, so the block norms are taken from the blocks themselves
     prob = problem(constant_terms(), A=A_HERMITIAN)

@@ -233,7 +233,7 @@ def test_estimate_rbound_panel_floors(k):
 def test_estimate_rbound_closed_form_singletons(q, monkeypatch):
     rng = np.random.default_rng(5)
     fam = list(rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3)))
-    monkeypatch.setattr(verification, "_maximize_tuple",
+    monkeypatch.setattr(verification, "_maximize_tuples",
                         lambda *args, **kwargs: pytest.fail("searched a closed-form tuple"))
     est = estimate_rbound(fam, q=q, tuple_size=2, budget=0)
     norms = [np.linalg.norm(T, {1.0: 1, 2.0: 2, np.inf: np.inf}[q]) for T in fam]
@@ -311,24 +311,47 @@ def rbound_panel_case(name):
     if kind == "pair":
         return estimate_rbound(pair_family(k), q=q, tuple_size=2, budget=6).value
     rng = np.random.default_rng(200 + k)
-    return verification._maximize_tuple(
-        rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3)), q, 0)
+    return verification._maximize_tuples(
+        [rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))], q, 0)[0]
 
 
 @pytest.mark.parametrize("name", list(RBOUND_PANEL))
 def test_rbound_panel_floors(name, monkeypatch):
     scores = []
-    search = verification._maximize_tuple
+    search = verification._maximize_tuples
 
     def recorded(*args):
-        scores.append(search(*args))
-        return scores[-1]
+        found = search(*args)
+        scores.extend(found)
+        return found
 
-    monkeypatch.setattr(verification, "_maximize_tuple", recorded)
+    monkeypatch.setattr(verification, "_maximize_tuples", recorded)
     value, tuple_floors = RBOUND_PANEL[name]
     assert rbound_panel_case(name) >= value * (1 - 1e-9)
     assert len(scores) == len(tuple_floors)
     assert all(a >= b * (1 - 1e-9) for a, b in zip(scores, tuple_floors))
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, np.inf])
+def test_batched_tuple_scores_equal_solo_searches(q):
+    """Tuples searched in one batch, of two sizes and out of size order,
+    score exactly what each reaches when searched alone."""
+    rng = np.random.default_rng(300)
+    fam = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+    stacks = [fam[list(tup)] for tup in [(0, 1, 2), (0, 1), (0, 0, 1), (1, 2), (1, 2, 2)]]
+    batched = verification._maximize_tuples(stacks, q, 7)
+    assert batched == [verification._maximize_tuples([stack], q, 7)[0] for stack in stacks]
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0, np.inf])
+def test_estimate_rbound_does_not_depend_on_its_blocks(q, monkeypatch):
+    """One tuple per block gives the same estimate as the default blocks."""
+    fam = pair_family(0) + pair_family(1)[:1]
+    est = estimate_rbound(fam, q=q, tuple_size=3, budget=5)
+    monkeypatch.setattr(spaces, "BLOCK_ENTRIES", 1)
+    alone = estimate_rbound(fam, q=q, tuple_size=3, budget=5)
+    assert (alone.value, alone.tuple_indices, alone.tuples_tried) \
+        == (est.value, est.tuple_indices, est.tuples_tried)
 
 
 @pytest.mark.parametrize("q", [1.0, np.inf])
