@@ -1,5 +1,5 @@
-"""Command-line front end: JSON-configured scenarios producing deterministic
-report.json / report.csv artifacts.
+"""Command-line front end: JSON-configured scenarios producing a deterministic
+report.json, and solution.txt for a task with `export_fields`.
 
 Exit codes: 0 pass, 1 execution failure, 2 config failure, 3 verdict failure.
 Reports carry no timestamps and serialize with sorted keys so repeated runs
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -322,7 +323,7 @@ SWEEP = Switch(  # explicit rays and radii, or the generated form; never both
     "an object", lambda v: "explicit" if isinstance(v, dict)
     and not {"rays", "radii", "t_values"}.isdisjoint(v) else "generated", {
         "explicit": Table({"phi2": number(), "rays": List(number(), least=1, default=[0.0]),
-                           "radii": List(number(), least=1),
+                           "radii": List(number("a number >= 0", lambda x: x >= 0), least=1),
                            "t_values": List(SCALE, least=1, default=[1.0])}),
         "generated": Table({"phi2": number(), "n_rays": integer(default=3),
                             "n_radii": integer(default=13),
@@ -448,30 +449,6 @@ def _parse_forcing(v: dict, ell: EllipticProblem) -> SpaceTimeField:
 # report output
 
 
-def _csv_row(ray, radius, t, ratio, residual, verdict):
-    tstr = "" if t is None else ";".join(repr(float(v)) for v in t)
-    fmt = lambda v: "" if v is None else repr(float(v))
-    return f"{fmt(ray)},{fmt(radius)},{tstr},{fmt(ratio)},{fmt(residual)},{verdict}"
-
-
-def _outcome(ok, result: dict, ratio, ray=None, radius=None, t=None, residual=None,
-             export=None):
-    """(verdict, result, CSV rows, extra files) of a task with one CSV row;
-    the field `export`, when given, goes to solution.txt."""
-    verdict = "pass" if ok else "fail"
-    extras = {} if export is None else {"solution.txt": export_columnar(export)}
-    return verdict, result, [_csv_row(ray, radius, t, ratio, residual, verdict)], extras
-
-
-def _sweep_outcome(rep):
-    """(status, report, one CSV row per sweep point, no extra files) of a sweep."""
-    d = rep.to_dict()
-    rows = [_csv_row(p.get("ray"), p.get("radius"), p.get("t"), p.get("ratio"),
-                     p.get("residual"), "ok" if p.get("error") is None else "error")
-            for p in d.get("points", [])]
-    return rep.status, d, rows, {}
-
-
 def _sanitize(obj):
     """Make report content JSON-serializable and deterministic."""
     if isinstance(obj, dict):
@@ -489,21 +466,25 @@ def _sanitize(obj):
     return obj
 
 
-def _write_reports(out_dir: str, report: dict, csv_rows, extra_files=None):
+def _write_reports(out_dir: str, report: dict, export=None):
+    """Write report.json to `out_dir`, and the field `export`, when given, to
+    solution.txt: every file the CLI writes."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = json.dumps(_sanitize(report), sort_keys=True, indent=2,
                          allow_nan=False) + "\n"
     (out / "report.json").write_text(payload)
-    lines = ["ray,radius,t,ratio,residual,verdict"] + list(csv_rows)
-    (out / "report.csv").write_text("\n".join(lines) + "\n")
-    for name, text in (extra_files or {}).items():
-        (out / name).write_text(text)
+    if export is not None:
+        (out / "solution.txt").write_text(export_columnar(export))
 
 
 # ---------------------------------------------------------------------------
 # task handlers: each takes the checked values and the seed and returns
-# (verdict_string, result_dict, csv_rows, extras)
+# (verdict, result dict, the field for solution.txt or None)
+
+
+def _verdict(ok) -> str:
+    return "pass" if ok else "fail"
 
 
 @_task("solve-elliptic", {
@@ -526,10 +507,7 @@ def _task_solve_elliptic(v, seed):
         "data_norm": lp_lq_norm(f, v["p"]),
         "graph_norm": {"operator": onorm, "sobolev": hnorm, "ratio": gratio},
     }
-    lam = prob.lam
-    return _outcome(residual < v["residual_tol"], result, gratio,
-                    ray=np.angle(lam) if lam != 0 else 0.0, radius=abs(lam), t=prob.t.t,
-                    residual=residual, export=u if v["export_fields"] else None)
+    return _verdict(residual < v["residual_tol"]), result, u if v["export_fields"] else None
 
 
 @_task("solve-parabolic", {
@@ -543,8 +521,6 @@ def _task_solve_parabolic(v, seed):
     prob = ParabolicProblem(elliptic=ell, forcing=_parse_forcing(v, ell))
     u_hat, f_hat = evolve_spectra(prob, v["method"])
     ratio, residual, forcing_norm, solution_norm = parabolic_diagnostics(prob, u_hat, f_hat)
-    export = solution_on_grid(prob, u_hat) if v["export_fields"] else None
-    del u_hat, f_hat  # not held through export_columnar, the task's largest step
     result = {
         "method": v["method"],
         "steps": v["steps"],
@@ -556,33 +532,34 @@ def _task_solve_parabolic(v, seed):
         "forcing_norm": forcing_norm,
     }
     ok = (ratio is None or math.isfinite(ratio)) and residual < v["residual_tol"]
-    return _outcome(ok, result, ratio, ray=0.0, radius=0.0, t=ell.t.t, residual=residual,
-                    export=export)
+    return _verdict(ok), result, solution_on_grid(prob, u_hat) if v["export_fields"] else None
 
 
 @_task("verify-coercivity", _sweep_task(("flatness", "max_ratio"), p=Q,
                                        data_count=integer(2, default=8)))
 def _task_verify_coercivity(v, seed):
     template = ProblemTemplate(model=v["model"], symbol=v["symbol"], grid=v["grid"], p=v["p"])
-    return _sweep_outcome(coercivity_sweep(template, _parse_sweep(v), data_count=v["data_count"],
-                                           seed=seed, **v["thresholds"]))
+    rep = coercivity_sweep(template, _parse_sweep(v), data_count=v["data_count"], seed=seed,
+                           **v["thresholds"])
+    return rep.status, rep.to_dict(), None
 
 
 @_task("verify-resolvent", _sweep_task(("flatness", "max_ratio"), per_axis=integer(default=33)))
 def _task_verify_resolvent(v, seed):
     template = ProblemTemplate(model=v["model"], symbol=v["symbol"], grid=v["grid"])
-    return _sweep_outcome(resolvent_sweep(template, _parse_sweep(v), per_axis=v["per_axis"],
-                                          **v["thresholds"]))
+    rep = resolvent_sweep(template, _parse_sweep(v), per_axis=v["per_axis"], **v["thresholds"])
+    return rep.status, rep.to_dict(), None
 
 
 @_task("check-multipliers", _sweep_task(("flatness", "sigma_sup"),
                                        rbound_subsample=integer(default=8),
                                        tuple_size=TUPLE_SIZE))
 def _task_check_multipliers(v, seed):
-    return _sweep_outcome(multiplier_family_check(
+    rep = multiplier_family_check(
         v["model"], v["symbol"], _parse_sweep(v), dims=v["grid"].n,
         rbound_subsample=v["rbound_subsample"], tuple_size=v["tuple_size"], seed=seed,
-        **v["thresholds"]))
+        **v["thresholds"])
+    return rep.status, rep.to_dict(), None
 
 
 @_task("estimate-rbound", {"family": FAMILY, "q": Q, "tuple_size": TUPLE_SIZE})
@@ -605,7 +582,7 @@ def _task_estimate_rbound(v, seed):
         "singleton_probe_norm": probe_norm(members[0], q=q, seed=seed + 1)
         if len(members) == 1 else None,
     }
-    return _outcome(math.isfinite(est.value), result, est.value)
+    return _verdict(math.isfinite(est.value)), result, None
 
 
 @_task("check-kahane", {"q": Q, "scalars": OPTIONAL_ARRAY, "vectors": OPTIONAL_ARRAY,
@@ -639,7 +616,7 @@ def _task_check_kahane(v, seed):
         "worst_normalized_constant": worst,
         "all_within_bound": ok,
     }
-    return _outcome(ok, result, worst)
+    return _verdict(ok), result, None
 
 
 @_task("check-symbol", {"symbol": SYMBOL, "t_values": List(SCALE, least=1),
@@ -658,13 +635,13 @@ def _task_check_symbol(v, seed):
         "lower_margin": rep.lower_margin,
         "samples": rep.samples,
     }
-    return _outcome(rep.verdict, result, rep.lower_margin)
+    return _verdict(rep.verdict), result, None
 
 
 def _run_task(task: str, cfg: dict, args) -> int:
     values = SCHEMA[task].value(cfg, "config")
     seed = args.seed if args.seed is not None else values["seed"]
-    verdict, result, rows, extras = TASKS[task](values, seed)
+    verdict, result, export = TASKS[task](values, seed)
     report = {
         "version": __version__,
         "task": task,
@@ -673,7 +650,7 @@ def _run_task(task: str, cfg: dict, args) -> int:
         "result": result,
         "verdict": verdict,
     }
-    _write_reports(args.out, report, rows, extras)
+    _write_reports(args.out, report, export)
     print(f"{task}: {verdict}")
     return EXIT_PASS if verdict in ("pass", "not-applicable") else EXIT_VERDICT
 
@@ -694,6 +671,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seed is not None and args.seed < 0:  # as the config's `seed`
         parser.error(f"--seed must be >= 0, got {args.seed}")
+    nearest = Path(args.out).absolute()  # the directory to write in, or to make it in
+    while not os.path.exists(nearest):
+        nearest = nearest.parent
+    if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
+        parser.error(f"--out must be a writable directory or a path to make one in, "
+                     f"got {args.out}")
     try:
         cfg = _load_config(args.config)
         cfg = _apply_overrides(cfg, args.set)

@@ -175,8 +175,12 @@ class SpaceTimeField:
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape[1:-1] != self.grid.shape:
             raise ValueError("slice shape inconsistent with grid")
-        if self.Y <= 0:
-            raise ValueError("horizon Y must be positive")
+        if vals.shape[0] < 2:
+            raise ValueError(f"need at least two time slices, got {vals.shape[0]}")
+        if not 0 < self.Y < np.inf:
+            raise ValueError(f"horizon Y must be positive and finite, got {self.Y}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("field values must be finite")
         object.__setattr__(self, "values", vals)
 
     @property

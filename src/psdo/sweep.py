@@ -15,15 +15,17 @@ class SectorSweep:
 
     phi2: float
     rays: tuple                      # angles within [-phi2, phi2]
-    radii: tuple                     # strictly increasing moduli
+    radii: tuple                     # strictly increasing moduli >= 0
     t_grid: tuple = field(default=())  # ScaleParams values
 
     def __post_init__(self):
         rays = tuple(float(r) for r in self.rays)
         radii = tuple(float(r) for r in self.radii)
-        if any(abs(r) > self.phi2 + 1e-12 for r in rays):
+        if not all(abs(r) <= self.phi2 + 1e-12 for r in rays):  # NaN fails too
             raise ValueError("all rays must lie within [-phi2, phi2]")
-        if any(b <= a for a, b in zip(radii, radii[1:])):
+        if not all(r >= 0 for r in radii):
+            raise ValueError(f"radii must be >= 0, got {radii}")
+        if not all(b > a for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be strictly increasing")
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "radii", radii)

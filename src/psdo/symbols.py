@@ -29,8 +29,8 @@ class MultiIndex:
 
     def __post_init__(self):
         comps = tuple(float(c) for c in self.components)
-        if any(c < 0 for c in comps):
-            raise ValueError(f"multi-index components must be >= 0, got {comps}")
+        if not all(0 <= c < math.inf for c in comps):
+            raise ValueError(f"multi-index components must be finite and >= 0, got {comps}")
         object.__setattr__(self, "components", comps)
 
     @property

@@ -46,9 +46,6 @@ def test_run_scenario_pass(tmp_path):
     assert report["verdict"] == "pass"
     assert report["task"] == "verify-coercivity"
     assert "version" in report
-    csv = (tmp_path / "out" / "report.csv").read_text().strip().split("\n")
-    assert csv[0] == "ray,radius,t,ratio,residual,verdict"
-    assert len(csv) == 1 + len(report["result"]["points"])
 
 
 def test_verdict_failure_exit_code(tmp_path):
@@ -178,6 +175,25 @@ def test_solve_parabolic_grid_transforms(tmp_path, monkeypatch, changes, transfo
     assert calls == transforms
 
 
+@pytest.mark.parametrize("task, make_cfg, export", [
+    ("verify-coercivity", lambda: small_verify_cfg(), False),
+    ("solve-elliptic", lambda: small_elliptic_cfg(), True),
+    ("solve-parabolic", lambda: small_parabolic_cfg(), True),
+], ids=["sweep", "solve-elliptic-export", "solve-parabolic-export"])
+def test_out_holds_the_reports_and_a_rerun_is_byte_identical(tmp_path, task, make_cfg, export):
+    """--out holds report.json, and solution.txt with export_fields, and a
+    rerun writes every file byte for byte again."""
+    cfg = {**make_cfg(), "export_fields": True} if export else make_cfg()
+    path = write_cfg(tmp_path, cfg)
+    runs = []
+    for tag in ("a", "b"):
+        out = tmp_path / tag
+        assert main([task, "--config", path, "--out", str(out)]) == 0
+        runs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert sorted(runs[0]) == (["report.json", "solution.txt"] if export else ["report.json"])
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("argv", [["bogus", "--config", "c.json"], ["solve-elliptic"], [],
                                   ["solve-elliptic", "--config", "c.json", "--seed", "-1"]],
                          ids=["unknown-command", "no-config", "nothing", "negative-seed"])
@@ -186,6 +202,20 @@ def test_bad_command_line_exits_2(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "usage: psdo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_out_that_cannot_be_a_directory_exits_2_before_the_task(tmp_path, monkeypatch, capsys,
+                                                                  out):
+    (tmp_path / "afile").write_text("kept")
+    monkeypatch.setitem(cli.TASKS, "verify-coercivity",
+                        lambda v, seed: pytest.fail("the task ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["run-scenario", "--config", write_cfg(tmp_path, small_verify_cfg()),
+              "--out", str(tmp_path / out)])
+    assert exc.value.code == 2
+    assert "error: --out must be a writable directory" in capsys.readouterr().err
+    assert (tmp_path / "afile").read_text() == "kept"
 
 
 def test_version_flag(capsys):
@@ -269,7 +299,7 @@ def test_reports_are_strict_json(tmp_path):
         raise ValueError(f"non-standard JSON constant {name}")
 
     report = {"ratio": float("nan"), "nested": [np.float64("nan"), float("inf")]}
-    _write_reports(str(tmp_path), report, [])
+    _write_reports(str(tmp_path), report)
     back = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
     assert back == {"ratio": "nan", "nested": ["nan", "inf"]}
 
@@ -588,6 +618,10 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN and Infinity
     ("solve-elliptic", {**small_elliptic_cfg(), "data": {"kind": "gaussian",
                                                          "vector": [1.0, NAN]}}),
     ("check-kahane", {"scalars": [0.5, NAN], "vectors": [[1.0], [2.0]]}),
+    ("verify-coercivity", {**task_cfgs()["verify-coercivity"],
+                           "sweep": {"phi2": 0.5, "radii": [-10.0, 5.0]}}),
+    ("verify-coercivity", {**task_cfgs()["verify-coercivity"],
+                           "sweep": {"phi2": 0.5, "radii": [1.0, NAN]}}),
 ], ids=["family-kind", "resolvent-no-lambdas", "resolvent-no-model", "matrices-no-members", "no-members",
         "mixed-shapes", "ragged-member", "matrices-lambdas", "scalars-only", "vectors-only",
         "unequal-lengths", "lambdas-number", "lambdas-empty", "count-negative", "count-0",
@@ -603,7 +637,7 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN and Infinity
         "symbol-theta0-on-power", "symbol-unknown-key", "table-unsorted",
         "table-value-count", "table-imag-count", "lambda-inf", "bvp-ell-inf", "grid-L-inf",
         "t-inf", "omega-inf", "lambdas-inf", "members-nan", "coefficient-nan", "vector-nan",
-        "scalars-nan"])
+        "scalars-nan", "radii-negative", "radii-nan"])
 def test_malformed_family_or_instance_is_config_error(tmp_path, capsys, task, cfg):
     assert run_with_sets(tmp_path, task, {"task": task, **cfg}, []) == 2
     assert "config error:" in capsys.readouterr().err

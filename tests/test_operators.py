@@ -152,5 +152,9 @@ def test_sweep_validation():
         SectorSweep(phi2=0.5, rays=(0.6,), radii=(1.0, 2.0))
     with pytest.raises(ValueError):
         SectorSweep(phi2=0.5, rays=(0.0,), radii=(2.0, 1.0))
+    for rays, radii in [((np.nan,), (1.0,)), ((0.0,), (np.nan,)), ((0.0,), (1.0, np.nan)),
+                        ((0.0,), (-10.0, 5.0))]:
+        with pytest.raises(ValueError):
+            SectorSweep(phi2=0.5, rays=rays, radii=radii)
     s = SectorSweep(phi2=0.5, rays=(-0.5, 0.5), radii=(1.0, 10.0))
     assert len(s.lambdas()) == 4

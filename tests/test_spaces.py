@@ -229,6 +229,19 @@ def test_field_validation():
         SampledField(grid=g, values=np.full((8, 1), np.nan))
 
 
+@pytest.mark.parametrize("slices, Y, bad", [(1, 1.0, None), (0, 1.0, None), (3, np.nan, None),
+                                            (3, np.inf, None), (3, 1.0, np.nan),
+                                            (3, 1.0, np.inf)],
+                         ids=["one-slice", "no-slice", "Y-nan", "Y-inf", "value-nan", "value-inf"])
+def test_space_time_field_validation(slices, Y, bad):
+    g = GridSpec(n=1, M=8, L=1.0)
+    vals = np.zeros((slices, 8, 1), dtype=complex)
+    if bad is not None:
+        vals[-1, 3, 0] = bad
+    with pytest.raises(ValueError):
+        SpaceTimeField(grid=g, values=vals, Y=Y)
+
+
 def test_export_columnar():
     g = GridSpec(n=1, M=4, L=1.0)
     u = constant_field(g, [1.0 + 2.0j])

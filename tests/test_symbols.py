@@ -28,8 +28,9 @@ def test_multi_index_basics():
     assert a.n == 2
     b = a + MultiIndex((0.0, 0.5))
     assert b.components == (1.0, 1.0)
-    with pytest.raises(ValueError):
-        MultiIndex((-1.0,))
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            MultiIndex((1.0, bad))
 
 
 def test_scale_params_weight():
