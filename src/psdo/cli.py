@@ -404,18 +404,18 @@ def _parse_sweep(v: dict) -> SectorSweep:
 
 def _parse_data(v: dict, prob: EllipticProblem, rng=None, where: str = "data") -> SampledField:
     """The field of a checked data value, or the spatial part of a forcing."""
-    grid, N, q = prob.grid, prob.model.N, prob.model.q
+    grid, N = prob.grid, prob.model.N
     if v["kind"] == "random":
-        return random_band_limited_field(grid, N, rng, q=q, fraction=v["fraction"])
+        return random_band_limited_field(grid, N, rng, fraction=v["fraction"])
     vector = np.ones(N, dtype=complex) if v["vector"] is None else np.atleast_1d(v["vector"])
     if vector.shape != (N,):
         raise ConfigError(f"{where}.vector must have N = {N} entries, got shape {vector.shape}")
     if v["kind"] == "gaussian":
-        return gaussian_field(grid, width=v["width"], vector=vector, q=q)
+        return gaussian_field(grid, width=v["width"], vector=vector)
     xi0 = [1.0] * grid.n if v["xi0"] is None else v["xi0"]
     if len(xi0) != grid.n:
         raise ConfigError(f"data.xi0 must have n = {grid.n} entries, got {xi0}")
-    return mode_field(grid, xi0, vector, q=q)
+    return mode_field(grid, xi0, vector)
 
 
 def _parse_problem(v: dict, lam: complex, lower_terms=()) -> EllipticProblem:
@@ -442,7 +442,7 @@ def _parse_forcing(v: dict, ell: EllipticProblem) -> SpaceTimeField:
     else:
         weights = np.ones_like(times)
     vals = weights[(...,) + (None,) * (ell.grid.n + 1)] * base.values[None]
-    return SpaceTimeField(grid=ell.grid, values=vals, Y=Y, q=ell.model.q, p=v["p"], p1=v["p1"])
+    return SpaceTimeField(grid=ell.grid, values=vals, Y=Y)
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +503,8 @@ def _task_solve_elliptic(v, seed):
         "iterations": it.iterations,
         "contraction": it.contraction,
         "contraction_exact": it.contraction_exact,
-        "solution_norm": lp_lq_norm(u, v["p"]),
-        "data_norm": lp_lq_norm(f, v["p"]),
+        "solution_norm": lp_lq_norm(u, v["p"], prob.model.q),
+        "data_norm": lp_lq_norm(f, v["p"], prob.model.q),
         "graph_norm": {"operator": onorm, "sobolev": hnorm, "ratio": gratio},
     }
     return _verdict(residual < v["residual_tol"]), result, u if v["export_fields"] else None
@@ -520,7 +520,8 @@ def _task_solve_parabolic(v, seed):
     ell = _parse_problem(v, 0.0)
     prob = ParabolicProblem(elliptic=ell, forcing=_parse_forcing(v, ell))
     u_hat, f_hat = evolve_spectra(prob, v["method"])
-    ratio, residual, forcing_norm, solution_norm = parabolic_diagnostics(prob, u_hat, f_hat)
+    ratio, residual, forcing_norm, solution_norm = parabolic_diagnostics(
+        prob, u_hat, f_hat, v["p"], v["p1"])
     result = {
         "method": v["method"],
         "steps": v["steps"],

@@ -38,6 +38,7 @@ from .symbols import MultiIndex, ScaleParams, SymbolSpec, eval_symbol
 RESIDUAL_TOL = 1e-10
 NEUMANN_TOL = 1e-9
 MAX_ITER = 200
+PROBES = 64  # random fields of a sampled contraction estimate
 
 
 @dataclass(frozen=True)
@@ -197,8 +198,7 @@ def _scalar_coefficients(prob: EllipticProblem) -> bool:
     return all(c.shape == eye.shape and np.array_equal(c, c[0, 0] * eye) for c in coeffs)
 
 
-def contraction_estimate(prob: EllipticProblem, probes: int = 64, seed: int = 0, *,
-                         shifts: np.ndarray = None, lower_blocks: np.ndarray = None) -> float:
+def contraction_estimate(prob: EllipticProblem, probes: int = PROBES, seed: int = 0) -> float:
     """Norm of u -> L_t (principal)^-1 u on L^2(x; l_q^N), exact or estimated.
 
     With constant coefficients L_t P^-1 is a Fourier multiplier, and its
@@ -213,16 +213,18 @@ def contraction_estimate(prob: EllipticProblem, probes: int = 64, seed: int = 0,
     coefficients, the max with the ratios of `probes` random band-limited
     fields (lower bounds, and the only term for x-dependent coefficients) is
     returned; probes are drawn and solved in blocks (spaces.blocks).
-
-    `shifts` (the per-mode lambda + P_t(xi)) and `lower_blocks` (the per-mode
-    matrices of L_t) are computed here unless a caller that has them passes
-    them.
     """
+    return _contraction(prob, probes, seed, _mode_shifts(prob), _lower_symbol_blocks(prob))[0]
+
+
+def _contraction(prob: EllipticProblem, probes: int, seed: int, shifts: np.ndarray,
+                 lower_blocks) -> tuple:
+    """(contraction_estimate, whether it is exact) from the per-mode shifts
+    lambda + P_t(xi) and the per-mode matrices of L_t (None for x-dependent
+    coefficients).  It is exact when no probe is drawn: constant coefficients
+    at q = 2, or no lower terms."""
     if not prob.lower_terms:
-        return 0.0
-    base = prob.principal
-    shifts = _mode_shifts(base) if shifts is None else shifts
-    lower_blocks = _lower_symbol_blocks(prob) if lower_blocks is None else lower_blocks
+        return 0.0, True
     best = 0.0
     grid, model, N, q = prob.grid, prob.model, prob.model.N, prob.model.q
     if lower_blocks is not None:
@@ -233,7 +235,7 @@ def contraction_estimate(prob: EllipticProblem, probes: int = 64, seed: int = 0,
             norms = operator_norm_upper(lower_blocks @ Binv, q)
         best = float(np.max(norms))
         if q == 2:
-            return best
+            return best, True
     rng = np.random.default_rng(seed)
     for b in blocks(probes, grid.M ** grid.n * N):  # the stream's fields in order
         u = random_band_limited_values(grid, N, rng, b.stop - b.start)
@@ -242,7 +244,7 @@ def contraction_estimate(prob: EllipticProblem, probes: int = 64, seed: int = 0,
         if nu.size:
             Lv = _apply_lower(prob, _solve_spectra(model, shifts, grid.fft(u)))
             best = max(best, float((_lp_lq_norms(Lv, grid, q, 2.0) / nu).max()))
-    return best
+    return best, False
 
 
 @dataclass
@@ -264,24 +266,21 @@ def solve_full(prob: EllipticProblem, f: SampledField, seed: int = 0):
     The iteration runs on spectra: f is transformed once, and u once back at
     the end.  The spectrum of L_t u is the per-mode blocks of L_t times the
     iterate's spectrum for constant coefficients (the blocks are built once
-    and shared with contraction_estimate), and the FFT of the physical
+    and shared with the contraction estimate), and the FFT of the physical
     product otherwise.  The residual is that of the applied operator,
-    (A + lambda + P_t(xi)) uhat + (L_t u)^ - fhat; at q = 2 its L^2(l_2) norm
-    is taken from the spectrum by Parseval, at other q after an inverse FFT.
+    (A + lambda + P_t(xi)) uhat + (L_t u)^ - fhat, in the L^2(l_q) norm of
+    q = prob.model.q: at q = 2 from the spectrum by Parseval, at other q after
+    an inverse FFT.
     Returns (solution, IterationReport).
     """
-    grid = prob.grid
+    grid, q = prob.grid, prob.model.q
     shifts = _mode_shifts(prob)
     lower_blocks = _lower_symbol_blocks(prob)
-    rate, exact = 0.0, True
-    if prob.lower_terms:
-        rate = contraction_estimate(prob, seed=seed, shifts=shifts, lower_blocks=lower_blocks)
-        if rate >= 1.0:
-            raise ContractionFailure(
-                f"contraction estimate {rate:.3f} >= 1; increase |lambda|")
-        exact = prob.model.q == 2 and lower_blocks is not None  # no probes drawn
+    rate, exact = _contraction(prob, PROBES, seed, shifts, lower_blocks)
+    if rate >= 1.0:
+        raise ContractionFailure(f"contraction estimate {rate:.3f} >= 1; increase |lambda|")
     fhat = grid.fft(f.values[None])
-    nf = float(_lp_lq_norms(f.values[None], grid, f.q, 2.0)[0])
+    nf = float(_lp_lq_norms(f.values[None], grid, q, 2.0)[0])
     mode_shifts = shifts.reshape(grid.shape)[..., None]
     uhat = _solve_spectra(prob.model, shifts, fhat)
     residuals = []
@@ -291,7 +290,7 @@ def solve_full(prob: EllipticProblem, f: SampledField, seed: int = 0):
         else:
             lower = grid.fft(_apply_lower(prob, uhat))
         rhat = prob.model.apply(uhat) + mode_shifts * uhat + lower - fhat
-        nr = float(_lp_lq_norms_from_spectra(rhat, grid, f.q, 2.0)[0])
+        nr = float(_lp_lq_norms_from_spectra(rhat, grid, q, 2.0)[0])
         residuals.append(nr / nf if nf > 0 else 0.0)
         if residuals[-1] < NEUMANN_TOL or not prob.lower_terms:
             return f.with_values(grid.ifft(uhat)[0]), IterationReport(
@@ -311,8 +310,9 @@ def graph_norm(prob: EllipticProblem, u: SampledField, p: float = 2.0):
     """
     uspec = prob.grid.fft(u.values)
     ospec = prob.symbol_values()[..., None] * uspec + prob.model.apply(uspec)
-    onorm = float(_lp_lq_norms_from_spectra(ospec[None], prob.grid, u.q, p)[0])
-    hnorm = h_m_pt_norm(u, prob.t, prob.symbol.m, p, A=prob.model.A, spec=uspec)
+    q = prob.model.q
+    onorm = float(_lp_lq_norms_from_spectra(ospec[None], prob.grid, q, p)[0])
+    hnorm = h_m_pt_norm(u, prob.t, prob.symbol.m, p, q, A=prob.model.A, spec=uspec)
     if onorm == 0 and hnorm == 0:
         return 0.0, 0.0, 1.0
     ratio = hnorm / onorm if onorm > 0 else math.inf

@@ -164,21 +164,23 @@ def semigroup_propagator(prob: ParabolicProblem, y: float) -> np.ndarray:
     return ((V * E[..., None, :]).reshape(-1, N) @ Vinv).reshape(E.shape + (N,))
 
 
-def parabolic_diagnostics(prob: ParabolicProblem, u_hat: np.ndarray, f_hat: np.ndarray):
+def parabolic_diagnostics(prob: ParabolicProblem, u_hat: np.ndarray, f_hat: np.ndarray,
+                          p: float = 2.0, p1: float = 2.0):
     """(coercive ratio, equation residual, ||f||, ||u||) from the unitary
     spectra (GridSpec.fft) of the solution and of the forcing.
 
     The ratio is (||du/dy|| + ||P_t(D) u|| + ||A u||) / ||f|| and the residual
-    ||du/dy + P_t(D) u + A u - f|| / ||f||, every norm the forcing's mixed
-    L_p1(L_p(l_q)) norm; du/dy is np.gradient along time.  At p = q = 2 each
-    norm is taken from the spectra by Parseval, with no inverse FFT, and the
-    terms are formed in blocks of slices, never as whole stacks; other
-    exponents take u and P_t(D) u on the grid from one inverse FFT each.
+    ||du/dy + P_t(D) u + A u - f|| / ||f||, every norm the mixed
+    L_p1(L_p(l_q)) norm with q that of the operator model; du/dy is
+    np.gradient along time.  At p = q = 2 each norm is taken from the spectra
+    by Parseval, with no inverse FFT, and the terms are formed in blocks of
+    slices, never as whole stacks; other exponents take u and P_t(D) u on the
+    grid from one inverse FFT each.
     With f = 0 the ratio is None (not applicable) and the residual absolute.
     """
-    ell, f = prob.elliptic, prob.forcing
+    ell, f, q = prob.elliptic, prob.forcing, prob.elliptic.model.q
     P = ell.symbol_values()[..., None]
-    spectral = f.p == f.q == 2
+    spectral = p == q == 2
     if spectral:
         u, fv, norms = u_hat, f_hat, _lp_lq_norms_from_spectra
     else:
@@ -191,20 +193,20 @@ def parabolic_diagnostics(prob: ParabolicProblem, u_hat: np.ndarray, f_hat: np.n
         Pu = P * u_hat[b] if spectral else Pu_grid[b]
         res = ell.model.apply(u[b])  # A u, then in place du + (P u + A u) - f
         for row, v in zip(inner, (fv[b], u[b], du, Pu, res)):
-            row[b] = norms(v, ell.grid, f.q, f.p)
+            row[b] = norms(v, ell.grid, q, p)
         np.add(Pu, res, out=res)
         np.add(du, res, out=res)
         np.subtract(res, fv[b], out=res)
-        inner[5, b] = norms(res, ell.grid, f.q, f.p)
-    nf, nu, n_du, n_Pu, n_Au, nres = (_time_norm(row, f.dy, f.p1) for row in inner)
+        inner[5, b] = norms(res, ell.grid, q, p)
+    nf, nu, n_du, n_Pu, n_Au, nres = (_time_norm(row, f.dy, p1) for row in inner)
     if nf == 0:
         return None, nres, nf, nu
     return (n_du + n_Pu + n_Au) / nf, nres / nf, nf, nu
 
 
 def parabolic_coercive_ratio(prob: ParabolicProblem, u: SpaceTimeField):
-    """(||du/dy|| + ||P_t(D) u|| + ||A u||) / ||f|| of a solution u on the grid;
-    None when the forcing vanishes.  One FFT of u and f together, then
-    parabolic_diagnostics."""
+    """(||du/dy|| + ||P_t(D) u|| + ||A u||) / ||f|| of a solution u on the grid,
+    at p = p1 = 2; None when the forcing vanishes.  One FFT of u and f
+    together, then parabolic_diagnostics."""
     spectra = prob.elliptic.grid.fft(np.stack([u.values, prob.forcing.values]))
     return parabolic_diagnostics(prob, spectra[0], spectra[1])[0]

@@ -3,7 +3,8 @@
 Continuum problems are run on the torus [-L/2, L/2)^n with M points per axis;
 data is chosen band-limited or rapidly decaying so that periodization error
 stays below the solver tolerances.  Fields carry N complex components per
-grid point (the finite-dimensional target space) with an l_q norm.
+grid point (the finite-dimensional target space); the l_q exponent of that
+space is an argument of each norm, and solves take it from the operator model.
 """
 
 from __future__ import annotations
@@ -125,11 +126,10 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SampledField:
-    """Complex N-vector samples on a grid, with an l_q component norm."""
+    """Complex N-vector samples on a grid."""
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)  # shape (M,)*n + (N,)
-    q: float = 2.0
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -148,9 +148,6 @@ class SampledField:
     def with_values(self, values: np.ndarray) -> "SampledField":
         return replace(self, values=np.asarray(values, dtype=complex))
 
-    def __add__(self, other):
-        return self.with_values(self.values + other.values)
-
     def __sub__(self, other):
         return self.with_values(self.values - other.values)
 
@@ -167,9 +164,6 @@ class SpaceTimeField:
     grid: GridSpec
     values: np.ndarray = field(repr=False)
     Y: float
-    q: float = 2.0
-    p: float = 2.0   # inner (spatial) exponent
-    p1: float = 2.0  # outer (temporal) exponent
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -196,31 +190,30 @@ class SpaceTimeField:
         return self.values.shape[-1]
 
     def slice(self, j: int) -> SampledField:
-        return SampledField(grid=self.grid, values=self.values[j], q=self.q)
+        return SampledField(grid=self.grid, values=self.values[j])
 
     def with_values(self, values: np.ndarray) -> "SpaceTimeField":
         return replace(self, values=np.asarray(values, dtype=complex))
 
 
-def mode_field(grid: GridSpec, xi0, vector, q: float = 2.0) -> SampledField:
+def mode_field(grid: GridSpec, xi0, vector) -> SampledField:
     """Pure plane wave e^{i xi0 . x} * v; xi0 must lie on the frequency lattice."""
     xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
     v = np.atleast_1d(np.asarray(vector, dtype=complex))
     x = grid.points()
     phase = np.exp(1j * np.tensordot(x, xi0, axes=([-1], [0])))
     vals = phase[..., None] * v
-    return SampledField(grid=grid, values=vals, q=q)
+    return SampledField(grid=grid, values=vals)
 
 
-def gaussian_field(grid: GridSpec, width: float = None, vector=None,
-                   q: float = 2.0) -> SampledField:
+def gaussian_field(grid: GridSpec, width: float = None, vector=None) -> SampledField:
     """Centered Gaussian bump exp(-|x|^2 / (2 w^2)) times a component vector."""
     w = width if width is not None else grid.L / 16.0
     v = np.atleast_1d(np.asarray(vector if vector is not None else [1.0], dtype=complex))
     x = grid.points()
     r2 = np.sum(x**2, axis=-1)
     vals = np.exp(-r2 / (2.0 * w**2))[..., None] * v
-    return SampledField(grid=grid, values=vals, q=q)
+    return SampledField(grid=grid, values=vals)
 
 
 def band_limited_spectra(grid: GridSpec, N: int, rngs, count: int,
@@ -248,10 +241,10 @@ def random_band_limited_values(grid: GridSpec, N: int, rng, count: int,
     return grid.ifft(band_limited_spectra(grid, N, [rng], count, fraction)[0])
 
 
-def random_band_limited_field(grid: GridSpec, N: int, rng, q: float = 2.0,
+def random_band_limited_field(grid: GridSpec, N: int, rng,
                               fraction: float = 0.25) -> SampledField:
     """One field of random_band_limited_values."""
-    return SampledField(grid, random_band_limited_values(grid, N, rng, 1, fraction)[0], q)
+    return SampledField(grid, random_band_limited_values(grid, N, rng, 1, fraction)[0])
 
 
 def _zeroes_nyquist(a: float) -> bool:
@@ -335,17 +328,17 @@ def _lp_lq_norms_from_spectra(spectra: np.ndarray, grid: GridSpec, q: float,
     return _lp_lq_norms(grid.ifft(spectra), grid, q, p)
 
 
-def lp_lq_norm(u: SampledField, p: float) -> float:
+def lp_lq_norm(u: SampledField, p: float, q: float = 2.0) -> float:
     """L_p norm over the box of the pointwise l_q vector norm.
 
     Left-endpoint Riemann quadrature with cell volume (L/M)^n; p = inf takes
     the grid maximum.
     """
-    return float(_lp_lq_norms(u.values[None], u.grid, u.q, p)[0])
+    return float(_lp_lq_norms(u.values[None], u.grid, q, p)[0])
 
 
-def h_m_pt_norm(u: SampledField, t, m: float, p: float, A: np.ndarray = None,
-                spec: np.ndarray = None) -> float:
+def h_m_pt_norm(u: SampledField, t, m: float, p: float, q: float = 2.0,
+                A: np.ndarray = None, spec: np.ndarray = None) -> float:
     """Parameterized Sobolev norm: graph term plus the weighted bracket term.
 
     Returns ||A u||_{L_p} (0 when no operator part is supplied) plus
@@ -355,24 +348,21 @@ def h_m_pt_norm(u: SampledField, t, m: float, p: float, A: np.ndarray = None,
     term1 = 0.0
     if A is not None:
         Au = u.with_values(u.values @ np.asarray(A, dtype=complex).T)
-        term1 = lp_lq_norm(Au, p)
+        term1 = lp_lq_norm(Au, p, q)
     xi = u.grid.frequency_mesh()
     tvec = np.asarray(t.t)
     bracket = (1.0 + np.sqrt(np.sum(tvec ** (2.0 / m) * xi**2, axis=-1))) ** m
     spec = u.grid.fft(u.values) if spec is None else spec
-    term2 = float(_lp_lq_norms_from_spectra((spec * bracket[..., None])[None], u.grid, u.q, p)[0])
+    term2 = float(_lp_lq_norms_from_spectra((spec * bracket[..., None])[None], u.grid, q, p)[0])
     return term1 + term2
 
 
-def mixed_norm(u: SpaceTimeField, p: float = None, p1: float = None) -> float:
-    """Inner spatial L_p norm per time slice, outer temporal L_{p1} norm.
+def mixed_norm(u: SpaceTimeField, p: float = 2.0, p1: float = 2.0, q: float = 2.0) -> float:
+    """Inner spatial L_p(l_q) norm per time slice, outer temporal L_{p1} norm.
 
-    Exponents default to the ones stored on the field.  The time axis uses
-    trapezoid weights on the uniform partition of [0, Y].
+    The time axis uses trapezoid weights on the uniform partition of [0, Y].
     """
-    p = u.p if p is None else p
-    p1 = u.p1 if p1 is None else p1
-    inner = np.concatenate([_lp_lq_norms(u.values[b], u.grid, u.q, p)
+    inner = np.concatenate([_lp_lq_norms(u.values[b], u.grid, q, p)
                             for b in blocks(u.J + 1, u.values[0].size)])
     return _time_norm(inner, u.dy, p1)
 

@@ -197,28 +197,20 @@ def eval_symbol(spec: SymbolSpec, t, xi):
         np.array([s.t for s in t]).reshape((len(t),) + (1,) * (xi.ndim - 2) + (-1,))
     if xi.shape[-1] != tvec.shape[-1]:
         raise ValueError(f"frequency dimension {xi.shape[-1]} != len(t) = {tvec.shape[-1]}")
-    if spec.kind == "power":
+    if spec.kind in ("power", "rotated-power"):
         vals = np.sum(tvec * np.abs(xi) ** spec.m, axis=-1)
-        return vals if vals.ndim else complex(vals)
-    if spec.kind == "rotated-power":
-        base = np.sum(tvec * np.abs(xi) ** spec.m, axis=-1)
-        vals = np.exp(1j * spec.theta0) * base
-        return vals if vals.ndim else complex(vals)
-    if spec.kind == "smoothed-power":
+        if spec.kind == "rotated-power":
+            vals = np.exp(1j * spec.theta0) * vals
+    elif spec.kind == "smoothed-power":
         vals = np.sum(tvec * (spec.epsilon**2 + xi**2) ** (spec.m / 2.0), axis=-1)
-        return vals if vals.ndim else complex(vals)
-    # user-table: 1-D only, linear interpolation, strict range
-    if tvec.shape[-1] != 1:
-        raise ValueError("user-table symbols are one-dimensional")
-    pts, values = spec.table
-    pts = np.asarray(pts, dtype=float)
-    values = np.asarray(values)
-    x = xi[..., 0]
-    if np.any(x < pts[0]) or np.any(x > pts[-1]):
-        raise OutOfTable(f"frequency outside tabulated range [{pts[0]}, {pts[-1]}]")
-    re = np.interp(x, pts, values.real)
-    im = np.interp(x, pts, values.imag)
-    vals = re + 1j * im
+    else:  # user-table: 1-D only, linear interpolation, strict range
+        if tvec.shape[-1] != 1:
+            raise ValueError("user-table symbols are one-dimensional")
+        pts, values = np.asarray(spec.table[0], dtype=float), np.asarray(spec.table[1])
+        x = xi[..., 0]
+        if np.any(x < pts[0]) or np.any(x > pts[-1]):
+            raise OutOfTable(f"frequency outside tabulated range [{pts[0]}, {pts[-1]}]")
+        vals = np.interp(x, pts, values.real) + 1j * np.interp(x, pts, values.imag)
     return vals if vals.ndim else complex(vals)
 
 

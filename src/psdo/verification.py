@@ -210,13 +210,11 @@ def _coercive_ratios(grid: GridSpec, L: np.ndarray, q: float, p: float, uspec: n
 def coercive_ratio(u: SampledField, f: SampledField, model: OperatorModel,
                    t: ScaleParams, lam: complex, m: float, p: float = 2.0) -> float:
     """[sum_alpha t(alpha) |lam|^(1-|alpha|/m) ||D^alpha u|| + ||A u||] / ||f||
-    over the coercive index set.
-
-    Both fields are measured with the l_q norm of u.
+    over the coercive index set, every norm in L_p(l_q) with q = model.q.
     """
     grid, index_set = u.grid, coercive_index_set(u.grid.n, m)
     uspec = grid.fft(u.values[None, None])
-    return float(_coercive_ratios(grid, np.array([grid.L]), u.q, p, uspec, model.apply(uspec),
+    return float(_coercive_ratios(grid, np.array([grid.L]), model.q, p, uspec, model.apply(uspec),
                                   grid.fft(f.values[None, None]),
                                   _derivative_weights([t], [lam], m, index_set), index_set)[0, 0])
 

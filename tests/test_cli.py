@@ -14,6 +14,8 @@ from psdo import (
     verification,
 )
 from psdo.cli import _write_reports, main
+from psdo.operators import eigenbasis
+from psdo.parabolic import _phi1, _phi2
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -233,6 +235,58 @@ def test_solve_parabolic_subcommand(tmp_path):
     assert report["result"]["coercive_ratio"] >= 1.0 - 1e-9
 
 
+def test_solve_parabolic_without_eigenbasis_is_execution_failure(tmp_path, capsys):
+    # a Jordan block: the per-mode evolution needs an eigenbasis of A
+    cfg = small_parabolic_cfg(model={"kind": "matrix", "entries": [[1.0, 1.0], [0.0, 1.0]]})
+    assert run_with_sets(tmp_path, "solve-parabolic", cfg, []) == 1
+    assert "NotDiagonalizable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("profile", ["constant", "ramp"])
+def test_solve_parabolic_constant_and_ramp_exports_match_the_closed_form(tmp_path, profile):
+    """Duhamel is exact for piecewise-linear forcing a(y) f0(x): per eigen-channel
+    g = P_t(xi) + w_j the solution at y = Y is Y phi1(-g Y) f0_hat for a = 1 and
+    Y phi2(-g Y) f0_hat for a = y / Y."""
+    cfg = small_parabolic_cfg()
+    sets = [f"forcing.time_profile={profile}", "export_fields=true"]
+    assert run_with_sets(tmp_path, "solve-parabolic", cfg, sets) == 0
+    last = (tmp_path / "out" / "solution.txt").read_text().split("\n\n")[-1].splitlines()[1:]
+    numbers = np.array([[float(v) for v in row.split()[1:]] for row in last])
+    got = numbers[:, 0::2] + 1j * numbers[:, 1::2]
+    cfg["forcing"]["time_profile"] = profile
+    prob = parabolic_problem(cfg)
+    ell, Y = prob.elliptic, prob.Y
+    w, V, Vinv = eigenbasis(ell.model)
+    z = -Y * (ell.symbol_values()[..., None] + w)
+    h = Y * (_phi1(z) if profile == "constant" else _phi2(z))
+    f0_hat = ell.grid.fft(prob.forcing.values[-1])  # a(Y) = 1 for both profiles
+    exact = ell.grid.ifft((h * (f0_hat @ Vinv.T)) @ V.T)
+    assert np.linalg.norm(got - exact) <= 1e-13 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("text, sets, message", [
+    ("{not json", [], "is not valid JSON"),
+    ("[1, 2]", [], "top-level config must be a JSON object"),
+    (None, [], "cannot read config"),
+    (json.dumps(small_verify_cfg()), ["seed"], "--set expects key=value"),
+    (json.dumps(small_verify_cfg()), ["grid.n.x=1"], "crosses a non-object"),
+    (json.dumps({k: v for k, v in small_verify_cfg().items() if k != "task"}), [],
+     "scenario must declare a valid 'task'"),
+], ids=["not-json", "top-level-list", "unreadable-path", "set-without-value",
+        "set-through-a-number", "scenario-without-task"])
+def test_config_file_and_override_errors_exit_2(tmp_path, capsys, text, sets, message):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    argv = ["run-scenario", "--config", str(path), "--out", str(tmp_path / "out")]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_estimate_rbound_subcommand(tmp_path):
     cfg = write_cfg(tmp_path, {
         "task": "estimate-rbound",
@@ -259,6 +313,24 @@ def test_estimate_rbound_reports_upper_at_q2(tmp_path, q, upper):
     assert main(["estimate-rbound", "--config", cfg, "--out", out]) == 0
     result = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
     assert result["upper"] == (pytest.approx(upper, rel=1e-14) if upper else None)
+
+
+def test_estimate_rbound_lambda_resolvent_family(tmp_path):
+    lambdas = [1.0, 10.0, 300.0]
+    cfg = write_cfg(tmp_path, {
+        "task": "estimate-rbound",
+        "family": {"kind": "lambda-resolvent", "model": {"kind": "matrix",
+                                                         "entries": [[2.0, 1.0], [0.0, 1.0]]},
+                   "lambdas": lambdas},
+        "tuple_size": 2,
+    })
+    assert main(["estimate-rbound", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    result = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
+    A = np.array([[2.0, 1.0], [0.0, 1.0]])
+    # the largest member norm S bounds the R-bound from below, sqrt(2) S from above at q = 2
+    S = max(np.linalg.norm(lam * np.linalg.inv(A + lam * np.eye(2)), 2) for lam in lambdas)
+    assert S * (1 - 1e-12) <= result["rbound_lower"] <= 2 * S
+    assert result["family_size"] == 3
 
 
 def test_check_kahane_subcommand(tmp_path):

@@ -183,7 +183,7 @@ def test_solve_full_constant_coefficients_transforms_once(A, monkeypatch):
 def test_graph_norm_transforms_u_once(p, q, transforms, monkeypatch):
     # both norms start from one FFT of u; at p = q = 2 they are Parseval norms
     prob = replace(scalar_problem(lam=1.0), model=make_model(np.diag([1.0, 2.0]), q=q))
-    u = random_band_limited_field(prob.grid, 2, np.random.default_rng(3), q=q)
+    u = random_band_limited_field(prob.grid, 2, np.random.default_rng(3))
     expected = graph_norm(prob, u, p=p)
     calls = {"fft": 0, "ifft": 0}
     for name in calls:
@@ -197,7 +197,7 @@ def test_graph_norm_transforms_u_once(p, q, transforms, monkeypatch):
     assert graph_norm(prob, u, p=p) == expected
     assert calls == transforms
     zero_shift = replace(prob, lam=0.0)
-    assert expected[0] == pytest.approx(lp_lq_norm(apply_operator(zero_shift, u), p), rel=1e-13)
+    assert expected[0] == pytest.approx(lp_lq_norm(apply_operator(zero_shift, u), p, q), rel=1e-13)
 
 
 def test_contraction_failure_small_lambda():
@@ -260,12 +260,12 @@ def _contraction_per_probe(prob, probes, seed, make_field):
     best = 0.0
     rng = np.random.default_rng(seed)
     for _ in range(max(0, probes)):
-        u = make_field(prob.grid, prob.model.N, rng, q=prob.model.q)
-        nu = lp_lq_norm(u, 2.0)
+        u = make_field(prob.grid, prob.model.N, rng)
+        nu = lp_lq_norm(u, 2.0, prob.model.q)
         if nu == 0:
             continue
         Lv = _lower_terms_per_term(prob, solve_principal(prob.principal, u))
-        best = max(best, lp_lq_norm(Lv, 2.0) / nu)
+        best = max(best, lp_lq_norm(Lv, 2.0, prob.model.q) / nu)
     return best
 
 
@@ -287,7 +287,7 @@ def x_dependent_2d_problem(q=3.0):
 
 def test_apply_lower_matches_per_term_loop():
     prob = x_dependent_2d_problem()
-    u = random_band_limited_field(prob.grid, 2, np.random.default_rng(8), q=3.0)
+    u = random_band_limited_field(prob.grid, 2, np.random.default_rng(8))
     np.testing.assert_array_equal(_apply_lower(prob, prob.grid.fft(u.values[None]))[0],
                                   _lower_terms_per_term(prob, u).values)
 
@@ -303,8 +303,8 @@ def test_contraction_estimate_matches_per_probe_loop(probes, monkeypatch):
     # every third probe field is zero: it is skipped, and the RNG stream stays aligned
     calls = []
 
-    def some_zero(grid, N, rng, q=2.0):
-        u = random_band_limited_field(grid, N, rng, q=q)
+    def some_zero(grid, N, rng):
+        u = random_band_limited_field(grid, N, rng)
         calls.append(None)
         return u * 0.0 if len(calls) % 3 == 0 else u
 

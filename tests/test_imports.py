@@ -294,6 +294,8 @@ PUBLIC_API = {
     "apply_operator": "the forward operator; acceptance checks the residual of a solve with it",
     "solve_principal": "the exact per-mode solve of one field; acceptance pins its exactness",
     "coercive_ratio": "the coercive ratio of one solution; acceptance pins its spot value",
+    "contraction_estimate": "the contraction of the Neumann solve on its own; oracle tests pin it "
+                            "against dense norms",
     "check_positivity": "the sector-positivity certificate of A; acceptance checks a BVP's",
     "semigroup_propagator": "e^{-y G(xi)} per mode; acceptance checks the semigroup law",
     "parabolic_coercive_ratio": "the parabolic coercive ratio; acceptance checks it flat in t",

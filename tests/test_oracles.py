@@ -41,6 +41,7 @@ from psdo import (
     check_positivity,
     check_symbol_class,
     coercive_index_set,
+    coercive_ratio,
     contraction_estimate,
     estimate_rbound,
     eval_symbol,
@@ -239,6 +240,41 @@ def test_solve_full_constant_coefficients_matches_dense_solve(A, terms):
     # the reported residual is that of the applied operator, not an iterate difference
     assert rep.residuals[-1] == pytest.approx(rel_err(O @ u.values.reshape(-1), fv),
                                               rel=1e-5)
+
+
+def l2_l3_norm(vec, grid, N):
+    """L_2 norm over the grid of the pointwise l_3 norm of a dense field
+    vector, written out: cube root of the summed cubed moduli per point."""
+    pointwise = np.cbrt(np.sum(np.abs(vec.reshape(-1, N)) ** 3, axis=-1))
+    return np.sqrt(np.sum(pointwise**2) * grid.cell_volume)
+
+
+def test_q3_model_sets_the_norm_of_coercive_ratio_and_solve_full_residual():
+    # fields carry no exponent: both numbers are L_2(l_3) norms because the model has q = 3
+    grid, N, m = GridSpec(n=1, M=32, L=2 * np.pi), 3, 2.0
+    t, lam = ScaleParams.isotropic(0.1, 1), 5.0 + 2.0j
+    model = make_model(tridiagonal_matrix(N, -1.0, 2.0, -1.0), q=3.0)
+    term = LowerTerm(alpha=MultiIndex((1.0,)), coefficient=np.array(
+        [[0.5, 0.2j, 0.0], [0.0, 0.4, 0.1], [0.3, 0.0, 0.6]]))
+    prob = EllipticProblem(model=model, symbol=power_symbol(m=m), t=t, lam=lam, grid=grid,
+                           lower_terms=(term,))
+    f = gaussian_field(grid, vector=[1.0, 0.5j, -0.25])
+    fv = f.values.reshape(-1)
+    u = solve_principal(prob.principal, f)
+    uv = u.values.reshape(-1)
+    total = l2_l3_norm(np.kron(np.eye(grid.M), model.A) @ uv, grid, N)
+    for alpha in coercive_index_set(grid.n, m):
+        D = multiplier_matrix(grid, N, derivative_symbol(grid, alpha))
+        weight = t.weight(alpha, m) * abs(lam) ** (1.0 - alpha.order / m)
+        total += weight * l2_l3_norm(D @ uv, grid, N)
+    assert coercive_ratio(u, f, model, t, lam, m) == pytest.approx(
+        total / l2_l3_norm(fv, grid, N), rel=1e-12)
+
+    v, rep = solve_full(prob, f)
+    assert rep.iterations > 1 and not rep.contraction_exact
+    O = dense_principal(prob) + dense_lower(prob)
+    residual = l2_l3_norm(O @ v.values.reshape(-1) - fv, grid, N) / l2_l3_norm(fv, grid, N)
+    assert rep.residuals[-1] == pytest.approx(residual, rel=1e-5)
 
 
 def test_duhamel_constant_forcing_matches_expm():

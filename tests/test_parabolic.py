@@ -145,7 +145,7 @@ def _equation_residual_per_slice(prob, u):
     res_vals = du + np.stack(
         [apply_operator(prob.elliptic, u.slice(j)).values for j in range(u.J + 1)]
     ) - f.values
-    res = SpaceTimeField(grid=u.grid, values=res_vals, Y=u.Y, q=u.q, p=u.p, p1=u.p1)
+    res = SpaceTimeField(grid=u.grid, values=res_vals, Y=u.Y)
     return mixed_norm(res) / nf if nf > 0 else mixed_norm(res)
 
 
@@ -185,7 +185,7 @@ def make_tridiagonal_2d_problem(J=16):
     return ParabolicProblem(elliptic=ell, forcing=forcing)
 
 
-def make_nonnormal_2d_problem(J=16, q=2.0, p=2.0, p1=2.0, amplitude=1.0):
+def make_nonnormal_2d_problem(J=16, q=2.0, amplitude=1.0):
     """A 2-D problem with N = 2 and a non-symmetric A."""
     grid = GridSpec(n=2, M=8, L=2 * np.pi)
     ell = EllipticProblem(model=make_model(np.array([[2.0, 0.5], [0.0, 1.0]]), q=q),
@@ -193,7 +193,7 @@ def make_nonnormal_2d_problem(J=16, q=2.0, p=2.0, p1=2.0, amplitude=1.0):
                           grid=grid)
     times = np.linspace(0.0, 1.0, J + 1)
     base = gaussian_field(grid, vector=[1.0, -0.5j]).values
-    forcing = SpaceTimeField(grid=grid, Y=1.0, q=q, p=p, p1=p1,
+    forcing = SpaceTimeField(grid=grid, Y=1.0,
                              values=amplitude * np.sin(np.pi * times)[:, None, None, None] * base)
     return ParabolicProblem(elliptic=ell, forcing=forcing)
 
@@ -266,22 +266,26 @@ def test_diagnostics_do_not_depend_on_the_block_size(monkeypatch, slices):
     assert whole[1] == _spectral_residual_per_slice(prob, *spectra)
 
 
-def _diagnostics_reference(prob, u):
+def _diagnostics_reference(prob, u, p=2.0, p1=2.0):
     """Physical oracle: the coercive ratio, the residual and the norms of f and u from
     explicit time differences and an einsum for A u, every norm taken on the grid."""
     ell, f = prob.elliptic, prob.forcing
-    nf = mixed_norm(f)
+
+    def mixed(v):
+        return mixed_norm(v, p, p1, ell.model.q)
+
+    nf = mixed(f)
     du = np.empty_like(u.values)
     du[1:-1] = (u.values[2:] - u.values[:-2]) / (2.0 * u.dy)
     du[0] = (u.values[1] - u.values[0]) / u.dy
     du[-1] = (u.values[-1] - u.values[-2]) / u.dy
     Pu = ell.grid.ifft(ell.symbol_values()[..., None] * ell.grid.fft(u.values))
     Au = np.einsum("ij,...j->...i", ell.model.A, u.values)
-    residual = mixed_norm(u.with_values(du + Pu + Au - f.values))
+    residual = mixed(u.with_values(du + Pu + Au - f.values))
     if nf == 0:
-        return None, residual, nf, mixed_norm(u)
-    ratio = sum(mixed_norm(u.with_values(v)) for v in (du, Pu, Au)) / nf
-    return ratio, residual / nf, nf, mixed_norm(u)
+        return None, residual, nf, mixed(u)
+    ratio = sum(mixed(u.with_values(v)) for v in (du, Pu, Au)) / nf
+    return ratio, residual / nf, nf, mixed(u)
 
 
 @pytest.mark.parametrize("solver", [solve_duhamel, solve_implicit_euler])
@@ -302,15 +306,49 @@ def test_parabolic_diagnostics_match_separate_computation(solver):
                          ids=["p3", "p1-inf", "q3", "p1-q-inf"])
 @pytest.mark.parametrize("solver", [solve_duhamel, solve_implicit_euler])
 def test_parabolic_diagnostics_at_other_exponents(solver, exponents):
-    prob = make_nonnormal_2d_problem(**exponents)
-    got = parabolic_diagnostics(prob, *evolve_spectra(prob, METHOD[solver]))
-    for value, expected in zip(got, _diagnostics_reference(prob, solver(prob))):
+    prob = make_nonnormal_2d_problem(q=exponents.get("q", 2.0))
+    norms = {k: v for k, v in exponents.items() if k != "q"}  # p and p1
+    got = parabolic_diagnostics(prob, *evolve_spectra(prob, METHOD[solver]), **norms)
+    for value, expected in zip(got, _diagnostics_reference(prob, solver(prob), **norms)):
         assert value == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize("exponents", [{}, {"p": 3.0}], ids=["p2", "p3"])
 def test_parabolic_diagnostics_without_forcing(exponents):
-    prob = make_nonnormal_2d_problem(amplitude=0.0, **exponents)
+    prob = make_nonnormal_2d_problem(amplitude=0.0)
     u_hat, f_hat = evolve_spectra(prob, "duhamel")
     assert not u_hat.any()
-    assert parabolic_diagnostics(prob, u_hat, f_hat) == (None, 0.0, 0.0, 0.0)
+    assert parabolic_diagnostics(prob, u_hat, f_hat, **exponents) == (None, 0.0, 0.0, 0.0)
+
+
+def separable_exact_spectra(prob, f0_hat, profile):
+    """Closed-form solution spectra of the forcing a(y) f0(x) at every time of the
+    partition: per eigen-channel g = P_t(xi) + w_j, y phi1(-g y) f0_hat for
+    a = 1 ("constant") and y^2 phi2(-g y) / Y for a = y / Y ("ramp")."""
+    w, V, Vinv = eigenbasis(prob.elliptic.model)
+    g = prob.elliptic.symbol_values()[..., None] + w
+    y = np.linspace(0.0, prob.Y, prob.J + 1).reshape((-1,) + (1,) * g.ndim)
+    h = y * _phi1(-g * y) if profile == "constant" else y**2 * _phi2(-g * y) / prob.Y
+    return (h * (f0_hat @ Vinv.T)) @ V.T
+
+
+SEPARABLE_ELLIPTIC = {
+    "scalar-1d": lambda: make_problem(J=4).elliptic,
+    "tridiagonal-n3-2d": lambda: EllipticProblem(
+        model=make_model(tridiagonal_matrix(3, -1.0, 2.0, -1.0)), symbol=power_symbol(m=2.0),
+        t=ScaleParams.isotropic(0.5, 2), lam=0.0, grid=GridSpec(n=2, M=8, L=2 * np.pi)),
+}
+
+
+@pytest.mark.parametrize("name", list(SEPARABLE_ELLIPTIC))
+@pytest.mark.parametrize("J", [4, 16, 128])
+@pytest.mark.parametrize("profile", ["constant", "ramp"])
+def test_duhamel_is_exact_for_constant_and_ramp_forcing(name, J, profile):
+    ell, Y = SEPARABLE_ELLIPTIC[name](), 0.7
+    f0 = gaussian_field(ell.grid, vector=np.linspace(1.0, 2.0, ell.model.N)).values
+    a = np.ones(J + 1) if profile == "constant" else np.linspace(0.0, 1.0, J + 1)
+    prob = ParabolicProblem(elliptic=ell, forcing=SpaceTimeField(
+        grid=ell.grid, Y=Y, values=a.reshape((-1,) + (1,) * f0.ndim) * f0))
+    u_hat = evolve_spectra(prob, "duhamel")[0]
+    exact = separable_exact_spectra(prob, ell.grid.fft(f0), profile)
+    assert np.linalg.norm(u_hat - exact) <= 1e-13 * np.linalg.norm(exact)

@@ -630,9 +630,9 @@ def _reference_ratio(u, f, model, t, lam, m, p, index_set):
     for alpha in index_set:
         w = _reference_weight(t, lam, m, alpha)
         du = liouville_derivative(u, alpha, check_nyquist=False)
-        total += w * lp_lq_norm(du, p)
-    total += lp_lq_norm(u.with_values(model.apply(u.values)), p)
-    return total / lp_lq_norm(f, p)
+        total += w * lp_lq_norm(du, p, model.q)
+    total += lp_lq_norm(u.with_values(model.apply(u.values)), p, model.q)
+    return total / lp_lq_norm(f, p, model.q)
 
 
 def _reference_coercivity_points(template, sweep, data_count, seed):
@@ -647,16 +647,17 @@ def _reference_coercivity_points(template, sweep, data_count, seed):
                                lam=lam, grid=grid)
         q = template.model.q
         xi0, vec = _reference_worst_mode(prob, index_set)
-        fields = [gaussian_field(grid, vector=np.ones(template.model.N), q=q),
-                  mode_field(grid, xi0, vec, q=q)]
+        fields = [gaussian_field(grid, vector=np.ones(template.model.N)),
+                  mode_field(grid, xi0, vec)]
         while len(fields) < data_count:
-            fields.append(random_band_limited_field(grid, template.model.N, rng, q=q))
+            fields.append(random_band_limited_field(grid, template.model.N, rng))
         ratios, residuals = [], []
         for f in fields:
             u = solve_principal(prob, f)
             ratios.append(_reference_ratio(u, f, template.model, t, lam, m,
                                            template.p, index_set))
-            residuals.append(lp_lq_norm(apply_operator(prob, u) - f, 2.0) / lp_lq_norm(f, 2.0))
+            residuals.append(lp_lq_norm(apply_operator(prob, u) - f, 2.0, q)
+                             / lp_lq_norm(f, 2.0, q))
         out.append((max(ratios), max(residuals)))
     return out
 
@@ -686,8 +687,8 @@ def test_batched_coercivity_matches_per_mode_loop(name):
         weights = sum(_reference_weight(t, lam, 2.0, alpha) * np.abs(i_xi_power(rows.T, alpha))
                       for alpha in index_set)
         xi0, vec = _worst_modes(model, rows[None], _mode_shifts(prob)[keep][None], weights[None])
-        new = mode_field(grid, xi0[0], vec[0], q=model.q).values
-        ref = mode_field(grid, xi_ref, vec_ref, q=model.q).values
+        new = mode_field(grid, xi0[0], vec[0]).values
+        ref = mode_field(grid, xi_ref, vec_ref).values
         # same mode, same vector up to a unit phase; the reference singular
         # vector is only accurate to roundoff over the relative singular-value
         # gap, which large shifts make small
