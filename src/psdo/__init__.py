@@ -65,7 +65,6 @@ from .spaces import (
     mixed_norm,
     mode_field,
     random_band_limited_field,
-    random_band_limited_values,
     vector_norms,
 )
 from .sweep import SectorSweep, default_sweep

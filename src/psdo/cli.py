@@ -46,9 +46,9 @@ from .spaces import (
     SpaceTimeField,
     export_columnar,
     gaussian_field,
+    lattice_mesh,
     lp_lq_norm,
     mode_field,
-    product_mesh,
     random_band_limited_field,
 )
 from .sweep import SectorSweep, default_sweep
@@ -450,15 +450,14 @@ def _parse_forcing(v: dict, ell: EllipticProblem) -> SpaceTimeField:
 
 
 def _sanitize(obj):
-    """Make report content JSON-serializable and deterministic."""
+    """JSON-ready, deterministic report content: numpy scalars become Python
+    numbers, NaN and infinities strings (a complex value fails in json.dumps)."""
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
         return _sanitize(obj.item())
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
     if isinstance(obj, float) and math.isnan(obj):
         return "nan"
     if isinstance(obj, float) and math.isinf(obj):
@@ -629,7 +628,7 @@ def _task_check_symbol(v, seed):
         raise ConfigError(f"xi needs lo <= hi, got lo {xi['lo']}, hi {xi['hi']}")
     t_grid = [_parse_scale(t, n) for t in v["t_values"]]
     vals = _signed_logspace(math.log10(xi["lo"]), math.log10(xi["hi"]), xi["count"])
-    rep = check_symbol_class(v["symbol"], t_grid, product_mesh([vals] * n).reshape(-1, n))
+    rep = check_symbol_class(v["symbol"], t_grid, lattice_mesh(vals, n).reshape(-1, n))
     result = {
         "constants": {str(k): c for k, c in rep.constants.items()},
         "sector_ok": rep.sector_ok,

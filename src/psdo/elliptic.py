@@ -28,10 +28,10 @@ from .spaces import (
     SampledField,
     _lp_lq_norms,
     _lp_lq_norms_from_spectra,
+    band_limited_spectra,
     blocks,
     fractional_multiplier,
     h_m_pt_norm,
-    random_band_limited_values,
 )
 from .symbols import MultiIndex, ScaleParams, SymbolSpec, eval_symbol
 
@@ -117,10 +117,14 @@ def coercive_index_set(n: int, m: float):
     return out
 
 
-def _checked_shifts(model: OperatorModel, shifts: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """The mode shifts lambda + P_t(xi), checked: ModeSingular for the first
-    within roundoff of -spectrum(A), naming its frequency, the matching row
-    of xi (..., n)."""
+def _shifts(model: OperatorModel, symbol: SymbolSpec, t, lam, xi) -> np.ndarray:
+    """The mode shifts lam + P_t(xi) at the frequency rows xi (..., n), checked:
+    ModeSingular names the first within roundoff of -spectrum(A).  t and lam
+    are one point's, or a block's: the sequence of the points' ScaleParams
+    (eval_symbol) and the array of their lam, broadcast over the trailing axes."""
+    xi = np.atleast_1d(xi)
+    P = np.asarray(eval_symbol(symbol, t, xi), dtype=complex)
+    shifts = np.reshape(lam, np.shape(lam) + (1,) * (P.ndim - np.ndim(lam))) + P
     hit = spectrum_hit(model, shifts.reshape(-1))
     if hit is not None:
         raise ModeSingular(tuple(xi.reshape(-1, xi.shape[-1])[hit]))
@@ -129,8 +133,8 @@ def _checked_shifts(model: OperatorModel, shifts: np.ndarray, xi: np.ndarray) ->
 
 def _mode_shifts(prob: EllipticProblem) -> np.ndarray:
     """lambda + P_t(xi) per lattice mode (flattened FFT order), checked."""
-    return _checked_shifts(prob.model, prob.lam + prob.symbol_values().reshape(-1),
-                           prob.grid.frequency_mesh())
+    return _shifts(prob.model, prob.symbol, prob.t, prob.lam,
+                   prob.grid.frequency_mesh()).reshape(-1)
 
 
 def _solve_spectra(model: OperatorModel, shifts: np.ndarray, fhat: np.ndarray) -> np.ndarray:
@@ -212,7 +216,7 @@ def contraction_estimate(prob: EllipticProblem, probes: int = PROBES, seed: int 
     inverse at q = 2 with Hermitian A.  At q != 2, and for x-dependent
     coefficients, the max with the ratios of `probes` random band-limited
     fields (lower bounds, and the only term for x-dependent coefficients) is
-    returned; probes are drawn and solved in blocks (spaces.blocks).
+    returned; probes are drawn as spectra and solved in blocks (spaces.blocks).
     """
     return _contraction(prob, probes, seed, _mode_shifts(prob), _lower_symbol_blocks(prob))[0]
 
@@ -238,11 +242,11 @@ def _contraction(prob: EllipticProblem, probes: int, seed: int, shifts: np.ndarr
             return best, True
     rng = np.random.default_rng(seed)
     for b in blocks(probes, grid.M ** grid.n * N):  # the stream's fields in order
-        u = random_band_limited_values(grid, N, rng, b.stop - b.start)
-        nu = _lp_lq_norms(u, grid, q, 2.0)
-        u, nu = u[nu > 0], nu[nu > 0]
+        spec = band_limited_spectra(grid, N, [rng], b.stop - b.start)[0]
+        nu = _lp_lq_norms_from_spectra(spec, grid, q, 2.0)
+        spec, nu = spec[nu > 0], nu[nu > 0]
         if nu.size:
-            Lv = _apply_lower(prob, _solve_spectra(model, shifts, grid.fft(u)))
+            Lv = _apply_lower(prob, _solve_spectra(model, shifts, spec))
             best = max(best, float((_lp_lq_norms(Lv, grid, q, 2.0) / nu).max()))
     return best, False
 

@@ -31,12 +31,6 @@ def blocks(count: int, per_item: int) -> list:
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
-def product_mesh(axes) -> np.ndarray:
-    """Every tuple of coordinates from the 1-D arrays `axes`, shape
-    (len(a) for a in axes) + (len(axes),), the first axis varying slowest."""
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
-
 def _open_axes(values: np.ndarray, n: int) -> list:
     """The per-axis values (..., M) of n grid axes as an open mesh: axis k shaped
     (..., 1, ..., M, ..., 1) with M in place k of the n grid places."""
@@ -46,8 +40,9 @@ def _open_axes(values: np.ndarray, n: int) -> list:
 
 
 def lattice_mesh(values: np.ndarray, n: int) -> np.ndarray:
-    """product_mesh of n copies of the per-axis values (..., M), for each of
-    their leading entries: shape (...) + (M,)*n + (n,)."""
+    """Every tuple of n coordinates from the per-axis values (..., M), the first
+    axis varying slowest, for each of their leading entries: shape (...) +
+    (M,)*n + (n,)."""
     return np.stack(np.broadcast_arrays(*_open_axes(values, n)), axis=-1)
 
 
@@ -224,7 +219,7 @@ def band_limited_spectra(grid: GridSpec, N: int, rngs, count: int,
     `count` random_band_limited_field calls."""
     kmax = max(1, int(grid.M * fraction / 2))
     keep = np.abs(np.fft.fftfreq(grid.M) * grid.M) <= kmax  # integer mode numbers
-    mask = product_mesh([keep] * grid.n).all(axis=-1)
+    mask = lattice_mesh(keep, grid.n).all(axis=-1)
     draws = np.empty((len(rngs), count, 2) + grid.shape + (N,))
     for rng, out in zip(rngs, draws):
         rng.standard_normal(out=out)
@@ -234,17 +229,10 @@ def band_limited_spectra(grid: GridSpec, N: int, rngs, count: int,
     return spectra
 
 
-def random_band_limited_values(grid: GridSpec, N: int, rng, count: int,
-                               fraction: float = 0.25) -> np.ndarray:
-    """Values (count,) + grid.shape + (N,) of `count` random band-limited fields:
-    the inverse FFT of their band_limited_spectra."""
-    return grid.ifft(band_limited_spectra(grid, N, [rng], count, fraction)[0])
-
-
 def random_band_limited_field(grid: GridSpec, N: int, rng,
                               fraction: float = 0.25) -> SampledField:
-    """One field of random_band_limited_values."""
-    return SampledField(grid, random_band_limited_values(grid, N, rng, 1, fraction)[0])
+    """One random band-limited field: the inverse FFT of one band_limited_spectra draw."""
+    return SampledField(grid, grid.ifft(band_limited_spectra(grid, N, [rng], 1, fraction)[0, 0]))
 
 
 def _zeroes_nyquist(a: float) -> bool:
@@ -388,18 +376,15 @@ def export_columnar(u: SampledField | SpaceTimeField) -> str:
     """Text columns of a SampledField, or of every slice of a SpaceTimeField:
     per slice a header, then per grid point the coordinates and Re/Im per
     component in "%.17g"; an empty line between slices.  One slice template
-    holds the coordinates; when at most half of the numbers are distinct, each
-    distinct 64-bit pattern (-0.0 is not 0.0) is formatted once."""
+    holds the coordinates, and each distinct 64-bit pattern of the values
+    (-0.0 is not 0.0) is formatted once."""
     grid, N = u.grid, u.N
     floats = np.ascontiguousarray(u.values).reshape(-1, grid.M**grid.n * N).view(np.float64)
     distinct, index = np.unique(floats.view(np.int64), return_inverse=True)
-    if 2 * len(distinct) <= floats.size:
-        texts = np.array(_formatted(distinct.view(np.float64)[:, None]), dtype=object)
-        source, spec = texts[index.reshape(floats.shape)], "%s"
-    else:
-        source, spec = floats, "%.17g"
+    texts = np.array(_formatted(distinct.view(np.float64)[:, None]), dtype=object)
+    source = texts[index.reshape(floats.shape)]
     header = "# " + " ".join([f"x{k}" for k in range(grid.n)] + [f"re{j} im{j}" for j in range(N)])
-    row = " ".join([spec] * (2 * N))
+    row = " ".join(["%s"] * (2 * N))
     x = _formatted(grid.points().reshape(-1, grid.n))
     template = "".join([header + "\n"] + [f"{c} {row}\n" for c in x])
     parts = [source[b] for b in blocks(len(source), floats.shape[1])]  # a small fill tuple

@@ -19,7 +19,7 @@ import numpy as np
 
 from .elliptic import (
     EllipticProblem,
-    _checked_shifts,
+    _shifts,
     _solve_spectra,
     coercive_index_set,
 )
@@ -51,7 +51,6 @@ from .symbols import (
     SymbolSpec,
     _central_difference,
     _signed_logspace,
-    eval_symbol,
     i_xi_power,
 )
 
@@ -310,8 +309,7 @@ def coercivity_sweep(template: ProblemTemplate, sweep: SectorSweep,
                                       grid=_adapted_grid(grid, lam, t, m)).grid.L
                       for lam, t in zip(lams, ts)])
         xi = lattice_mesh(box_freqs(grid.M, L), n)
-        P = eval_symbol(symbol, ts, xi).reshape(len(idxs), -1)
-        shifts = _checked_shifts(model, lams[:, None] + P, xi)
+        shifts = _shifts(model, symbol, ts, lams, xi).reshape(len(idxs), -1)
         weights = _derivative_weights(ts, lams, m, index_set)
         rows = xi.reshape(len(idxs), -1, n)[:, keep]
         xi0, vec = _worst_modes(model, rows, shifts[:, keep],
@@ -363,8 +361,7 @@ def _frequency_terms(model: OperatorModel, symbol: SymbolSpec, ts, lams, xi: np.
     t(alpha) |lam|^(1-|alpha|/m) |(i xi)^alpha| ||B|| per row: the norms of
     sigma_alpha, all from one ||B||.
     """
-    shifts = np.reshape(lams, (-1, 1)) + np.asarray(eval_symbol(symbol, ts, xi), dtype=complex)
-    nB, nAB, defects = resolvent_norms(model, _checked_shifts(model, shifts, xi), defect)
+    nB, nAB, defects = resolvent_norms(model, _shifts(model, symbol, ts, lams, xi), defect)
     weights = _derivative_weights(ts, lams, symbol.m, index_set)
     return nAB, defects, [w * nB for w in _symbol_weights(xi, weights, index_set)]
 
@@ -761,10 +758,9 @@ def _kahane_checks(scalars, vectors, q: float) -> list:
 def sigma_matrix(model, symbol, t, lam, xi) -> np.ndarray:
     """A [A + lam + P_t(xi)]^-1 at one frequency xi (n,); a stack over the rows
     of a 2-D xi, or over the points of a block: t the sequence of their scale
-    parameters (eval_symbol) and lam the array of their spectral parameters."""
-    P = np.asarray(eval_symbol(symbol, t, np.atleast_1d(xi)), dtype=complex)
-    lam = np.reshape(lam, np.shape(lam) + (1,) * (P.ndim - np.ndim(lam)))
-    return model.A @ shifted_solve(model, lam + P)
+    parameters and lam the array of their spectral parameters; a singular
+    shift raises ModeSingular naming its frequency (elliptic._shifts)."""
+    return model.A @ shifted_solve(model, _shifts(model, symbol, t, lam, xi))
 
 
 def fd_sigma_matrix(model, symbol, t, lam, xi, beta) -> np.ndarray:

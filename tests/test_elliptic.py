@@ -23,7 +23,6 @@ from psdo import (
     mode_field,
     power_symbol,
     random_band_limited_field,
-    random_band_limited_values,
     rotated_power_symbol,
     solve_full,
     solve_principal,
@@ -31,6 +30,7 @@ from psdo import (
 )
 import psdo.elliptic
 from psdo.elliptic import _apply_lower, _mode_shifts, _solve_spectra
+from psdo.spaces import band_limited_spectra
 from psdo.symbols import i_xi_power_factor
 
 
@@ -85,7 +85,7 @@ def test_solve_modes_spectrum_is_fft_of_its_values(n, A):
     grid = GridSpec(n=n, M=16, L=2 * np.pi)
     prob = EllipticProblem(model=make_model(A), symbol=power_symbol(m=2.0),
                            t=ScaleParams((0.5, 0.1)[:n]), lam=2.0 + 1.0j, grid=grid)
-    fvals = random_band_limited_values(grid, prob.model.N, np.random.default_rng(6), 3)
+    fvals = grid.ifft(band_limited_spectra(grid, prob.model.N, [np.random.default_rng(6)], 3)[0])
     spec = _solve_spectra(prob.model, _mode_shifts(prob), grid.fft(fvals))
     assert spec.shape == fvals.shape
     ref = grid.fft(np.stack([solve_principal(prob, SampledField(grid, f)).values for f in fvals]))
@@ -308,17 +308,17 @@ def test_contraction_estimate_matches_per_probe_loop(probes, monkeypatch):
         calls.append(None)
         return u * 0.0 if len(calls) % 3 == 0 else u
 
-    def some_zero_batch(grid, N, rng, count):
-        vals = random_band_limited_values(grid, N, rng, count)
+    def some_zero_batch(grid, N, rngs, count):
+        spectra = band_limited_spectra(grid, N, rngs, count)
         for k in range(count):
             calls.append(None)
             if len(calls) % 3 == 0:
-                vals[k] = 0.0
-        return vals
+                spectra[0, k] = 0.0
+        return spectra
 
     expected = _contraction_per_probe(prob, probes, 11, some_zero)
     calls.clear()
-    monkeypatch.setattr(psdo.elliptic, "random_band_limited_values", some_zero_batch)
+    monkeypatch.setattr(psdo.elliptic, "band_limited_spectra", some_zero_batch)
     assert contraction_estimate(prob, probes=probes, seed=11) == pytest.approx(
         expected, rel=1e-12, abs=0.0)
 
@@ -328,12 +328,11 @@ def test_contraction_estimate_probes_do_not_depend_on_the_block_size(q, monkeypa
     prob = x_dependent_2d_problem(q=q)  # x-dependent: the probes are the estimate
     counts, values = [], []
 
-    def counting(grid, N, rng, count):
+    def counting(grid, N, rngs, count):
         counts.append(count)
-        return draw(grid, N, rng, count)
+        return band_limited_spectra(grid, N, rngs, count)
 
-    draw = psdo.elliptic.random_band_limited_values
-    monkeypatch.setattr(psdo.elliptic, "random_band_limited_values", counting)
+    monkeypatch.setattr(psdo.elliptic, "band_limited_spectra", counting)
     for entries in (1, 2**40):  # one probe field per block, then all 37 in one
         monkeypatch.setattr(psdo.spaces, "BLOCK_ENTRIES", entries)
         values.append(contraction_estimate(prob, probes=37, seed=11))

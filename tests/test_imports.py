@@ -5,7 +5,9 @@ decisions about A (dense inverses, solves and eigendecompositions, the
 eigenbasis condition limit KAPPA_LIMIT, and reads of a model's eigen-data
 kappa, eigvals, eigvecs and eigvecs_inv), only GridSpec.fft/ifft in
 spaces.py transform sampled fields, only symbols.py names the axis factor
-of (i xi)^alpha, so i_xi_power stays its one product, the CLI's task
+of (i xi)^alpha, so i_xi_power stays its one product, outside symbols.py
+only elliptic._shifts and EllipticProblem.symbol_values evaluate the symbol,
+so every mode shift lambda + P_t(xi) is formed in one place, the CLI's task
 handlers read config values only through its schema, and every public
 function or class is used by the package or named in PUBLIC_API."""
 
@@ -211,6 +213,42 @@ def test_axis_factor_use_is_detected():
                          ids=lambda p: p.name)
 def test_only_symbols_names_the_axis_factor(path):
     assert axis_factor_names(path.read_text()) == []
+
+
+def eval_symbol_uses(source: str) -> list:
+    """Enclosing class/function path of each use of the name eval_symbol, as a
+    bare name or an attribute (imports do not count), in source order."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if "eval_symbol" in (getattr(child, "id", None), getattr(child, "attr", None)):
+                found.append((child.lineno, child.col_offset, inner))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return [scope for _, _, scope in sorted(found)]
+
+
+def test_eval_symbol_use_is_detected():
+    source = ("from .symbols import eval_symbol\nimport psdo.symbols as s\n"
+              "class P:\n    def values(self, xi):\n        return eval_symbol(self.s, self.t, xi)\n"
+              "def f(spec, t, xi):\n    g = functools.partial(s.eval_symbol, spec)\n"
+              "    return g(t, xi)\nh = lambda x: eval_symbol(a, b, x)\n")
+    assert eval_symbol_uses(source) == ["P.values", "f", ""]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "symbols.py"],
+                         ids=lambda p: p.name)
+def test_only_the_shift_builder_evaluates_the_symbol(path):
+    """Every mode shift lambda + P_t(xi) is formed, and checked against the
+    spectrum of A, in elliptic._shifts; symbol_values gives the lattice P_t(xi)
+    of the forward operator and the graph norm."""
+    expected = ["EllipticProblem.symbol_values", "_shifts"] if path.name == "elliptic.py" else []
+    assert eval_symbol_uses(path.read_text()) == expected
 
 
 def fd_step_names(source: str) -> list:

@@ -53,7 +53,6 @@ from psdo import (
     power_symbol,
     probe_norm,
     random_band_limited_field,
-    random_band_limited_values,
     rotated_power_symbol,
     smoothed_power_symbol,
     solve_duhamel,
@@ -67,7 +66,7 @@ import psdo.elliptic
 import psdo.operators
 from psdo.elliptic import NEUMANN_TOL
 from psdo.operators import operator_norm_upper, resolvent_norms, shifted_solve, top_vectors
-from psdo.spaces import _lp_lq_norms, _lp_lq_norms_from_spectra
+from psdo.spaces import _lp_lq_norms, _lp_lq_norms_from_spectra, band_limited_spectra
 from psdo.symbols import FD_STEP, _central_difference
 from psdo.verification import _adapted_xi_samples
 
@@ -317,7 +316,7 @@ def test_contraction_estimate_q2_constant_coefficients_draws_no_probes(monkeypat
     def no_probes(*args, **kwargs):
         raise AssertionError("contraction_estimate drew a probe field")
 
-    monkeypatch.setattr(psdo.elliptic, "random_band_limited_values", no_probes)
+    monkeypatch.setattr(psdo.elliptic, "band_limited_spectra", no_probes)
     prob = problem(constant_terms())
     exact = np.linalg.norm(dense_lower(prob) @ np.linalg.inv(dense_principal(prob.principal)), 2)
     assert contraction_estimate(prob) == pytest.approx(exact, rel=1e-12)
@@ -400,11 +399,11 @@ def l2_lq_norm(vec, grid, N, q):
 def test_contraction_estimate_q1_inf_keeps_probes_above_pure_mode_value(q, monkeypatch):
     calls = []
 
-    def counted(grid, N, rng, count):
+    def counted(grid, N, rngs, count):
         calls.extend([None] * count)
-        return random_band_limited_values(grid, N, rng, count)
+        return band_limited_spectra(grid, N, rngs, count)
 
-    monkeypatch.setattr(psdo.elliptic, "random_band_limited_values", counted)
+    monkeypatch.setattr(psdo.elliptic, "band_limited_spectra", counted)
     # with c I coefficients the block norms are |l(xi)| ||B(xi)||_q, from resolvent_norms
     for terms in (constant_terms, scalar_terms):
         prob = problem(terms(), q=q)

@@ -18,11 +18,10 @@ from psdo import (
     mixed_norm,
     mode_field,
     random_band_limited_field,
-    random_band_limited_values,
     vector_norms,
 )
 from psdo import spaces
-from psdo.spaces import blocks, export_columnar, fractional_multiplier
+from psdo.spaces import band_limited_spectra, blocks, export_columnar, fractional_multiplier
 
 
 def constant_field(grid, vector):
@@ -94,7 +93,7 @@ def _band_limited_field_per_field(grid, N, rng, fraction=0.25):
 @pytest.mark.parametrize("N", [1, 8])
 def test_random_band_limited_values_match_successive_fields(n, N):
     g = GridSpec(n=n, M=16, L=3.0)
-    batch = random_band_limited_values(g, N, np.random.default_rng(4), 5)
+    batch = g.ifft(band_limited_spectra(g, N, [np.random.default_rng(4)], 5)[0])
     assert batch.shape == (5,) + g.shape + (N,)
     rng = np.random.default_rng(4)
     assert np.array_equal(batch, np.stack([random_band_limited_field(g, N, rng).values

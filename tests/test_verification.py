@@ -6,6 +6,7 @@ import pytest
 from psdo import (
     EllipticProblem,
     GridSpec,
+    ModeSingular,
     ProblemTemplate,
     ScaleParams,
     SectorSweep,
@@ -577,6 +578,14 @@ def test_sigma_matrix_closed_form():
     t = ScaleParams.isotropic(1.0, 1)
     val = sigma_matrix(model, power_symbol(m=2.0), t, 3.0, np.array([2.0]))
     assert val[0, 0] == pytest.approx(2.0 / (2.0 + 3.0 + 4.0))
+
+
+def test_sigma_matrix_singular_shift_is_mode_singular():
+    # a = -2 makes a + lam + P(xi) = -2 + 1 + 1 = 0 at xi = 1: checked like every mode shift
+    with pytest.raises(ModeSingular) as info:
+        sigma_matrix(make_model([[-2.0]]), power_symbol(m=2.0), ScaleParams.isotropic(1.0, 1),
+                     1.0, np.array([1.0]))
+    assert info.value.xi == (1.0,)
 
 
 def test_sweep_programming_errors_propagate(monkeypatch):
