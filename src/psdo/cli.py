@@ -278,7 +278,7 @@ def _model(v: dict) -> OperatorModel:
         return build_bvp_operator(v["K"], v["ell"], v["b2"], v["b1"], v["b0"], q=q)
     if kind == "tridiagonal":
         A = tridiagonal_matrix(v["N"], v["lower"], v["diag"], v["upper"])
-        return replace(build_system(A), q=q) if v["system"] else make_model(A, q=q)
+        return replace(build_system(A), q=q)
     return make_model([[v["a"]]] if kind == "scalar" else v["entries"], q=q)
 
 
@@ -298,8 +298,7 @@ ARRAY = Scalar("a number or nested lists of numbers", _numeric,
 OPTIONAL_ARRAY = replace(ARRAY, default=None)
 COMPLEX = either(number(), List(number(), size=2),  # a number or [re, im]
                  make=lambda v: complex(*v) if isinstance(v, list) else complex(v))
-SCALE = either(number(), Table({"t": either(number(), List(number(), least=1)),
-                                "t0": number(default=None)}))
+SCALE = either(number(), List(number(), least=1))  # one value for every axis, or one per axis
 GRID = Table({"n": integer(), "M": Scalar("an even integer >= 4", lambda v: type(v) is int
                                           and v >= 4 and v % 2 == 0), "L": POSITIVE},
              make=lambda v: GridSpec(**v))
@@ -307,7 +306,7 @@ MODEL = kinds("kind", {
     "scalar": {"a": number(default=1.0), "q": Q},
     "matrix": {"entries": ARRAY, "q": Q},
     "tridiagonal": {"N": integer(), "lower": number(default=-1.0), "diag": number(default=2.0),
-                    "upper": number(default=-1.0), "system": boolean(default=True), "q": Q},
+                    "upper": number(default=-1.0), "q": Q},
     "bvp": {"K": integer(3), "ell": number(), "b2": number(default=1.0),
             "b1": number(default=None), "b0": number(default=None), "q": Q},
 }, make=_model)
@@ -378,12 +377,10 @@ def _task(name: str, keys: dict):
 
 def _parse_scale(v, n: int) -> ScaleParams:
     """The scale parameters of a checked `t` value on n axes."""
-    if not isinstance(v, dict):
-        return _checked("t", ScaleParams.isotropic, v, n)
-    t = v["t"] if isinstance(v["t"], list) else [v["t"]] * n
+    t = v if isinstance(v, list) else [v] * n
     if len(t) != n:
         raise ConfigError(f"t needs n = {n} entries, got {t}")
-    return _checked("t", ScaleParams, tuple(t), t0=max(1.0, max(t)) if v["t0"] is None else v["t0"])
+    return _checked("t", ScaleParams, tuple(t))
 
 
 def _parse_sweep(v: dict) -> SectorSweep:
@@ -415,7 +412,7 @@ def _parse_data(v: dict, prob: EllipticProblem, rng=None, where: str = "data") -
     xi0 = [1.0] * grid.n if v["xi0"] is None else v["xi0"]
     if len(xi0) != grid.n:
         raise ConfigError(f"data.xi0 must have n = {grid.n} entries, got {xi0}")
-    return mode_field(grid, xi0, vector)
+    return _checked(where, mode_field, grid, xi0, vector)
 
 
 def _parse_problem(v: dict, lam: complex, lower_terms=()) -> EllipticProblem:

@@ -2,7 +2,8 @@
 
 Each lattice mode evolves under the matrix G(xi) = A + P_t(xi) I, which
 shares the eigenbasis of A, so the whole evolution reduces to independent
-scalar ODEs in eigencoordinates.  Two steppers are provided: exact Duhamel
+scalar ODEs in eigencoordinates.  Both steppers run one recurrence,
+u_{j+1} = a u_j + b0 f_j + b1 f_{j+1}, with their own weights: exact Duhamel
 propagation with exponential-integrator weights for piecewise-linear forcing
 (the oracle) and first-order implicit Euler (the stepper under test).  The
 evolution and its diagnostics stay in Fourier space: one forward FFT of the
@@ -83,59 +84,54 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _duhamel_steps(c: np.ndarray, g: np.ndarray, dy: float) -> np.ndarray:
-    """Exact per-mode Duhamel propagation with piecewise-linear forcing.
-
-    One step reads u_{j+1} = e^z u_j + dy (phi1(z) f_j + phi2(z) (f_{j+1} - f_j))
-    with z = -dy g per eigen-channel; exact whenever the forcing is linear on
-    each step, second-order accurate otherwise.  `c` holds the forcing's
-    eigencoordinates and is overwritten; the forcing terms of every step are
-    formed over the whole stack first, so a step is three in-place operations.
-    """
+def _duhamel_weights(g: np.ndarray, dy: float):
+    """The exponential integrator for piecewise-linear forcing, z = -dy g:
+    exact whenever the forcing is linear on each step, second order otherwise."""
     z = -dy * g
-    E = np.exp(z)
-    w0 = dy * _phi1(z)
-    w1 = dy * _phi2(z)
+    p2 = _phi2(z)
+    return np.exp(z), dy * (_phi1(z) - p2), dy * p2
+
+
+def _implicit_euler_weights(g: np.ndarray, dy: float):
+    """First-order implicit Euler, u_{j+1} = (I + dy G)^-1 (u_j + dy f_{j+1})."""
+    denom = 1.0 + dy * g
+    if np.any(np.abs(denom) < 1e-14):
+        raise ModeSingular(None, "I + dy G singular on some mode")
+    return 1.0 / denom, 0.0, dy / denom
+
+
+def _steps(c: np.ndarray, a, b0, b1) -> np.ndarray:
+    """u_0 = 0 and u_{j+1} = a u_j + (b0 c_j + b1 c_{j+1}) per eigen-channel.
+
+    `c` holds the forcing's eigencoordinates and is overwritten; the forcing
+    terms of every step are formed over the whole stack first, so a step is
+    two in-place operations.
+    """
     u = np.empty_like(c)
     u[0] = 0.0
-    np.subtract(c[1:], c[:-1], out=u[1:])
-    np.multiply(w1, u[1:], out=u[1:])      # u[j+1] holds the phi2 term of step j
-    np.multiply(w0, c[:-1], out=c[:-1])    # c[j] holds the phi1 term of step j
+    np.multiply(b0, c[:-1], out=u[1:])
+    np.multiply(b1, c[1:], out=c[1:])
+    np.add(u[1:], c[1:], out=u[1:])        # u[j+1] holds the forcing term of step j
     term = np.empty_like(c[0])
     for j in range(len(c) - 1):
-        np.multiply(E, u[j], out=term)
-        np.add(term, c[j], out=term)
+        np.multiply(a, u[j], out=term)
         np.add(term, u[j + 1], out=u[j + 1])
     return u
 
 
-def _implicit_euler_steps(c: np.ndarray, g: np.ndarray, dy: float) -> np.ndarray:
-    """First-order implicit Euler: u_{j+1} = (I + dy G)^-1 (u_j + dy f_{j+1}).
-
-    `c` holds the forcing's eigencoordinates and becomes the solution's."""
-    denom = 1.0 + dy * g
-    if np.any(np.abs(denom) < 1e-14):
-        raise ModeSingular(None, "I + dy G singular on some mode")
-    u = c
-    u[0] = 0.0
-    np.multiply(dy, u[1:], out=u[1:])
-    for j in range(len(u) - 1):
-        np.add(u[j], u[j + 1], out=u[j + 1])
-        np.divide(u[j + 1], denom, out=u[j + 1])
-    return u
-
-
-# The time steppers by method name, each on eigencoordinates (J+1,) + grid.shape + (N,).
-METHODS = {"duhamel": _duhamel_steps, "implicit-euler": _implicit_euler_steps}
+# The weights (a, b0, b1) of the one-step recurrence of _steps by method name,
+# each a function of the per-mode eigenvalues g of G(xi) and the step dy.
+METHODS = {"duhamel": _duhamel_weights, "implicit-euler": _implicit_euler_weights}
 
 
 def evolve_spectra(prob: ParabolicProblem, method: str):
     """(u_hat, f_hat): the unitary spectra (GridSpec.fft) of the solution and
     of the forcing stacks, from one forward FFT of the forcing.  Each lattice
-    mode evolves in the eigenbasis of A by the stepper METHODS[method]."""
+    mode evolves in the eigenbasis of A by the recurrence _steps with the
+    weights METHODS[method]."""
     g, V, Vinv = _eigensetup(prob)
     f_hat = prob.elliptic.grid.fft(prob.forcing.values)
-    u = METHODS[method](component_product(f_hat, Vinv.T), g, prob.forcing.dy)
+    u = _steps(component_product(f_hat, Vinv.T), *METHODS[method](g, prob.forcing.dy))
     return component_product(u, V.T), f_hat
 
 
@@ -145,12 +141,12 @@ def solution_on_grid(prob: ParabolicProblem, u_hat: np.ndarray) -> SpaceTimeFiel
 
 
 def solve_duhamel(prob: ParabolicProblem) -> SpaceTimeField:
-    """The solution of the Duhamel stepper (_duhamel_steps) on the grid."""
+    """The solution of the Duhamel stepper (_duhamel_weights) on the grid."""
     return solution_on_grid(prob, evolve_spectra(prob, "duhamel")[0])
 
 
 def solve_implicit_euler(prob: ParabolicProblem) -> SpaceTimeField:
-    """The solution of the implicit-Euler stepper (_implicit_euler_steps) on the grid."""
+    """The solution of the implicit-Euler stepper (_implicit_euler_weights) on the grid."""
     return solution_on_grid(prob, evolve_spectra(prob, "implicit-euler")[0])
 
 

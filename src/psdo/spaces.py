@@ -192,8 +192,14 @@ class SpaceTimeField:
 
 
 def mode_field(grid: GridSpec, xi0, vector) -> SampledField:
-    """Pure plane wave e^{i xi0 . x} * v; xi0 must lie on the frequency lattice."""
+    """Pure plane wave e^{i xi0 . x} * v.  xi0 must lie on the frequency
+    lattice: each xi0_k L / (2 pi) within 1e-9 of an integer of modulus at most
+    M/2 (the Nyquist mode included), or the samples are not periodic."""
     xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
+    k = xi0 * (grid.L / (2.0 * np.pi))
+    if not np.all((np.abs(k - np.rint(k)) <= 1e-9) & (np.abs(np.rint(k)) <= grid.M // 2)):
+        raise ValueError(f"xi0 = {xi0.tolist()} is off the frequency lattice 2 pi k / L, "
+                         f"|k| <= M/2 = {grid.M // 2}")
     v = np.atleast_1d(np.asarray(vector, dtype=complex))
     x = grid.points()
     phase = np.exp(1j * np.tensordot(x, xi0, axes=([-1], [0])))

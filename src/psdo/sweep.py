@@ -52,8 +52,6 @@ def default_sweep(phi2: float, n: int = 1, n_rays: int = 3, n_radii: int = 13,
     else:
         rays = (0.0,) if n_rays > 0 else ()  # the one ray of S_0
     radii = tuple(np.logspace(np.log10(radius_range[0]), np.log10(radius_range[1]), n_radii))
-    ts = tuple(
-        ScaleParams.isotropic(v, n, t0=max(1.0, t_range[1]))
-        for v in np.logspace(np.log10(t_range[0]), np.log10(t_range[1]), n_t)
-    )
+    ts = tuple(ScaleParams.isotropic(v, n)
+               for v in np.logspace(np.log10(t_range[0]), np.log10(t_range[1]), n_t))
     return SectorSweep(phi2=phi2, rays=rays, radii=radii, t_grid=ts)

@@ -68,17 +68,14 @@ class Sector:
 
 @dataclass(frozen=True)
 class ScaleParams:
-    """Positive per-axis scale parameters t = (t_1, ..., t_n) capped by t0."""
+    """Positive, finite per-axis scale parameters t = (t_1, ..., t_n)."""
 
     t: tuple
-    t0: float = 1.0
 
     def __post_init__(self):
         t = tuple(float(v) for v in self.t)
-        if not self.t0 > 0:
-            raise ValueError("cap t0 must be positive")
-        if not all(0 < v <= self.t0 + 1e-15 for v in t):
-            raise ValueError(f"scale parameters must lie in (0, t0={self.t0}], got {t}")
+        if not all(0 < v < math.inf for v in t):  # NaN fails too
+            raise ValueError(f"scale parameters must be positive and finite, got {t}")
         object.__setattr__(self, "t", t)
 
     @property
@@ -90,9 +87,8 @@ class ScaleParams:
         return float(math.prod(tk ** (ak / m) for tk, ak in zip(self.t, alpha)))
 
     @classmethod
-    def isotropic(cls, value: float, n: int, t0: float = None) -> "ScaleParams":
-        cap = t0 if t0 is not None else max(1.0, value)
-        return cls((value,) * n, t0=cap)
+    def isotropic(cls, value: float, n: int) -> "ScaleParams":
+        return cls((value,) * n)
 
 
 @dataclass(frozen=True)

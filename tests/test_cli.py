@@ -488,7 +488,7 @@ def test_solve_elliptic_reports_contraction_exact(tmp_path, q, exact):
     ["lower_terms=[{\"alpha\": [2.0], \"coefficient\": 0.5}]"],
     ["lower_terms=[{\"alpha\": [1.0, 0.0], \"coefficient\": 0.5}]"],
     ["lambda=-1.0"],
-    ['t={"t": [1.0, 1.0]}'],
+    ["t=[1.0, 1.0]"],
     ['data={"kind": "gaussian", "xi0": [1.0]}'],
     ['data={"kind": "gaussian", "fraction": 0.5}'],
     ['data={"kind": "mode", "width": 0.1}'],
@@ -498,7 +498,7 @@ def test_solve_elliptic_reports_contraction_exact(tmp_path, q, exact):
     ['data={"kind": "random", "xi0": [1.0]}'],
     ['data={"kind": "nonsense"}'],
     ["t=0.0"],
-    ['t={"t": -1.0}'],
+    ["t=[-1.0]"],
     ["p=abc"],
     ["residual_tol=abc"],
     ["p=true"],
@@ -513,17 +513,32 @@ def test_solve_elliptic_reports_contraction_exact(tmp_path, q, exact):
     ['data={"kind": "mode", "xi0": [1.0, 2.0]}'],
     ["data.width=0"],
     ["p=0.5"],
+    ['t={"t": 1.0}'],
+    ['t={"t": [1.0], "t0": 2.0}'],
+    ["model.system=true"],
+    ["grid.L=4.0", 'data={"kind": "mode"}'],
 ], ids=["vector-length", "vector-type", "coefficient-shape", "order-m", "alpha-dimension",
         "angle", "t-dimension", "gaussian-xi0", "gaussian-fraction", "mode-width",
         "mode-fraction", "random-width", "random-vector", "random-xi0", "data-kind",
         "t-zero", "t-negative", "p-text", "residual-tol-text", "p-bool", "residual-tol-nan",
         "fraction-text", "width-text", "grid-n-fractional", "seed-fractional",
         "tridiagonal-N-fractional", "scalar-model-other-kinds-keys", "export-fields-text",
-        "xi0-dimension", "width-0", "p-below-1"])
+        "xi0-dimension", "width-0", "p-below-1", "t-object", "t-object-t0",
+        "tridiagonal-system", "mode-off-lattice"])
 def test_solve_elliptic_bad_value_is_config_error(tmp_path, capsys, sets):
     assert run_with_sets(tmp_path, "solve-elliptic", small_elliptic_cfg(), sets) == 2
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_list_t_runs_on_a_2d_grid(tmp_path):
+    """A list `t` gives one value per axis; equal values are the isotropic number."""
+    cfg = {**small_elliptic_cfg(), "grid": {"n": 2, "M": 8, "L": 2 * np.pi}, "lower_terms": []}
+    results = []
+    for t in ([0.5, 0.5], 0.5, [1.0, 0.25]):
+        assert run_with_sets(tmp_path, "solve-elliptic", {**cfg, "t": t}, []) == 0
+        results.append(json.loads((tmp_path / "out" / "report.json").read_text())["result"])
+    assert results[0] == results[1] != results[2]
 
 
 @pytest.mark.parametrize("data", [{"kind": "gaussian", "width": 0.5, "vector": [1.0, 2.0]},
@@ -661,7 +676,7 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN and Infinity
     ("check-kahane", {**task_cfgs()["check-kahane"], "q": "abc"}),
     ("verify-coercivity", {**task_cfgs()["verify-coercivity"],
                            "grid": {"n": 2, "M": 8, "L": 2 * np.pi},
-                           "sweep": {"phi2": 0.5, "radii": [1.0], "t_values": [{"t": [1.0]}]}}),
+                           "sweep": {"phi2": 0.5, "radii": [1.0], "t_values": [[1.0]]}}),
     ("check-symbol", {**CHECK_SYMBOL, "symbol": {"kind": "power", "m": "2"}}),
     ("check-symbol", {**CHECK_SYMBOL, "symbol": {"kind": "power", "m": 2.0, "gamma": True}}),
     ("check-symbol", {**CHECK_SYMBOL, "symbol": {"kind": "power", "m": 2.0, "gamma": "0.5"}}),

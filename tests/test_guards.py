@@ -1,6 +1,10 @@
 """Input guards of the library that neither the other tests nor the shipped
 scenarios and benchmark tasks reach: each case builds its one bad input and
-asserts the exception, and the message, of its guard."""
+asserts the exception, and the message, of its guard, or the value of a guard
+that answers with one."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,41 +13,80 @@ from psdo import (
     EllipticProblem,
     GridSpec,
     LowerTerm,
+    ModeSingular,
     MultiIndex,
+    NoConvergence,
+    NonFiniteDerivative,
     ParabolicProblem,
     ProblemTemplate,
     SampledField,
     ScaleParams,
     Sector,
     SpaceTimeField,
+    SpectrumHit,
+    SymbolSpec,
     build_bvp_operator,
     build_system,
     check_positivity,
+    check_symbol_class,
     coercive_ratio,
     coercivity_sweep,
     default_sweep,
     estimate_rbound,
+    eval_symbol,
     gaussian_field,
     i_xi_power,
     kahane_contraction_check,
+    liouville_derivative,
     make_model,
+    mode_field,
     power_symbol,
+    resolvent,
     semigroup_propagator,
+    solve_full,
+    solve_implicit_euler,
     solve_principal,
 )
+from psdo import cli
+from psdo.errors import ConfigError
 
 GRID = GridSpec(n=1, M=8, L=2 * np.pi)
+SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "parabolic-reference.json"
 SCALAR = make_model(np.array([[1.0]]))
 
 
-def elliptic(lam=0.0, lower_terms=()):
-    return EllipticProblem(model=SCALAR, symbol=power_symbol(m=2.0),
-                           t=ScaleParams.isotropic(1.0, 1), lam=lam, grid=GRID,
+# (A + I) is singular, but the eigenvalues of this Jordan block come out
+# 3e-8 from -1, beyond the roundoff window of the spectrum check
+JORDAN = make_model(np.array([[0.0, 1.0], [-1.0, -2.0]]))
+# companion matrix of (x - 1)^3: its computed eigenvalues spread 1e-5 around 1
+JORDAN3 = make_model(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, -3.0, 3.0]]))
+TABLE = SymbolSpec(kind="user-table", m=2.0, table=([-1.0, 1.0], [1.0, 1.0]))
+
+
+def elliptic(lam=0.0, lower_terms=(), model=SCALAR, grid=GRID):
+    return EllipticProblem(model=model, symbol=power_symbol(m=2.0),
+                           t=ScaleParams.isotropic(1.0, 1), lam=lam, grid=grid,
                            lower_terms=lower_terms)
 
 
 def forcing(grid=GRID, N=1):
     return SpaceTimeField(grid=grid, values=np.ones((3,) + grid.shape + (N,)), Y=1.0)
+
+
+def slow_neumann():
+    """Contraction |3.8 i xi| / (4 + xi^2) = 0.95 at xi = 2: after MAX_ITER = 200
+    iterations the residual is still near 0.95^200 = 4e-5."""
+    grid = GridSpec(n=1, M=16, L=2 * np.pi)
+    prob = elliptic(lam=3.0, grid=grid,
+                    lower_terms=(LowerTerm(MultiIndex((1.0,)), 3.8 * np.eye(1)),))
+    return solve_full(prob, gaussian_field(grid))
+
+
+def overflowing_symbol_class():
+    """|xi|^2 overflows at xi = 1e200, so every difference quotient is NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return check_symbol_class(power_symbol(m=2.0), [ScaleParams.isotropic(1.0, 1)],
+                                  np.array([[1e200]]))
 
 
 def sweep():
@@ -86,6 +129,33 @@ CASES = {
     "i_xi_power-length": (ValueError, "same length", lambda: i_xi_power(np.zeros(2), (1.0,))),
     "SpaceTimeField-slice": (ValueError, "inconsistent with grid", lambda: (
         SpaceTimeField(grid=GRID, values=np.ones((3, 4, 1)), Y=1.0))),
+    "solve_principal-LU-singular": (ModeSingular, "Singular matrix", lambda: solve_principal(
+        elliptic(lam=1.0, model=JORDAN), gaussian_field(GRID, vector=[1.0, 1.0]))),
+    "solve_full-no-convergence": (NoConvergence, "after 200 iterations", slow_neumann),
+    "resolvent-residual": (SpectrumHit, "resolvent residual",
+                           lambda: resolvent(JORDAN3, -1.0 + 1e-7)),
+    "implicit-euler-singular": (ModeSingular, r"I \+ dy G singular", lambda: (
+        # dy g = (1 / 2) (-2) = -1 at xi = 0
+        solve_implicit_euler(ParabolicProblem(elliptic(model=make_model([[-2.0]])),
+                                              forcing())))),
+    "liouville_derivative-sequence-dimension": (ValueError, "alpha dimension", lambda: (
+        liouville_derivative(gaussian_field(GRID), [1.0, 0.0]))),
+    "liouville_derivative-dimension": (ValueError, "alpha dimension", lambda: (
+        liouville_derivative(gaussian_field(GRID), MultiIndex((1.0, 0.0))))),
+    "SymbolSpec-phi1": (ValueError, r"phi1 must lie in \[0, pi\)",
+                        lambda: SymbolSpec(kind="power", m=2.0, phi1=-0.1)),
+    "eval_symbol-scalar-xi": (ValueError, "frequency dimension 1 != len", lambda: (
+        eval_symbol(power_symbol(m=2.0), ScaleParams.isotropic(1.0, 2), 2.0))),
+    "eval_symbol-user-table-2d": (ValueError, "one-dimensional", lambda: (
+        eval_symbol(TABLE, ScaleParams.isotropic(1.0, 2), np.zeros((3, 2))))),
+    "check_symbol_class-overflow": (NonFiniteDerivative, "diverged", overflowing_symbol_class),
+    "mode_field-off-lattice": (ValueError, "off the frequency lattice",
+                               lambda: mode_field(GridSpec(n=1, M=32, L=4.0), [1.0], [1.0])),
+    "mode_field-beyond-nyquist": (ValueError, "off the frequency lattice",
+                                  lambda: mode_field(GRID, [5.0], [1.0])),
+    "cli-set-grid-number": (ConfigError, "config.grid must be an object", lambda: (
+        cli.SCHEMA["solve-parabolic"].value(cli._apply_overrides(
+            json.loads(SCENARIO.read_text()), ["grid=5"]), "config"))),
 }
 
 
@@ -94,3 +164,18 @@ def test_guard_raises(name):
     exc, message, call = CASES[name]
     with pytest.raises(exc, match=message):
         call()
+
+
+RETURNS = {  # guards that answer with a value rather than an exception
+    "default_sweep-phi2-0-rays": ((0.0,), lambda: default_sweep(phi2=0.0, n_rays=3).rays),
+    "default_sweep-phi2-0-no-rays": ((), lambda: default_sweep(phi2=0.0, n_rays=0).rays),
+    # no sample has a nonzero lower bound gamma * sum t_k |xi_k|^m to compare with
+    "check_symbol_class-only-xi-0": (1.0, lambda: check_symbol_class(
+        power_symbol(m=2.0), [ScaleParams.isotropic(1.0, 1)], np.zeros((1, 1))).lower_margin),
+}
+
+
+@pytest.mark.parametrize("name", list(RETURNS))
+def test_guard_returns(name):
+    value, call = RETURNS[name]
+    assert call() == value

@@ -213,14 +213,11 @@ def _step_by_step(prob, method):
     u = np.zeros_like(c)
     if method == "duhamel":
         z = -dy * g
-        E, w0, w1 = np.exp(z), dy * _phi1(z), dy * _phi2(z)
-        for j in range(prob.J):
-            df = c[j + 1] - c[j]
-            u[j + 1] = E * u[j] + w0 * c[j] + w1 * df
+        a, b0, b1 = np.exp(z), dy * (_phi1(z) - _phi2(z)), dy * _phi2(z)
     else:
-        denom = 1.0 + dy * g
-        for j in range(prob.J):
-            u[j + 1] = (u[j] + dy * c[j + 1]) / denom
+        a, b0, b1 = 1.0 / (1.0 + dy * g), 0.0, dy / (1.0 + dy * g)
+    for j in range(prob.J):
+        u[j + 1] = a * u[j] + (b0 * c[j] + b1 * c[j + 1])
     return u @ V.T
 
 

@@ -34,7 +34,7 @@ def test_multi_index_basics():
 
 
 def test_scale_params_weight():
-    t = ScaleParams((0.25, 0.04), t0=1.0)
+    t = ScaleParams((0.25, 0.04))
     alpha = MultiIndex((1.0, 2.0))
     # t(alpha) = t1^(1/2) * t2^(2/2) for m = 2
     assert t.weight(alpha, 2.0) == pytest.approx(0.5 * 0.04, rel=1e-14)
@@ -42,7 +42,7 @@ def test_scale_params_weight():
     with pytest.raises(ValueError):
         ScaleParams((0.0,))
     with pytest.raises(ValueError):
-        ScaleParams((2.0,), t0=1.0)
+        ScaleParams((math.inf,))
 
 
 def test_i_xi_power_integer_orders():
@@ -120,9 +120,8 @@ def test_symbol_spec_validation():
     lambda: SymbolSpec(kind="power", m=math.nan),
     lambda: SymbolSpec(kind="power", m=2.0, gamma=math.nan),
     lambda: ScaleParams((math.nan,)),
-    lambda: ScaleParams((0.5,), t0=math.nan),
     lambda: GridSpec(n=1, M=8, L=math.nan),
-], ids=["SymbolSpec.m", "SymbolSpec.gamma", "ScaleParams.t", "ScaleParams.t0", "GridSpec.L"])
+], ids=["SymbolSpec.m", "SymbolSpec.gamma", "ScaleParams.t", "GridSpec.L"])
 def test_range_guards_reject_nan(build):
     with pytest.raises(ValueError):
         build()
