@@ -30,7 +30,6 @@ from .errors import (
     NyquistEnergy,
     OutOfTable,
     PsdoError,
-    SpectrumHit,
     TooManyForEnumeration,
 )
 from .operators import (

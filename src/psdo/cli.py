@@ -129,8 +129,8 @@ REQUIRED = object()
 
 def _checked(where: str, make, *args, **kwargs):
     """make(*args, **kwargs); the TypeError, ValueError or KeyError raised by
-    a library constructor's own domain checks is a config error, and so is the
-    OverflowError of an integer beyond the float range."""
+    a library constructor's own domain checks is a config error, and so is an
+    OverflowError of a value beyond the float range."""
     try:
         return make(*args, **kwargs)
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
@@ -257,10 +257,10 @@ class Switch(_Type):
         return self.types[name].value(value, where)
 
 
-def either(scalar: _Type, nested: _Type, **kw) -> Switch:
-    """`nested` checks a JSON object or list, `scalar` any other value."""
-    return Switch(f"{scalar.what} or {nested.what}", lambda v: isinstance(v, (dict, list)),
-                  {False: scalar, True: nested}, **kw)
+def either(scalar: _Type, nested: List, **kw) -> Switch:
+    """`nested` checks a list, `scalar` any value but a list or an object (which fails both)."""
+    return Switch(f"{scalar.what} or {nested.what}", lambda v: None if isinstance(v, dict)
+                  else isinstance(v, list), {False: scalar, True: nested}, **kw)
 
 
 def kinds(tag: str, tables: dict, tag_default: str = None, **kw) -> Switch:
@@ -408,7 +408,7 @@ def _parse_data(v: dict, prob: EllipticProblem, rng=None, where: str = "data") -
     if vector.shape != (N,):
         raise ConfigError(f"{where}.vector must have N = {N} entries, got shape {vector.shape}")
     if v["kind"] == "gaussian":
-        return gaussian_field(grid, width=v["width"], vector=vector)
+        return _checked(where, gaussian_field, grid, width=v["width"], vector=vector)
     xi0 = [1.0] * grid.n if v["xi0"] is None else v["xi0"]
     if len(xi0) != grid.n:
         raise ConfigError(f"data.xi0 must have n = {grid.n} entries, got {xi0}")
@@ -439,7 +439,7 @@ def _parse_forcing(v: dict, ell: EllipticProblem) -> SpaceTimeField:
     else:
         weights = np.ones_like(times)
     vals = weights[(...,) + (None,) * (ell.grid.n + 1)] * base.values[None]
-    return SpaceTimeField(grid=ell.grid, values=vals, Y=Y)
+    return _checked("forcing", SpaceTimeField, grid=ell.grid, values=vals, Y=Y)
 
 
 # ---------------------------------------------------------------------------

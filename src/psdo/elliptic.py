@@ -119,15 +119,16 @@ def coercive_index_set(n: int, m: float):
 
 def _shifts(model: OperatorModel, symbol: SymbolSpec, t, lam, xi) -> np.ndarray:
     """The mode shifts lam + P_t(xi) at the frequency rows xi (..., n), checked:
-    ModeSingular names the first within roundoff of -spectrum(A).  t and lam
-    are one point's, or a block's: the sequence of the points' ScaleParams
-    (eval_symbol) and the array of their lam, broadcast over the trailing axes."""
+    ModeSingular names the first spectrum_hit.  t and lam are one point's, or a
+    block's: the sequence of the points' ScaleParams (eval_symbol) and the
+    array of their lam, broadcast over the trailing axes."""
     xi = np.atleast_1d(xi)
     P = np.asarray(eval_symbol(symbol, t, xi), dtype=complex)
     shifts = np.reshape(lam, np.shape(lam) + (1,) * (P.ndim - np.ndim(lam))) + P
     hit = spectrum_hit(model, shifts.reshape(-1))
     if hit is not None:
-        raise ModeSingular(tuple(xi.reshape(-1, xi.shape[-1])[hit]))
+        at, s = tuple(xi.reshape(-1, xi.shape[-1])[hit]), shifts.reshape(-1)[hit]
+        raise ModeSingular(at, None if np.isfinite(s) else f"shift {s} at xi={at} is not finite")
     return shifts
 
 
@@ -142,12 +143,8 @@ def _solve_spectra(model: OperatorModel, shifts: np.ndarray, fhat: np.ndarray) -
     grid.shape + (N,), with the mode shifts (..., modes) of its leading axes
     (flattened FFT order; shifts of one lattice have no leading axes)."""
     lead = shifts.shape[:-1]
-    try:
-        uhat = shifted_solve(model, shifts, fhat.reshape(lead + (-1,) + shifts.shape[-1:]
-                                                         + fhat.shape[-1:]))
-    except np.linalg.LinAlgError as exc:
-        raise ModeSingular(None, str(exc)) from exc
-    return uhat.reshape(fhat.shape)
+    return shifted_solve(model, shifts, fhat.reshape(lead + (-1,) + shifts.shape[-1:]
+                                                     + fhat.shape[-1:])).reshape(fhat.shape)
 
 
 def solve_principal(prob: EllipticProblem, f: SampledField) -> SampledField:

@@ -17,10 +17,6 @@ class AngleSumTooLarge(PsdoError):
     """Sector angles add up to pi or more; the sum inequality fails."""
 
 
-class SpectrumHit(PsdoError):
-    """-lambda is within tolerance of an eigenvalue; resolvent undefined."""
-
-
 class NotDiagonalizable(PsdoError):
     """Eigenvector matrix too ill-conditioned for spectral calculus."""
 
@@ -38,7 +34,7 @@ class EllipticityFailure(PsdoError):
 
 
 class ModeSingular(PsdoError):
-    """Per-frequency matrix numerically singular; sector hypotheses violated."""
+    """A + s I singular within roundoff, or s not finite; sector hypotheses violated."""
 
     def __init__(self, xi, message=None):
         self.xi = xi

@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import (
     EllipticityFailure,
+    ModeSingular,
     NotDiagonalizable,
     NotPositiveDefinite,
     NotSymmetric,
-    SpectrumHit,
 )
 from .sweep import SectorSweep
 
@@ -115,7 +115,7 @@ def shifted_solve(model: OperatorModel, shifts, rhs=None) -> np.ndarray:
 
     With rhs and a unitary eigenbasis (Hermitian A, kappa = 1) the solve is
     V ((V^H rhs) / (w + s_k)): two products with V and no factorization.
-    Otherwise one batched LU of the shifted matrices.
+    Otherwise one batched LU of the shifted matrices; an exactly singular one is ModeSingular.
     """
     if rhs is not None and model.kappa == 1.0:
         w, V = model.eigvals, model.eigvecs
@@ -123,9 +123,12 @@ def shifted_solve(model: OperatorModel, shifts, rhs=None) -> np.ndarray:
         coords /= w + np.asarray(shifts)[..., None, :, None]
         return coords @ V.T
     mats = _shifted_matrices(model.A, shifts)
-    if rhs is None:
-        return np.linalg.inv(mats)
-    return np.moveaxis(np.linalg.solve(mats, np.moveaxis(rhs, -3, -1)), -1, -3)
+    try:
+        if rhs is None:
+            return np.linalg.inv(mats)
+        return np.moveaxis(np.linalg.solve(mats, np.moveaxis(rhs, -3, -1)), -1, -3)
+    except np.linalg.LinAlgError as exc:
+        raise ModeSingular(None, str(exc)) from exc
 
 
 def inverse_residuals(model: OperatorModel, shifts, B: np.ndarray) -> np.ndarray:
@@ -135,10 +138,10 @@ def inverse_residuals(model: OperatorModel, shifts, B: np.ndarray) -> np.ndarray
 
 
 def spectrum_hit(model: OperatorModel, shifts):
-    """Index of the first shift s with -s within roundoff of spectrum(A), else None."""
+    """First index of a shift s not finite or with -s within roundoff of spectrum(A), else None."""
     scale = max(1.0, float(np.abs(model.A).max()))
     dist = np.abs(model.eigvals[None, :] + np.asarray(shifts)[:, None]).min(axis=1)
-    bad = np.flatnonzero(dist <= 1e-12 * scale)
+    bad = np.flatnonzero((dist <= 1e-12 * scale) | ~np.isfinite(dist))
     return int(bad[0]) if bad.size else None
 
 
@@ -227,14 +230,15 @@ def resolvent(model: OperatorModel, lam) -> np.ndarray:
     shifts = lams.reshape(-1)
     hit = spectrum_hit(model, shifts)
     if hit is not None:
-        raise SpectrumHit(f"-lambda = {-complex(shifts[hit])} within tolerance of the spectrum")
+        raise ModeSingular(None, f"-lambda = {-complex(shifts[hit])} within tolerance of the "
+                                 "spectrum")
     R = shifted_solve(model, shifts)
     residual = inverse_residuals(model, shifts, R)
     bad = np.flatnonzero(residual > 1e-10 * np.maximum(1.0, np.abs(shifts)))
     if bad.size:
         k = bad[0]
-        raise SpectrumHit(f"resolvent residual {residual[k]:.2e} too large at "
-                          f"lambda={complex(shifts[k])}")
+        raise ModeSingular(None, f"resolvent residual {residual[k]:.2e} too large at "
+                                 f"lambda={complex(shifts[k])}")
     return R.reshape(lams.shape + R.shape[1:])
 
 

@@ -265,7 +265,7 @@ def fractional_multiplier(grid: GridSpec, alpha: MultiIndex,
     return i_xi_power([z if _zeroes_nyquist(a) else f for (f, z), a in zip(axes, alpha)], alpha)
 
 
-def liouville_derivative(u: SampledField, alpha, check_nyquist: bool = True) -> SampledField:
+def liouville_derivative(u: SampledField, alpha) -> SampledField:
     """Fractional derivative D^alpha u = F^-1[(i xi)^alpha F u].
 
     Nyquist modes are zeroed for fractional or odd-integer orders; when that
@@ -277,7 +277,7 @@ def liouville_derivative(u: SampledField, alpha, check_nyquist: bool = True) -> 
         raise ValueError("alpha dimension does not match the grid")
     spec = u.grid.fft(u.values)
     mult = fractional_multiplier(u.grid, alpha)
-    if check_nyquist and any(_zeroes_nyquist(a) for a in alpha):
+    if any(_zeroes_nyquist(a) for a in alpha):
         mask = u.grid.nyquist_mask()
         total = np.linalg.norm(spec)
         if total > 0:

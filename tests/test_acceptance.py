@@ -52,6 +52,7 @@ from psdo import (
     solve_implicit_euler,
     solve_principal,
 )
+from psdo import verification
 from psdo.cli import main as cli_main
 from psdo.symbols import i_xi_power_factor
 
@@ -199,12 +200,13 @@ def test_acceptance_07_rbound_singleton_matches_probe_norm():
         assert est.value == pytest.approx(probe_norm(T), abs=1e-6)
 
 
-def test_acceptance_07_scalar_family_bracket():
+def test_acceptance_07_scalar_family_bracket(monkeypatch):
     model = make_model(np.array([[1.0]]))
     lambdas = list(np.logspace(0, 3, 10))
     fam = lambda_resolvent_family(model, lambdas)
     S = max(abs(l / (1.0 + l)) for l in lambdas)
-    est = estimate_rbound(fam, tuple_size=10, budget=6)
+    monkeypatch.setattr(verification, "RBOUND_BUDGET", 6)
+    est = estimate_rbound(fam, tuple_size=10)
     assert S - 1e-9 <= est.value <= 2.0 * S + 1e-9
 
 

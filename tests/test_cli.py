@@ -481,6 +481,16 @@ def test_solve_elliptic_reports_contraction_exact(tmp_path, q, exact):
     assert 0.0 < result["contraction"] < 1.0
 
 
+# The message of a --set item below, where it is pinned: an object is neither
+# kind of an `either` value, and is reported against both
+BAD_VALUE_MESSAGES = {
+    't={"t": 1.0}': "config.t must be a number or a list of 1 or more entries, each a number, "
+                    "got {'t': 1.0}",
+    'lambda={"re": 1.0}': "config.lambda must be a number or a list of 2 entries, each a "
+                          "number, got {'re': 1.0}",
+}
+
+
 @pytest.mark.parametrize("sets", [
     ["data.vector=[1.0, 2.0, 3.0]"],
     ['data.vector="one"'],
@@ -517,6 +527,7 @@ def test_solve_elliptic_reports_contraction_exact(tmp_path, q, exact):
     ['t={"t": [1.0], "t0": 2.0}'],
     ["model.system=true"],
     ["grid.L=4.0", 'data={"kind": "mode"}'],
+    ['lambda={"re": 1.0}'],
 ], ids=["vector-length", "vector-type", "coefficient-shape", "order-m", "alpha-dimension",
         "angle", "t-dimension", "gaussian-xi0", "gaussian-fraction", "mode-width",
         "mode-fraction", "random-width", "random-vector", "random-xi0", "data-kind",
@@ -524,10 +535,12 @@ def test_solve_elliptic_reports_contraction_exact(tmp_path, q, exact):
         "fraction-text", "width-text", "grid-n-fractional", "seed-fractional",
         "tridiagonal-N-fractional", "scalar-model-other-kinds-keys", "export-fields-text",
         "xi0-dimension", "width-0", "p-below-1", "t-object", "t-object-t0",
-        "tridiagonal-system", "mode-off-lattice"])
+        "tridiagonal-system", "mode-off-lattice", "lambda-object"])
 def test_solve_elliptic_bad_value_is_config_error(tmp_path, capsys, sets):
     assert run_with_sets(tmp_path, "solve-elliptic", small_elliptic_cfg(), sets) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert all(BAD_VALUE_MESSAGES.get(item, "") in err for item in sets)
     assert not (tmp_path / "out").exists()
 
 
@@ -709,6 +722,14 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN and Infinity
                            "sweep": {"phi2": 0.5, "radii": [-10.0, 5.0]}}),
     ("verify-coercivity", {**task_cfgs()["verify-coercivity"],
                            "sweep": {"phi2": 0.5, "radii": [1.0, NAN]}}),
+    # schema-valid values whose fields are not finite
+    ("solve-elliptic", {**small_elliptic_cfg(), "data": {"kind": "gaussian", "width": 1e-200}}),
+    ("solve-parabolic", {**task_cfgs()["solve-parabolic"],
+                         "forcing": {"kind": "gaussian", "width": 1e-200}}),
+    ("solve-parabolic", {**task_cfgs()["solve-parabolic"],
+                         "forcing": {"kind": "gaussian", "omega": 1e308}}),
+    ("solve-elliptic", {**small_elliptic_cfg(), "grid": {"n": 1, "M": 32, "L": 1e308}}),
+    ("solve-elliptic", {**small_elliptic_cfg(), "grid": {"n": 1, "M": 32, "L": 1e-300}}),
 ], ids=["family-kind", "resolvent-no-lambdas", "resolvent-no-model", "matrices-no-members", "no-members",
         "mixed-shapes", "ragged-member", "matrices-lambdas", "scalars-only", "vectors-only",
         "unequal-lengths", "lambdas-number", "lambdas-empty", "count-negative", "count-0",
@@ -724,11 +745,37 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN and Infinity
         "symbol-theta0-on-power", "symbol-unknown-key", "table-unsorted",
         "table-value-count", "table-imag-count", "lambda-inf", "bvp-ell-inf", "grid-L-inf",
         "t-inf", "omega-inf", "lambdas-inf", "members-nan", "coefficient-nan", "vector-nan",
-        "scalars-nan", "radii-negative", "radii-nan"])
+        "scalars-nan", "radii-negative", "radii-nan", "data-width-tiny", "forcing-width-tiny",
+        "omega-huge", "grid-L-huge", "grid-L-tiny"])
 def test_malformed_family_or_instance_is_config_error(tmp_path, capsys, task, cfg):
     assert run_with_sets(tmp_path, task, {"task": task, **cfg}, []) == 2
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_singular_resolvent_family_is_execution_failure(tmp_path, capsys):
+    # A + I is exactly singular, but the computed eigenvalues of this Jordan
+    # block miss -1 by more than the spectrum guard's roundoff window
+    cfg = {"task": "estimate-rbound", "family": {
+        "kind": "lambda-resolvent", "model": {"kind": "matrix", "entries": [[0, 1], [-1, -2]]},
+        "lambdas": [1.0]}}
+    assert run_with_sets(tmp_path, "estimate-rbound", cfg, []) == 1
+    assert "execution failed: ModeSingular: Singular matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task, model", [
+    ("verify-resolvent", {"kind": "tridiagonal", "N": 3, "q": 3}),
+    ("check-multipliers", {"kind": "matrix", "entries": [[1, 0.5], [0, 2]]})])
+def test_overflowing_symbol_gives_mode_singular_records(tmp_path, task, model):
+    """|xi|^400 overflows on the sampled frequencies, so each point's mode
+    shifts are not finite: a ModeSingular record naming the frequency."""
+    cfg = {**task_cfgs()[task], "model": model, "symbol": {"kind": "power", "m": 400},
+           "sweep": {"phi2": 0.7, "n_rays": 2, "n_radii": 2, "n_t": 1}}
+    assert run_with_sets(tmp_path, task, cfg, []) == 3
+    points = json.loads((tmp_path / "out" / "report.json").read_text())["result"]["points"]
+    assert len(points) == 4
+    assert all(p["error"].startswith("ModeSingular: shift (inf") and
+               p["error"].endswith("is not finite") for p in points)
 
 
 def test_kahane_beyond_enumeration_limit_is_execution_failure(tmp_path, capsys):

@@ -23,7 +23,6 @@ from psdo import (
     ScaleParams,
     Sector,
     SpaceTimeField,
-    SpectrumHit,
     SymbolSpec,
     build_bvp_operator,
     build_system,
@@ -48,6 +47,7 @@ from psdo import (
     solve_principal,
 )
 from psdo import cli
+from psdo.elliptic import _shifts
 from psdo.errors import ConfigError
 
 GRID = GridSpec(n=1, M=8, L=2 * np.pi)
@@ -80,6 +80,13 @@ def slow_neumann():
     prob = elliptic(lam=3.0, grid=grid,
                     lower_terms=(LowerTerm(MultiIndex((1.0,)), 3.8 * np.eye(1)),))
     return solve_full(prob, gaussian_field(grid))
+
+
+def overflowing_shift():
+    """|xi|^400 overflows at xi = 10, so the mode shift there is infinite."""
+    with np.errstate(over="ignore"):
+        return _shifts(SCALAR, power_symbol(m=400.0), ScaleParams.isotropic(1.0, 1), 1.0,
+                       np.array([[1.0], [10.0]]))
 
 
 def overflowing_symbol_class():
@@ -132,8 +139,11 @@ CASES = {
     "solve_principal-LU-singular": (ModeSingular, "Singular matrix", lambda: solve_principal(
         elliptic(lam=1.0, model=JORDAN), gaussian_field(GRID, vector=[1.0, 1.0]))),
     "solve_full-no-convergence": (NoConvergence, "after 200 iterations", slow_neumann),
-    "resolvent-residual": (SpectrumHit, "resolvent residual",
+    "resolvent-residual": (ModeSingular, "resolvent residual",
                            lambda: resolvent(JORDAN3, -1.0 + 1e-7)),
+    "resolvent-LU-singular": (ModeSingular, "Singular matrix", lambda: resolvent(JORDAN, 1.0)),
+    "shifts-not-finite": (ModeSingular, r"shift \(inf\+0j\) at xi=\(np.float64\(10.0\),\) is not "
+                          "finite", overflowing_shift),
     "implicit-euler-singular": (ModeSingular, r"I \+ dy G singular", lambda: (
         # dy g = (1 / 2) (-2) = -1 at xi = 0
         solve_implicit_euler(ParabolicProblem(elliptic(model=make_model([[-2.0]])),

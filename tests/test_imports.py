@@ -2,8 +2,8 @@
 only for numpy at start-up; every module (the re-exporting __init__.py
 aside) uses each name it imports, only operators.py makes spectral
 decisions about A (dense inverses, solves and eigendecompositions, the
-eigenbasis condition limit KAPPA_LIMIT, and reads of a model's eigen-data
-kappa, eigvals, eigvecs and eigvecs_inv), only GridSpec.fft/ifft in
+eigenbasis condition limit KAPPA_LIMIT, numpy's LinAlgError, and reads of a
+model's eigen-data kappa, eigvals, eigvecs and eigvecs_inv), only GridSpec.fft/ifft in
 spaces.py transform sampled fields, only symbols.py names the axis factor
 of (i xi)^alpha, so i_xi_power stays its one product, outside symbols.py
 only elliptic._shifts and EllipticProblem.symbol_values evaluate the symbol,
@@ -103,13 +103,14 @@ def test_module_uses_its_imports(path):
 
 
 SPECTRAL_KERNELS = {"inv", "solve", "eig", "eigh"}
+SPECTRAL_NAMES = {"KAPPA_LIMIT", "LinAlgError"}
 EIGEN_DATA = {"kappa", "eigvals", "eigvecs", "eigvecs_inv"}
 
 
 def spectral_decisions(source: str) -> list:
-    """linalg inv/solve/eig/eigh calls, KAPPA_LIMIT names, _mode_matrices
-    imports from elliptic and attribute reads of a model's eigen-data, in
-    source order."""
+    """linalg inv/solve/eig/eigh calls, KAPPA_LIMIT and LinAlgError names,
+    _mode_matrices imports from elliptic and attribute reads of a model's
+    eigen-data, in source order."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
@@ -122,13 +123,13 @@ def spectral_decisions(source: str) -> list:
             for a in node.names:
                 if module.endswith("linalg") and a.name in SPECTRAL_KERNELS:
                     found.append((node.lineno, f"linalg.{a.name}"))
-                elif a.name == "KAPPA_LIMIT":
-                    found.append((node.lineno, "KAPPA_LIMIT"))
+                elif a.name in SPECTRAL_NAMES:
+                    found.append((node.lineno, a.name))
                 elif a.name == "_mode_matrices" and module.split(".")[-1] == "elliptic":
                     found.append((node.lineno, "_mode_matrices"))
-        elif isinstance(node, (ast.Name, ast.Attribute)) and "KAPPA_LIMIT" in (
-                getattr(node, "id", None), getattr(node, "attr", None)):
-            found.append((node.lineno, "KAPPA_LIMIT"))
+        elif isinstance(node, (ast.Name, ast.Attribute)) and (
+                name := getattr(node, "id", getattr(node, "attr", None))) in SPECTRAL_NAMES:
+            found.append((node.lineno, name))
         elif isinstance(node, ast.Attribute) and node.attr in EIGEN_DATA:
             found.append((node.lineno, f".{node.attr}"))
     return [name for _, name in sorted(found)]
@@ -140,10 +141,14 @@ def test_spectral_decision_is_detected():
               "x = np.linalg.inv(a)\ny = scipy.linalg.solve(a, b)\nz = ops.KAPPA_LIMIT\n"
               "w = np.linalg.svd(a)\nif model.kappa == 1.0:\n    v = model.eigvecs[:, 0]\n"
               "d = m.eigvals + s\nr = prob.model.eigvecs_inv\nkappa = 0.0\n"
-              "w, V, Vinv = eigenbasis(model)\n")
+              "w, V, Vinv = eigenbasis(model)\n"
+              "from numpy.linalg import LinAlgError\n"
+              "try:\n    x = f(a)\nexcept np.linalg.LinAlgError:\n    x = None\n"
+              "errors = (ValueError, LinAlgError)\nLinAlgErrors = 0\n")
     assert spectral_decisions(source) == ["linalg.eigh", "KAPPA_LIMIT", "_mode_matrices",
                                           "linalg.inv", "linalg.solve", "KAPPA_LIMIT",
-                                          ".kappa", ".eigvecs", ".eigvals", ".eigvecs_inv"]
+                                          ".kappa", ".eigvecs", ".eigvals", ".eigvecs_inv",
+                                          "LinAlgError", "LinAlgError", "LinAlgError"]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "operators.py"],

@@ -3,10 +3,10 @@ import pytest
 
 from psdo import (
     EllipticityFailure,
+    ModeSingular,
     NotPositiveDefinite,
     NotSymmetric,
     SectorSweep,
-    SpectrumHit,
     build_bvp_operator,
     build_system,
     check_positivity,
@@ -68,7 +68,7 @@ def test_resolvent_identity():
 
 def test_resolvent_spectrum_hit():
     model = make_model(np.array([[2.0]]))
-    with pytest.raises(SpectrumHit):
+    with pytest.raises(ModeSingular):
         resolvent(model, -2.0)
 
 
