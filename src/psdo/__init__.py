@@ -29,6 +29,7 @@ from .errors import (
     NotSymmetric,
     NyquistEnergy,
     OutOfTable,
+    Overflow,
     PsdoError,
     TooManyForEnumeration,
 )

@@ -1,5 +1,6 @@
 """Command-line front end: JSON-configured scenarios producing a deterministic
-report.json, and solution.txt for a task with `export_fields`.
+report.json, and for a task with `export_fields` the solved field: every value
+in solution.npy, and its final time slice as text in solution.txt.
 
 Exit codes: 0 pass, 1 execution failure, 2 config failure, 3 verdict failure.
 Reports carry no timestamps and serialize with sorted keys so repeated runs
@@ -463,20 +464,23 @@ def _sanitize(obj):
 
 
 def _write_reports(out_dir: str, report: dict, export=None):
-    """Write report.json to `out_dir`, and the field `export`, when given, to
-    solution.txt: every file the CLI writes."""
+    """Write report.json to `out_dir`, and the field `export`, when given: its
+    values to solution.npy, and its last time slice (a SampledField is one) to
+    solution.txt.  These are every file the CLI writes."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = json.dumps(_sanitize(report), sort_keys=True, indent=2,
                          allow_nan=False) + "\n"
     (out / "report.json").write_text(payload)
     if export is not None:
-        (out / "solution.txt").write_text(export_columnar(export))
+        np.save(out / "solution.npy", export.values, allow_pickle=False)
+        final = export.slice(-1) if isinstance(export, SpaceTimeField) else export
+        (out / "solution.txt").write_text(export_columnar(final))
 
 
 # ---------------------------------------------------------------------------
 # task handlers: each takes the checked values and the seed and returns
-# (verdict, result dict, the field for solution.txt or None)
+# (verdict, result dict, the field to export or None)
 
 
 def _verdict(ok) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ContractionFailure, ModeSingular, NoConvergence
+from .errors import ContractionFailure, ModeSingular, NoConvergence, Overflow
 from .operators import (
     OperatorModel,
     inverse_norms,
@@ -293,6 +293,8 @@ def solve_full(prob: EllipticProblem, f: SampledField, seed: int = 0):
         rhat = prob.model.apply(uhat) + mode_shifts * uhat + lower - fhat
         nr = float(_lp_lq_norms_from_spectra(rhat, grid, q, 2.0)[0])
         residuals.append(nr / nf if nf > 0 else 0.0)
+        if not math.isfinite(residuals[-1]):  # inf or nan appear only past the float range
+            raise Overflow(f"residual {residuals[-1]} at iteration {it}: the solve overflows")
         if residuals[-1] < NEUMANN_TOL or not prob.lower_terms:
             return f.with_values(grid.ifft(uhat)[0]), IterationReport(
                 iterations=it, residuals=residuals, contraction=rate, contraction_exact=exact)

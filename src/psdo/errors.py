@@ -49,6 +49,10 @@ class NoConvergence(PsdoError):
     """Fixed-point iteration hit the iteration cap before the tolerance."""
 
 
+class Overflow(PsdoError):
+    """A solve's values left the float range: the data are too large for it."""
+
+
 class TooManyForEnumeration(PsdoError):
     """Sign-pattern enumeration requested for too many operators."""
 

@@ -230,8 +230,9 @@ def resolvent(model: OperatorModel, lam) -> np.ndarray:
     shifts = lams.reshape(-1)
     hit = spectrum_hit(model, shifts)
     if hit is not None:
-        raise ModeSingular(None, f"-lambda = {-complex(shifts[hit])} within tolerance of the "
-                                 "spectrum")
+        s = complex(shifts[hit])
+        raise ModeSingular(None, f"-lambda = {-s} within tolerance of the spectrum"
+                           if np.isfinite(s) else f"lambda = {s} is not finite")
     R = shifted_solve(model, shifts)
     residual = inverse_residuals(model, shifts, R)
     bad = np.flatnonzero(residual > 1e-10 * np.maximum(1.0, np.abs(shifts)))

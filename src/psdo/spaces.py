@@ -372,26 +372,12 @@ def _time_norm(inner: np.ndarray, dy: float, p1: float) -> float:
     return float((np.sum(w * inner**p1)) ** (1.0 / p1))
 
 
-def _formatted(rows: np.ndarray) -> list:
-    """The "%.17g" text of each row of a 2-D float array, by one template."""
-    row = " ".join(["%.17g"] * rows.shape[1])
-    return ("\n".join([row] * len(rows)) % tuple(rows.ravel().tolist())).split("\n")
-
-
-def export_columnar(u: SampledField | SpaceTimeField) -> str:
-    """Text columns of a SampledField, or of every slice of a SpaceTimeField:
-    per slice a header, then per grid point the coordinates and Re/Im per
-    component in "%.17g"; an empty line between slices.  One slice template
-    holds the coordinates, and each distinct 64-bit pattern of the values
-    (-0.0 is not 0.0) is formatted once."""
+def export_columnar(u: SampledField) -> str:
+    """Text columns of a SampledField: a header, then per grid point the
+    coordinates and Re/Im per component in "%.17g"."""
     grid, N = u.grid, u.N
-    floats = np.ascontiguousarray(u.values).reshape(-1, grid.M**grid.n * N).view(np.float64)
-    distinct, index = np.unique(floats.view(np.int64), return_inverse=True)
-    texts = np.array(_formatted(distinct.view(np.float64)[:, None]), dtype=object)
-    source = texts[index.reshape(floats.shape)]
     header = "# " + " ".join([f"x{k}" for k in range(grid.n)] + [f"re{j} im{j}" for j in range(N)])
-    row = " ".join(["%s"] * (2 * N))
-    x = _formatted(grid.points().reshape(-1, grid.n))
-    template = "".join([header + "\n"] + [f"{c} {row}\n" for c in x])
-    parts = [source[b] for b in blocks(len(source), floats.shape[1])]  # a small fill tuple
-    return "\n".join(["\n".join([template] * len(b)) % tuple(b.ravel().tolist()) for b in parts])
+    rows = np.hstack([grid.points().reshape(-1, grid.n),
+                      np.ascontiguousarray(u.values).reshape(-1, N).view(np.float64)])
+    row = " ".join(["%.17g"] * rows.shape[1])
+    return "\n".join([header] + [row] * len(rows)) % tuple(rows.ravel().tolist()) + "\n"

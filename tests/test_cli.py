@@ -16,6 +16,7 @@ from psdo import (
 from psdo.cli import _write_reports, main
 from psdo.operators import eigenbasis
 from psdo.parabolic import _phi1, _phi2
+from psdo.spaces import export_columnar
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -124,6 +125,7 @@ def test_solve_elliptic_with_export(tmp_path):
     assert main(["solve-elliptic", "--config", cfg, "--out", out]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["result"]["residual"] < 1e-10
+    assert np.load(tmp_path / "out" / "solution.npy").shape == (32, 1)
     assert (tmp_path / "out" / "solution.txt").exists()
 
 
@@ -146,15 +148,11 @@ def test_solve_parabolic_export_writes_every_slice(tmp_path):
                               residual_tol=1.0)  # six implicit-Euler steps are coarse
     assert main(["solve-parabolic", "--config", write_cfg(tmp_path, cfg),
                  "--out", str(tmp_path / "out")]) == 0
-    blocks = (tmp_path / "out" / "solution.txt").read_text().split("\n\n")
-    assert len(blocks) == 6 + 1
-    solution = solve_implicit_euler(parabolic_problem(cfg)).values
-    for j, block in enumerate(blocks):
-        rows = block.splitlines()
-        assert rows[0] == "# x0 x1 re0 im0 re1 im1 re2 im2" and len(rows) == 1 + 8 * 8
-        numbers = np.array([[float(v) for v in row.split()[2:]] for row in rows[1:]])
-        np.testing.assert_array_equal(numbers.view(np.int64),
-                                      solution[j].reshape(8 * 8, 3).view(np.float64).view(np.int64))
+    solution = solve_implicit_euler(parabolic_problem(cfg))
+    stack = np.load(tmp_path / "out" / "solution.npy", allow_pickle=False)
+    assert stack.dtype == np.complex128 and stack.shape == (6 + 1, 8, 8, 3)
+    np.testing.assert_array_equal(stack.view(np.int64), solution.values.view(np.int64))
+    assert (tmp_path / "out" / "solution.txt").read_text() == export_columnar(solution.slice(6))
 
 
 @pytest.mark.parametrize("changes, transforms", [
@@ -183,8 +181,8 @@ def test_solve_parabolic_grid_transforms(tmp_path, monkeypatch, changes, transfo
     ("solve-parabolic", lambda: small_parabolic_cfg(), True),
 ], ids=["sweep", "solve-elliptic-export", "solve-parabolic-export"])
 def test_out_holds_the_reports_and_a_rerun_is_byte_identical(tmp_path, task, make_cfg, export):
-    """--out holds report.json, and solution.txt with export_fields, and a
-    rerun writes every file byte for byte again."""
+    """--out holds report.json, and solution.npy and solution.txt with
+    export_fields, and a rerun writes every file byte for byte again."""
     cfg = {**make_cfg(), "export_fields": True} if export else make_cfg()
     path = write_cfg(tmp_path, cfg)
     runs = []
@@ -192,7 +190,8 @@ def test_out_holds_the_reports_and_a_rerun_is_byte_identical(tmp_path, task, mak
         out = tmp_path / tag
         assert main([task, "--config", path, "--out", str(out)]) == 0
         runs.append({f.name: f.read_bytes() for f in out.iterdir()})
-    assert sorted(runs[0]) == (["report.json", "solution.txt"] if export else ["report.json"])
+    assert sorted(runs[0]) == (["report.json", "solution.npy", "solution.txt"] if export
+                               else ["report.json"])
     assert runs[0] == runs[1]
 
 
@@ -542,6 +541,20 @@ def test_solve_elliptic_bad_value_is_config_error(tmp_path, capsys, sets):
     assert "config error:" in err
     assert all(BAD_VALUE_MESSAGES.get(item, "") in err for item in sets)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("lower_terms", [[], small_elliptic_cfg()["lower_terms"]],
+                         ids=["principal", "lower-term"])
+def test_overflowing_solve_is_execution_failure(tmp_path, capsys, lower_terms):
+    """Gaussian data of 1e308 pass the schema and give a finite field, but the
+    solve overflows: an execution failure that says so, with or without the
+    Neumann iteration of a lower term."""
+    cfg = {**small_elliptic_cfg(), "data": {"kind": "gaussian", "vector": [1e308, 1e308]},
+           "lower_terms": lower_terms}
+    assert run_with_sets(tmp_path, "solve-elliptic", cfg, []) == 1
+    assert "execution failed: Overflow: residual nan at iteration 1: the solve overflows" \
+        in capsys.readouterr().err
 
 
 def test_list_t_runs_on_a_2d_grid(tmp_path):

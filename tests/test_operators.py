@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -68,8 +70,15 @@ def test_resolvent_identity():
 
 def test_resolvent_spectrum_hit():
     model = make_model(np.array([[2.0]]))
-    with pytest.raises(ModeSingular):
+    with pytest.raises(ModeSingular, match="within tolerance of the spectrum"):
         resolvent(model, -2.0)
+
+
+@pytest.mark.parametrize("lam, shown", [(np.inf, "(inf+0j)"), (complex(-np.inf, 1.0), "(-inf+1j)"),
+                                        ([1.0, complex(0.0, np.nan)], "nanj")])
+def test_resolvent_non_finite_lambda(lam, shown):
+    with pytest.raises(ModeSingular, match=re.escape(f"lambda = {shown} is not finite")):
+        resolvent(make_model(np.array([[2.0]])), lam)
 
 
 def test_check_positivity_identity_spot_value():

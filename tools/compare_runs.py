@@ -14,14 +14,18 @@ imported; nothing there is written.
 The tool prints the run count, every run whose exit code changed, and the
 number of byte-identical output files.  For each differing `report.json` it
 prints the values that moved (list indices folded to `[]`) with their
-largest absolute change, and for each differing `solution.txt` the largest
-absolute change of its numbers.
+largest absolute change, for each differing `solution.txt` the largest
+absolute change of its numbers, and for each differing `solution.npy` the
+largest absolute change of its values' real and imaginary parts.  A changed
+layout (key paths, number count, or the array's shape or dtype) is a change
+of inf.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import io
 import json
 import math
 import os
@@ -29,6 +33,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SOLVES = ("solve-elliptic", "solve-parabolic")
 MAIN = "import sys; from psdo.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -136,6 +142,20 @@ def solution_change(old: bytes, new: bytes) -> float:
     return max((_change(x, y) for x, y in zip(a, b)), default=0.0)
 
 
+def array_change(old: bytes, new: bytes) -> float:
+    """Largest absolute change between the values of two solution.npy files,
+    real and imaginary parts apart; inf if the shape or dtype differ."""
+    a, b = (np.load(io.BytesIO(raw), allow_pickle=False) for raw in (old, new))
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return math.inf
+    x, y = (v.view(np.float64) if v.dtype == np.complex128 else v.astype(float) for v in (a, b))
+    with np.errstate(invalid="ignore"):
+        change = np.abs(x - y)  # nan where either is nan, or both are infinities of one sign
+    change[(x == y) | (np.isnan(x) & np.isnan(y))] = 0.0
+    change[np.isnan(change)] = math.inf
+    return float(change.max(initial=0.0))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -175,8 +195,11 @@ def main(argv=None) -> int:
                 if old == new:
                     same += 1
                     continue
-                moved = report_changes(old, new) if fname == "report.json" \
-                    else {fname: solution_change(old, new)}
+                if fname == "report.json":
+                    moved = report_changes(old, new)
+                else:
+                    compare = array_change if fname.endswith(".npy") else solution_change
+                    moved = {fname: compare(old, new)}
                 lines.append(f"{name}/{fname}: " + ", ".join(
                     f"{path} {change:.2g}" for path, change in sorted(moved.items())))
                 for path, change in moved.items():
