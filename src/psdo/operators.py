@@ -2,10 +2,10 @@
 
 Every spectral decision about A lives here, and no other module reads a
 model's eigen-data: the batched shifted solve (A + s I)^-1 over an array of
-shifts and its per-shift norms, the guard against shifts within roundoff of
--spectrum(A), the cached eigenbasis (w, V, V^-1) and, built on them,
-resolvents and sector-positivity certificates.  Also the symmetric-system
-builder and a 1-D Dirichlet BVP discretizer.
+shifts, its channel form and per-shift norms, the guard against shifts
+within roundoff of -spectrum(A), the cached eigenbasis (w, V, V^-1) and,
+built on them, resolvents and sector-positivity certificates.  Also the
+symmetric-system builder and a 1-D Dirichlet BVP discretizer.
 """
 
 from __future__ import annotations
@@ -72,15 +72,15 @@ class PositivityCertificate:
 
 
 def make_model(A, q: float = 2.0) -> OperatorModel:
-    """Build an OperatorModel, computing the diagonalization cache eagerly."""
+    """Build an OperatorModel with its diagonalization cache; kappa = 1 for Hermitian A."""
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be a square matrix")
     scale = max(1.0, float(np.abs(A).max()))
     symmetric = bool(np.abs(A - A.T).max() <= 1e-12 * scale)
-    hermitian = symmetric and bool(np.abs(A.imag).max() <= 1e-12 * scale)
+    hermitian = bool(np.abs(A - A.conj().T).max() <= 1e-12 * scale)
     if hermitian:
-        w, V = np.linalg.eigh(A.real)
+        w, V = np.linalg.eigh(A.real if np.abs(A.imag).max() <= 1e-12 * scale else A)
         w = w.astype(complex)
         V = V.astype(complex)
         kappa = 1.0
@@ -145,26 +145,44 @@ def spectrum_hit(model: OperatorModel, shifts):
     return int(bad[0]) if bad.size else None
 
 
-def _channel_path(model: OperatorModel) -> bool:
-    """Whether per-mode norms are channel moduli: a unitary eigenbasis (kappa
-    = 1) at q = 2."""
-    return model.kappa == 1.0 and model.q == 2
+def channels(model: OperatorModel, shifts, power: int = 0) -> np.ndarray:
+    """A^power (A + s I)^-1 per entry s of an array of checked shifts, in
+    channel form: for a unitary eigenbasis (kappa = 1) the values
+    c = w^power / (w + s) (..., N) of V diag(c) V^H, else one shifted_solve stack."""
+    if model.kappa == 1.0:
+        return (model.eigvals if power else 1.0) / (model.eigvals + shifts[..., None])
+    return model.A @ shifted_solve(model, shifts) if power else shifted_solve(model, shifts)
+
+
+def channel_matrices(model: OperatorModel, c) -> np.ndarray:
+    """The matrices (..., N, N) of a stack in channel form: V diag(c) V^H."""
+    V = model.eigvecs
+    return c if model.kappa != 1.0 else (V * c[..., None, :]) @ V.conj().T
+
+
+def channel_norms(model: OperatorModel, c, n2=None) -> np.ndarray:
+    """operator_norm_upper of channel_matrices(c), the l_2 norm of channel
+    values being max |c| (or n2): no inverse, no SVD, at q = 2 no matrix."""
+    if model.kappa != 1.0:
+        return operator_norm_upper(c, model.q)
+    n2 = np.abs(c).max(axis=-1) if n2 is None else n2
+    return n2 if model.q == 2 else operator_norm_upper(channel_matrices(model, c), model.q, n2)
 
 
 def resolvent_norms(model: OperatorModel, shifts, defect: bool = False):
     """(||B||, ||A B||, defect) per entry s of an array of checked shifts
-    (spectrum_hit), B = (A + s I)^-1: l_q norms (operator_norm_upper) and,
-    if asked for, the defect of inverse_residuals (else None).
-
-    With a unitary eigenbasis (kappa = 1) at q = 2, B and A B are diagonal in
-    it with channel values 1 / (w_j + s) and w_j / (w_j + s), so each norm is
-    the largest channel modulus: no inverse is formed, and the defect is 0.
-    Otherwise one batched shifted_solve.
+    (spectrum_hit), B = (A + s I)^-1: l_q norms (channel_norms) and, if asked
+    for, the defect of inverse_residuals (else None).  For a unitary
+    eigenbasis (kappa = 1) the l_2 norms are the channel moduli
+    1 / min |w_j + s| and max |w_j| / |w_j + s|, and the defect is 0.
     """
-    if _channel_path(model):
+    if model.kappa == 1.0:
         dist = np.abs(model.eigvals + shifts[..., None])
-        return (1.0 / dist.min(axis=-1), (np.abs(model.eigvals) / dist).max(axis=-1),
-                np.zeros(shifts.shape) if defect else None)
+        nB, nAB = 1.0 / dist.min(axis=-1), (np.abs(model.eigvals) / dist).max(axis=-1)
+        if model.q != 2:
+            nB, nAB = (channel_norms(model, channels(model, shifts, k), n)
+                       for k, n in ((0, nB), (1, nAB)))
+        return nB, nAB, np.zeros(shifts.shape) if defect else None
     B = shifted_solve(model, shifts)
     return (operator_norm_upper(B, model.q), operator_norm_upper(model.A @ B, model.q),
             inverse_residuals(model, shifts, B) if defect else None)
@@ -173,8 +191,9 @@ def resolvent_norms(model: OperatorModel, shifts, defect: bool = False):
 def inverse_norms(model: OperatorModel, shifts) -> np.ndarray:
     """||B|| per entry s of an array of checked shifts: the first norm of
     resolvent_norms, with the same bits, and no ||A B||."""
-    if _channel_path(model):
-        return 1.0 / np.abs(model.eigvals + shifts[..., None]).min(axis=-1)
+    if model.kappa == 1.0:
+        n2 = 1.0 / np.abs(model.eigvals + shifts[..., None]).min(axis=-1)
+        return n2 if model.q == 2 else channel_norms(model, channels(model, shifts), n2)
     return operator_norm_upper(shifted_solve(model, shifts), model.q)
 
 
@@ -183,7 +202,7 @@ def top_vectors(model: OperatorModel, shifts) -> np.ndarray:
     ||B v||_2 = ||B||_2, B = (A + s I)^-1: where resolvent_norms takes channel
     moduli, the eigenvector of the -w_j nearest s; otherwise the leading right
     singular vector of B."""
-    if _channel_path(model):
+    if model.kappa == 1.0 and model.q == 2:
         return model.eigvecs.T[np.abs(model.eigvals + shifts[..., None]).argmin(axis=-1)]
     return np.linalg.svd(shifted_solve(model, shifts))[2][..., 0, :].conj()
 
@@ -197,11 +216,11 @@ def tridiagonal_matrix(N: int, lower: float, diag: float, upper: float) -> np.nd
     return A
 
 
-def operator_norm_upper(mats, q: float) -> np.ndarray:
+def operator_norm_upper(mats, q: float, n2=None) -> np.ndarray:
     """Upper bound on the l_q -> l_q norm of each matrix of a (..., N, N) stack.
 
     Exact for q in {1, 2, inf}; other exponents get the Riesz-Thorin
-    interpolation between the exact exponents.
+    interpolation between the exact exponents, from the l_2 norms n2 if given.
     """
     mats = np.asarray(mats, dtype=complex)
     if q == 1:
@@ -210,7 +229,7 @@ def operator_norm_upper(mats, q: float) -> np.ndarray:
         return np.abs(mats).sum(axis=-1).max(axis=-1)
     if not 1 < q < np.inf:
         raise ValueError("q must lie in [1, inf]")
-    n2 = np.linalg.svd(mats, compute_uv=False).max(axis=-1)
+    n2 = np.linalg.svd(mats, compute_uv=False).max(axis=-1) if n2 is None else n2
     if q == 2:
         return n2
     # np.power, not **: numpy scalars would round differently from stacks

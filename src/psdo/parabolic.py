@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import EllipticProblem
-from .errors import ModeSingular
+from .errors import ModeSingular, Overflow
 from .operators import component_product, eigenbasis
 from .spaces import (
     SpaceTimeField,
@@ -112,10 +112,10 @@ def _steps(c: np.ndarray, a, b0, b1) -> np.ndarray:
     np.multiply(b0, c[:-1], out=u[1:])
     np.multiply(b1, c[1:], out=c[1:])
     np.add(u[1:], c[1:], out=u[1:])        # u[j+1] holds the forcing term of step j
-    term = np.empty_like(c[0])
-    for j in range(len(c) - 1):
-        np.multiply(a, u[j], out=term)
-        np.add(term, u[j + 1], out=u[j + 1])
+    term, rows = np.empty_like(c[0]), list(u)
+    for prev, row in zip(rows, rows[1:]):
+        np.multiply(a, prev, out=term)
+        np.add(term, row, out=row)
     return u
 
 
@@ -195,6 +195,8 @@ def parabolic_diagnostics(prob: ParabolicProblem, u_hat: np.ndarray, f_hat: np.n
         np.subtract(res, fv[b], out=res)
         inner[5, b] = norms(res, ell.grid, q, p)
     nf, nu, n_du, n_Pu, n_Au, nres = (_time_norm(row, f.dy, p1) for row in inner)
+    if not np.isfinite(nres):  # inf or nan appear only past the float range
+        raise Overflow(f"residual {nres}: the evolution overflows")
     if nf == 0:
         return None, nres, nf, nu
     return (n_du + n_Pu + n_Au) / nf, nres / nf, nf, nu

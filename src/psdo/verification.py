@@ -26,10 +26,12 @@ from .elliptic import (
 from .errors import PsdoError, TooManyForEnumeration
 from .operators import (
     OperatorModel,
+    channel_matrices,
+    channel_norms,
+    channels,
     operator_norm_upper,
     resolvent,
     resolvent_norms,
-    shifted_solve,
     top_vectors,
 )
 from .spaces import (
@@ -759,15 +761,18 @@ def sigma_matrix(model, symbol, t, lam, xi) -> np.ndarray:
     of a 2-D xi, or over the points of a block: t the sequence of their scale
     parameters and lam the array of their spectral parameters; a singular
     shift raises ModeSingular naming its frequency (elliptic._shifts)."""
-    return model.A @ shifted_solve(model, _shifts(model, symbol, t, lam, xi))
+    return channel_matrices(model, channels(model, _shifts(model, symbol, t, lam, xi), 1))
 
 
-def fd_sigma_matrix(model, symbol, t, lam, xi, beta) -> np.ndarray:
-    """|xi|^{|beta|} times the central finite difference Delta^beta of sigma;
-    a stack over the rows of a 2-D xi, or over the points of a block."""
+def fd_sigma(model, symbol, t, lam, xi, beta) -> np.ndarray:
+    """|xi|^{|beta|} times the central finite difference Delta^beta of sigma,
+    in channel form (operators.channel_matrices gives the matrices); a stack
+    over the rows of a 2-D xi, or over the points of a block."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    total = _central_difference(functools.partial(sigma_matrix, model, symbol, t, lam), xi, beta)
-    return (np.linalg.norm(xi, axis=-1) ** sum(beta))[..., None, None] * total
+    total = _central_difference(lambda x: channels(model, _shifts(model, symbol, t, lam, x), 1),
+                                xi, beta)
+    scale = np.linalg.norm(xi, axis=-1) ** sum(beta)
+    return scale.reshape(scale.shape + (1,) * (total.ndim - scale.ndim)) * total
 
 
 def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: SectorSweep,
@@ -798,8 +803,7 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
         lams, ts = zip(*(points[i] for i in idxs))
         xi = np.stack([samples_at(lam, t) for lam, t in zip(lams, ts)])
         nAB, _, terms = _frequency_terms(model, symbol, ts, lams, xi, index_set)
-        fd = [operator_norm_upper(fd_sigma_matrix(model, symbol, ts, lams, xi, b), model.q)
-              for b in betas]
+        fd = [channel_norms(model, fd_sigma(model, symbol, ts, lams, xi, b)) for b in betas]
         return [{"ratio": float(nAB[k].max()), "residual": 0.0,
                  "fd_sup": {str(b): float(v[k].max()) for b, v in zip(betas, fd)},
                  "sigma_alpha": {key: float(w[k].max()) for key, w in zip(keys, terms)}}

@@ -557,6 +557,20 @@ def test_overflowing_solve_is_execution_failure(tmp_path, capsys, lower_terms):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("export", [False, True], ids=["report", "export"])
+@pytest.mark.parametrize("method", ["duhamel", "implicit-euler"])
+def test_overflowing_evolution_is_execution_failure(tmp_path, capsys, method, export):
+    """A forcing of 1e308 passes the schema and gives a finite field, but the
+    evolution overflows: an execution failure that says so, not a verdict fail
+    on a nan residual nor a traceback from the exported field."""
+    cfg = json.loads((SCENARIOS / "parabolic-reference.json").read_text())
+    cfg = {**cfg, "forcing": {**cfg["forcing"], "vector": [1e308]}, "method": method,
+           "export_fields": export}
+    assert run_with_sets(tmp_path, "solve-parabolic", cfg, []) == 1
+    assert "execution failed: Overflow: residual nan: the evolution overflows" \
+        in capsys.readouterr().err
+
+
 def test_list_t_runs_on_a_2d_grid(tmp_path):
     """A list `t` gives one value per axis; equal values are the isotropic number."""
     cfg = {**small_elliptic_cfg(), "grid": {"n": 2, "M": 8, "L": 2 * np.pi}, "lower_terms": []}

@@ -65,10 +65,17 @@ from psdo import (
 import psdo.elliptic
 import psdo.operators
 from psdo.elliptic import NEUMANN_TOL
-from psdo.operators import operator_norm_upper, resolvent_norms, shifted_solve, top_vectors
+from psdo.operators import (
+    channel_matrices,
+    inverse_norms,
+    operator_norm_upper,
+    resolvent_norms,
+    shifted_solve,
+    top_vectors,
+)
 from psdo.spaces import _lp_lq_norms, _lp_lq_norms_from_spectra, band_limited_spectra
 from psdo.symbols import FD_STEP, _central_difference
-from psdo.verification import _adapted_xi_samples
+from psdo.verification import _adapted_xi_samples, fd_sigma
 
 GRID = GridSpec(n=2, M=8, L=2 * np.pi)  # M^n * N = 128 with N = 2
 T = ScaleParams((0.5, 0.1))
@@ -340,24 +347,36 @@ def test_contraction_estimate_scalar_coefficients_closed_form(monkeypatch):
                          ids=["nonnormal-q2", "hermitian-q3"])
 def test_contraction_estimate_scalar_coefficients_take_one_norm_set(A, q, monkeypatch):
     # on the inverse path the c I terms need ||B(xi)|| alone: one batched set of
-    # block norms, the same bits as the norms of the inverses themselves
+    # block norms, the same bits as the norms of the inverses themselves; on the
+    # channel path (Hermitian A) no inverse and no SVD, and the LU + SVD
+    # reference to rel 1e-12
     prob = problem(scalar_terms(), A=A, q=q)
     blocks = psdo.elliptic._lower_symbol_blocks(prob)
     shifts = psdo.elliptic._mode_shifts(prob.principal)
     B = shifted_solve(prob.model, shifts)
     expected = float(np.max(np.abs(blocks[..., 0, 0]).reshape(-1) * operator_norm_upper(B, q)))
-    calls, svd = [], np.linalg.svd
+    calls, svd, inverses, inv = [], np.linalg.svd, [], np.linalg.inv
 
-    def counted(mats, q):
+    def counted(mats, q, *n2):
         calls.append((np.shape(mats), q))
-        return operator_norm_upper(mats, q)
+        return operator_norm_upper(mats, q, *n2)
 
     def svds(*args, **kwargs):
         calls.append("svd")
         return svd(*args, **kwargs)
 
+    def invs(*args, **kwargs):
+        inverses.append(np.shape(args[0]))
+        return inv(*args, **kwargs)
+
     monkeypatch.setattr(psdo.operators, "operator_norm_upper", counted)
     monkeypatch.setattr(np.linalg, "svd", svds)
+    monkeypatch.setattr(np.linalg, "inv", invs)
+    if prob.model.kappa == 1.0:
+        assert contraction_estimate(prob, probes=0) == pytest.approx(expected, rel=1e-12)
+        # the Riesz-Thorin bound takes the q = inf norm of the same stack, and n2 from channels
+        assert calls == [(B.shape, q), (B.shape, np.inf)] and inverses == []
+        return
     assert contraction_estimate(prob, probes=0) == expected
     # at q = 3 the Riesz-Thorin bound also takes the q = inf norm of the same stack
     assert calls[:2] == [(B.shape, q), "svd"] and calls.count("svd") == 1
@@ -623,6 +642,35 @@ def test_multiplier_sigma_alpha_matches_scaled_stack_norms(q, n):
                                                                                 rel=1e-12)
 
 
+@pytest.mark.parametrize("q", [1.0, 1.5, 3.0, np.inf])
+@pytest.mark.parametrize("name", ["complex-hermitian-4x4", "tridiagonal-n8"])
+def test_multiplier_fd_sup_matches_dense_differences(name, q):
+    """Each point's fd_sup, differences of channel values w / (w + s) measured
+    without an inverse, and the norms of the matrices of fd_sigma against
+    operator_norm_upper of |xi| times the central difference of the dense
+    A (A + lam + P_t(xi))^-1, to rel 1e-9 of the supremum: the differences
+    cancel, so rows far below it carry the roundoff of the largest terms."""
+    A = resolvent_norm_models()[name]
+    model, symbol, m, n = make_model(A, q=q), power_symbol(2.0), 2.0, 1
+    sweep = SectorSweep(phi2=np.pi / 4, rays=(-np.pi / 4, 0.0, np.pi / 4), radii=(1.0, 1e4),
+                        t_grid=(ScaleParams((1e-2,)), ScaleParams((1.0,))))
+    rep = multiplier_family_check(model, symbol, sweep, dims=n, rbound_subsample=1,
+                                  tuple_size=1)
+    eye = np.eye(model.N)
+    for (lam, t), point in zip(sweep.points(), rep.points):
+        xi = _adapted_xi_samples(lam, t, m, n, 17)
+
+        def sigma(x):
+            return A @ np.linalg.inv(A + (lam + eval_symbol(symbol, t, x))[..., None, None] * eye)
+
+        dense = np.abs(xi)[..., None] * _central_difference(sigma, xi, (1,))
+        expected = operator_norm_upper(dense, q)
+        fd = channel_matrices(model, fd_sigma(model, symbol, t, lam, xi, (1,)))
+        np.testing.assert_allclose(operator_norm_upper(fd, q), expected, rtol=1e-9,
+                                   atol=1e-9 * expected.max())
+        assert point["fd_sup"]["(1,)"] == pytest.approx(float(expected.max()), rel=1e-9)
+
+
 HERMITIAN_MODELS = {
     "scalar": lambda: make_model(np.array([[1.0]])),
     "tridiagonal-n8": lambda: make_model(tridiagonal_matrix(8, -1.0, 2.0, -1.0)),
@@ -667,27 +715,33 @@ def test_shifted_solve_nonnormal_keeps_lu_bit_for_bit():
 
 
 def resolvent_norm_models():
-    """A random real symmetric 4x4 (unitary eigenbasis) and a random non-normal
-    3x3, both with spectra off the closed left half-plane."""
+    """A random real symmetric 4x4, a random complex Hermitian 4x4 and the
+    tridiagonal N = 8 (each a unitary eigenbasis) and a random non-normal
+    3x3, all with spectra off the closed left half-plane."""
     rng = np.random.default_rng(11)
     G = rng.standard_normal((4, 4))
-    return {"hermitian-4x4": G @ G.T + np.eye(4),
-            "nonnormal-3x3": rng.standard_normal((3, 3)) + np.diag([4.0, 5.0, 6.0])}
+    nonnormal = rng.standard_normal((3, 3)) + np.diag([4.0, 5.0, 6.0])
+    Z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    return {"hermitian-4x4": G @ G.T + np.eye(4), "nonnormal-3x3": nonnormal,
+            "complex-hermitian-4x4": Z @ Z.conj().T + np.eye(4),
+            "tridiagonal-n8": tridiagonal_matrix(8, -1.0, 2.0, -1.0)}
 
 
-@pytest.mark.parametrize("q", [2.0, 3.0])
-@pytest.mark.parametrize("name", ["hermitian-4x4", "nonnormal-3x3"])
+@pytest.mark.parametrize("q", [2.0, 3.0, 1.0, 1.5, np.inf])
+@pytest.mark.parametrize("name", ["hermitian-4x4", "nonnormal-3x3", "complex-hermitian-4x4",
+                                  "tridiagonal-n8"])
 def test_resolvent_norms_match_dense_inverses(name, q):
     """||B|| and ||A B|| per shift against the explicit inverses: the spectral
-    norm at q = 2, operator_norm_upper at q = 3.  The channel path (unitary
-    eigenbasis at q = 2) forms no inverse and reports defect 0; every other
-    path reports the inverse's defect; either only if asked.  top_vectors
-    attains ||B||_2."""
+    norm at q = 2, operator_norm_upper at other q; inverse_norms gives the
+    same bits as ||B||.  The channel path (unitary eigenbasis) forms no
+    inverse and reports defect 0; the other path reports the inverse's
+    defect; either only if asked.  top_vectors attains ||B||_2."""
     model = make_model(resolvent_norm_models()[name], q=q)
-    assert (model.kappa == 1.0) == (name == "hermitian-4x4")
+    assert (model.kappa == 1.0) == (name != "nonnormal-3x3")
     shifts = sector_shifts_and_rhs(model.N)[0]
     nB, nAB, defect = resolvent_norms(model, shifts, defect=True)
     assert resolvent_norms(model, shifts)[2] is None
+    assert np.array_equal(inverse_norms(model, shifts), nB)
     B = np.linalg.inv(model.A + shifts[:, None, None] * np.eye(model.N))
     if q == 2:
         norm = lambda mats: np.linalg.norm(mats, 2, axis=(-2, -1))
@@ -695,7 +749,7 @@ def test_resolvent_norms_match_dense_inverses(name, q):
         norm = lambda mats: operator_norm_upper(mats, q)
     np.testing.assert_allclose(nB, norm(B), rtol=1e-12, atol=0)
     np.testing.assert_allclose(nAB, norm(model.A @ B), rtol=1e-12, atol=0)
-    if model.kappa == 1.0 and q == 2:
+    if model.kappa == 1.0:
         assert np.array_equal(defect, np.zeros(len(shifts)))
     else:
         assert 0 < defect.max() <= 1e-12

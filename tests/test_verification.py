@@ -40,7 +40,7 @@ from psdo import (
 )
 from psdo import spaces, verification
 from psdo.elliptic import _mode_shifts
-from psdo.operators import operator_norm_upper
+from psdo.operators import channel_matrices, operator_norm_upper
 from psdo.verification import (
     _adapted_grid,
     _adapted_xi_samples,
@@ -51,7 +51,7 @@ from psdo.verification import (
     _sign_patterns,
     _summarize,
     _worst_modes,
-    fd_sigma_matrix,
+    fd_sigma,
 )
 
 
@@ -554,13 +554,13 @@ def test_sweep_deterministic_across_reruns():
 def test_fd_sigma_matrix_matches_closed_form():
     # sigma = a / (a + lam + t xi^2), so |xi| d sigma / d xi = -|xi| 2 a t xi / (a + lam + t xi^2)^2
     a, lam, t = 1.5, 2.0 + 1.0j, ScaleParams.isotropic(0.3, 1)
-    model = make_model(np.array([[a]]))
+    model, symbol = make_model(np.array([[a]])), power_symbol(m=2.0)
     xi = np.array([-5.0, -0.5, 0.3, 2.0, 10.0])
-    fd = fd_sigma_matrix(model, power_symbol(m=2.0), t, lam, xi[:, None], (1,))
+    fd = channel_matrices(model, fd_sigma(model, symbol, t, lam, xi[:, None], (1,)))
     assert fd.shape == (len(xi), 1, 1)
     exact = -np.abs(xi) * 2 * a * 0.3 * xi / (a + lam + 0.3 * xi**2) ** 2
     np.testing.assert_allclose(fd[:, 0, 0], exact, rtol=1e-6)
-    single = fd_sigma_matrix(model, power_symbol(m=2.0), t, lam, xi[3:4], (1,))
+    single = channel_matrices(model, fd_sigma(model, symbol, t, lam, xi[3:4], (1,)))
     assert single[0, 0] == fd[3, 0, 0]
 
 
@@ -589,6 +589,27 @@ def test_sigma_matrix_singular_shift_is_mode_singular():
         sigma_matrix(make_model([[-2.0]]), power_symbol(m=2.0), ScaleParams.isotropic(1.0, 1),
                      1.0, np.array([1.0]))
     assert info.value.xi == (1.0,)
+
+
+def test_hermitian_sweeps_form_no_inverse_and_take_no_svd(monkeypatch):
+    """verify-resolvent on the tridiagonal N = 8 at q = 3 and the sweep of
+    check-multipliers on the scalar model run on channel values alone: no
+    LU, no solve and no SVD (the R-bound search, which takes SVDs, is off)."""
+    resolvent_template = ProblemTemplate(
+        model=make_model(tridiagonal_matrix(8, -1.0, 2.0, -1.0), q=3.0),
+        symbol=power_symbol(m=2.0), grid=GridSpec(n=1, M=64, L=2 * np.pi))
+    scalar = make_model(np.array([[1.0]]))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense linear algebra on the channel path")
+
+    for name in ("svd", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    rep = resolvent_sweep(resolvent_template, small_sweep(n_radii=3), per_axis=9)
+    assert all(p["error"] is None and p["residual"] == 0.0 for p in rep.points)
+    rep = multiplier_family_check(scalar, power_symbol(m=2.0), small_sweep(n_radii=3),
+                                  rbound_subsample=0)
+    assert all(p["error"] is None for p in rep.points) and rep.details["fd_sup"]
 
 
 def test_sweep_programming_errors_propagate(monkeypatch):
