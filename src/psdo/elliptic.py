@@ -18,7 +18,9 @@ import numpy as np
 from .errors import ContractionFailure, ModeSingular, NoConvergence, Overflow
 from .operators import (
     OperatorModel,
-    inverse_norms,
+    channel_matrices,
+    channel_norms,
+    channels,
     operator_norm_upper,
     shifted_solve,
     spectrum_hit,
@@ -209,8 +211,9 @@ def contraction_estimate(prob: EllipticProblem, probes: int = PROBES, seed: int 
     Riesz-Thorin upper bound per mode.  When every coefficient is c_alpha I,
     the block of mode xi is l(xi) B(xi), B(xi) = (A + lambda + P_t(xi))^-1
     and l(xi) = sum t(alpha) c_alpha (i xi)^alpha, so its norm is
-    |l(xi)| ||B(xi)|| with ||B(xi)|| from operators.inverse_norms: no
-    inverse at q = 2 with Hermitian A.  At q != 2, and for x-dependent
+    |l(xi)| ||B(xi)||, from the channel_norms of operators.channels; other
+    constant coefficients take the norms of the blocks themselves.  With
+    Hermitian A neither forms an inverse.  At q != 2, and for x-dependent
     coefficients, the max with the ratios of `probes` random band-limited
     fields (lower bounds, and the only term for x-dependent coefficients) is
     returned; probes are drawn as spectra and solved in blocks (spaces.blocks).
@@ -229,10 +232,11 @@ def _contraction(prob: EllipticProblem, probes: int, seed: int, shifts: np.ndarr
     best = 0.0
     grid, model, N, q = prob.grid, prob.model, prob.model.N, prob.model.q
     if lower_blocks is not None:
+        B = channels(model, shifts)
         if _scalar_coefficients(prob):
-            norms = np.abs(lower_blocks[..., 0, 0]).reshape(-1) * inverse_norms(model, shifts)
+            norms = np.abs(lower_blocks[..., 0, 0]).reshape(-1) * channel_norms(model, B)
         else:
-            Binv = shifted_solve(model, shifts).reshape(grid.shape + (N, N))
+            Binv = channel_matrices(model, B).reshape(grid.shape + (N, N))
             norms = operator_norm_upper(lower_blocks @ Binv, q)
         best = float(np.max(norms))
         if q == 2:

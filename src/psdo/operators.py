@@ -1,10 +1,10 @@
 """Finite-dimensional operator realizations: matrices on C^N with l_q norms.
 
 Every spectral decision about A lives here, and no other module reads a
-model's eigen-data: the batched shifted solve (A + s I)^-1 over an array of
-shifts, its channel form and per-shift norms, the guard against shifts
-within roundoff of -spectrum(A), the cached eigenbasis (w, V, V^-1) and,
-built on them, resolvents and sector-positivity certificates.  Also the
+model's eigen-data: the per-mode resolvent (A + s I)^-1 over an array of
+shifts (channels) with its norms and worst-mode vectors, the per-mode solve,
+the guard against shifts within roundoff of -spectrum(A), the cached
+eigenbasis (w, V, V^-1), resolvents and sector-positivity certificates.  Also the
 symmetric-system builder and a 1-D Dirichlet BVP discretizer.
 """
 
@@ -108,31 +108,32 @@ def _shifted_matrices(A: np.ndarray, shifts) -> np.ndarray:
     return A + np.asarray(shifts)[..., None, None] * eye
 
 
-def shifted_solve(model: OperatorModel, shifts, rhs=None) -> np.ndarray:
-    """(A + s I)^-1 for each entry s of an array of shifts (shape shifts.shape +
-    (N, N)), or, given rhs (..., F, K, N) and shifts (..., K), the solutions
-    x[..., f, k] of (A + s[..., k] I) x = rhs[..., f, k].
-
-    With rhs and a unitary eigenbasis (Hermitian A, kappa = 1) the solve is
-    V ((V^H rhs) / (w + s_k)): two products with V and no factorization.
-    Otherwise one batched LU of the shifted matrices; an exactly singular one is ModeSingular.
-    """
-    if rhs is not None and model.kappa == 1.0:
-        w, V = model.eigvals, model.eigvecs
-        coords = rhs @ V.conj()
-        coords /= w + np.asarray(shifts)[..., None, :, None]
-        return coords @ V.T
-    mats = _shifted_matrices(model.A, shifts)
+def _lu(fn, model: OperatorModel, shifts, *rhs) -> np.ndarray:
+    """fn (np.linalg.inv or solve) of the stack A + s I over an array of
+    shifts, and rhs if given: one batched LU; an exactly singular matrix is ModeSingular."""
     try:
-        if rhs is None:
-            return np.linalg.inv(mats)
-        return np.moveaxis(np.linalg.solve(mats, np.moveaxis(rhs, -3, -1)), -1, -3)
+        return fn(_shifted_matrices(model.A, shifts), *rhs)
     except np.linalg.LinAlgError as exc:
         raise ModeSingular(None, str(exc)) from exc
 
 
+def shifted_solve(model: OperatorModel, shifts, rhs) -> np.ndarray:
+    """The solutions x[..., f, k] of (A + s[..., k] I) x = rhs[..., f, k], given
+    rhs (..., F, K, N) and shifts (..., K).
+
+    With a unitary eigenbasis (Hermitian A, kappa = 1) the solve is
+    V ((V^H rhs) / (w + s_k)), two products with V; otherwise one batched LU.
+    """
+    if model.kappa == 1.0:
+        w, V = model.eigvals, model.eigvecs
+        coords = component_product(rhs, V.conj())
+        coords /= w + np.asarray(shifts)[..., None, :, None]
+        return component_product(coords, V.T)
+    return np.moveaxis(_lu(np.linalg.solve, model, shifts, np.moveaxis(rhs, -3, -1)), -1, -3)
+
+
 def inverse_residuals(model: OperatorModel, shifts, B: np.ndarray) -> np.ndarray:
-    """max |(A + s I) B_s - I| per entry s of the shifts: the defect of a shifted_solve inverse."""
+    """max |(A + s I) B_s - I| per entry s of the shifts: the defect of an inverse stack B."""
     eye = np.eye(model.N, dtype=complex)
     return np.abs(_shifted_matrices(model.A, shifts) @ B - eye).max(axis=(-2, -1))
 
@@ -148,10 +149,12 @@ def spectrum_hit(model: OperatorModel, shifts):
 def channels(model: OperatorModel, shifts, power: int = 0) -> np.ndarray:
     """A^power (A + s I)^-1 per entry s of an array of checked shifts, in
     channel form: for a unitary eigenbasis (kappa = 1) the values
-    c = w^power / (w + s) (..., N) of V diag(c) V^H, else one shifted_solve stack."""
+    c = w^power / (w + s) (..., N) of V diag(c) V^H, else the matrices
+    (..., N, N) from one batched LU inverse."""
     if model.kappa == 1.0:
         return (model.eigvals if power else 1.0) / (model.eigvals + shifts[..., None])
-    return model.A @ shifted_solve(model, shifts) if power else shifted_solve(model, shifts)
+    B = _lu(np.linalg.inv, model, shifts)
+    return model.A @ B if power else B
 
 
 def channel_matrices(model: OperatorModel, c) -> np.ndarray:
@@ -160,51 +163,38 @@ def channel_matrices(model: OperatorModel, c) -> np.ndarray:
     return c if model.kappa != 1.0 else (V * c[..., None, :]) @ V.conj().T
 
 
-def channel_norms(model: OperatorModel, c, n2=None) -> np.ndarray:
+def channel_norms(model: OperatorModel, c) -> np.ndarray:
     """operator_norm_upper of channel_matrices(c), the l_2 norm of channel
-    values being max |c| (or n2): no inverse, no SVD, at q = 2 no matrix."""
+    values being max |c|: no inverse, no SVD, at q = 2 no matrix."""
     if model.kappa != 1.0:
         return operator_norm_upper(c, model.q)
-    n2 = np.abs(c).max(axis=-1) if n2 is None else n2
+    n2 = np.abs(c).max(axis=-1)
     return n2 if model.q == 2 else operator_norm_upper(channel_matrices(model, c), model.q, n2)
 
 
 def resolvent_norms(model: OperatorModel, shifts, defect: bool = False):
     """(||B||, ||A B||, defect) per entry s of an array of checked shifts
-    (spectrum_hit), B = (A + s I)^-1: l_q norms (channel_norms) and, if asked
-    for, the defect of inverse_residuals (else None).  For a unitary
-    eigenbasis (kappa = 1) the l_2 norms are the channel moduli
-    1 / min |w_j + s| and max |w_j| / |w_j + s|, and the defect is 0.
+    (spectrum_hit), B = (A + s I)^-1: the channel_norms of channels(.., 0)
+    and of A B, which is channels(.., 1) for a unitary eigenbasis (kappa = 1)
+    and A times the one inverse otherwise; and, if asked for, the defect of
+    inverse_residuals, 0 for a unitary eigenbasis (else None).
     """
+    B = channels(model, shifts)
     if model.kappa == 1.0:
-        dist = np.abs(model.eigvals + shifts[..., None])
-        nB, nAB = 1.0 / dist.min(axis=-1), (np.abs(model.eigvals) / dist).max(axis=-1)
-        if model.q != 2:
-            nB, nAB = (channel_norms(model, channels(model, shifts, k), n)
-                       for k, n in ((0, nB), (1, nAB)))
-        return nB, nAB, np.zeros(shifts.shape) if defect else None
-    B = shifted_solve(model, shifts)
-    return (operator_norm_upper(B, model.q), operator_norm_upper(model.A @ B, model.q),
-            inverse_residuals(model, shifts, B) if defect else None)
-
-
-def inverse_norms(model: OperatorModel, shifts) -> np.ndarray:
-    """||B|| per entry s of an array of checked shifts: the first norm of
-    resolvent_norms, with the same bits, and no ||A B||."""
-    if model.kappa == 1.0:
-        n2 = 1.0 / np.abs(model.eigvals + shifts[..., None]).min(axis=-1)
-        return n2 if model.q == 2 else channel_norms(model, channels(model, shifts), n2)
-    return operator_norm_upper(shifted_solve(model, shifts), model.q)
+        AB, res = channels(model, shifts, 1), np.zeros(shifts.shape)
+    else:
+        AB, res = model.A @ B, inverse_residuals(model, shifts, B) if defect else None
+    return channel_norms(model, B), channel_norms(model, AB), res if defect else None
 
 
 def top_vectors(model: OperatorModel, shifts) -> np.ndarray:
     """A unit vector v (..., N) per entry s of an array of checked shifts with
-    ||B v||_2 = ||B||_2, B = (A + s I)^-1: where resolvent_norms takes channel
-    moduli, the eigenvector of the -w_j nearest s; otherwise the leading right
-    singular vector of B."""
-    if model.kappa == 1.0 and model.q == 2:
+    ||B v||_2 = ||B||_2, B = (A + s I)^-1: the leading right singular vector of
+    channels(model, shifts), which for a unitary eigenbasis (B normal) is the
+    eigenvector of the -w_j nearest s."""
+    if model.kappa == 1.0:
         return model.eigvecs.T[np.abs(model.eigvals + shifts[..., None]).argmin(axis=-1)]
-    return np.linalg.svd(shifted_solve(model, shifts))[2][..., 0, :].conj()
+    return np.linalg.svd(channels(model, shifts))[2][..., 0, :].conj()
 
 
 def tridiagonal_matrix(N: int, lower: float, diag: float, upper: float) -> np.ndarray:
@@ -252,7 +242,7 @@ def resolvent(model: OperatorModel, lam) -> np.ndarray:
         s = complex(shifts[hit])
         raise ModeSingular(None, f"-lambda = {-s} within tolerance of the spectrum"
                            if np.isfinite(s) else f"lambda = {s} is not finite")
-    R = shifted_solve(model, shifts)
+    R = _lu(np.linalg.inv, model, shifts)
     residual = inverse_residuals(model, shifts, R)
     bad = np.flatnonzero(residual > 1e-10 * np.maximum(1.0, np.abs(shifts)))
     if bad.size:

@@ -305,7 +305,8 @@ def _lp_lq_norms(values: np.ndarray, grid: GridSpec, q: float, p: float) -> np.n
     pointwise = vector_norms(values, q).reshape(values.shape[:-grid.n - 1] + (-1,))
     if p == np.inf:
         return pointwise.max(axis=-1)
-    return (np.sum(pointwise**p, axis=-1) * grid.cell_volume) ** (1.0 / p)
+    # C order: numpy sums a strided axis in another order, which would tie a norm to its stack
+    return (np.sum(np.ascontiguousarray(pointwise)**p, axis=-1) * grid.cell_volume) ** (1.0 / p)
 
 
 def _lp_lq_norms_from_spectra(spectra: np.ndarray, grid: GridSpec, q: float,

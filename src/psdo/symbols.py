@@ -41,11 +41,6 @@ class MultiIndex:
     def n(self) -> int:
         return len(self.components)
 
-    def __add__(self, other: "MultiIndex") -> "MultiIndex":
-        if len(self.components) != len(other.components):
-            raise ValueError("multi-index dimension mismatch")
-        return MultiIndex(tuple(a + b for a, b in zip(self.components, other.components)))
-
     def __iter__(self):
         return iter(self.components)
 

@@ -130,8 +130,6 @@ CASES = {
     "EllipticProblem-t-dimension": (ValueError, "scale-parameter dimension", lambda: (
         EllipticProblem(model=SCALAR, symbol=power_symbol(m=2.0),
                         t=ScaleParams.isotropic(1.0, 2), lam=1.0, grid=GRID))),
-    "MultiIndex-sum": (ValueError, "dimension mismatch",
-                       lambda: MultiIndex((1.0,)) + MultiIndex((1.0, 0.0))),
     "Sector-angle": (ValueError, r"\[0, pi\)", lambda: Sector(4.0)),
     "i_xi_power-length": (ValueError, "same length", lambda: i_xi_power(np.zeros(2), (1.0,))),
     "SpaceTimeField-slice": (ValueError, "inconsistent with grid", lambda: (

@@ -67,7 +67,6 @@ import psdo.operators
 from psdo.elliptic import NEUMANN_TOL
 from psdo.operators import (
     channel_matrices,
-    inverse_norms,
     operator_norm_upper,
     resolvent_norms,
     shifted_solve,
@@ -353,7 +352,7 @@ def test_contraction_estimate_scalar_coefficients_take_one_norm_set(A, q, monkey
     prob = problem(scalar_terms(), A=A, q=q)
     blocks = psdo.elliptic._lower_symbol_blocks(prob)
     shifts = psdo.elliptic._mode_shifts(prob.principal)
-    B = shifted_solve(prob.model, shifts)
+    B = np.linalg.inv(prob.model.A + shifts[:, None, None] * np.eye(prob.model.N, dtype=complex))
     expected = float(np.max(np.abs(blocks[..., 0, 0]).reshape(-1) * operator_norm_upper(B, q)))
     calls, svd, inverses, inv = [], np.linalg.svd, [], np.linalg.inv
 
@@ -383,10 +382,16 @@ def test_contraction_estimate_scalar_coefficients_take_one_norm_set(A, q, monkey
     assert calls[2:] == ([] if q == 2 else [(B.shape, np.inf)])
 
 
-def test_contraction_estimate_hermitian_non_scalar_coefficient_is_dense_norm():
-    # one coefficient is not c I, so the block norms are taken from the blocks themselves
+def test_contraction_estimate_hermitian_non_scalar_coefficient_is_dense_norm(monkeypatch):
+    # one coefficient is not c I, so the block norms are taken from the blocks themselves,
+    # which a Hermitian A gives in its eigenbasis: no inverse and no solve
+    def unused(*args, **kwargs):
+        raise AssertionError("a block was inverted or solved")
+
     prob = problem(constant_terms(), A=A_HERMITIAN)
     exact = np.linalg.norm(dense_lower(prob) @ np.linalg.inv(dense_principal(prob.principal)), 2)
+    monkeypatch.setattr(np.linalg, "inv", unused)
+    monkeypatch.setattr(np.linalg, "solve", unused)
     assert contraction_estimate(prob) == pytest.approx(exact, rel=1e-12)
 
 
@@ -732,16 +737,14 @@ def resolvent_norm_models():
                                   "tridiagonal-n8"])
 def test_resolvent_norms_match_dense_inverses(name, q):
     """||B|| and ||A B|| per shift against the explicit inverses: the spectral
-    norm at q = 2, operator_norm_upper at other q; inverse_norms gives the
-    same bits as ||B||.  The channel path (unitary eigenbasis) forms no
-    inverse and reports defect 0; the other path reports the inverse's
+    norm at q = 2, operator_norm_upper at other q.  The channel path (unitary
+    eigenbasis) reports defect 0; the other path reports the inverse's
     defect; either only if asked.  top_vectors attains ||B||_2."""
     model = make_model(resolvent_norm_models()[name], q=q)
     assert (model.kappa == 1.0) == (name != "nonnormal-3x3")
     shifts = sector_shifts_and_rhs(model.N)[0]
     nB, nAB, defect = resolvent_norms(model, shifts, defect=True)
     assert resolvent_norms(model, shifts)[2] is None
-    assert np.array_equal(inverse_norms(model, shifts), nB)
     B = np.linalg.inv(model.A + shifts[:, None, None] * np.eye(model.N))
     if q == 2:
         norm = lambda mats: np.linalg.norm(mats, 2, axis=(-2, -1))
@@ -757,3 +760,38 @@ def test_resolvent_norms_match_dense_inverses(name, q):
     np.testing.assert_allclose(np.linalg.norm(v, axis=-1), 1.0, rtol=1e-12)
     np.testing.assert_allclose(np.linalg.norm((B @ v[..., None])[..., 0], axis=-1),
                                np.linalg.norm(B, 2, axis=(-2, -1)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0, 1.0, 1.5, np.inf])
+@pytest.mark.parametrize("name", ["hermitian-4x4", "complex-hermitian-4x4", "tridiagonal-n8"])
+def test_hermitian_resolvent_norms_and_top_vectors_take_no_lu_and_no_svd(name, q, monkeypatch):
+    """On a unitary eigenbasis the norms, defect and worst-mode vectors of
+    B = (A + s I)^-1 come from its channel values: no inverse, solve or SVD."""
+    def unused(*args, **kwargs):
+        raise AssertionError("a LAPACK inverse, solve or SVD")
+
+    model = make_model(resolvent_norm_models()[name], q=q)
+    shifts = sector_shifts_and_rhs(model.N)[0]
+    for fn in ("inv", "solve", "svd"):
+        monkeypatch.setattr(np.linalg, fn, unused)
+    nB, nAB, defect = resolvent_norms(model, shifts, defect=True)
+    v = top_vectors(model, shifts)
+    assert nB.shape == nAB.shape == defect.shape == shifts.shape
+    assert v.shape == shifts.shape + (model.N,)
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+def test_resolvent_norms_take_one_inverse_off_the_eigenbasis(q, monkeypatch):
+    """On the non-normal model ||B||, ||A B|| and the defect come from one
+    batched LU inverse: ||A B|| costs no second one."""
+    model = make_model(resolvent_norm_models()["nonnormal-3x3"], q=q)
+    shifts = sector_shifts_and_rhs(model.N)[0]
+    inverses, inv = [], np.linalg.inv
+
+    def counted(mats):
+        inverses.append(mats.shape)
+        return inv(mats)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    resolvent_norms(model, shifts, defect=True)
+    assert inverses == [shifts.shape + (3, 3)]

@@ -26,8 +26,6 @@ def test_multi_index_basics():
     a = MultiIndex((1.0, 0.5))
     assert a.order == 1.5
     assert a.n == 2
-    b = a + MultiIndex((0.0, 0.5))
-    assert b.components == (1.0, 1.0)
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             MultiIndex((1.0, bad))

@@ -19,6 +19,10 @@ absolute change of its numbers, and for each differing `solution.npy` the
 largest absolute change of its values' real and imaginary parts.  A changed
 layout (key paths, number count, or the array's shape or dtype) is a change
 of inf.
+
+The exit status is 1 when an exit code changed, an output file exists on one
+side only, or a report's layout changed, and 0 otherwise: moved values alone
+do not fail the comparison.
 """
 
 from __future__ import annotations
@@ -180,6 +184,7 @@ def main(argv=None) -> int:
             print(f"exit code changed: {name}: {codes[0][name]} -> {codes[1][name]}")
         if not changed:
             print("exit codes: all unchanged")
+        failed = bool(changed)
         total = same = 0
         lines, largest = [], {}
         for name in names:
@@ -190,6 +195,7 @@ def main(argv=None) -> int:
                 paths = [out / fname for out in outs]
                 if not all(p.is_file() for p in paths):
                     lines.append(f"{name}/{fname}: only on one side")
+                    failed = True
                     continue
                 old, new = (p.read_bytes() for p in paths)
                 if old == new:
@@ -197,6 +203,7 @@ def main(argv=None) -> int:
                     continue
                 if fname == "report.json":
                     moved = report_changes(old, new)
+                    failed = failed or "(layout)" in moved
                 else:
                     compare = array_change if fname.endswith(".npy") else solution_change
                     moved = {fname: compare(old, new)}
@@ -209,7 +216,7 @@ def main(argv=None) -> int:
             print(line)
         print("largest absolute change over all runs: " + (", ".join(
             f"{path} {change:.2g}" for path, change in sorted(largest.items())) or "none"))
-    return 0
+    return int(failed)
 
 
 if __name__ == "__main__":
