@@ -81,6 +81,7 @@ from .symbols import (
     rotated_power_symbol,
     sector_sum_constant,
     smoothed_power_symbol,
+    symbol_derivative,
 )
 from .verification import (
     KahaneResult,

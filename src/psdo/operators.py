@@ -146,14 +146,14 @@ def spectrum_hit(model: OperatorModel, shifts):
     return int(bad[0]) if bad.size else None
 
 
-def channels(model: OperatorModel, shifts, power: int = 0) -> np.ndarray:
-    """A^power (A + s I)^-1 per entry s of an array of checked shifts, in
+def channels(model: OperatorModel, shifts, power: int = 0, order: int = 1) -> np.ndarray:
+    """A^power (A + s I)^-order per entry s of an array of checked shifts, in
     channel form: for a unitary eigenbasis (kappa = 1) the values
-    c = w^power / (w + s) (..., N) of V diag(c) V^H, else the matrices
-    (..., N, N) from one batched LU inverse."""
+    c = w^power / (w + s)^order (..., N) of V diag(c) V^H, else the matrices
+    (..., N, N) from powers of one batched LU inverse."""
     if model.kappa == 1.0:
-        return (model.eigvals if power else 1.0) / (model.eigvals + shifts[..., None])
-    B = _lu(np.linalg.inv, model, shifts)
+        return (model.eigvals if power else 1.0) / (model.eigvals + shifts[..., None]) ** order
+    B = np.linalg.matrix_power(_lu(np.linalg.inv, model, shifts), order)
     return model.A @ B if power else B
 
 
@@ -168,21 +168,21 @@ def channel_norms(model: OperatorModel, c) -> np.ndarray:
     values being max |c|: no inverse, no SVD, at q = 2 no matrix."""
     if model.kappa != 1.0:
         return operator_norm_upper(c, model.q)
-    n2 = np.abs(c).max(axis=-1)
+    n2 = np.abs(c[..., 0]) if model.N == 1 else np.abs(c).max(axis=-1)
     return n2 if model.q == 2 else operator_norm_upper(channel_matrices(model, c), model.q, n2)
 
 
 def resolvent_norms(model: OperatorModel, shifts, defect: bool = False):
     """(||B||, ||A B||, defect) per entry s of an array of checked shifts
-    (spectrum_hit), B = (A + s I)^-1: the channel_norms of channels(.., 0)
-    and of A B, which is channels(.., 1) for a unitary eigenbasis (kappa = 1)
-    and A times the one inverse otherwise; and, if asked for, the defect of
-    inverse_residuals, 0 for a unitary eigenbasis (else None).
-    """
-    B = channels(model, shifts)
+    (spectrum_hit), B = (A + s I)^-1: the channel_norms of the channel values
+    1 / d and w / d, d = w + s formed once, for a unitary eigenbasis (kappa =
+    1), else of channels(.., 0) and A times it; and, if asked for, the defect
+    of inverse_residuals, 0 for a unitary eigenbasis (else None)."""
     if model.kappa == 1.0:
-        AB, res = channels(model, shifts, 1), np.zeros(shifts.shape)
+        d = model.eigvals + shifts[..., None]
+        B, AB, res = 1.0 / d, model.eigvals / d, np.zeros(shifts.shape)
     else:
+        B = channels(model, shifts)
         AB, res = model.A @ B, inverse_residuals(model, shifts, B) if defect else None
     return channel_norms(model, B), channel_norms(model, AB), res if defect else None
 

@@ -3,8 +3,9 @@
 The central object is the scalar symbol P_t(xi), a positive-order function of
 the frequency vector xi weighted by per-axis scale parameters t_k.  The
 module also provides the branch of (i*xi)^alpha used to define fractional
-derivatives in frequency space, a numerical symbol-class checker, and the
-sector sum constant |lam + nu| >= C (|lam| + |nu|).
+derivatives in frequency space, the closed-form derivatives D^beta P_t, the
+symbol-class checker built on them, and the sector sum constant
+|lam + nu| >= C (|lam| + |nu|).
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import numpy as np
 from .errors import AngleSumTooLarge, NonFiniteDerivative, OutOfTable
 
 SYMBOL_KINDS = ("power", "rotated-power", "smoothed-power", "user-table")
-# relative finite-difference step: D^beta is taken with steps FD_STEP (1 + |xi_k|)
-FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -175,12 +174,9 @@ def i_xi_power(xi, alpha):
     return out
 
 
-def eval_symbol(spec: SymbolSpec, t, xi):
-    """Evaluate P_t(xi).  xi has shape (..., n); broadcasts over leading axes.
-
-    t is one ScaleParams, or a sequence of them with one per entry of the
-    first axis of xi (the points of a sweep block, each with its own rows).
-    """
+def _rows_and_scales(spec: SymbolSpec, t, xi):
+    """xi as float rows (..., n) and the scales t_k broadcast against them, as
+    eval_symbol takes them; a user table is 1-D and holds every xi (OutOfTable)."""
     xi = np.asarray(xi, dtype=float)
     if xi.ndim == 0:
         xi = xi.reshape(1)
@@ -188,21 +184,65 @@ def eval_symbol(spec: SymbolSpec, t, xi):
         np.array([s.t for s in t]).reshape((len(t),) + (1,) * (xi.ndim - 2) + (-1,))
     if xi.shape[-1] != tvec.shape[-1]:
         raise ValueError(f"frequency dimension {xi.shape[-1]} != len(t) = {tvec.shape[-1]}")
+    if spec.kind == "user-table":
+        if tvec.shape[-1] != 1:
+            raise ValueError("user-table symbols are one-dimensional")
+        lo, hi = float(spec.table[0][0]), float(spec.table[0][-1])
+        if np.any(xi < lo) or np.any(xi > hi):
+            raise OutOfTable(f"frequency outside tabulated range [{lo}, {hi}]")
+    return xi, tvec
+
+
+def eval_symbol(spec: SymbolSpec, t, xi):
+    """P_t(xi) at the rows xi (..., n), broadcast over leading axes; t is one
+    ScaleParams, or a sequence of them with one per entry of the first axis
+    of xi (the points of a sweep block, each with its own rows)."""
+    xi, tvec = _rows_and_scales(spec, t, xi)
     if spec.kind in ("power", "rotated-power"):
         vals = np.sum(tvec * np.abs(xi) ** spec.m, axis=-1)
         if spec.kind == "rotated-power":
             vals = np.exp(1j * spec.theta0) * vals
     elif spec.kind == "smoothed-power":
         vals = np.sum(tvec * (spec.epsilon**2 + xi**2) ** (spec.m / 2.0), axis=-1)
-    else:  # user-table: 1-D only, linear interpolation, strict range
-        if tvec.shape[-1] != 1:
-            raise ValueError("user-table symbols are one-dimensional")
-        pts, values = np.asarray(spec.table[0], dtype=float), np.asarray(spec.table[1])
-        x = xi[..., 0]
-        if np.any(x < pts[0]) or np.any(x > pts[-1]):
-            raise OutOfTable(f"frequency outside tabulated range [{pts[0]}, {pts[-1]}]")
-        vals = np.interp(x, pts, values.real) + 1j * np.interp(x, pts, values.imag)
+    else:  # user-table: linear interpolation
+        x, pts, values = xi[..., 0], np.asarray(spec.table[0], dtype=float), spec.table[1]
+        vals = np.interp(x, pts, np.real(values)) + 1j * np.interp(x, pts, np.imag(values))
     return vals if vals.ndim else complex(vals)
+
+
+def symbol_derivative(spec: SymbolSpec, t, xi, beta):
+    """D^beta P_t(xi) in closed form, beta in {0,1}^n; t and xi as in eval_symbol.
+
+    beta = 0 is P itself.  One axis k is dP/dxi_k:
+      power           t_k m sgn(xi_k) |xi_k|^(m-1)
+      rotated-power   e^{i theta0} times the power value
+      smoothed-power  t_k m xi_k (eps^2 + xi_k^2)^(m/2-1)
+      user-table      the slope of the segment holding xi; at a knot the
+                      segment to its right, at the last knot the last one
+    The first three read the symmetric value 0 at xi_k = 0, so m < 1 and
+    eps = 0 give no 0 * inf.  Two or more axes give 0: each symbol is a sum
+    over axes, so every mixed derivative vanishes.
+    """
+    xi, tvec = _rows_and_scales(spec, t, xi)
+    if len(beta) != xi.shape[-1]:
+        raise ValueError(f"beta {tuple(beta)} does not match the frequency dimension")
+    if sum(beta) != 1:
+        return eval_symbol(spec, t, xi) if sum(beta) == 0 else np.zeros(xi.shape[:-1])
+    k = list(beta).index(1)
+    x = xi[..., k]
+    if spec.kind == "user-table":
+        pts, values = np.asarray(spec.table[0], dtype=float), np.asarray(spec.table[1])
+        j = np.clip(np.searchsorted(pts, x, side="right") - 1, 0, len(pts) - 2)
+        d = (values[j + 1] - values[j]) / (pts[j + 1] - pts[j])
+    elif spec.kind == "smoothed-power":
+        d = tvec[..., k] * spec.m * x * np.where(x != 0, spec.epsilon**2 + x**2, 1.0) \
+            ** (spec.m / 2.0 - 1.0)
+    else:
+        d = tvec[..., k] * spec.m * np.sign(x) * np.where(x != 0, np.abs(x), 1.0) \
+            ** (spec.m - 1.0)
+        if spec.kind == "rotated-power":
+            d = np.exp(1j * spec.theta0) * d
+    return d if d.ndim else complex(d)
 
 
 @dataclass
@@ -226,49 +266,19 @@ def _signed_logspace(start: float, stop: float, num: int) -> np.ndarray:
     return np.concatenate([-mags[::-1], mags])
 
 
-def _fd_steps(xi):
-    """Finite-difference step FD_STEP (1 + |xi_k|) at every coordinate of xi."""
-    return FD_STEP * (1.0 + np.abs(xi))
-
-
-def _central_difference(fn, xi, beta):
-    """Central finite difference D^beta fn (beta in {0,1}^n) at the rows of xi.
-
-    fn maps frequency rows (..., n) to values of shape (...) or (..., a, b);
-    the step along each axis is _fd_steps(xi).
-    """
-    xi = np.asarray(xi, dtype=float)
-    h = _fd_steps(xi)
-    axes = [k for k, b in enumerate(beta) if b]
-    if not axes:
-        return fn(xi)
-    total = 0.0
-    for signs in np.ndindex(*([2] * len(axes))):
-        shifted = xi.copy()
-        coeff = np.ones(xi.shape[:-1])
-        for ax, s in zip(axes, signs):
-            sgn = 1.0 if s == 0 else -1.0
-            shifted[..., ax] += sgn * h[..., ax]
-            coeff = coeff * (sgn / (2.0 * h[..., ax]))
-        vals = fn(shifted)
-        total = total + coeff.reshape(coeff.shape + (1,) * (np.ndim(vals) - coeff.ndim)) * vals
-    return total
-
-
 def check_symbol_class(spec: SymbolSpec, t_grid, xi_grid) -> SymbolClassReport:
-    """Estimate the symbol-class constants C_beta by finite differences.
+    """The symbol-class constants C_beta from the closed-form symbol_derivative.
 
     For each derivative order beta in {0,1}^n the bound reads
     |D^beta P_t(xi)| <= C_beta [1 + (sum_k t_k^(2/(m-|beta|)) xi_k^2)^(1/2)]^(m-|beta|);
     the report carries the smallest C_beta valid over every sampled (t, xi),
     sector membership of every value, and the lower-bound margin against
-    gamma * sum_k t_k |xi_k|^m.  Each t takes all xi rows at once; D^beta
-    skips the rows whose stencil would straddle xi_k = 0 on a differenced axis.
-    """
+    gamma * sum_k t_k |xi_k|^m.  Each t takes all xi rows at once, and every
+    row counts for every beta; a D^beta P that is not finite, P itself
+    included, raises NonFiniteDerivative."""
     xi_grid = np.atleast_2d(np.asarray(xi_grid, dtype=float))
     n = xi_grid.shape[1]
     betas = list(np.ndindex(*([2] * n)))
-    straddles = np.abs(xi_grid) < 10.0 * _fd_steps(xi_grid)
     sector = Sector(spec.phi1)
 
     constants = {b: 0.0 for b in betas}
@@ -282,13 +292,12 @@ def check_symbol_class(spec: SymbolSpec, t_grid, xi_grid) -> SymbolClassReport:
         if np.any(denom > 0):
             margin = min(margin, float((np.abs(vals[denom > 0]) / denom[denom > 0]).min()))
         for beta in betas:
-            xi = xi_grid[~straddles[:, np.array(beta, dtype=bool)].any(axis=1)]
-            d = np.asarray(_central_difference(lambda x: eval_symbol(spec, t, x), xi, beta))
+            d = vals if sum(beta) == 0 else np.asarray(symbol_derivative(spec, t, xi_grid, beta))
             if not np.all(np.isfinite(d)):
                 raise NonFiniteDerivative(f"derivative D^{beta} diverged at "
-                                          f"xi={xi[~np.isfinite(d)][0]}, t={t.t}")
+                                          f"xi={xi_grid[~np.isfinite(d)][0]}, t={t.t}")
             e = spec.m - sum(beta)
-            bracket = (1.0 + np.sqrt(np.sum(tvec ** (2.0 / e) * xi**2, axis=-1))) ** e \
+            bracket = (1.0 + np.sqrt(np.sum(tvec ** (2.0 / e) * xi_grid**2, axis=-1))) ** e \
                 if e > 0 else 1.0
             constants[beta] = max(constants[beta],
                                   float((np.abs(d) / bracket).max(initial=0.0)))
@@ -298,25 +307,10 @@ def check_symbol_class(spec: SymbolSpec, t_grid, xi_grid) -> SymbolClassReport:
                              lower_margin=float(margin), samples=len(t_grid) * len(xi_grid))
 
 
-def sector_sum_constant(phi1: float, phi2: float, samples: int = 100_000) -> float:
-    """Smallest sampled |lam + nu| / (|lam| + |nu|) over the two sector boundaries.
-
-    Requires phi1 + phi2 < pi.  The minimum is attained with lam and nu on the
-    extreme opposing rays at equal modulus, so that configuration is always
-    among the samples; the analytic value is cos((phi1 + phi2)/2).
-    """
+def sector_sum_constant(phi1: float, phi2: float) -> float:
+    """The largest C with |lam + nu| >= C (|lam| + |nu|) for lam in S_phi1 and
+    nu in S_phi2: cos((phi1 + phi2) / 2), the value of the ratio at equal
+    moduli on the extreme opposing rays.  Requires phi1 + phi2 < pi."""
     if phi1 + phi2 >= math.pi:
         raise AngleSumTooLarge(f"phi1 + phi2 = {phi1 + phi2} >= pi")
-    # boundary rays of each sector, crossed with log-spaced modulus ratios
-    per_axis = max(4, int(round(math.sqrt(samples / 16.0))))
-    a1 = np.linspace(-phi1, phi1, per_axis) if phi1 > 0 else np.array([0.0])
-    a2 = np.linspace(-phi2, phi2, per_axis) if phi2 > 0 else np.array([0.0])
-    # boundary angles must be present exactly
-    a1 = np.union1d(a1, [-phi1, phi1])
-    a2 = np.union1d(a2, [-phi2, phi2])
-    ratios = np.union1d(np.logspace(-3, 3, 25), [1.0])
-    th1, th2, r = np.meshgrid(a1, a2, ratios, indexing="ij")
-    lam = np.exp(1j * th1)
-    nu = r * np.exp(1j * th2)
-    vals = np.abs(lam + nu) / (np.abs(lam) + np.abs(nu))
-    return float(vals.min())
+    return math.cos((phi1 + phi2) / 2.0)

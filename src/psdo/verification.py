@@ -51,9 +51,9 @@ from .sweep import SectorSweep
 from .symbols import (
     ScaleParams,
     SymbolSpec,
-    _central_difference,
     _signed_logspace,
     i_xi_power,
+    symbol_derivative,
 )
 
 DEFAULT_FLATNESS = {"coercivity": 1.5, "resolvent": 2.0}
@@ -765,13 +765,17 @@ def sigma_matrix(model, symbol, t, lam, xi) -> np.ndarray:
 
 
 def fd_sigma(model, symbol, t, lam, xi, beta) -> np.ndarray:
-    """|xi|^{|beta|} times the central finite difference Delta^beta of sigma,
-    in channel form (operators.channel_matrices gives the matrices); a stack
-    over the rows of a 2-D xi, or over the points of a block."""
+    """The Mikhlin term |xi|^k D^beta sigma, k = |beta|, in channel form
+    (operators.channel_matrices gives the matrices); a stack over the rows of
+    a 2-D xi, or over the points of a block.  Every mixed derivative of the
+    symbol vanishes, so the chain rule gives
+    D^beta sigma = (-1)^k k! prod_{beta_j = 1} D_j P  A B^(k+1)."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    total = _central_difference(lambda x: channels(model, _shifts(model, symbol, t, lam, x), 1),
-                                xi, beta)
-    scale = np.linalg.norm(xi, axis=-1) ** sum(beta)
+    k = sum(beta)
+    total = channels(model, _shifts(model, symbol, t, lam, xi), 1, k + 1)
+    scale = (-1) ** k * math.factorial(k) * np.linalg.norm(xi, axis=-1) ** k
+    for axis in np.flatnonzero(beta):
+        scale = scale * symbol_derivative(symbol, t, xi, np.eye(len(beta), dtype=int)[axis])
     return scale.reshape(scale.shape + (1,) * (total.ndim - scale.ndim)) * total
 
 
@@ -786,9 +790,9 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
     When xi_samples is None the frequencies are re-sampled per sweep point,
     log-spaced through the saturation scale (|lam| / t_k)^(1/m).  The
     families are sigma_alpha for every positive order of the coercive index
-    set, and the finite differences of sigma for every beta in {0,1}^n but 0.
-    The frequencies of a block of points (_sweep_report) are evaluated as
-    one stack."""
+    set, and the Mikhlin terms of sigma (fd_sigma) for every beta in {0,1}^n
+    but 0.  The frequencies of a block of points (_sweep_report) are
+    evaluated as one stack."""
     fixed = None if xi_samples is None else np.atleast_2d(np.asarray(xi_samples, dtype=float))
     n = dims if fixed is None else fixed.shape[1]
     index_set = [a for a in coercive_index_set(n, symbol.m) if a.order > 0]

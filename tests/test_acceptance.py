@@ -153,7 +153,7 @@ def test_acceptance_04_resolvent_uniformity():
 
 def test_acceptance_05_sector_sum_inequality():
     for phi1, phi2 in ((np.pi / 4, np.pi / 4), (np.pi / 2, np.pi / 4)):
-        got = sector_sum_constant(phi1, phi2, samples=100_000)
+        got = sector_sum_constant(phi1, phi2)
         expected = np.cos((phi1 + phi2) / 2.0)
         assert got == pytest.approx(expected, abs=1e-3)
         assert got >= expected - 1e-9

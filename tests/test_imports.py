@@ -256,45 +256,6 @@ def test_only_the_shift_builder_evaluates_the_symbol(path):
     assert eval_symbol_uses(path.read_text()) == expected
 
 
-def fd_step_names(source: str) -> list:
-    """(enclosing class/function path, kind) for each use of FD_STEP, in source
-    order; kind is "Store", "Load", "attribute" or "import"."""
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                inner = f"{scope}.{child.name}" if scope else child.name
-            if isinstance(child, ast.Name) and child.id == "FD_STEP":
-                found.append((child.lineno, inner, type(child.ctx).__name__))
-            elif isinstance(child, ast.Attribute) and child.attr == "FD_STEP":
-                found.append((child.lineno, inner, "attribute"))
-            elif isinstance(child, (ast.Import, ast.ImportFrom)) \
-                    and any(a.name == "FD_STEP" for a in child.names):
-                found.append((child.lineno, inner, "import"))
-            visit(child, inner)
-
-    visit(ast.parse(source), "")
-    return [(scope, kind) for _, scope, kind in sorted(found)]
-
-
-def test_fd_step_use_is_detected():
-    source = ("from .symbols import FD_STEP\nFD_STEP = 1e-4\n"
-              "def f(x):\n    return s.FD_STEP * x\n"
-              "class C:\n    def g(self):\n        return FD_STEP\n")
-    assert fd_step_names(source) == [("", "import"), ("", "Store"), ("f", "attribute"),
-                                     ("C.g", "Load")]
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_only_the_step_function_names_fd_step(path):
-    """The finite-difference step rule lives in symbols._fd_steps alone, so the
-    stencil and check_symbol_class's straddle mask cannot drift apart."""
-    expected = [("", "Store"), ("_fd_steps", "Load")] if path.name == "symbols.py" else []
-    assert fd_step_names(path.read_text()) == expected
-
-
 def config_value_reads(source: str) -> list:
     """(function, call) for each int(...), float(...) or .get(...) call in the
     body of a _task_* handler or _parse_* helper, in source order."""

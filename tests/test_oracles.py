@@ -15,9 +15,10 @@ Hermitian A and c I coefficients) and, at q in {1, inf}, against the
 pure-mode field that attains the largest block norm.  The Parseval norms of
 spectra are checked against the norms of their inverse FFTs.  The batched
 continuum checks are checked against per-sample references: check_symbol_class
-against one eval_symbol and one stencil per (t, xi), and the sigma_alpha
-suprema of multiplier_family_check against the norms of the scaled dense
-inverses.
+against one eval_symbol and one Richardson-extrapolated difference per
+(t, xi), the sigma_alpha suprema of multiplier_family_check against the norms
+of the scaled dense inverses, and its Mikhlin terms against the chain rule on
+dense inverses.
 """
 
 import cmath
@@ -59,6 +60,7 @@ from psdo import (
     solve_full,
     solve_implicit_euler,
     solve_principal,
+    symbol_derivative,
     tridiagonal_matrix,
     vector_norms,
 )
@@ -73,7 +75,6 @@ from psdo.operators import (
     top_vectors,
 )
 from psdo.spaces import _lp_lq_norms, _lp_lq_norms_from_spectra, band_limited_spectra
-from psdo.symbols import FD_STEP, _central_difference
 from psdo.verification import _adapted_xi_samples, fd_sigma
 
 GRID = GridSpec(n=2, M=8, L=2 * np.pi)  # M^n * N = 128 with N = 2
@@ -558,17 +559,34 @@ def test_lambda_resolvent_family_matches_dense_inverse(k):
         assert np.array_equal(member, lam * np.linalg.inv(model.A + lam * np.eye(model.N)))
 
 
+def richardson_derivative(fn, xi, k):
+    """d fn / d xi_k at one row xi from central differences with steps h, h/2
+    and h/4, h = 1e-3 |xi_k|, extrapolated twice (error O(h^6)); needs
+    xi_k != 0 and no kink of fn within h of xi_k."""
+    def central(h):
+        step = np.zeros(len(xi))
+        step[k] = h
+        return (complex(fn(xi + step)) - complex(fn(xi - step))) / (2.0 * h)
+
+    h = 1e-3 * abs(xi[k])
+    d1, d2, d4 = central(h), central(h / 2.0), central(h / 4.0)
+    r1, r2 = (4.0 * d2 - d1) / 3.0, (4.0 * d4 - d2) / 3.0
+    return (16.0 * r2 - r1) / 15.0
+
+
 def per_sample_symbol_class(spec, t_grid, xi_grid):
     """(constants, sector_ok, lower_margin, samples) of the symbol-class check,
-    one eval_symbol and one stencil per (t, xi) sample."""
+    one eval_symbol and one Richardson difference per (t, xi) sample and axis.
+    Rows with xi_k = 0 are left out of D_k (symbol_derivative reads 0 there,
+    or a table slope that no other row's term falls below), and the mixed
+    constants, exactly 0 for these axis sums, are not computed."""
     n = xi_grid.shape[1]
-    betas = list(np.ndindex(*([2] * n)))
+    betas = [b for b in np.ndindex(*([2] * n)) if sum(b) <= 1]
     constants = {b: 0.0 for b in betas}
     sector_ok, margin, count = True, np.inf, 0
     for t in t_grid:
         tvec = np.asarray(t.t)
         for xi in xi_grid:
-            h = FD_STEP * (1.0 + np.abs(xi))
             count += 1
             val = complex(eval_symbol(spec, t, xi))
             if abs(val) > 1e-9 and abs(cmath.phase(val)) > spec.phi1 + 1e-9:
@@ -577,9 +595,13 @@ def per_sample_symbol_class(spec, t_grid, xi_grid):
             if denom > 0:
                 margin = min(margin, abs(val) / denom)
             for beta in betas:
-                if any(beta[k] and abs(xi[k]) < 10.0 * h[k] for k in range(n)):
+                if sum(beta) == 0:
+                    d = val
+                elif xi[beta.index(1)] == 0:
                     continue
-                d = complex(_central_difference(lambda x: eval_symbol(spec, t, x), xi, beta))
+                else:
+                    d = richardson_derivative(lambda x: eval_symbol(spec, t, x), xi,
+                                              beta.index(1))
                 e = spec.m - sum(beta)
                 bracket = (1.0 + np.sqrt(np.sum(tvec ** (2.0 / e) * xi**2))) ** e \
                     if e > 0 else 1.0
@@ -588,18 +610,17 @@ def per_sample_symbol_class(spec, t_grid, xi_grid):
 
 
 def symbol_class_grid(n):
-    """Signed log-spaced values, all tuples, with 0 and two values inside the
-    straddle band |xi_k| < 10 steps, one of them (5e-4) outside one step; the
-    largest, 10^1.5, stays inside the user table's range."""
+    """Signed log-spaced values, all tuples, with 0 and the small values 1e-6
+    and 5e-4; the largest, 10^1.5, stays inside the user table's range, and
+    no value but 0 is one of its knots."""
     mags = np.logspace(-1, 1.5, 4)
     vals = np.concatenate([-mags[::-1], [0.0, 1e-6, 5e-4], mags])
     return np.stack(np.meshgrid(*[vals] * n, indexing="ij"), axis=-1).reshape(-1, n)
 
 
 TABLE_POINTS = np.linspace(-60.0, 60.0, 241)
-
-
-@pytest.mark.parametrize("spec, n", [
+RICHARDSON_RTOL = 1e-11  # the extrapolated differences read within 4e-13 relative
+SYMBOL_CASES = pytest.mark.parametrize("spec, n", [
     (power_symbol(2.0), 1), (power_symbol(3.0), 2), (power_symbol(0.5), 1),
     (rotated_power_symbol(2.0, theta0=0.3), 1), (rotated_power_symbol(1.5, theta0=-0.4), 2),
     (smoothed_power_symbol(2.0, epsilon=0.5), 1), (smoothed_power_symbol(1.5, epsilon=0.5), 2),
@@ -607,6 +628,37 @@ TABLE_POINTS = np.linspace(-60.0, 60.0, 241)
                 table=(TABLE_POINTS, TABLE_POINTS**2 * np.exp(0.05j * np.sign(TABLE_POINTS)))), 1),
 ], ids=["power-n1", "power-n2", "power-m0.5-n1", "rotated-n1", "rotated-n2", "smoothed-n1", "smoothed-n2",
         "user-table"])
+
+
+@SYMBOL_CASES
+def test_symbol_derivative_matches_richardson_differences(spec, n):
+    """Each D_k P at every row with xi_k != 0 against the Richardson
+    difference, for one t and for a block of two (one t per leading entry),
+    and every mixed D^beta P exactly 0."""
+    t_grid = [ScaleParams.isotropic(1e-2, n), ScaleParams(tuple(np.linspace(0.3, 1.0, n)))]
+    xi = symbol_class_grid(n)
+    block = np.stack([xi, xi])
+    for beta in np.ndindex(*([2] * n)):
+        if sum(beta) > 1:
+            mixed = symbol_derivative(spec, t_grid, block, beta)
+            assert np.array_equal(mixed, np.zeros((2, len(xi))))
+            continue
+        together = symbol_derivative(spec, t_grid, block, beta)
+        for t, rows in zip(t_grid, together):
+            assert np.array_equal(rows, symbol_derivative(spec, t, xi, beta))
+            if sum(beta) == 0:
+                assert np.array_equal(rows, eval_symbol(spec, t, xi))
+                continue
+            k = beta.index(1)
+            for x, d in zip(xi, rows):
+                if x[k] != 0:
+                    ref = richardson_derivative(lambda y: eval_symbol(spec, t, y), x, k)
+                    # plus the roundoff of P itself over the differences' steps 1e-3 |xi_k|
+                    noise = 1e-11 * abs(complex(eval_symbol(spec, t, x))) / abs(x[k])
+                    assert d == pytest.approx(ref, rel=RICHARDSON_RTOL, abs=noise)
+
+
+@SYMBOL_CASES
 def test_check_symbol_class_matches_per_sample_loop(spec, n):
     t_grid = [ScaleParams.isotropic(1e-2, n), ScaleParams(tuple(np.linspace(0.3, 1.0, n)))]
     xi = symbol_class_grid(n)
@@ -615,10 +667,14 @@ def test_check_symbol_class_matches_per_sample_loop(spec, n):
     assert rep.samples == samples == len(t_grid) * len(xi)
     assert rep.sector_ok == sector_ok
     assert rep.lower_margin == pytest.approx(margin, rel=1e-12, abs=0)
-    assert rep.constants.keys() == constants.keys()
-    for beta, c in constants.items():
-        assert c > 0
-        assert rep.constants[beta] == pytest.approx(c, rel=1e-12, abs=0)
+    assert set(rep.constants) == set(np.ndindex(*([2] * n)))
+    for beta, c in rep.constants.items():
+        if sum(beta) > 1:
+            assert c == 0.0
+        else:
+            assert constants[beta] > 0
+            assert c == pytest.approx(constants[beta], rel=1e-12 if sum(beta) == 0
+                                      else RICHARDSON_RTOL, abs=0)
 
 
 @pytest.mark.parametrize("q", [2.0, 3.0])
@@ -650,11 +706,10 @@ def test_multiplier_sigma_alpha_matches_scaled_stack_norms(q, n):
 @pytest.mark.parametrize("q", [1.0, 1.5, 3.0, np.inf])
 @pytest.mark.parametrize("name", ["complex-hermitian-4x4", "tridiagonal-n8"])
 def test_multiplier_fd_sup_matches_dense_differences(name, q):
-    """Each point's fd_sup, differences of channel values w / (w + s) measured
-    without an inverse, and the norms of the matrices of fd_sigma against
-    operator_norm_upper of |xi| times the central difference of the dense
-    A (A + lam + P_t(xi))^-1, to rel 1e-9 of the supremum: the differences
-    cancel, so rows far below it carry the roundoff of the largest terms."""
+    """Each point's fd_sup, from channel values w / (w + s)^2 measured without
+    an inverse, and the norms of the matrices of fd_sigma against
+    operator_norm_upper of the chain rule -|xi| A B^2 P' on the dense inverse
+    B of A + lam + P_t(xi), P' = 2 t xi, to rel 1e-9."""
     A = resolvent_norm_models()[name]
     model, symbol, m, n = make_model(A, q=q), power_symbol(2.0), 2.0, 1
     sweep = SectorSweep(phi2=np.pi / 4, rays=(-np.pi / 4, 0.0, np.pi / 4), radii=(1.0, 1e4),
@@ -664,16 +719,39 @@ def test_multiplier_fd_sup_matches_dense_differences(name, q):
     eye = np.eye(model.N)
     for (lam, t), point in zip(sweep.points(), rep.points):
         xi = _adapted_xi_samples(lam, t, m, n, 17)
-
-        def sigma(x):
-            return A @ np.linalg.inv(A + (lam + eval_symbol(symbol, t, x))[..., None, None] * eye)
-
-        dense = np.abs(xi)[..., None] * _central_difference(sigma, xi, (1,))
+        B = np.linalg.inv(A + (lam + t.t[0] * xi[:, 0] ** 2)[:, None, None] * eye)
+        dense = (-np.abs(xi[:, 0]) * 2.0 * t.t[0] * xi[:, 0])[:, None, None] * (A @ B @ B)
         expected = operator_norm_upper(dense, q)
         fd = channel_matrices(model, fd_sigma(model, symbol, t, lam, xi, (1,)))
         np.testing.assert_allclose(operator_norm_upper(fd, q), expected, rtol=1e-9,
                                    atol=1e-9 * expected.max())
         assert point["fd_sup"]["(1,)"] == pytest.approx(float(expected.max()), rel=1e-9)
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+@pytest.mark.parametrize("name", ["complex-hermitian-4x4", "tridiagonal-n8", "nonnormal-3x3"])
+def test_multiplier_mixed_fd_sup_matches_dense_chain_rule(name, q):
+    """The n = 2 mixed Mikhlin term: each point's fd_sup (1, 1) and the norms
+    of the matrices of fd_sigma against operator_norm_upper of
+    2 |xi|^2 A B^3 P_x P_y on the dense inverse B, P_k = 2 t_k xi_k, to rel
+    1e-9; the channel path (unitary eigenbasis) and the LU path alike."""
+    A = resolvent_norm_models()[name]
+    model, symbol, m, n = make_model(A, q=q), power_symbol(2.0), 2.0, 2
+    sweep = SectorSweep(phi2=np.pi / 4, rays=(-np.pi / 4, 0.0, np.pi / 4), radii=(1.0, 1e4),
+                        t_grid=(ScaleParams((1e-2, 0.5)), ScaleParams((1.0, 1.0))))
+    rep = multiplier_family_check(model, symbol, sweep, dims=n, rbound_subsample=1,
+                                  tuple_size=1)
+    eye = np.eye(model.N)
+    for (lam, t), point in zip(sweep.points(), rep.points):
+        xi = _adapted_xi_samples(lam, t, m, n, 17)
+        tx, ty = t.t
+        B = np.linalg.inv(A + (lam + tx * xi[:, 0] ** 2 + ty * xi[:, 1] ** 2)[:, None, None] * eye)
+        factor = 2.0 * np.sum(xi**2, axis=1) * (2.0 * tx * xi[:, 0]) * (2.0 * ty * xi[:, 1])
+        expected = operator_norm_upper(factor[:, None, None] * (A @ B @ B @ B), q)
+        fd = channel_matrices(model, fd_sigma(model, symbol, t, lam, xi, (1, 1)))
+        np.testing.assert_allclose(operator_norm_upper(fd, q), expected, rtol=1e-9,
+                                   atol=1e-9 * expected.max())
+        assert point["fd_sup"]["(1, 1)"] == pytest.approx(float(expected.max()), rel=1e-9)
 
 
 HERMITIAN_MODELS = {

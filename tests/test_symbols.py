@@ -18,6 +18,7 @@ from psdo import (
     rotated_power_symbol,
     sector_sum_constant,
     smoothed_power_symbol,
+    symbol_derivative,
 )
 from psdo.symbols import i_xi_power_factor
 
@@ -175,11 +176,45 @@ def test_symbol_class_check_2d():
     (0.0, 0.5),
 ])
 def test_sector_sum_constant_matches_closed_form(phi1, phi2):
+    """The closed form against sampled sectors: |lam + nu| / (|lam| + |nu|) at
+    random points of S_phi1 x S_phi2 (moduli over six decades; angles
+    uniform, then on the extreme opposing rays) never falls below it and
+    comes within 1e-3 of it, and equal moduli on those rays attain it."""
     c = sector_sum_constant(phi1, phi2)
-    assert c == pytest.approx(math.cos((phi1 + phi2) / 2.0), abs=1e-3)
-    assert c >= math.cos((phi1 + phi2) / 2.0) - 1e-9
+    rng = np.random.default_rng(0)
+    size = 100_000
+    ratio = 10.0 ** rng.uniform(-3.0, 3.0, 2 * size)
+    th1 = np.concatenate([rng.uniform(-phi1, phi1, size), np.full(size, phi1)])
+    th2 = np.concatenate([rng.uniform(-phi2, phi2, size), np.full(size, -phi2)])
+    lam, nu = np.exp(1j * th1), ratio * np.exp(1j * th2)
+    sampled = np.abs(lam + nu) / (np.abs(lam) + np.abs(nu))
+    assert sampled.min() >= c - 1e-15
+    assert sampled.min() == pytest.approx(c, abs=1e-3)
+    assert abs(np.exp(1j * phi1) + np.exp(-1j * phi2)) / 2.0 == pytest.approx(c, abs=1e-15)
 
 
 def test_sector_sum_angle_overflow():
     with pytest.raises(AngleSumTooLarge):
         sector_sum_constant(np.pi / 2, np.pi / 2)
+
+
+def test_symbol_derivative_conventions():
+    """xi_k = 0 reads the symmetric value 0 with no 0 * inf (m < 1, eps = 0);
+    a table knot reads the slope of the segment to its right, the last knot
+    that of the last segment; mixed orders read 0; beta must match n."""
+    t = ScaleParams((2.0, 3.0))
+    xi = np.array([[0.0, 1.0], [0.0, -2.0]])
+    for spec in (power_symbol(0.5), rotated_power_symbol(0.5, theta0=0.3),
+                 smoothed_power_symbol(1.5, epsilon=0.0), smoothed_power_symbol(3.0, epsilon=0.5)):
+        with np.errstate(all="raise"):
+            assert np.array_equal(symbol_derivative(spec, t, xi, (1, 0)), [0.0, 0.0])
+            assert np.array_equal(symbol_derivative(spec, t, xi, (1, 1)), [0.0, 0.0])
+    assert symbol_derivative(power_symbol(3.0), t, [-2.0, 1.0], (1, 0)) == -24.0
+    table = SymbolSpec(kind="user-table", m=1.0, table=([-1.0, 0.0, 2.0], [3.0, 1.0, 5.0]))
+    one = ScaleParams((1.0,))
+    knots = np.array([[-1.0], [-0.5], [0.0], [1.0], [2.0]])
+    assert np.array_equal(symbol_derivative(table, one, knots, (1,)), [-2.0, -2.0, 2.0, 2.0, 2.0])
+    with pytest.raises(OutOfTable):
+        symbol_derivative(table, one, [[2.5]], (1,))
+    with pytest.raises(ValueError, match="does not match"):
+        symbol_derivative(power_symbol(2.0), t, xi, (1,))

@@ -559,7 +559,7 @@ def test_fd_sigma_matrix_matches_closed_form():
     fd = channel_matrices(model, fd_sigma(model, symbol, t, lam, xi[:, None], (1,)))
     assert fd.shape == (len(xi), 1, 1)
     exact = -np.abs(xi) * 2 * a * 0.3 * xi / (a + lam + 0.3 * xi**2) ** 2
-    np.testing.assert_allclose(fd[:, 0, 0], exact, rtol=1e-6)
+    np.testing.assert_allclose(fd[:, 0, 0], exact, rtol=1e-12)
     single = channel_matrices(model, fd_sigma(model, symbol, t, lam, xi[3:4], (1,)))
     assert single[0, 0] == fd[3, 0, 0]
 

@@ -14,9 +14,10 @@ imported; nothing there is written.
 The tool prints the run count, every run whose exit code changed, and the
 number of byte-identical output files.  For each differing `report.json` it
 prints the values that moved (list indices folded to `[]`) with their
-largest absolute change, for each differing `solution.txt` the largest
-absolute change of its numbers, and for each differing `solution.npy` the
-largest absolute change of its values' real and imaginary parts.  A changed
+largest absolute and largest relative change, for each differing
+`solution.txt` those of its numbers, and for each differing `solution.npy`
+those of its values' real and imaginary parts.  The relative change of a
+number is |new - old| / |old|, inf where old is 0 and new is not.  A changed
 layout (key paths, number count, or the array's shape or dtype) is a change
 of inf.
 
@@ -111,25 +112,34 @@ def _number(value):
     return None
 
 
-def _change(a: float, b: float) -> float:
+def _change(a: float, b: float) -> tuple:
+    """(absolute, relative) change from a to b; (inf, inf) where either is not finite."""
     if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0
-    return abs(a - b) if math.isfinite(a) and math.isfinite(b) else math.inf
+        return 0.0, 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf, math.inf
+    return abs(a - b), abs(a - b) / abs(a) if a else math.inf
+
+
+def _largest(changes) -> tuple:
+    """Componentwise maximum of (absolute, relative) pairs; (0, 0) for none."""
+    return tuple(max(c) for c in zip(*changes)) or (0.0, 0.0)
 
 
 def report_changes(old: bytes, new: bytes) -> dict:
-    """{value path: largest absolute change} of two report.json files."""
+    """{value path: (largest absolute, largest relative) change} of two
+    report.json files."""
     a, b = list(_leaves(json.loads(old))), list(_leaves(json.loads(new)))
     if [p for p, _ in a] != [p for p, _ in b]:
-        return {"(layout)": math.inf}
+        return {"(layout)": (math.inf, math.inf)}
     moved = {}
     for (path, x), (_, y) in zip(a, b):
         if x == y:
             continue
         nx, ny = _number(x), _number(y)
-        change = math.inf if nx is None or ny is None else _change(nx, ny)
-        if change > 0:
-            moved[path] = max(moved.get(path, 0.0), change)
+        change = (math.inf, math.inf) if nx is None or ny is None else _change(nx, ny)
+        if change[0] > 0:
+            moved[path] = _largest([moved.get(path, (0.0, 0.0)), change])
     return moved
 
 
@@ -138,26 +148,36 @@ def _columns(text: bytes) -> list:
             if line and not line.startswith("#") for v in line.split()]
 
 
-def solution_change(old: bytes, new: bytes) -> float:
-    """Largest absolute change between the numbers of two solution.txt files."""
+def solution_change(old: bytes, new: bytes) -> tuple:
+    """Largest (absolute, relative) change between the numbers of two
+    solution.txt files."""
     a, b = _columns(old), _columns(new)
     if len(a) != len(b):
-        return math.inf
-    return max((_change(x, y) for x, y in zip(a, b)), default=0.0)
+        return math.inf, math.inf
+    return _largest(_change(x, y) for x, y in zip(a, b))
 
 
-def array_change(old: bytes, new: bytes) -> float:
-    """Largest absolute change between the values of two solution.npy files,
-    real and imaginary parts apart; inf if the shape or dtype differ."""
+def array_change(old: bytes, new: bytes) -> tuple:
+    """Largest (absolute, relative) change between the values of two
+    solution.npy files, real and imaginary parts apart; inf if the shape or
+    dtype differ."""
     a, b = (np.load(io.BytesIO(raw), allow_pickle=False) for raw in (old, new))
     if a.shape != b.shape or a.dtype != b.dtype:
-        return math.inf
+        return math.inf, math.inf
     x, y = (v.view(np.float64) if v.dtype == np.complex128 else v.astype(float) for v in (a, b))
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):
         change = np.abs(x - y)  # nan where either is nan, or both are infinities of one sign
-    change[(x == y) | (np.isnan(x) & np.isnan(y))] = 0.0
-    change[np.isnan(change)] = math.inf
-    return float(change.max(initial=0.0))
+        change[(x == y) | (np.isnan(x) & np.isnan(y))] = 0.0
+        change[np.isnan(change)] = math.inf
+        relative = change / np.abs(x)  # nan where both are inf, or 0 / 0
+    relative[change == 0] = 0.0
+    relative[np.isnan(relative)] = math.inf
+    return float(change.max(initial=0.0)), float(relative.max(initial=0.0))
+
+
+def _format(moved: dict) -> str:
+    """path abs (rel r), ... of {path: (absolute, relative)}, sorted by path."""
+    return ", ".join(f"{path} {a:.2g} (rel {r:.2g})" for path, (a, r) in sorted(moved.items()))
 
 
 def main(argv=None) -> int:
@@ -207,15 +227,13 @@ def main(argv=None) -> int:
                 else:
                     compare = array_change if fname.endswith(".npy") else solution_change
                     moved = {fname: compare(old, new)}
-                lines.append(f"{name}/{fname}: " + ", ".join(
-                    f"{path} {change:.2g}" for path, change in sorted(moved.items())))
+                lines.append(f"{name}/{fname}: " + _format(moved))
                 for path, change in moved.items():
-                    largest[path] = max(largest.get(path, 0.0), change)
+                    largest[path] = _largest([largest.get(path, (0.0, 0.0)), change])
         print(f"files: {same} of {total} byte-identical")
         for line in lines:
             print(line)
-        print("largest absolute change over all runs: " + (", ".join(
-            f"{path} {change:.2g}" for path, change in sorted(largest.items())) or "none"))
+        print("largest change over all runs: " + (_format(largest) or "none"))
     return int(failed)
 
 
