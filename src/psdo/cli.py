@@ -428,19 +428,19 @@ def _parse_problem(v: dict, lam: complex, lower_terms=()) -> EllipticProblem:
                     lower_terms=terms)
 
 
-def _parse_forcing(v: dict, ell: EllipticProblem) -> SpaceTimeField:
-    """The forcing of a solve-parabolic task's checked values."""
+def _parse_forcing(v: dict, ell: EllipticProblem) -> tuple:
+    """The time profile, sampled at the steps + 1 times of the partition, and
+    the spatial base of a solve-parabolic task's forcing."""
     f, Y, J = v["forcing"], v["horizon"], v["steps"]
     base = _parse_data(f, ell, where="forcing")
     times = np.linspace(0.0, Y, J + 1)
     if f["time_profile"] == "sin":
-        weights = np.sin(math.pi * f["omega"] * times / Y)
+        profile = np.sin(math.pi * f["omega"] * times / Y)
     elif f["time_profile"] == "ramp":
-        weights = times / Y
+        profile = times / Y
     else:
-        weights = np.ones_like(times)
-    vals = weights[(...,) + (None,) * (ell.grid.n + 1)] * base.values[None]
-    return _checked("forcing", SpaceTimeField, grid=ell.grid, values=vals, Y=Y)
+        profile = np.ones_like(times)
+    return profile, base
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +518,10 @@ def _task_solve_elliptic(v, seed):
     "export_fields": boolean(default=False)})
 def _task_solve_parabolic(v, seed):
     ell = _parse_problem(v, 0.0)
-    prob = ParabolicProblem(elliptic=ell, forcing=_parse_forcing(v, ell))
-    u_hat, f_hat = evolve_spectra(prob, v["method"])
+    prob = _checked("forcing", ParabolicProblem, ell, *_parse_forcing(v, ell), v["horizon"])
+    u_hat, f0_hat = evolve_spectra(prob, v["method"])
     ratio, residual, forcing_norm, solution_norm = parabolic_diagnostics(
-        prob, u_hat, f_hat, v["p"], v["p1"])
+        prob, u_hat, f0_hat, v["p"], v["p1"])
     result = {
         "method": v["method"],
         "steps": v["steps"],

@@ -1,14 +1,15 @@
 """Cauchy evolution for the parabolic equation du/dy + P_t(D)u + Au = f.
 
-Each lattice mode evolves under the matrix G(xi) = A + P_t(xi) I, which
-shares the eigenbasis of A, so the whole evolution reduces to independent
-scalar ODEs in eigencoordinates.  Both steppers run one recurrence,
-u_{j+1} = a u_j + b0 f_j + b1 f_{j+1}, with their own weights: exact Duhamel
-propagation with exponential-integrator weights for piecewise-linear forcing
-(the oracle) and first-order implicit Euler (the stepper under test).  The
-evolution and its diagnostics stay in Fourier space: one forward FFT of the
-forcing, and an inverse FFT only for a solution wanted on the grid or for
-norms other than p = q = 2.
+The forcing is separable, f(y, x) = a(y) f0(x): a profile sampled at the
+J + 1 times of the partition and one base field.  Each lattice mode evolves
+under G(xi) = A + P_t(xi) I, which shares the eigenbasis of A, so the
+evolution is independent scalar ODEs in eigencoordinates, each forced by a(y)
+times one eigencoordinate c of f0.  Both steppers run one recurrence,
+u_{j+1} = a u_j + (b0 a_j + b1 a_{j+1}) c, with their own weights: exact
+Duhamel propagation with exponential-integrator weights for piecewise-linear
+forcing (the oracle) and first-order implicit Euler (the stepper under test).
+Everything stays in Fourier space: one forward FFT of f0, and an inverse FFT
+only for a solution wanted on the grid or for norms other than p = q = 2.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .elliptic import EllipticProblem
 from .errors import ModeSingular, Overflow
 from .operators import component_product, eigenbasis
 from .spaces import (
+    SampledField,
     SpaceTimeField,
     _lp_lq_norms,
     _lp_lq_norms_from_spectra,
@@ -31,35 +33,43 @@ from .spaces import (
 
 @dataclass(frozen=True)
 class ParabolicProblem:
-    """Zero-initial-data Cauchy problem on [0, Y] with J uniform steps."""
+    """Zero-initial-data Cauchy problem on [0, Y] with J uniform steps, forced by
+    f(y, x) = a(y) f0(x): the profile a sampled at the J + 1 times j Y / J and
+    the base f0, one field on the problem grid."""
 
     elliptic: EllipticProblem    # lambda = 0, no lower-order terms
-    forcing: SpaceTimeField
+    profile: np.ndarray          # shape (J + 1,)
+    base: SampledField
+    Y: float
 
     def __post_init__(self):
         if self.elliptic.lam != 0:
             raise ValueError("the elliptic part must carry lambda = 0")
         if self.elliptic.lower_terms:
             raise ValueError("the elliptic part must have no lower-order terms")
-        if self.forcing.grid != self.elliptic.grid:
+        if self.base.grid != self.elliptic.grid:
             raise ValueError("forcing grid differs from the problem grid")
-        if self.forcing.N != self.elliptic.model.N:
+        if self.base.N != self.elliptic.model.N:
             raise ValueError("forcing component count differs from the operator dimension")
-
-    @property
-    def Y(self) -> float:
-        return self.forcing.Y
+        profile, f0 = np.asarray(self.profile), self.base.values
+        if profile.ndim != 1 or len(profile) < 2:
+            raise ValueError(f"need a profile of at least two time slices, got shape "
+                             f"{profile.shape}")
+        if not 0 < self.Y < np.inf:
+            raise ValueError(f"horizon Y must be positive and finite, got {self.Y}")
+        # every sample a_j f0(x) is finite if the largest |a_j| times f0's largest part is
+        peak = float(np.abs(profile).max()) * float(max(abs(f0.real).max(), abs(f0.imag).max()))
+        if not np.isfinite(peak):  # Python floats: past the float range is inf, no warning
+            raise ValueError("every sample a_j f0 must be finite")
+        object.__setattr__(self, "profile", profile)
 
     @property
     def J(self) -> int:
-        return self.forcing.J
+        return len(self.profile) - 1
 
-
-def _eigensetup(prob: ParabolicProblem):
-    """Eigenvalues of G(xi) per mode/channel plus the shared eigenbasis of A."""
-    w, V, Vinv = eigenbasis(prob.elliptic.model)
-    P = prob.elliptic.symbol_values()          # grid.shape
-    return P[..., None] + w, V, Vinv           # g: grid.shape + (N,)
+    @property
+    def dy(self) -> float:
+        return self.Y / self.J
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -100,19 +110,17 @@ def _implicit_euler_weights(g: np.ndarray, dy: float):
     return 1.0 / denom, 0.0, dy / denom
 
 
-def _steps(c: np.ndarray, a, b0, b1) -> np.ndarray:
-    """u_0 = 0 and u_{j+1} = a u_j + (b0 c_j + b1 c_{j+1}) per eigen-channel.
-
-    `c` holds the forcing's eigencoordinates and is overwritten; the forcing
-    terms of every step are formed over the whole stack first, so a step is
-    two in-place operations.
-    """
-    u = np.empty_like(c)
+def _steps(profile: np.ndarray, c: np.ndarray, a, b0, b1) -> np.ndarray:
+    """u_0 = 0 and u_{j+1} = a u_j + (b0 profile_j + b1 profile_{j+1}) c per
+    eigen-channel, c the eigencoordinates of the forcing's base.  The forcing
+    terms of every step are formed first, in the solution's own array, so a
+    step is two in-place operations."""
+    lead = (-1,) + (1,) * c.ndim
+    u = np.empty((len(profile),) + c.shape, dtype=complex)
     u[0] = 0.0
-    np.multiply(b0, c[:-1], out=u[1:])
-    np.multiply(b1, c[1:], out=c[1:])
-    np.add(u[1:], c[1:], out=u[1:])        # u[j+1] holds the forcing term of step j
-    term, rows = np.empty_like(c[0]), list(u)
+    np.multiply(profile[:-1].reshape(lead), b0 * c, out=u[1:])
+    u[1:] += profile[1:].reshape(lead) * (b1 * c)  # u[j+1] holds the forcing term of step j
+    term, rows = np.empty_like(c), list(u)
     for prev, row in zip(rows, rows[1:]):
         np.multiply(a, prev, out=term)
         np.add(term, row, out=row)
@@ -125,19 +133,21 @@ METHODS = {"duhamel": _duhamel_weights, "implicit-euler": _implicit_euler_weight
 
 
 def evolve_spectra(prob: ParabolicProblem, method: str):
-    """(u_hat, f_hat): the unitary spectra (GridSpec.fft) of the solution and
-    of the forcing stacks, from one forward FFT of the forcing.  Each lattice
-    mode evolves in the eigenbasis of A by the recurrence _steps with the
-    weights METHODS[method]."""
-    g, V, Vinv = _eigensetup(prob)
-    f_hat = prob.elliptic.grid.fft(prob.forcing.values)
-    u = _steps(component_product(f_hat, Vinv.T), *METHODS[method](g, prob.forcing.dy))
-    return component_product(u, V.T), f_hat
+    """(u_hat, f0_hat): the unitary spectra (GridSpec.fft) of the solution
+    stack and of the forcing's base, from one forward FFT of the base.  Each
+    lattice mode evolves in the eigenbasis of A by the recurrence _steps with
+    the weights METHODS[method]."""
+    w, V, Vinv = eigenbasis(prob.elliptic.model)
+    g = prob.elliptic.symbol_values()[..., None] + w  # the eigenvalues of G(xi) per channel
+    f0_hat = prob.elliptic.grid.fft(prob.base.values)
+    u = _steps(prob.profile, component_product(f0_hat, Vinv.T), *METHODS[method](g, prob.dy))
+    return component_product(u, V.T), f0_hat
 
 
 def solution_on_grid(prob: ParabolicProblem, u_hat: np.ndarray) -> SpaceTimeField:
     """The space-time field of the spectra u_hat: one inverse FFT."""
-    return prob.forcing.with_values(prob.elliptic.grid.ifft(u_hat))
+    grid = prob.elliptic.grid
+    return SpaceTimeField(grid=grid, values=grid.ifft(u_hat), Y=prob.Y)
 
 
 def solve_duhamel(prob: ParabolicProblem) -> SpaceTimeField:
@@ -150,61 +160,46 @@ def solve_implicit_euler(prob: ParabolicProblem) -> SpaceTimeField:
     return solution_on_grid(prob, evolve_spectra(prob, "implicit-euler")[0])
 
 
-def semigroup_propagator(prob: ParabolicProblem, y: float) -> np.ndarray:
-    """Per-mode matrices e^{-y G(xi)}, shape grid.shape + (N, N)."""
-    if y < 0:
-        raise ValueError("propagation time must be nonnegative")
-    g, V, Vinv = _eigensetup(prob)
-    E = np.exp(-y * g)
-    N = len(Vinv)
-    return ((V * E[..., None, :]).reshape(-1, N) @ Vinv).reshape(E.shape + (N,))
-
-
-def parabolic_diagnostics(prob: ParabolicProblem, u_hat: np.ndarray, f_hat: np.ndarray,
+def parabolic_diagnostics(prob: ParabolicProblem, u_hat: np.ndarray, f0_hat: np.ndarray,
                           p: float = 2.0, p1: float = 2.0):
     """(coercive ratio, equation residual, ||f||, ||u||) from the unitary
-    spectra (GridSpec.fft) of the solution and of the forcing.
+    spectra (GridSpec.fft) of the solution and of the forcing's base.
 
     The ratio is (||du/dy|| + ||P_t(D) u|| + ||A u||) / ||f|| and the residual
     ||du/dy + P_t(D) u + A u - f|| / ||f||, every norm the mixed
     L_p1(L_p(l_q)) norm with q that of the operator model; du/dy is
-    np.gradient along time.  At p = q = 2 each norm is taken from the spectra
-    by Parseval, with no inverse FFT, and the terms are formed in blocks of
-    slices, never as whole stacks; other exponents take u and P_t(D) u on the
-    grid from one inverse FFT each.
+    np.gradient along time.  The slice norms of f are |a_j| ||f0||, and f
+    enters the residual as a_j f0 per block of slices.  At p = q = 2 each norm
+    is taken from the spectra by Parseval, with no inverse FFT, and the terms
+    are formed in blocks of slices, never as whole stacks; other exponents
+    take u and P_t(D) u on the grid from one inverse FFT each.
     With f = 0 the ratio is None (not applicable) and the residual absolute.
     """
-    ell, f, q = prob.elliptic, prob.forcing, prob.elliptic.model.q
+    ell, q, J, dy = prob.elliptic, prob.elliptic.model.q, prob.J, prob.dy
     P = ell.symbol_values()[..., None]
     spectral = p == q == 2
     if spectral:
-        u, fv, norms = u_hat, f_hat, _lp_lq_norms_from_spectra
+        u, f0, norms = u_hat, f0_hat, _lp_lq_norms_from_spectra
     else:
-        u, fv, norms = ell.grid.ifft(u_hat), f.values, _lp_lq_norms
+        u, f0, norms = ell.grid.ifft(u_hat), prob.base.values, _lp_lq_norms
         Pu_grid = ell.grid.ifft(P * u_hat)
-    inner = np.empty((6, f.J + 1))  # per slice: f, u, du/dy, P_t(D) u, A u, residual
-    for b in blocks(f.J + 1, u[0].size):
-        lo, hi = max(b.start - 1, 0), min(b.stop + 1, f.J + 1)  # one slice beyond each end
-        du = np.gradient(u[lo:hi], f.dy, axis=0)[b.start - lo:b.stop - lo]
+    a = prob.profile.reshape((-1,) + (1,) * f0.ndim)
+    inner = np.empty((5, J + 1))  # per slice: u, du/dy, P_t(D) u, A u, residual
+    for b in blocks(J + 1, u[0].size):
+        lo, hi = max(b.start - 1, 0), min(b.stop + 1, J + 1)  # one slice beyond each end
+        du = np.gradient(u[lo:hi], dy, axis=0)[b.start - lo:b.stop - lo]
         Pu = P * u_hat[b] if spectral else Pu_grid[b]
         res = ell.model.apply(u[b])  # A u, then in place du + (P u + A u) - f
-        for row, v in zip(inner, (fv[b], u[b], du, Pu, res)):
+        for row, v in zip(inner, (u[b], du, Pu, res)):
             row[b] = norms(v, ell.grid, q, p)
         np.add(Pu, res, out=res)
         np.add(du, res, out=res)
-        np.subtract(res, fv[b], out=res)
-        inner[5, b] = norms(res, ell.grid, q, p)
-    nf, nu, n_du, n_Pu, n_Au, nres = (_time_norm(row, f.dy, p1) for row in inner)
+        np.subtract(res, a[b] * f0, out=res)
+        inner[4, b] = norms(res, ell.grid, q, p)
+    nf = _time_norm(np.abs(prob.profile) * norms(f0[None], ell.grid, q, p)[0], dy, p1)
+    nu, n_du, n_Pu, n_Au, nres = (_time_norm(row, dy, p1) for row in inner)
     if not np.isfinite(nres):  # inf or nan appear only past the float range
         raise Overflow(f"residual {nres}: the evolution overflows")
     if nf == 0:
         return None, nres, nf, nu
     return (n_du + n_Pu + n_Au) / nf, nres / nf, nf, nu
-
-
-def parabolic_coercive_ratio(prob: ParabolicProblem, u: SpaceTimeField):
-    """(||du/dy|| + ||P_t(D) u|| + ||A u||) / ||f|| of a solution u on the grid,
-    at p = p1 = 2; None when the forcing vanishes.  One FFT of u and f
-    together, then parabolic_diagnostics."""
-    spectra = prob.elliptic.grid.fft(np.stack([u.values, prob.forcing.values]))
-    return parabolic_diagnostics(prob, spectra[0], spectra[1])[0]

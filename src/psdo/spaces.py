@@ -154,7 +154,8 @@ class SampledField:
 
 @dataclass(frozen=True)
 class SpaceTimeField:
-    """Time-stacked sampled fields on [0, Y]: values shape (J+1,) + grid + (N,)."""
+    """A solution's sampled fields at the J + 1 times of [0, Y]: values shape
+    (J+1,) + grid + (N,)."""
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)
@@ -186,9 +187,6 @@ class SpaceTimeField:
 
     def slice(self, j: int) -> SampledField:
         return SampledField(grid=self.grid, values=self.values[j])
-
-    def with_values(self, values: np.ndarray) -> "SpaceTimeField":
-        return replace(self, values=np.asarray(values, dtype=complex))
 
 
 def mode_field(grid: GridSpec, xi0, vector) -> SampledField:

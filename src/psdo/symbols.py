@@ -218,7 +218,8 @@ def symbol_derivative(spec: SymbolSpec, t, xi, beta):
       rotated-power   e^{i theta0} times the power value
       smoothed-power  t_k m xi_k (eps^2 + xi_k^2)^(m/2-1)
       user-table      the slope of the segment holding xi; at a knot the
-                      segment to its right, at the last knot the last one
+                      segment to its right, at the last knot the last one;
+                      0 for a one-knot table, a constant symbol
     The first three read the symmetric value 0 at xi_k = 0, so m < 1 and
     eps = 0 give no 0 * inf.  Two or more axes give 0: each symbol is a sum
     over axes, so every mixed derivative vanishes.
@@ -230,7 +231,9 @@ def symbol_derivative(spec: SymbolSpec, t, xi, beta):
         return eval_symbol(spec, t, xi) if sum(beta) == 0 else np.zeros(xi.shape[:-1])
     k = list(beta).index(1)
     x = xi[..., k]
-    if spec.kind == "user-table":
+    if spec.kind == "user-table" and len(spec.table[0]) == 1:
+        d = np.zeros(x.shape)  # one knot: a constant symbol
+    elif spec.kind == "user-table":
         pts, values = np.asarray(spec.table[0], dtype=float), np.asarray(spec.table[1])
         j = np.clip(np.searchsorted(pts, x, side="right") - 1, 0, len(pts) - 2)
         d = (values[j + 1] - values[j]) / (pts[j + 1] - pts[j])
@@ -275,7 +278,9 @@ def check_symbol_class(spec: SymbolSpec, t_grid, xi_grid) -> SymbolClassReport:
     sector membership of every value, and the lower-bound margin against
     gamma * sum_k t_k |xi_k|^m.  Each t takes all xi rows at once, and every
     row counts for every beta; a D^beta P that is not finite, P itself
-    included, raises NonFiniteDerivative."""
+    included, raises NonFiniteDerivative.  For m < 1 the one-axis C_beta of the
+    power kinds (and smoothed-power with eps = 0) is inf whatever the samples:
+    |D_k P| = t_k m |xi_k|^(m-1) is unbounded as xi_k -> 0."""
     xi_grid = np.atleast_2d(np.asarray(xi_grid, dtype=float))
     n = xi_grid.shape[1]
     betas = list(np.ndindex(*([2] * n)))
@@ -301,6 +306,9 @@ def check_symbol_class(spec: SymbolSpec, t_grid, xi_grid) -> SymbolClassReport:
                 if e > 0 else 1.0
             constants[beta] = max(constants[beta],
                                   float((np.abs(d) / bracket).max(initial=0.0)))
+    if spec.m < 1 and (spec.kind in ("power", "rotated-power")
+                       or spec.kind == "smoothed-power" and spec.epsilon == 0):
+        constants.update({b: math.inf for b in betas if sum(b) == 1})
     if not np.isfinite(margin):
         margin = 1.0  # no sample had a nonzero lower bound to compare against
     return SymbolClassReport(constants=constants, sector_ok=sector_ok,

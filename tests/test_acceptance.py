@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from parabolic_oracles import parabolic_coercive_ratio, semigroup_propagator
 
 from psdo import (
     ContractionFailure,
@@ -24,7 +25,6 @@ from psdo import (
     ProblemTemplate,
     ScaleParams,
     SectorSweep,
-    SpaceTimeField,
     apply_operator,
     build_bvp_operator,
     build_system,
@@ -40,13 +40,11 @@ from psdo import (
     make_model,
     mode_field,
     multiplier_family_check,
-    parabolic_coercive_ratio,
     power_symbol,
     probe_norm,
     random_band_limited_field,
     resolvent_sweep,
     sector_sum_constant,
-    semigroup_propagator,
     solve_duhamel,
     solve_full,
     solve_implicit_euler,
@@ -255,11 +253,8 @@ def _parabolic_problem(J, t_val=1.0):
                           symbol=power_symbol(m=2.0),
                           t=ScaleParams.isotropic(t_val, 1), lam=0.0, grid=grid)
     times = np.linspace(0.0, 1.0, J + 1)
-    base = gaussian_field(grid).values
-    w = np.sin(np.pi * times)
-    forcing = SpaceTimeField(grid=grid, values=w[:, None, None] * base[None],
-                             Y=1.0)
-    return ParabolicProblem(elliptic=ell, forcing=forcing)
+    return ParabolicProblem(elliptic=ell, profile=np.sin(np.pi * times),
+                            base=gaussian_field(grid), Y=1.0)
 
 
 def test_acceptance_09_parabolic_refinement_and_semigroup():

@@ -138,7 +138,7 @@ def parabolic_problem(cfg):
     """The ParabolicProblem that solve-parabolic builds from `cfg`."""
     v = cli.SCHEMA["solve-parabolic"].value(cfg, "config")
     ell = cli._parse_problem(v, 0.0)
-    return ParabolicProblem(elliptic=ell, forcing=cli._parse_forcing(v, ell))
+    return ParabolicProblem(ell, *cli._parse_forcing(v, ell), v["horizon"])
 
 
 def test_solve_parabolic_export_writes_every_slice(tmp_path):
@@ -163,16 +163,21 @@ def test_solve_parabolic_export_writes_every_slice(tmp_path):
     ({"model": {"kind": "scalar", "q": 3.0}}, ["fft", "ifft", "ifft"]),
 ], ids=["p2", "implicit-euler-p1-inf", "export", "p3", "q3"])
 def test_solve_parabolic_grid_transforms(tmp_path, monkeypatch, changes, transforms):
-    """One forward FFT per task; at p = q = 2 the diagnostics use no inverse FFT,
-    at other exponents two, and export_fields one more."""
-    calls = []
+    """One forward FFT per task, of the forcing's base, one field with no time
+    axis; at p = q = 2 the diagnostics use no inverse FFT, at other exponents
+    two, and export_fields one more."""
+    calls, forward = [], []
     for name in ("fft", "ifft"):
         def counting(grid, values, name=name, transform=getattr(GridSpec, name)):
             calls.append(name)
+            if name == "fft":
+                forward.append(values.shape)
             return transform(grid, values)
         monkeypatch.setattr(GridSpec, name, counting)
-    assert run_with_sets(tmp_path, "solve-parabolic", small_parabolic_cfg(**changes), []) == 0
+    cfg = small_parabolic_cfg(**changes)
+    assert run_with_sets(tmp_path, "solve-parabolic", cfg, []) == 0
     assert calls == transforms
+    assert forward == [(cfg["grid"]["M"],) * cfg["grid"]["n"] + (1,)]
 
 
 @pytest.mark.parametrize("task, make_cfg, export", [
@@ -258,7 +263,7 @@ def test_solve_parabolic_constant_and_ramp_exports_match_the_closed_form(tmp_pat
     w, V, Vinv = eigenbasis(ell.model)
     z = -Y * (ell.symbol_values()[..., None] + w)
     h = Y * (_phi1(z) if profile == "constant" else _phi2(z))
-    f0_hat = ell.grid.fft(prob.forcing.values[-1])  # a(Y) = 1 for both profiles
+    f0_hat = ell.grid.fft(prob.base.values)
     exact = ell.grid.ifft((h * (f0_hat @ Vinv.T)) @ V.T)
     assert np.linalg.norm(got - exact) <= 1e-13 * np.linalg.norm(exact)
 
@@ -356,6 +361,16 @@ def test_check_symbol_subcommand(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["verdict"] == "pass"
     assert report["result"]["sector_ok"]
+
+
+def test_check_symbol_below_order_one_fails(tmp_path):
+    """power with m < 1 has an unbounded slope at xi = 0: C_(1,) reads inf and
+    the verdict fails (exit 3)."""
+    cfg = {"task": "check-symbol", "symbol": {"kind": "power", "m": 0.5}, "t_values": [1.0],
+           "xi": {"lo": 1e-5, "hi": 100.0, "count": 15}}
+    assert run_with_sets(tmp_path, "check-symbol", cfg, []) == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["result"]["constants"]["(1,)"] == "inf"
 
 
 def test_shipped_scenarios_parse():

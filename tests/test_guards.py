@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from parabolic_oracles import semigroup_propagator
 
 from psdo import (
     EllipticProblem,
@@ -41,7 +42,6 @@ from psdo import (
     mode_field,
     power_symbol,
     resolvent,
-    semigroup_propagator,
     solve_full,
     solve_implicit_euler,
     solve_principal,
@@ -69,8 +69,10 @@ def elliptic(lam=0.0, lower_terms=(), model=SCALAR, grid=GRID):
                            lower_terms=lower_terms)
 
 
-def forcing(grid=GRID, N=1):
-    return SpaceTimeField(grid=grid, values=np.ones((3,) + grid.shape + (N,)), Y=1.0)
+def parabolic(grid=GRID, N=1, model=SCALAR, profile=np.ones(3), scale=1.0, Y=1.0):
+    """A two-step problem forced by a constant profile times a base of ones."""
+    base = SampledField(grid=grid, values=np.full(grid.shape + (N,), scale))
+    return ParabolicProblem(elliptic(model=model), profile=profile, base=base, Y=Y)
 
 
 def slow_neumann():
@@ -118,12 +120,19 @@ CASES = {
                                   lambda: build_bvp_operator(8, 0.0, 1.0)),
     "check_positivity-ray": (ValueError, "rays must lie within",
                              lambda: check_positivity(SCALAR, 0.5, sweep())),
-    "ParabolicProblem-grid": (ValueError, "forcing grid", lambda: ParabolicProblem(
-        elliptic(), forcing(grid=GridSpec(n=1, M=8, L=3.0)))),
-    "ParabolicProblem-N": (ValueError, "component count",
-                           lambda: ParabolicProblem(elliptic(), forcing(N=2))),
-    "semigroup_propagator-time": (ValueError, "nonnegative", lambda: semigroup_propagator(
-        ParabolicProblem(elliptic(), forcing()), -1.0)),
+    "ParabolicProblem-grid": (ValueError, "forcing grid", lambda: parabolic(
+        grid=GridSpec(n=1, M=8, L=3.0))),
+    "ParabolicProblem-N": (ValueError, "component count", lambda: parabolic(N=2)),
+    "ParabolicProblem-one-slice": (ValueError, "at least two time slices",
+                                   lambda: parabolic(profile=np.ones(1))),
+    "ParabolicProblem-profile-2d": (ValueError, "at least two time slices",
+                                    lambda: parabolic(profile=np.ones((3, 1)))),
+    "ParabolicProblem-horizon": (ValueError, "horizon Y", lambda: parabolic(Y=np.inf)),
+    # each factor is finite, their largest product is not
+    "ParabolicProblem-overflow": (ValueError, "every sample a_j f0 must be finite",
+                                  lambda: parabolic(profile=np.array([0.0, 1e300]), scale=1e10)),
+    "semigroup_propagator-time": (ValueError, "nonnegative",
+                                  lambda: semigroup_propagator(parabolic(), -1.0)),
     "solve_principal-lower-terms": (ValueError, "empty lower terms", lambda: solve_principal(
         elliptic(lam=1.0, lower_terms=(LowerTerm(MultiIndex((1.0,)), np.eye(1)),)),
         gaussian_field(GRID))),
@@ -144,8 +153,7 @@ CASES = {
                           "finite", overflowing_shift),
     "implicit-euler-singular": (ModeSingular, r"I \+ dy G singular", lambda: (
         # dy g = (1 / 2) (-2) = -1 at xi = 0
-        solve_implicit_euler(ParabolicProblem(elliptic(model=make_model([[-2.0]])),
-                                              forcing())))),
+        solve_implicit_euler(parabolic(model=make_model([[-2.0]]))))),
     "liouville_derivative-sequence-dimension": (ValueError, "alpha dimension", lambda: (
         liouville_derivative(gaussian_field(GRID), [1.0, 0.0]))),
     "liouville_derivative-dimension": (ValueError, "alpha dimension", lambda: (

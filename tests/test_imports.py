@@ -301,8 +301,6 @@ PUBLIC_API = {
     "contraction_estimate": "the contraction of the Neumann solve on its own; oracle tests pin it "
                             "against dense norms",
     "check_positivity": "the sector-positivity certificate of A; acceptance checks a BVP's",
-    "semigroup_propagator": "e^{-y G(xi)} per mode; acceptance checks the semigroup law",
-    "parabolic_coercive_ratio": "the parabolic coercive ratio; acceptance checks it flat in t",
     "solve_duhamel": "the Duhamel solution on the grid; acceptance uses it as the fine reference",
     "solve_implicit_euler": "the implicit-Euler solution on the grid; acceptance checks its order",
     "mixed_norm": "the paper's L_p1(L_p(l_q)) norm of a space-time field, on the grid",

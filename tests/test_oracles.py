@@ -35,7 +35,6 @@ from psdo import (
     ParabolicProblem,
     ScaleParams,
     SectorSweep,
-    SpaceTimeField,
     SymbolSpec,
     apply_operator,
     build_bvp_operator,
@@ -286,12 +285,10 @@ def test_q3_model_sets_the_norm_of_coercive_ratio_and_solve_full_residual():
 def test_duhamel_constant_forcing_matches_expm():
     J, Y = 8, 0.7
     ell = problem(lam=0.0)
-    base = gaussian_field(GRID, width=0.8, vector=[1.0, -0.5j]).values
-    forcing = SpaceTimeField(grid=GRID, values=np.broadcast_to(base, (J + 1,) + base.shape),
-                             Y=Y)
-    u = solve_duhamel(ParabolicProblem(elliptic=ell, forcing=forcing))
+    base = gaussian_field(GRID, width=0.8, vector=[1.0, -0.5j])
+    u = solve_duhamel(ParabolicProblem(elliptic=ell, profile=np.ones(J + 1), base=base, Y=Y))
     G = dense_principal(ell)
-    fv = base.reshape(-1)
+    fv = base.values.reshape(-1)
     for j, y in enumerate(np.linspace(0.0, Y, J + 1)):
         # u(y) = int_0^y e^{-(y-s) G} f ds = G^-1 (I - e^{-y G}) f
         exact = np.linalg.solve(G, fv - expm(-y * G) @ fv)
@@ -458,10 +455,9 @@ def test_implicit_euler_matches_dense_recursion():
     J, Y = 8, 0.7
     ell = problem(lam=0.0)
     rng = np.random.default_rng(4)
-    vals = np.stack([random_band_limited_field(GRID, 2, rng, fraction=1.0).values
-                     for _ in range(J + 1)])
-    u = solve_implicit_euler(ParabolicProblem(
-        elliptic=ell, forcing=SpaceTimeField(grid=GRID, values=vals, Y=Y)))
+    profile = rng.standard_normal(J + 1) + 1j * rng.standard_normal(J + 1)
+    base = random_band_limited_field(GRID, 2, rng, fraction=1.0)
+    u = solve_implicit_euler(ParabolicProblem(elliptic=ell, profile=profile, base=base, Y=Y))
     dy = Y / J
     G = dense_principal(ell)
     step = np.linalg.inv(np.eye(len(G)) + dy * G)
@@ -469,7 +465,7 @@ def test_implicit_euler_matches_dense_recursion():
     assert np.abs(u.values[0]).max() == 0.0
     for j in range(J):
         # u_{j+1} = (I + dy G)^-1 (u_j + dy f_{j+1})
-        ref = step @ (ref + dy * vals[j + 1].reshape(-1))
+        ref = step @ (ref + dy * profile[j + 1] * base.values.reshape(-1))
         assert rel_err(u.values[j + 1].reshape(-1), ref) < 1e-12
 
 
@@ -579,7 +575,10 @@ def per_sample_symbol_class(spec, t_grid, xi_grid):
     one eval_symbol and one Richardson difference per (t, xi) sample and axis.
     Rows with xi_k = 0 are left out of D_k (symbol_derivative reads 0 there,
     or a table slope that no other row's term falls below), and the mixed
-    constants, exactly 0 for these axis sums, are not computed."""
+    constants, exactly 0 for these axis sums, are not computed.  For a power
+    symbol of order m < 1 the one-axis constants are the supremum over every
+    xi, not only the samples: t_k m |xi_k|^(m-1) grows without bound as
+    xi_k -> 0, so they are inf."""
     n = xi_grid.shape[1]
     betas = [b for b in np.ndindex(*([2] * n)) if sum(b) <= 1]
     constants = {b: 0.0 for b in betas}
@@ -606,6 +605,8 @@ def per_sample_symbol_class(spec, t_grid, xi_grid):
                 bracket = (1.0 + np.sqrt(np.sum(tvec ** (2.0 / e) * xi**2))) ** e \
                     if e > 0 else 1.0
                 constants[beta] = max(constants[beta], abs(d) / bracket)
+    if spec.kind == "power" and spec.m < 1:
+        constants.update({b: np.inf for b in betas if sum(b) == 1})
     return constants, sector_ok, margin if np.isfinite(margin) else 1.0, count
 
 

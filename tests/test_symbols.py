@@ -218,3 +218,35 @@ def test_symbol_derivative_conventions():
         symbol_derivative(table, one, [[2.5]], (1,))
     with pytest.raises(ValueError, match="does not match"):
         symbol_derivative(power_symbol(2.0), t, xi, (1,))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_one_knot_table_is_a_constant_symbol():
+    """A one-knot table has slope 0, with no 0 / 0."""
+    spec = SymbolSpec(kind="user-table", m=2.0, table=([1.0], [1.0]))
+    one = ScaleParams((1.0,))
+    assert np.array_equal(symbol_derivative(spec, one, [[1.0]], (1,)), [0.0])
+    rep = check_symbol_class(spec, [one], [[1.0]])
+    assert rep.constants[(1,)] == 0.0
+    assert rep.verdict
+
+
+@pytest.mark.parametrize("spec", [power_symbol(0.5), rotated_power_symbol(0.5, theta0=0.2),
+                                  smoothed_power_symbol(0.5, epsilon=0.0)],
+                         ids=["power", "rotated-power", "smoothed-power-eps-0"])
+def test_slope_unbounded_below_order_one(spec):
+    """For m < 1, |D P| = t m |xi|^(m-1) has no finite bound near xi = 0: C_(1,)
+    is inf whatever the grid's smallest |xi|, and the verdict fails."""
+    t_grid = [ScaleParams.isotropic(v, 1) for v in (1e-2, 1.0)]
+    reports = [check_symbol_class(spec, t_grid, np.logspace(lo, 2, 15)[:, None])
+               for lo in (-3, -6)]
+    assert [r.constants[(1,)] for r in reports] == [math.inf, math.inf]
+    assert [r.verdict for r in reports] == [False, False]
+    assert reports[0].constants[(0,)] == reports[1].constants[(0,)]
+
+
+def test_smoothed_slope_stays_bounded_below_order_one():
+    """With eps > 0 the smoothed symbol's slope is bounded, so C_(1,) is finite."""
+    xi = np.logspace(-6, 2, 15)[:, None]
+    rep = check_symbol_class(smoothed_power_symbol(0.5, epsilon=0.5), [ScaleParams((1.0,))], xi)
+    assert math.isfinite(rep.constants[(1,)])
