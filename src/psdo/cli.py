@@ -10,6 +10,7 @@ are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -67,7 +68,6 @@ from .verification import (
     _kahane_checks,
     coercivity_sweep,
     estimate_rbound,
-    kahane_contraction_check,
     lambda_resolvent_family,
     multiplier_family_check,
     probe_norm,
@@ -435,7 +435,12 @@ def _parse_forcing(v: dict, ell: EllipticProblem) -> tuple:
     base = _parse_data(f, ell, where="forcing")
     times = np.linspace(0.0, Y, J + 1)
     if f["time_profile"] == "sin":
-        profile = np.sin(math.pi * f["omega"] * times / Y)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next, as one message
+            phases = math.pi * f["omega"] * times / Y
+        if not np.isfinite(phases).all():
+            raise ConfigError(f"forcing.omega {f['omega']} makes the phase pi omega y / horizon "
+                              f"overflow")
+        profile = np.sin(phases)
     elif f["time_profile"] == "ramp":
         profile = times / Y
     else:
@@ -596,25 +601,27 @@ def _task_check_kahane(v, seed):
         raise ConfigError("check-kahane needs 'scalars' and 'vectors' together, or 'random'")
     # a vector of length 1 may be given as a number
     if scalars is not None and (scalars.ndim != 1 or vectors.ndim not in (1, 2)
-                                or len(vectors) != len(scalars)):
+                                or len(vectors) != len(scalars) or not len(scalars)):
         raise ConfigError(f"need m scalars and m vectors of one length, got shapes "
                           f"{scalars.shape} and {vectors.shape}")
-    results = [] if scalars is None else [kahane_contraction_check(scalars, list(vectors), q=q)]
+    checks = [] if scalars is None else [
+        _kahane_checks(scalars[None], vectors.reshape(len(vectors), -1)[None], q)]
     if rand is not None:
         rng = np.random.default_rng(seed)
         m, N, count = rand["m"], rand["N"], rand["count"]
         # every instance's scalars, then every vector as N real, then N imaginary parts
         scal = rng.uniform(-1.0, 1.0, size=(count, m))
         draws = rng.standard_normal((count, m, 2, N))
-        vecs = np.empty((count, m, N), dtype=complex)
+        # a (count, m, N) view of slot-major storage, the layout the kernel takes
+        vecs = np.empty((m, count, N), dtype=complex).transpose(1, 0, 2)
         vecs.real, vecs.imag = draws[:, :, 0], draws[:, :, 1]
         del draws  # no temporaries, and no draws held: peak memory as in one draw per instance
-        results.extend(_kahane_checks(scal, vecs, q))
-    worst = max(r.constant / max(r.scale, 1e-300) for r in results)
-    ok = all(r.verdict for r in results)
+        checks.append(_kahane_checks(scal, vecs, q))
+    constants, scales, _, verdicts = (np.concatenate(a) for a in zip(*checks))
+    ok = bool(verdicts.all())
     result = {
-        "instances": len(results),
-        "worst_normalized_constant": worst,
+        "instances": len(constants),
+        "worst_normalized_constant": (constants / np.maximum(scales, 1e-300)).max(),
         "all_within_bound": ok,
     }
     return _verdict(ok), result, None
@@ -656,7 +663,9 @@ def _run_task(task: str, cfg: dict, args) -> int:
     return EXIT_PASS if verdict in ("pass", "not-applicable") else EXIT_VERDICT
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call; parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="psdo",
         description="Spectral solves and uniform-estimate sweeps for "
@@ -669,6 +678,11 @@ def main(argv=None) -> int:
                         help="override a (dotted) config key")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=".", help="output directory for reports")
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.seed is not None and args.seed < 0:  # as the config's `seed`
         parser.error(f"--seed must be >= 0, got {args.seed}")

@@ -417,17 +417,37 @@ def _sign_patterns(m: int) -> np.ndarray:
     return signs
 
 
-def _rademacher_terms(signs: np.ndarray, Tu: np.ndarray, us: np.ndarray, q: float):
+def _rademacher_terms(Tu: np.ndarray, us: np.ndarray, q: float):
     """Numerator and denominator of the Rademacher ratio of K instances.
 
-    `signs` is (P, m); `Tu` (operators applied) and `us` (raw vectors) are
-    (K, m, N).  Each term is the mean over the P patterns of the l_q norm of
-    the signed sum; both come back with shape (K,).  The instances run in
-    blocks (spaces.blocks), each instance holding P N signed-sum entries.
+    `Tu` (operators applied) and `us` (raw vectors) are slot-major stacks
+    (m, K, N).  Each term is the mean over the 2^m sign patterns of the l_q
+    norm of the signed sum, taken over the 2^(m-1) patterns whose last sign
+    is +1: the other half negates those sums.  A block of instances costs one
+    real GEMM per term, the (2^(m-1), m) real signs times the (Re, Im) pairs
+    of the (m, K N) stack; at q = 2 the norms are the roots of the summed
+    squared parts, at other q vector_norms of the complex view.  Both terms
+    come back with shape (K,), each instance's bits independent of the batch.
+    The instances run in blocks (spaces.blocks) of 2^(m-1) N signed-sum
+    entries each.
     """
-    parts = [(vector_norms(signs @ Tu[b], q).mean(axis=-1),
-              vector_norms(signs @ us[b], q).mean(axis=-1))
-             for b in blocks(len(Tu), len(signs) * Tu.shape[-1])]
+    m, K, N = us.shape
+    signs = _sign_patterns(m)
+    signs = np.ascontiguousarray(signs[len(signs) // 2:].real)
+
+    def term(pairs):  # pairs: (m, k, 2 N) floats of a block
+        sums = signs @ pairs.reshape(m, -1)  # one BLAS call; never mixes instances
+        if q == 2:  # einsum: a sum over this short axis costs numpy a loop call per entry
+            parts = sums.reshape(len(signs), -1, 2 * N)
+            norms = np.sqrt(np.einsum("pki,pki->pk", parts, parts))
+        else:
+            norms = vector_norms(sums.view(complex).reshape(len(signs), -1, N), q)
+        # a contiguous row per instance: numpy sums a strided axis in another order
+        # when a block holds one instance than when it holds more
+        return np.ascontiguousarray(norms.T).mean(axis=-1)
+
+    stacks = [np.ascontiguousarray(v).view(np.float64) for v in (Tu, us)]
+    parts = [[term(v[:, b]) for v in stacks] for b in blocks(K, len(signs) * N)]
     return tuple(np.concatenate(terms) for terms in zip(*parts))
 
 
@@ -729,27 +749,28 @@ def kahane_contraction_check(scalars, vectors, q: float = 2.0) -> KahaneResult:
     Real scalars of modulus <= s inflate the average by at most s; complex
     scalars by at most 2s.
     """
-    return _kahane_checks([scalars], [[np.atleast_1d(u) for u in vectors]], q)[0]
+    checks = _kahane_checks([scalars], [[np.atleast_1d(u) for u in vectors]], q)
+    return KahaneResult(*(a[0].item() for a in checks))
 
 
-def _kahane_checks(scalars, vectors, q: float) -> list:
-    """kahane_contraction_check of K instances in one batch: scalars (K, m),
-    vectors (K, m, N)."""
+def _kahane_checks(scalars, vectors, q: float) -> tuple:
+    """kahane_contraction_check of K instances in one batch, scalars (K, m)
+    and vectors (K, m, N): the arrays (K,) of constants, scales, complex
+    flags and verdicts.  Vectors that are a (K, m, N) view of slot-major
+    storage, (m, K, N) in memory, are not copied."""
     scalars = np.asarray(scalars, dtype=complex)
     if scalars.shape[-1] > KAHANE_MAX:
         raise TooManyForEnumeration(f"kahane check enumerates at most 2^{KAHANE_MAX} patterns")
     us = np.asarray(vectors, dtype=complex)
     if us.shape[:-1] != scalars.shape:
         raise ValueError("need one vector per scalar")
-    signs = _sign_patterns(scalars.shape[-1])
-    num, den = _rademacher_terms(signs, scalars[:, :, None] * us, us, q)
+    us = np.ascontiguousarray(us.transpose(1, 0, 2))
+    num, den = _rademacher_terms(np.ascontiguousarray(scalars.T)[:, :, None] * us, us, q)
     constants = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     scales = np.hypot(scalars.real, scalars.imag).max(axis=-1)  # as abs(complex(a))
     is_complex = (np.abs(scalars.imag) > 0).any(axis=-1)
-    factors = np.where(is_complex, 2.0, 1.0)
-    return [KahaneResult(constant=float(c), scale=float(s), complex_scalars=bool(z),
-                         verdict=bool(c <= f * s + 1e-12))
-            for c, s, z, f in zip(constants, scales, is_complex, factors)]
+    verdicts = constants <= np.where(is_complex, 2.0, 1.0) * scales + 1e-12
+    return constants, scales, is_complex, verdicts
 
 
 # ---------------------------------------------------------------------------

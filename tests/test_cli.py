@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +231,47 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == __version__
+
+
+def test_parser_is_built_once_after_import_and_keeps_no_state(tmp_path, capsys):
+    run = subprocess.run([sys.executable, "-c", "import psdo.cli as c; "
+                          "print(c._parser.cache_info().currsize)"], capture_output=True,
+                         text=True, env={"PYTHONPATH": str(Path(cli.__file__).parent.parent)},
+                         timeout=120)
+    assert run.stdout.strip() == "0", run.stderr  # importing the CLI builds no parser
+    kahane = {"task": "check-kahane", "random": {"count": 5}}
+    cfg = write_cfg(tmp_path, kahane)
+    reports = {}
+    for tag, sets in (("count", ["random.count=7"]), ("q", ["q=3.0"]), ("none", [])):
+        argv = ["check-kahane", "--config", cfg, "--out", str(tmp_path / tag)]
+        assert main(argv + [arg for item in sets for arg in ("--set", item)]) == 0
+        reports[tag] = json.loads((tmp_path / tag / "report.json").read_text())
+    assert reports["count"]["config"] == {"task": "check-kahane", "random": {"count": 7}}
+    assert reports["count"]["result"]["instances"] == 7
+    assert reports["q"]["config"] == {**kahane, "q": 3.0}
+    assert reports["q"]["result"]["instances"] == 5
+    assert reports["none"]["config"] == kahane
+    assert cli._parser() is cli._parser()
+    (tmp_path / "afile").write_text("kept")
+    for argv, code in ((["--version"], 0),
+                       (["check-kahane", "--config", cfg, "--seed", "-1"], 2),
+                       (["check-kahane", "--config", cfg, "--out", str(tmp_path / "afile")], 2)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    err = capsys.readouterr().err
+    assert "--seed must be >= 0" in err and "--out must be a writable directory" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sets", [["forcing.omega=1e308"],
+                                  ["forcing.omega=1e306", "horizon=1000.0"]],
+                         ids=["omega", "omega-times-horizon"])
+def test_overflowing_sin_phase_is_config_error_without_warnings(tmp_path, capsys, sets):
+    assert run_with_sets(tmp_path, "solve-parabolic", small_parabolic_cfg(), sets) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: forcing.omega") and "overflow" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_parabolic_subcommand(tmp_path):
@@ -772,6 +815,7 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN and Infinity
                          "forcing": {"kind": "gaussian", "omega": 1e308}}),
     ("solve-elliptic", {**small_elliptic_cfg(), "grid": {"n": 1, "M": 32, "L": 1e308}}),
     ("solve-elliptic", {**small_elliptic_cfg(), "grid": {"n": 1, "M": 32, "L": 1e-300}}),
+    ("check-kahane", {"scalars": [], "vectors": []}),
 ], ids=["family-kind", "resolvent-no-lambdas", "resolvent-no-model", "matrices-no-members", "no-members",
         "mixed-shapes", "ragged-member", "matrices-lambdas", "scalars-only", "vectors-only",
         "unequal-lengths", "lambdas-number", "lambdas-empty", "count-negative", "count-0",
@@ -788,7 +832,7 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN and Infinity
         "table-value-count", "table-imag-count", "lambda-inf", "bvp-ell-inf", "grid-L-inf",
         "t-inf", "omega-inf", "lambdas-inf", "members-nan", "coefficient-nan", "vector-nan",
         "scalars-nan", "radii-negative", "radii-nan", "data-width-tiny", "forcing-width-tiny",
-        "omega-huge", "grid-L-huge", "grid-L-tiny"])
+        "omega-huge", "grid-L-huge", "grid-L-tiny", "kahane-no-scalars"])
 def test_malformed_family_or_instance_is_config_error(tmp_path, capsys, task, cfg):
     assert run_with_sets(tmp_path, task, {"task": task, **cfg}, []) == 2
     assert "config error:" in capsys.readouterr().err

@@ -309,6 +309,8 @@ PUBLIC_API = {
     "power_symbol": "builds the power symbol for library callers; configs build it in cli.SYMBOL",
     "rotated_power_symbol": "builds the rotated power symbol for library callers",
     "smoothed_power_symbol": "builds the smoothed power symbol for library callers",
+    "kahane_contraction_check": "one instance's Kahane check as a KahaneResult; acceptance "
+                                "checks random real instances with it",
 }
 
 

@@ -18,7 +18,8 @@ continuum checks are checked against per-sample references: check_symbol_class
 against one eval_symbol and one Richardson-extrapolated difference per
 (t, xi), the sigma_alpha suprema of multiplier_family_check against the norms
 of the scaled dense inverses, and its Mikhlin terms against the chain rule on
-dense inverses.
+dense inverses.  The batched Kahane checks are checked against a
+per-instance loop over every sign pattern with np.abs and explicit sums.
 """
 
 import cmath
@@ -73,8 +74,8 @@ from psdo.operators import (
     shifted_solve,
     top_vectors,
 )
-from psdo.spaces import _lp_lq_norms, _lp_lq_norms_from_spectra, band_limited_spectra
-from psdo.verification import _adapted_xi_samples, fd_sigma
+from psdo.spaces import _lp_lq_norms, _lp_lq_norms_from_spectra, band_limited_spectra, blocks
+from psdo.verification import _adapted_xi_samples, _kahane_checks, fd_sigma
 
 GRID = GridSpec(n=2, M=8, L=2 * np.pi)  # M^n * N = 128 with N = 2
 T = ScaleParams((0.5, 0.1))
@@ -874,3 +875,65 @@ def test_resolvent_norms_take_one_inverse_off_the_eigenbasis(q, monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", counted)
     resolvent_norms(model, shifts, defect=True)
     assert inverses == [shifts.shape + (3, 3)]
+
+
+# ---------------------------------------------------------------------------
+# Kahane contraction checks
+
+
+def kahane_by_patterns(scalars, vectors, q: float) -> tuple:
+    """(constant, scale, complex flag, verdict) of one instance: a loop over
+    all 2^m sign patterns that sums sum_j eps_j a_j u_j and sum_j eps_j u_j
+    and takes their l_q norms from np.abs and explicit sums."""
+    def norm(v):
+        a = np.abs(v)
+        return a.max() if q == np.inf else np.sum(a ** q) ** (1.0 / q)
+
+    m = len(scalars)
+    num = den = 0.0
+    for p in range(2 ** m):
+        eps = [2.0 * ((p >> j) & 1) - 1.0 for j in range(m)]
+        num += norm(sum(e * a * u for e, a, u in zip(eps, scalars, vectors)))
+        den += norm(sum(e * u for e, u in zip(eps, vectors)))
+    constant = num / den if den > 0 else 0.0
+    scale = max(abs(complex(a)) for a in scalars)
+    is_complex = any(complex(a).imag != 0 for a in scalars)
+    return constant, scale, is_complex, constant <= (2.0 if is_complex else 1.0) * scale + 1e-12
+
+
+def kahane_instances(rng, count: int, m: int, N: int, complex_scalars: bool):
+    scalars = rng.uniform(-1.0, 1.0, size=(count, m))
+    if complex_scalars:
+        scalars = scalars + 1j * rng.uniform(-1.0, 1.0, size=(count, m))
+    return scalars, rng.standard_normal((count, m, N)) + 1j * rng.standard_normal((count, m, N))
+
+
+@pytest.mark.parametrize("complex_scalars", [False, True])
+@pytest.mark.parametrize("N", [1, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, np.inf])
+def test_kahane_checks_match_pattern_loop(q, m, N, complex_scalars):
+    rng = np.random.default_rng([m, N, int(complex_scalars)])
+    scalars, vectors = kahane_instances(rng, 4, m, N, complex_scalars)
+    checks = _kahane_checks(scalars, vectors, q)
+    for k, (a, u) in enumerate(zip(scalars, vectors)):
+        constant, scale, is_complex, verdict = kahane_by_patterns(a, u, q)
+        assert checks[0][k] == pytest.approx(constant, rel=1e-14)
+        assert checks[1][k] == scale
+        assert checks[2][k] == is_complex == complex_scalars
+        assert checks[3][k] == verdict
+
+
+@pytest.mark.parametrize("complex_scalars", [False, True])
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, np.inf])
+def test_kahane_instance_bits_do_not_depend_on_its_batch(q, complex_scalars):
+    """1000 instances span several blocks (spaces.blocks) at every N; each
+    one's four outputs are the bits it gets when checked alone."""
+    for N in (1, 3, 4):
+        rng = np.random.default_rng([N, int(complex_scalars)])
+        scalars, vectors = kahane_instances(rng, 1000, 6, N, complex_scalars)
+        assert len(blocks(1000, 2 ** 5 * N)) > 1
+        checks = _kahane_checks(scalars, vectors, q)
+        for k in range(1000):
+            alone = _kahane_checks(scalars[k:k + 1], vectors[k:k + 1], q)
+            assert [a[0] for a in alone] == [a[k] for a in checks]

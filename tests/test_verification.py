@@ -6,6 +6,7 @@ import pytest
 from psdo import (
     EllipticProblem,
     GridSpec,
+    KahaneResult,
     ModeSingular,
     ProblemTemplate,
     ScaleParams,
@@ -73,7 +74,7 @@ def rademacher_average(operators, vectors, q: float = 2.0):
     us = np.stack([np.atleast_1d(np.asarray(u, dtype=complex)) for u in vectors])
     Tu = np.stack([np.atleast_2d(np.asarray(T, dtype=complex)) @ u
                    for T, u in zip(operators, us)])
-    num, den = _rademacher_terms(_sign_patterns(len(operators)), Tu[None], us[None], q)
+    num, den = _rademacher_terms(Tu[:, None], us[:, None], q)
     return float(num[0]), float(den[0])
 
 
@@ -158,14 +159,14 @@ def test_estimate_rbound_monotone_under_inclusion():
         assert est.tuples_tried == tried
 
 
-def _ratio_objective(stack: np.ndarray, signs: np.ndarray, q: float, x: np.ndarray):
+def _ratio_objective(stack: np.ndarray, q: float, x: np.ndarray):
     """Rademacher ratio of the operator stack (m, N, N) at probe vectors given
     as stacked real coordinates x (..., 2 m N); 0 where every signed sum
-    vanishes.  `signs` is the enumerated (2^m, m) pattern matrix.  Through
-    the shared kernel, the reference that _ratio_and_grad is tested against."""
+    vanishes.  Through the shared kernel, the reference that _ratio_and_grad
+    is tested against."""
     vecs = x.reshape((-1, len(stack), 2, stack.shape[-1]))
-    us = vecs[..., 0, :] + 1j * vecs[..., 1, :]
-    num, den = _rademacher_terms(signs, (stack @ us[..., None])[..., 0], us, q)
+    us = (vecs[..., 0, :] + 1j * vecs[..., 1, :]).transpose(1, 0, 2)
+    num, den = _rademacher_terms((stack[:, None] @ us[..., None])[..., 0], us, q)
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0).reshape(x.shape[:-1])
 
 
@@ -175,13 +176,12 @@ def _ratio_objective(stack: np.ndarray, signs: np.ndarray, q: float, x: np.ndarr
 def test_ratio_objective_matches_rademacher_average(q, m, N):
     rng = np.random.default_rng(10 * m + N)
     stack = rng.standard_normal((m, N, N)) + 1j * rng.standard_normal((m, N, N))
-    signs = _sign_patterns(m)
     cloud = rng.standard_normal((5, 2 * m * N))
-    batched = _ratio_objective(stack, signs, q, cloud)
+    batched = _ratio_objective(stack, q, cloud)
     for x, value in zip(cloud, batched):
         vecs = x.reshape(m, 2, N)
         num, den = rademacher_average(list(stack), list(vecs[:, 0] + 1j * vecs[:, 1]), q=q)
-        assert _ratio_objective(stack, signs, q, x) == num / den
+        assert _ratio_objective(stack, q, x) == num / den
         assert value == num / den
 
 
@@ -194,11 +194,11 @@ def test_ratio_and_grad_matches_central_differences(q, m, N):
     signs = _sign_patterns(m)
     x = rng.standard_normal(2 * m * N)
     ratio, grad = _ratio_and_grad(stack, signs, q, x)
-    assert ratio == pytest.approx(_ratio_objective(stack, signs, q, x), rel=1e-14)
+    assert ratio == pytest.approx(_ratio_objective(stack, q, x), rel=1e-14)
     h = 1e-6
     steps = h * np.eye(len(x))
-    central = (_ratio_objective(stack, signs, q, x + steps)
-               - _ratio_objective(stack, signs, q, x - steps)) / (2 * h)
+    central = (_ratio_objective(stack, q, x + steps)
+               - _ratio_objective(stack, q, x - steps)) / (2 * h)
     np.testing.assert_allclose(grad, central, rtol=1e-6, atol=1e-8)
     # batched rows; the ratio is scale invariant, and 0 with gradient 0 at u = 0
     ratios, grads = _ratio_and_grad(stack, signs, q, np.stack([x, 2.0 * x, 0.0 * x]))
@@ -405,16 +405,14 @@ def test_batched_kahane_matches_per_instance_reference(q, complex_scalars, N):
     if complex_scalars:
         scal = scal + 1j * rng.uniform(-1.0, 1.0, size=(count, m))
     vecs = rng.standard_normal((count, m, N)) + 1j * rng.standard_normal((count, m, N))
-    results = _kahane_checks(scal, vecs, q)
-    assert len(results) == count
-    for a, u, res in zip(scal, vecs, results):
-        expected = _kahane_reference(a, list(u), q)
-        if complex_scalars:
-            # BLAS matrix-vector kernels may fuse the multiply-add of a complex
-            # product, so a_j I @ u and a_j * u can differ in the last bit.
-            assert res.constant == pytest.approx(expected, rel=1e-14)
-        else:
-            assert res.constant == expected
+    checks = _kahane_checks(scal, vecs, q)
+    assert all(len(a) == count for a in checks)
+    for a, u, *res in zip(scal, vecs, *checks):
+        res = KahaneResult(*(v.item() for v in res))
+        # the kernel averages half the patterns, this reference all of them, and
+        # BLAS matrix-vector kernels may fuse the multiply-add of a complex
+        # product, so a_j I @ u and a_j * u can differ in the last bit
+        assert res.constant == pytest.approx(_kahane_reference(a, list(u), q), rel=1e-14)
         assert res.complex_scalars == complex_scalars
         assert res.scale == max(abs(complex(v)) for v in a)
         assert kahane_contraction_check(a, list(u), q=q) == res
