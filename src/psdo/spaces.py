@@ -53,13 +53,6 @@ def box_freqs(M: int, L) -> np.ndarray:
     return 2.0 * np.pi * (k * (1.0 / (M * (np.asarray(L)[..., None] / M))))
 
 
-def box_points(M: int, L) -> np.ndarray:
-    """Per-axis coordinates of [-L/2, L/2) with M points, for a box length L or
-    each entry of an array of them: shape np.shape(L) + (M,)."""
-    L = np.asarray(L)[..., None]
-    return -L / 2.0 + (L / M) * np.arange(M)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid on [-L/2, L/2)^n with M points per axis (M even)."""
@@ -87,7 +80,8 @@ class GridSpec:
         return (self.M,) * self.n
 
     def axis_points(self) -> np.ndarray:
-        return box_points(self.M, self.L)
+        """Per-axis coordinates of [-L/2, L/2), shape (M,)."""
+        return -self.L / 2.0 + (self.L / self.M) * np.arange(self.M)
 
     def points(self) -> np.ndarray:
         """Grid coordinates, shape (M,)*n + (n,)."""
@@ -216,21 +210,23 @@ def gaussian_field(grid: GridSpec, width: float = None, vector=None) -> SampledF
 
 
 def band_limited_spectra(grid: GridSpec, N: int, rngs, count: int,
-                         fraction: float = 0.25) -> np.ndarray:
+                         fraction: float = 0.25, out: np.ndarray = None) -> np.ndarray:
     """Spectra (len(rngs), count) + grid.shape + (N,) of random band-limited
     fields: complex Gaussian coefficients on the lowest `fraction` of modes,
     `count` fields drawn from each generator of `rngs` in the RNG order of
-    `count` random_band_limited_field calls."""
+    `count` random_band_limited_field calls.  `out`, a complex array (or
+    view) of that shape, receives them in place of a new array."""
     kmax = max(1, int(grid.M * fraction / 2))
     keep = np.abs(np.fft.fftfreq(grid.M) * grid.M) <= kmax  # integer mode numbers
     mask = lattice_mesh(keep, grid.n).all(axis=-1)
     draws = np.empty((len(rngs), count, 2) + grid.shape + (N,))
-    for rng, out in zip(rngs, draws):
-        rng.standard_normal(out=out)
-    spectra = np.empty((len(rngs), count) + grid.shape + (N,), dtype=complex)
-    spectra.real, spectra.imag = draws[:, :, 0], draws[:, :, 1]
-    spectra[:, :, ~mask] = 0.0
-    return spectra
+    for rng, draw in zip(rngs, draws):
+        rng.standard_normal(out=draw)
+    if out is None:
+        out = np.empty((len(rngs), count) + grid.shape + (N,), dtype=complex)
+    out.real, out.imag = draws[:, :, 0], draws[:, :, 1]
+    out[:, :, ~mask] = 0.0
+    return out
 
 
 def random_band_limited_field(grid: GridSpec, N: int, rng,

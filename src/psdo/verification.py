@@ -41,7 +41,6 @@ from .spaces import (
     band_limited_spectra,
     blocks,
     box_freqs,
-    box_points,
     fractional_multiplier,
     gaussian_field,
     lattice_mesh,
@@ -52,7 +51,6 @@ from .symbols import (
     ScaleParams,
     SymbolSpec,
     _signed_logspace,
-    i_xi_power,
     symbol_derivative,
 )
 
@@ -173,22 +171,32 @@ def _derivative_weights(ts, lams, m: float, index_set) -> np.ndarray:
 
 def _symbol_weights(xi: np.ndarray, weights: np.ndarray, index_set) -> list:
     """weights[a, k] |(i xi)^alpha| at the frequency rows xi[k] (b, S, n) of each
-    point k, one (b, S) array per alpha of index_set."""
-    return [w[:, None] * np.abs(i_xi_power(np.moveaxis(xi, -1, 0), alpha))
-            for w, alpha in zip(weights, index_set)]
+    point k, one (b, S) array per alpha of index_set.
+
+    The modulus is the product of the real powers |xi_j|^alpha_j, with no
+    complex power formed; 0^0 = 1 and 0^a = 0 for a > 0, as in i_xi_power."""
+    moduli = np.abs(np.moveaxis(xi, -1, 0))
+    out = []
+    for w, alpha in zip(weights, index_set):
+        modulus = np.ones(xi.shape[:-1])
+        for mod, a in zip(moduli, alpha):
+            if a:
+                modulus = modulus * mod ** a
+        out.append(w[:, None] * modulus)
+    return out
 
 
 def _coercive_ratios(grid: GridSpec, L: np.ndarray, q: float, p: float, uspec: np.ndarray,
-                     Auspec: np.ndarray, fspec: np.ndarray, weights: np.ndarray,
+                     Auspec: np.ndarray, nf: np.ndarray, weights: np.ndarray,
                      index_set) -> np.ndarray:
     """coercive_ratio of each field of a block of points from the spectra
-    (b, F) + grid.shape + (N,) of u, A u and f: point k lives on the grid of
-    box length L[k] and weighs D^alpha with weights[a, k] (_derivative_weights).
+    (b, F) + grid.shape + (N,) of u and A u and the norms nf (b, F) of f
+    (_lp_lq_norms_from_spectra): point k lives on the grid of box length L[k]
+    and weighs D^alpha with weights[a, k] (_derivative_weights).
 
     Each ||D^alpha u|| is the norm of the spectrum uspec (i xi)^alpha; every
     norm is taken by Parseval at p = q = 2, after an inverse FFT otherwise.
     A point's cell volume scales all of its norms alike, so grid's stands in."""
-    nf = _lp_lq_norms_from_spectra(fspec, grid, q, p)
     if np.any(nf == 0):
         raise ZeroDivisionError("coercive ratio undefined for f = 0")
     total = _lp_lq_norms_from_spectra(Auspec, grid, q, p)
@@ -215,9 +223,10 @@ def coercive_ratio(u: SampledField, f: SampledField, model: OperatorModel,
     """
     grid, index_set = u.grid, coercive_index_set(u.grid.n, m)
     uspec = grid.fft(u.values[None, None])
+    nf = _lp_lq_norms_from_spectra(grid.fft(f.values[None, None]), grid, model.q, p)
     return float(_coercive_ratios(grid, np.array([grid.L]), model.q, p, uspec, model.apply(uspec),
-                                  grid.fft(f.values[None, None]),
-                                  _derivative_weights([t], [lam], m, index_set), index_set)[0, 0])
+                                  nf, _derivative_weights([t], [lam], m, index_set),
+                                  index_set)[0, 0])
 
 
 def _worst_modes(model: OperatorModel, xi: np.ndarray, shifts: np.ndarray, weights: np.ndarray):
@@ -229,6 +238,23 @@ def _worst_modes(model: OperatorModel, xi: np.ndarray, shifts: np.ndarray, weigh
     nB, nAB, _ = resolvent_norms(model, shifts)
     rows, best = np.arange(len(xi)), (weights * nB + nAB).argmax(axis=-1)
     return xi[rows, best], top_vectors(model, shifts[rows, best])
+
+
+def _plane_wave_spectra(M: int, L: np.ndarray, xi0: np.ndarray, vec: np.ndarray,
+                        out: np.ndarray) -> np.ndarray:
+    """Write into out, (b,) + (M,)*n + (N,), the unitary spectra (GridSpec.fft)
+    of the plane waves e^{i xi0[k] . x} vec[k] on the box of length L[k] of each
+    point k, and return it; xi0 (b, n) lies on the lattice 2 pi k / L.
+
+    At the points x_j = -L/2 + j L/M the wave is (-1)^(k_1+...+k_n)
+    e^{2 pi i k . j / M} vec, so its spectrum is the delta of height
+    M^(n/2) (-1)^(k_1+...+k_n) vec at the FFT index k mod M: no field is
+    sampled and no FFT taken."""
+    k = np.rint(xi0 * (L[:, None] / (2.0 * np.pi))).astype(int)
+    signs = 1.0 - 2.0 * (k.sum(axis=-1) % 2)
+    out[...] = 0.0
+    out[(np.arange(len(k)),) + tuple((k % M).T)] = (M ** (k.shape[-1] / 2) * signs)[:, None] * vec
+    return out
 
 
 def _sweep_report(kind: str, points, kernel, per_point: int, flatness_threshold: float = None,
@@ -316,22 +342,21 @@ def coercivity_sweep(template: ProblemTemplate, sweep: SectorSweep,
         rows = xi.reshape(len(idxs), -1, n)[:, keep]
         xi0, vec = _worst_modes(model, rows, shifts[:, keep],
                                 sum(_symbol_weights(rows, weights, index_set)))
-        lattice = (len(idxs),) + (1,) * n
-        phase = (lattice_mesh(box_points(grid.M, L), n) * xi0.reshape(lattice + (n,))).sum(axis=-1)
-        modes = np.exp(1j * phase)[..., None] * vec.reshape(lattice + (N,))
-        rngs = [np.random.default_rng((seed, i)) for i in idxs]
-        fspec = np.concatenate([np.broadcast_to(gauss, (len(idxs), 1) + gauss.shape),
-                                grid.fft(modes)[:, None],
-                                band_limited_spectra(grid, N, rngs, data_count - 2)], axis=1)
+        fspec = np.empty((len(idxs), data_count) + grid.shape + (N,), dtype=complex)
+        fspec[:, 0] = gauss
+        _plane_wave_spectra(grid.M, L, xi0, vec, fspec[:, 1])
+        band_limited_spectra(grid, N, [np.random.default_rng((seed, i)) for i in idxs],
+                             data_count - 2, out=fspec[:, 2:])
         uspec = _solve_spectra(model, shifts, fspec)
         Auspec = model.apply(uspec)
-        ratios = _coercive_ratios(grid, L, q, template.p, uspec, Auspec, fspec, weights, index_set)
+        nf = _lp_lq_norms_from_spectra(fspec, grid, q, template.p)
+        ratios = _coercive_ratios(grid, L, q, template.p, uspec, Auspec, nf, weights, index_set)
         rspec = uspec  # the residual (A + lam + P) u_hat - f_hat, in place of u_hat
         rspec *= shifts.reshape((len(idxs), 1) + grid.shape + (1,))
         rspec += Auspec
         rspec -= fspec
         residuals = _lp_lq_norms_from_spectra(rspec, grid, q, 2.0) \
-            / _lp_lq_norms_from_spectra(fspec, grid, q, 2.0)
+            / (nf if template.p == 2 else _lp_lq_norms_from_spectra(fspec, grid, q, 2.0))
         return [{"ratio": float(r), "residual": float(s)}
                 for r, s in zip(ratios.max(axis=1), residuals.max(axis=1))]
 
@@ -759,6 +784,8 @@ def _kahane_checks(scalars, vectors, q: float) -> tuple:
     flags and verdicts.  Vectors that are a (K, m, N) view of slot-major
     storage, (m, K, N) in memory, are not copied."""
     scalars = np.asarray(scalars, dtype=complex)
+    if scalars.shape[-1] == 0:
+        raise ValueError("the scalar list is empty: a kahane check needs at least one scalar")
     if scalars.shape[-1] > KAHANE_MAX:
         raise TooManyForEnumeration(f"kahane check enumerates at most 2^{KAHANE_MAX} patterns")
     us = np.asarray(vectors, dtype=complex)

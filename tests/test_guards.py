@@ -49,6 +49,7 @@ from psdo import (
 from psdo import cli
 from psdo.elliptic import _shifts
 from psdo.errors import ConfigError
+from psdo.verification import _kahane_checks
 
 GRID = GridSpec(n=1, M=8, L=2 * np.pi)
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "parabolic-reference.json"
@@ -113,6 +114,10 @@ CASES = {
     "estimate_rbound-empty": (ValueError, "non-empty", lambda: estimate_rbound([])),
     "kahane-vector-count": (ValueError, "one vector per scalar", lambda: (
         kahane_contraction_check([1.0, -0.5, 0.25], [np.ones(2), np.ones(2)]))),
+    "kahane-no-scalars": (ValueError, "scalar list is empty",
+                          lambda: kahane_contraction_check([], [])),
+    "kahane-checks-no-scalars": (ValueError, "scalar list is empty", lambda: (
+        _kahane_checks(np.zeros((3, 0)), np.zeros((3, 0, 2)), 2.0))),
     "make_model-not-square": (ValueError, "square", lambda: make_model(np.ones((2, 3)))),
     "build_system-nan": (ValueError, "finite", lambda: build_system([[1.0, np.nan],
                                                                      [np.nan, 1.0]])),

@@ -5,7 +5,9 @@ decisions about A (dense inverses, solves and eigendecompositions, the
 eigenbasis condition limit KAPPA_LIMIT, numpy's LinAlgError, and reads of a
 model's eigen-data kappa, eigvals, eigvecs and eigvecs_inv), only GridSpec.fft/ifft in
 spaces.py transform sampled fields, only symbols.py names the axis factor
-of (i xi)^alpha, so i_xi_power stays its one product, outside symbols.py
+of (i xi)^alpha, so i_xi_power stays its one product, no module takes the
+modulus of i_xi_power, which verification._symbol_weights forms from real
+powers, outside symbols.py
 only elliptic._shifts and EllipticProblem.symbol_values evaluate the symbol,
 so every mode shift lambda + P_t(xi) is formed in one place, the CLI's task
 handlers read config values only through its schema, and every public
@@ -218,6 +220,34 @@ def test_axis_factor_use_is_detected():
                          ids=lambda p: p.name)
 def test_only_symbols_names_the_axis_factor(path):
     assert axis_factor_names(path.read_text()) == []
+
+
+def complex_power_moduli(source: str) -> list:
+    """Line numbers of every abs, np.abs or np.absolute call whose argument is
+    an i_xi_power call, as a bare name or an attribute."""
+    def name(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and name(node.func) in ("abs", "absolute")
+                  and node.args and isinstance(node.args[0], ast.Call)
+                  and name(node.args[0].func) == "i_xi_power")
+
+
+def test_complex_power_modulus_is_detected():
+    source = ("import numpy as np\nfrom .symbols import i_xi_power\n"
+              "a = np.abs(i_xi_power(xi, alpha))\nb = abs(symbols.i_xi_power(xi, alpha))\n"
+              "c = np.absolute(\n    i_xi_power(xi, alpha))\n"
+              "d = np.abs(i_xi_power_factor(x, 1.0)) + i_xi_power(np.abs(xi), alpha)\n"
+              "e = np.abs(xi) ** 2 * np.abs(f(i_xi_power(xi, alpha)))\n")
+    assert complex_power_moduli(source) == [3, 4, 5]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_takes_the_modulus_of_the_complex_power(path):
+    """|(i xi)^alpha| is the product of real powers |xi_k|^alpha_k, taken in
+    verification._symbol_weights; no complex power is formed for its modulus."""
+    assert complex_power_moduli(path.read_text()) == []
 
 
 def eval_symbol_uses(source: str) -> list:

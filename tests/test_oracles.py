@@ -20,9 +20,13 @@ against one eval_symbol and one Richardson-extrapolated difference per
 of the scaled dense inverses, and its Mikhlin terms against the chain rule on
 dense inverses.  The batched Kahane checks are checked against a
 per-instance loop over every sign pattern with np.abs and explicit sums.
+The real-power moduli of the coercive weights are checked against the
+modulus of the complex power i_xi_power, and the worst mode's lattice delta
+against the FFT of its sampled plane wave.
 """
 
 import cmath
+import itertools
 
 import numpy as np
 import pytest
@@ -50,6 +54,7 @@ from psdo import (
     i_xi_power,
     lambda_resolvent_family,
     make_model,
+    mode_field,
     multiplier_family_check,
     power_symbol,
     probe_norm,
@@ -75,7 +80,13 @@ from psdo.operators import (
     top_vectors,
 )
 from psdo.spaces import _lp_lq_norms, _lp_lq_norms_from_spectra, band_limited_spectra, blocks
-from psdo.verification import _adapted_xi_samples, _kahane_checks, fd_sigma
+from psdo.verification import (
+    _adapted_xi_samples,
+    _kahane_checks,
+    _plane_wave_spectra,
+    _symbol_weights,
+    fd_sigma,
+)
 
 GRID = GridSpec(n=2, M=8, L=2 * np.pi)  # M^n * N = 128 with N = 2
 T = ScaleParams((0.5, 0.1))
@@ -937,3 +948,52 @@ def test_kahane_instance_bits_do_not_depend_on_its_batch(q, complex_scalars):
         for k in range(1000):
             alone = _kahane_checks(scalars[k:k + 1], vectors[k:k + 1], q)
             assert [a[0] for a in alone] == [a[k] for a in checks]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_symbol_weight_moduli_match_the_complex_power(n):
+    """_symbol_weights takes |(i xi)^alpha| as the real powers |xi_k|^alpha_k:
+    within rel 1e-13 of np.abs(i_xi_power) (the real power is the more
+    accurate one) on signed xi from 1e-12 to 1e12, zero exactly where
+    i_xi_power is, and at order 2 the bits of xi * xi."""
+    mags = np.concatenate([[0.0], np.logspace(-12, 12, 25 if n == 2 else 97)])
+    axis = np.concatenate([-mags[::-1], mags])  # -0.0 and 0.0 both
+    rows = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    alphas = [MultiIndex(c) for c in itertools.product([0.0, 0.5, 1.0, 1.5, 2.0, 3.0], repeat=n)]
+    moduli = _symbol_weights(rows[None], np.ones((len(alphas), 1)), alphas)
+    for alpha, modulus in zip(alphas, moduli):
+        ref = np.abs(i_xi_power(rows.T, alpha))
+        assert modulus.shape == (1, len(rows))
+        np.testing.assert_array_equal(modulus[0] == 0, ref == 0)
+        np.testing.assert_allclose(modulus[0], ref, rtol=1e-13, atol=0)
+        if set(alpha) <= {0.0, 2.0}:
+            square = np.ones(len(rows))
+            for xk, a in zip(rows.T, alpha):
+                square = square * (xk * xk) if a else square
+            assert np.array_equal(modulus[0], square)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_plane_wave_spectra_are_the_ffts_of_their_modes(n):
+    """Each spectrum of _plane_wave_spectra is 0 off its lattice index k mod M
+    and grid.fft of the sampled mode_field within 1e-14 of the peak at it, for
+    odd, even and negative k up to |k| = M/2 - 1 and box lengths 1e-4 to 37.5;
+    the FFT itself is a delta to that accuracy."""
+    M, N = 16, 3
+    ks = np.array([[0], [1], [2], [-1], [-4], [7], [-7], [3]]) if n == 1 else \
+        np.array([[0, 0], [1, -2], [-7, 7], [7, -1], [-3, 4], [2, 2], [-7, -7], [5, 0]])
+    rng = np.random.default_rng(n)
+    for L in (1e-4, 0.7, 2 * np.pi, 37.5):
+        grid = GridSpec(n=n, M=M, L=L)
+        xi0 = grid.freqs()[ks % M]  # lattice frequencies, as the sweep's rows hold them
+        vec = rng.standard_normal((len(ks), N)) + 1j * rng.standard_normal((len(ks), N))
+        out = np.full((len(ks),) + grid.shape + (N,), np.nan, dtype=complex)
+        assert _plane_wave_spectra(M, np.full(len(ks), L), xi0, vec, out) is out
+        for k, x0, v, spectrum in zip(ks, xi0, vec, out):
+            ref = grid.fft(mode_field(grid, x0, v).values)
+            at, off = tuple(k % M), np.ones(grid.shape, dtype=bool)
+            off[at] = False
+            peak = np.abs(ref).max()
+            assert np.all(spectrum[off] == 0)
+            assert np.abs(ref[off]).max() <= 1e-14 * peak
+            assert np.abs(spectrum[at] - ref[at]).max() <= 1e-14 * peak

@@ -104,6 +104,23 @@ def test_random_band_limited_values_match_successive_fields(n, N):
                                            for _ in range(5)]))
 
 
+@pytest.mark.parametrize("count", [0, 1, 3])
+@pytest.mark.parametrize("generators", [1, 2])
+def test_band_limited_spectra_fill_a_strided_view_with_the_bits_of_a_fresh_array(generators,
+                                                                                count):
+    """Spectra written into out = stack[:, 2:], a view of a larger stack, are
+    the bits of a fresh array's, and the stack's other fields stay untouched."""
+    g, N = GridSpec(n=2, M=8, L=3.0), 2
+    fresh = band_limited_spectra(g, N, [np.random.default_rng((5, i)) for i in range(generators)],
+                                 count)
+    stack = np.full((generators, count + 2) + g.shape + (N,), np.nan, dtype=complex)
+    view = stack[:, 2:]
+    assert band_limited_spectra(g, N, [np.random.default_rng((5, i)) for i in range(generators)],
+                                count, out=view) is view
+    assert np.array_equal(np.ascontiguousarray(stack[:, 2:]).view(np.int64), fresh.view(np.int64))
+    assert np.isnan(stack[:, :2]).all()
+
+
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 0.5, 1.5])
 def test_liouville_derivative_on_mode(alpha):
     g = GridSpec(n=1, M=32, L=2 * np.pi)

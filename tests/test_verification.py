@@ -737,6 +737,29 @@ def test_batched_coercivity_matches_per_mode_loop(name):
         assert point["residual"] < 1e-9 and residual < 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_coercivity_sweep_transforms_only_the_gaussian(n, monkeypatch):
+    """At p = q = 2 a sweep's one forward FFT is the Gaussian's, once per
+    sweep over several blocks: the worst modes enter as their exact spectra,
+    the random fields are drawn as spectra, and every norm is a Parseval norm,
+    so no inverse FFT is taken."""
+    calls = []
+    for name in ("fft", "ifft"):
+        def counting(grid, values, name=name, transform=getattr(GridSpec, name)):
+            calls.append((name, values.shape))
+            return transform(grid, values)
+        monkeypatch.setattr(GridSpec, name, counting)
+    grid = GridSpec(n=n, M=64 if n == 1 else 16, L=2 * np.pi)
+    template = ProblemTemplate(model=make_model(tridiagonal_matrix(4, -1.0, 2.0, -1.0)),
+                               symbol=power_symbol(m=2.0), grid=grid)
+    sweep = default_sweep(phi2=np.pi / 4, n=n, n_radii=3, radius_range=(1.0, 1e4), n_t=2,
+                          t_range=(1e-2, 1.0))
+    assert len(spaces.blocks(len(sweep.points()), grid.M ** n * 4 * 8)) > 1
+    rep = coercivity_sweep(template, sweep, data_count=8, seed=5)
+    assert all(p["error"] is None and p["residual"] < 1e-12 for p in rep.points)
+    assert calls == [("fft", grid.shape + (4,))]
+
+
 def _reference_resolvent_points(template, sweep, per_axis):
     """(ratio, residual) per sweep point, one frequency at a time."""
     index_set = template.indices()
