@@ -169,17 +169,6 @@ def _apply_lower(prob: EllipticProblem, spec: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_operator(prob: EllipticProblem, u: SampledField) -> SampledField:
-    """Forward operator: symbol part + A u + lambda u + lower-order terms."""
-    uvals = u.values[None]
-    uspec = prob.grid.fft(uvals)
-    out = prob.grid.ifft(prob.symbol_values()[..., None] * uspec) + prob.model.apply(uvals) \
-        + prob.lam * uvals
-    if prob.lower_terms:
-        out = out + _apply_lower(prob, uspec)
-    return u.with_values(out[0])
-
-
 def _lower_symbol_blocks(prob: EllipticProblem):
     """Per-mode matrices of L_t, grid.shape + (N, N), when every lower term has a
     constant (N, N) coefficient (L_t is then diagonal per mode); else None."""

@@ -13,10 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NyquistEnergy
 from .symbols import MultiIndex, i_xi_power
 
-NYQUIST_TOL = 1e-10
 # Largest array one batched kernel call builds, in complex entries (256 KB): long
 # batches (sweep points, Rademacher instances, probe fields, time slices) run in
 # blocks along their first axis, so the temporaries stay near that size.
@@ -259,29 +257,6 @@ def fractional_multiplier(grid: GridSpec, alpha: MultiIndex,
     return i_xi_power([z if _zeroes_nyquist(a) else f for (f, z), a in zip(axes, alpha)], alpha)
 
 
-def liouville_derivative(u: SampledField, alpha) -> SampledField:
-    """Fractional derivative D^alpha u = F^-1[(i xi)^alpha F u].
-
-    Nyquist modes are zeroed for fractional or odd-integer orders; when that
-    happens the input must not carry relative energy above NYQUIST_TOL there.
-    """
-    if not isinstance(alpha, MultiIndex):
-        alpha = MultiIndex(tuple(np.atleast_1d(alpha)))
-    if alpha.n != u.grid.n:
-        raise ValueError("alpha dimension does not match the grid")
-    spec = u.grid.fft(u.values)
-    mult = fractional_multiplier(u.grid, alpha)
-    if any(_zeroes_nyquist(a) for a in alpha):
-        mask = u.grid.nyquist_mask()
-        total = np.linalg.norm(spec)
-        if total > 0:
-            nyq = np.linalg.norm(spec[mask])
-            if nyq > NYQUIST_TOL * total:
-                raise NyquistEnergy(
-                    f"relative Nyquist energy {nyq / total:.2e} exceeds {NYQUIST_TOL}")
-    return u.with_values(u.grid.ifft(spec * mult[..., None]))
-
-
 def vector_norms(values: np.ndarray, q: float) -> np.ndarray:
     """Pointwise l_q norm of the trailing component axis."""
     a = np.abs(values)
@@ -344,16 +319,6 @@ def h_m_pt_norm(u: SampledField, t, m: float, p: float, q: float = 2.0,
     spec = u.grid.fft(u.values) if spec is None else spec
     term2 = float(_lp_lq_norms_from_spectra((spec * bracket[..., None])[None], u.grid, q, p)[0])
     return term1 + term2
-
-
-def mixed_norm(u: SpaceTimeField, p: float = 2.0, p1: float = 2.0, q: float = 2.0) -> float:
-    """Inner spatial L_p(l_q) norm per time slice, outer temporal L_{p1} norm.
-
-    The time axis uses trapezoid weights on the uniform partition of [0, Y].
-    """
-    inner = np.concatenate([_lp_lq_norms(u.values[b], u.grid, q, p)
-                            for b in blocks(u.J + 1, u.values[0].size)])
-    return _time_norm(inner, u.dy, p1)
 
 
 def _time_norm(inner: np.ndarray, dy: float, p1: float) -> float:

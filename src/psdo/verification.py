@@ -36,7 +36,6 @@ from .operators import (
 )
 from .spaces import (
     GridSpec,
-    SampledField,
     _lp_lq_norms_from_spectra,
     band_limited_spectra,
     blocks,
@@ -189,7 +188,8 @@ def _symbol_weights(xi: np.ndarray, weights: np.ndarray, index_set) -> list:
 def _coercive_ratios(grid: GridSpec, L: np.ndarray, q: float, p: float, uspec: np.ndarray,
                      Auspec: np.ndarray, nf: np.ndarray, weights: np.ndarray,
                      index_set) -> np.ndarray:
-    """coercive_ratio of each field of a block of points from the spectra
+    """[sum_alpha weights[a] ||D^alpha u|| + ||A u||] / ||f||, every norm in
+    L_p(l_q), of each field of a block of points from the spectra
     (b, F) + grid.shape + (N,) of u and A u and the norms nf (b, F) of f
     (_lp_lq_norms_from_spectra): point k lives on the grid of box length L[k]
     and weighs D^alpha with weights[a, k] (_derivative_weights).
@@ -214,19 +214,6 @@ def _coercive_ratios(grid: GridSpec, L: np.ndarray, q: float, p: float, uspec: n
     for w, norm in zip(weights, norms):
         total = total + w[:, None] * norm
     return total / nf
-
-
-def coercive_ratio(u: SampledField, f: SampledField, model: OperatorModel,
-                   t: ScaleParams, lam: complex, m: float, p: float = 2.0) -> float:
-    """[sum_alpha t(alpha) |lam|^(1-|alpha|/m) ||D^alpha u|| + ||A u||] / ||f||
-    over the coercive index set, every norm in L_p(l_q) with q = model.q.
-    """
-    grid, index_set = u.grid, coercive_index_set(u.grid.n, m)
-    uspec = grid.fft(u.values[None, None])
-    nf = _lp_lq_norms_from_spectra(grid.fft(f.values[None, None]), grid, model.q, p)
-    return float(_coercive_ratios(grid, np.array([grid.L]), model.q, p, uspec, model.apply(uspec),
-                                  nf, _derivative_weights([t], [lam], m, index_set),
-                                  index_set)[0, 0])
 
 
 def _worst_modes(model: OperatorModel, xi: np.ndarray, shifts: np.ndarray, weights: np.ndarray):

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import apply_operator, coercive_ratio
 from parabolic_oracles import parabolic_coercive_ratio, semigroup_propagator
 
 from psdo import (
@@ -25,11 +26,9 @@ from psdo import (
     ProblemTemplate,
     ScaleParams,
     SectorSweep,
-    apply_operator,
     build_bvp_operator,
     build_system,
     check_positivity,
-    coercive_ratio,
     coercivity_sweep,
     default_sweep,
     estimate_rbound,

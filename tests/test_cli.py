@@ -13,12 +13,14 @@ from psdo import (
     cli,
     rotated_power_symbol,
     solve_implicit_euler,
+    tasks,
     verification,
 )
-from psdo.cli import _write_reports, main
+from psdo.cli import main
 from psdo.operators import eigenbasis
 from psdo.parabolic import _phi1, _phi2
 from psdo.spaces import export_columnar
+from psdo.tasks import _write_reports
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -138,9 +140,9 @@ def small_parabolic_cfg(**changes):
 
 def parabolic_problem(cfg):
     """The ParabolicProblem that solve-parabolic builds from `cfg`."""
-    v = cli.SCHEMA["solve-parabolic"].value(cfg, "config")
-    ell = cli._parse_problem(v, 0.0)
-    return ParabolicProblem(ell, *cli._parse_forcing(v, ell), v["horizon"])
+    v = tasks.SCHEMA["solve-parabolic"].value(cfg, "config")
+    ell = tasks._parse_problem(v, 0.0)
+    return ParabolicProblem(ell, *tasks._parse_forcing(v, ell), v["horizon"])
 
 
 def test_solve_parabolic_export_writes_every_slice(tmp_path):
@@ -216,7 +218,7 @@ def test_bad_command_line_exits_2(argv, capsys):
 def test_out_that_cannot_be_a_directory_exits_2_before_the_task(tmp_path, monkeypatch, capsys,
                                                                   out):
     (tmp_path / "afile").write_text("kept")
-    monkeypatch.setitem(cli.TASKS, "verify-coercivity",
+    monkeypatch.setitem(tasks.TASKS, "verify-coercivity",
                         lambda v, seed: pytest.fail("the task ran"))
     with pytest.raises(SystemExit) as exc:
         main(["run-scenario", "--config", write_cfg(tmp_path, small_verify_cfg()),
@@ -448,8 +450,8 @@ def test_check_symbol_user_table(tmp_path):
 
 
 def symbol_value(cfg):
-    """The SymbolSpec that cli.SYMBOL builds from `cfg` after a JSON round trip."""
-    return cli.SYMBOL.value(json.loads(json.dumps(cfg)), "symbol")
+    """The SymbolSpec that tasks.SYMBOL builds from `cfg` after a JSON round trip."""
+    return tasks.SYMBOL.value(json.loads(json.dumps(cfg)), "symbol")
 
 
 def test_symbol_config_builds_the_symbol_spec():
@@ -469,15 +471,15 @@ def test_symbol_config_builds_the_symbol_spec():
 
 def scalar_leaves(name, kind):
     """(path, Scalar) of every scalar value type below `kind`, walked as
-    schema_tables() walks cli.SCHEMA."""
-    if isinstance(kind, cli.Scalar):
+    schema_tables() walks tasks.SCHEMA."""
+    if isinstance(kind, tasks.Scalar):
         yield name, kind
-    elif isinstance(kind, cli.List):
+    elif isinstance(kind, tasks.List):
         yield from scalar_leaves(name + "[]", kind.item)
-    elif isinstance(kind, cli.Switch):
+    elif isinstance(kind, tasks.Switch):
         for sub in kind.types.values():
             yield from scalar_leaves(name, sub)
-    elif isinstance(kind, cli.Table):
+    elif isinstance(kind, tasks.Table):
         for key, sub in kind.keys.items():
             yield from scalar_leaves(f"{name}.{key}", sub)
 
@@ -485,7 +487,7 @@ def scalar_leaves(name, kind):
 def refuses(kind, value) -> bool:
     try:
         kind.value(value, "x")
-    except cli.ConfigError:
+    except tasks.ConfigError:
         return True
     return False
 
@@ -494,14 +496,14 @@ def test_every_number_is_finite_unless_it_is_an_exponent():
     """One number rule for every key, those added later included: a value type
     that takes the number 4 refuses NaN, -Infinity, "4" and true, and
     Infinity too unless it is the exponent type Q."""
-    numeric = [(path, kind) for task, table in cli.SCHEMA.items()
+    numeric = [(path, kind) for task, table in tasks.SCHEMA.items()
                for path, kind in scalar_leaves(task, table) if not refuses(kind, 4)]
     assert len(numeric) > 50
     bad = [(path, value) for path, kind in numeric
            for value in [float("nan"), -float("inf"), "4", True]
-           + ([] if kind is cli.Q else [float("inf")]) if not refuses(kind, value)]
+           + ([] if kind is tasks.Q else [float("inf")]) if not refuses(kind, value)]
     assert bad == []
-    assert not refuses(cli.Q, float("inf"))
+    assert not refuses(tasks.Q, float("inf"))
 
 
 def small_elliptic_cfg():
@@ -882,7 +884,7 @@ def test_enumeration_size_beyond_its_limit_is_config_error(tmp_path, capsys, tas
         raise AssertionError("work started before the config was checked")
 
     for name in ("_kahane_checks", "estimate_rbound", "multiplier_family_check"):
-        monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.setattr(tasks, name, no_work)
     cfg = dict(task_cfgs()[task])
     if task == "estimate-rbound":  # a two-member family: a mixed tuple would be searched
         cfg["family"] = {"kind": "matrices", "members": [[[1.0, 0.3], [0.0, 0.5]],
@@ -908,7 +910,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def key_note(key, kind):
     """`key` (its type unless it is an object, and its default)."""
     notes = [] if kind.what.startswith("an object") else [kind.what]
-    if kind.default not in (cli.REQUIRED, None, {}):
+    if kind.default not in (tasks.REQUIRED, None, {}):
         notes.append(f"default {json.dumps(kind.default)}")
     return f"`{key}`" + (f" ({', '.join(notes)})" if notes else "")
 
@@ -919,43 +921,43 @@ def key_columns(table, form=""):
     keys = [(k, kind) for k, kind in table.keys.items()
             if not (form and kind.what == f"one of {[form]}")]
     return [", ".join(key_note(k, kind) for k, kind in keys
-                      if (kind.default is cli.REQUIRED) == required) or "none"
+                      if (kind.default is tasks.REQUIRED) == required) or "none"
             for required in (True, False)]
 
 
 def schema_tables():
-    """The README's CLI key tables, rendered from cli.SCHEMA: one row per task,
+    """The README's CLI key tables, rendered from tasks.SCHEMA: one row per task,
     then one row per form of every config object."""
-    tasks = ["| task | required keys | optional keys | `thresholds` keys |", "|---|---|---|---|"]
+    task_rows = ["| task | required keys | optional keys | `thresholds` keys |", "|---|---|---|---|"]
     objects = ["| object | form | required keys | optional keys |", "|---|---|---|---|"]
     seen = set()
 
     def walk(name, kind, form=""):
-        if id(kind) in seen and isinstance(kind, (cli.Table, cli.Switch)):
+        if id(kind) in seen and isinstance(kind, (tasks.Table, tasks.Switch)):
             return
         seen.add(id(kind))
-        if isinstance(kind, cli.List):
+        if isinstance(kind, tasks.List):
             walk(name + "[]", kind.item)
-        elif isinstance(kind, cli.Switch):
+        elif isinstance(kind, tasks.Switch):
             for label, sub in kind.types.items():
                 walk(name, sub, "" if isinstance(label, bool) else label)
-        elif isinstance(kind, cli.Table):
+        elif isinstance(kind, tasks.Table):
             required, optional = key_columns(kind, form)
             label = f"`{form}`" if form else ""
             objects.append(f"| `{name}` | {label} | {required} | {optional} |")
             for key, sub in kind.keys.items():
                 walk(f"{name}.{key}", sub)
 
-    for task, table in cli.SCHEMA.items():
+    for task, table in tasks.SCHEMA.items():
         keys = {k: kind for k, kind in table.keys.items()
                 if k not in ("task", "seed", "thresholds")}
-        required, optional = key_columns(cli.Table(keys))
+        required, optional = key_columns(tasks.Table(keys))
         thresholds = table.keys.get("thresholds")
         th = ", ".join(f"`{k}`" for k in thresholds.keys) if thresholds else "none"
-        tasks.append(f"| `{task}` | {required} | {optional} | {th} |")
+        task_rows.append(f"| `{task}` | {required} | {optional} | {th} |")
         for key, kind in keys.items():
             walk(key, kind)
-    return "\n".join(tasks) + "\n\n" + "\n".join(objects) + "\n"
+    return "\n".join(task_rows) + "\n\n" + "\n".join(objects) + "\n"
 
 
 def test_readme_key_tables_are_the_schema():

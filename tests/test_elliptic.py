@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import apply_operator
 
 from psdo import (
     ContractionFailure,
@@ -12,7 +13,6 @@ from psdo import (
     MultiIndex,
     SampledField,
     ScaleParams,
-    apply_operator,
     coercive_index_set,
     contraction_estimate,
     gaussian_field,

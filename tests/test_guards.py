@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import coercive_ratio, liouville_derivative
 from parabolic_oracles import semigroup_propagator
 
 from psdo import (
@@ -29,7 +30,6 @@ from psdo import (
     build_system,
     check_positivity,
     check_symbol_class,
-    coercive_ratio,
     coercivity_sweep,
     default_sweep,
     estimate_rbound,
@@ -37,7 +37,6 @@ from psdo import (
     gaussian_field,
     i_xi_power,
     kahane_contraction_check,
-    liouville_derivative,
     make_model,
     mode_field,
     power_symbol,
@@ -46,7 +45,7 @@ from psdo import (
     solve_implicit_euler,
     solve_principal,
 )
-from psdo import cli
+from psdo import cli, tasks
 from psdo.elliptic import _shifts
 from psdo.errors import ConfigError
 from psdo.verification import _kahane_checks
@@ -175,7 +174,7 @@ CASES = {
     "mode_field-beyond-nyquist": (ValueError, "off the frequency lattice",
                                   lambda: mode_field(GRID, [5.0], [1.0])),
     "cli-set-grid-number": (ConfigError, "config.grid must be an object", lambda: (
-        cli.SCHEMA["solve-parabolic"].value(cli._apply_overrides(
+        tasks.SCHEMA["solve-parabolic"].value(cli._apply_overrides(
             json.loads(SCENARIO.read_text()), ["grid=5"]), "config"))),
 }
 

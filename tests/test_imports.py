@@ -1,8 +1,10 @@
 """Import hygiene: no module of the package imports scipy, so a run pays
-only for numpy at start-up; every module (the re-exporting __init__.py
-aside) uses each name it imports, only operators.py makes spectral
-decisions about A (dense inverses, solves and eigendecompositions, the
-eigenbasis condition limit KAPPA_LIMIT, numpy's LinAlgError, and reads of a
+only for numpy at start-up; importing psdo loads none of its modules and
+importing psdo.cli only the entry, each export loading on first access;
+every module (the re-exporting __init__.py aside) uses each name it
+imports, only operators.py makes spectral decisions about A (dense
+inverses, solves and eigendecompositions, the eigenbasis condition
+limit KAPPA_LIMIT, numpy's LinAlgError, and reads of a
 model's eigen-data kappa, eigvals, eigvecs and eigvecs_inv), only GridSpec.fft/ifft in
 spaces.py transform sampled fields, only symbols.py names the axis factor
 of (i xi)^alpha, so i_xi_power stays its one product, no module takes the
@@ -54,6 +56,12 @@ def test_package_does_not_import_scipy(path):
     assert scipy_imports(path.read_text()) == []
 
 
+def fresh(*args):
+    """A fresh interpreter run with `args`, importing psdo from the source tree."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(PACKAGE.parent)}, timeout=120)
+
+
 def test_cli_runs_without_loading_scipy(tmp_path):
     """In a fresh interpreter, importing the CLI and running an R-bound search
     at q = 1 on a mixed tuple and a multiplier check leaves scipy unloaded."""
@@ -74,12 +82,56 @@ def test_cli_runs_without_loading_scipy(tmp_path):
               "    code = psdo.cli.main(['run-scenario', '--config', path + '.json', '--out', path])\n"
               "    assert code == 0, (name, code)\n"
               "print(loaded, 'scipy' in sys.modules)\n")
-    run = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
-                         text=True, env={"PYTHONPATH": str(PACKAGE.parent)}, timeout=120)
+    run = fresh("-c", script, str(tmp_path))
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "False False"
     report = json.loads((tmp_path / "rbound" / "report.json").read_text())
     assert report["result"]["tuple_indices"] == [0, 1]
+
+
+def test_cli_import_loads_the_entry_only():
+    """`import psdo` loads none of the package's modules, and `import psdo.cli`
+    only the entry and the errors (and no numpy): the schema, the handlers and
+    the library load on first use.  The entry still answers --version and
+    rejects an unknown command."""
+    script = ("import sys\n"
+              "def loaded():\n"
+              "    return [m for m in sorted(sys.modules) if m.split('.')[0] in ('psdo', 'numpy')]\n"
+              "import psdo\n"
+              "print(loaded())\n"
+              "import psdo.cli\n"
+              "print(loaded())\n")
+    run = fresh("-c", script)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [str(["psdo"]), str(["psdo", "psdo.cli", "psdo.errors"])]
+    version = fresh("-m", "psdo.cli", "--version")
+    assert (version.returncode, version.stdout.strip()) == (0, "0.1.0"), version.stderr
+    unknown = fresh("-m", "psdo.cli", "no-such-command", "--config", "cfg.json")
+    assert unknown.returncode == 2
+    assert "invalid choice: 'no-such-command'" in unknown.stderr
+
+
+def test_every_export_is_the_attribute_of_its_defining_module():
+    import psdo
+    for name in psdo.__all__:
+        value = getattr(psdo, name)
+        assert value is getattr(sys.modules[value.__module__], name), name
+        assert value.__module__.startswith("psdo."), name
+    assert set(psdo.__all__) <= set(dir(psdo))
+
+
+def test_star_import_binds_every_export():
+    script = ("import psdo\n"
+              "from psdo import *\n"
+              "print(all(globals()[name] is getattr(psdo, name) for name in psdo.__all__))\n")
+    run = fresh("-c", script)
+    assert (run.returncode, run.stdout.strip()) == (0, "True"), run.stderr
+
+
+def test_missing_package_attribute_is_an_attribute_error():
+    import psdo
+    with pytest.raises(AttributeError, match="'psdo' has no attribute 'no_such_name'"):
+        psdo.no_such_name
 
 
 def unused_imports(source: str) -> list:
@@ -314,9 +366,9 @@ def test_config_value_read_is_detected():
 
 
 def test_cli_handlers_read_only_checked_values():
-    """The config schema in cli.py is the one place raw config values are read
+    """The config schema in tasks.py is the one place raw config values are read
     and converted: no task handler or parse helper calls int(), float() or .get()."""
-    source = (PACKAGE / "cli.py").read_text()
+    source = (PACKAGE / "tasks.py").read_text()
     readers = [node.name for node in ast.walk(ast.parse(source))
                if isinstance(node, ast.FunctionDef) and node.name.startswith(("_task_", "_parse_"))]
     assert sum(name.startswith("_task_") for name in readers) == 8
@@ -325,20 +377,18 @@ def test_cli_handlers_read_only_checked_values():
 
 # Public functions and classes that no package code uses, each kept for a reason.
 PUBLIC_API = {
-    "apply_operator": "the forward operator; acceptance checks the residual of a solve with it",
     "solve_principal": "the exact per-mode solve of one field; acceptance pins its exactness",
-    "coercive_ratio": "the coercive ratio of one solution; acceptance pins its spot value",
     "contraction_estimate": "the contraction of the Neumann solve on its own; oracle tests pin it "
                             "against dense norms",
     "check_positivity": "the sector-positivity certificate of A; acceptance checks a BVP's",
     "solve_duhamel": "the Duhamel solution on the grid; acceptance uses it as the fine reference",
     "solve_implicit_euler": "the implicit-Euler solution on the grid; acceptance checks its order",
-    "mixed_norm": "the paper's L_p1(L_p(l_q)) norm of a space-time field, on the grid",
     "sector_sum_constant": "C of |lam + nu| >= C (|lam| + |nu|); acceptance checks its closed form",
-    "liouville_derivative": "the paper's fractional derivative D^alpha of a sampled field",
-    "power_symbol": "builds the power symbol for library callers; configs build it in cli.SYMBOL",
+    "power_symbol": "builds the power symbol for library callers; configs build it in tasks.SYMBOL",
     "rotated_power_symbol": "builds the rotated power symbol for library callers",
     "smoothed_power_symbol": "builds the smoothed power symbol for library callers",
+    "NyquistEnergy": "the error of a fractional derivative of a field with Nyquist energy; the "
+                     "derivative oracle of the tests raises it",
     "kahane_contraction_check": "one instance's Kahane check as a KahaneResult; acceptance "
                                 "checks random real instances with it",
 }

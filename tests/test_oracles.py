@@ -30,6 +30,7 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import apply_operator, coercive_ratio
 from scipy.linalg import block_diag, expm
 
 from psdo import (
@@ -41,12 +42,10 @@ from psdo import (
     ScaleParams,
     SectorSweep,
     SymbolSpec,
-    apply_operator,
     build_bvp_operator,
     check_positivity,
     check_symbol_class,
     coercive_index_set,
-    coercive_ratio,
     contraction_estimate,
     estimate_rbound,
     eval_symbol,

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import apply_operator, mixed_norm
 from parabolic_oracles import forcing_stack, parabolic_coercive_ratio, semigroup_propagator
 
 from psdo import (
@@ -12,11 +13,9 @@ from psdo import (
     ParabolicProblem,
     ScaleParams,
     SpaceTimeField,
-    apply_operator,
     evolve_spectra,
     gaussian_field,
     make_model,
-    mixed_norm,
     parabolic_diagnostics,
     power_symbol,
     random_band_limited_field,

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import liouville_derivative, mixed_norm
 
 from psdo import (
     GridSpec,
@@ -13,15 +14,13 @@ from psdo import (
     gaussian_field,
     h_m_pt_norm,
     i_xi_power,
-    liouville_derivative,
     lp_lq_norm,
-    mixed_norm,
     mode_field,
     random_band_limited_field,
     vector_norms,
 )
 from psdo import spaces
-from psdo.cli import _write_reports
+from psdo.tasks import _write_reports
 from psdo.spaces import band_limited_spectra, blocks, export_columnar, fractional_multiplier
 
 

@@ -2,6 +2,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from oracles import apply_operator, coercive_ratio
 
 from psdo import (
     EllipticProblem,
@@ -13,10 +14,8 @@ from psdo import (
     SectorSweep,
     SymbolSpec,
     TooManyForEnumeration,
-    apply_operator,
     build_bvp_operator,
     coercive_index_set,
-    coercive_ratio,
     coercivity_sweep,
     default_sweep,
     estimate_rbound,
