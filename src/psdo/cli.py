@@ -6,7 +6,8 @@ Exit codes: 0 pass, 1 execution failure, 2 config failure, 3 verdict failure.
 Reports carry no timestamps and serialize with sorted keys so repeated runs
 are byte-identical.  The config schema and the task handlers are in
 psdo.tasks, which imports the whole library; this module imports only the
-standard library and psdo.errors, and loads psdo.tasks on first use.
+standard library and psdo.errors, and loads psdo.tasks when a task runs, so
+--help, --version and an error found before the task load no library module.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ EXIT_PASS = 0
 EXIT_EXECUTION = 1
 EXIT_CONFIG = 2
 EXIT_VERDICT = 3
+
+# The task names, in the order of psdo.tasks.TASKS, which registers a handler for each.
+COMMANDS = ("solve-elliptic", "solve-parabolic", "verify-coercivity", "verify-resolvent",
+            "check-multipliers", "estimate-rbound", "check-kahane", "check-symbol")
 
 
 # ---------------------------------------------------------------------------
@@ -66,15 +71,8 @@ def _apply_overrides(cfg: dict, sets) -> dict:
     return cfg
 
 
-def _tasks():
-    """psdo.tasks, imported on the first call: building the parser (its
-    command choices are the task names) and running a task need it."""
-    from . import tasks
-    return tasks
-
-
 def _run_task(task: str, cfg: dict, args) -> int:
-    tasks = _tasks()
+    from . import tasks  # the schema, the handlers and the library, loaded by the first task
     values = tasks.SCHEMA[task].value(cfg, "config")
     seed = args.seed if args.seed is not None else values["seed"]
     verdict, result, export = tasks.TASKS[task](values, seed)
@@ -99,7 +97,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Spectral solves and uniform-estimate sweeps for "
                     "parameter-elliptic operator equations.")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("command", choices=list(_tasks().TASKS) + ["run-scenario"],
+    parser.add_argument("command", choices=[*COMMANDS, "run-scenario"],
                         metavar="COMMAND", help="one of %(choices)s")
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -125,7 +123,7 @@ def main(argv=None) -> int:
         cfg = _apply_overrides(cfg, args.set)
         # a task command checks the config's own `task` key against its table
         task = cfg.get("task") if args.command == "run-scenario" else args.command
-        if task not in tuple(_tasks().TASKS):
+        if task not in COMMANDS:
             raise ConfigError(f"scenario must declare a valid 'task', got {task!r}")
         return _run_task(task, cfg, args)
     except ConfigError as exc:

@@ -1,8 +1,9 @@
-"""Oracles of the tests that the package itself never needs: the forward
-operator, the fractional derivative D^alpha, the mixed space-time norm and
-the coercive ratio of one solution.  They live with the tests so that each
-stays independent of the code it checks; each is built from the package's own
-kernels (multipliers, transforms and block norms)."""
+"""Oracles that only the tests call: the forward operator, the fractional
+derivative D^alpha, the mixed space-time norm and the coercive ratio of one
+solution.  They live with the tests because the package does not use them.
+They are built on the package's own kernels (multipliers, transforms, block
+norms, and the sweep's _coercive_ratios and _derivative_weights), so they
+share those kernels with the code they are compared with."""
 
 import numpy as np
 

@@ -1,7 +1,8 @@
 """Oracles of the parabolic tests that the package itself never needs: the
 forcing stack a(y) f0(x) sampled at every time, the semigroup e^{-y G(xi)}
 per mode and the coercive ratio of a solution on the grid.  They live with
-the tests so that each stays independent of the code it checks."""
+the tests because the package does not use them; the semigroup takes the
+package's eigenbasis and the ratio its parabolic_diagnostics."""
 
 import numpy as np
 

@@ -111,6 +111,37 @@ def test_cli_import_loads_the_entry_only():
     assert "invalid choice: 'no-such-command'" in unknown.stderr
 
 
+def test_cli_ends_before_a_task_without_the_library(tmp_path):
+    """--help, a usage error and a config error found before the task exit
+    with their codes in a fresh interpreter that has loaded no module of the
+    library: the parser takes the task names from cli.COMMANDS, not from
+    psdo.tasks."""
+    (tmp_path / "empty.json").write_text("")
+    (tmp_path / "no-task.json").write_text(json.dumps({"task": "no-such-task"}))
+    script = ("import sys\n"
+              "from psdo.cli import main\n"
+              "for argv in (['--help'], ['verify-coercivity'], ['--seed', '-1'],\n"
+              "             ['check-symbol', '--config', sys.argv[1] + '/missing.json'],\n"
+              "             ['check-symbol', '--config', sys.argv[1] + '/empty.json'],\n"
+              "             ['run-scenario', '--config', sys.argv[1] + '/no-task.json']):\n"
+              "    try:\n"
+              "        code = main(argv)\n"
+              "    except SystemExit as exc:\n"
+              "        code = exc.code\n"
+              "    print('exit', code)\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] in ('psdo', 'numpy')))\n")
+    run = fresh("-c", script, str(tmp_path))
+    assert run.returncode == 0, run.stderr
+    lines = [line for line in run.stdout.splitlines() if line.startswith(("exit", "["))]
+    assert lines == ["exit 0"] + ["exit 2"] * 5 + [str(["psdo", "psdo.cli", "psdo.errors"])]
+    assert "scenario must declare a valid 'task', got 'no-such-task'" in run.stderr
+
+
+def test_cli_commands_are_the_registered_tasks():
+    from psdo import cli, tasks
+    assert cli.COMMANDS == tuple(tasks.TASKS)
+
+
 def test_every_export_is_the_attribute_of_its_defining_module():
     import psdo
     for name in psdo.__all__:
