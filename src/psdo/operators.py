@@ -94,6 +94,12 @@ def make_model(A, q: float = 2.0) -> OperatorModel:
                          symmetric=symmetric, positive_definite=pd, C0=C0)
 
 
+def is_real(model: OperatorModel) -> bool:
+    """Whether A has no imaginary part: then (A + conj(s) I)^-1 is the
+    entrywise conjugate of (A + s I)^-1, with the same norms."""
+    return not np.any(model.A.imag)
+
+
 def eigenbasis(model: OperatorModel):
     """(w, V, V^-1) of A = V diag(w) V^-1; NotDiagonalizable unless kappa < KAPPA_LIMIT."""
     if model.eigvecs_inv is None:

@@ -137,6 +137,22 @@ def smoothed_power_symbol(m: float, epsilon: float, gamma: float = 1.0) -> Symbo
     return SymbolSpec(kind="smoothed-power", m=m, epsilon=epsilon, gamma=gamma)
 
 
+def is_real_valued(spec: SymbolSpec) -> bool:
+    """Whether P_t(xi) is real at every t and xi: a power, a smoothed power, a
+    rotated power with theta0 = 0, or a table whose imaginary values are all 0."""
+    if spec.kind == "user-table":
+        return not np.any(np.imag(spec.table[1]))
+    return spec.kind != "rotated-power" or spec.theta0 == 0
+
+
+def is_homogeneous(spec: SymbolSpec) -> bool:
+    """Whether P_{c t}(c^(-1/m) xi) = P_t(xi) for every c > 0: a power, a
+    rotated power, or a smoothed power with epsilon = 0.  Never a table, whose
+    values do not depend on t."""
+    return spec.kind in ("power", "rotated-power") \
+        or spec.kind == "smoothed-power" and spec.epsilon == 0
+
+
 def i_xi_power_factor(xi, alpha_k: float):
     """One axis factor (i*xi_k)^alpha_k = exp[alpha_k (ln|xi_k| + i pi sgn(xi_k)/2)].
 

@@ -424,7 +424,8 @@ def _write_reports(out_dir: str, report: dict, export=None):
     solution.txt.  These are every file the CLI writes."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(_sanitize(report), sort_keys=True, indent=2,
+    # compact separators and no indent: the C encoder writes the report
+    payload = json.dumps(_sanitize(report), sort_keys=True, separators=(",", ":"),
                          allow_nan=False) + "\n"
     (out / "report.json").write_text(payload)
     if export is not None:

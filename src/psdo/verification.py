@@ -29,6 +29,7 @@ from .operators import (
     channel_matrices,
     channel_norms,
     channels,
+    is_real,
     operator_norm_upper,
     resolvent,
     resolvent_norms,
@@ -50,6 +51,8 @@ from .symbols import (
     ScaleParams,
     SymbolSpec,
     _signed_logspace,
+    is_homogeneous,
+    is_real_valued,
     symbol_derivative,
 )
 
@@ -245,18 +248,30 @@ def _plane_wave_spectra(M: int, L: np.ndarray, xi0: np.ndarray, vec: np.ndarray,
 
 
 def _sweep_report(kind: str, points, kernel, per_point: int, flatness_threshold: float = None,
-                  max_ratio_threshold: float = None) -> VerificationReport:
+                  max_ratio_threshold: float = None, mirror: bool = False,
+                  dilation: bool = False) -> VerificationReport:
     """Summarized report with one record per (lambda, t) point, in sweep order.
 
-    kernel(idxs) evaluates the points with the sweep indices idxs at once and
-    returns their numbers (ratio, residual, ...), one dict per point.  The
-    points run in blocks (spaces.blocks), per_point being the entries of one
-    point's largest array.  A POINT_ERRORS failure re-runs its block one
+    Points of one symmetry class have one record: the class key is |lambda|,
+    arg lambda (its modulus when mirror holds: the ray -theta repeats the
+    ray theta) and t (divided by t_1 when dilation holds: scaling all of t
+    by one factor changes no number).  kernel(idxs) evaluates the points
+    with the sweep indices idxs, the first point of each class in sweep
+    order, at once and returns their numbers (ratio, residual, ...), one dict
+    per point; every other point gets a copy under its own ray, radius and t.
+    The points run in blocks (spaces.blocks), per_point being the entries of
+    one point's largest array.  A POINT_ERRORS failure re-runs its block one
     point at a time, so that a bad point gets its error record, which fails
     the verdict, while the others complete; any other exception propagates.
     """
     if any(t is None for _, t in points):
         raise ValueError("sweep point has no scale parameters t")
+    rays = [cmath.phase(lam) if lam != 0 else 0.0 for lam, _ in points]
+    first = {}  # class key: the sweep index of its first point
+    reps = [first.setdefault((abs(lam), abs(ray) if mirror else ray,
+                              tuple(v / t.t[0] for v in t.t) if dilation else t.t), i)
+            for i, ((lam, t), ray) in enumerate(zip(points, rays))]
+    firsts = list(first.values())
 
     def run(idxs):
         try:
@@ -266,13 +281,21 @@ def _sweep_report(kind: str, points, kernel, per_point: int, flatness_threshold:
                 return [rec for idx in idxs for rec in run([idx])]
             return [{"ratio": None, "residual": None, "error": f"{type(exc).__name__}: {exc}"}]
 
-    outs = [out for b in blocks(len(points), per_point)
-            for out in run(list(range(len(points))[b]))]
-    records = [{"ray": cmath.phase(lam) if lam != 0 else 0.0, "radius": abs(lam), "t": list(t.t),
-                **out} for (lam, t), out in zip(points, outs)]
+    outs = dict(zip(firsts, (out for b in blocks(len(firsts), per_point)
+                             for out in run(firsts[b]))))
+    records = [{"ray": ray, "radius": abs(lam), "t": list(t.t), **outs[rep]}
+               for (lam, t), ray, rep in zip(points, rays, reps)]
     flat = DEFAULT_FLATNESS.get(kind) if flatness_threshold is None else flatness_threshold
     return _summarize(VerificationReport(kind=kind, points=records, flatness_threshold=flat,
                                          max_ratio_threshold=max_ratio_threshold))
+
+
+def _symmetries(model: OperatorModel, symbol: SymbolSpec, scaled: bool = True) -> dict:
+    """The _sweep_report symmetries of a sweep of model and symbol: the mirror
+    for a real A and a real-valued symbol, dilation for a homogeneous one
+    when the sweep's frequencies scale with t (scaled)."""
+    return {"mirror": is_real(model) and is_real_valued(symbol),
+            "dilation": scaled and is_homogeneous(symbol)}
 
 
 def _saturation_frequency(lam: complex, t: ScaleParams, m: float) -> float:
@@ -303,7 +326,8 @@ def coercivity_sweep(template: ProblemTemplate, sweep: SectorSweep,
     stack of spectra.  Each point's data_count >= 2 fields are the Gaussian
     (whose values do not depend on L), the point's worst lattice mode
     (_worst_modes) and data_count - 2 random band-limited fields drawn from
-    the point's own stream default_rng((seed, index)).  A point's ratio and
+    the stream default_rng((seed, index)) of its symmetry class's first
+    point (_sweep_report), which all of the class share.  A point's ratio and
     residual are the largest over its fields; the residual is that of the
     per-mode solve, ||(A + lam + P_t(xi)) u_hat - f_hat|| / ||f_hat||.
     """
@@ -349,7 +373,7 @@ def coercivity_sweep(template: ProblemTemplate, sweep: SectorSweep,
 
     # the worst-mode search may invert (K, N, N)
     return _sweep_report("coercivity", points, kernel, grid.M ** n * N * max(data_count, N),
-                         flatness_threshold, max_ratio_threshold)
+                         flatness_threshold, max_ratio_threshold, **_symmetries(model, symbol))
 
 
 def _adapted_xi_samples(lam: complex, t: ScaleParams, m: float, n: int,
@@ -411,7 +435,7 @@ def resolvent_sweep(template: ProblemTemplate, sweep: SectorSweep,
 
     rows = per_axis * 2 * (n if n == 1 else n + 1)
     return _sweep_report("resolvent", points, kernel, rows * model.N ** 2, flatness_threshold,
-                         max_ratio_threshold)
+                         max_ratio_threshold, **_symmetries(model, symbol))
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +851,8 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
     families are sigma_alpha for every positive order of the coercive index
     set, and the Mikhlin terms of sigma (fd_sigma) for every beta in {0,1}^n
     but 0.  The frequencies of a block of points (_sweep_report) are
-    evaluated as one stack."""
+    evaluated as one stack; fixed xi_samples do not scale with t, so they
+    fold no points over t."""
     fixed = None if xi_samples is None else np.atleast_2d(np.asarray(xi_samples, dtype=float))
     n = dims if fixed is None else fixed.shape[1]
     index_set = [a for a in coercive_index_set(n, symbol.m) if a.order > 0]
@@ -850,7 +875,8 @@ def multiplier_family_check(model: OperatorModel, symbol: SymbolSpec, sweep: Sec
 
     rows = len(fixed) if fixed is not None else 2 * 17 * (n if n == 1 else n + 1)
     report = _sweep_report("multipliers", points, kernel, rows * model.N ** 2,
-                           flatness_threshold, sigma_sup_threshold)
+                           flatness_threshold, sigma_sup_threshold,
+                           **_symmetries(model, symbol, scaled=fixed is None))
     records, details = report.points, report.details
 
     # R-bound lower estimate for the sigma family, subsampled across the sweep

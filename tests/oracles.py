@@ -1,6 +1,6 @@
 """Oracles that only the tests call: the forward operator, the fractional
-derivative D^alpha, the mixed space-time norm and the coercive ratio of one
-solution.  They live with the tests because the package does not use them.
+derivative D^alpha, the mixed space-time norm, the coercive ratio of one
+solution and the symmetry classes of a sweep's points.  They live with the tests because the package does not use them.
 They are built on the package's own kernels (multipliers, transforms, block
 norms, and the sweep's _coercive_ratios and _derivative_weights), so they
 share those kernels with the code they are compared with."""
@@ -69,3 +69,14 @@ def coercive_ratio(u, f, model, t, lam, m, p=2.0):
     return float(_coercive_ratios(grid, np.array([grid.L]), model.q, p, uspec, model.apply(uspec),
                                   nf, _derivative_weights([t], [lam], m, index_set),
                                   index_set)[0, 0])
+
+
+def class_firsts(points, mirror=True, dilation=True):
+    """Per (lambda, t) sweep point, the index of the first point with the
+    same |lambda|, arg lambda (|arg lambda| under the mirror) and t (t / t_1
+    under dilation): its symmetry class's first point, which the sweep
+    kernels evaluate."""
+    first = {}
+    return [first.setdefault((abs(lam), abs(np.angle(lam)) if mirror else np.angle(lam),
+                              tuple(np.divide(t.t, t.t[0])) if dilation else t.t), k)
+            for k, (lam, t) in enumerate(points)]
