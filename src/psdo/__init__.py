@@ -18,12 +18,12 @@ _MODULE_OF = {name: module for module, names in {
                  "contraction_estimate", "graph_norm", "solve_full", "solve_principal"),
     "errors": ("AngleSumTooLarge", "ConfigError", "ContractionFailure", "EllipticityFailure",
                "ModeSingular", "NoConvergence", "NonFiniteDerivative", "NotDiagonalizable",
-               "NotPositiveDefinite", "NotSymmetric", "NyquistEnergy", "OutOfTable", "Overflow",
+               "NotPositiveDefinite", "NotSymmetric", "OutOfTable", "Overflow",
                "PsdoError", "TooManyForEnumeration"),
     "operators": ("OperatorModel", "PositivityCertificate", "build_bvp_operator", "build_system",
                   "check_positivity", "make_model", "resolvent", "tridiagonal_matrix"),
-    "parabolic": ("ParabolicProblem", "evolve_spectra", "parabolic_diagnostics",
-                  "solution_on_grid", "solve_duhamel", "solve_implicit_euler"),
+    "parabolic": ("ParabolicProblem", "solve_duhamel", "solve_implicit_euler",
+                  "solve_parabolic"),
     "spaces": ("GridSpec", "SampledField", "SpaceTimeField", "fractional_multiplier",
                "gaussian_field", "h_m_pt_norm", "lp_lq_norm", "mode_field",
                "random_band_limited_field", "vector_norms"),

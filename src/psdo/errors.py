@@ -57,9 +57,5 @@ class TooManyForEnumeration(PsdoError):
     """Sign-pattern enumeration requested for too many operators."""
 
 
-class NyquistEnergy(PsdoError):
-    """Input field carries too much energy on a Nyquist mode that must be zeroed."""
-
-
 class ConfigError(PsdoError):
     """Scenario config failed to parse or validate."""

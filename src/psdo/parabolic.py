@@ -10,6 +10,8 @@ Duhamel propagation with exponential-integrator weights for piecewise-linear
 forcing (the oracle) and first-order implicit Euler (the stepper under test).
 Everything stays in Fourier space: one forward FFT of f0, and an inverse FFT
 only for a solution wanted on the grid or for norms other than p = q = 2.
+The solve walks time in blocks of slices, so its working set is a few blocks
+whatever J, plus the solution field when it is kept.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .spaces import (
     _lp_lq_norms,
     _lp_lq_norms_from_spectra,
     _time_norm,
-    blocks,
 )
 
 
@@ -110,96 +111,91 @@ def _implicit_euler_weights(g: np.ndarray, dy: float):
     return 1.0 / denom, 0.0, dy / denom
 
 
-def _steps(profile: np.ndarray, c: np.ndarray, a, b0, b1) -> np.ndarray:
-    """u_0 = 0 and u_{j+1} = a u_j + (b0 profile_j + b1 profile_{j+1}) c per
-    eigen-channel, c the eigencoordinates of the forcing's base.  The forcing
-    terms of every step are formed first, in the solution's own array, so a
-    step is two in-place operations."""
-    lead = (-1,) + (1,) * c.ndim
-    u = np.empty((len(profile),) + c.shape, dtype=complex)
-    u[0] = 0.0
-    np.multiply(profile[:-1].reshape(lead), b0 * c, out=u[1:])
-    u[1:] += profile[1:].reshape(lead) * (b1 * c)  # u[j+1] holds the forcing term of step j
-    term, rows = np.empty_like(c), list(u)
-    for prev, row in zip(rows, rows[1:]):
-        np.multiply(a, prev, out=term)
-        np.add(term, row, out=row)
-    return u
-
-
-# The weights (a, b0, b1) of the one-step recurrence of _steps by method name,
-# each a function of the per-mode eigenvalues g of G(xi) and the step dy.
+# The weights (a, b0, b1) of the one-step recurrence of solve_parabolic by
+# method name, each a function of the per-mode eigenvalues g of G(xi) and the step dy.
 METHODS = {"duhamel": _duhamel_weights, "implicit-euler": _implicit_euler_weights}
 
-
-def evolve_spectra(prob: ParabolicProblem, method: str):
-    """(u_hat, f0_hat): the unitary spectra (GridSpec.fft) of the solution
-    stack and of the forcing's base, from one forward FFT of the base.  Each
-    lattice mode evolves in the eigenbasis of A by the recurrence _steps with
-    the weights METHODS[method]."""
-    w, V, Vinv = eigenbasis(prob.elliptic.model)
-    g = prob.elliptic.symbol_values()[..., None] + w  # the eigenvalues of G(xi) per channel
-    f0_hat = prob.elliptic.grid.fft(prob.base.values)
-    u = _steps(prob.profile, component_product(f0_hat, Vinv.T), *METHODS[method](g, prob.dy))
-    return component_product(u, V.T), f0_hat
+# Complex entries of one block of time slices (128 KB): the solve keeps a few
+# arrays of a block's size, so its working set does not grow with J.
+BLOCK_ENTRIES = 2**13
 
 
-def solution_on_grid(prob: ParabolicProblem, u_hat: np.ndarray) -> SpaceTimeField:
-    """The space-time field of the spectra u_hat: one inverse FFT."""
-    grid = prob.elliptic.grid
-    return SpaceTimeField(grid=grid, values=grid.ifft(u_hat), Y=prob.Y)
+def solve_parabolic(prob: ParabolicProblem, method: str, p: float = 2.0, p1: float = 2.0,
+                    keep_field: bool = False):
+    """(coercive ratio, equation residual, ||f||, ||u||, u): the solution of the
+    stepper METHODS[method] and its diagnostics, in one pass over blocks of time
+    slices; u is the SpaceTimeField of the solution if keep_field, else None.
+
+    Each lattice mode evolves in the eigenbasis of A from one forward FFT of
+    the base: u_0 = 0 and u_{j+1} = a u_j + (b0 a_j + b1 a_{j+1}) c per
+    eigen-channel, c the eigencoordinates of the base's unitary spectrum
+    (GridSpec.fft).  A block's steps run in one buffer that carries one slice
+    beyond each end, for the time derivative.
+    The ratio is (||du/dy|| + ||P_t(D) u|| + ||A u||) / ||f|| and the residual
+    ||du/dy + P_t(D) u + A u - f|| / ||f||, every norm the mixed
+    L_p1(L_p(l_q)) norm with q that of the operator model; du/dy is
+    np.gradient along time.  The slice norms of f are |a_j| ||f0||.  At
+    p = q = 2 each norm is taken from the spectra by Parseval; other exponents,
+    and a kept field, take a block's slices on the grid by inverse FFT.
+    With f = 0 the ratio is None (not applicable) and the residual absolute.
+    """
+    ell, q, J, dy = prob.elliptic, prob.elliptic.model.q, prob.J, prob.dy
+    grid, (w, V, Vinv) = ell.grid, eigenbasis(ell.model)
+    P = ell.symbol_values()[..., None]
+    a, b0, b1 = METHODS[method](P + w, dy)  # the eigenvalues of G(xi) per channel
+    f0_hat = grid.fft(prob.base.values)
+    c = component_product(f0_hat, Vinv.T)
+    b0c, b1c, term = b0 * c, b1 * c, np.empty_like(c)
+    spectral = p == q == 2
+    f0, norms = (f0_hat, _lp_lq_norms_from_spectra) if spectral else \
+        (prob.base.values, _lp_lq_norms)
+    profile = prob.profile.reshape((-1,) + (1,) * c.ndim)
+    S = min(max(1, BLOCK_ENTRIES // c.size), J + 1)  # slices per block
+    buf = np.empty((S + 2,) + c.shape, dtype=complex)  # buf[i] holds u_{lo - 1 + i}
+    work = np.empty((5 * S,) + c.shape, dtype=complex)
+    inner = np.empty((5, J + 1))  # per slice: u, du/dy, P_t(D) u, A u, residual
+    field = np.empty((J + 1,) + c.shape, dtype=complex) if keep_field else None
+    buf[1] = 0.0
+    for lo in range(0, J + 1, S):
+        hi, top = min(lo + S, J + 1), min(lo + S, J)  # the block's slices, the last step's
+        if lo:
+            buf[:2] = buf[S:]
+        new = buf[2:top - lo + 2]  # u_{lo+1} .. u_top, first their forcing terms
+        np.multiply(profile[lo:top], b0c, out=new)
+        new += profile[lo + 1:top + 1] * b1c
+        for prev, row in zip(buf[1:], new):
+            np.multiply(a, prev, out=term)
+            np.add(term, row, out=row)
+        s, off = hi - lo, int(lo > 0)
+        u_hat = component_product(buf[1 - off:top - lo + 2], V.T)  # one slice beyond each end
+        u = u_hat if spectral else grid.ifft(u_hat)
+        T = work[:5 * s].reshape((5, s) + c.shape)  # u, du/dy, P_t(D) u, A u, residual
+        T[0] = u[off:off + s]
+        T[1] = np.gradient(u, dy, axis=0)[off:off + s]
+        np.multiply(P, u_hat[off:off + s], out=T[2])
+        if not spectral:
+            T[2] = grid.ifft(T[2])
+        T[3] = ell.model.apply(T[0])
+        np.add(T[2], T[3], out=T[4])
+        np.add(T[1], T[4], out=T[4])
+        np.subtract(T[4], profile[lo:hi] * f0, out=T[4])
+        inner[:, lo:hi] = norms(T, grid, q, p)
+        if keep_field:
+            field[lo:hi] = grid.ifft(T[0]) if spectral else T[0]
+    nf = _time_norm(np.abs(prob.profile) * norms(f0[None], grid, q, p)[0], dy, p1)
+    nu, n_du, n_Pu, n_Au, nres = (_time_norm(row, dy, p1) for row in inner)
+    if not np.isfinite(nres):  # inf or nan appear only past the float range
+        raise Overflow(f"residual {nres}: the evolution overflows")
+    field = SpaceTimeField(grid=grid, values=field, Y=prob.Y) if keep_field else None
+    ratio = None if nf == 0 else (n_du + n_Pu + n_Au) / nf
+    return ratio, nres / nf if nf else nres, nf, nu, field
 
 
 def solve_duhamel(prob: ParabolicProblem) -> SpaceTimeField:
     """The solution of the Duhamel stepper (_duhamel_weights) on the grid."""
-    return solution_on_grid(prob, evolve_spectra(prob, "duhamel")[0])
+    return solve_parabolic(prob, "duhamel", keep_field=True)[4]
 
 
 def solve_implicit_euler(prob: ParabolicProblem) -> SpaceTimeField:
     """The solution of the implicit-Euler stepper (_implicit_euler_weights) on the grid."""
-    return solution_on_grid(prob, evolve_spectra(prob, "implicit-euler")[0])
-
-
-def parabolic_diagnostics(prob: ParabolicProblem, u_hat: np.ndarray, f0_hat: np.ndarray,
-                          p: float = 2.0, p1: float = 2.0):
-    """(coercive ratio, equation residual, ||f||, ||u||) from the unitary
-    spectra (GridSpec.fft) of the solution and of the forcing's base.
-
-    The ratio is (||du/dy|| + ||P_t(D) u|| + ||A u||) / ||f|| and the residual
-    ||du/dy + P_t(D) u + A u - f|| / ||f||, every norm the mixed
-    L_p1(L_p(l_q)) norm with q that of the operator model; du/dy is
-    np.gradient along time.  The slice norms of f are |a_j| ||f0||, and f
-    enters the residual as a_j f0 per block of slices.  At p = q = 2 each norm
-    is taken from the spectra by Parseval, with no inverse FFT, and the terms
-    are formed in blocks of slices, never as whole stacks; other exponents
-    take u and P_t(D) u on the grid from one inverse FFT each.
-    With f = 0 the ratio is None (not applicable) and the residual absolute.
-    """
-    ell, q, J, dy = prob.elliptic, prob.elliptic.model.q, prob.J, prob.dy
-    P = ell.symbol_values()[..., None]
-    spectral = p == q == 2
-    if spectral:
-        u, f0, norms = u_hat, f0_hat, _lp_lq_norms_from_spectra
-    else:
-        u, f0, norms = ell.grid.ifft(u_hat), prob.base.values, _lp_lq_norms
-        Pu_grid = ell.grid.ifft(P * u_hat)
-    a = prob.profile.reshape((-1,) + (1,) * f0.ndim)
-    inner = np.empty((5, J + 1))  # per slice: u, du/dy, P_t(D) u, A u, residual
-    for b in blocks(J + 1, u[0].size):
-        lo, hi = max(b.start - 1, 0), min(b.stop + 1, J + 1)  # one slice beyond each end
-        du = np.gradient(u[lo:hi], dy, axis=0)[b.start - lo:b.stop - lo]
-        Pu = P * u_hat[b] if spectral else Pu_grid[b]
-        res = ell.model.apply(u[b])  # A u, then in place du + (P u + A u) - f
-        for row, v in zip(inner, (u[b], du, Pu, res)):
-            row[b] = norms(v, ell.grid, q, p)
-        np.add(Pu, res, out=res)
-        np.add(du, res, out=res)
-        np.subtract(res, a[b] * f0, out=res)
-        inner[4, b] = norms(res, ell.grid, q, p)
-    nf = _time_norm(np.abs(prob.profile) * norms(f0[None], ell.grid, q, p)[0], dy, p1)
-    nu, n_du, n_Pu, n_Au, nres = (_time_norm(row, dy, p1) for row in inner)
-    if not np.isfinite(nres):  # inf or nan appear only past the float range
-        raise Overflow(f"residual {nres}: the evolution overflows")
-    if nf == 0:
-        return None, nres, nf, nu
-    return (n_du + n_Pu + n_Au) / nf, nres / nf, nf, nu
+    return solve_parabolic(prob, "implicit-euler", keep_field=True)[4]

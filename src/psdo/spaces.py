@@ -16,8 +16,8 @@ import numpy as np
 from .symbols import MultiIndex, i_xi_power
 
 # Largest array one batched kernel call builds, in complex entries (256 KB): long
-# batches (sweep points, Rademacher instances, probe fields, time slices) run in
-# blocks along their first axis, so the temporaries stay near that size.
+# batches (sweep points, Rademacher instances, probe fields) run in blocks along
+# their first axis, so the temporaries stay near that size.
 BLOCK_ENTRIES = 2**14
 
 

@@ -285,6 +285,20 @@ def _signed_logspace(start: float, stop: float, num: int) -> np.ndarray:
     return np.concatenate([-mags[::-1], mags])
 
 
+def _knot_slopes(spec: SymbolSpec, x: np.ndarray) -> np.ndarray:
+    """Per sample of a user table: the larger |slope| of the two segments at the
+    interior knot within rel 1e-12 of it, else 0.  symbol_derivative reads one
+    segment there, and the sample's last ulp decides which."""
+    pts, values = np.asarray(spec.table[0], dtype=float), np.asarray(spec.table[1])
+    if len(pts) < 3:
+        return np.zeros(np.shape(x))  # no interior knot
+    slopes = np.abs(np.diff(values) / np.diff(pts))
+    j = np.clip(np.searchsorted(pts, x), 1, len(pts) - 2)
+    k = np.where(np.abs(x - pts[j - 1]) < np.abs(x - pts[j]), j - 1, j)  # the nearer knot
+    near = (k > 0) & (np.abs(x - pts[k]) <= 1e-12 * np.abs(pts[k]))
+    return np.where(near, np.maximum(slopes[k - 1], slopes[k]), 0.0)
+
+
 def check_symbol_class(spec: SymbolSpec, t_grid, xi_grid) -> SymbolClassReport:
     """The symbol-class constants C_beta from the closed-form symbol_derivative.
 
@@ -317,6 +331,8 @@ def check_symbol_class(spec: SymbolSpec, t_grid, xi_grid) -> SymbolClassReport:
             if not np.all(np.isfinite(d)):
                 raise NonFiniteDerivative(f"derivative D^{beta} diverged at "
                                           f"xi={xi_grid[~np.isfinite(d)][0]}, t={t.t}")
+            if spec.kind == "user-table" and sum(beta) == 1:
+                d = np.maximum(np.abs(d), _knot_slopes(spec, xi_grid[:, 0]))
             e = spec.m - sum(beta)
             bracket = (1.0 + np.sqrt(np.sum(tvec ** (2.0 / e) * xi_grid**2, axis=-1))) ** e \
                 if e > 0 else 1.0

@@ -32,9 +32,7 @@ from .operators import (
 from .parabolic import (
     METHODS,
     ParabolicProblem,
-    evolve_spectra,
-    parabolic_diagnostics,
-    solution_on_grid,
+    solve_parabolic,
 )
 from .spaces import (
     GridSpec,
@@ -475,9 +473,8 @@ def _task_solve_elliptic(v, seed):
 def _task_solve_parabolic(v, seed):
     ell = _parse_problem(v, 0.0)
     prob = _checked("forcing", ParabolicProblem, ell, *_parse_forcing(v, ell), v["horizon"])
-    u_hat, f0_hat = evolve_spectra(prob, v["method"])
-    ratio, residual, forcing_norm, solution_norm = parabolic_diagnostics(
-        prob, u_hat, f0_hat, v["p"], v["p1"])
+    ratio, residual, forcing_norm, solution_norm, u = solve_parabolic(
+        prob, v["method"], v["p"], v["p1"], keep_field=v["export_fields"])
     result = {
         "method": v["method"],
         "steps": v["steps"],
@@ -489,7 +486,7 @@ def _task_solve_parabolic(v, seed):
         "forcing_norm": forcing_norm,
     }
     ok = (ratio is None or math.isfinite(ratio)) and residual < v["residual_tol"]
-    return _verdict(ok), result, solution_on_grid(prob, u_hat) if v["export_fields"] else None
+    return _verdict(ok), result, u
 
 
 @_task("verify-coercivity", _sweep_task(("flatness", "max_ratio"), p=Q,

@@ -1,5 +1,5 @@
 """Oracles that only the tests call: the forward operator, the fractional
-derivative D^alpha, the mixed space-time norm, the coercive ratio of one
+derivative D^alpha (with its NyquistEnergy error), the mixed space-time norm, the coercive ratio of one
 solution and the symmetry classes of a sweep's points.  They live with the tests because the package does not use them.
 They are built on the package's own kernels (multipliers, transforms, block
 norms, and the sweep's _coercive_ratios and _derivative_weights), so they
@@ -7,12 +7,16 @@ share those kernels with the code they are compared with."""
 
 import numpy as np
 
-from psdo import MultiIndex, NyquistEnergy, coercive_index_set, fractional_multiplier
+from psdo import MultiIndex, PsdoError, coercive_index_set, fractional_multiplier
 from psdo.elliptic import _apply_lower
 from psdo.spaces import _lp_lq_norms, _lp_lq_norms_from_spectra, _time_norm, _zeroes_nyquist, blocks
 from psdo.verification import _coercive_ratios, _derivative_weights
 
 NYQUIST_TOL = 1e-10
+
+
+class NyquistEnergy(PsdoError):
+    """Input field carries too much energy on a Nyquist mode that must be zeroed."""
 
 
 def apply_operator(prob, u):

@@ -11,6 +11,7 @@ from psdo import (
     ParabolicProblem,
     __version__,
     cli,
+    parabolic,
     rotated_power_symbol,
     solve_implicit_euler,
     tasks,
@@ -159,29 +160,32 @@ def test_solve_parabolic_export_writes_every_slice(tmp_path):
     assert (tmp_path / "out" / "solution.txt").read_text() == export_columnar(solution.slice(6))
 
 
-@pytest.mark.parametrize("changes, transforms", [
-    ({}, ["fft"]),
-    ({"method": "implicit-euler", "p1": float("inf"), "residual_tol": 1.0}, ["fft"]),
-    ({"export_fields": True}, ["fft", "ifft"]),
-    ({"p": 3.0}, ["fft", "ifft", "ifft"]),
-    ({"model": {"kind": "scalar", "q": 3.0}}, ["fft", "ifft", "ifft"]),
+@pytest.mark.parametrize("changes, per_block", [
+    ({}, 0),
+    ({"method": "implicit-euler", "p1": float("inf"), "residual_tol": 1.0}, 0),
+    ({"export_fields": True}, 1),
+    ({"p": 3.0}, 2),
+    ({"model": {"kind": "scalar", "q": 3.0}}, 2),
 ], ids=["p2", "implicit-euler-p1-inf", "export", "p3", "q3"])
-def test_solve_parabolic_grid_transforms(tmp_path, monkeypatch, changes, transforms):
+def test_solve_parabolic_grid_transforms(tmp_path, monkeypatch, changes, per_block):
     """One forward FFT per task, of the forcing's base, one field with no time
-    axis; at p = q = 2 the diagnostics use no inverse FFT, at other exponents
-    two, and export_fields one more."""
-    calls, forward = [], []
-    for name in ("fft", "ifft"):
+    axis; at p = q = 2 the diagnostics use no inverse FFT and export_fields
+    one per block of time slices, other exponents two per block, which give
+    the exported field as well.  No transform takes more than a block's
+    slices and the two beyond its ends."""
+    calls = {"fft": [], "ifft": []}
+    for name in calls:
         def counting(grid, values, name=name, transform=getattr(GridSpec, name)):
-            calls.append(name)
-            if name == "fft":
-                forward.append(values.shape)
+            calls[name].append(values.shape)
             return transform(grid, values)
         monkeypatch.setattr(GridSpec, name, counting)
     cfg = small_parabolic_cfg(**changes)
+    slices = 16  # 5 blocks for the 65 slices of the 64 steps
+    monkeypatch.setattr(parabolic, "BLOCK_ENTRIES", slices * cfg["grid"]["M"])  # n = N = 1
     assert run_with_sets(tmp_path, "solve-parabolic", cfg, []) == 0
-    assert calls == transforms
-    assert forward == [(cfg["grid"]["M"],) * cfg["grid"]["n"] + (1,)]
+    assert calls["fft"] == [(cfg["grid"]["M"], 1)]
+    assert len(calls["ifft"]) == 5 * per_block
+    assert all(shape[0] <= slices + 2 for shape in calls["ifft"])
 
 
 @pytest.mark.parametrize("task, make_cfg, export", [

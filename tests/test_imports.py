@@ -418,8 +418,6 @@ PUBLIC_API = {
     "power_symbol": "builds the power symbol for library callers; configs build it in tasks.SYMBOL",
     "rotated_power_symbol": "builds the rotated power symbol for library callers",
     "smoothed_power_symbol": "builds the smoothed power symbol for library callers",
-    "NyquistEnergy": "the error of a fractional derivative of a field with Nyquist energy; the "
-                     "derivative oracle of the tests raises it",
     "kahane_contraction_check": "one instance's Kahane check as a KahaneResult; acceptance "
                                 "checks random real instances with it",
 }

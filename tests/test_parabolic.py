@@ -1,9 +1,17 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from oracles import apply_operator, mixed_norm
-from parabolic_oracles import forcing_stack, parabolic_coercive_ratio, semigroup_propagator
+from parabolic_oracles import (
+    evolve_spectra,
+    forcing_stack,
+    parabolic_coercive_ratio,
+    parabolic_diagnostics,
+    semigroup_propagator,
+    whole_stack_solve,
+)
 
 from psdo import (
     EllipticProblem,
@@ -13,17 +21,17 @@ from psdo import (
     ParabolicProblem,
     ScaleParams,
     SpaceTimeField,
-    evolve_spectra,
+    build_bvp_operator,
     gaussian_field,
     make_model,
-    parabolic_diagnostics,
     power_symbol,
     random_band_limited_field,
     solve_duhamel,
     solve_implicit_euler,
+    solve_parabolic,
     tridiagonal_matrix,
 )
-from psdo import spaces
+from psdo import parabolic
 from psdo.operators import eigenbasis
 from psdo.parabolic import _phi1, _phi2
 from psdo.spaces import _lp_lq_norms_from_spectra
@@ -310,14 +318,66 @@ def test_equation_residual_matches_per_slice_loop(name, solver):
                                      rel=1e-13)
 
 
-@pytest.mark.parametrize("slices", [1, 3, 7])
+@pytest.mark.parametrize("slices", [1, 2, 3, 7, 65, 1000])
 def test_diagnostics_do_not_depend_on_the_block_size(monkeypatch, slices):
+    """Blocks of one slice, of two, of lengths that do not divide J + 1 = 65
+    and of the whole run give the same numbers and field, bit for bit, at
+    p = 2 (by Parseval) and p = 3 (on the grid)."""
     prob = make_problem(J=64)
     spectra = evolve_spectra(prob, "duhamel")
-    whole = parabolic_diagnostics(prob, *spectra)
-    monkeypatch.setattr(spaces, "BLOCK_ENTRIES", slices * spectra[0][0].size)
-    assert parabolic_diagnostics(prob, *spectra) == whole
-    assert whole[1] == _spectral_residual_per_slice(prob, *spectra)
+    whole = [solve_parabolic(prob, "duhamel", p, keep_field=True) for p in (2.0, 3.0)]
+    monkeypatch.setattr(parabolic, "BLOCK_ENTRIES", slices * spectra[0][0].size)
+    for p, expected in zip((2.0, 3.0), whole):
+        got = solve_parabolic(prob, "duhamel", p, keep_field=True)
+        assert got[:4] == expected[:4]
+        assert np.array_equal(got[4].values, expected[4].values)
+    assert whole[0][1] == _spectral_residual_per_slice(prob, *spectra)
+
+
+ORACLE_MODELS = {**SEPARABLE_MODELS, "bvp-k8": build_bvp_operator(8, np.pi, 1.0, b1=3.0)}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("model", list(ORACLE_MODELS))
+@pytest.mark.parametrize("method", ["duhamel", "implicit-euler"])
+def test_streamed_solve_matches_the_whole_stack_oracle(monkeypatch, method, model, n):
+    """The solve in blocks of time slices gives the whole-stack recipe's four
+    numbers and field bit for bit, at every exponent pair; blocks of 3 slices
+    do not divide the J + 1 = 17 slices."""
+    prob = separable_problem(ORACLE_MODELS[model], n, "complex")
+    monkeypatch.setattr(parabolic, "BLOCK_ENTRIES", 3 * prob.base.values.size)
+    for p in (1.5, 2.0, 3.0, np.inf):
+        for p1 in (1.0, 2.0, np.inf):
+            got = solve_parabolic(prob, method, p, p1, keep_field=True)
+            ref = whole_stack_solve(prob, method, p, p1)
+            assert got[:4] == ref[:4], (p, p1)
+            assert np.array_equal(got[4].values, ref[4].values), (p, p1)
+            assert solve_parabolic(prob, method, p, p1)[:4] == ref[:4]
+
+
+def _traced_peak(prob, keep_field):
+    """The peak of the memory tracemalloc traces, in bytes, during one Duhamel
+    solve of prob."""
+    solve_parabolic(prob, "duhamel", keep_field=keep_field)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        solve_parabolic(prob, "duhamel", keep_field=keep_field)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_working_set_does_not_grow_with_the_steps():
+    """Without the field the solve holds no (J + 1)-slice stack: between J = 512
+    and J = 8192 its traced peak grows by less than 100 bytes per step (a
+    1-D M = 64 solve stores 1024 bytes per slice; the per-slice norms take
+    40).  Keeping the field adds no more than the field and the one-byte
+    finiteness mask of SpaceTimeField."""
+    short, long = make_problem(J=512), make_problem(J=8192)
+    bare = _traced_peak(long, False)
+    assert bare - _traced_peak(short, False) < 100 * (long.J - short.J)
+    field_and_mask = (long.J + 1) * long.base.values.size * (16 + 1)
+    assert _traced_peak(long, True) <= bare + field_and_mask
 
 
 def _diagnostics_reference(prob, u, p=2.0, p1=2.0):

@@ -2,12 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import liouville_derivative, mixed_norm
+from oracles import NyquistEnergy, liouville_derivative, mixed_norm
 
 from psdo import (
     GridSpec,
     MultiIndex,
-    NyquistEnergy,
     SampledField,
     ScaleParams,
     SpaceTimeField,

@@ -250,3 +250,22 @@ def test_smoothed_slope_stays_bounded_below_order_one():
     xi = np.logspace(-6, 2, 15)[:, None]
     rep = check_symbol_class(smoothed_power_symbol(0.5, epsilon=0.5), [ScaleParams((1.0,))], xi)
     assert math.isfinite(rep.constants[(1,)])
+
+
+def test_symbol_class_takes_the_steeper_segment_at_a_table_knot():
+    """check-symbol's grid puts 10**log10(50) one ulp left of the knot 50 of
+    pts^2 on linspace(-60, 60, 241); the slope bound there is the steeper right
+    segment's, 100.5 / (1 + 50), not the left one's 99.5 / 51."""
+    pts = np.linspace(-60.0, 60.0, 241)
+    spec = SymbolSpec(kind="user-table", m=2.0, table=(pts, pts**2))
+    mags = np.logspace(math.log10(0.5), math.log10(50.0), 9)
+    xi = np.concatenate([-mags[::-1], mags])[:, None]
+    assert xi[-1, 0] < 50.0  # the sample the segment lookup places left of the knot
+    assert symbol_derivative(spec, ScaleParams((1.0,)), xi[-1:], (1,)) == pytest.approx(99.5)
+    rep = check_symbol_class(spec, [ScaleParams((1.0,))], xi)
+    assert rep.constants[(1,)] == pytest.approx(100.5 / 51.0, rel=1e-12)
+    # off the knots, and at a knot of a two-knot table, one segment as before
+    far = check_symbol_class(spec, [ScaleParams((1.0,))], [[0.25], [10.2]])
+    assert far.constants[(1,)] == pytest.approx(20.5 / 11.2, rel=1e-12)
+    two = SymbolSpec(kind="user-table", m=2.0, table=([0.0, 2.0], [0.0, 4.0]))
+    assert check_symbol_class(two, [ScaleParams((1.0,))], [[0.0], [2.0]]).constants[(1,)] == 2.0
